@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from memvisco.expressions import FORCING_NAMES, SPACE_NAMES, Forcing
 from memvisco.grid import Grid
 from memvisco.kernels import RelaxationKernel, kernel_from_dict
+from memvisco.solver import FORMULATIONS
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_file"]
 
 MODES = ("single_run", "eps_sequence", "admissibility", "stress_test")
-FORMULATIONS = ("integrodifferential", "integral_volterra")
 EXPORT_FORMATS = ("csv", "binary", "both")
 STRAINS = ("step", "ramp", "constant_forever")
 

@@ -17,6 +17,7 @@ import numpy as np
 from memvisco.grid import (
     Field,
     Grid,
+    dirichlet_edge_differences,
     dirichlet_gradient_sq,
     inner_space,
     l2_space,
@@ -32,6 +33,7 @@ from memvisco.solver import (
     interval_weights,
     run_integrodiff,
     _cumulative_trapezoid,
+    _weights_inert,
     _forcing_values,
 )
 
@@ -100,41 +102,44 @@ def energy_ledger(
 
     grid, dt = traj.grid, traj.dt
     J = traj.n_levels - 1
-    u = traj.levels
-    v = traj.velocities()
+    vol = grid.cell_volume
+    v = traj.velocities().reshape(J + 1, -1)
     times = traj.times
 
     g_now = kk.modulus(times)
     gdot_now = kk.modulus_dt(times)
     left_m, right_m = interval_weights(kk._modulus, kk._integral, J, dt)
     left_c, right_c = interval_weights(kk._modulus_dt, kk._modulus, J, dt)
-    # constant kernel: moment weights are pure roundoff, skip the history sums
-    weight_floor = 1e-13 * max(1.0, float(g_now[0]))
-    memory_inert = (
-        max(np.abs(left_m).max(initial=0.0), np.abs(right_m).max(initial=0.0))
-        <= weight_floor
-    )
 
-    grad_sq = np.array([dirichlet_gradient_sq(grid, u[j]) for j in range(J + 1)])
-    kinetic = np.array([0.5 * l2_space(grid, v[j]) ** 2 for j in range(J + 1)])
+    edges = dirichlet_edge_differences(grid, traj.levels)
+    grad_sq = vol * np.sum(edges * edges, axis=1)
+    kinetic = 0.5 * vol * np.sum(v * v, axis=1)
     elastic = 0.5 * g_now * grad_sq
     rate_modulus = 0.5 * gdot_now * grad_sq
 
     memory = np.zeros(J + 1)
     rate_curvature = np.zeros(J + 1)
-    if not memory_inert:
-        for j in range(1, J + 1):
-            # phi(s_i) = |grad(u(t_j) - u(t_j - s_i))|^2, phi(0) = 0
-            phi = np.empty(j + 1)
-            phi[0] = 0.0
-            for i in range(1, j + 1):
-                phi[i] = dirichlet_gradient_sq(grid, u[j] - u[j - i])
-            memory[j] = -0.5 * float(direct_weights(left_m, right_m, j) @ phi)
-            rate_curvature[j] = -0.5 * float(direct_weights(left_c, right_c, j) @ phi)
+    # constant kernel: moment weights are pure roundoff, skip the history sums
+    if not _weights_inert(left_m, right_m, g_now[0]):
+        # Level j weighs lag i by direct_weights(left, right, j)[i], which is
+        # left[i] + right[i - 1] for i < j and right[j - 1] at i = j; the
+        # first form does not depend on j, so one full-length vector serves.
+        inner_m = direct_weights(left_m, right_m, J)
+        inner_c = direct_weights(left_c, right_c, J)
+        for i in range(1, J + 1):
+            # phi_j(i) = |grad(u(t_j) - u(t_j - s_i))|^2 for j = i .. J at once
+            d = edges[i:] - edges[:-i]
+            phi = vol * np.einsum("ij,ij->i", d, d)
+            memory[i] += right_m[i - 1] * phi[0]
+            rate_curvature[i] += right_c[i - 1] * phi[0]
+            memory[i + 1 :] += inner_m[i] * phi[1:]
+            rate_curvature[i + 1 :] += inner_c[i] * phi[1:]
+        memory *= -0.5
+        rate_curvature *= -0.5
 
     forcing_power = np.array(
         [
-            inner_space(grid, _forcing_values(forcing, grid, times[j]), v[j])
+            inner_space(grid, _forcing_values(forcing, grid, times[j]).ravel(), v[j])
             for j in range(J + 1)
         ]
     )

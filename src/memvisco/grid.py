@@ -18,6 +18,7 @@ __all__ = [
     "GridMismatchError",
     "laplacian",
     "laplacian_array",
+    "dirichlet_edge_differences",
     "dirichlet_gradient_sq",
     "inner_space",
     "l2_space",
@@ -148,19 +149,39 @@ def laplacian(grid: Grid, u: Field) -> Field:
     return Field(grid, laplacian_array(grid, u.values))
 
 
+def dirichlet_edge_differences(grid: Grid, levels: np.ndarray) -> np.ndarray:
+    """Edge differences (u_b - u_a) / h of a level stack, with u = 0 outside.
+
+    levels has shape (m, *grid.shape); the result has shape (m, n_edges),
+    the edges of each axis in turn, so  cell_volume * sum(E[j] ** 2)  is
+    the squared gradient norm of level j.
+    """
+    levels = np.asarray(levels, dtype=float)
+    sizes = [grid.n_total // n * (n + 1) for n in grid.n]
+    out = np.empty((levels.shape[0], sum(sizes)))
+    start = 0
+    for axis, (h, size) in enumerate(zip(grid.spacing, sizes), start=1):
+        edge_shape = list(levels.shape)
+        edge_shape[axis] += 1
+        # views with the differenced axis second: (m, edges along axis, ...)
+        block = np.moveaxis(out[:, start : start + size].reshape(edge_shape), axis, 1)
+        u = np.moveaxis(levels, axis, 1)
+        start += size
+        np.subtract(u[:, 1:], u[:, :-1], out=block[:, 1:-1])
+        block[:, 0] = u[:, 0]
+        np.negative(u[:, -1], out=block[:, -1])
+        block /= h
+    return out
+
+
 def dirichlet_gradient_sq(grid: Grid, values: np.ndarray) -> float:
     """Edge-based squared gradient norm, int |grad u|^2 with u = 0 outside.
 
     Adjoint to the Laplacian stencil: equals <-lap(u), u> * cell_volume
     exactly, which is what the energy bookkeeping relies on.
     """
-    total = 0.0
-    for axis, h in enumerate(grid.spacing):
-        pad = [(0, 0)] * grid.dim
-        pad[axis] = (1, 1)
-        d = np.diff(np.pad(values, pad), axis=axis) / h
-        total += float(np.sum(d * d))
-    return total * grid.cell_volume
+    d = dirichlet_edge_differences(grid, np.asarray(values)[None])[0]
+    return float(np.sum(np.square(d, out=d))) * grid.cell_volume
 
 
 def inner_space(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:

@@ -244,6 +244,17 @@ def conv_weights(left, right, j: int, max_intervals: int | None = None) -> np.nd
     return w
 
 
+def _weights_inert(left, right, g0: float) -> bool:
+    """True when product-quadrature weights are pure roundoff next to G(eps).
+
+    A constant kernel has dG = 0, so its memory weights come out of the
+    antiderivative differences as rounding noise; callers skip the memory
+    term instead of summing that noise.
+    """
+    weight_floor = 1e-13 * max(1.0, abs(g0))
+    return max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0)) <= weight_floor
+
+
 def direct_weights(left, right, j: int) -> np.ndarray:
     """Sample weights for  int_0^{t_j} w(s) p(s) ds,  indexed by sample i."""
     w = np.zeros(j + 1)
@@ -267,8 +278,7 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
     # memory weights: kernel factor dG(eps + s), antiderivatives G, K
     left, right = interval_weights(shifted._modulus, shifted._integral, J, dt)
     # constant kernel: weights are pure roundoff, skip the memory term
-    weight_floor = 1e-13 * max(1.0, abs(g0))
-    inert = max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0)) <= weight_floor
+    inert = _weights_inert(left, right, g0)
     max_iv = None if spec.history_window is None else math.ceil(spec.history_window / dt)
 
     shape = grid.shape

@@ -4,14 +4,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from memvisco.grid import Grid, trapezoid_weights
+from memvisco.diagnostics import EnergyLedger
+from memvisco.grid import (
+    Grid,
+    dirichlet_gradient_sq,
+    inner_space,
+    l2_space,
+    trapezoid_weights,
+)
 from memvisco.kernels import (
     ConstantKernel,
     KernelSum,
     PowerLawKernel,
     PronyKernel,
+    translate,
 )
-from memvisco.solver import ProblemSpec
+from memvisco.solver import (
+    ProblemSpec,
+    TrajectorySolution,
+    direct_weights,
+    interval_weights,
+    _forcing_values,
+)
 
 # Populated by the acceptance tests, printed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -112,3 +126,69 @@ def unchecked_spec(**fields) -> ProblemSpec:
     for key, value in {**defaults, **fields}.items():
         object.__setattr__(spec, key, value)
     return spec
+
+
+def reference_energy_ledger(
+    traj: TrajectorySolution, kernel, eps: float, forcing=None
+) -> EnergyLedger:
+    """Per-pair loop oracle for energy_ledger: one gradient per (level, lag)."""
+    if eps > 0:
+        kk = translate(kernel, eps)
+    elif kernel.rate_integrable_at_zero:
+        kk = kernel
+    else:
+        raise ValueError("eps = 0 needs a modulus whose rate is integrable at 0")
+
+    grid, dt = traj.grid, traj.dt
+    J = traj.n_levels - 1
+    u = traj.levels
+    v = traj.velocities()
+    times = traj.times
+
+    g_now = kk.modulus(times)
+    gdot_now = kk.modulus_dt(times)
+    left_m, right_m = interval_weights(kk._modulus, kk._integral, J, dt)
+    left_c, right_c = interval_weights(kk._modulus_dt, kk._modulus, J, dt)
+    weight_floor = 1e-13 * max(1.0, float(g_now[0]))
+    memory_inert = (
+        max(np.abs(left_m).max(initial=0.0), np.abs(right_m).max(initial=0.0))
+        <= weight_floor
+    )
+
+    grad_sq = np.array([dirichlet_gradient_sq(grid, u[j]) for j in range(J + 1)])
+    kinetic = np.array([0.5 * l2_space(grid, v[j]) ** 2 for j in range(J + 1)])
+    elastic = 0.5 * g_now * grad_sq
+    rate_modulus = 0.5 * gdot_now * grad_sq
+
+    memory = np.zeros(J + 1)
+    rate_curvature = np.zeros(J + 1)
+    if not memory_inert:
+        for j in range(1, J + 1):
+            phi = np.empty(j + 1)
+            phi[0] = 0.0
+            for i in range(1, j + 1):
+                phi[i] = dirichlet_gradient_sq(grid, u[j] - u[j - i])
+            memory[j] = -0.5 * float(direct_weights(left_m, right_m, j) @ phi)
+            rate_curvature[j] = -0.5 * float(direct_weights(left_c, right_c, j) @ phi)
+
+    forcing_power = np.array(
+        [
+            inner_space(grid, _forcing_values(forcing, grid, times[j]), v[j])
+            for j in range(J + 1)
+        ]
+    )
+    stored = kinetic + elastic + memory
+    residual = (stored[2:] - stored[:-2]) / (2 * dt) - (
+        forcing_power[1:-1] + rate_modulus[1:-1] + rate_curvature[1:-1]
+    )
+    return EnergyLedger(
+        times=times,
+        kinetic=kinetic,
+        elastic=elastic,
+        memory=memory,
+        rate_modulus=rate_modulus,
+        rate_curvature=rate_curvature,
+        forcing_power=forcing_power,
+        stored=stored,
+        residual=residual,
+    )

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from helpers import unchecked_prony
+from helpers import reference_energy_ledger, unchecked_prony
 from memvisco.diagnostics import (
     ModeTestFunction,
     calibrate_decay_tolerance,
@@ -97,6 +98,45 @@ class TestEnergyLedger:
         led = energy_ledger(run(spec), k, 0.05)
         assert np.all(np.isfinite(led.stored))
         assert np.all(led.memory >= -1e-12)
+
+
+def _ledger_cases():
+    power = PowerLawKernel(c=1.0, alpha=0.5)
+    g19, box = Grid.line(19), Grid.box(5)
+    forcing = Forcing.from_dict("sin_pi_product", {"amplitude": 0.5})
+    return {
+        "prony_1d": damped_spec(),
+        "forced_prony_1d": damped_spec(forcing=forcing),
+        "powerlaw_volterra_1d": ProblemSpec(
+            kernel=power, grid=g19, horizon=0.5, dt=0.01, eps=0.05,
+            u0=Field.zero(g19),
+            u1=field_from_name(g19, "sin_pi_product", {"amplitude": 1.0}),
+            formulation="integral_volterra",
+        ),
+        "prony_box3d": ProblemSpec(
+            kernel=PRONY, grid=box, horizon=0.5,
+            dt=cfl_time_step(box, PRONY, 0.05, 0.5, 0.5), eps=0.05,
+            u0=Field.zero(box),
+            u1=field_from_name(box, "sin_pi_product", {"amplitude": 1.0}),
+        ),
+    }
+
+
+class TestLedgerMatchesReference:
+    """The lag-pass ledger against the per-pair loop it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(_ledger_cases()))
+    def test_every_column_within_1e12_of_column_max(self, case):
+        spec = _ledger_cases()[case]
+        traj = run(spec)
+        led = energy_ledger(traj, spec.kernel, spec.eps, spec.forcing)
+        ref = reference_energy_ledger(traj, spec.kernel, spec.eps, spec.forcing)
+        assert np.abs(ref.memory).max() > 0.0  # the history sums are exercised
+        for column in dataclasses.fields(ref):
+            got, want = getattr(led, column.name), getattr(ref, column.name)
+            assert got.shape == want.shape, column.name
+            scale = float(np.abs(want).max())
+            assert float(np.abs(got - want).max()) <= 1e-12 * scale, column.name
 
 
 class TestEnergyDecay:

@@ -9,6 +9,7 @@ from memvisco.grid import (
     Field,
     Grid,
     GridMismatchError,
+    dirichlet_edge_differences,
     dirichlet_gradient_sq,
     inner_space,
     l2_space,
@@ -128,6 +129,30 @@ class TestLaplacian:
         lhs = dirichlet_gradient_sq(g, u)
         rhs = inner_space(g, -laplacian_array(g, u), u)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+class TestEdgeDifferences:
+    def test_line_includes_boundary_edges(self):
+        g = Grid.line(3)  # h = 0.25
+        edges = dirichlet_edge_differences(g, np.array([[1.0, 2.0, 3.0]]))
+        assert edges.tolist() == [[4.0, 4.0, 4.0, -12.0]]
+
+    def test_box_edge_count(self):
+        g = Grid.box(4)
+        edges = dirichlet_edge_differences(g, np.zeros((2,) + g.shape))
+        assert edges.shape == (2, 3 * 5 * 4 * 4)
+
+    @given(st.integers(3, 5), st.integers(0, 2**32 - 1))
+    def test_stack_rows_are_single_levels(self, n, seed):
+        g = Grid.box(n)
+        levels = np.random.default_rng(seed).standard_normal((3,) + g.shape)
+        stack = dirichlet_edge_differences(g, levels)
+        for j in range(3):
+            one = dirichlet_edge_differences(g, levels[j : j + 1])
+            assert np.array_equal(stack[j], one[0])
+            assert g.cell_volume * float(np.sum(stack[j] ** 2)) == pytest.approx(
+                dirichlet_gradient_sq(g, levels[j]), rel=1e-14
+            )
 
 
 class TestNorms:
