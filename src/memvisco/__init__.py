@@ -12,7 +12,6 @@ from memvisco.grid import Field, Grid, GridMismatchError
 from memvisco.kernels import (
     AdmissibilityReport,
     ConstantKernel,
-    IsotropicRelaxationTensor,
     KernelDomainError,
     KernelSum,
     PowerLawKernel,
@@ -46,7 +45,6 @@ __all__ = [
     "Field",
     "Grid",
     "GridMismatchError",
-    "IsotropicRelaxationTensor",
     "KernelDomainError",
     "KernelSum",
     "KernelUnboundedError",

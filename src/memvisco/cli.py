@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from memvisco import __version__
@@ -32,14 +31,6 @@ def _parse_overrides(pairs: list[str]) -> dict[str, float]:
     return out
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MEMVISCO_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _cmd_run(args) -> int:
     try:
         cfg = parse_config_file(args.config)
@@ -59,7 +50,7 @@ def _cmd_run(args) -> int:
         return 2
     if overrides:
         cfg = dataclasses.replace(cfg, tolerances={**cfg.tolerances, **overrides})
-    code = run_experiment(cfg, args.out, threads=args.threads)
+    code = run_experiment(cfg, args.out)
     print(f"mode={cfg.mode} out={args.out} exit={code}")
     return code
 
@@ -97,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment described by a config file")
     p_run.add_argument("config", help="path to an INI-style experiment config")
     p_run.add_argument("--out", default="out", help="output directory (default: out)")
-    p_run.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker threads for shift sequences (default: 1 or MEMVISCO_THREADS)",
-    )
     p_run.add_argument(
         "--tol-override",
         action="append",

@@ -10,7 +10,6 @@ shift.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,7 +53,6 @@ def run_eps_sequence(
     eps0: float,
     ratio: float,
     count: int,
-    threads: int = 1,
 ) -> list[TrajectorySolution]:
     """Run the base problem at every shift of the schedule, shared dt.
 
@@ -70,11 +68,7 @@ def run_eps_sequence(
                 f"dt = {base.dt:.6g} unstable at the smallest shift "
                 f"eps = {eps_values[-1]:.6g}; required dt <= {limit:.6g}"
             )
-    specs = [replace(base, eps=float(e)) for e in eps_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, specs))
-    return [run(s) for s in specs]
+    return [run(replace(base, eps=float(e))) for e in eps_values]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "KernelDomainError",
@@ -33,7 +32,6 @@ __all__ = [
     "AdmissibilityReport",
     "check_admissibility",
     "check_fading_memory",
-    "IsotropicRelaxationTensor",
     "kernel_from_dict",
 ]
 
@@ -575,52 +573,16 @@ def check_fading_memory(
         hi *= 2.0
         if hi > max_shift:
             return math.inf
-    return float(brentq(lambda a: tail(a) - tol, lo, hi, xtol=1e-15, rtol=8.9e-16))
-
-
-# ---------------------------------------------------------------------------
-# isotropic fourth-order form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IsotropicRelaxationTensor:
-    """Isotropic fourth-order relaxation form built from bulk/shear kernels.
-
-    Acting on a symmetric 3x3 strain e at time t:
-
-        apply(t, e) = lam(t) tr(e) I + 2 mu(t) e
-
-    with mu the shear kernel and lam = bulk - (2/3) shear.  Minor and major
-    symmetries hold by construction; the contraction apply(t,e):e is bounded
-    below by coercivity_constant(t) * e:e.
-    """
-
-    bulk: RelaxationKernel
-    shear: RelaxationKernel
-
-    def lame_lambda(self, t: float) -> float:
-        return self.bulk.modulus(t) - (2.0 / 3.0) * self.shear.modulus(t)
-
-    def lame_mu(self, t: float) -> float:
-        return self.shear.modulus(t)
-
-    def apply(self, t: float, strain: np.ndarray) -> np.ndarray:
-        e = np.asarray(strain, dtype=float)
-        if e.shape != (3, 3):
-            raise ValueError(f"strain must be 3x3, got shape {e.shape}")
-        scale = max(1.0, float(np.max(np.abs(e))))
-        if np.max(np.abs(e - e.T)) > 1e-12 * scale:
-            raise ValueError("strain must be symmetric")
-        lam = self.lame_lambda(t)
-        mu = self.lame_mu(t)
-        return lam * np.trace(e) * np.eye(3) + 2.0 * mu * e
-
-    def coercivity_constant(self, t: float) -> float:
-        """min(2 mu, 3 lam + 2 mu); positive whenever both kernels are."""
-        lam = self.lame_lambda(t)
-        mu = self.lame_mu(t)
-        return min(2.0 * mu, 3.0 * lam + 2.0 * mu)
+    # tail(lo) > tol >= tail(hi): bisect down to adjacent floats, so hi is
+    # the smallest float meeting the tolerance.
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if tail(mid) > tol:
+            lo = mid
+        else:
+            hi = mid
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def _export_ledger(out_dir: Path, ledger) -> None:
     _write_csv(out_dir / "energy.csv", header, rows)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     """Execute the configured mode; returns the process exit code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -204,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
         if cfg.mode == "single_run":
             exit_code = _run_single(cfg, out_dir, verdicts)
         elif cfg.mode == "eps_sequence":
-            exit_code = _run_sequence(cfg, out_dir, verdicts, threads)
+            exit_code = _run_sequence(cfg, out_dir, verdicts)
         elif cfg.mode == "admissibility":
             exit_code = _run_admissibility(cfg, out_dir, verdicts)
         else:
@@ -220,7 +220,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
         "config": cfg.resolved,
         "defaults_applied": list(cfg.defaults_applied),
         "tolerances": cfg.tolerances,
-        "threads": threads,
         "timing_seconds": round(time.perf_counter() - started, 6),
         "verdicts": verdicts,
         "abort": abort_info,
@@ -292,11 +291,11 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, verdicts: dict) -> int:
     return 0 if ok else 1
 
 
-def _run_sequence(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, threads: int) -> int:
+def _run_sequence(cfg: ExperimentConfig, out_dir: Path, verdicts: dict) -> int:
     eps_values = eps_schedule(cfg.eps0, cfg.ratio, cfg.count)
     dt = _resolve_dt(cfg, float(eps_values[-1]))
     base = _build_spec(cfg, float(eps_values[0]), dt)
-    trajs = run_eps_sequence(base, cfg.eps0, cfg.ratio, cfg.count, threads=threads)
+    trajs = run_eps_sequence(base, cfg.eps0, cfg.ratio, cfg.count)
     report = cauchy_report(trajs, eps_values, cfg.kernel, cfg.tolerances["cauchy_tol"])
 
     rows = []

@@ -1,6 +1,10 @@
 """CLI behavior: exit codes, artifacts, manifest completeness."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,23 @@ class TestVersion:
         assert capsys.readouterr().out.strip() == f"memvisco {__version__}"
 
 
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys, memvisco.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
+
 class TestRunSingle:
     def test_exit_zero_and_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
@@ -187,12 +208,11 @@ class TestOtherModes:
     def test_eps_sequence_artifacts(self, tmp_path):
         cfg = write_cfg(tmp_path, SEQUENCE)
         out = tmp_path / "out"
-        assert cli.main(["run", cfg, "--out", str(out), "--threads", "2"]) == 0
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
         assert (out / "convergence.csv").exists()
         assert (out / "lemma.csv").exists()
         assert (out / "plot_convergence.py").exists()
         manifest = read_manifest(out)
-        assert manifest["threads"] == 2
         assert manifest["verdicts"]["cauchy"]["passed"] is True
 
     def test_stress_test_artifacts(self, tmp_path):
@@ -243,14 +263,3 @@ class TestCheckKernel:
         assert cli.main(["check-kernel", cfg]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-
-class TestThreadDefault:
-    def test_env_variable_sets_default(self, monkeypatch):
-        monkeypatch.setenv("MEMVISCO_THREADS", "4")
-        args = cli.build_parser().parse_args(["run", "x.cfg"])
-        assert args.threads == 4
-
-    def test_garbage_env_falls_back_to_one(self, monkeypatch):
-        monkeypatch.setenv("MEMVISCO_THREADS", "many")
-        args = cli.build_parser().parse_args(["run", "x.cfg"])
-        assert args.threads == 1

@@ -71,13 +71,6 @@ class TestRunEpsSequence:
         with pytest.raises(CflViolation, match="required dt"):
             run_eps_sequence(base, 0.1, 0.25, 4)
 
-    def test_threads_do_not_change_results(self):
-        base = sequence_base(PRONY)
-        serial = run_eps_sequence(base, 0.1, 0.5, 3, threads=1)
-        parallel = run_eps_sequence(base, 0.1, 0.5, 3, threads=3)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.levels, b.levels)
-
 
 class TestCauchyReport:
     def test_needs_three_trajectories(self):
