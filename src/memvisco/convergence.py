@@ -20,7 +20,8 @@ from memvisco.solver import (
     CflViolation,
     ProblemSpec,
     TrajectorySolution,
-    conv_weights,
+    conv_weight_rows,
+    conv_weights,  # noqa: F401  (public name the perfbench tracer wraps)
     interval_weights,
     run,
     stable_time_step,
@@ -215,8 +216,8 @@ def convergence_lemma_check(
         left, right = interval_weights(diff_antider, diff_antider2, J, dt)
         flat = traj.levels.reshape(J + 1, -1)
         conv = np.zeros_like(flat)
-        for j in range(1, J + 1):
-            conv[j] = conv_weights(left, right, j) @ flat[: j + 1]
+        for j, w in enumerate(conv_weight_rows(left, right, J), start=1):
+            conv[j] = w @ flat[: j + 1]
         c_level = float(np.max(np.abs(traj.levels))) / grid.volume
 
         wt = trapezoid_weights(J + 1, dt)

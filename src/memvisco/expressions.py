@@ -80,10 +80,16 @@ def field_from_name(grid: Grid, name: str, params: dict | None = None) -> Field:
 
 @dataclass(frozen=True)
 class Forcing:
-    """Space profile, optionally modulated in time by cos(omega t)."""
+    """Space profile, optionally modulated in time by cos(omega t).
+
+    The profile is separable from time, so it is computed once per grid and
+    kept with the forcing; samples are always fresh arrays.
+    """
 
     name: str
     params: tuple[tuple[str, float], ...] = field(default=())
+    # (grid, profile) for the last grid sampled on
+    _profile: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name not in FORCING_NAMES:
@@ -105,7 +111,10 @@ class Forcing:
     def sample(self, grid: Grid, t: float) -> np.ndarray:
         params = dict(self.params)
         omega = params.pop("omega", 0.0)
-        out = space_values(grid, self.name, params)
+        if self._profile is None or self._profile[0] != grid:
+            # the one attribute of the frozen forcing set after construction
+            object.__setattr__(self, "_profile", (grid, space_values(grid, self.name, params)))
+        profile = self._profile[1]
         if omega:
-            out = out * np.cos(omega * t)
-        return out
+            return profile * np.cos(omega * t)
+        return profile.copy()

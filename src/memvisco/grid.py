@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class Grid:
     def n_total(self) -> int:
         return int(np.prod(self.n))
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / (m + 1) for L, m in zip(self.extent, self.n))
 
@@ -131,16 +132,34 @@ def _require_same_grid(grid: Grid, field: Field) -> None:
 
 
 def laplacian_array(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Second-order central Laplacian with implicit zero boundary."""
-    padded = np.pad(values, 1)
-    core = (slice(1, -1),) * grid.dim
-    out = np.zeros_like(values)
+    """Second-order central Laplacian with implicit zero boundary.
+
+    values is one field of shape grid.shape or a stack (..., *grid.shape);
+    the stencil acts on the trailing grid axes.  Each axis contributes
+    (u[i-1] + u[i+1] - 2u) / h^2 with u = 0 outside the box, and the
+    contributions are summed axis by axis starting from 0.0, so a stack
+    gives bit for bit the per-field results.
+    """
+    twice = 2.0 * values
+    term = np.empty_like(twice)
     for axis, h in enumerate(grid.spacing):
-        lo = list(core)
-        hi = list(core)
-        lo[axis] = slice(0, -2)
-        hi[axis] = slice(2, None)
-        out += (padded[tuple(lo)] + padded[tuple(hi)] - 2.0 * values) / (h * h)
+        rest = (slice(None),) * (grid.dim - 1 - axis)
+
+        def at(index):
+            return (..., index) + rest
+
+        np.add(values[at(slice(None, -2))], values[at(slice(2, None))], out=term[at(slice(1, -1))])
+        # At the faces the outside neighbour is 0.0.  Adding it could only
+        # turn -0.0 into 0.0, and such a zero reaches the result as
+        # 0.0 + term or out + term with out never -0.0, so it is left out.
+        term[at(0)] = values[at(1)]
+        term[at(-1)] = values[at(-2)]
+        term -= twice
+        term /= h * h
+        if axis == 0:
+            out = term + 0.0
+        else:
+            out += term
     return out
 
 

@@ -53,9 +53,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text) -> None:
+    """Write text, a string or an iterable of strings, under a temporary
+    name and rename it into place."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
@@ -138,21 +141,26 @@ def _build_spec(cfg: ExperimentConfig, eps: float, dt: float) -> ProblemSpec:
     )
 
 
+def _trajectory_csv(traj, stride: int):
+    """trajectory.csv text, one chunk per exported level."""
+    axis_names = ["x", "y", "z"][: traj.grid.dim]
+    yield ",".join(["t", "node", *axis_names, "u", "u_t"]) + "\n"
+    # "node,x[,y,z]," is the same at every level
+    prefixes = [
+        ",".join([str(node), *map(repr, xyz)]) + ","
+        for node, xyz in enumerate(traj.grid.node_coordinates().tolist())
+    ]
+    vel = traj.velocities(stride)
+    for i, j in enumerate(range(0, traj.n_levels, stride)):
+        t = _fmt(traj.times[j])
+        u = traj.levels[j].ravel().tolist()
+        v = vel[i].ravel().tolist()
+        yield "".join(f"{t},{p}{a!r},{b!r}\n" for p, a, b in zip(prefixes, u, v))
+
+
 def _export_trajectory(out_dir: Path, cfg: ExperimentConfig, traj) -> None:
     if cfg.export_format in ("csv", "both"):
-        coords = traj.grid.node_coordinates()
-        vel = traj.velocities()
-        axis_names = ["x", "y", "z"][: traj.grid.dim]
-        header = ["t", "node", *axis_names, "u", "u_t"]
-        rows = []
-        for j in range(0, traj.n_levels, cfg.snapshot_stride):
-            flat_u = traj.levels[j].ravel()
-            flat_v = vel[j].ravel()
-            for node in range(coords.shape[0]):
-                rows.append(
-                    [traj.times[j], node, *coords[node], flat_u[node], flat_v[node]]
-                )
-        _write_csv(out_dir / "trajectory.csv", header, rows)
+        _write_atomic(out_dir / "trajectory.csv", _trajectory_csv(traj, cfg.snapshot_stride))
     if cfg.export_format in ("binary", "both"):
         np.save(out_dir / "trajectory.npy", traj.levels)
         np.save(out_dir / "times.npy", traj.times)

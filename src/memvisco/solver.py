@@ -37,6 +37,7 @@ __all__ = [
     "cfl_time_step",
     "interval_weights",
     "conv_weights",
+    "conv_weight_rows",
     "direct_weights",
     "run_integrodiff",
     "run_integral_volterra",
@@ -182,14 +183,22 @@ class TrajectorySolution:
     def level(self, j: int) -> Field:
         return Field(self.grid, self.levels[j])
 
-    def velocities(self) -> np.ndarray:
-        """Second-order time derivative estimates at every level."""
+    def velocities(self, stride: int = 1) -> np.ndarray:
+        """Second-order time derivative estimates at levels 0, stride, 2 stride, ...
+
+        Centered differences inside, one-sided ones at the first and last
+        level; an estimate does not depend on which other levels are asked for.
+        """
         u = self.levels
         dt = self.dt
-        v = np.empty_like(u)
-        v[1:-1] = (u[2:] - u[:-2]) / (2 * dt)
+        last = self.n_levels - 1
+        v = np.empty((last // stride + 1,) + u.shape[1:])
+        inner = v[1 : 1 + len(range(stride, last, stride))]
+        np.subtract(u[stride + 1 :: stride], u[stride - 1 : last - 1 : stride], out=inner)
+        inner /= 2 * dt
         v[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dt)
-        v[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dt)
+        if last % stride == 0:
+            v[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dt)
         return v
 
     def l2_spacetime(self) -> float:
@@ -244,6 +253,28 @@ def conv_weights(left, right, j: int, max_intervals: int | None = None) -> np.nd
     return w
 
 
+def conv_weight_rows(left, right, n_rows: int, max_intervals: int | None = None):
+    """Yield conv_weights(left, right, j, max_intervals) for j = 1 .. n_rows.
+
+    The rows are Toeplitz: below the oldest lag k = min(j, max_intervals)
+    level m of row j weighs lag d = j - m by c[d] = left[d] + right[d - 1]
+    (c[0] = left[0]), whatever j is.  So c is built once and reversed once,
+    and each row is a slice of it plus its oldest-lag entry right[k - 1],
+    with zeros before that under a history window.  Every row is a view of
+    one buffer that the next row overwrites; read it, do not keep it.
+    """
+    lags_reversed = direct_weights(left, right, n_rows)[::-1]
+    buf = np.zeros(n_rows + 1)
+    for j in range(1, n_rows + 1):
+        k = j if max_intervals is None else min(j, max_intervals)
+        w = buf[: j + 1]
+        w[j - k + 1 :] = lags_reversed[n_rows - k + 1 :]
+        w[j - k] = right[k - 1] + 0.0
+        if k < j:
+            w[: j - k] = 0.0
+        yield w
+
+
 def _weights_inert(left, right, g0: float) -> bool:
     """True when product-quadrature weights are pure roundoff next to G(eps).
 
@@ -295,13 +326,13 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
         + 0.5 * dt * dt * (g0 * lap_flat[0].reshape(shape) + f_now)
     )
 
+    rows = conv_weight_rows(left, right, J - 1, max_iv)
     for j in range(1, J):
         lap_flat[j] = laplacian_array(grid, levels[j]).ravel()
         if inert:
             memory = 0.0
         else:
-            w = conv_weights(left, right, j, max_iv)
-            memory = (w @ lap_flat[: j + 1]).reshape(shape)
+            memory = (next(rows) @ lap_flat[: j + 1]).reshape(shape)
         f_now = _forcing_values(spec.forcing, grid, j * dt)
         levels[j + 1] = (
             2.0 * levels[j]
@@ -350,22 +381,18 @@ def run_integral_volterra(spec: ProblemSpec) -> TrajectorySolution:
     )
     f_double = _cumulative_trapezoid(_cumulative_trapezoid(f_levels, dt), dt)
 
-    levels[0] = spec.u0.values
-    lap_flat[0] = laplacian_array(grid, levels[0]).ravel()
+    u0, u1 = spec.u0.values, spec.u1.values
+    levels[0] = u0
+    lap_flat[0] = laplacian_array(grid, u0).ravel()
 
-    for j in range(1, J + 1):
-        w = conv_weights(left, right, j, max_iv)
-        drive = (
-            (w[:j] @ lap_flat[:j]).reshape(shape)
-            + spec.u1.values * (j * dt)
-            + spec.u0.values
-            + f_double[j]
-        )
+    for j, w in enumerate(conv_weight_rows(left, right, J, max_iv), start=1):
+        drive = (w[:j] @ lap_flat[:j]).reshape(shape) + u1 * (j * dt) + u0 + f_double[j]
         self_weight = w[j]
         predicted = drive + self_weight * lap_flat[j - 1].reshape(shape)
         corrected = drive + self_weight * laplacian_array(grid, predicted)
-        resid[j] = float(np.max(np.abs(corrected - predicted)))
-        if not (np.all(np.isfinite(corrected)) and math.isfinite(resid[j])):
+        # NaN or inf whenever corrected is: no separate finiteness pass
+        resid[j] = np.max(np.abs(corrected - predicted))
+        if not math.isfinite(resid[j]):
             raise SolverAbort(j, "non-finite values in fixed-point correction")
         levels[j] = corrected
         lap_flat[j] = laplacian_array(grid, corrected).ravel()

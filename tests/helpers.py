@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from memvisco.diagnostics import EnergyLedger
@@ -21,10 +23,14 @@ from memvisco.kernels import (
 )
 from memvisco.solver import (
     ProblemSpec,
+    SolverAbort,
     TrajectorySolution,
+    conv_weights,
     direct_weights,
     interval_weights,
+    _cumulative_trapezoid,
     _forcing_values,
+    _weights_inert,
 )
 
 # Populated by the acceptance tests, printed in the terminal summary.
@@ -192,3 +198,129 @@ def reference_energy_ledger(
         stored=stored,
         residual=residual,
     )
+
+
+def reference_laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Zero-padded oracle for laplacian_array on one field."""
+    padded = np.pad(values, 1)
+    core = (slice(1, -1),) * grid.dim
+    out = np.zeros_like(values)
+    for axis, h in enumerate(grid.spacing):
+        lo = list(core)
+        hi = list(core)
+        lo[axis] = slice(0, -2)
+        hi[axis] = slice(2, None)
+        out += (padded[tuple(lo)] + padded[tuple(hi)] - 2.0 * values) / (h * h)
+    return out
+
+
+def reference_velocities(levels: np.ndarray, dt: float) -> np.ndarray:
+    """Whole-stack oracle for TrajectorySolution.velocities."""
+    u = levels
+    v = np.empty_like(u)
+    v[1:-1] = (u[2:] - u[:-2]) / (2 * dt)
+    v[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dt)
+    v[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dt)
+    return v
+
+
+def reference_integrodiff(spec: ProblemSpec) -> np.ndarray:
+    """Level stack of run_integrodiff, one conv_weights vector per step."""
+    grid, dt, J = spec.grid, spec.dt, spec.n_steps
+    shifted = translate(spec.kernel, spec.eps)
+    g0 = shifted.modulus(0.0)
+    left, right = interval_weights(shifted._modulus, shifted._integral, J, dt)
+    inert = _weights_inert(left, right, g0)
+    max_iv = None if spec.history_window is None else math.ceil(spec.history_window / dt)
+
+    shape = grid.shape
+    levels = np.empty((J + 1,) + shape)
+    lap_flat = np.empty((J + 1, grid.n_total))
+    f_now = _forcing_values(spec.forcing, grid, 0.0)
+    levels[0] = spec.u0.values
+    lap_flat[0] = reference_laplacian(grid, levels[0]).ravel()
+    levels[1] = (
+        levels[0]
+        + dt * spec.u1.values
+        + 0.5 * dt * dt * (g0 * lap_flat[0].reshape(shape) + f_now)
+    )
+    for j in range(1, J):
+        lap_flat[j] = reference_laplacian(grid, levels[j]).ravel()
+        if inert:
+            memory = 0.0
+        else:
+            w = conv_weights(left, right, j, max_iv)
+            memory = (w @ lap_flat[: j + 1]).reshape(shape)
+        f_now = _forcing_values(spec.forcing, grid, j * dt)
+        levels[j + 1] = (
+            2.0 * levels[j]
+            - levels[j - 1]
+            + dt * dt * (g0 * lap_flat[j].reshape(shape) + memory + f_now)
+        )
+    return levels
+
+
+def reference_volterra(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Level stack and correction residuals of run_integral_volterra, one
+    conv_weights vector per step and both finiteness checks."""
+    grid, dt, J = spec.grid, spec.dt, spec.n_steps
+    kk = spec.kernel if spec.eps == 0.0 else translate(spec.kernel, spec.eps)
+    left, right = interval_weights(kk._integral2, kk._integral3, J, dt)
+    max_iv = None if spec.history_window is None else math.ceil(spec.history_window / dt)
+
+    shape = grid.shape
+    levels = np.empty((J + 1,) + shape)
+    lap_flat = np.empty((J + 1, grid.n_total))
+    resid = np.zeros(J + 1)
+    f_levels = np.stack(
+        [_forcing_values(spec.forcing, grid, j * dt) for j in range(J + 1)]
+    )
+    f_double = _cumulative_trapezoid(_cumulative_trapezoid(f_levels, dt), dt)
+    levels[0] = spec.u0.values
+    lap_flat[0] = reference_laplacian(grid, levels[0]).ravel()
+    for j in range(1, J + 1):
+        w = conv_weights(left, right, j, max_iv)
+        drive = (
+            (w[:j] @ lap_flat[:j]).reshape(shape)
+            + spec.u1.values * (j * dt)
+            + spec.u0.values
+            + f_double[j]
+        )
+        self_weight = w[j]
+        predicted = drive + self_weight * lap_flat[j - 1].reshape(shape)
+        corrected = drive + self_weight * reference_laplacian(grid, predicted)
+        resid[j] = float(np.max(np.abs(corrected - predicted)))
+        if not (np.all(np.isfinite(corrected)) and math.isfinite(resid[j])):
+            raise SolverAbort(j, "non-finite values in fixed-point correction")
+        levels[j] = corrected
+        lap_flat[j] = reference_laplacian(grid, corrected).ravel()
+    return levels, resid
+
+
+def reference_bound_lhs(traj: TrajectorySolution) -> np.ndarray:
+    """Per-level oracle for BoundReport.lhs."""
+    v = reference_velocities(traj.levels, traj.dt)
+    return np.array(
+        [
+            0.5 * dirichlet_gradient_sq(traj.grid, traj.levels[j])
+            + 0.5 * l2_space(traj.grid, v[j]) ** 2
+            for j in range(traj.n_levels)
+        ]
+    )
+
+
+def reference_trajectory_csv(traj: TrajectorySolution, stride: int) -> str:
+    """trajectory.csv text from one row list over all exported nodes."""
+    coords = traj.grid.node_coordinates()
+    vel = reference_velocities(traj.levels, traj.dt)
+    axis_names = ["x", "y", "z"][: traj.grid.dim]
+    lines = [",".join(["t", "node", *axis_names, "u", "u_t"])]
+    for j in range(0, traj.n_levels, stride):
+        flat_u = traj.levels[j].ravel()
+        flat_v = vel[j].ravel()
+        for node in range(coords.shape[0]):
+            row = [traj.times[j], node, *coords[node], flat_u[node], flat_v[node]]
+            lines.append(
+                ",".join(str(x) if isinstance(x, int) else repr(float(x)) for x in row)
+            )
+    return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_energy_ledger, unchecked_prony
+from helpers import reference_bound_lhs, reference_energy_ledger, unchecked_prony
 from memvisco.diagnostics import (
     ModeTestFunction,
     calibrate_decay_tolerance,
@@ -206,6 +206,26 @@ class TestEnergyBound:
         rep = check_energy_bound(run(spec), PRONY, 0.05, spec.u1, forcing=f)
         assert rep.passed
         assert rep.max_ratio < 1.0
+
+    @pytest.mark.parametrize("block_levels", [1, 3, 10**6])
+    def test_lhs_matches_per_level_oracle(self, monkeypatch, block_levels):
+        import memvisco.diagnostics as diagnostics
+
+        g = Grid((5, 4, 6), (1.0, 0.8, 1.2))
+        n_edges = sum(g.n_total // n * (n + 1) for n in g.n)
+        monkeypatch.setattr(diagnostics, "_EDGE_BLOCK_BYTES", 8 * n_edges * block_levels)
+        f = Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 4.0})
+        dt = cfl_time_step(g, PRONY, 0.05, 0.5, 1.0)
+        spec = ProblemSpec(
+            kernel=PRONY, grid=g, horizon=1.0, dt=dt, eps=0.05,
+            u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}), forcing=f,
+        )
+        traj = run(spec)
+        assert traj.n_levels % 3 != 0  # a short last block
+        rep = check_energy_bound(traj, PRONY, 0.05, spec.u1, forcing=f)
+        want = reference_bound_lhs(traj)
+        assert np.all(want > 0.0)
+        assert rep.lhs == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_large_shift_rejected(self):
         spec = damped_spec()

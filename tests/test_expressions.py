@@ -85,6 +85,37 @@ class TestForcing:
         with pytest.raises(ValueError):
             Forcing.from_dict("ramp", {})
 
+    @pytest.mark.parametrize("params", [{"amplitude": 0.5}, {"amplitude": 0.5, "omega": 3.0}])
+    def test_profile_computed_once_per_grid(self, monkeypatch, params):
+        import memvisco.expressions as expressions
+
+        calls = []
+
+        def counted(grid, name, p=None):
+            calls.append(grid)
+            return space_values(grid, name, p)
+
+        monkeypatch.setattr(expressions, "space_values", counted)
+        f = Forcing.from_dict("sin_pi_product", params)
+        line, box = Grid.line(7), Grid.box(4)
+        for t in (0.0, 0.3, 0.9):
+            assert f.sample(line, t) == pytest.approx(
+                space_values(line, "sin_pi_product", {"amplitude": 0.5})
+                * np.cos(params.get("omega", 0.0) * t)
+            )
+        assert calls == [line]
+        assert f.sample(box, 0.2).shape == box.shape
+        assert f.sample(line, 0.2).shape == line.shape
+        assert calls == [line, box, line]
+
+    @pytest.mark.parametrize("params", [{"value": 2.0}, {"value": 2.0, "omega": 1.0}])
+    def test_samples_are_fresh_arrays(self, params):
+        g = Grid.line(5)
+        f = Forcing.from_dict("constant", params)
+        first = f.sample(g, 0.0)
+        first[:] = -1.0
+        assert np.all(f.sample(g, 0.0) == 2.0)
+
     def test_hashable_for_fingerprints(self):
         f = Forcing.from_dict("constant", {"value": 1.0})
         g = Forcing.from_dict("constant", {"value": 1.0})

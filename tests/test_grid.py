@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import reference_laplacian
 from memvisco.grid import (
     Field,
     Grid,
@@ -105,6 +106,24 @@ class TestLaplacian:
         h = g.h_min
         lam = -3.0 * (2.0 / h**2) * (1.0 - math.cos(math.pi * h))
         assert laplacian_array(g, u) == pytest.approx(lam * u, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "grid", [Grid.line(9), Grid((4, 5, 6), (1.0, 2.0, 0.5))], ids=["1d", "3d"]
+    )
+    def test_stack_matches_padded_oracle_bitwise(self, grid):
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((4,) + grid.shape)
+        # signed zeros: on a checkerboard every interior stencil term is -0.0
+        parity = sum(np.indices(grid.shape)) % 2
+        stack[1] = np.where(parity == 1, -0.0, 0.0)
+        stack[2] = np.where(parity == 0, -0.0, 0.0)
+        stack[3][rng.random(grid.shape) < 0.5] = -0.0
+        want = np.stack([reference_laplacian(grid, u) for u in stack])
+        assert laplacian_array(grid, stack).tobytes() == want.tobytes()
+        paired = stack.reshape((2, 2) + grid.shape)
+        assert laplacian_array(grid, paired).tobytes() == want.tobytes()
+        for u, w in zip(stack, want):
+            assert laplacian_array(grid, u).tobytes() == w.tobytes()
 
     def test_field_wrapper_and_mismatch(self):
         g = Grid.line(5)

@@ -11,9 +11,12 @@ from helpers import (
     l2q_error,
     manufactured_exact,
     manufactured_forcing,
+    reference_integrodiff,
+    reference_velocities,
+    reference_volterra,
     unchecked_spec,
 )
-from memvisco.expressions import field_from_name
+from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import (
     ConstantKernel,
@@ -28,6 +31,7 @@ from memvisco.solver import (
     SolverAbort,
     cfl_time_step,
     compute_stress,
+    conv_weight_rows,
     conv_weights,
     direct_weights,
     interval_weights,
@@ -167,6 +171,65 @@ class TestProductQuadrature:
         assert cut[6:] == pytest.approx(full[6:])
         # the edge level keeps only the inside half of its subinterval
         assert cut[5] == pytest.approx(full[5] - left[3])
+
+
+class TestConvWeightRows:
+    @pytest.mark.parametrize("max_intervals", [None, 1, 3, 11, 40])
+    def test_rows_equal_conv_weights_bitwise(self, max_intervals):
+        n = 11
+        rng = np.random.default_rng(3)
+        left, right = rng.standard_normal(n), rng.standard_normal(n)
+        # signed zeros: conv_weights turns -0.0 + -0.0 and a lone -0.0 into 0.0
+        left[4] = right[3] = -0.0
+        right[6] = -0.0
+        rows = 0
+        for j, w in enumerate(conv_weight_rows(left, right, n, max_intervals), start=1):
+            assert w.tobytes() == conv_weights(left, right, j, max_intervals).tobytes()
+            rows += 1
+        assert rows == n
+
+
+def _march_cases():
+    line = Grid.line(17)
+    box = Grid((4, 5, 3), (1.0, 1.5, 0.8))
+    pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
+    steady = Forcing.from_dict("constant", {"value": 0.3})
+    power = PowerLawKernel(c=1.0, alpha=0.5)
+    cases = []
+    for formulation, kernel, eps in (
+        ("integrodifferential", PRONY, 0.05),
+        ("integral_volterra", power, 0.0),
+        ("integral_volterra", PRONY, 0.05),
+    ):
+        for grid, forcing, window in (
+            (line, None, None),
+            (line, pulse, 0.23),
+            (box, steady, None),
+            (box, pulse, 0.1),
+        ):
+            cases.append(
+                ProblemSpec(
+                    kernel=kernel, grid=grid, horizon=0.6, dt=0.02, eps=eps,
+                    u0=field_from_name(grid, "bump", {"radius": 0.3}),
+                    u1=field_from_name(grid, "sine_mode", {"amplitude": -0.5, "modes": 2}),
+                    forcing=forcing, formulation=formulation, history_window=window,
+                )
+            )
+    return cases
+
+
+class TestMarchersMatchReferenceLoops:
+    """The marchers against their one-conv_weights-per-step loops, bitwise."""
+
+    @pytest.mark.parametrize("spec", _march_cases())
+    def test_levels_bitwise(self, spec):
+        traj = run(spec)
+        if spec.formulation == "integrodifferential":
+            assert traj.levels.tobytes() == reference_integrodiff(spec).tobytes()
+        else:
+            levels, resid = reference_volterra(spec)
+            assert traj.levels.tobytes() == levels.tobytes()
+            assert traj.correction_residuals.tobytes() == resid.tobytes()
 
 
 class TestIntegrodiff:
@@ -338,6 +401,23 @@ class TestVolterra:
         assert 1.5 < d_coarse / d_fine < 3.0
         assert d_fine < 5e-3
 
+    def test_abort_on_overflow(self):
+        # a far-too-large dt makes the explicit correction amplify the
+        # highest grid mode until it overflows
+        g = Grid.line(19)
+        spec = ProblemSpec(
+            kernel=ConstantKernel(1.0), grid=g, horizon=200.0, dt=2.0, eps=0.0,
+            u0=Field(g, np.sin(19 * np.pi * g.axis_coordinates(0))), u1=Field.zero(g),
+            formulation="integral_volterra",
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverAbort, match="non-finite") as got:
+                run_integral_volterra(spec)
+            with pytest.raises(SolverAbort) as want:
+                reference_volterra(spec)
+        # the residual check alone stops at the step both checks stopped at
+        assert got.value.step == want.value.step < spec.n_steps
+
     def test_correction_residuals_shrink_with_dt(self):
         g = Grid.line(19)
         u1 = field_from_name(g, "sin_pi_product", {"amplitude": 1.0})
@@ -351,6 +431,20 @@ class TestVolterra:
 
 
 class TestVelocities:
+    @pytest.mark.parametrize("n_levels", [3, 4, 10, 11])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 5, 12])
+    def test_strided_levels_match_full_stack_bitwise(self, n_levels, stride):
+        from memvisco.solver import TrajectorySolution
+
+        g = Grid((3, 4, 3), (1.0, 1.0, 1.0))
+        levels = np.random.default_rng(n_levels).standard_normal((n_levels,) + g.shape)
+        traj = TrajectorySolution(
+            grid=g, times=0.1 * np.arange(n_levels), levels=levels,
+            formulation="integrodifferential", spec_fingerprint="",
+        )
+        want = reference_velocities(levels, traj.dt)[::stride]
+        assert traj.velocities(stride).tobytes() == want.tobytes()
+
     def test_exact_on_linear_trajectory(self):
         from memvisco.solver import TrajectorySolution
 
