@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import json
+import math
 from dataclasses import dataclass, field
 
 from memvisco.expressions import FORCING_NAMES, SPACE_NAMES, Forcing
@@ -123,6 +124,9 @@ class _Collector:
                 return default
         else:
             value = raw
+        if isinstance(value, float) and not math.isfinite(value):
+            self.fail(f"[{section}] {key} = {value!r} is not finite")
+            return default
         if check is not None and not check(value):
             self.fail(f"[{section}] {key} = {value!r} invalid: {what}")
             return default

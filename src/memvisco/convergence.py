@@ -18,10 +18,9 @@ from memvisco.grid import trapezoid_weights
 from memvisco.kernels import RelaxationKernel, kernel_diff_bound, translate
 from memvisco.solver import (
     CflViolation,
+    HistoryConvolution,
     ProblemSpec,
     TrajectorySolution,
-    conv_weight_rows,
-    conv_weights,  # noqa: F401  (public name the perfbench tracer wraps)
     interval_weights,
     run,
     stable_time_step,
@@ -192,16 +191,6 @@ def convergence_lemma_check(
         horizon = float(traj.times[-1])
         shifted = translate(kernel, float(e))
 
-        def diff_antider(x, _s=shifted, _k=kernel):
-            return _s._integral2(np.asarray(x, float)) - _k._integral2(
-                np.asarray(x, float)
-            )
-
-        def diff_antider2(x, _s=shifted, _k=kernel):
-            return _s._integral3(np.asarray(x, float)) - _k._integral3(
-                np.asarray(x, float)
-            )
-
         # sup_s |Ksh(s) - K(s)| on [0, horizon]: increasing in s, peak at s = horizon
         s_grid = np.linspace(0.0, horizon, 257)
         sup_diff = float(
@@ -213,11 +202,12 @@ def convergence_lemma_check(
                 out.append(LemmaCheckEntry(float(e), v.name, 0.0, 0.0))
             continue
 
-        left, right = interval_weights(diff_antider, diff_antider2, J, dt)
-        flat = traj.levels.reshape(J + 1, -1)
-        conv = np.zeros_like(flat)
-        for j, w in enumerate(conv_weight_rows(left, right, J), start=1):
-            conv[j] = w @ flat[: j + 1]
+        weights = interval_weights(
+            lambda s: shifted._integral2(s) - kernel._integral2(s),
+            lambda s: shifted._integral3(s) - kernel._integral3(s),
+            J, dt,
+        )
+        conv = HistoryConvolution(*weights).full(traj.levels.reshape(J + 1, -1))
         c_level = float(np.max(np.abs(traj.levels))) / grid.volume
 
         wt = trapezoid_weights(J + 1, dt)

@@ -18,24 +18,19 @@ from memvisco.grid import (
     Field,
     Grid,
     dirichlet_edge_differences,
-    dirichlet_gradient_sq,  # noqa: F401  (public name the perfbench tracer wraps)
     inner_space,
     l2_space,
-    l2_spacetime,
     trapezoid_weights,
 )
 from memvisco.kernels import RelaxationKernel, translate
 from memvisco.solver import (
+    HistoryConvolution,
     ProblemSpec,
     TrajectorySolution,
-    conv_weight_rows,
-    conv_weights,  # noqa: F401  (public name the perfbench tracer wraps)
-    direct_weights,
     interval_weights,
     run_integrodiff,
-    _cumulative_trapezoid,
-    _weights_inert,
     _forcing_values,
+    _integrated_forcing,
 )
 
 __all__ = [
@@ -109,8 +104,8 @@ def energy_ledger(
 
     g_now = kk.modulus(times)
     gdot_now = kk.modulus_dt(times)
-    left_m, right_m = interval_weights(kk._modulus, kk._integral, J, dt)
-    left_c, right_c = interval_weights(kk._modulus_dt, kk._modulus, J, dt)
+    hist_m = HistoryConvolution(*interval_weights(kk._modulus, kk._integral, J, dt))
+    hist_c = HistoryConvolution(*interval_weights(kk._modulus_dt, kk._modulus, J, dt))
 
     edges = dirichlet_edge_differences(grid, traj.levels)
     grad_sq = vol * np.sum(edges * edges, axis=1)
@@ -121,20 +116,17 @@ def energy_ledger(
     memory = np.zeros(J + 1)
     rate_curvature = np.zeros(J + 1)
     # constant kernel: moment weights are pure roundoff, skip the history sums
-    if not _weights_inert(left_m, right_m, g_now[0]):
-        # Level j weighs lag i by direct_weights(left, right, j)[i], which is
-        # left[i] + right[i - 1] for i < j and right[j - 1] at i = j; the
-        # first form does not depend on j, so one full-length vector serves.
-        inner_m = direct_weights(left_m, right_m, J)
-        inner_c = direct_weights(left_c, right_c, J)
+    if not hist_m.inert(g_now[0]):
+        # Level j weighs lag i by lags[i] for i < j and by the oldest-lag
+        # weight oldest[j - 1] at i = j, so one pass per lag serves all j.
         for i in range(1, J + 1):
             # phi_j(i) = |grad(u(t_j) - u(t_j - s_i))|^2 for j = i .. J at once
             d = edges[i:] - edges[:-i]
             phi = vol * np.einsum("ij,ij->i", d, d)
-            memory[i] += right_m[i - 1] * phi[0]
-            rate_curvature[i] += right_c[i - 1] * phi[0]
-            memory[i + 1 :] += inner_m[i] * phi[1:]
-            rate_curvature[i + 1 :] += inner_c[i] * phi[1:]
+            memory[i] += hist_m.oldest[i - 1] * phi[0]
+            rate_curvature[i] += hist_c.oldest[i - 1] * phi[0]
+            memory[i + 1 :] += hist_m.lags[i] * phi[1:]
+            rate_curvature[i + 1 :] += hist_c.lags[i] * phi[1:]
         memory *= -0.5
         rate_curvature *= -0.5
 
@@ -242,10 +234,13 @@ def check_energy_bound(
     T = float(traj.times[-1])
     gamma = max(1.0 / kernel.modulus(T + 1.0), 1.0)
 
-    f_levels = np.stack(
-        [_forcing_values(forcing, grid, t) for t in traj.times]
-    )
-    c_data = 0.5 * l2_spacetime(grid, f_levels, dt) ** 2 + 0.5 * l2_space(grid, u1) ** 2
+    # |f|^2 level by level: no stack of the forcing at every level
+    f_sq = np.empty(traj.n_levels)
+    for j, t in enumerate(traj.times):
+        f = _forcing_values(forcing, grid, t)
+        f_sq[j] = inner_space(grid, f, f)
+    f_spacetime_sq = float(np.dot(trapezoid_weights(traj.n_levels, dt), f_sq))
+    c_data = 0.5 * f_spacetime_sq + 0.5 * l2_space(grid, u1) ** 2
     bound = gamma * math.exp(T) * c_data
 
     vol = grid.cell_volume
@@ -373,23 +368,15 @@ def weak_residual(
             raise ValueError(f"test function {v.name} does not vanish on the boundary")
 
     kk = kernel if eps == 0.0 else translate(kernel, eps)
-    left, right = interval_weights(kk._integral2, kk._integral3, J, dt)
+    history = HistoryConvolution(*interval_weights(kk._integral2, kk._integral3, J, dt))
 
     from memvisco.grid import laplacian_array
 
     flat = traj.levels.reshape(J + 1, -1)
-    lap_flat = laplacian_array(grid, traj.levels).reshape(J + 1, -1)
+    conv_lap = history.full(laplacian_array(grid, traj.levels).reshape(J + 1, -1))
+    conv_u = history.full(flat)
 
-    conv_lap = np.zeros_like(flat)
-    conv_u = np.zeros_like(flat)
-    for j, w in enumerate(conv_weight_rows(left, right, J), start=1):
-        conv_lap[j] = w @ lap_flat[: j + 1]
-        conv_u[j] = w @ flat[: j + 1]
-
-    f_levels = np.stack([_forcing_values(forcing, grid, t) for t in traj.times])
-    f_double = _cumulative_trapezoid(
-        _cumulative_trapezoid(f_levels.reshape(J + 1, -1), dt), dt
-    )
+    f_double = _integrated_forcing(forcing, grid, traj.times, dt).reshape(J + 1, -1)
     ramp = (
         np.outer(traj.times, u1.values.ravel())
         + u0.values.ravel()[None, :]

@@ -81,7 +81,7 @@ class Grid:
     def h_min(self) -> float:
         return min(self.spacing)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 

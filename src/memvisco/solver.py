@@ -31,14 +31,13 @@ from memvisco.kernels import RelaxationKernel, translate
 __all__ = [
     "CflViolation",
     "SolverAbort",
+    "KernelUnboundedError",
     "ProblemSpec",
     "TrajectorySolution",
     "stable_time_step",
     "cfl_time_step",
     "interval_weights",
-    "conv_weights",
-    "conv_weight_rows",
-    "direct_weights",
+    "HistoryConvolution",
     "run_integrodiff",
     "run_integral_volterra",
     "run",
@@ -58,6 +57,10 @@ class SolverAbort(RuntimeError):
         self.step = step
         self.reason = reason
         super().__init__(f"aborted at step {step}: {reason}")
+
+
+class KernelUnboundedError(ValueError):
+    """Raised when the classical stress form is asked for a modulus with no G(0)."""
 
 
 def stable_time_step(grid: Grid, wave_speed_sq: float) -> float:
@@ -151,6 +154,11 @@ class ProblemSpec:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
 
+    @property
+    def window_intervals(self) -> int | None:
+        """The history window counted in whole time steps, rounded up."""
+        return None if self.history_window is None else math.ceil(self.history_window / self.dt)
+
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(repr(self.kernel).encode())
@@ -243,56 +251,65 @@ def interval_weights(antiderivative, second_antiderivative, n_intervals: int, dt
     return left, right
 
 
-def conv_weights(left, right, j: int, max_intervals: int | None = None) -> np.ndarray:
-    """Level weights for  int_0^{t_j} w(s) p(t_j - s) ds,  indexed by level m."""
-    k = j if max_intervals is None else min(j, max_intervals)
-    w = np.zeros(j + 1)
-    if k:
-        w[j - k + 1 :] += left[:k][::-1]
-        w[j - k : j] += right[:k][::-1]
-    return w
+class HistoryConvolution:
+    """Product-quadrature weights of one causal convolution.
 
-
-def conv_weight_rows(left, right, n_rows: int, max_intervals: int | None = None):
-    """Yield conv_weights(left, right, j, max_intervals) for j = 1 .. n_rows.
-
-    The rows are Toeplitz: below the oldest lag k = min(j, max_intervals)
-    level m of row j weighs lag d = j - m by c[d] = left[d] + right[d - 1]
-    (c[0] = left[0]), whatever j is.  So c is built once and reversed once,
-    and each row is a slice of it plus its oldest-lag entry right[k - 1],
-    with zeros before that under a history window.  Every row is a view of
-    one buffer that the next row overwrites; read it, do not keep it.
+    Built from interval_weights' (left, right) over n subintervals, it
+    weighs the samples p(t_0 .. t_j) of  int_0^{t_j} w(s) p(t_j - s) ds,
+    j = 1 .. n, optionally cut to the last `window` subintervals.  Below
+    the oldest lag k = min(j, window) level m of row j weighs lag
+    d = j - m by lags[d] = left[d] + right[d - 1] (lags[0] = left[0]),
+    whatever j is; the oldest lag itself weighs oldest[k - 1] = right[k - 1],
+    and levels before it weigh nothing.
     """
-    lags_reversed = direct_weights(left, right, n_rows)[::-1]
-    buf = np.zeros(n_rows + 1)
-    for j in range(1, n_rows + 1):
-        k = j if max_intervals is None else min(j, max_intervals)
-        w = buf[: j + 1]
-        w[j - k + 1 :] = lags_reversed[n_rows - k + 1 :]
-        w[j - k] = right[k - 1] + 0.0
+
+    def __init__(self, left, right, window: int | None = None):
+        n = len(left)
+        self.oldest = right
+        self.window = window
+        self.lags = np.zeros(n + 1)
+        self.lags[:n] += left
+        self.lags[1:] += right
+        self._reversed = self.lags[::-1]
+        self._largest = max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0))
+
+    def inert(self, g0: float) -> bool:
+        """True when the weights are pure roundoff next to G(eps).
+
+        A constant kernel has dG = 0, so its memory weights come out of the
+        antiderivative differences as rounding noise; callers skip the
+        memory term instead of summing that noise.
+        """
+        return self._largest <= 1e-13 * max(1.0, abs(g0))
+
+    def _fill(self, w: np.ndarray, j: int) -> np.ndarray:
+        k = j if self.window is None else min(j, self.window)
+        w[j - k + 1 :] = self._reversed[len(self._reversed) - k :]
+        w[j - k] = self.oldest[k - 1] + 0.0  # -0.0 -> 0.0, as in a zeroed row
         if k < j:
             w[: j - k] = 0.0
-        yield w
+        return w
 
+    def row(self, j: int) -> np.ndarray:
+        """Level weights of row j >= 1, indexed by level m = 0 .. j."""
+        return self._fill(np.empty(j + 1), j)
 
-def _weights_inert(left, right, g0: float) -> bool:
-    """True when product-quadrature weights are pure roundoff next to G(eps).
+    def rows(self, n_rows: int):
+        """Yield row(j) for j = 1 .. n_rows.
 
-    A constant kernel has dG = 0, so its memory weights come out of the
-    antiderivative differences as rounding noise; callers skip the memory
-    term instead of summing that noise.
-    """
-    weight_floor = 1e-13 * max(1.0, abs(g0))
-    return max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0)) <= weight_floor
+        Every row is a view of one buffer that the next row overwrites;
+        read it, do not keep it.
+        """
+        buf = np.empty(n_rows + 1)
+        for j in range(1, n_rows + 1):
+            yield self._fill(buf[: j + 1], j)
 
-
-def direct_weights(left, right, j: int) -> np.ndarray:
-    """Sample weights for  int_0^{t_j} w(s) p(s) ds,  indexed by sample i."""
-    w = np.zeros(j + 1)
-    if j:
-        w[:j] += left[:j]
-        w[1:] += right[:j]
-    return w
+    def full(self, samples: np.ndarray) -> np.ndarray:
+        """out[j] = row(j) @ samples[: j + 1] for every level; out[0] = 0."""
+        out = np.zeros_like(samples)
+        for j, w in enumerate(self.rows(samples.shape[0] - 1), start=1):
+            out[j] = w @ samples[: j + 1]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +324,10 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
     shifted = translate(spec.kernel, spec.eps)
     g0 = shifted.modulus(0.0)
     # memory weights: kernel factor dG(eps + s), antiderivatives G, K
-    left, right = interval_weights(shifted._modulus, shifted._integral, J, dt)
+    weights = interval_weights(shifted._modulus, shifted._integral, J, dt)
+    history = HistoryConvolution(*weights, spec.window_intervals)
     # constant kernel: weights are pure roundoff, skip the memory term
-    inert = _weights_inert(left, right, g0)
-    max_iv = None if spec.history_window is None else math.ceil(spec.history_window / dt)
+    inert = history.inert(g0)
 
     shape = grid.shape
     n_flat = grid.n_total
@@ -326,7 +343,7 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
         + 0.5 * dt * dt * (g0 * lap_flat[0].reshape(shape) + f_now)
     )
 
-    rows = conv_weight_rows(left, right, J - 1, max_iv)
+    rows = history.rows(J - 1)
     for j in range(1, J):
         lap_flat[j] = laplacian_array(grid, levels[j]).ravel()
         if inert:
@@ -356,9 +373,13 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_trapezoid(levels: np.ndarray, dt: float) -> np.ndarray:
-    out = np.zeros_like(levels)
-    np.cumsum(0.5 * dt * (levels[1:] + levels[:-1]), axis=0, out=out[1:])
+def _integrated_forcing(forcing, grid: Grid, times: np.ndarray, dt: float) -> np.ndarray:
+    """int_0^t int_0^s f at every level: the cumulative trapezoid rule twice."""
+    out = np.stack([_forcing_values(forcing, grid, t) for t in times])
+    for _ in range(2):
+        integral = np.zeros_like(out)
+        np.cumsum(0.5 * dt * (out[1:] + out[:-1]), axis=0, out=integral[1:])
+        out = integral
     return out
 
 
@@ -368,24 +389,21 @@ def run_integral_volterra(spec: ProblemSpec) -> TrajectorySolution:
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     kk = spec.kernel if spec.eps == 0.0 else translate(spec.kernel, spec.eps)
     # kernel factor Ksh(s); antiderivatives are the next two tower levels
-    left, right = interval_weights(kk._integral2, kk._integral3, J, dt)
-    max_iv = None if spec.history_window is None else math.ceil(spec.history_window / dt)
+    weights = interval_weights(kk._integral2, kk._integral3, J, dt)
+    history = HistoryConvolution(*weights, spec.window_intervals)
 
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
     lap_flat = np.empty((J + 1, grid.n_total))
     resid = np.zeros(J + 1)
 
-    f_levels = np.stack(
-        [_forcing_values(spec.forcing, grid, j * dt) for j in range(J + 1)]
-    )
-    f_double = _cumulative_trapezoid(_cumulative_trapezoid(f_levels, dt), dt)
+    f_double = _integrated_forcing(spec.forcing, grid, spec.times, dt)
 
     u0, u1 = spec.u0.values, spec.u1.values
     levels[0] = u0
     lap_flat[0] = laplacian_array(grid, u0).ravel()
 
-    for j, w in enumerate(conv_weight_rows(left, right, J, max_iv), start=1):
+    for j, w in enumerate(history.rows(J), start=1):
         drive = (w[:j] @ lap_flat[:j]).reshape(shape) + u1 * (j * dt) + u0 + f_double[j]
         self_weight = w[j]
         predicted = drive + self_weight * lap_flat[j - 1].reshape(shape)
@@ -459,8 +477,8 @@ def compute_stress(
             conv = 0.0
             g_t = g0
         else:
-            left, right = interval_weights(kernel._modulus, kernel._integral, M, dt)
-            conv = float(conv_weights(left, right, M) @ E)
+            weights = interval_weights(kernel._modulus, kernel._integral, M, dt)
+            conv = float(HistoryConvolution(*weights).row(M) @ E)
             g_t = kernel.modulus(t)
         return g0 * E[-1] + conv + past_value * (g_inf - g_t)
 
@@ -474,7 +492,3 @@ def compute_stress(
         return g_t * E[0] + conv + past_value * (g_inf - g_t)
 
     raise ValueError(f"unknown form '{form}'; valid: classical, integrated")
-
-
-class KernelUnboundedError(ValueError):
-    """Raised when the classical stress form is asked for a modulus with no G(0)."""

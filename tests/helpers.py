@@ -25,12 +25,8 @@ from memvisco.solver import (
     ProblemSpec,
     SolverAbort,
     TrajectorySolution,
-    conv_weights,
-    direct_weights,
     interval_weights,
-    _cumulative_trapezoid,
     _forcing_values,
-    _weights_inert,
 )
 
 # Populated by the acceptance tests, printed in the terminal summary.
@@ -134,6 +130,39 @@ def unchecked_spec(**fields) -> ProblemSpec:
     return spec
 
 
+def conv_weights(left, right, j: int, max_intervals: int | None = None) -> np.ndarray:
+    """Oracle for HistoryConvolution.row: level weights for
+    int_0^{t_j} w(s) p(t_j - s) ds, indexed by level m."""
+    k = j if max_intervals is None else min(j, max_intervals)
+    w = np.zeros(j + 1)
+    if k:
+        w[j - k + 1 :] += left[:k][::-1]
+        w[j - k : j] += right[:k][::-1]
+    return w
+
+
+def direct_weights(left, right, j: int) -> np.ndarray:
+    """Sample weights for  int_0^{t_j} w(s) p(s) ds,  indexed by sample i."""
+    w = np.zeros(j + 1)
+    if j:
+        w[:j] += left[:j]
+        w[1:] += right[:j]
+    return w
+
+
+def weights_inert(left, right, g0: float) -> bool:
+    """Oracle for HistoryConvolution.inert."""
+    weight_floor = 1e-13 * max(1.0, abs(g0))
+    return max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0)) <= weight_floor
+
+
+def cumulative_trapezoid(levels: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoid integral along the first axis, 0 at level 0."""
+    out = np.zeros_like(levels)
+    np.cumsum(0.5 * dt * (levels[1:] + levels[:-1]), axis=0, out=out[1:])
+    return out
+
+
 def reference_energy_ledger(
     traj: TrajectorySolution, kernel, eps: float, forcing=None
 ) -> EnergyLedger:
@@ -230,7 +259,7 @@ def reference_integrodiff(spec: ProblemSpec) -> np.ndarray:
     shifted = translate(spec.kernel, spec.eps)
     g0 = shifted.modulus(0.0)
     left, right = interval_weights(shifted._modulus, shifted._integral, J, dt)
-    inert = _weights_inert(left, right, g0)
+    inert = weights_inert(left, right, g0)
     max_iv = None if spec.history_window is None else math.ceil(spec.history_window / dt)
 
     shape = grid.shape
@@ -275,7 +304,7 @@ def reference_volterra(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     f_levels = np.stack(
         [_forcing_values(spec.forcing, grid, j * dt) for j in range(J + 1)]
     )
-    f_double = _cumulative_trapezoid(_cumulative_trapezoid(f_levels, dt), dt)
+    f_double = cumulative_trapezoid(cumulative_trapezoid(f_levels, dt), dt)
     levels[0] = spec.u0.values
     lap_flat[0] = reference_laplacian(grid, levels[0]).ravel()
     for j in range(1, J + 1):

@@ -171,6 +171,21 @@ class TestRunSingle:
         assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (QUICK.replace("horizon = 0.2", "horizon = inf"), "horizon"),
+            ("[experiment]\nhistory_window = inf\n" + QUICK, "history_window"),
+            (QUICK + "\n[eps]\neps = 1e999\n", "eps"),
+        ],
+    )
+    def test_infinite_float_exits_two(self, tmp_path, capsys, text, key):
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert f"{key} = inf is not finite" in err
+
     def test_cfl_refusal_exits_three(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, UNSTABLE)
         out = tmp_path / "out"

@@ -15,7 +15,7 @@ from memvisco.diagnostics import (
     weak_residual,
 )
 from memvisco.expressions import Forcing, field_from_name
-from memvisco.grid import Field, Grid
+from memvisco.grid import Field, Grid, l2_space, l2_spacetime
 from memvisco.kernels import ConstantKernel, PowerLawKernel, PronyKernel
 from memvisco.solver import ProblemSpec, cfl_time_step, run
 
@@ -226,6 +226,21 @@ class TestEnergyBound:
         want = reference_bound_lhs(traj)
         assert np.all(want > 0.0)
         assert rep.lhs == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_data_constant_matches_stacked_oracle(self):
+        # |f|^2 is summed level by level; the oracle stacks every level
+        g = Grid((5, 4, 6), (1.0, 0.8, 1.2))
+        f = Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 4.0})
+        dt = cfl_time_step(g, PRONY, 0.05, 0.5, 1.0)
+        spec = ProblemSpec(
+            kernel=PRONY, grid=g, horizon=1.0, dt=dt, eps=0.05,
+            u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}), forcing=f,
+        )
+        traj = run(spec)
+        rep = check_energy_bound(traj, PRONY, 0.05, spec.u1, forcing=f)
+        f_levels = np.stack([f.sample(g, t) for t in traj.times])
+        want = 0.5 * l2_spacetime(g, f_levels, dt) ** 2 + 0.5 * l2_space(g, spec.u1) ** 2
+        assert rep.data_constant == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_large_shift_rejected(self):
         spec = damped_spec()

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from helpers import (
+    conv_weights,
+    cumulative_trapezoid,
+    direct_weights,
     l2q_error,
     manufactured_exact,
     manufactured_forcing,
@@ -26,20 +29,20 @@ from memvisco.kernels import (
 )
 from memvisco.solver import (
     CflViolation,
+    HistoryConvolution,
     KernelUnboundedError,
     ProblemSpec,
     SolverAbort,
     cfl_time_step,
     compute_stress,
-    conv_weight_rows,
-    conv_weights,
-    direct_weights,
     interval_weights,
     run,
     run_integral_volterra,
     run_integrodiff,
     stable_time_step,
     trajectory_distance,
+    _forcing_values,
+    _integrated_forcing,
 )
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -140,7 +143,8 @@ class TestProductQuadrature:
         integral = lambda s: tau * (1.0 - np.exp(-np.asarray(s) / tau))
         left, right = interval_weights(modulus, integral, n, dt)
         samples = a + b * dt * np.arange(n + 1)
-        got = float(np.sum(direct_weights(left, right, n) * samples))
+        # row n weighs level m by lag n - m: reversed samples give int w(s) p(s)
+        got = float(HistoryConvolution(left, right).row(n) @ samples[::-1])
         t = n * dt
         exact = quad(lambda s: (-1.0 / tau) * math.exp(-s / tau) * (a + b * s), 0, t)[0]
         assert got == pytest.approx(exact, rel=1e-9, abs=1e-12)
@@ -158,35 +162,58 @@ class TestProductQuadrature:
         k = PRONY
         left, right = interval_weights(k._modulus, k._integral, 6, 0.1)
         j = 5
-        assert conv_weights(left, right, j) == pytest.approx(
+        assert HistoryConvolution(left, right).row(j) == pytest.approx(
             direct_weights(left, right, j)[::-1]
         )
 
     def test_history_window_truncates(self):
         k = PRONY
         left, right = interval_weights(k._modulus, k._integral, 10, 0.1)
-        full = conv_weights(left, right, 8)
-        cut = conv_weights(left, right, 8, max_intervals=3)
+        full = HistoryConvolution(left, right).row(8)
+        cut = HistoryConvolution(left, right, window=3).row(8)
         assert np.all(cut[:5] == 0.0)
         assert cut[6:] == pytest.approx(full[6:])
         # the edge level keeps only the inside half of its subinterval
         assert cut[5] == pytest.approx(full[5] - left[3])
 
 
+def _signed_zero_weights(n):
+    rng = np.random.default_rng(3)
+    left, right = rng.standard_normal(n), rng.standard_normal(n)
+    # signed zeros: conv_weights turns -0.0 + -0.0 and a lone -0.0 into 0.0
+    left[4] = right[3] = -0.0
+    right[6] = -0.0
+    return left, right
+
+
 class TestConvWeightRows:
+    """HistoryConvolution against the conv_weights oracle, bitwise."""
+
     @pytest.mark.parametrize("max_intervals", [None, 1, 3, 11, 40])
     def test_rows_equal_conv_weights_bitwise(self, max_intervals):
         n = 11
-        rng = np.random.default_rng(3)
-        left, right = rng.standard_normal(n), rng.standard_normal(n)
-        # signed zeros: conv_weights turns -0.0 + -0.0 and a lone -0.0 into 0.0
-        left[4] = right[3] = -0.0
-        right[6] = -0.0
+        left, right = _signed_zero_weights(n)
+        history = HistoryConvolution(left, right, max_intervals)
         rows = 0
-        for j, w in enumerate(conv_weight_rows(left, right, n, max_intervals), start=1):
-            assert w.tobytes() == conv_weights(left, right, j, max_intervals).tobytes()
+        for j, w in enumerate(history.rows(n), start=1):
+            expected = conv_weights(left, right, j, max_intervals).tobytes()
+            assert w.tobytes() == expected
+            assert history.row(j).tobytes() == expected
             rows += 1
         assert rows == n
+
+    @pytest.mark.parametrize("max_intervals", [None, 1, 3, 40])
+    @pytest.mark.parametrize("shape", [(12,), (12, 5)])
+    def test_full_equals_row_loop_bitwise(self, max_intervals, shape):
+        n = 11
+        left, right = _signed_zero_weights(n)
+        samples = np.random.default_rng(4).standard_normal(shape)
+        samples[3] = -0.0
+        expected = np.zeros_like(samples)
+        for j in range(1, n + 1):
+            expected[j] = conv_weights(left, right, j, max_intervals) @ samples[: j + 1]
+        got = HistoryConvolution(left, right, max_intervals).full(samples)
+        assert got.tobytes() == expected.tobytes()
 
 
 def _march_cases():
@@ -230,6 +257,20 @@ class TestMarchersMatchReferenceLoops:
             levels, resid = reference_volterra(spec)
             assert traj.levels.tobytes() == levels.tobytes()
             assert traj.correction_residuals.tobytes() == resid.tobytes()
+
+
+def test_integrated_forcing_equals_trapezoid_twice_bitwise():
+    # weak_residual integrates the flattened stack, the Volterra march the
+    # stack on the grid shape: both must match the oracle bit for bit
+    grid = Grid((4, 5, 3), (1.0, 1.5, 0.8))
+    pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
+    dt = 0.02
+    times = dt * np.arange(31)
+    f = np.stack([_forcing_values(pulse, grid, t) for t in times]).reshape(31, -1)
+    expected = cumulative_trapezoid(cumulative_trapezoid(f, dt), dt)
+    got = _integrated_forcing(pulse, grid, times, dt)
+    assert got.shape == (31,) + grid.shape
+    assert got.reshape(31, -1).tobytes() == expected.tobytes()
 
 
 class TestIntegrodiff:
