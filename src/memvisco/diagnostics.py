@@ -130,12 +130,15 @@ def energy_ledger(
         memory *= -0.5
         rate_curvature *= -0.5
 
-    forcing_power = np.array(
-        [
-            inner_space(grid, _forcing_values(forcing, grid, times[j]).ravel(), v[j])
-            for j in range(J + 1)
-        ]
-    )
+    if forcing is None:
+        forcing_power = np.zeros(J + 1)
+    else:
+        forcing_power = np.array(
+            [
+                inner_space(grid, _forcing_values(forcing, grid, times[j]).ravel(), v[j])
+                for j in range(J + 1)
+            ]
+        )
 
     stored = kinetic + elastic + memory
     residual = (stored[2:] - stored[:-2]) / (2 * dt) - (
@@ -235,25 +238,30 @@ def check_energy_bound(
     gamma = max(1.0 / kernel.modulus(T + 1.0), 1.0)
 
     # |f|^2 level by level: no stack of the forcing at every level
-    f_sq = np.empty(traj.n_levels)
-    for j, t in enumerate(traj.times):
-        f = _forcing_values(forcing, grid, t)
-        f_sq[j] = inner_space(grid, f, f)
-    f_spacetime_sq = float(np.dot(trapezoid_weights(traj.n_levels, dt), f_sq))
+    f_spacetime_sq = 0.0
+    if forcing is not None:
+        f_sq = np.empty(traj.n_levels)
+        for j, t in enumerate(traj.times):
+            f = _forcing_values(forcing, grid, t)
+            f_sq[j] = inner_space(grid, f, f)
+        f_spacetime_sq = float(np.dot(trapezoid_weights(traj.n_levels, dt), f_sq))
     c_data = 0.5 * f_spacetime_sq + 0.5 * l2_space(grid, u1) ** 2
     bound = gamma * math.exp(T) * c_data
 
     vol = grid.cell_volume
-    v = traj.velocities().reshape(traj.n_levels, -1)
-    kinetic = 0.5 * vol * np.einsum("ij,ij->i", v, v)
-    # edge differences of a block of levels at a time, at most
-    # _EDGE_BLOCK_BYTES of them, so a large grid needs no full edge stack
+    # edge differences and velocities of a block of levels at a time, at
+    # most _EDGE_BLOCK_BYTES of edges, so a large grid needs neither a full
+    # edge stack nor a full velocity stack
     n_edges = sum(grid.n_total // n * (n + 1) for n in grid.n)
     block = max(1, _EDGE_BLOCK_BYTES // (8 * n_edges))
     grad_sq = np.empty(traj.n_levels)
+    kinetic = np.empty(traj.n_levels)
     for start in range(0, traj.n_levels, block):
-        edges = dirichlet_edge_differences(grid, traj.levels[start : start + block])
-        grad_sq[start : start + block] = np.einsum("ij,ij->i", edges, edges)
+        stop = start + block
+        edges = dirichlet_edge_differences(grid, traj.levels[start:stop])
+        grad_sq[start:stop] = np.einsum("ij,ij->i", edges, edges)
+        v = traj.velocities(start=start, stop=stop).reshape(len(edges), -1)
+        kinetic[start:stop] = 0.5 * vol * np.einsum("ij,ij->i", v, v)
     lhs = 0.5 * vol * grad_sq + kinetic
     peak = float(np.max(lhs))
     if bound == 0.0:

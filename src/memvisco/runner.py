@@ -38,8 +38,8 @@ from memvisco.solver import (
     ProblemSpec,
     SolverAbort,
     cfl_time_step,
-    compute_stress,
     run,
+    stress_curve,
 )
 
 __all__ = ["run_experiment"]
@@ -206,13 +206,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     verdicts: dict = {}
+    runs: list = []
     abort_info = None
 
     try:
         if cfg.mode == "single_run":
-            exit_code = _run_single(cfg, out_dir, verdicts)
+            exit_code = _run_single(cfg, out_dir, verdicts, runs)
         elif cfg.mode == "eps_sequence":
-            exit_code = _run_sequence(cfg, out_dir, verdicts)
+            exit_code = _run_sequence(cfg, out_dir, verdicts, runs)
         elif cfg.mode == "admissibility":
             exit_code = _run_admissibility(cfg, out_dir, verdicts)
         else:
@@ -230,6 +231,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
         "tolerances": cfg.tolerances,
         "timing_seconds": round(time.perf_counter() - started, 6),
         "verdicts": verdicts,
+        "runs": runs,
         "abort": abort_info,
         "exit_code": exit_code,
     }
@@ -237,10 +239,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     return exit_code
 
 
-def _run_single(cfg: ExperimentConfig, out_dir: Path, verdicts: dict) -> int:
+def _run_record(eps: float, traj) -> dict:
+    """What the manifest keeps of one trajectory."""
+    record = {
+        "eps": float(eps),
+        "spec_fingerprint": traj.spec_fingerprint,
+        "history_backend": traj.history_backend,
+    }
+    if traj.correction_residuals is not None:
+        record["max_correction_residual"] = float(np.max(traj.correction_residuals))
+    return record
+
+
+def _run_single(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: list) -> int:
     dt = _resolve_dt(cfg, cfg.eps)
     spec = _build_spec(cfg, cfg.eps, dt)
     traj = run(spec)
+    runs.append(_run_record(cfg.eps, traj))
     _export_trajectory(out_dir, cfg, traj)
     verdicts["dt"] = dt
     verdicts["n_steps"] = spec.n_steps
@@ -299,11 +314,12 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, verdicts: dict) -> int:
     return 0 if ok else 1
 
 
-def _run_sequence(cfg: ExperimentConfig, out_dir: Path, verdicts: dict) -> int:
+def _run_sequence(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: list) -> int:
     eps_values = eps_schedule(cfg.eps0, cfg.ratio, cfg.count)
     dt = _resolve_dt(cfg, float(eps_values[-1]))
     base = _build_spec(cfg, float(eps_values[0]), dt)
     trajs = run_eps_sequence(base, cfg.eps0, cfg.ratio, cfg.count)
+    runs.extend(_run_record(e, traj) for e, traj in zip(eps_values, trajs))
     report = cauchy_report(trajs, eps_values, cfg.kernel, cfg.tolerances["cauchy_tol"])
 
     rows = []
@@ -398,8 +414,7 @@ def _run_stress(cfg: ExperimentConfig, out_dir: Path, verdicts: dict) -> int:
     form = "integrated" if cfg.kernel.singular_at_zero else "classical"
     rows = []
     worst = 0.0
-    for j in range(1, n + 1):
-        stress = compute_stress(cfg.kernel, history[: j + 1], dt, past, form=form)
+    for j, stress in enumerate(stress_curve(cfg.kernel, history, dt, past, form=form), start=1):
         ref = reference(times[j])
         err = abs(stress - ref) if ref is not None else None
         if err is not None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from memvisco.grid import Field, Grid, l2_spacetime, laplacian_array
-from memvisco.kernels import RelaxationKernel, translate
+from memvisco.kernels import PronyKernel, RelaxationKernel, translate
 
 __all__ = [
     "CflViolation",
@@ -43,6 +43,7 @@ __all__ = [
     "run",
     "trajectory_distance",
     "compute_stress",
+    "stress_curve",
 ]
 
 FORMULATIONS = ("integrodifferential", "integral_volterra")
@@ -179,6 +180,7 @@ class TrajectorySolution:
     formulation: str
     spec_fingerprint: str
     correction_residuals: np.ndarray | None = None
+    history_backend: str = "direct"
 
     @property
     def dt(self) -> float:
@@ -191,8 +193,8 @@ class TrajectorySolution:
     def level(self, j: int) -> Field:
         return Field(self.grid, self.levels[j])
 
-    def velocities(self, stride: int = 1) -> np.ndarray:
-        """Second-order time derivative estimates at levels 0, stride, 2 stride, ...
+    def velocities(self, stride: int = 1, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Second-order time derivative estimates at levels range(start, stop, stride).
 
         Centered differences inside, one-sided ones at the first and last
         level; an estimate does not depend on which other levels are asked for.
@@ -200,12 +202,23 @@ class TrajectorySolution:
         u = self.levels
         dt = self.dt
         last = self.n_levels - 1
-        v = np.empty((last // stride + 1,) + u.shape[1:])
-        inner = v[1 : 1 + len(range(stride, last, stride))]
-        np.subtract(u[stride + 1 :: stride], u[stride - 1 : last - 1 : stride], out=inner)
-        inner /= 2 * dt
-        v[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dt)
-        if last % stride == 0:
+        wanted = range(start, self.n_levels if stop is None else min(stop, self.n_levels), stride)
+        v = np.empty((len(wanted),) + u.shape[1:])
+        if not wanted:
+            return v
+        lo = 1 if wanted[0] == 0 else 0
+        hi = len(wanted) - 1 if wanted[-1] == last else len(wanted)
+        inner = wanted[lo:hi]
+        if inner:
+            np.subtract(
+                u[inner.start + 1 : inner.stop + 1 : stride],
+                u[inner.start - 1 : inner.stop - 1 : stride],
+                out=v[lo:hi],
+            )
+            v[lo:hi] /= 2 * dt
+        if lo:
+            v[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dt)
+        if hi < len(wanted):
             v[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dt)
         return v
 
@@ -251,8 +264,29 @@ def interval_weights(antiderivative, second_antiderivative, n_intervals: int, dt
     return left, right
 
 
+def _exponential_weights(a: float, tau: float, dt: float) -> tuple[float, float]:
+    """interval_weights' (left[0], right[0]) for w(s) = (a / tau) e^{-s / tau}.
+
+    In closed form: m0 = a (1 - e^{-x}) and right = a (1 - (1 + x) e^{-x}) / x
+    with x = dt / tau.  For x < 1 the bracket is e^{-x} sum_{n >= 2} x^n / n!,
+    a series of positive terms, so neither moment loses digits to the
+    cancellation that antiderivative differences suffer when tau >> dt.
+    """
+    x = dt / tau
+    if x < 1.0:
+        term, series = x, 0.0
+        for n in range(2, 20):  # x^19 / 19! < 1e-17
+            term *= x / n
+            series += term
+        bracket = math.exp(-x) * series
+    else:
+        bracket = 1.0 - (1.0 + x) * math.exp(-x)
+    right = a * bracket / x
+    return -a * math.expm1(-x) - right, right
+
+
 class HistoryConvolution:
-    """Product-quadrature weights of one causal convolution.
+    """Product-quadrature weights of one causal convolution, and its sums.
 
     Built from interval_weights' (left, right) over n subintervals, it
     weighs the samples p(t_0 .. t_j) of  int_0^{t_j} w(s) p(t_j - s) ds,
@@ -261,7 +295,14 @@ class HistoryConvolution:
     d = j - m by lags[d] = left[d] + right[d - 1] (lags[0] = left[0]),
     whatever j is; the oldest lag itself weighs oldest[k - 1] = right[k - 1],
     and levels before it weigh nothing.
+
+    A marcher streams its samples through it: push(p(t_0)), push(p(t_1)),
+    ..., and next_sum() gives row(j) @ the samples pushed so far for
+    j = 1, 2, ... in turn, levels not pushed yet weighing nothing.  This
+    direct backend stores every pushed sample and costs O(j N) per sum.
     """
+
+    backend = "direct"
 
     def __init__(self, left, right, window: int | None = None):
         n = len(left)
@@ -272,6 +313,25 @@ class HistoryConvolution:
         self.lags[1:] += right
         self._reversed = self.lags[::-1]
         self._largest = max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0))
+        self._samples = None
+        self._pushed = 0
+        self._rows_summed = 0
+
+    @classmethod
+    def memory(
+        cls, kernel: RelaxationKernel, eps: float, n: int, dt: float, window: int | None = None
+    ) -> "HistoryConvolution":
+        """The leapfrog's memory term, w(s) = dG(eps + s), over n steps of dt.
+
+        A Prony kernel gets the exponential backend unless a window shorter
+        than the n steps cuts its history; any other kernel gets the direct
+        one.
+        """
+        uncut = window is None or window >= n
+        if uncut and isinstance(kernel, PronyKernel) and kernel.terms:
+            return _ExponentialHistory(kernel, eps, n, dt)
+        shifted = translate(kernel, eps)
+        return cls(*interval_weights(shifted._modulus, shifted._integral, n, dt), window)
 
     def inert(self, g0: float) -> bool:
         """True when the weights are pure roundoff next to G(eps).
@@ -311,6 +371,77 @@ class HistoryConvolution:
             out[j] = w @ samples[: j + 1]
         return out
 
+    def push(self, sample: np.ndarray) -> None:
+        """Append the sample of the next level, level 0 first."""
+        sample = sample.reshape(-1)
+        if self._samples is None:
+            self._samples = np.empty((len(self.lags), sample.size))
+            self._row = np.empty(len(self.lags))
+        self._samples[self._pushed] = sample
+        self._pushed += 1
+
+    def next_sum(self) -> np.ndarray:
+        """row(j) @ the pushed samples for the next row j, flattened."""
+        self._rows_summed += 1
+        j = self._rows_summed
+        m = min(self._pushed, j + 1)
+        return self._fill(self._row[: j + 1], j)[:m] @ self._samples[:m]
+
+
+class _ExponentialHistory(HistoryConvolution):
+    """Streamed sums of w(s) = dG(eps + s) for a Prony kernel, by recursion.
+
+    A term g e^{-t/tau} of G has interval weights geometric in the lag,
+    left[d] = r^d left[0] and right[d] = r^d right[0] with r = e^{-dt/tau},
+    so its share of row j is
+
+        C_j = r C_{j-1} + left[0] p_j + right[0] p_{j-1},   C_0 = 0,
+
+    and next_sum() returns the sum of C_j over the terms: O(terms N) per
+    step with no stored samples.  It sums whole rows only, so push level j
+    before asking for row j.  row, rows, full and inert see the geometric
+    weights, summed over the terms; they match the direct interval weights
+    up to the round-off those lose to cancellation.
+    """
+
+    backend = "exponential"
+
+    def __init__(self, kernel: PronyKernel, eps: float, n: int, dt: float):
+        self._terms = [
+            (math.exp(-dt / tau), *_exponential_weights(-g * math.exp(-eps / tau), tau, dt))
+            for g, tau in kernel.terms
+        ]
+        lag = np.arange(n)
+        left, right = np.zeros(n), np.zeros(n)
+        for r, left0, right0 in self._terms:
+            decay = r**lag
+            left += left0 * decay
+            right += right0 * decay
+        super().__init__(left, right)
+        self._states = None
+
+    def push(self, sample: np.ndarray) -> None:
+        sample = sample.reshape(-1)
+        if self._states is None:
+            self._states = [np.zeros(sample.size) for _ in self._terms]
+            self._previous = np.empty(sample.size)
+        else:
+            for state, (r, left0, right0) in zip(self._states, self._terms):
+                state *= r
+                state += left0 * sample
+                state += right0 * self._previous
+        self._previous[:] = sample
+        self._pushed += 1
+
+    def next_sum(self) -> np.ndarray:
+        """The sum of the newest whole row; the array may be reused, do not keep it."""
+        self._rows_summed += 1
+        if self._pushed != self._rows_summed + 1:
+            raise ValueError("the exponential backend sums whole rows: push level j first")
+        if len(self._states) == 1:
+            return self._states[0]
+        return sum(self._states[1:], self._states[0])
+
 
 # ---------------------------------------------------------------------------
 # integro-differential leapfrog
@@ -321,42 +452,40 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
     if spec.formulation != "integrodifferential":
         raise ValueError("spec requests a different formulation")
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
-    shifted = translate(spec.kernel, spec.eps)
-    g0 = shifted.modulus(0.0)
-    # memory weights: kernel factor dG(eps + s), antiderivatives G, K
-    weights = interval_weights(shifted._modulus, shifted._integral, J, dt)
-    history = HistoryConvolution(*weights, spec.window_intervals)
+    g0 = translate(spec.kernel, spec.eps).modulus(0.0)
+    history = HistoryConvolution.memory(spec.kernel, spec.eps, J, dt, spec.window_intervals)
     # constant kernel: weights are pure roundoff, skip the memory term
     inert = history.inert(g0)
 
+    def forcing(t):
+        # unforced: adding 0.0 still turns -0.0 into 0.0, as a zero field did
+        return 0.0 if spec.forcing is None else _forcing_values(spec.forcing, grid, t)
+
     shape = grid.shape
-    n_flat = grid.n_total
     levels = np.empty((J + 1,) + shape)
-    lap_flat = np.empty((J + 1, n_flat))
-    f_now = _forcing_values(spec.forcing, grid, 0.0)
-
     levels[0] = spec.u0.values
-    lap_flat[0] = laplacian_array(grid, levels[0]).ravel()
-    levels[1] = (
-        levels[0]
-        + dt * spec.u1.values
-        + 0.5 * dt * dt * (g0 * lap_flat[0].reshape(shape) + f_now)
-    )
+    lap = laplacian_array(grid, levels[0])
+    levels[1] = levels[0] + dt * spec.u1.values + 0.5 * dt * dt * (g0 * lap + forcing(0.0))
 
-    rows = history.rows(J - 1)
+    memory = 0.0
+    if not inert:
+        history.push(lap)
     for j in range(1, J):
-        lap_flat[j] = laplacian_array(grid, levels[j]).ravel()
-        if inert:
-            memory = 0.0
-        else:
-            memory = (next(rows) @ lap_flat[: j + 1]).reshape(shape)
-        f_now = _forcing_values(spec.forcing, grid, j * dt)
-        levels[j + 1] = (
-            2.0 * levels[j]
-            - levels[j - 1]
-            + dt * dt * (g0 * lap_flat[j].reshape(shape) + memory + f_now)
-        )
-        if not np.all(np.isfinite(levels[j + 1])):
+        lap = laplacian_array(grid, levels[j])
+        if not inert:
+            history.push(lap)
+            memory = history.next_sum().reshape(shape)
+        # u_{j+1} = 2 u_j - u_{j-1} + dt^2 (g0 lap + memory + f), in place,
+        # operation by operation as written
+        accel = g0 * lap
+        accel += memory
+        accel += forcing(j * dt)
+        accel *= dt * dt
+        new = levels[j + 1]
+        np.multiply(levels[j], 2.0, out=new)
+        new -= levels[j - 1]
+        new += accel
+        if not np.all(np.isfinite(new)):
             raise SolverAbort(j + 1, "non-finite values (instability or overflow)")
 
     return TrajectorySolution(
@@ -365,6 +494,7 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
         levels=levels,
         formulation=spec.formulation,
         spec_fingerprint=spec.fingerprint(),
+        history_backend=history.backend,
     )
 
 
@@ -374,7 +504,13 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
 
 
 def _integrated_forcing(forcing, grid: Grid, times: np.ndarray, dt: float) -> np.ndarray:
-    """int_0^t int_0^s f at every level: the cumulative trapezoid rule twice."""
+    """int_0^t int_0^s f at every level: the cumulative trapezoid rule twice.
+
+    Without forcing the result is a zero per level that broadcasts
+    against the grid, not a zero field per level.
+    """
+    if forcing is None:
+        return np.zeros((len(times),) + (1,) * grid.dim)
     out = np.stack([_forcing_values(forcing, grid, t) for t in times])
     for _ in range(2):
         integral = np.zeros_like(out)
@@ -391,29 +527,29 @@ def run_integral_volterra(spec: ProblemSpec) -> TrajectorySolution:
     # kernel factor Ksh(s); antiderivatives are the next two tower levels
     weights = interval_weights(kk._integral2, kk._integral3, J, dt)
     history = HistoryConvolution(*weights, spec.window_intervals)
+    # the newest level of every row weighs lags[0]
+    self_weight = history.lags[0]
 
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
-    lap_flat = np.empty((J + 1, grid.n_total))
     resid = np.zeros(J + 1)
 
     f_double = _integrated_forcing(spec.forcing, grid, spec.times, dt)
 
     u0, u1 = spec.u0.values, spec.u1.values
     levels[0] = u0
-    lap_flat[0] = laplacian_array(grid, u0).ravel()
 
-    for j, w in enumerate(history.rows(J), start=1):
-        drive = (w[:j] @ lap_flat[:j]).reshape(shape) + u1 * (j * dt) + u0 + f_double[j]
-        self_weight = w[j]
-        predicted = drive + self_weight * lap_flat[j - 1].reshape(shape)
+    for j in range(1, J + 1):
+        lap = laplacian_array(grid, levels[j - 1])
+        history.push(lap)
+        drive = history.next_sum().reshape(shape) + u1 * (j * dt) + u0 + f_double[j]
+        predicted = drive + self_weight * lap
         corrected = drive + self_weight * laplacian_array(grid, predicted)
         # NaN or inf whenever corrected is: no separate finiteness pass
         resid[j] = np.max(np.abs(corrected - predicted))
         if not math.isfinite(resid[j]):
             raise SolverAbort(j, "non-finite values in fixed-point correction")
         levels[j] = corrected
-        lap_flat[j] = laplacian_array(grid, corrected).ravel()
 
     return TrajectorySolution(
         grid=grid,
@@ -422,6 +558,7 @@ def run_integral_volterra(spec: ProblemSpec) -> TrajectorySolution:
         formulation=spec.formulation,
         spec_fingerprint=spec.fingerprint(),
         correction_residuals=resid,
+        history_backend=history.backend,
     )
 
 
@@ -434,6 +571,15 @@ def run(spec: ProblemSpec) -> TrajectorySolution:
 # ---------------------------------------------------------------------------
 # uniaxial stress response
 # ---------------------------------------------------------------------------
+
+
+def _strain_samples(strain_history, dt: float) -> np.ndarray:
+    E = np.asarray(strain_history, dtype=float)
+    if E.ndim != 1 or E.size < 1:
+        raise ValueError("strain history must be a 1-d sample array")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    return E
 
 
 def compute_stress(
@@ -458,14 +604,31 @@ def compute_stress(
         (the strain rate of the interpolant is piecewise constant, so the
         quadrature is exact for it).
     """
-    E = np.asarray(strain_history, dtype=float)
-    if E.ndim != 1 or E.size < 1:
-        raise ValueError("strain history must be a 1-d sample array")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    M = E.size - 1
-    t = M * dt
+    E = _strain_samples(strain_history, dt)
+    return float(_stresses(kernel, E, dt, past_value, form, [E.size - 1])[0])
+
+
+def stress_curve(
+    kernel: RelaxationKernel,
+    strain_history: np.ndarray,
+    dt: float,
+    past_value: float = 0.0,
+    form: str = "classical",
+) -> np.ndarray:
+    """compute_stress of every prefix strain_history[: M + 1], M = 1 .. n.
+
+    Entry M - 1 equals compute_stress on that prefix bit for bit; the
+    weights are built once for the whole path, not once per prefix.
+    """
+    E = _strain_samples(strain_history, dt)
+    return _stresses(kernel, E, dt, past_value, form, range(1, E.size))
+
+
+def _stresses(kernel, E: np.ndarray, dt: float, past_value: float, form: str, levels) -> np.ndarray:
+    """Stress at t_M = M dt from the samples E[: M + 1], for each M in levels."""
+    n = E.size - 1
     g_inf = kernel.value_at_inf
+    out = []
 
     if form == "classical":
         if kernel.singular_at_zero:
@@ -473,22 +636,28 @@ def compute_stress(
                 "modulus unbounded at t = 0; use form='integrated'"
             )
         g0 = kernel.modulus(0.0)
-        if M == 0:
-            conv = 0.0
-            g_t = g0
-        else:
-            weights = interval_weights(kernel._modulus, kernel._integral, M, dt)
-            conv = float(HistoryConvolution(*weights).row(M) @ E)
-            g_t = kernel.modulus(t)
-        return g0 * E[-1] + conv + past_value * (g_inf - g_t)
+        if n:
+            history = HistoryConvolution(*interval_weights(kernel._modulus, kernel._integral, n, dt))
+        for M in levels:
+            if M == 0:
+                conv = 0.0
+                g_t = g0
+            else:
+                conv = float(history.row(M) @ E[: M + 1])
+                g_t = kernel.modulus(M * dt)
+            out.append(g0 * E[M] + conv + past_value * (g_inf - g_t))
+        return np.array(out)
 
     if form == "integrated":
-        if M == 0:
-            return kernel.modulus(t) * E[0] + past_value * (g_inf - kernel.modulus(t))
         slopes = np.diff(E) / dt
-        increments = np.diff(kernel.integral(dt * np.arange(M + 1)))
-        conv = float(np.dot(increments, slopes[::-1]))
-        g_t = kernel.modulus(t)
-        return g_t * E[0] + conv + past_value * (g_inf - g_t)
+        increments = np.diff(kernel.integral(dt * np.arange(n + 1)))
+        for M in levels:
+            g_t = kernel.modulus(M * dt)
+            if M == 0:
+                out.append(g_t * E[0] + past_value * (g_inf - g_t))
+            else:
+                conv = float(np.dot(increments[:M], slopes[M - 1 :: -1]))
+                out.append(g_t * E[0] + conv + past_value * (g_inf - g_t))
+        return np.array(out)
 
     raise ValueError(f"unknown form '{form}'; valid: classical, integrated")

@@ -242,6 +242,37 @@ class TestOtherModes:
         assert cli.main(["run", cfg, "--out", str(out)]) == 0
         assert (out / "admissibility.csv").exists()
 
+    def test_manifest_records_every_run(self, tmp_path):
+        from memvisco.config import parse_config_file
+        from memvisco.runner import _build_spec, _resolve_dt
+
+        cases = {
+            "single": (QUICK, "direct", [0.05]),
+            "leapfrog": (SEQUENCE, "exponential", [0.1, 0.05, 0.025, 0.0125]),
+            "volterra": (
+                SEQUENCE.replace("[experiment]\n", "[experiment]\nformulation = integral_volterra\n"),
+                "direct",
+                [0.1, 0.05, 0.025, 0.0125],
+            ),
+            "stress": (STRESS, None, []),
+        }
+        for name, (text, backend, eps_values) in cases.items():
+            path = write_cfg(tmp_path, text, name=f"{name}.cfg")
+            out = tmp_path / name
+            assert cli.main(["run", path, "--out", str(out)]) == 0, name
+            runs = read_manifest(out)["runs"]
+            assert [r["eps"] for r in runs] == pytest.approx(eps_values), name
+            cfg = parse_config_file(path)
+            for record in runs:
+                eps = record["eps"]
+                dt = _resolve_dt(cfg, eps_values[-1] if len(eps_values) > 1 else eps)
+                assert record["spec_fingerprint"] == _build_spec(cfg, eps, dt).fingerprint()
+                assert record["history_backend"] == backend
+                if name == "volterra":
+                    assert 0.0 < record["max_correction_residual"] < 1e-3
+                else:
+                    assert "max_correction_residual" not in record
+
     def test_csv_outputs_are_well_formed(self, tmp_path):
         import csv
 

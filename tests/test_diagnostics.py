@@ -137,6 +137,9 @@ class TestLedgerMatchesReference:
             assert got.shape == want.shape, column.name
             scale = float(np.abs(want).max())
             assert float(np.abs(got - want).max()) <= 1e-12 * scale, column.name
+        if spec.forcing is None:
+            # no zero field is summed, and the signs of the zeros stay
+            assert led.forcing_power.tobytes() == ref.forcing_power.tobytes()
 
 
 class TestEnergyDecay:
@@ -226,6 +229,33 @@ class TestEnergyBound:
         want = reference_bound_lhs(traj)
         assert np.all(want > 0.0)
         assert rep.lhs == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_blocks_hold_no_velocity_stack(self, monkeypatch):
+        # a few levels of edges and velocities at a time, never every level
+        import tracemalloc
+
+        import memvisco.diagnostics as diagnostics
+
+        g = Grid.box(9)
+        n_edges = sum(g.n_total // n * (n + 1) for n in g.n)
+        monkeypatch.setattr(diagnostics, "_EDGE_BLOCK_BYTES", 8 * n_edges * 4)
+        spec = ProblemSpec(
+            kernel=PRONY, grid=g, horizon=6.0, dt=cfl_time_step(g, PRONY, 0.05, 0.5, 6.0),
+            eps=0.05, u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}),
+        )
+        traj = run(spec)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            rep = check_energy_bound(traj, PRONY, 0.05, spec.u1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert rep.data_constant == 0.5 * l2_space(g, spec.u1) ** 2
+        # about 0.25 MB of blocks and buffers against 1.2 MB of levels; a
+        # velocity stack alone would be the size of the levels
+        assert peak - entry < 0.5 * traj.levels.nbytes
 
     def test_data_constant_matches_stacked_oracle(self):
         # |f|^2 is summed level by level; the oracle stacks every level

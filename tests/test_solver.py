@@ -23,6 +23,7 @@ from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import (
     ConstantKernel,
+    KernelSum,
     PowerLawKernel,
     PronyKernel,
     translate,
@@ -37,6 +38,7 @@ from memvisco.solver import (
     compute_stress,
     interval_weights,
     run,
+    stress_curve,
     run_integral_volterra,
     run_integrodiff,
     stable_time_step,
@@ -216,17 +218,153 @@ class TestConvWeightRows:
         assert got.tobytes() == expected.tobytes()
 
 
+_TERMS = {
+    1: ((0.5, 1.0),),
+    2: ((0.3, 1.0), (0.2, 0.1)),
+    3: ((0.4, 1.0), (0.1, 7.0), (0.2, 0.03)),
+}
+
+
+def _stream_sums(history, samples):
+    """next_sum() after the push of every level j >= 1; row 0 stays zero."""
+    out = np.zeros_like(samples)
+    history.push(samples[0])
+    for j in range(1, samples.shape[0]):
+        history.push(samples[j])
+        out[j] = history.next_sum()
+    return out
+
+
+class TestExponentialHistory:
+    """The recursive Prony backend of HistoryConvolution."""
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-4, 0.01, 0.5, 0.999, 1.0, 2.0, 30.0])
+    def test_first_interval_weights_match_quadrature(self, x):
+        from memvisco.solver import _exponential_weights
+
+        tau, a = 0.7, -1.3
+        dt = x * tau
+        w = lambda s: (a / tau) * math.exp(-s / tau)
+        m0 = quad(w, 0.0, dt, epsabs=0.0, epsrel=2e-14)[0]
+        m1 = quad(lambda s: s * w(s), 0.0, dt, epsabs=0.0, epsrel=2e-14)[0]
+        left, right = _exponential_weights(a, tau, dt)
+        assert right == pytest.approx(m1 / dt, rel=1e-13, abs=0.0)
+        assert left == pytest.approx(m0 - m1 / dt, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 3])
+    @pytest.mark.parametrize("ratio", [0.5, 30.0])
+    def test_geometric_weights_match_interval_weights(self, n_terms, ratio):
+        # the direct weights carry the round-off of antiderivative
+        # differences, about eps * max|K| / dt, so the comparison stays at
+        # moderate ratios and a short span
+        k = PronyKernel(0.5, _TERMS[n_terms])
+        dt, eps, n = 1.0 / ratio, 0.05, 40
+        exponential = HistoryConvolution.memory(k, eps, n, dt)
+        shifted = translate(k, eps)
+        direct = HistoryConvolution(*interval_weights(shifted._modulus, shifted._integral, n, dt))
+        scale = np.abs(direct.lags).max()
+        assert np.abs(exponential.lags - direct.lags).max() <= 1e-12 * scale
+        assert np.abs(exponential.oldest - direct.oldest).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 3])
+    @pytest.mark.parametrize("ratio", [0.5, 30.0, 1e4])
+    @pytest.mark.parametrize("n", [7, 2000])
+    def test_stream_matches_rows(self, n_terms, ratio, n):
+        # the first term's tau / dt is `ratio`, the others' 0.03 to 7 times it
+        k = PronyKernel(0.5, _TERMS[n_terms])
+        dt = 1.0 / ratio
+        history = HistoryConvolution.memory(k, 0.05, n, dt)
+        assert history.backend == "exponential"
+        t = np.linspace(0.0, 1.0, n + 1)
+        rough = np.random.default_rng(n_terms).standard_normal((n + 1, 2))
+        smooth = np.stack([np.sin(3 * t), 1.0 + t * t], axis=1)
+        samples = np.concatenate([rough, smooth], axis=1)
+        want = np.zeros_like(samples)
+        for j in range(1, n + 1):
+            want[j] = history.row(j) @ samples[: j + 1]
+        got = _stream_sums(history, samples)
+        scale = np.abs(want).max(axis=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_backend_follows_kernel_and_window(self):
+        n, dt, eps = 20, 0.05, 0.05
+        power = PowerLawKernel(c=1.0, alpha=0.5)
+        assert HistoryConvolution.memory(PRONY, eps, n, dt).backend == "exponential"
+        # a window of the whole run cuts nothing
+        assert HistoryConvolution.memory(PRONY, eps, n, dt, window=n).backend == "exponential"
+        assert HistoryConvolution.memory(PRONY, eps, n, dt, window=n - 1).backend == "direct"
+        assert HistoryConvolution.memory(power, eps, n, dt).backend == "direct"
+        assert HistoryConvolution.memory(KernelSum((PRONY, power)), eps, n, dt).backend == "direct"
+        assert HistoryConvolution.memory(ConstantKernel(1.0), eps, n, dt).backend == "direct"
+
+    def test_inert_keeps_its_meaning(self):
+        g0 = 1.0
+        faint = PronyKernel(g_inf=1.0, terms=((1e-20, 1.0),))
+        assert HistoryConvolution.memory(faint, 0.05, 50, 0.01).inert(g0)
+        assert not HistoryConvolution.memory(PRONY, 0.05, 50, 0.01).inert(g0)
+
+    @pytest.mark.parametrize("kernel", [PRONY, PowerLawKernel(c=1.0, alpha=0.5)])
+    def test_push_keeps_no_reference_to_the_caller_array(self, kernel):
+        samples = np.random.default_rng(9).standard_normal((12, 5))
+        want = _stream_sums(HistoryConvolution.memory(kernel, 0.05, 11, 0.02), samples)
+        history = HistoryConvolution.memory(kernel, 0.05, 11, 0.02)
+        buf = np.empty(5)
+        got = np.zeros_like(samples)
+        for j in range(12):
+            buf[:] = samples[j]  # one buffer, overwritten for every level
+            history.push(buf)
+            if j:
+                got[j] = history.next_sum()
+        assert got.tobytes() == want.tobytes()
+
+    def test_refuses_a_partial_row(self):
+        history = HistoryConvolution.memory(PRONY, 0.05, 10, 0.01)
+        history.push(np.ones(3))
+        with pytest.raises(ValueError, match="whole rows"):
+            history.next_sum()
+
+
+def test_prony_leapfrog_stores_no_history():
+    # the levels are the only stack the march may hold: the direct backend
+    # kept a second one of the same size for the Laplacians
+    import tracemalloc
+
+    g = Grid.box(11)
+    dt = cfl_time_step(g, PRONY, 0.05, 0.5, 3.0)
+    spec = ProblemSpec(
+        kernel=PRONY, grid=g, horizon=3.0, dt=dt, eps=0.05,
+        u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}),
+        forcing=Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 3.0}),
+    )
+    levels_bytes = 8 * (spec.n_steps + 1) * g.n_total
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        traj = run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.history_backend == "exponential"
+    assert traj.levels.nbytes == levels_bytes
+    assert peak - entry < 1.25 * levels_bytes
+
+
 def _march_cases():
     line = Grid.line(17)
     box = Grid((4, 5, 3), (1.0, 1.5, 0.8))
     pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
     steady = Forcing.from_dict("constant", {"value": 0.3})
     power = PowerLawKernel(c=1.0, alpha=0.5)
+    two_term = PronyKernel(g_inf=0.2, terms=((0.5, 2.0), (0.3, 0.07)))
+    mixed = KernelSum((PronyKernel(g_inf=0.3, terms=((0.4, 0.5),)), PowerLawKernel(c=0.5, alpha=0.3)))
     cases = []
     for formulation, kernel, eps in (
         ("integrodifferential", PRONY, 0.05),
         ("integral_volterra", power, 0.0),
         ("integral_volterra", PRONY, 0.05),
+        ("integrodifferential", two_term, 0.05),
+        ("integrodifferential", power, 0.05),
+        ("integrodifferential", mixed, 0.05),
     ):
         for grid, forcing, window in (
             (line, None, None),
@@ -246,17 +384,45 @@ def _march_cases():
 
 
 class TestMarchersMatchReferenceLoops:
-    """The marchers against their one-conv_weights-per-step loops, bitwise."""
+    """The marchers against their one-conv_weights-per-step loops.
+
+    Bitwise wherever the direct backend serves the run.  An unwindowed
+    Prony leapfrog runs on the exponential recursion instead, whose sums
+    differ from the weight rows by round-off: there the levels must agree
+    to 1e-12 of max|u|.
+    """
 
     @pytest.mark.parametrize("spec", _march_cases())
     def test_levels_bitwise(self, spec):
         traj = run(spec)
-        if spec.formulation == "integrodifferential":
+        exponential = (
+            spec.formulation == "integrodifferential"
+            and isinstance(spec.kernel, PronyKernel)
+            and spec.history_window is None
+        )
+        assert traj.history_backend == ("exponential" if exponential else "direct")
+        if exponential:
+            want = reference_integrodiff(spec)
+            scale = np.max(np.abs(want))
+            assert scale > 0.1
+            assert np.max(np.abs(traj.levels - want)) <= 1e-12 * scale
+        elif spec.formulation == "integrodifferential":
             assert traj.levels.tobytes() == reference_integrodiff(spec).tobytes()
         else:
             levels, resid = reference_volterra(spec)
             assert traj.levels.tobytes() == levels.tobytes()
             assert traj.correction_residuals.tobytes() == resid.tobytes()
+
+
+def test_integrated_forcing_without_forcing_is_a_broadcast_zero():
+    grid = Grid((4, 5, 3), (1.0, 1.5, 0.8))
+    times = 0.02 * np.arange(31)
+    got = _integrated_forcing(None, grid, times, 0.02)
+    assert got.shape == (31, 1, 1, 1)
+    # adding it acts as adding a zero field: -0.0 turns into 0.0
+    field = np.full(grid.shape, -0.0)
+    stacked = np.zeros((31,) + grid.shape)
+    assert (field + got[7]).tobytes() == (field + stacked[7]).tobytes()
 
 
 def test_integrated_forcing_equals_trapezoid_twice_bitwise():
@@ -358,6 +524,17 @@ class TestIntegrodiff:
         )
         windowed = dataclasses.replace(base, history_window=1.0)
         assert np.array_equal(run(base).levels, run(windowed).levels)
+
+    def test_history_window_equal_horizon_is_exact_on_direct_backend(self):
+        g = Grid.line(19)
+        base = ProblemSpec(
+            kernel=KernelSum((PRONY, PowerLawKernel(c=0.3, alpha=0.4))),
+            grid=g, horizon=1.0, dt=0.02, eps=0.05,
+            u0=Field.zero(g),
+            u1=field_from_name(g, "sin_pi_product", {"amplitude": 1.0}),
+        )
+        windowed = dataclasses.replace(base, history_window=1.0)
+        assert run(base).levels.tobytes() == run(windowed).levels.tobytes()
 
     def test_short_history_window_stays_close_for_fast_decay(self):
         # kernel memory dies on the tau scale, so a few tau of history suffice
@@ -486,6 +663,21 @@ class TestVelocities:
         want = reference_velocities(levels, traj.dt)[::stride]
         assert traj.velocities(stride).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_level_ranges_match_full_stack_bitwise(self, stride):
+        from memvisco.solver import TrajectorySolution
+
+        g = Grid((3, 4, 3), (1.0, 1.0, 1.0))
+        levels = np.random.default_rng(5).standard_normal((11,) + g.shape)
+        traj = TrajectorySolution(
+            grid=g, times=0.1 * np.arange(11), levels=levels,
+            formulation="integrodifferential", spec_fingerprint="",
+        )
+        full = reference_velocities(levels, traj.dt)
+        for start, stop in [(0, 1), (0, 4), (1, 2), (3, 7), (9, 11), (10, 11), (4, 40), (5, 5)]:
+            got = traj.velocities(stride, start, stop)
+            assert got.tobytes() == full[start:stop:stride].tobytes(), (start, stop)
+
     def test_exact_on_linear_trajectory(self):
         from memvisco.solver import TrajectorySolution
 
@@ -553,3 +745,21 @@ class TestStress:
         a = compute_stress(PRONY, history, dt, form="classical")
         b = compute_stress(PRONY, history, dt, form="integrated")
         assert a == pytest.approx(b, rel=1e-3, abs=1e-6)
+
+    @pytest.mark.parametrize("strain", ["step", "ramp", "sine"])
+    @pytest.mark.parametrize(
+        "kernel, form",
+        [
+            (PRONY, "classical"),
+            (PRONY, "integrated"),
+            (PowerLawKernel(c=1.0, alpha=0.5), "integrated"),
+        ],
+    )
+    def test_curve_equals_prefix_stresses_bitwise(self, kernel, form, strain):
+        dt, n = 0.01, 120
+        times = dt * np.arange(n + 1)
+        history = {"step": np.full(n + 1, 1.3), "ramp": 1.3 * times, "sine": np.sin(7 * times)}[strain]
+        curve = stress_curve(kernel, history, dt, 0.4, form=form)
+        want = [compute_stress(kernel, history[: m + 1], dt, 0.4, form=form) for m in range(1, n + 1)]
+        assert curve.tobytes() == np.array(want).tobytes()
+
