@@ -20,6 +20,7 @@ from memvisco.grid import (
     dirichlet_edge_differences,
     inner_space,
     l2_space,
+    laplacian_array,
     trapezoid_weights,
 )
 from memvisco.kernels import RelaxationKernel, translate
@@ -378,32 +379,33 @@ def weak_residual(
     kk = kernel if eps == 0.0 else translate(kernel, eps)
     history = HistoryConvolution(*interval_weights(kk._integral2, kk._integral3, J, dt))
 
-    from memvisco.grid import laplacian_array
-
+    # Every term is linear in u, so project the levels on each test
+    # function first and convolve scalars: y = W^T (wt vt) once per time
+    # profile.  The stencil is symmetric with Dirichlet faces, so
+    # vx . lap_h u = (lap_h vx) . u and no level needs a Laplacian.
     flat = traj.levels.reshape(J + 1, -1)
-    conv_lap = history.full(laplacian_array(grid, traj.levels).reshape(J + 1, -1))
-    conv_u = history.full(flat)
-
-    f_double = _integrated_forcing(forcing, grid, traj.times, dt).reshape(J + 1, -1)
-    ramp = (
-        np.outer(traj.times, u1.values.ravel())
-        + u0.values.ravel()[None, :]
-        + f_double
-    )
-
-    defect_direct = flat - conv_lap - ramp
-    defect_rest = flat - ramp
+    space = [v.space_values(grid).ravel() for v in battery]
+    if forcing is not None:
+        # one forcing field at a time, projected on every test function
+        forced = _integrated_forcing(forcing, grid, traj.times, dt, np.stack(space, axis=1))
 
     wt = trapezoid_weights(J + 1, dt)
     vol = grid.cell_volume
+    tested = {}
     out = []
-    for v in battery:
-        vx = v.space_values(grid).ravel()
-        vt = v.time_values(traj.times, horizon)
-        lam = v.laplace_factor(grid)
-        direct = vol * float(np.dot(wt * vt, defect_direct @ vx))
-        moved = vol * float(
-            np.dot(wt * vt, defect_rest @ vx) - lam * np.dot(wt * vt, conv_u @ vx)
-        )
+    for b, (v, vx) in enumerate(zip(battery, space)):
+        a = wt * v.time_values(traj.times, horizon)
+        key = a.tobytes()
+        if key not in tested:
+            tested[key] = history.adjoint(a)
+        y = tested[key]
+        projected = flat @ vx
+        ramp = traj.times * (u1.values.ravel() @ vx) + u0.values.ravel() @ vx
+        if forcing is not None:
+            ramp += forced[:, b]
+        rest = float(a @ (projected - ramp))
+        lap_vx = laplacian_array(grid, vx.reshape(grid.shape)).ravel()
+        direct = vol * (rest - float(y @ (flat @ lap_vx)))
+        moved = vol * (rest - v.laplace_factor(grid) * float(y @ projected))
         out.append(WeakResidualEntry(name=v.name, direct=direct, moved=moved))
     return out

@@ -10,7 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+import resource
+import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +74,38 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _write_manifest(out_dir: Path, payload: dict) -> None:
     _write_atomic(out_dir / "manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+class _Phases:
+    """Wall time of each named phase of a run, summed over its repeats, and
+    the time steps a phase marched, if any."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self.steps: dict[str, int] = {}
+
+    @contextmanager
+    def __call__(self, name: str, steps: int = 0):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
+            if steps:
+                self.steps[name] = self.steps.get(name, 0) + steps
+
+    def report(self) -> dict:
+        out = {name: {"seconds": round(sec, 6)} for name, sec in self.seconds.items()}
+        for name, steps in self.steps.items():
+            out[name]["n_steps"] = steps
+            out[name]["seconds_per_step"] = self.seconds[name] / steps
+        return out
+
+
+def _peak_rss_mib() -> float:
+    """Peak resident set of this process; ru_maxrss is KiB on Linux, bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 _PLOT_ENERGY = """\
@@ -207,17 +242,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     started = time.perf_counter()
     verdicts: dict = {}
     runs: list = []
+    phases = _Phases()
     abort_info = None
 
     try:
         if cfg.mode == "single_run":
-            exit_code = _run_single(cfg, out_dir, verdicts, runs)
+            exit_code = _run_single(cfg, out_dir, verdicts, runs, phases)
         elif cfg.mode == "eps_sequence":
-            exit_code = _run_sequence(cfg, out_dir, verdicts, runs)
+            exit_code = _run_sequence(cfg, out_dir, verdicts, runs, phases)
         elif cfg.mode == "admissibility":
-            exit_code = _run_admissibility(cfg, out_dir, verdicts)
+            exit_code = _run_admissibility(cfg, out_dir, verdicts, phases)
         else:
-            exit_code = _run_stress(cfg, out_dir, verdicts)
+            exit_code = _run_stress(cfg, out_dir, verdicts, phases)
     except (CflViolation, SolverAbort) as exc:
         abort_info = {"type": type(exc).__name__, "message": str(exc)}
         verdicts["aborted"] = True
@@ -230,6 +266,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
         "defaults_applied": list(cfg.defaults_applied),
         "tolerances": cfg.tolerances,
         "timing_seconds": round(time.perf_counter() - started, 6),
+        "phases": phases.report(),
+        "peak_rss_mib": round(_peak_rss_mib(), 3),
         "verdicts": verdicts,
         "runs": runs,
         "abort": abort_info,
@@ -251,12 +289,16 @@ def _run_record(eps: float, traj) -> dict:
     return record
 
 
-def _run_single(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: list) -> int:
+def _run_single(
+    cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: list, phases: _Phases
+) -> int:
     dt = _resolve_dt(cfg, cfg.eps)
     spec = _build_spec(cfg, cfg.eps, dt)
-    traj = run(spec)
+    with phases("solve", steps=spec.n_steps):
+        traj = run(spec)
     runs.append(_run_record(cfg.eps, traj))
-    _export_trajectory(out_dir, cfg, traj)
+    with phases("export"):
+        _export_trajectory(out_dir, cfg, traj)
     verdicts["dt"] = dt
     verdicts["n_steps"] = spec.n_steps
     ok = True
@@ -266,13 +308,16 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: list
         or cfg.diagnostics["energy_decay"]
     )
     if wants_ledger:
-        ledger = energy_ledger(traj, cfg.kernel, cfg.eps, spec.forcing)
-        _export_ledger(out_dir, ledger)
-        _write_atomic(out_dir / "plot_energy.py", _PLOT_ENERGY)
+        with phases("ledger"):
+            ledger = energy_ledger(traj, cfg.kernel, cfg.eps, spec.forcing)
+        with phases("export"):
+            _export_ledger(out_dir, ledger)
+            _write_atomic(out_dir / "plot_energy.py", _PLOT_ENERGY)
         verdicts["max_energy_residual"] = ledger.max_residual
         if cfg.diagnostics["energy_decay"]:
-            tol = calibrate_decay_tolerance(spec, cfg.tolerances["decay_safety"])
-            decay = check_energy_decay(ledger, tol)
+            with phases("decay_calibration"):
+                tol = calibrate_decay_tolerance(spec, cfg.tolerances["decay_safety"])
+                decay = check_energy_decay(ledger, tol)
             verdicts["energy_decay"] = {
                 "passed": decay.passed,
                 "tolerance": decay.tolerance,
@@ -287,9 +332,10 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: list
         if np.any(spec.u0.values != 0.0):
             verdicts["energy_bound"] = {"skipped": "nonzero initial displacement"}
         else:
-            bound = check_energy_bound(
-                traj, cfg.kernel, cfg.eps, spec.u1, spec.forcing
-            )
+            with phases("bound"):
+                bound = check_energy_bound(
+                    traj, cfg.kernel, cfg.eps, spec.u1, spec.forcing
+                )
             verdicts["energy_bound"] = {
                 "passed": bound.passed,
                 "gamma": bound.gamma,
@@ -299,14 +345,16 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: list
             ok = ok and bound.passed
 
     if cfg.diagnostics["weak_residual"]:
-        entries = weak_residual(
-            traj, cfg.kernel, cfg.eps, spec.u0, spec.u1, spec.forcing
-        )
-        _write_csv(
-            out_dir / "weak_residuals.csv",
-            ["test_function", "direct", "moved"],
-            [[e.name, e.direct, e.moved] for e in entries],
-        )
+        with phases("weak_residual"):
+            entries = weak_residual(
+                traj, cfg.kernel, cfg.eps, spec.u0, spec.u1, spec.forcing
+            )
+        with phases("export"):
+            _write_csv(
+                out_dir / "weak_residuals.csv",
+                ["test_function", "direct", "moved"],
+                [[e.name, e.direct, e.moved] for e in entries],
+            )
         worst = max(max(abs(e.direct), abs(e.moved)) for e in entries)
         verdicts["weak_residual_max"] = worst
         ok = ok and worst <= cfg.tolerances["weak_tol"]
@@ -314,13 +362,17 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: list
     return 0 if ok else 1
 
 
-def _run_sequence(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: list) -> int:
+def _run_sequence(
+    cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: list, phases: _Phases
+) -> int:
     eps_values = eps_schedule(cfg.eps0, cfg.ratio, cfg.count)
     dt = _resolve_dt(cfg, float(eps_values[-1]))
     base = _build_spec(cfg, float(eps_values[0]), dt)
-    trajs = run_eps_sequence(base, cfg.eps0, cfg.ratio, cfg.count)
+    with phases("solve", steps=base.n_steps * (cfg.count + 1)):
+        trajs = run_eps_sequence(base, cfg.eps0, cfg.ratio, cfg.count)
     runs.extend(_run_record(e, traj) for e, traj in zip(eps_values, trajs))
-    report = cauchy_report(trajs, eps_values, cfg.kernel, cfg.tolerances["cauchy_tol"])
+    with phases("cauchy"):
+        report = cauchy_report(trajs, eps_values, cfg.kernel, cfg.tolerances["cauchy_tol"])
 
     rows = []
     for h, e in enumerate(eps_values):
@@ -333,12 +385,13 @@ def _run_sequence(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: li
                 report.kernel_sup_bounds[h],
             ]
         )
-    _write_csv(
-        out_dir / "convergence.csv",
-        ["h", "eps", "distance_to_next", "distance_to_finest", "kernel_sup_bound"],
-        rows,
-    )
-    _write_atomic(out_dir / "plot_convergence.py", _PLOT_CONVERGENCE)
+    with phases("export"):
+        _write_csv(
+            out_dir / "convergence.csv",
+            ["h", "eps", "distance_to_next", "distance_to_finest", "kernel_sup_bound"],
+            rows,
+        )
+        _write_atomic(out_dir / "plot_convergence.py", _PLOT_CONVERGENCE)
     verdicts["cauchy"] = {
         "passed": report.passed,
         "monotone": report.monotone,
@@ -355,12 +408,14 @@ def _run_sequence(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: li
 
     if cfg.diagnostics["lemma_check"]:
         battery = default_battery(cfg.grid)
-        entries = convergence_lemma_check(cfg.kernel, eps_values, battery, trajs)
-        _write_csv(
-            out_dir / "lemma.csv",
-            ["eps", "test_function", "residual", "majorant"],
-            [[e.eps, e.test_function, e.residual, e.majorant] for e in entries],
-        )
+        with phases("lemma_check"):
+            entries = convergence_lemma_check(cfg.kernel, eps_values, battery, trajs)
+        with phases("export"):
+            _write_csv(
+                out_dir / "lemma.csv",
+                ["eps", "test_function", "residual", "majorant"],
+                [[e.eps, e.test_function, e.residual, e.majorant] for e in entries],
+            )
         within = all(e.within for e in entries)
         verdicts["lemma_check"] = {"passed": within, "entries": len(entries)}
         ok = ok and within
@@ -368,16 +423,19 @@ def _run_sequence(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, runs: li
     return 0 if ok else 1
 
 
-def _run_admissibility(cfg: ExperimentConfig, out_dir: Path, verdicts: dict) -> int:
+def _run_admissibility(
+    cfg: ExperimentConfig, out_dir: Path, verdicts: dict, phases: _Phases
+) -> int:
     report = check_admissibility(cfg.kernel, cfg.horizon, cfg.n_samples)
-    _write_csv(
-        out_dir / "admissibility.csv",
-        ["t", "modulus", "modulus_dt", "modulus_dtt"],
-        [
-            [report.times[i], report.modulus_values[i], report.rate_values[i], report.curvature_values[i]]
-            for i in range(report.times.size)
-        ],
-    )
+    with phases("export"):
+        _write_csv(
+            out_dir / "admissibility.csv",
+            ["t", "modulus", "modulus_dt", "modulus_dtt"],
+            [
+                [report.times[i], report.modulus_values[i], report.rate_values[i], report.curvature_values[i]]
+                for i in range(report.times.size)
+            ],
+        )
     fade = check_fading_memory(cfg.kernel, history_norm_bound=1.0, tol=1e-3)
     verdicts["admissibility"] = {
         "passed": report.passed,
@@ -393,7 +451,7 @@ def _run_admissibility(cfg: ExperimentConfig, out_dir: Path, verdicts: dict) -> 
     return 0 if report.passed else 1
 
 
-def _run_stress(cfg: ExperimentConfig, out_dir: Path, verdicts: dict) -> int:
+def _run_stress(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, phases: _Phases) -> int:
     dt = cfg.dt
     n = max(2, round(cfg.horizon / dt))
     times = dt * np.arange(n + 1)
@@ -420,6 +478,7 @@ def _run_stress(cfg: ExperimentConfig, out_dir: Path, verdicts: dict) -> int:
         if err is not None:
             worst = max(worst, err)
         rows.append([times[j], stress, ref, err])
-    _write_csv(out_dir / "stress.csv", ["t", "stress", "reference", "abs_error"], rows)
+    with phases("export"):
+        _write_csv(out_dir / "stress.csv", ["t", "stress", "reference", "abs_error"], rows)
     verdicts["stress"] = {"form": form, "max_abs_error": worst}
     return 0 if worst <= cfg.tolerances["stress_tol"] else 1

@@ -364,12 +364,24 @@ class HistoryConvolution:
         for j in range(1, n_rows + 1):
             yield self._fill(buf[: j + 1], j)
 
-    def full(self, samples: np.ndarray) -> np.ndarray:
-        """out[j] = row(j) @ samples[: j + 1] for every level; out[0] = 0."""
-        out = np.zeros_like(samples)
-        for j, w in enumerate(self.rows(samples.shape[0] - 1), start=1):
-            out[j] = w @ samples[: j + 1]
-        return out
+    def adjoint(self, a: np.ndarray) -> np.ndarray:
+        """y[m] = sum_j a[j] row(j)[m] over the rows j = 1 .. n; a[0] weighs nothing.
+
+        The transpose of the row-by-row sums, so a @ (row sums of p) equals
+        adjoint(a) @ p for samples p of any shape: a diagnostic that only
+        tests the sums against a time profile a projects p first and never
+        forms them.  One correlation of a against lags serves every level
+        above 0, plus the oldest lag k of each row: rows j <= k put
+        oldest[j - 1] on level 0, rows j > k put oldest[k - 1] on level j - k.
+        """
+        a = np.asarray(a, dtype=float)
+        n = a.size - 1
+        k = n if self.window is None else min(self.window, n)
+        y = np.empty(n + 1)
+        y[0] = a[1 : k + 1] @ self.oldest[:k]
+        y[1:] = np.correlate(a[1:], self.lags[:k], "full")[k - 1 : k - 1 + n]
+        y[1 : n + 1 - k] += self.oldest[k - 1] * a[k + 1 :]
+        return y
 
     def push(self, sample: np.ndarray) -> None:
         """Append the sample of the next level, level 0 first."""
@@ -399,7 +411,7 @@ class _ExponentialHistory(HistoryConvolution):
 
     and next_sum() returns the sum of C_j over the terms: O(terms N) per
     step with no stored samples.  It sums whole rows only, so push level j
-    before asking for row j.  row, rows, full and inert see the geometric
+    before asking for row j.  row, rows, adjoint and inert see the geometric
     weights, summed over the terms; they match the direct interval weights
     up to the round-off those lose to cancellation.
     """
@@ -503,15 +515,22 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
 # ---------------------------------------------------------------------------
 
 
-def _integrated_forcing(forcing, grid: Grid, times: np.ndarray, dt: float) -> np.ndarray:
+def _integrated_forcing(
+    forcing, grid: Grid, times: np.ndarray, dt: float, onto: np.ndarray | None = None
+) -> np.ndarray:
     """int_0^t int_0^s f at every level: the cumulative trapezoid rule twice.
 
     Without forcing the result is a zero per level that broadcasts
-    against the grid, not a zero field per level.
+    against the grid, not a zero field per level.  With onto, an (N, B)
+    matrix, each level's forcing is projected on its columns first: the
+    result is (levels, B) and no stack of forcing fields is held.
     """
     if forcing is None:
         return np.zeros((len(times),) + (1,) * grid.dim)
-    out = np.stack([_forcing_values(forcing, grid, t) for t in times])
+    if onto is None:
+        out = np.stack([_forcing_values(forcing, grid, t) for t in times])
+    else:
+        out = np.stack([_forcing_values(forcing, grid, t).ravel() @ onto for t in times])
     for _ in range(2):
         integral = np.zeros_like(out)
         np.cumsum(0.5 * dt * (out[1:] + out[:-1]), axis=0, out=integral[1:])

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from memvisco.diagnostics import EnergyLedger
+from memvisco.convergence import LemmaCheckEntry
+from memvisco.diagnostics import EnergyLedger, WeakResidualEntry, default_battery
+from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import (
+    Field,
     Grid,
     dirichlet_gradient_sq,
     inner_space,
     l2_space,
+    laplacian_array,
     trapezoid_weights,
 )
 from memvisco.kernels import (
@@ -19,14 +24,18 @@ from memvisco.kernels import (
     KernelSum,
     PowerLawKernel,
     PronyKernel,
+    RelaxationKernel,
     translate,
 )
 from memvisco.solver import (
+    HistoryConvolution,
     ProblemSpec,
     SolverAbort,
     TrajectorySolution,
+    cfl_time_step,
     interval_weights,
     _forcing_values,
+    _integrated_forcing,
 )
 
 # Populated by the acceptance tests, printed in the terminal summary.
@@ -353,3 +362,229 @@ def reference_trajectory_csv(traj: TrajectorySolution, stride: int) -> str:
                 ",".join(str(x) if isinstance(x, int) else repr(float(x)) for x in row)
             )
     return "\n".join(lines) + "\n"
+
+
+def reference_full(history: HistoryConvolution, samples: np.ndarray) -> np.ndarray:
+    """Row-loop oracle for the history sums: out[j] = row(j) @ samples[: j + 1]
+    for every level; out[0] = 0."""
+    out = np.zeros_like(samples)
+    for j, w in enumerate(history.rows(samples.shape[0] - 1), start=1):
+        out[j] = w @ samples[: j + 1]
+    return out
+
+
+def reference_lemma_check(
+    kernel: RelaxationKernel,
+    eps_values,
+    battery,
+    trajectories: list[TrajectorySolution],
+) -> list[LemmaCheckEntry]:
+    """Whole-convolution oracle for convergence_lemma_check: the (J+1, N)
+    history sums of every level, then tested against each function."""
+    eps_values = np.asarray(eps_values, dtype=float)
+    if len(trajectories) != eps_values.size:
+        raise ValueError("one shift value per trajectory required")
+
+    out: list[LemmaCheckEntry] = []
+    for e, traj in zip(eps_values, trajectories):
+        grid, dt = traj.grid, traj.dt
+        J = traj.n_levels - 1
+        horizon = float(traj.times[-1])
+        shifted = translate(kernel, float(e))
+
+        # sup_s |Ksh(s) - K(s)| on [0, horizon]: increasing in s, peak at s = horizon
+        s_grid = np.linspace(0.0, horizon, 257)
+        sup_diff = float(
+            np.max(np.abs(shifted._integral(s_grid) - kernel._integral(s_grid)))
+        )
+        if sup_diff <= 1e-12 * max(1.0, float(kernel._integral(horizon))):
+            # the shift changes nothing (constant kernel): identically zero
+            for v in battery:
+                out.append(LemmaCheckEntry(float(e), v.name, 0.0, 0.0))
+            continue
+
+        weights = interval_weights(
+            lambda s: shifted._integral2(s) - kernel._integral2(s),
+            lambda s: shifted._integral3(s) - kernel._integral3(s),
+            J, dt,
+        )
+        conv = reference_full(HistoryConvolution(*weights), traj.levels.reshape(J + 1, -1))
+        c_level = float(np.max(np.abs(traj.levels))) / grid.volume
+
+        wt = trapezoid_weights(J + 1, dt)
+        vol = grid.cell_volume
+        for v in battery:
+            vx = v.space_values(grid).ravel()
+            vt = v.time_values(traj.times, horizon)
+            lam = v.laplace_factor(grid)
+            residual = vol * lam * float(np.dot(wt * vt, conv @ vx))
+            majorant = (
+                v.sup_laplacian(grid, horizon)
+                * c_level
+                * grid.volume
+                * horizon
+                * sup_diff
+            )
+            out.append(
+                LemmaCheckEntry(
+                    eps=float(e),
+                    test_function=v.name,
+                    residual=residual,
+                    majorant=majorant,
+                )
+            )
+    return out
+
+
+def reference_weak_residual(
+    traj: TrajectorySolution,
+    kernel: RelaxationKernel,
+    eps: float,
+    u0: Field,
+    u1: Field,
+    forcing=None,
+    battery=None,
+) -> list[WeakResidualEntry]:
+    """Whole-stack oracle for weak_residual: the Laplacian of every level,
+    both (J+1, N) history sums and the stacked defects, then tested."""
+    grid, dt = traj.grid, traj.dt
+    J = traj.n_levels - 1
+    horizon = float(traj.times[-1])
+    if battery is None:
+        battery = default_battery(grid)
+    for v in battery:
+        if v.space_boundary_max(grid) > 1e-10:
+            raise ValueError(f"test function {v.name} does not vanish on the boundary")
+
+    kk = kernel if eps == 0.0 else translate(kernel, eps)
+    history = HistoryConvolution(*interval_weights(kk._integral2, kk._integral3, J, dt))
+
+    flat = traj.levels.reshape(J + 1, -1)
+    conv_lap = reference_full(history, laplacian_array(grid, traj.levels).reshape(J + 1, -1))
+    conv_u = reference_full(history, flat)
+
+    f_double = _integrated_forcing(forcing, grid, traj.times, dt).reshape(J + 1, -1)
+    ramp = (
+        np.outer(traj.times, u1.values.ravel())
+        + u0.values.ravel()[None, :]
+        + f_double
+    )
+
+    defect_direct = flat - conv_lap - ramp
+    defect_rest = flat - ramp
+
+    wt = trapezoid_weights(J + 1, dt)
+    vol = grid.cell_volume
+    out = []
+    for v in battery:
+        vx = v.space_values(grid).ravel()
+        vt = v.time_values(traj.times, horizon)
+        lam = v.laplace_factor(grid)
+        direct = vol * float(np.dot(wt * vt, defect_direct @ vx))
+        moved = vol * float(
+            np.dot(wt * vt, defect_rest @ vx) - lam * np.dot(wt * vt, conv_u @ vx)
+        )
+        out.append(WeakResidualEntry(name=v.name, direct=direct, moved=moved))
+    return out
+
+
+def _abs_row_sums(left, right, samples: np.ndarray) -> np.ndarray:
+    """Row-loop sums of |samples| under the weights |left|, |right|: a bound
+    on the size of every term a history sum adds up."""
+    return reference_full(HistoryConvolution(np.abs(left), np.abs(right)), np.abs(samples))
+
+
+def lemma_term_magnitudes(kernel, eps_values, battery, trajectories) -> list[float]:
+    """Per entry of convergence_lemma_check, in its order: the size of the
+    terms its residual sums, vol |lam| sum_j |a_j| sum_m |row(j)[m]| |u_m| . |vx|
+    with a = wt vt.  Round-off of any summation order stays below a small
+    multiple of it, also where the residual itself cancels to round-off."""
+    out = []
+    for e, traj in zip(np.asarray(eps_values, dtype=float), trajectories):
+        grid, dt = traj.grid, traj.dt
+        J = traj.n_levels - 1
+        horizon = float(traj.times[-1])
+        shifted = translate(kernel, float(e))
+        left, right = interval_weights(
+            lambda s: shifted._integral2(s) - kernel._integral2(s),
+            lambda s: shifted._integral3(s) - kernel._integral3(s),
+            J, dt,
+        )
+        sums = _abs_row_sums(left, right, traj.levels.reshape(J + 1, -1))
+        wt = trapezoid_weights(J + 1, dt)
+        for v in battery:
+            a = np.abs(wt * v.time_values(traj.times, horizon))
+            vx = np.abs(v.space_values(grid).ravel())
+            lam = abs(v.laplace_factor(grid))
+            out.append(grid.cell_volume * lam * float(a @ (sums @ vx)))
+    return out
+
+
+def weak_term_magnitudes(traj, kernel, eps, u0, u1, forcing=None, battery=None) -> list[float]:
+    """Per entry of weak_residual: the size of the terms both of its
+    residuals sum, vol sum_j |a_j| (|u_j| + |ramp_j| + history sums of
+    |u|, |lap_h u| and |lam u|) . |vx| plus the history sums of |u| . |lap_h vx|."""
+    grid, dt = traj.grid, traj.dt
+    J = traj.n_levels - 1
+    horizon = float(traj.times[-1])
+    if battery is None:
+        battery = default_battery(grid)
+    kk = kernel if eps == 0.0 else translate(kernel, eps)
+    left, right = interval_weights(kk._integral2, kk._integral3, J, dt)
+    flat = traj.levels.reshape(J + 1, -1)
+    sums_u = _abs_row_sums(left, right, flat)
+    sums_lap = _abs_row_sums(left, right, laplacian_array(grid, traj.levels).reshape(J + 1, -1))
+    f_double = _integrated_forcing(forcing, grid, traj.times, dt).reshape(J + 1, -1)
+    ramp = (
+        np.outer(traj.times, np.abs(u1.values.ravel()))
+        + np.abs(u0.values.ravel())[None, :]
+        + np.abs(f_double)
+    )
+    wt = trapezoid_weights(J + 1, dt)
+    out = []
+    for v in battery:
+        a = np.abs(wt * v.time_values(traj.times, horizon))
+        vx = v.space_values(grid)
+        lap_vx = np.abs(laplacian_array(grid, vx).ravel())
+        vx = np.abs(vx.ravel())
+        lam = abs(v.laplace_factor(grid))
+        per_level = (np.abs(flat) + ramp + sums_lap + lam * sums_u) @ vx + sums_u @ lap_vx
+        out.append(grid.cell_volume * float(a @ per_level))
+    return out
+
+
+PRONY_TWO_TERMS = PronyKernel(g_inf=0.5, terms=((0.4, 2.0), (0.3, 0.1)))
+
+
+def forced_box_spec(n: int, horizon: float) -> ProblemSpec:
+    """A forced Prony leapfrog on Grid.box(n) from a bump at rest shape."""
+    box = Grid.box(n)
+    return ProblemSpec(
+        kernel=PRONY_TWO_TERMS, grid=box, horizon=horizon,
+        dt=cfl_time_step(box, PRONY_TWO_TERMS, 0.1, 0.5, horizon), eps=0.1,
+        u0=field_from_name(box, "bump", {"radius": 0.3}),
+        u1=field_from_name(box, "sin_pi_product", {"amplitude": 1.0}),
+        forcing=Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0}),
+    )
+
+
+def oracle_specs() -> dict[str, ProblemSpec]:
+    """Runs that pin the projected diagnostics against their oracles: a
+    power-law Volterra run, a Prony leapfrog on the exponential backend, a
+    forced 3D box and a leapfrog with a history window."""
+    line = Grid.line(25)
+    wave = field_from_name(line, "sin_pi_product", {"amplitude": 1.0})
+    leapfrog = ProblemSpec(
+        kernel=PRONY_TWO_TERMS, grid=line, horizon=1.0,
+        dt=cfl_time_step(line, PRONY_TWO_TERMS, 0.1, 0.5, 1.0), eps=0.1,
+        u0=field_from_name(line, "bump", {"radius": 0.3}), u1=wave,
+    )
+    return {
+        "powerlaw_volterra": ProblemSpec(
+            kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=line, horizon=0.5, dt=0.005,
+            eps=0.1, u0=Field.zero(line), u1=wave, formulation="integral_volterra",
+        ),
+        "prony_leapfrog": leapfrog,
+        "forced_box": forced_box_spec(7, 0.6),
+        "windowed": replace(leapfrog, u0=Field.zero(line), history_window=0.2),
+    }

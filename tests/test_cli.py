@@ -273,6 +273,38 @@ class TestOtherModes:
                 else:
                     assert "max_correction_residual" not in record
 
+    def test_manifest_times_the_phases_that_ran(self, tmp_path):
+        every = "[diagnostics]\nenergy_decay = true\nweak_residual = true\n"
+        bare = "[diagnostics]\nenergy_ledger = false\nenergy_bound = false\n"
+        # config, the phases it runs, and the steps it marches: QUICK takes
+        # 4 steps of its CFL dt 0.05, SEQUENCE 4 shifts of 20 steps
+        cases = {
+            "single": (
+                QUICK + every,
+                {"solve", "ledger", "decay_calibration", "bound", "weak_residual", "export"},
+                4,
+            ),
+            "bare": (QUICK + bare, {"solve", "export"}, 4),
+            "sequence": (SEQUENCE, {"solve", "cauchy", "lemma_check", "export"}, 4 * 20),
+            "stress": (STRESS, {"export"}, None),
+        }
+        for name, (text, expected, steps) in cases.items():
+            path = write_cfg(tmp_path, text, name=f"{name}.cfg")
+            out = tmp_path / name
+            assert cli.main(["run", path, "--out", str(out)]) == 0, name
+            manifest = read_manifest(out)
+            phases = manifest["phases"]
+            assert set(phases) == expected, name
+            assert all(p["seconds"] >= 0.0 for p in phases.values())
+            # the phases do not overlap and lie inside the timed run
+            assert sum(p["seconds"] for p in phases.values()) <= manifest["timing_seconds"]
+            assert manifest["peak_rss_mib"] > 0.0
+            if steps is not None:
+                solve = phases["solve"]
+                assert solve["n_steps"] == steps, name
+                # seconds is rounded to the microsecond
+                assert abs(solve["seconds_per_step"] * steps - solve["seconds"]) <= 1e-6
+
     def test_csv_outputs_are_well_formed(self, tmp_path):
         import csv
 

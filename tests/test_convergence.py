@@ -4,6 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from helpers import (
+    forced_box_spec,
+    lemma_term_magnitudes,
+    oracle_specs,
+    reference_lemma_check,
+)
 from memvisco.convergence import (
     cauchy_report,
     convergence_lemma_check,
@@ -164,6 +170,42 @@ class TestLemmaCheck:
         vals = [m[e] for e in sorted(m, reverse=True)]
         ratios = np.array(vals[1:]) / np.array(vals[:-1])
         assert np.all(np.abs(ratios - 0.5) < 0.05)
+
+    @pytest.mark.parametrize("case", sorted(oracle_specs()))
+    def test_matches_whole_convolution_oracle(self, case):
+        base = oracle_specs()[case]
+        eps_vals = eps_schedule(0.1, 0.5, 2)
+        trajs = run_eps_sequence(base, 0.1, 0.5, 2)
+        battery = default_battery(base.grid)
+        got = convergence_lemma_check(base.kernel, eps_vals, battery, trajs)
+        want = reference_lemma_check(base.kernel, eps_vals, battery, trajs)
+        scales = lemma_term_magnitudes(base.kernel, eps_vals, battery, trajs)
+        assert len(got) == len(want) == 3 * 6
+        for g, w, scale in zip(got, want, scales):
+            assert (g.eps, g.test_function) == (w.eps, w.test_function)
+            assert g.majorant == w.majorant
+            # the round-off entries (modes 2 and 3 against mode-1 data)
+            # change in every digit: bound by the terms summed
+            assert abs(g.residual - w.residual) <= 1e-12 * scale, g.test_function
+        assert max(abs(e.residual) for e in want) > 1e-6
+
+    def test_holds_no_level_stack(self):
+        import tracemalloc
+
+        base = forced_box_spec(9, 6.0)
+        eps_vals = eps_schedule(0.1, 0.5, 1)
+        trajs = run_eps_sequence(base, 0.1, 0.5, 1)
+        battery = default_battery(base.grid)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            entries = convergence_lemma_check(base.kernel, eps_vals, battery, trajs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 2 * 6
+        # the whole convolution and |u| were each the size of the levels
+        assert peak - entry < 0.25 * trajs[0].levels.nbytes
 
     def test_mismatched_lengths_rejected(self):
         base = sequence_base(PRONY)

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_bound_lhs, reference_energy_ledger, unchecked_prony
+from helpers import (
+    forced_box_spec,
+    oracle_specs,
+    reference_bound_lhs,
+    reference_energy_ledger,
+    reference_weak_residual,
+    unchecked_prony,
+    weak_term_magnitudes,
+)
 from memvisco.diagnostics import (
     ModeTestFunction,
     calibrate_decay_tolerance,
@@ -347,3 +355,42 @@ class TestWeakResidual:
                 traj, PRONY, 0.05, spec.u0, spec.u1,
                 battery=(BadTestFunction(modes=(1,)),),
             )
+
+
+class TestWeakResidualProjection:
+    """weak_residual tests projections of the levels, never whole stacks."""
+
+    @pytest.mark.parametrize("case", sorted(oracle_specs()))
+    def test_matches_stacked_oracle(self, case):
+        spec = oracle_specs()[case]
+        traj = run(spec)
+        if case == "prony_leapfrog":
+            assert traj.history_backend == "exponential"
+        args = (traj, spec.kernel, spec.eps, spec.u0, spec.u1, spec.forcing)
+        got = weak_residual(*args)
+        want = reference_weak_residual(*args)
+        # direct is a cancellation of O(1) terms: bound the deviation by
+        # the size of the terms summed, not by the residual
+        scales = weak_term_magnitudes(*args)
+        assert [e.name for e in got] == [e.name for e in want]
+        for g, w, scale in zip(got, want, scales):
+            assert abs(g.direct - w.direct) <= 1e-12 * scale, g.name
+            assert abs(g.moved - w.moved) <= 1e-12 * scale, g.name
+        assert max(abs(e.moved) for e in want) > 1e-6  # not a trivial run
+
+    def test_forced_run_holds_no_level_stack(self):
+        import tracemalloc
+
+        spec = forced_box_spec(9, 6.0)
+        traj = run(spec)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            entries = weak_residual(traj, spec.kernel, spec.eps, spec.u0, spec.u1, spec.forcing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 6
+        # vectors of J+1 projections against (J+1, 729) levels; the stacked form
+        # held the Laplacians, two history sums and the ramp at full size
+        assert peak - entry < 0.25 * traj.levels.nbytes

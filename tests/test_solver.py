@@ -206,16 +206,56 @@ class TestConvWeightRows:
 
     @pytest.mark.parametrize("max_intervals", [None, 1, 3, 40])
     @pytest.mark.parametrize("shape", [(12,), (12, 5)])
-    def test_full_equals_row_loop_bitwise(self, max_intervals, shape):
+    def test_adjoint_transposes_row_loop(self, max_intervals, shape):
+        # a @ (row sums of p) = adjoint(a) @ p, the row sums taken by the
+        # conv_weights loop, for samples of any trailing shape
         n = 11
         left, right = _signed_zero_weights(n)
-        samples = np.random.default_rng(4).standard_normal(shape)
+        rng = np.random.default_rng(4)
+        samples = rng.standard_normal(shape)
         samples[3] = -0.0
-        expected = np.zeros_like(samples)
+        a = rng.standard_normal(n + 1)
+        sums = np.zeros_like(samples)
+        magnitude = np.zeros(shape[1:])
         for j in range(1, n + 1):
-            expected[j] = conv_weights(left, right, j, max_intervals) @ samples[: j + 1]
-        got = HistoryConvolution(left, right, max_intervals).full(samples)
-        assert got.tobytes() == expected.tobytes()
+            w = conv_weights(left, right, j, max_intervals)
+            sums[j] = w @ samples[: j + 1]
+            magnitude += abs(a[j]) * (np.abs(w) @ np.abs(samples[: j + 1]))
+        got = HistoryConvolution(left, right, max_intervals).adjoint(a) @ samples
+        assert np.all(np.abs(got - a @ sums) <= 1e-14 * magnitude)
+
+
+@given(
+    n=st.integers(1, 30),
+    window=st.sampled_from([None, 1, 3, "past_n"]),
+    exponential=st.booleans(),
+    zeros=st.lists(st.integers(0, 29), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_is_the_transposed_row_loop(n, window, exponential, zeros, seed):
+    # <adjoint(a), p> = sum_j a_j (row(j) @ p[: j + 1]) for either backend;
+    # a window shorter than the run gives a Prony kernel the direct one
+    rng = np.random.default_rng(seed)
+    cut = n + 2 if window == "past_n" else window
+    if exponential:
+        kernel = PronyKernel(0.5, ((0.3, 1.0), (0.2, 0.1)))
+        history = HistoryConvolution.memory(kernel, 0.05, n, 0.1, cut)
+        assert (history.backend == "exponential") == (cut is None or cut >= n)
+    else:
+        left, right = rng.standard_normal(n), rng.standard_normal(n)
+        for i in zeros:
+            left[i % n] = right[(i + 1) % n] = -0.0
+        history = HistoryConvolution(left, right, cut)
+    a = rng.standard_normal(n + 1)
+    p = rng.standard_normal((n + 1, 3))
+    want = np.zeros(3)
+    magnitude = np.zeros(3)
+    for j in range(1, n + 1):
+        w = history.row(j)
+        want += a[j] * (w @ p[: j + 1])
+        magnitude += abs(a[j]) * (np.abs(w) @ np.abs(p[: j + 1]))
+    got = history.adjoint(a) @ p
+    assert np.all(np.abs(got - want) <= 1e-13 * magnitude)
 
 
 _TERMS = {
