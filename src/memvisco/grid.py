@@ -221,11 +221,14 @@ def trapezoid_weights(n_levels: int, dt: float) -> np.ndarray:
     return w
 
 
-def l2_spacetime(grid: Grid, levels: np.ndarray, dt: float) -> float:
-    """Trapezoid-in-time, midpoint-in-space L2 norm of a level stack."""
+def l2_spacetime(grid: Grid, levels: np.ndarray, dt: float, overwrite: bool = False) -> float:
+    """Trapezoid-in-time, midpoint-in-space L2 norm of a level stack.
+
+    With overwrite, a float stack of the caller's is squared in place
+    instead of into a second stack.
+    """
     levels = np.asarray(levels, dtype=float)
     w = trapezoid_weights(levels.shape[0], dt)
-    sq = grid.cell_volume * np.sum(
-        levels.reshape(levels.shape[0], -1) ** 2, axis=1
-    )
+    squares = np.square(levels, out=levels if overwrite else None)
+    sq = grid.cell_volume * np.sum(squares.reshape(levels.shape[0], -1), axis=1)
     return math.sqrt(float(np.dot(w, sq)))

@@ -42,6 +42,7 @@ from memvisco.solver import (
     SolverAbort,
     cfl_time_step,
     run,
+    stable_time_step,
     stress_curve,
 )
 
@@ -255,7 +256,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
         else:
             exit_code = _run_stress(cfg, out_dir, verdicts, phases)
     except (CflViolation, SolverAbort) as exc:
-        abort_info = {"type": type(exc).__name__, "message": str(exc)}
+        abort_info = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "eps": getattr(exc, "eps", None),
+        }
         verdicts["aborted"] = True
         exit_code = 3
 
@@ -277,8 +282,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     return exit_code
 
 
-def _run_record(eps: float, traj) -> dict:
-    """What the manifest keeps of one trajectory."""
+def _run_record(cfg: ExperimentConfig, eps: float, traj) -> dict:
+    """What the manifest keeps of one trajectory.
+
+    A leapfrog run records its stability margin, dt over the largest stable
+    dt at the shift; a Volterra run its largest correction residual.
+    """
     record = {
         "eps": float(eps),
         "spec_fingerprint": traj.spec_fingerprint,
@@ -286,6 +295,9 @@ def _run_record(eps: float, traj) -> dict:
     }
     if traj.correction_residuals is not None:
         record["max_correction_residual"] = float(np.max(traj.correction_residuals))
+    else:
+        limit = stable_time_step(cfg.grid, cfg.kernel.modulus(float(eps)))
+        record["dt_over_limit"] = traj.dt / limit
     return record
 
 
@@ -296,7 +308,7 @@ def _run_single(
     spec = _build_spec(cfg, cfg.eps, dt)
     with phases("solve", steps=spec.n_steps):
         traj = run(spec)
-    runs.append(_run_record(cfg.eps, traj))
+    runs.append(_run_record(cfg, cfg.eps, traj))
     with phases("export"):
         _export_trajectory(out_dir, cfg, traj)
     verdicts["dt"] = dt
@@ -370,7 +382,7 @@ def _run_sequence(
     base = _build_spec(cfg, float(eps_values[0]), dt)
     with phases("solve", steps=base.n_steps * (cfg.count + 1)):
         trajs = run_eps_sequence(base, cfg.eps0, cfg.ratio, cfg.count)
-    runs.extend(_run_record(e, traj) for e, traj in zip(eps_values, trajs))
+    runs.extend(_run_record(cfg, e, traj) for e, traj in zip(eps_values, trajs))
     with phases("cauchy"):
         report = cauchy_report(trajs, eps_values, cfg.kernel, cfg.tolerances["cauchy_tol"])
 

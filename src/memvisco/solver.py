@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "KernelUnboundedError",
     "ProblemSpec",
     "TrajectorySolution",
+    "ShiftedRuns",
     "stable_time_step",
     "cfl_time_step",
     "interval_weights",
@@ -54,10 +55,14 @@ class CflViolation(ValueError):
 
 
 class SolverAbort(RuntimeError):
-    def __init__(self, step: int, reason: str):
+    """A march stopped at `step`; `eps` names the shift that failed."""
+
+    def __init__(self, step: int, reason: str, eps: float | None = None):
         self.step = step
         self.reason = reason
-        super().__init__(f"aborted at step {step}: {reason}")
+        self.eps = eps
+        at = "" if eps is None else f" of the run at eps = {eps!r}"
+        super().__init__(f"aborted at step {step}{at}: {reason}")
 
 
 class KernelUnboundedError(ValueError):
@@ -232,7 +237,7 @@ def trajectory_distance(a: TrajectorySolution, b: TrajectorySolution) -> float:
         raise ValueError("trajectories live on different grids")
     if a.n_levels != b.n_levels or abs(a.dt - b.dt) > 1e-12 * a.dt:
         raise ValueError("trajectories use different time levels")
-    return l2_spacetime(a.grid, a.levels - b.levels, a.dt)
+    return l2_spacetime(a.grid, a.levels - b.levels, a.dt, overwrite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +290,27 @@ def _exponential_weights(a: float, tau: float, dt: float) -> tuple[float, float]
     return -a * math.expm1(-x) - right, right
 
 
+# Caps of the direct backend's blocked history sums (HistoryConvolution).
+# A block of B rows holds 3 B samples per shift (the ring, the far sums and
+# one product) and a chunk of c recomputed samples per shift.  B stays
+# within _BLOCK_ROWS, and over all K shifts K B within _BLOCK_SAMPLES
+# samples and _BLOCK_BYTES bytes; c likewise.  That gives B = 73, c = 18
+# for a 7-shift sequence on 99 nodes and B = 105, c = 17 for one run on
+# 31^3 nodes.  Every block recomputes the Laplacians of all older levels,
+# J^2 / (2 B) in a run, which bounds B from below on large grids.
+_BLOCK_ROWS = 128
+_BLOCK_SAMPLES = 512
+_BLOCK_BYTES = 24 * 2**20
+_CHUNK_SAMPLES = 128
+_CHUNK_BYTES = 4 * 2**20
+
+
+def _within(samples: int, cap_bytes: int, shifts: int, level_bytes: int) -> int:
+    """Levels per shift, at least 1, within `samples` samples over all
+    shifts and cap_bytes bytes."""
+    return max(1, min(samples // shifts, cap_bytes // level_bytes))
+
+
 class HistoryConvolution:
     """Product-quadrature weights of one causal convolution, and its sums.
 
@@ -296,42 +322,66 @@ class HistoryConvolution:
     whatever j is; the oldest lag itself weighs oldest[k - 1] = right[k - 1],
     and levels before it weigh nothing.
 
+    left and right may carry a leading shift axis, (K, n): one weight set
+    per shift of a sequence, sharing n and the window.  lags, oldest, row,
+    rows and the streamed sums then carry that axis too; adjoint takes a
+    single weight set.
+
     A marcher streams its samples through it: push(p(t_0)), push(p(t_1)),
     ..., and next_sum() gives row(j) @ the samples pushed so far for
-    j = 1, 2, ... in turn, levels not pushed yet weighing nothing.  This
-    direct backend stores every pushed sample and costs O(j N) per sum.
+    j = 1, 2, ... in turn, levels not pushed yet weighing nothing.  A
+    sample holds N values per shift.  This direct backend sums in blocks
+    of B rows and keeps no history.  At a block's first row j0 the part
+    of its B sums on the levels m < j0 is one matrix product per shift and
+    chunk of levels: the levels since the previous block's first row are
+    still in a ring of the pushed samples, and source(m0, m1) gives the
+    older ones again, levels m0 .. m1 - 1, shaped (K, m1 - m0, N) or
+    reshapable to it.  The levels from j0 on come from the ring.  A run of
+    at most two blocks needs no source.  B and the chunk length c follow
+    from the module caps _BLOCK_* and _CHUNK_*.  A sum costs O(j N) flops;
+    a block recomputes O(j0) samples; the ring, the block's sums and a
+    chunk are all the memory it holds.
     """
 
     backend = "direct"
 
-    def __init__(self, left, right, window: int | None = None):
-        n = len(left)
+    def __init__(self, left, right, window: int | None = None, source=None):
+        left = np.asarray(left, dtype=float)
+        right = np.asarray(right, dtype=float)
+        n = left.shape[-1]
         self.oldest = right
         self.window = window
-        self.lags = np.zeros(n + 1)
-        self.lags[:n] += left
-        self.lags[1:] += right
-        self._reversed = self.lags[::-1]
+        self.lags = np.zeros(left.shape[:-1] + (n + 1,))
+        self.lags[..., :n] += left
+        self.lags[..., 1:] += right
+        self._reversed = self.lags[..., ::-1]
         self._largest = max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0))
-        self._samples = None
+        self._source = source
+        self._ring = None
         self._pushed = 0
         self._rows_summed = 0
 
     @classmethod
     def memory(
-        cls, kernel: RelaxationKernel, eps: float, n: int, dt: float, window: int | None = None
+        cls,
+        kernel: RelaxationKernel,
+        eps: float,
+        n: int,
+        dt: float,
+        window: int | None = None,
+        source=None,
     ) -> "HistoryConvolution":
         """The leapfrog's memory term, w(s) = dG(eps + s), over n steps of dt.
 
         A Prony kernel gets the exponential backend unless a window shorter
         than the n steps cuts its history; any other kernel gets the direct
-        one.
+        one, which recomputes older samples from source.
         """
         uncut = window is None or window >= n
         if uncut and isinstance(kernel, PronyKernel) and kernel.terms:
             return _ExponentialHistory(kernel, eps, n, dt)
         shifted = translate(kernel, eps)
-        return cls(*interval_weights(shifted._modulus, shifted._integral, n, dt), window)
+        return cls(*interval_weights(shifted._modulus, shifted._integral, n, dt), window, source)
 
     def inert(self, g0: float) -> bool:
         """True when the weights are pure roundoff next to G(eps).
@@ -344,15 +394,15 @@ class HistoryConvolution:
 
     def _fill(self, w: np.ndarray, j: int) -> np.ndarray:
         k = j if self.window is None else min(j, self.window)
-        w[j - k + 1 :] = self._reversed[len(self._reversed) - k :]
-        w[j - k] = self.oldest[k - 1] + 0.0  # -0.0 -> 0.0, as in a zeroed row
+        w[..., j - k + 1 :] = self._reversed[..., self._reversed.shape[-1] - k :]
+        w[..., j - k] = self.oldest[..., k - 1] + 0.0  # -0.0 -> 0.0, as in a zeroed row
         if k < j:
-            w[: j - k] = 0.0
+            w[..., : j - k] = 0.0
         return w
 
     def row(self, j: int) -> np.ndarray:
         """Level weights of row j >= 1, indexed by level m = 0 .. j."""
-        return self._fill(np.empty(j + 1), j)
+        return self._fill(np.empty(self.lags.shape[:-1] + (j + 1,)), j)
 
     def rows(self, n_rows: int):
         """Yield row(j) for j = 1 .. n_rows.
@@ -360,9 +410,9 @@ class HistoryConvolution:
         Every row is a view of one buffer that the next row overwrites;
         read it, do not keep it.
         """
-        buf = np.empty(n_rows + 1)
+        buf = np.empty(self.lags.shape[:-1] + (n_rows + 1,))
         for j in range(1, n_rows + 1):
-            yield self._fill(buf[: j + 1], j)
+            yield self._fill(buf[..., : j + 1], j)
 
     def adjoint(self, a: np.ndarray) -> np.ndarray:
         """y[m] = sum_j a[j] row(j)[m] over the rows j = 1 .. n; a[0] weighs nothing.
@@ -383,21 +433,100 @@ class HistoryConvolution:
         y[1 : n + 1 - k] += self.oldest[k - 1] * a[k + 1 :]
         return y
 
+    def _block(self, j0: int, j1: int, m0: int, m1: int) -> np.ndarray:
+        """(K, j1 - j0, m1 - m0) weights of the rows j0 .. j1 - 1 on the
+        levels m0 .. m1 - 1, m1 <= j0 + 1, equal to the rows' entries."""
+        # row j on level m weighs lag j - m: in the reversed Toeplitz lags
+        # its weights start at column n - j + m0, one column less per row
+        start = self._toeplitz.shape[1] - 1 - j0 + m0
+        if j1 - j0 == 1 and m0 > 0:
+            return self._toeplitz[:, None, start : start + m1 - m0]
+        rows, cols = j1 - j0, m1 - m0
+        # row j0 + rows - 1 first, then a copy in row order for the product
+        stride = self._toeplitz.strides
+        w = np.lib.stride_tricks.as_strided(
+            self._toeplitz[:, start - rows + 1 :],
+            (self._toeplitz.shape[0], rows, cols),
+            (stride[0], stride[1], stride[1]),
+        )[:, ::-1].copy()
+        if m0 == 0:
+            # level 0 is the oldest lag of every row it has not fallen out of
+            j = np.arange(j0, j1)
+            own = j if self.window is None else j[j <= self.window]
+            w[:, : own.size, 0] = self._oldest[:, own - 1] + 0.0
+        return w
+
     def push(self, sample: np.ndarray) -> None:
         """Append the sample of the next level, level 0 first."""
-        sample = sample.reshape(-1)
-        if self._samples is None:
-            self._samples = np.empty((len(self.lags), sample.size))
-            self._row = np.empty(len(self.lags))
-        self._samples[self._pushed] = sample
+        if self._ring is None:
+            self._start(sample.size)
+        self._ring[:, self._pushed - self._first] = sample.reshape(self._ring.shape[0], -1)
         self._pushed += 1
 
+    def _start(self, size: int) -> None:
+        shifts = 1 if self.lags.ndim == 1 else self.lags.shape[0]
+        n_nodes = size // shifts
+        # one block, rows 1 .. n, serves a run shorter than B
+        block = _within(_BLOCK_SAMPLES, _BLOCK_BYTES, shifts, 8 * size)
+        self._rows = min(block, _BLOCK_ROWS, self.lags.shape[-1])
+        self._chunk = _within(_CHUNK_SAMPLES, _CHUNK_BYTES, shifts, 8 * size)
+        # lag d of row j as a Toeplitz entry: lags[d] below the window,
+        # oldest[window - 1] on it, 0 past it; level 0 is set apart (_block).
+        # Stored reversed, column n - d for lag d.
+        self._oldest = self.oldest.reshape(shifts, -1)
+        toeplitz = self.lags.reshape(shifts, -1).copy()
+        if self.window is not None and self.window < self._oldest.shape[1]:
+            toeplitz[:, self.window] = self._oldest[:, self.window - 1] + 0.0
+            toeplitz[:, self.window + 1 :] = 0.0
+        self._toeplitz = np.ascontiguousarray(toeplitz[:, ::-1])
+        # The first block is rows 1 .. B - 1, with levels 0 .. B in the ring
+        # and nothing far; a later one starts at row j0 with level j0 in
+        # ring slot 0.  Either way the ring slot of level m is m - _first.
+        self._first = 0
+        self._ring = np.empty((shifts, self._rows + 1, n_nodes))
+        self._far = np.zeros((shifts, self._rows, n_nodes))
+        self._product = np.empty_like(self._far)
+
+    def _begin_block(self, j0: int) -> None:
+        """Sum the rows j0 .. j0 + B - 1 over the levels below j0, then carry
+        the pushed levels >= j0 to the front of the ring.
+
+        The levels since the last block's first row are still in the ring;
+        only the ones before it come from source, chunk by chunk.
+        """
+        n_rows = min(self._rows, self._toeplitz.shape[1] - j0)
+        far, product = self._far[:, :n_rows], self._product[:, :n_rows]
+        first = self._first
+        low = 0 if self.window is None else max(0, j0 - self.window)
+        spans = [(m0, min(m0 + self._chunk, first)) for m0 in range(low, first, self._chunk)]
+        spans.append((max(low, first), j0))
+        for i, (m0, m1) in enumerate(spans):
+            if m0 >= first:
+                samples = self._ring[:, m0 - first : m1 - first]
+            elif self._source is None:
+                raise ValueError("the direct backend needs a source for histories past two blocks")
+            else:
+                samples = self._source(m0, m1).reshape(self._ring.shape[0], m1 - m0, -1)
+            np.matmul(self._block(j0, j0 + n_rows, m0, m1), samples, out=product if i else far)
+            if i:
+                far += product
+        self._ring[:, : self._pushed - j0] = self._ring[:, j0 - first : self._pushed - first]
+        self._first = j0
+
     def next_sum(self) -> np.ndarray:
-        """row(j) @ the pushed samples for the next row j, flattened."""
+        """row(j) @ the pushed samples for the next row j, one flat sum per shift."""
         self._rows_summed += 1
         j = self._rows_summed
-        m = min(self._pushed, j + 1)
-        return self._fill(self._row[: j + 1], j)[:m] @ self._samples[:m]
+        if self._pushed < j:
+            raise ValueError("the direct backend sums a row j once levels 0 .. j - 1 are pushed")
+        if j == self._first + self._rows:
+            self._begin_block(j)
+        top = min(self._pushed, j + 1)
+        near = np.matmul(
+            self._block(j, j + 1, self._first, top), self._ring[:, : top - self._first]
+        )[:, 0]
+        near += self._far[:, j - self._first]
+        return near if self.lags.ndim > 1 else near[0]
 
 
 class _ExponentialHistory(HistoryConvolution):
@@ -465,7 +594,12 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
         raise ValueError("spec requests a different formulation")
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     g0 = translate(spec.kernel, spec.eps).modulus(0.0)
-    history = HistoryConvolution.memory(spec.kernel, spec.eps, J, dt, spec.window_intervals)
+    shape = grid.shape
+    levels = np.empty((J + 1,) + shape)
+    history = HistoryConvolution.memory(
+        spec.kernel, spec.eps, J, dt, spec.window_intervals,
+        source=lambda m0, m1: laplacian_array(grid, levels[m0:m1]),
+    )
     # constant kernel: weights are pure roundoff, skip the memory term
     inert = history.inert(g0)
 
@@ -473,8 +607,6 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
         # unforced: adding 0.0 still turns -0.0 into 0.0, as a zero field did
         return 0.0 if spec.forcing is None else _forcing_values(spec.forcing, grid, t)
 
-    shape = grid.shape
-    levels = np.empty((J + 1,) + shape)
     levels[0] = spec.u0.values
     lap = laplacian_array(grid, levels[0])
     levels[1] = levels[0] + dt * spec.u1.values + 0.5 * dt * dt * (g0 * lap + forcing(0.0))
@@ -498,7 +630,7 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
         new -= levels[j - 1]
         new += accel
         if not np.all(np.isfinite(new)):
-            raise SolverAbort(j + 1, "non-finite values (instability or overflow)")
+            raise SolverAbort(j + 1, "non-finite values (instability or overflow)", spec.eps)
 
     return TrajectorySolution(
         grid=grid,
@@ -538,50 +670,94 @@ def _integrated_forcing(
     return out
 
 
-def run_integral_volterra(spec: ProblemSpec) -> TrajectorySolution:
+@dataclass(frozen=True)
+class ShiftedRuns:
+    """One integral_volterra problem marched at several shifts as one stack.
+
+    levels is (K, n_levels, *grid.shape), one slab per shift, and each
+    trajectory's levels are a view of its slab.
+    """
+
+    eps_values: np.ndarray
+    levels: np.ndarray
+    trajectories: tuple[TrajectorySolution, ...]
+
+
+def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
+    """March spec at every shift eps in shifts at once, as a (K, *grid.shape)
+    stack: one step for all K shifts, each with its own weights.
+
+    Every operation but the history sum acts on each shift's field alone,
+    as a one-shift march would; the history sums are one matrix product per
+    shift, so a shift's levels do not depend on the other shifts.
+    """
     if spec.formulation != "integral_volterra":
         raise ValueError("spec requests a different formulation")
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
-    kk = spec.kernel if spec.eps == 0.0 else translate(spec.kernel, spec.eps)
-    # kernel factor Ksh(s); antiderivatives are the next two tower levels
-    weights = interval_weights(kk._integral2, kk._integral3, J, dt)
-    history = HistoryConvolution(*weights, spec.window_intervals)
-    # the newest level of every row weighs lags[0]
-    self_weight = history.lags[0]
-
+    shifts = np.array(shifts, dtype=float).reshape(-1)
+    K = shifts.size
     shape = grid.shape
-    levels = np.empty((J + 1,) + shape)
-    resid = np.zeros(J + 1)
+    levels = np.empty((K, J + 1) + shape)
+    resid = np.zeros((K, J + 1))
+
+    # kernel factor Ksh(s); antiderivatives are the next two tower levels
+    left, right = np.empty((2, K, J))
+    for k, eps in enumerate(shifts):
+        kk = spec.kernel if eps == 0.0 else translate(spec.kernel, float(eps))
+        left[k], right[k] = interval_weights(kk._integral2, kk._integral3, J, dt)
+    history = HistoryConvolution(
+        left, right, spec.window_intervals,
+        source=lambda m0, m1: laplacian_array(grid, levels[:, m0:m1]),
+    )
+    # the newest level of every row weighs lags[0]
+    self_weight = history.lags[:, :1].reshape((K,) + (1,) * grid.dim)
 
     f_double = _integrated_forcing(spec.forcing, grid, spec.times, dt)
 
     u0, u1 = spec.u0.values, spec.u1.values
-    levels[0] = u0
+    levels[:, 0] = u0
 
     for j in range(1, J + 1):
-        lap = laplacian_array(grid, levels[j - 1])
+        lap = laplacian_array(grid, levels[:, j - 1])
         history.push(lap)
-        drive = history.next_sum().reshape(shape) + u1 * (j * dt) + u0 + f_double[j]
+        drive = history.next_sum().reshape(lap.shape) + u1 * (j * dt) + u0 + f_double[j]
         predicted = drive + self_weight * lap
         corrected = drive + self_weight * laplacian_array(grid, predicted)
         # NaN or inf whenever corrected is: no separate finiteness pass
-        resid[j] = np.max(np.abs(corrected - predicted))
-        if not math.isfinite(resid[j]):
-            raise SolverAbort(j, "non-finite values in fixed-point correction")
-        levels[j] = corrected
+        np.max(np.abs(corrected - predicted).reshape(K, -1), axis=1, out=resid[:, j])
+        failed = ~np.isfinite(resid[:, j])
+        if failed.any():
+            eps = float(shifts[np.argmax(failed)])
+            raise SolverAbort(j, "non-finite values in fixed-point correction", eps)
+        levels[:, j] = corrected
 
-    return TrajectorySolution(
-        grid=grid,
-        times=spec.times,
-        levels=levels,
-        formulation=spec.formulation,
-        spec_fingerprint=spec.fingerprint(),
-        correction_residuals=resid,
-        history_backend=history.backend,
+    trajectories = tuple(
+        TrajectorySolution(
+            grid=grid,
+            times=spec.times,
+            levels=levels[k],
+            formulation=spec.formulation,
+            spec_fingerprint=replace(spec, eps=float(eps)).fingerprint(),
+            correction_residuals=resid[k],
+            history_backend=history.backend,
+        )
+        for k, eps in enumerate(shifts)
     )
+    return ShiftedRuns(eps_values=shifts, levels=levels, trajectories=trajectories)
 
 
-def run(spec: ProblemSpec) -> TrajectorySolution:
+def run_integral_volterra(spec: ProblemSpec) -> TrajectorySolution:
+    return _march_volterra(spec, [spec.eps]).trajectories[0]
+
+
+def run(spec: ProblemSpec, shifts=None):
+    """Solve spec; a TrajectorySolution.
+
+    With shifts, an integral_volterra spec is solved at every shift eps in
+    shifts, all marched together, and the result is a ShiftedRuns.
+    """
+    if shifts is not None:
+        return _march_volterra(spec, shifts)
     if spec.formulation == "integrodifferential":
         return run_integrodiff(spec)
     return run_integral_volterra(spec)

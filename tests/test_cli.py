@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from memvisco import __version__, cli
@@ -197,6 +198,43 @@ class TestRunSingle:
         assert "exit=3" in capsys.readouterr().out
 
 
+    def test_sequence_abort_names_its_shift(self, tmp_path):
+        # the top grid mode under a large dt overflows at the finest shift only
+        text = """\
+[experiment]
+mode = eps_sequence
+formulation = integral_volterra
+
+[kernel]
+family = powerlaw
+c = 1.0
+alpha = 0.5
+
+[grid]
+n = 19
+
+[time]
+horizon = 6.0
+dt = 0.02
+
+[data]
+u0 = sine_mode
+u0_params = {"amplitude": 1.0, "modes": [19]}
+
+[eps]
+eps0 = 0.1
+ratio = 0.1
+count = 3
+"""
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 3
+        abort = read_manifest(out)["abort"]
+        assert abort["type"] == "SolverAbort"
+        assert abort["eps"] == 0.1 * 0.1**3
+        assert f"eps = {abort['eps']!r}" in abort["message"]
+
+
 class TestToleranceOverrides:
     def test_override_lands_in_manifest(self, tmp_path):
         cfg = write_cfg(tmp_path, QUICK)
@@ -245,6 +283,7 @@ class TestOtherModes:
     def test_manifest_records_every_run(self, tmp_path):
         from memvisco.config import parse_config_file
         from memvisco.runner import _build_spec, _resolve_dt
+        from memvisco.solver import stable_time_step
 
         cases = {
             "single": (QUICK, "direct", [0.05]),
@@ -270,7 +309,12 @@ class TestOtherModes:
                 assert record["history_backend"] == backend
                 if name == "volterra":
                     assert 0.0 < record["max_correction_residual"] < 1e-3
-                else:
+                    assert "dt_over_limit" not in record
+                elif backend is not None:
+                    # dt over the leapfrog's stable limit at this shift
+                    limit = stable_time_step(cfg.grid, cfg.kernel.modulus(eps))
+                    assert record["dt_over_limit"] == dt / limit
+                    assert 0.0 < record["dt_over_limit"] <= 1.0
                     assert "max_correction_residual" not in record
 
     def test_manifest_times_the_phases_that_ran(self, tmp_path):

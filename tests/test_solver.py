@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from helpers import (
     reference_volterra,
     unchecked_spec,
 )
+import memvisco.solver as solver_module
+from memvisco.convergence import eps_schedule, run_eps_sequence
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import (
@@ -258,6 +262,195 @@ def test_adjoint_is_the_transposed_row_loop(n, window, exponential, zeros, seed)
     assert np.all(np.abs(got - want) <= 1e-13 * magnitude)
 
 
+def _blocked_sums(history, samples, newest):
+    """Streamed sums of rows 1 .. n of samples (K, n + 1, N).  With newest,
+    level j is pushed before row j is asked for (the leapfrog's order);
+    without, after (the Volterra march's, whose row j leaves level j out)."""
+    n = samples.shape[1] - 1
+    got = np.zeros_like(samples)
+    history.push(samples[:, 0])
+    for j in range(1, n + 1):
+        if newest:
+            history.push(samples[:, j])
+        got[:, j] = history.next_sum()
+        if not newest and j < n:
+            history.push(samples[:, j])
+    return got
+
+
+def _small_blocks(rows, chunk, shifts=1):
+    """Blocks of `rows` rows and chunks of `chunk` levels for `shifts` shifts."""
+    return mock.patch.multiple(solver_module, _BLOCK_ROWS=rows, _CHUNK_SAMPLES=chunk * shifts)
+
+
+@given(
+    shifts=st.integers(1, 3),
+    flat=st.booleans(),
+    rows=st.sampled_from([1, 2, 3, 5]),
+    chunk=st.sampled_from([1, 2, 4]),
+    edge=st.sampled_from(["B-1", "B", "B+1", "2B+1"]),
+    window=st.sampled_from([None, 1, 3, "past_n"]),
+    newest=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_sums_match_the_row_loop(shifts, flat, rows, chunk, edge, window, newest, seed):
+    # the blocked (K, N) sums against the conv_weights row loop, with the
+    # run ending on and around the block edges; K = 1 also without a shift
+    # axis.  The blocks sum in another order, so the bound is relative to
+    # sum |w| |p|, the size of the terms each row adds up.
+    n = max(1, {"B-1": rows - 1, "B": rows, "B+1": rows + 1, "2B+1": 2 * rows + 1}[edge])
+    cut = n + 2 if window == "past_n" else window
+    rng = np.random.default_rng(seed)
+    left, right = rng.standard_normal((2, shifts, n))
+    samples = rng.standard_normal((shifts, n + 1, 4))
+    weights = (left[0], right[0]) if flat and shifts == 1 else (left, right)
+    history = HistoryConvolution(*weights, cut, source=lambda m0, m1: samples[:, m0:m1])
+    with _small_blocks(rows, chunk, shifts):
+        got = _blocked_sums(history, samples, newest)
+    for k in range(shifts):
+        for j in range(1, n + 1):
+            top = j + 1 if newest else j
+            w = conv_weights(left[k], right[k], j, cut)[:top]
+            want = w @ samples[k, :top]
+            magnitude = np.abs(w) @ np.abs(samples[k, :top])
+            assert np.all(np.abs(got[k, j] - want) <= 1e-13 * magnitude)
+
+
+def test_blocked_sums_at_the_module_caps():
+    # the same comparison with the shipped caps, over three blocks
+    shifts, n = 2, 2 * solver_module._BLOCK_ROWS + 1
+    rng = np.random.default_rng(3)
+    left, right = rng.standard_normal((2, shifts, n))
+    samples = rng.standard_normal((shifts, n + 1, 5))
+    history = HistoryConvolution(left, right, source=lambda m0, m1: samples[:, m0:m1])
+    got = _blocked_sums(history, samples, newest=False)
+    for k in range(shifts):
+        for j in range(1, n + 1):
+            w = conv_weights(left[k], right[k], j)[:j]
+            magnitude = np.abs(w) @ np.abs(samples[k, :j])
+            assert np.all(np.abs(got[k, j] - w @ samples[k, :j]) <= 1e-13 * magnitude)
+
+
+def test_blocked_sums_need_a_source_past_two_blocks():
+    samples = np.ones((12, 3))
+    history = HistoryConvolution(np.ones(11), np.ones(11))
+    with _small_blocks(4, 2), pytest.raises(ValueError, match="source"):
+        _blocked_sums(history, samples[None], newest=True)
+    history = HistoryConvolution(np.ones(7), np.ones(7))
+    with _small_blocks(4, 2):
+        _blocked_sums(history, samples[None, :8], newest=True)
+
+
+def _volterra_spec(grid, horizon, dt, window=None, forcing=None):
+    return ProblemSpec(
+        kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=grid, horizon=horizon, dt=dt, eps=0.1,
+        u0=field_from_name(grid, "bump", {"radius": 0.3}),
+        u1=field_from_name(grid, "sine_mode", {"amplitude": -0.5, "modes": 2}),
+        forcing=forcing, formulation="integral_volterra", history_window=window,
+    )
+
+
+class TestShiftBatch:
+    """run(spec, shifts): every shift of an integral_volterra spec in one march."""
+
+    SHIFTS = (0.1, 0.01, 0.0)
+
+    @pytest.mark.parametrize("window", [None, 0.23])
+    def test_each_shift_is_its_lone_march_bitwise(self, window):
+        # the products are issued per shift, so with the same block and
+        # chunk lengths a shift's levels do not depend on the others
+        pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
+        spec = _volterra_spec(Grid.line(17), 0.6, 0.01, window, pulse)
+        with _small_blocks(7, 3, len(self.SHIFTS)):
+            batch = run(spec, self.SHIFTS)
+        assert batch.levels.shape == (3, spec.n_steps + 1, 17)
+        for eps, traj in zip(self.SHIFTS, batch.trajectories):
+            with _small_blocks(7, 3):
+                alone = run(dataclasses.replace(spec, eps=eps))
+            assert traj.levels.tobytes() == alone.levels.tobytes()
+            assert traj.correction_residuals.tobytes() == alone.correction_residuals.tobytes()
+            assert traj.spec_fingerprint == alone.spec_fingerprint
+
+    def test_each_shift_is_its_lone_march_at_the_module_caps(self):
+        # the caps give a batch shorter chunks than a lone run, so the two
+        # sum in different orders and agree to round-off
+        spec = _volterra_spec(Grid.line(17), 0.6, 0.6 / (2 * solver_module._BLOCK_ROWS + 5))
+        batch = run(spec, self.SHIFTS)
+        for eps, traj in zip(self.SHIFTS, batch.trajectories):
+            alone = run(dataclasses.replace(spec, eps=eps)).levels
+            assert np.max(np.abs(traj.levels - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+    def test_sequence_is_one_batch(self):
+        spec = _volterra_spec(Grid.line(17), 0.3, 0.01)
+        trajs = run_eps_sequence(spec, 0.1, 0.5, 2)
+        batch = run(spec, eps_schedule(0.1, 0.5, 2))
+        assert [t.levels.tobytes() for t in trajs] == [t.levels.tobytes() for t in batch.trajectories]
+
+    def test_leapfrog_specs_are_refused(self):
+        with pytest.raises(ValueError, match="formulation"):
+            run(standing_wave_spec(), self.SHIFTS)
+
+    def test_abort_names_the_failing_shift(self):
+        # the top grid mode under a large dt overflows at the finest shift
+        # only; a batched march stops for all shifts and names that one
+        g = Grid.line(19)
+        base = ProblemSpec(
+            kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=6.0, dt=0.02, eps=0.1,
+            u0=field_from_name(g, "sine_mode", {"amplitude": 1.0, "modes": [19]}),
+            u1=Field.zero(g), formulation="integral_volterra",
+        )
+        finest = float(eps_schedule(0.1, 0.1, 3)[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverAbort, match="non-finite") as got:
+                run_eps_sequence(base, 0.1, 0.1, 3)
+            assert np.all(np.isfinite(run(dataclasses.replace(base, eps=0.001)).levels))
+        assert got.value.eps == finest
+        assert f"eps = {finest!r}" in str(got.value)
+        assert got.value.step < base.n_steps
+
+
+def _peak_above_entry(fn):
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+def test_volterra_sequence_holds_no_history():
+    # the benchmark's 7-shift sequence: the levels plus the blocked sums'
+    # ring, far sums and chunks, under 0.3x the levels; a stored history of
+    # every shift, as a (K, J, N) buffer, would add 1.0x
+    g = Grid.line(99)
+    base = ProblemSpec(
+        kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=1.0, dt=0.0005, eps=0.1,
+        u0=Field.zero(g), u1=field_from_name(g, "sine_mode", {"amplitude": 1.0, "modes": [1]}),
+        formulation="integral_volterra",
+    )
+    trajs, peak = _peak_above_entry(lambda: run_eps_sequence(base, 0.1, 0.5, 6))
+    levels_bytes = 7 * 8 * (base.n_steps + 1) * g.n_total
+    assert sum(t.levels.nbytes for t in trajs) == levels_bytes
+    assert peak < 1.3 * levels_bytes
+
+
+def test_powerlaw_leapfrog_holds_no_history():
+    # the direct backend kept a (J + 1, N) Laplacian stack the size of the
+    # levels; the blocked sums hold under 0.75x of it here
+    g = Grid.box(9)
+    kernel = PowerLawKernel(c=1.0, alpha=0.5)
+    spec = ProblemSpec(
+        kernel=kernel, grid=g, horizon=20.0, dt=cfl_time_step(g, kernel, 0.05, 0.5, 20.0),
+        eps=0.05, u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}),
+    )
+    traj, peak = _peak_above_entry(lambda: run(spec))
+    levels_bytes = 8 * (spec.n_steps + 1) * g.n_total
+    assert traj.history_backend == "direct"
+    assert traj.levels.nbytes == levels_bytes
+    assert peak < 1.75 * levels_bytes
+
+
 _TERMS = {
     1: ((0.5, 1.0),),
     2: ((0.3, 1.0), (0.2, 0.1)),
@@ -452,6 +645,22 @@ class TestMarchersMatchReferenceLoops:
             levels, resid = reference_volterra(spec)
             assert traj.levels.tobytes() == levels.tobytes()
             assert traj.correction_residuals.tobytes() == resid.tobytes()
+
+
+@pytest.mark.parametrize("spec", _march_cases())
+def test_blocked_marchers_match_reference_loops(spec):
+    # the runs above fit one block of the shipped caps, where a sum is one
+    # product over its row as in the row loop; blocks of 4 rows and chunks
+    # of 3 levels sum in another order, so the levels agree to round-off
+    with _small_blocks(4, 3):
+        traj = run(spec)
+    if spec.formulation == "integrodifferential":
+        want = reference_integrodiff(spec)
+    else:
+        want, resid = reference_volterra(spec)
+        scale = np.max(resid)
+        assert np.max(np.abs(traj.correction_residuals - resid)) <= 1e-9 * scale
+    assert np.max(np.abs(traj.levels - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_integrated_forcing_without_forcing_is_a_broadcast_zero():
