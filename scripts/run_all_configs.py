@@ -2,8 +2,13 @@
 """Run every bundled config into <out-root>/<config-name>/ and summarize.
 
 Usage: run_all_configs.py [out-root]   (default: ./out next to the repo)
+
+After each config it prints one `<sha256>  <config>/<file>.csv` line per
+CSV in its run directory, so two checkouts' outputs compare byte for byte
+with `diff <(grep 'csv$' a.txt) <(grep 'csv$' b.txt)`.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -18,6 +23,8 @@ if __name__ == "__main__":
         out = out_root / cfg.stem
         code = main(["run", str(cfg), "--out", str(out)])
         print(f"{cfg.name}: exit {code}")
+        for path in sorted(out.glob("*.csv")):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {cfg.stem}/{path.name}")
         if code != 0:
             failures.append(cfg.name)
     if failures:

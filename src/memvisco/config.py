@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from memvisco.expressions import FORCING_NAMES, SPACE_NAMES, Forcing
+from memvisco.expressions import FORCING_NAMES, SPACE_NAMES, Forcing, field_from_name
 from memvisco.grid import Grid
 from memvisco.kernels import RelaxationKernel, kernel_from_dict
 from memvisco.solver import FORMULATIONS
@@ -214,7 +214,10 @@ def _build_kernel(col: _Collector) -> RelaxationKernel | None:
         return kernel_from_dict(mapping)
     except ValueError as exc:
         col.fail(f"[kernel] {exc}")
-        return None
+    except TypeError as exc:
+        # JSON of the wrong shape, e.g. terms = 5 or parts = [5]
+        col.fail(f"[kernel] malformed {family} kernel: {exc}")
+    return None
 
 
 def _build_grid(col: _Collector, required: bool) -> Grid | None:
@@ -288,15 +291,31 @@ def parse_config(text: str) -> ExperimentConfig:
     u0_name = col.choice("data", "u0", SPACE_NAMES, default="zero")
     u1_name = col.choice("data", "u1", SPACE_NAMES, default="zero")
     f_name = col.choice("data", "f", FORCING_NAMES, default="zero")
-    u0_params = col.json_value("data", "u0_params", default={}) or {}
-    u1_params = col.json_value("data", "u1_params", default={}) or {}
-    f_params = col.json_value("data", "f_params", default={}) or {}
+    params = {}
+    for key in ("u0", "u1", "f"):
+        params[key] = col.json_value("data", f"{key}_params", default={}) or {}
+        if not isinstance(params[key], dict):
+            col.fail(f"[data] {key}_params = {json.dumps(params[key])} is not a JSON object")
+            params[key] = {}
+    u0_params, u1_params, f_params = params.values()
     forcing = None
     if f_name is not None:
         try:
             forcing = Forcing.from_dict(f_name, f_params)
-        except ValueError as exc:
-            col.fail(f"[data] {exc}")
+        except (TypeError, ValueError) as exc:
+            col.fail(f"[data] f_params: {exc}")
+    # a profile reads its params only when it is evaluated: evaluate each
+    # once here, where the grid is known, so a bad one is a config error
+    for key, profile, evaluate in (
+        ("u0", u0_name, lambda: field_from_name(grid, u0_name, u0_params)),
+        ("u1", u1_name, lambda: field_from_name(grid, u1_name, u1_params)),
+        ("f", forcing, lambda: forcing.sample(grid, 0.0)),
+    ):
+        if grid is not None and profile is not None:
+            try:
+                evaluate()
+            except (TypeError, ValueError) as exc:
+                col.fail(f"[data] {key}_params: {exc}")
 
     strain = col.choice("stress", "strain", STRAINS, default="step")
     strain_amplitude = col.typed("stress", "amplitude", float, default=1.0)

@@ -99,6 +99,8 @@ class Forcing:
         object.__setattr__(
             self, "params", tuple(sorted((str(k), float(v)) for k, v in self.params))
         )
+        if not np.all(np.isfinite([v for _, v in self.params])):
+            raise ValueError(f"forcing params must be finite, got {dict(self.params)}")
 
     @classmethod
     def from_dict(cls, name: str, params: dict | None = None) -> "Forcing":

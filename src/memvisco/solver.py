@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -149,8 +150,8 @@ class ProblemSpec:
                 )
         if self.u0.grid != self.grid or self.u1.grid != self.grid:
             raise ValueError("initial data must live on the problem grid")
-        if self.history_window is not None and not self.history_window > 0:
-            raise ValueError("history window must be positive when given")
+        if self.history_window is not None and not 0 < self.history_window < math.inf:
+            raise ValueError(f"history window must be positive and finite, got {self.history_window}")
 
     @property
     def n_steps(self) -> int:
@@ -195,9 +196,6 @@ class TrajectorySolution:
     def n_levels(self) -> int:
         return self.levels.shape[0]
 
-    def level(self, j: int) -> Field:
-        return Field(self.grid, self.levels[j])
-
     def velocities(self, stride: int = 1, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Second-order time derivative estimates at levels range(start, stop, stride).
 
@@ -226,9 +224,6 @@ class TrajectorySolution:
         if hi < len(wanted):
             v[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dt)
         return v
-
-    def l2_spacetime(self) -> float:
-        return l2_spacetime(self.grid, self.levels, self.dt)
 
 
 def trajectory_distance(a: TrajectorySolution, b: TrajectorySolution) -> float:
@@ -316,16 +311,18 @@ class HistoryConvolution:
 
     Built from interval_weights' (left, right) over n subintervals, it
     weighs the samples p(t_0 .. t_j) of  int_0^{t_j} w(s) p(t_j - s) ds,
-    j = 1 .. n, optionally cut to the last `window` subintervals.  Below
-    the oldest lag k = min(j, window) level m of row j weighs lag
-    d = j - m by lags[d] = left[d] + right[d - 1] (lags[0] = left[0]),
-    whatever j is; the oldest lag itself weighs oldest[k - 1] = right[k - 1],
-    and levels before it weigh nothing.
+    j = 1 .. n, optionally cut to the last `window` subintervals.  Its one
+    table of lag weights is lags[d] = left[d] + right[d - 1] (lags[0] =
+    left[0]), with a window shorter than the run folded in once:
+    lags[window] = oldest[window - 1] = right[window - 1], the inside half
+    of the edge subinterval, and zeros past it.  Row j weighs level m >= 1
+    by lags[j - m], and level 0 by oldest[j - 1] while j <= window (always
+    without one).  row, the blocked sums and adjoint read that table.
 
     left and right may carry a leading shift axis, (K, n): one weight set
-    per shift of a sequence, sharing n and the window.  lags, oldest, row,
-    rows and the streamed sums then carry that axis too; adjoint takes a
-    single weight set.
+    per shift of a sequence, sharing n and the window.  lags, oldest, row
+    and the streamed sums then carry that axis too; adjoint takes a single
+    weight set.
 
     A marcher streams its samples through it: push(p(t_0)), push(p(t_1)),
     ..., and next_sum() gives row(j) @ the samples pushed so far for
@@ -354,7 +351,9 @@ class HistoryConvolution:
         self.lags = np.zeros(left.shape[:-1] + (n + 1,))
         self.lags[..., :n] += left
         self.lags[..., 1:] += right
-        self._reversed = self.lags[..., ::-1]
+        if window is not None and window < n:
+            self.lags[..., window] = right[..., window - 1] + 0.0  # -0.0 -> 0.0, as in a zeroed row
+            self.lags[..., window + 1 :] = 0.0
         self._largest = max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0))
         self._source = source
         self._ring = None
@@ -392,27 +391,10 @@ class HistoryConvolution:
         """
         return self._largest <= 1e-13 * max(1.0, abs(g0))
 
-    def _fill(self, w: np.ndarray, j: int) -> np.ndarray:
-        k = j if self.window is None else min(j, self.window)
-        w[..., j - k + 1 :] = self._reversed[..., self._reversed.shape[-1] - k :]
-        w[..., j - k] = self.oldest[..., k - 1] + 0.0  # -0.0 -> 0.0, as in a zeroed row
-        if k < j:
-            w[..., : j - k] = 0.0
-        return w
-
     def row(self, j: int) -> np.ndarray:
         """Level weights of row j >= 1, indexed by level m = 0 .. j."""
-        return self._fill(np.empty(self.lags.shape[:-1] + (j + 1,)), j)
-
-    def rows(self, n_rows: int):
-        """Yield row(j) for j = 1 .. n_rows.
-
-        Every row is a view of one buffer that the next row overwrites;
-        read it, do not keep it.
-        """
-        buf = np.empty(self.lags.shape[:-1] + (n_rows + 1,))
-        for j in range(1, n_rows + 1):
-            yield self._fill(buf[..., : j + 1], j)
+        w = self._block(j, j + 1, 0, j + 1)[:, 0]
+        return w if self.lags.ndim > 1 else w[0]
 
     def adjoint(self, a: np.ndarray) -> np.ndarray:
         """y[m] = sum_j a[j] row(j)[m] over the rows j = 1 .. n; a[0] weighs nothing.
@@ -420,18 +402,23 @@ class HistoryConvolution:
         The transpose of the row-by-row sums, so a @ (row sums of p) equals
         adjoint(a) @ p for samples p of any shape: a diagnostic that only
         tests the sums against a time profile a projects p first and never
-        forms them.  One correlation of a against lags serves every level
-        above 0, plus the oldest lag k of each row: rows j <= k put
-        oldest[j - 1] on level 0, rows j > k put oldest[k - 1] on level j - k.
+        forms them.  Level 0 takes oldest[j - 1] from each row j <= window,
+        and every level above it one correlation of a against lags, which
+        past lags[window] are zero.
         """
         a = np.asarray(a, dtype=float)
         n = a.size - 1
         k = n if self.window is None else min(self.window, n)
         y = np.empty(n + 1)
         y[0] = a[1 : k + 1] @ self.oldest[:k]
-        y[1:] = np.correlate(a[1:], self.lags[:k], "full")[k - 1 : k - 1 + n]
-        y[1 : n + 1 - k] += self.oldest[k - 1] * a[k + 1 :]
+        support = min(k + 1, n)
+        y[1:] = np.correlate(a[1:], self.lags[:support], "full")[support - 1 : support - 1 + n]
         return y
+
+    @cached_property
+    def _toeplitz(self) -> np.ndarray:
+        """lags as (K, n + 1), reversed: lag d in column n - d."""
+        return np.ascontiguousarray(np.atleast_2d(self.lags)[:, ::-1])
 
     def _block(self, j0: int, j1: int, m0: int, m1: int) -> np.ndarray:
         """(K, j1 - j0, m1 - m0) weights of the rows j0 .. j1 - 1 on the
@@ -453,7 +440,7 @@ class HistoryConvolution:
             # level 0 is the oldest lag of every row it has not fallen out of
             j = np.arange(j0, j1)
             own = j if self.window is None else j[j <= self.window]
-            w[:, : own.size, 0] = self._oldest[:, own - 1] + 0.0
+            w[:, : own.size, 0] = np.atleast_2d(self.oldest)[:, own - 1] + 0.0
         return w
 
     def push(self, sample: np.ndarray) -> None:
@@ -470,15 +457,6 @@ class HistoryConvolution:
         block = _within(_BLOCK_SAMPLES, _BLOCK_BYTES, shifts, 8 * size)
         self._rows = min(block, _BLOCK_ROWS, self.lags.shape[-1])
         self._chunk = _within(_CHUNK_SAMPLES, _CHUNK_BYTES, shifts, 8 * size)
-        # lag d of row j as a Toeplitz entry: lags[d] below the window,
-        # oldest[window - 1] on it, 0 past it; level 0 is set apart (_block).
-        # Stored reversed, column n - d for lag d.
-        self._oldest = self.oldest.reshape(shifts, -1)
-        toeplitz = self.lags.reshape(shifts, -1).copy()
-        if self.window is not None and self.window < self._oldest.shape[1]:
-            toeplitz[:, self.window] = self._oldest[:, self.window - 1] + 0.0
-            toeplitz[:, self.window + 1 :] = 0.0
-        self._toeplitz = np.ascontiguousarray(toeplitz[:, ::-1])
         # The first block is rows 1 .. B - 1, with levels 0 .. B in the ring
         # and nothing far; a later one starts at row j0 with level j0 in
         # ring slot 0.  Either way the ring slot of level m is m - _first.
@@ -494,7 +472,7 @@ class HistoryConvolution:
         The levels since the last block's first row are still in the ring;
         only the ones before it come from source, chunk by chunk.
         """
-        n_rows = min(self._rows, self._toeplitz.shape[1] - j0)
+        n_rows = min(self._rows, self.lags.shape[-1] - j0)
         far, product = self._far[:, :n_rows], self._product[:, :n_rows]
         first = self._first
         low = 0 if self.window is None else max(0, j0 - self.window)
@@ -540,7 +518,7 @@ class _ExponentialHistory(HistoryConvolution):
 
     and next_sum() returns the sum of C_j over the terms: O(terms N) per
     step with no stored samples.  It sums whole rows only, so push level j
-    before asking for row j.  row, rows, adjoint and inert see the geometric
+    before asking for row j.  row, adjoint and inert see the geometric
     weights, summed over the terms; they match the direct interval weights
     up to the round-off those lose to cancellation.
     """
@@ -678,7 +656,6 @@ class ShiftedRuns:
     trajectory's levels are a view of its slab.
     """
 
-    eps_values: np.ndarray
     levels: np.ndarray
     trajectories: tuple[TrajectorySolution, ...]
 
@@ -743,7 +720,7 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
         )
         for k, eps in enumerate(shifts)
     )
-    return ShiftedRuns(eps_values=shifts, levels=levels, trajectories=trajectories)
+    return ShiftedRuns(levels=levels, trajectories=trajectories)
 
 
 def run_integral_volterra(spec: ProblemSpec) -> TrajectorySolution:

@@ -368,8 +368,8 @@ def reference_full(history: HistoryConvolution, samples: np.ndarray) -> np.ndarr
     """Row-loop oracle for the history sums: out[j] = row(j) @ samples[: j + 1]
     for every level; out[0] = 0."""
     out = np.zeros_like(samples)
-    for j, w in enumerate(history.rows(samples.shape[0] - 1), start=1):
-        out[j] = w @ samples[: j + 1]
+    for j in range(1, samples.shape[0]):
+        out[j] = history.row(j) @ samples[: j + 1]
     return out
 
 

@@ -27,6 +27,8 @@ cfl = 0.5
 u1 = sin_pi_product
 """
 
+PRONY_TERMS = QUICK.replace("family = constant\ng0 = 1.0", "family = prony\ng_inf = 0.5\nterms = {terms}")
+
 SEQUENCE = """\
 [experiment]
 mode = eps_sequence
@@ -186,6 +188,34 @@ class TestRunSingle:
         err = capsys.readouterr().err
         assert "invalid configuration" in err
         assert f"{key} = inf is not finite" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (PRONY_TERMS.format(terms="5"), "[kernel] malformed prony kernel"),
+            (PRONY_TERMS.format(terms="[[1, null]]"), "[kernel] malformed prony kernel"),
+            (QUICK.replace("family = constant\ng0 = 1.0", "family = sum\nparts = [5]"),
+             "[kernel] malformed sum kernel"),
+            (QUICK + "f = constant\nf_params = [1, 2]\n", "[data] f_params = [1, 2] is not a JSON object"),
+            (QUICK + "u1_params = [1, 2]\n", "[data] u1_params = [1, 2] is not a JSON object"),
+            (QUICK.replace("u1 = sin_pi_product", 'u1 = sine_mode\nu1_params = {"modes": "ab"}'),
+             "[data] u1_params: invalid literal"),
+            (QUICK.replace("u1 = sin_pi_product", 'u1 = sine_mode\nu1_params = {"amplitude": NaN}'),
+             "[data] u1_params: field values must be finite"),
+            (QUICK + 'f = constant\nf_params = {"omega": NaN}\n', "[data] f_params: forcing params must be finite"),
+        ],
+        ids=[
+            "terms_int", "terms_null", "parts_int", "f_params_list", "u1_params_list", "modes_str",
+            "amplitude_nan", "omega_nan",
+        ],
+    )
+    def test_malformed_json_exits_two(self, tmp_path, capsys, text, message):
+        # each of these used to escape parsing and crash with a traceback
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert message in err
 
     def test_cfl_refusal_exits_three(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, UNSTABLE)

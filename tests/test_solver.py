@@ -127,6 +127,12 @@ class TestProblemSpec:
                 eps=1.0, u0=Field.zero(Grid.line(11)), u1=Field.zero(g),
             )
 
+    @pytest.mark.parametrize("window", [math.inf, math.nan, 0.0])
+    def test_window_must_be_positive_and_finite(self, window):
+        # an infinite window used to pass here and overflow in window_intervals
+        with pytest.raises(ValueError, match="history window"):
+            dataclasses.replace(standing_wave_spec(), history_window=window)
+
     def test_fingerprint_sensitivity(self):
         a = standing_wave_spec()
         b = standing_wave_spec()
@@ -183,30 +189,39 @@ class TestProductQuadrature:
         assert cut[5] == pytest.approx(full[5] - left[3])
 
 
-def _signed_zero_weights(n):
+def _signed_zero_weights(n, shifts=None):
     rng = np.random.default_rng(3)
-    left, right = rng.standard_normal(n), rng.standard_normal(n)
+    size = n if shifts is None else (shifts, n)
+    left, right = rng.standard_normal(size), rng.standard_normal(size)
     # signed zeros: conv_weights turns -0.0 + -0.0 and a lone -0.0 into 0.0
-    left[4] = right[3] = -0.0
-    right[6] = -0.0
+    left[..., 4] = right[..., 3] = -0.0
+    right[..., 6] = -0.0
     return left, right
 
 
 class TestConvWeightRows:
     """HistoryConvolution against the conv_weights oracle, bitwise."""
 
-    @pytest.mark.parametrize("max_intervals", [None, 1, 3, 11, 40])
-    def test_rows_equal_conv_weights_bitwise(self, max_intervals):
+    @pytest.mark.parametrize(
+        "max_intervals, shifts",
+        [
+            pytest.param(cut, shifts, id=str(cut) if shifts is None else f"{cut}-K{shifts}")
+            for shifts in (None, 3)
+            for cut in (None, 1, 3, 11, 40)
+        ],
+    )
+    def test_rows_equal_conv_weights_bitwise(self, max_intervals, shifts):
+        # with a (K, n) weight set, row j of every shift comes from the one
+        # shared table and equals that shift's own oracle row
         n = 11
-        left, right = _signed_zero_weights(n)
+        left, right = _signed_zero_weights(n, shifts)
         history = HistoryConvolution(left, right, max_intervals)
-        rows = 0
-        for j, w in enumerate(history.rows(n), start=1):
-            expected = conv_weights(left, right, j, max_intervals).tobytes()
-            assert w.tobytes() == expected
-            assert history.row(j).tobytes() == expected
-            rows += 1
-        assert rows == n
+        for j in range(1, n + 1):
+            w = history.row(j)
+            assert w.shape == left.shape[:-1] + (j + 1,)
+            for k in np.ndindex(left.shape[:-1]):
+                expected = conv_weights(left[k], right[k], j, max_intervals)
+                assert w[k].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("max_intervals", [None, 1, 3, 40])
     @pytest.mark.parametrize("shape", [(12,), (12, 5)])
