@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from memvisco.expressions import FORCING_NAMES, SPACE_NAMES, Forcing, field_from_name
 from memvisco.grid import Grid
 from memvisco.kernels import RelaxationKernel, kernel_from_dict
-from memvisco.solver import FORMULATIONS
+from memvisco.solver import FORMULATIONS, ProblemSpec
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_file"]
 
@@ -25,7 +25,7 @@ EXPORT_FORMATS = ("csv", "binary", "both")
 STRAINS = ("step", "ramp", "constant_forever")
 
 _KNOWN_KEYS = {
-    "experiment": {"mode", "formulation", "history_window"},
+    "experiment": {"mode", "formulation"},
     "kernel": {"family", "g0", "g_inf", "terms", "c", "alpha", "parts"},
     "grid": {"dim", "n", "extent"},
     "time": {"horizon", "dt", "cfl", "n_samples"},
@@ -62,7 +62,6 @@ class ExperimentConfig:
     mode: str
     kernel: RelaxationKernel
     formulation: str
-    history_window: float | None
     grid: Grid | None
     horizon: float
     dt: float | None
@@ -94,13 +93,11 @@ class _Collector:
         self.parser = parser
         self.violations: list[str] = []
         self.defaults: list[str] = []
-        self.seen: dict[str, set[str]] = {}
 
     def fail(self, msg: str) -> None:
         self.violations.append(msg)
 
     def get(self, section: str, key: str, default=None, required=False):
-        self.seen.setdefault(section, set()).add(key)
         if self.parser.has_option(section, key):
             return self.parser.get(section, key)
         if required:
@@ -208,6 +205,10 @@ def _build_kernel(col: _Collector) -> RelaxationKernel | None:
         if mapping["parts"] is None:
             col.fail('[kernel] sum family needs parts = [{"family": ...}, ...] as JSON')
             return None
+    # a key of another family goes along too, and kernel_from_dict rejects it
+    for key in col.parser.options("kernel"):
+        if key in _KNOWN_KEYS["kernel"]:
+            mapping.setdefault(key, col.parser.get("kernel", key))
     if any(v is None for v in mapping.values()):
         return None
     try:
@@ -251,10 +252,6 @@ def parse_config(text: str) -> ExperimentConfig:
     formulation = col.choice(
         "experiment", "formulation", FORMULATIONS, default="integrodifferential"
     )
-    history_window = col.typed(
-        "experiment", "history_window", float, default=None,
-        check=lambda v: v > 0, what="history window must be positive",
-    )
 
     kernel = _build_kernel(col)
     needs_grid = mode in ("single_run", "eps_sequence")
@@ -276,6 +273,11 @@ def parse_config(text: str) -> ExperimentConfig:
             cfl = 0.5
         elif dt is not None and cfl is not None:
             col.fail("[time] give either dt or cfl, not both")
+        elif dt is not None:
+            try:
+                ProblemSpec.check_steps(horizon, dt)
+            except ValueError as exc:
+                col.fail(f"[time] {exc}")
 
     eps = col.typed("eps", "eps", float, default=0.05, check=lambda v: v >= 0, what="eps must be >= 0")
     eps0 = col.typed("eps", "eps0", float, default=None, check=lambda v: v > 0, what="eps0 must be positive")
@@ -287,6 +289,11 @@ def parse_config(text: str) -> ExperimentConfig:
             col.fail(
                 f"mode eps_sequence needs [eps] keys: {', '.join(missing)}"
             )
+    elif mode == "single_run":
+        try:
+            ProblemSpec.check_shift(eps, formulation)
+        except ValueError as exc:
+            col.fail(f"[eps] {exc}")
 
     u0_name = col.choice("data", "u0", SPACE_NAMES, default="zero")
     u1_name = col.choice("data", "u1", SPACE_NAMES, default="zero")
@@ -349,7 +356,6 @@ def parse_config(text: str) -> ExperimentConfig:
     resolved = {
         "mode": mode,
         "formulation": formulation,
-        "history_window": history_window,
         "kernel": repr(kernel),
         "grid": {"n": grid.n, "extent": grid.extent} if grid else None,
         "time": {"horizon": horizon, "dt": dt, "cfl": cfl, "n_samples": n_samples},
@@ -372,7 +378,6 @@ def parse_config(text: str) -> ExperimentConfig:
         mode=mode,
         kernel=kernel,
         formulation=formulation,
-        history_window=history_window,
         grid=grid,
         horizon=horizon,
         dt=dt,

@@ -35,6 +35,7 @@ from memvisco.solver import (
 )
 
 __all__ = [
+    "HypothesisError",
     "EnergyLedger",
     "energy_ledger",
     "DecayReport",
@@ -47,6 +48,10 @@ __all__ = [
     "WeakResidualEntry",
     "weak_residual",
 ]
+
+
+class HypothesisError(ValueError):
+    """A diagnostic was asked of a run that does not meet its hypothesis."""
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +100,7 @@ def energy_ledger(
     elif kernel.rate_integrable_at_zero:
         kk = kernel
     else:
-        raise ValueError("eps = 0 needs a modulus whose rate is integrable at 0")
+        raise HypothesisError("eps = 0 needs a modulus whose rate is integrable at 0")
 
     grid, dt = traj.grid, traj.dt
     J = traj.n_levels - 1
@@ -233,7 +238,7 @@ def check_energy_bound(
     initial displacement.
     """
     if eps > 1.0:
-        raise ValueError(f"bound requires eps <= 1, got {eps}")
+        raise HypothesisError(f"bound requires eps <= 1, got {eps}")
     grid, dt = traj.grid, traj.dt
     T = float(traj.times[-1])
     gamma = max(1.0 / kernel.modulus(T + 1.0), 1.0)

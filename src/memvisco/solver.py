@@ -99,7 +99,7 @@ def _forcing_tag(forcing) -> str:
         return "none"
     if hasattr(forcing, "name"):
         return f"{forcing.name}:{getattr(forcing, 'params', '')}"
-    return getattr(forcing, "profile_name", getattr(forcing, "__qualname__", repr(forcing)))
+    return getattr(forcing, "__qualname__", repr(forcing))
 
 
 @dataclass(frozen=True)
@@ -121,27 +121,15 @@ class ProblemSpec:
     u1: Field
     forcing: object = None
     formulation: str = "integrodifferential"
-    history_window: float | None = None
 
     def __post_init__(self):
         if self.formulation not in FORMULATIONS:
             raise ValueError(
                 f"unknown formulation '{self.formulation}'; valid: {', '.join(FORMULATIONS)}"
             )
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        n = self.horizon / self.dt
-        if abs(n - round(n)) > 1e-6:
-            raise ValueError(f"horizon/dt = {n} must be an integer number of steps")
-        if round(n) < 2:
-            raise ValueError("need at least 2 time steps")
-        if not (self.eps >= 0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+        self.check_steps(self.horizon, self.dt)
+        self.check_shift(self.eps, self.formulation)
         if self.formulation == "integrodifferential":
-            if self.eps <= 0:
-                raise ValueError("integro-differential form needs eps > 0")
             limit = stable_time_step(self.grid, self.kernel.modulus(self.eps))
             if self.dt > limit * (1 + 1e-9):
                 raise CflViolation(
@@ -150,8 +138,27 @@ class ProblemSpec:
                 )
         if self.u0.grid != self.grid or self.u1.grid != self.grid:
             raise ValueError("initial data must live on the problem grid")
-        if self.history_window is not None and not 0 < self.history_window < math.inf:
-            raise ValueError(f"history window must be positive and finite, got {self.history_window}")
+
+    @staticmethod
+    def check_steps(horizon: float, dt: float) -> None:
+        """Raise ValueError unless dt divides the horizon into at least 2 whole steps."""
+        if not (horizon > 0 and math.isfinite(horizon)):
+            raise ValueError(f"horizon must be positive and finite, got {horizon}")
+        if not (dt > 0 and math.isfinite(dt)):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        n = horizon / dt
+        if abs(n - round(n)) > 1e-6:
+            raise ValueError(f"horizon/dt = {n} must be an integer number of steps")
+        if round(n) < 2:
+            raise ValueError("need at least 2 time steps")
+
+    @staticmethod
+    def check_shift(eps: float, formulation: str) -> None:
+        """Raise ValueError unless the formulation can run at shift eps."""
+        if not (eps >= 0 and math.isfinite(eps)):
+            raise ValueError(f"eps must be finite and >= 0, got {eps}")
+        if formulation == "integrodifferential" and eps <= 0:
+            raise ValueError("integro-differential form needs eps > 0")
 
     @property
     def n_steps(self) -> int:
@@ -161,17 +168,11 @@ class ProblemSpec:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
 
-    @property
-    def window_intervals(self) -> int | None:
-        """The history window counted in whole time steps, rounded up."""
-        return None if self.history_window is None else math.ceil(self.history_window / self.dt)
-
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(repr(self.kernel).encode())
         h.update(repr((self.grid.n, self.grid.extent)).encode())
         h.update(f"{self.horizon!r}|{self.dt!r}|{self.eps!r}|{self.formulation}".encode())
-        h.update(f"|window={self.history_window!r}|".encode())
         h.update(self.u0.values.tobytes())
         h.update(self.u1.values.tobytes())
         h.update(_forcing_tag(self.forcing).encode())
@@ -311,18 +312,14 @@ class HistoryConvolution:
 
     Built from interval_weights' (left, right) over n subintervals, it
     weighs the samples p(t_0 .. t_j) of  int_0^{t_j} w(s) p(t_j - s) ds,
-    j = 1 .. n, optionally cut to the last `window` subintervals.  Its one
-    table of lag weights is lags[d] = left[d] + right[d - 1] (lags[0] =
-    left[0]), with a window shorter than the run folded in once:
-    lags[window] = oldest[window - 1] = right[window - 1], the inside half
-    of the edge subinterval, and zeros past it.  Row j weighs level m >= 1
-    by lags[j - m], and level 0 by oldest[j - 1] while j <= window (always
-    without one).  row, the blocked sums and adjoint read that table.
+    j = 1 .. n.  Its one table of lag weights is lags[d] = left[d] +
+    right[d - 1] (lags[0] = left[0], lags[n] = right[n - 1]).  Row j weighs
+    level m >= 1 by lags[j - m], and level 0 by oldest[j - 1] = right[j - 1].
+    row, the blocked sums and adjoint read that table.
 
     left and right may carry a leading shift axis, (K, n): one weight set
-    per shift of a sequence, sharing n and the window.  lags, oldest, row
-    and the streamed sums then carry that axis too; adjoint takes a single
-    weight set.
+    per shift of a sequence, sharing n.  lags, oldest, row and the streamed
+    sums then carry that axis too; adjoint takes a single weight set.
 
     A marcher streams its samples through it: push(p(t_0)), push(p(t_1)),
     ..., and next_sum() gives row(j) @ the samples pushed so far for
@@ -342,18 +339,14 @@ class HistoryConvolution:
 
     backend = "direct"
 
-    def __init__(self, left, right, window: int | None = None, source=None):
+    def __init__(self, left, right, source=None):
         left = np.asarray(left, dtype=float)
         right = np.asarray(right, dtype=float)
         n = left.shape[-1]
         self.oldest = right
-        self.window = window
         self.lags = np.zeros(left.shape[:-1] + (n + 1,))
         self.lags[..., :n] += left
         self.lags[..., 1:] += right
-        if window is not None and window < n:
-            self.lags[..., window] = right[..., window - 1] + 0.0  # -0.0 -> 0.0, as in a zeroed row
-            self.lags[..., window + 1 :] = 0.0
         self._largest = max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0))
         self._source = source
         self._ring = None
@@ -362,25 +355,18 @@ class HistoryConvolution:
 
     @classmethod
     def memory(
-        cls,
-        kernel: RelaxationKernel,
-        eps: float,
-        n: int,
-        dt: float,
-        window: int | None = None,
-        source=None,
+        cls, kernel: RelaxationKernel, eps: float, n: int, dt: float, source=None
     ) -> "HistoryConvolution":
         """The leapfrog's memory term, w(s) = dG(eps + s), over n steps of dt.
 
-        A Prony kernel gets the exponential backend unless a window shorter
-        than the n steps cuts its history; any other kernel gets the direct
-        one, which recomputes older samples from source.
+        A Prony kernel with terms gets the exponential backend; any other
+        kernel gets the direct one, which recomputes older samples from
+        source.
         """
-        uncut = window is None or window >= n
-        if uncut and isinstance(kernel, PronyKernel) and kernel.terms:
+        if isinstance(kernel, PronyKernel) and kernel.terms:
             return _ExponentialHistory(kernel, eps, n, dt)
         shifted = translate(kernel, eps)
-        return cls(*interval_weights(shifted._modulus, shifted._integral, n, dt), window, source)
+        return cls(*interval_weights(shifted._modulus, shifted._integral, n, dt), source)
 
     def inert(self, g0: float) -> bool:
         """True when the weights are pure roundoff next to G(eps).
@@ -402,17 +388,14 @@ class HistoryConvolution:
         The transpose of the row-by-row sums, so a @ (row sums of p) equals
         adjoint(a) @ p for samples p of any shape: a diagnostic that only
         tests the sums against a time profile a projects p first and never
-        forms them.  Level 0 takes oldest[j - 1] from each row j <= window,
-        and every level above it one correlation of a against lags, which
-        past lags[window] are zero.
+        forms them.  Level 0 takes oldest[j - 1] from each row j, and every
+        level above it one correlation of a against lags.
         """
         a = np.asarray(a, dtype=float)
         n = a.size - 1
-        k = n if self.window is None else min(self.window, n)
         y = np.empty(n + 1)
-        y[0] = a[1 : k + 1] @ self.oldest[:k]
-        support = min(k + 1, n)
-        y[1:] = np.correlate(a[1:], self.lags[:support], "full")[support - 1 : support - 1 + n]
+        y[0] = a[1:] @ self.oldest[:n]
+        y[1:] = np.correlate(a[1:], self.lags[:n], "full")[n - 1 : 2 * n - 1]
         return y
 
     @cached_property
@@ -437,10 +420,8 @@ class HistoryConvolution:
             (stride[0], stride[1], stride[1]),
         )[:, ::-1].copy()
         if m0 == 0:
-            # level 0 is the oldest lag of every row it has not fallen out of
-            j = np.arange(j0, j1)
-            own = j if self.window is None else j[j <= self.window]
-            w[:, : own.size, 0] = np.atleast_2d(self.oldest)[:, own - 1] + 0.0
+            # level 0 is the oldest lag of every row
+            w[:, :, 0] = np.atleast_2d(self.oldest)[:, j0 - 1 : j1 - 1] + 0.0
         return w
 
     def push(self, sample: np.ndarray) -> None:
@@ -475,9 +456,8 @@ class HistoryConvolution:
         n_rows = min(self._rows, self.lags.shape[-1] - j0)
         far, product = self._far[:, :n_rows], self._product[:, :n_rows]
         first = self._first
-        low = 0 if self.window is None else max(0, j0 - self.window)
-        spans = [(m0, min(m0 + self._chunk, first)) for m0 in range(low, first, self._chunk)]
-        spans.append((max(low, first), j0))
+        spans = [(m0, min(m0 + self._chunk, first)) for m0 in range(0, first, self._chunk)]
+        spans.append((first, j0))
         for i, (m0, m1) in enumerate(spans):
             if m0 >= first:
                 samples = self._ring[:, m0 - first : m1 - first]
@@ -575,8 +555,7 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
     history = HistoryConvolution.memory(
-        spec.kernel, spec.eps, J, dt, spec.window_intervals,
-        source=lambda m0, m1: laplacian_array(grid, levels[m0:m1]),
+        spec.kernel, spec.eps, J, dt, source=lambda m0, m1: laplacian_array(grid, levels[m0:m1])
     )
     # constant kernel: weights are pure roundoff, skip the memory term
     inert = history.inert(g0)
@@ -683,8 +662,7 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
         kk = spec.kernel if eps == 0.0 else translate(spec.kernel, float(eps))
         left[k], right[k] = interval_weights(kk._integral2, kk._integral3, J, dt)
     history = HistoryConvolution(
-        left, right, spec.window_intervals,
-        source=lambda m0, m1: laplacian_array(grid, levels[:, m0:m1]),
+        left, right, source=lambda m0, m1: laplacian_array(grid, levels[:, m0:m1])
     )
     # the newest level of every row weighs lags[0]
     self_weight = history.lags[:, :1].reshape((K,) + (1,) * grid.dim)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -132,21 +131,19 @@ def unchecked_spec(**fields) -> ProblemSpec:
     defaults = {
         "forcing": None,
         "formulation": "integrodifferential",
-        "history_window": None,
     }
     for key, value in {**defaults, **fields}.items():
         object.__setattr__(spec, key, value)
     return spec
 
 
-def conv_weights(left, right, j: int, max_intervals: int | None = None) -> np.ndarray:
+def conv_weights(left, right, j: int) -> np.ndarray:
     """Oracle for HistoryConvolution.row: level weights for
     int_0^{t_j} w(s) p(t_j - s) ds, indexed by level m."""
-    k = j if max_intervals is None else min(j, max_intervals)
     w = np.zeros(j + 1)
-    if k:
-        w[j - k + 1 :] += left[:k][::-1]
-        w[j - k : j] += right[:k][::-1]
+    if j:
+        w[1:] += left[:j][::-1]
+        w[:j] += right[:j][::-1]
     return w
 
 
@@ -269,7 +266,6 @@ def reference_integrodiff(spec: ProblemSpec) -> np.ndarray:
     g0 = shifted.modulus(0.0)
     left, right = interval_weights(shifted._modulus, shifted._integral, J, dt)
     inert = weights_inert(left, right, g0)
-    max_iv = None if spec.history_window is None else math.ceil(spec.history_window / dt)
 
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
@@ -287,7 +283,7 @@ def reference_integrodiff(spec: ProblemSpec) -> np.ndarray:
         if inert:
             memory = 0.0
         else:
-            w = conv_weights(left, right, j, max_iv)
+            w = conv_weights(left, right, j)
             memory = (w @ lap_flat[: j + 1]).reshape(shape)
         f_now = _forcing_values(spec.forcing, grid, j * dt)
         levels[j + 1] = (
@@ -304,7 +300,6 @@ def reference_volterra(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     kk = spec.kernel if spec.eps == 0.0 else translate(spec.kernel, spec.eps)
     left, right = interval_weights(kk._integral2, kk._integral3, J, dt)
-    max_iv = None if spec.history_window is None else math.ceil(spec.history_window / dt)
 
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
@@ -317,7 +312,7 @@ def reference_volterra(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     levels[0] = spec.u0.values
     lap_flat[0] = reference_laplacian(grid, levels[0]).ravel()
     for j in range(1, J + 1):
-        w = conv_weights(left, right, j, max_iv)
+        w = conv_weights(left, right, j)
         drive = (
             (w[:j] @ lap_flat[:j]).reshape(shape)
             + spec.u1.values * (j * dt)
@@ -570,21 +565,19 @@ def forced_box_spec(n: int, horizon: float) -> ProblemSpec:
 
 def oracle_specs() -> dict[str, ProblemSpec]:
     """Runs that pin the projected diagnostics against their oracles: a
-    power-law Volterra run, a Prony leapfrog on the exponential backend, a
-    forced 3D box and a leapfrog with a history window."""
+    power-law Volterra run, a Prony leapfrog on the exponential backend and
+    a forced 3D box."""
     line = Grid.line(25)
     wave = field_from_name(line, "sin_pi_product", {"amplitude": 1.0})
-    leapfrog = ProblemSpec(
-        kernel=PRONY_TWO_TERMS, grid=line, horizon=1.0,
-        dt=cfl_time_step(line, PRONY_TWO_TERMS, 0.1, 0.5, 1.0), eps=0.1,
-        u0=field_from_name(line, "bump", {"radius": 0.3}), u1=wave,
-    )
     return {
         "powerlaw_volterra": ProblemSpec(
             kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=line, horizon=0.5, dt=0.005,
             eps=0.1, u0=Field.zero(line), u1=wave, formulation="integral_volterra",
         ),
-        "prony_leapfrog": leapfrog,
+        "prony_leapfrog": ProblemSpec(
+            kernel=PRONY_TWO_TERMS, grid=line, horizon=1.0,
+            dt=cfl_time_step(line, PRONY_TWO_TERMS, 0.1, 0.5, 1.0), eps=0.1,
+            u0=field_from_name(line, "bump", {"radius": 0.3}), u1=wave,
+        ),
         "forced_box": forced_box_spec(7, 0.6),
-        "windowed": replace(leapfrog, u0=Field.zero(line), history_window=0.2),
     }

@@ -178,7 +178,7 @@ class TestRunSingle:
         "text, key",
         [
             (QUICK.replace("horizon = 0.2", "horizon = inf"), "horizon"),
-            ("[experiment]\nhistory_window = inf\n" + QUICK, "history_window"),
+            (QUICK + "\n[tolerances]\ncauchy_tol = inf\n", "cauchy_tol"),
             (QUICK + "\n[eps]\neps = 1e999\n", "eps"),
         ],
     )
@@ -216,6 +216,76 @@ class TestRunSingle:
         err = capsys.readouterr().err
         assert "invalid configuration" in err
         assert message in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[experiment]\nhistory_window = 0.5\n" + QUICK, "unknown key 'history_window' in [experiment]"),
+            (QUICK + "\n[eps]\neps = 0\n", "[eps] integro-differential form needs eps > 0"),
+            (QUICK.replace("horizon = 0.2\ncfl = 0.5", "horizon = 0.5\ndt = 0.03"),
+             "must be an integer number of steps"),
+            (SEQUENCE.replace("horizon = 0.2\ndt = 0.01", "horizon = 0.5\ndt = 0.03"),
+             "must be an integer number of steps"),
+        ],
+        ids=["history_window", "leapfrog_eps_zero", "single_run_dt", "eps_sequence_dt"],
+    )
+    def test_config_that_cannot_run_exits_two(self, tmp_path, capsys, text, message):
+        # the memory reaches back to t = 0, so there is no history window;
+        # the others used to parse, then crash with a traceback (exit 1)
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert message in err
+
+    @pytest.mark.parametrize("decay", [False, True])
+    def test_ledger_is_skipped_at_a_singular_limit(self, tmp_path, decay):
+        # a power-law Volterra run at eps = 0, the paper's singular limit:
+        # the ledger needs a rate integrable at 0, and the decay check
+        # reads the ledger, so both are skipped and the bound still runs
+        text = """\
+[experiment]
+formulation = integral_volterra
+
+[kernel]
+family = powerlaw
+c = 1.0
+alpha = 0.5
+
+[grid]
+n = 19
+
+[time]
+horizon = 0.5
+dt = 0.01
+
+[data]
+u1 = sin_pi_product
+
+[eps]
+eps = 0
+"""
+        if decay:
+            text += "\n[diagnostics]\nenergy_decay = true\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        verdicts = read_manifest(out)["verdicts"]
+        skipped = {"skipped": "eps = 0 needs a modulus whose rate is integrable at 0"}
+        assert verdicts["energy_ledger"] == skipped
+        assert verdicts.get("energy_decay") == (skipped if decay else None)
+        assert "max_energy_residual" not in verdicts
+        assert not (out / "energy.csv").exists()
+        assert verdicts["energy_bound"]["passed"] is True
+        assert verdicts["energy_bound"]["max_ratio"] == pytest.approx(0.50, abs=0.01)
+
+    def test_bound_is_skipped_past_eps_one(self, tmp_path):
+        cfg = write_cfg(tmp_path, QUICK + "\n[eps]\neps = 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        verdicts = read_manifest(out)["verdicts"]
+        assert verdicts["energy_bound"] == {"skipped": "bound requires eps <= 1, got 2.0"}
+        assert "max_energy_residual" in verdicts
 
     def test_cfl_refusal_exits_three(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, UNSTABLE)

@@ -18,7 +18,6 @@ FULL = """\
 [experiment]
 mode = single_run
 formulation = integral_volterra
-history_window = 0.5
 
 [kernel]
 family = prony
@@ -119,7 +118,6 @@ class TestExplicitValues:
     def test_full_config(self):
         cfg = parse_config(FULL)
         assert cfg.formulation == "integral_volterra"
-        assert cfg.history_window == 0.5
         assert cfg.kernel == PronyKernel(0.5, ((0.5, 2.0),))
         assert cfg.grid.extent == (2.0,)
         assert cfg.dt == 0.005 and cfg.cfl is None
@@ -187,6 +185,21 @@ class TestViolations:
         bad = MINIMAL + "[output]\nexport_fromat = csv\n"
         msgs = violations_of(bad)
         assert "unknown key 'export_fromat' in [output]; nearest valid: 'export_format'" in msgs
+
+    @pytest.mark.parametrize(
+        "kernel, message",
+        [
+            ("family = prony\ng_inf = 0.5\nterms = [[0.5, 2.0]]\nalpha = 0.5",
+             "[kernel] prony kernel got unknown keys: alpha"),
+            ("family = powerlaw\nc = 1.0\nalpha = 0.5\ng_inf = 3",
+             "[kernel] powerlaw kernel got unknown keys: g_inf"),
+        ],
+        ids=["prony_alpha", "powerlaw_g_inf"],
+    )
+    def test_key_of_another_family_rejected(self, kernel, message):
+        # these keys are valid in [kernel], but not for this family
+        bad = MINIMAL.replace("family = constant\ng0 = 1.0", kernel)
+        assert message in violations_of(bad)
 
     def test_unknown_section_gets_nearest_hint(self):
         bad = MINIMAL + "[grids]\nn = 5\n"

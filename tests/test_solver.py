@@ -127,12 +127,6 @@ class TestProblemSpec:
                 eps=1.0, u0=Field.zero(Grid.line(11)), u1=Field.zero(g),
             )
 
-    @pytest.mark.parametrize("window", [math.inf, math.nan, 0.0])
-    def test_window_must_be_positive_and_finite(self, window):
-        # an infinite window used to pass here and overflow in window_intervals
-        with pytest.raises(ValueError, match="history window"):
-            dataclasses.replace(standing_wave_spec(), history_window=window)
-
     def test_fingerprint_sensitivity(self):
         a = standing_wave_spec()
         b = standing_wave_spec()
@@ -178,93 +172,96 @@ class TestProductQuadrature:
             direct_weights(left, right, j)[::-1]
         )
 
-    def test_history_window_truncates(self):
-        k = PRONY
-        left, right = interval_weights(k._modulus, k._integral, 10, 0.1)
-        full = HistoryConvolution(left, right).row(8)
-        cut = HistoryConvolution(left, right, window=3).row(8)
-        assert np.all(cut[:5] == 0.0)
-        assert cut[6:] == pytest.approx(full[6:])
-        # the edge level keeps only the inside half of its subinterval
-        assert cut[5] == pytest.approx(full[5] - left[3])
-
 
 def _signed_zero_weights(n, shifts=None):
     rng = np.random.default_rng(3)
-    size = n if shifts is None else (shifts, n)
+    size = max(n, 7) if shifts is None else (shifts, max(n, 7))
     left, right = rng.standard_normal(size), rng.standard_normal(size)
     # signed zeros: conv_weights turns -0.0 + -0.0 and a lone -0.0 into 0.0
     left[..., 4] = right[..., 3] = -0.0
     right[..., 6] = -0.0
-    return left, right
+    return left[..., :n], right[..., :n]
+
+
+def _power_law_memory_weights(shifts=None):
+    # the memory weights the leapfrog builds for a power-law kernel over 11
+    # steps of 0.05, one weight set per shift eps of a sequence
+    kernel = PowerLawKernel(c=1.0, alpha=0.5)
+    sets = [
+        interval_weights(shifted._modulus, shifted._integral, 11, 0.05)
+        for shifted in (translate(kernel, eps) for eps in (0.1, 0.05, 0.025))
+    ]
+    left, right = (np.stack(part) for part in zip(*sets))
+    return (left[0], right[0]) if shifts is None else (left[:shifts], right[:shifts])
 
 
 class TestConvWeightRows:
     """HistoryConvolution against the conv_weights oracle, bitwise."""
 
     @pytest.mark.parametrize(
-        "max_intervals, shifts",
+        "n, shifts",
         [
-            pytest.param(cut, shifts, id=str(cut) if shifts is None else f"{cut}-K{shifts}")
+            pytest.param(n, shifts, id=str(n) if shifts is None else f"{n}-K{shifts}")
             for shifts in (None, 3)
-            for cut in (None, 1, 3, 11, 40)
+            for n in (None, 1, 3, 11, 40)
         ],
     )
-    def test_rows_equal_conv_weights_bitwise(self, max_intervals, shifts):
-        # with a (K, n) weight set, row j of every shift comes from the one
-        # shared table and equals that shift's own oracle row
-        n = 11
-        left, right = _signed_zero_weights(n, shifts)
-        history = HistoryConvolution(left, right, max_intervals)
-        for j in range(1, n + 1):
+    def test_rows_equal_conv_weights_bitwise(self, n, shifts):
+        # a run of n intervals; with a (K, n) weight set, row j of every
+        # shift comes from the one shared table and equals that shift's own
+        # oracle row.  n = None takes a power-law kernel's memory weights
+        # over its whole run in place of the random signed-zero set
+        if n is None:
+            left, right = _power_law_memory_weights(shifts)
+        else:
+            left, right = _signed_zero_weights(n, shifts)
+        history = HistoryConvolution(left, right)
+        for j in range(1, left.shape[-1] + 1):
             w = history.row(j)
             assert w.shape == left.shape[:-1] + (j + 1,)
             for k in np.ndindex(left.shape[:-1]):
-                expected = conv_weights(left[k], right[k], j, max_intervals)
+                expected = conv_weights(left[k], right[k], j)
                 assert w[k].tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("max_intervals", [None, 1, 3, 40])
-    @pytest.mark.parametrize("shape", [(12,), (12, 5)])
-    def test_adjoint_transposes_row_loop(self, max_intervals, shape):
-        # a @ (row sums of p) = adjoint(a) @ p, the row sums taken by the
-        # conv_weights loop, for samples of any trailing shape
-        n = 11
+    @pytest.mark.parametrize("n", [1, 3, 11, 40])
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_adjoint_transposes_row_loop(self, n, shape):
+        # a @ (row sums of p) = adjoint(a) @ p over a run of n intervals,
+        # the row sums taken by the conv_weights loop, for samples of any
+        # trailing shape
         left, right = _signed_zero_weights(n)
         rng = np.random.default_rng(4)
-        samples = rng.standard_normal(shape)
-        samples[3] = -0.0
+        samples = rng.standard_normal((n + 1,) + shape)
+        samples[min(3, n)] = -0.0
         a = rng.standard_normal(n + 1)
         sums = np.zeros_like(samples)
-        magnitude = np.zeros(shape[1:])
+        magnitude = np.zeros(shape)
         for j in range(1, n + 1):
-            w = conv_weights(left, right, j, max_intervals)
+            w = conv_weights(left, right, j)
             sums[j] = w @ samples[: j + 1]
             magnitude += abs(a[j]) * (np.abs(w) @ np.abs(samples[: j + 1]))
-        got = HistoryConvolution(left, right, max_intervals).adjoint(a) @ samples
+        got = HistoryConvolution(left, right).adjoint(a) @ samples
         assert np.all(np.abs(got - a @ sums) <= 1e-14 * magnitude)
 
 
 @given(
     n=st.integers(1, 30),
-    window=st.sampled_from([None, 1, 3, "past_n"]),
     exponential=st.booleans(),
     zeros=st.lists(st.integers(0, 29), max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_adjoint_is_the_transposed_row_loop(n, window, exponential, zeros, seed):
-    # <adjoint(a), p> = sum_j a_j (row(j) @ p[: j + 1]) for either backend;
-    # a window shorter than the run gives a Prony kernel the direct one
+def test_adjoint_is_the_transposed_row_loop(n, exponential, zeros, seed):
+    # <adjoint(a), p> = sum_j a_j (row(j) @ p[: j + 1]) for either backend
     rng = np.random.default_rng(seed)
-    cut = n + 2 if window == "past_n" else window
     if exponential:
         kernel = PronyKernel(0.5, ((0.3, 1.0), (0.2, 0.1)))
-        history = HistoryConvolution.memory(kernel, 0.05, n, 0.1, cut)
-        assert (history.backend == "exponential") == (cut is None or cut >= n)
+        history = HistoryConvolution.memory(kernel, 0.05, n, 0.1)
+        assert history.backend == "exponential"
     else:
         left, right = rng.standard_normal(n), rng.standard_normal(n)
         for i in zeros:
             left[i % n] = right[(i + 1) % n] = -0.0
-        history = HistoryConvolution(left, right, cut)
+        history = HistoryConvolution(left, right)
     a = rng.standard_normal(n + 1)
     p = rng.standard_normal((n + 1, 3))
     want = np.zeros(3)
@@ -304,28 +301,26 @@ def _small_blocks(rows, chunk, shifts=1):
     rows=st.sampled_from([1, 2, 3, 5]),
     chunk=st.sampled_from([1, 2, 4]),
     edge=st.sampled_from(["B-1", "B", "B+1", "2B+1"]),
-    window=st.sampled_from([None, 1, 3, "past_n"]),
     newest=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_sums_match_the_row_loop(shifts, flat, rows, chunk, edge, window, newest, seed):
+def test_blocked_sums_match_the_row_loop(shifts, flat, rows, chunk, edge, newest, seed):
     # the blocked (K, N) sums against the conv_weights row loop, with the
     # run ending on and around the block edges; K = 1 also without a shift
     # axis.  The blocks sum in another order, so the bound is relative to
     # sum |w| |p|, the size of the terms each row adds up.
     n = max(1, {"B-1": rows - 1, "B": rows, "B+1": rows + 1, "2B+1": 2 * rows + 1}[edge])
-    cut = n + 2 if window == "past_n" else window
     rng = np.random.default_rng(seed)
     left, right = rng.standard_normal((2, shifts, n))
     samples = rng.standard_normal((shifts, n + 1, 4))
     weights = (left[0], right[0]) if flat and shifts == 1 else (left, right)
-    history = HistoryConvolution(*weights, cut, source=lambda m0, m1: samples[:, m0:m1])
+    history = HistoryConvolution(*weights, source=lambda m0, m1: samples[:, m0:m1])
     with _small_blocks(rows, chunk, shifts):
         got = _blocked_sums(history, samples, newest)
     for k in range(shifts):
         for j in range(1, n + 1):
             top = j + 1 if newest else j
-            w = conv_weights(left[k], right[k], j, cut)[:top]
+            w = conv_weights(left[k], right[k], j)[:top]
             want = w @ samples[k, :top]
             magnitude = np.abs(w) @ np.abs(samples[k, :top])
             assert np.all(np.abs(got[k, j] - want) <= 1e-13 * magnitude)
@@ -356,12 +351,12 @@ def test_blocked_sums_need_a_source_past_two_blocks():
         _blocked_sums(history, samples[None, :8], newest=True)
 
 
-def _volterra_spec(grid, horizon, dt, window=None, forcing=None):
+def _volterra_spec(grid, horizon, dt, forcing=None):
     return ProblemSpec(
         kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=grid, horizon=horizon, dt=dt, eps=0.1,
         u0=field_from_name(grid, "bump", {"radius": 0.3}),
         u1=field_from_name(grid, "sine_mode", {"amplitude": -0.5, "modes": 2}),
-        forcing=forcing, formulation="integral_volterra", history_window=window,
+        forcing=forcing, formulation="integral_volterra",
     )
 
 
@@ -370,12 +365,11 @@ class TestShiftBatch:
 
     SHIFTS = (0.1, 0.01, 0.0)
 
-    @pytest.mark.parametrize("window", [None, 0.23])
-    def test_each_shift_is_its_lone_march_bitwise(self, window):
+    def test_each_shift_is_its_lone_march_bitwise(self):
         # the products are issued per shift, so with the same block and
         # chunk lengths a shift's levels do not depend on the others
         pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
-        spec = _volterra_spec(Grid.line(17), 0.6, 0.01, window, pulse)
+        spec = _volterra_spec(Grid.line(17), 0.6, 0.01, pulse)
         with _small_blocks(7, 3, len(self.SHIFTS)):
             batch = run(spec, self.SHIFTS)
         assert batch.levels.shape == (3, spec.n_steps + 1, 17)
@@ -534,13 +528,10 @@ class TestExponentialHistory:
         scale = np.abs(want).max(axis=0)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
-    def test_backend_follows_kernel_and_window(self):
+    def test_backend_follows_kernel(self):
         n, dt, eps = 20, 0.05, 0.05
         power = PowerLawKernel(c=1.0, alpha=0.5)
         assert HistoryConvolution.memory(PRONY, eps, n, dt).backend == "exponential"
-        # a window of the whole run cuts nothing
-        assert HistoryConvolution.memory(PRONY, eps, n, dt, window=n).backend == "exponential"
-        assert HistoryConvolution.memory(PRONY, eps, n, dt, window=n - 1).backend == "direct"
         assert HistoryConvolution.memory(power, eps, n, dt).backend == "direct"
         assert HistoryConvolution.memory(KernelSum((PRONY, power)), eps, n, dt).backend == "direct"
         assert HistoryConvolution.memory(ConstantKernel(1.0), eps, n, dt).backend == "direct"
@@ -614,18 +605,13 @@ def _march_cases():
         ("integrodifferential", power, 0.05),
         ("integrodifferential", mixed, 0.05),
     ):
-        for grid, forcing, window in (
-            (line, None, None),
-            (line, pulse, 0.23),
-            (box, steady, None),
-            (box, pulse, 0.1),
-        ):
+        for grid, forcing in ((line, None), (line, pulse), (box, steady), (box, pulse)):
             cases.append(
                 ProblemSpec(
                     kernel=kernel, grid=grid, horizon=0.6, dt=0.02, eps=eps,
                     u0=field_from_name(grid, "bump", {"radius": 0.3}),
                     u1=field_from_name(grid, "sine_mode", {"amplitude": -0.5, "modes": 2}),
-                    forcing=forcing, formulation=formulation, history_window=window,
+                    forcing=forcing, formulation=formulation,
                 )
             )
     return cases
@@ -634,8 +620,8 @@ def _march_cases():
 class TestMarchersMatchReferenceLoops:
     """The marchers against their one-conv_weights-per-step loops.
 
-    Bitwise wherever the direct backend serves the run.  An unwindowed
-    Prony leapfrog runs on the exponential recursion instead, whose sums
+    Bitwise wherever the direct backend serves the run.  A Prony leapfrog
+    runs on the exponential recursion instead, whose sums
     differ from the weight rows by round-off: there the levels must agree
     to 1e-12 of max|u|.
     """
@@ -643,11 +629,7 @@ class TestMarchersMatchReferenceLoops:
     @pytest.mark.parametrize("spec", _march_cases())
     def test_levels_bitwise(self, spec):
         traj = run(spec)
-        exponential = (
-            spec.formulation == "integrodifferential"
-            and isinstance(spec.kernel, PronyKernel)
-            and spec.history_window is None
-        )
+        exponential = spec.formulation == "integrodifferential" and isinstance(spec.kernel, PronyKernel)
         assert traj.history_backend == ("exponential" if exponential else "direct")
         if exponential:
             want = reference_integrodiff(spec)
@@ -778,41 +760,6 @@ class TestIntegrodiff:
             errs.append(l2q_error(g, traj.levels, manufactured_exact(g, traj.times), traj.dt))
         order = math.log(errs[0] / errs[1]) / math.log(2.0)
         assert order > 1.8
-
-    def test_history_window_equal_horizon_is_exact(self):
-        g = Grid.line(19)
-        base = ProblemSpec(
-            kernel=PRONY, grid=g, horizon=1.0, dt=0.02, eps=0.05,
-            u0=Field.zero(g),
-            u1=field_from_name(g, "sin_pi_product", {"amplitude": 1.0}),
-        )
-        windowed = dataclasses.replace(base, history_window=1.0)
-        assert np.array_equal(run(base).levels, run(windowed).levels)
-
-    def test_history_window_equal_horizon_is_exact_on_direct_backend(self):
-        g = Grid.line(19)
-        base = ProblemSpec(
-            kernel=KernelSum((PRONY, PowerLawKernel(c=0.3, alpha=0.4))),
-            grid=g, horizon=1.0, dt=0.02, eps=0.05,
-            u0=Field.zero(g),
-            u1=field_from_name(g, "sin_pi_product", {"amplitude": 1.0}),
-        )
-        windowed = dataclasses.replace(base, history_window=1.0)
-        assert run(base).levels.tobytes() == run(windowed).levels.tobytes()
-
-    def test_short_history_window_stays_close_for_fast_decay(self):
-        # kernel memory dies on the tau scale, so a few tau of history suffice
-        k = PronyKernel(g_inf=0.5, terms=((0.5, 0.05),))
-        g = Grid.line(19)
-        dt = cfl_time_step(g, k, 0.05, 0.5, 1.0)
-        base = ProblemSpec(
-            kernel=k, grid=g, horizon=1.0, dt=dt, eps=0.05,
-            u0=Field.zero(g),
-            u1=field_from_name(g, "sin_pi_product", {"amplitude": 1.0}),
-        )
-        windowed = dataclasses.replace(base, history_window=0.4)
-        d = trajectory_distance(run(base), run(windowed))
-        assert d < 1e-4
 
     def test_abort_on_blowup(self):
         # highest grid mode under a far-too-large dt amplifies each step
