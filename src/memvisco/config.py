@@ -273,11 +273,14 @@ def parse_config(text: str) -> ExperimentConfig:
             cfl = 0.5
         elif dt is not None and cfl is not None:
             col.fail("[time] give either dt or cfl, not both")
-        elif dt is not None:
-            try:
-                ProblemSpec.check_steps(horizon, dt)
-            except ValueError as exc:
-                col.fail(f"[time] {exc}")
+    if mode == "stress_test" and dt is None:
+        col.defaults.append("time.dt = 0.01")
+        dt = 0.01
+    if dt is not None and (needs_grid or mode == "stress_test"):
+        try:
+            ProblemSpec.check_steps(horizon, dt)
+        except ValueError as exc:
+            col.fail(f"[time] {exc}")
 
     eps = col.typed("eps", "eps", float, default=0.05, check=lambda v: v >= 0, what="eps must be >= 0")
     eps0 = col.typed("eps", "eps0", float, default=None, check=lambda v: v > 0, what="eps0 must be positive")
@@ -294,6 +297,9 @@ def parse_config(text: str) -> ExperimentConfig:
             ProblemSpec.check_shift(eps, formulation)
         except ValueError as exc:
             col.fail(f"[eps] {exc}")
+        # the CFL rule reads the modulus at eps, unbounded there
+        if dt is None and eps == 0 and kernel is not None and kernel.singular_at_zero:
+            col.fail("[time] the modulus is unbounded at eps = 0, so no cfl rule applies: give dt")
 
     u0_name = col.choice("data", "u0", SPACE_NAMES, default="zero")
     u1_name = col.choice("data", "u1", SPACE_NAMES, default="zero")
@@ -326,9 +332,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
     strain = col.choice("stress", "strain", STRAINS, default="step")
     strain_amplitude = col.typed("stress", "amplitude", float, default=1.0)
-    if mode == "stress_test" and dt is None:
-        col.defaults.append("time.dt = 0.01")
-        dt = 0.01
 
     diagnostics = {
         "energy_ledger": col.boolean("diagnostics", "energy_ledger", True),

@@ -2,7 +2,8 @@
 
 Only interior nodes are stored; the boundary value 0 is implicit in the
 stencils, so the discrete operators below satisfy a summation-by-parts
-identity exactly:  <-lap(u), u> * cell_volume == dirichlet_gradient_sq(u).
+identity exactly: with E = dirichlet_edge_differences of u,
+<-lap(u), u> * cell_volume == cell_volume * sum(E ** 2).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "laplacian",
     "laplacian_array",
     "dirichlet_edge_differences",
-    "dirichlet_gradient_sq",
     "inner_space",
     "l2_space",
     "trapezoid_weights",
@@ -191,16 +191,6 @@ def dirichlet_edge_differences(grid: Grid, levels: np.ndarray) -> np.ndarray:
         np.negative(u[:, -1], out=block[:, -1])
         block /= h
     return out
-
-
-def dirichlet_gradient_sq(grid: Grid, values: np.ndarray) -> float:
-    """Edge-based squared gradient norm, int |grad u|^2 with u = 0 outside.
-
-    Adjoint to the Laplacian stencil: equals <-lap(u), u> * cell_volume
-    exactly, which is what the energy bookkeeping relies on.
-    """
-    d = dirichlet_edge_differences(grid, np.asarray(values)[None])[0]
-    return float(np.sum(np.square(d, out=d))) * grid.cell_volume
 
 
 def inner_space(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:

@@ -286,15 +286,16 @@ def _run_record(cfg: ExperimentConfig, eps: float, traj) -> dict:
     """What the manifest keeps of one trajectory.
 
     A leapfrog run records its stability margin, dt over the largest stable
-    dt at the shift; a Volterra run its largest correction residual.
+    dt at the shift; a Volterra run its modal one, z_max, the self-weight
+    times the largest eigenvalue of -lap.
     """
     record = {
         "eps": float(eps),
         "spec_fingerprint": traj.spec_fingerprint,
         "history_backend": traj.history_backend,
     }
-    if traj.correction_residuals is not None:
-        record["max_correction_residual"] = float(np.max(traj.correction_residuals))
+    if traj.z_max is not None:
+        record["z_max"] = traj.z_max
     else:
         limit = stable_time_step(cfg.grid, cfg.kernel.modulus(float(eps)))
         record["dt_over_limit"] = traj.dt / limit
@@ -473,8 +474,9 @@ def _run_admissibility(
 
 
 def _run_stress(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, phases: _Phases) -> int:
+    # parse_config checked that dt divides the horizon into whole steps
     dt = cfg.dt
-    n = max(2, round(cfg.horizon / dt))
+    n = round(cfg.horizon / dt)
     times = dt * np.arange(n + 1)
     amp = cfg.strain_amplitude
     if cfg.strain == "step":

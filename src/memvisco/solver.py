@@ -8,9 +8,9 @@ Two equivalent formulations of the same shifted problem:
 
   * integral (Volterra):  u(t) = int_0^t Ksh(t - tau) lap u(tau) dtau
         + u1 t + u0 + int_0^t int_0^s f,
-    with Ksh the re-based integral of the shifted modulus, marched
-    explicitly (the self-weight vanishes with Ksh(0) = 0 up to one
-    fixed-point correction).
+    with Ksh the re-based integral of the shifted modulus, marched in the
+    sine modes of the box, where the Laplacian is diagonal: each step
+    solves its self-term implicitly and exactly, with no Laplacian.
 
 All convolution weights integrate the kernel factor exactly over each
 subinterval against a piecewise-linear interpolant of the smooth factor,
@@ -186,7 +186,8 @@ class TrajectorySolution:
     levels: np.ndarray  # (n_levels, *grid.shape)
     formulation: str
     spec_fingerprint: str
-    correction_residuals: np.ndarray | None = None
+    # Volterra runs: the self-weight lags[0] times the top eigenvalue of -lap
+    z_max: float | None = None
     history_backend: str = "direct"
 
     @property
@@ -292,8 +293,8 @@ def _exponential_weights(a: float, tau: float, dt: float) -> tuple[float, float]
 # within _BLOCK_ROWS, and over all K shifts K B within _BLOCK_SAMPLES
 # samples and _BLOCK_BYTES bytes; c likewise.  That gives B = 73, c = 18
 # for a 7-shift sequence on 99 nodes and B = 105, c = 17 for one run on
-# 31^3 nodes.  Every block recomputes the Laplacians of all older levels,
-# J^2 / (2 B) in a run, which bounds B from below on large grids.
+# 31^3 nodes.  Every leapfrog block recomputes the Laplacians of all older
+# levels, J^2 / (2 B) in a run, which bounds B from below on large grids.
 _BLOCK_ROWS = 128
 _BLOCK_SAMPLES = 512
 _BLOCK_BYTES = 24 * 2**20
@@ -627,6 +628,52 @@ def _integrated_forcing(
     return out
 
 
+# Levels per in-place sine transform of a stored level stack.
+_TRANSFORM_LEVELS = 16
+
+
+def _sine_matrices(grid: Grid) -> list[np.ndarray]:
+    """The orthonormal DST-I of each grid axis, a symmetric (n, n) matrix
+    that is its own inverse: entry (k - 1, i - 1) is sine mode k at node i."""
+    return [
+        math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.outer(np.arange(1, n + 1), np.arange(1, n + 1)))
+        for n in grid.n
+    ]
+
+
+def _laplacian_eigenvalues(grid: Grid) -> np.ndarray:
+    """mu on grid.shape: laplacian_array scales sine mode k by -mu[k]."""
+    mu = np.zeros(grid.shape)
+    for axis, (n, h) in enumerate(zip(grid.n, grid.spacing)):
+        along = [1] * grid.dim
+        along[axis] = n
+        k = np.arange(1, n + 1)
+        mu += (4.0 / (h * h) * np.sin(np.pi * k / (2 * (n + 1))) ** 2).reshape(along)
+    return mu
+
+
+def _sine_transform(values: np.ndarray, matrices) -> np.ndarray:
+    """The DST-I of a stack (..., *grid.shape) along its grid axes: nodal
+    values to sine coefficients, or back, as it is its own inverse."""
+    out = values
+    first = values.ndim - len(matrices)
+    for axis, s in enumerate(matrices, start=first):
+        shape = out.shape
+        if axis == values.ndim - 1:
+            out = (out.reshape(-1, shape[axis]) @ s).reshape(shape)
+        else:
+            out = np.matmul(s, out.reshape(math.prod(shape[:axis]), shape[axis], -1)).reshape(shape)
+    return out
+
+
+def _sine_transform_levels(levels: np.ndarray, matrices) -> None:
+    """_sine_transform of a level stack (levels, *grid.shape) in place, a
+    few levels at a time, so that no second stack is held."""
+    for m0 in range(0, levels.shape[0], _TRANSFORM_LEVELS):
+        block = levels[m0 : m0 + _TRANSFORM_LEVELS]
+        block[...] = _sine_transform(block, matrices)
+
+
 @dataclass(frozen=True)
 class ShiftedRuns:
     """One integral_volterra problem marched at several shifts as one stack.
@@ -641,51 +688,63 @@ class ShiftedRuns:
 
 def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     """March spec at every shift eps in shifts at once, as a (K, *grid.shape)
-    stack: one step for all K shifts, each with its own weights.
+    stack of sine coefficients: one step for all K shifts, each with its own
+    weights.
 
-    Every operation but the history sum acts on each shift's field alone,
-    as a one-shift march would; the history sums are one matrix product per
-    shift, so a shift's levels do not depend on the other shifts.
+    The box Laplacian is diagonal in sine modes, -mu, so step j solves its
+    self-term lags[0] lap u_j exactly and needs no Laplacian:
+
+        u_j = (-mu H_j + t_j u1 + u0 + F_j) / (1 + lags[0] mu),
+
+    all in sine coefficients, with H_j the history sum of the levels before
+    j and F_j the integrated forcing.  The levels are stored as
+    coefficients and turned back into nodal values, shift by shift, once
+    the march is done.  Every operation but the history sum acts on each
+    shift's coefficients alone, as a one-shift march would; the history
+    sums are one matrix product per shift, so a shift's levels do not
+    depend on the other shifts.
     """
     if spec.formulation != "integral_volterra":
         raise ValueError("spec requests a different formulation")
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     shifts = np.array(shifts, dtype=float).reshape(-1)
     K = shifts.size
-    shape = grid.shape
-    levels = np.empty((K, J + 1) + shape)
-    resid = np.zeros((K, J + 1))
+    levels = np.empty((K, J + 1) + grid.shape)
 
     # kernel factor Ksh(s); antiderivatives are the next two tower levels
     left, right = np.empty((2, K, J))
     for k, eps in enumerate(shifts):
         kk = spec.kernel if eps == 0.0 else translate(spec.kernel, float(eps))
         left[k], right[k] = interval_weights(kk._integral2, kk._integral3, J, dt)
-    history = HistoryConvolution(
-        left, right, source=lambda m0, m1: laplacian_array(grid, levels[:, m0:m1])
-    )
+    history = HistoryConvolution(left, right, source=lambda m0, m1: levels[:, m0:m1])
+    mu = _laplacian_eigenvalues(grid)
+    minus_mu = -mu
     # the newest level of every row weighs lags[0]
-    self_weight = history.lags[:, :1].reshape((K,) + (1,) * grid.dim)
+    denominator = 1.0 + history.lags[:, :1].reshape((K,) + (1,) * grid.dim) * mu
 
+    sine = _sine_matrices(grid)
+    u0 = _sine_transform(spec.u0.values, sine)
+    u1 = _sine_transform(spec.u1.values, sine)
     f_double = _integrated_forcing(spec.forcing, grid, spec.times, dt)
-
-    u0, u1 = spec.u0.values, spec.u1.values
+    if spec.forcing is not None:
+        _sine_transform_levels(f_double, sine)
     levels[:, 0] = u0
 
     for j in range(1, J + 1):
-        lap = laplacian_array(grid, levels[:, j - 1])
-        history.push(lap)
-        drive = history.next_sum().reshape(lap.shape) + u1 * (j * dt) + u0 + f_double[j]
-        predicted = drive + self_weight * lap
-        corrected = drive + self_weight * laplacian_array(grid, predicted)
-        # NaN or inf whenever corrected is: no separate finiteness pass
-        np.max(np.abs(corrected - predicted).reshape(K, -1), axis=1, out=resid[:, j])
-        failed = ~np.isfinite(resid[:, j])
-        if failed.any():
-            eps = float(shifts[np.argmax(failed)])
-            raise SolverAbort(j, "non-finite values in fixed-point correction", eps)
-        levels[:, j] = corrected
+        history.push(levels[:, j - 1])
+        new = levels[:, j]
+        np.multiply(history.next_sum().reshape(new.shape), minus_mu, out=new)
+        new += u1 * (j * dt)
+        new += u0
+        new += f_double[j]
+        new /= denominator
+        if not np.isfinite(new).all():
+            finite = np.isfinite(new.reshape(K, -1)).all(axis=1)
+            raise SolverAbort(j, "non-finite values", float(shifts[np.argmin(finite)]))
 
+    for slab in levels:
+        _sine_transform_levels(slab, sine)
+    top = float(mu.max())
     trajectories = tuple(
         TrajectorySolution(
             grid=grid,
@@ -693,7 +752,7 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
             levels=levels[k],
             formulation=spec.formulation,
             spec_fingerprint=replace(spec, eps=float(eps)).fingerprint(),
-            correction_residuals=resid[k],
+            z_max=float(history.lags[k, 0]) * top,
             history_backend=history.backend,
         )
         for k, eps in enumerate(shifts)

@@ -12,7 +12,7 @@ from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import (
     Field,
     Grid,
-    dirichlet_gradient_sq,
+    dirichlet_edge_differences,
     inner_space,
     l2_space,
     laplacian_array,
@@ -169,6 +169,16 @@ def cumulative_trapezoid(levels: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def dirichlet_gradient_sq(grid: Grid, values: np.ndarray) -> float:
+    """Edge-based squared gradient norm, int |grad u|^2 with u = 0 outside.
+
+    Adjoint to the Laplacian stencil: equals <-lap(u), u> * cell_volume
+    exactly, which is what the energy bookkeeping relies on.
+    """
+    d = dirichlet_edge_differences(grid, np.asarray(values)[None])[0]
+    return float(np.sum(np.square(d, out=d))) * grid.cell_volume
+
+
 def reference_energy_ledger(
     traj: TrajectorySolution, kernel, eps: float, forcing=None
 ) -> EnergyLedger:
@@ -294,40 +304,48 @@ def reference_integrodiff(spec: ProblemSpec) -> np.ndarray:
     return levels
 
 
-def reference_volterra(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Level stack and correction residuals of run_integral_volterra, one
-    conv_weights vector per step and both finiteness checks."""
+def reference_volterra(spec: ProblemSpec) -> np.ndarray:
+    """Level stack of run_integral_volterra on the nodes, one conv_weights
+    vector per step: step j solves (I - lags[0] lap) u_j = drive densely,
+    with no sine transform, and stops where a level is not finite."""
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     kk = spec.kernel if spec.eps == 0.0 else translate(spec.kernel, spec.eps)
     left, right = interval_weights(kk._integral2, kk._integral3, J, dt)
 
     shape = grid.shape
+    identity = np.eye(grid.n_total)
+    lap_matrix = np.stack(
+        [reference_laplacian(grid, column.reshape(shape)).ravel() for column in identity], axis=1
+    )
     levels = np.empty((J + 1,) + shape)
     lap_flat = np.empty((J + 1, grid.n_total))
-    resid = np.zeros(J + 1)
     f_levels = np.stack(
         [_forcing_values(spec.forcing, grid, j * dt) for j in range(J + 1)]
     )
     f_double = cumulative_trapezoid(cumulative_trapezoid(f_levels, dt), dt)
     levels[0] = spec.u0.values
-    lap_flat[0] = reference_laplacian(grid, levels[0]).ravel()
+    lap_flat[0] = lap_matrix @ levels[0].ravel()
     for j in range(1, J + 1):
         w = conv_weights(left, right, j)
         drive = (
-            (w[:j] @ lap_flat[:j]).reshape(shape)
-            + spec.u1.values * (j * dt)
-            + spec.u0.values
-            + f_double[j]
+            w[:j] @ lap_flat[:j]
+            + (spec.u1.values * (j * dt) + spec.u0.values + f_double[j]).ravel()
         )
-        self_weight = w[j]
-        predicted = drive + self_weight * lap_flat[j - 1].reshape(shape)
-        corrected = drive + self_weight * reference_laplacian(grid, predicted)
-        resid[j] = float(np.max(np.abs(corrected - predicted)))
-        if not (np.all(np.isfinite(corrected)) and math.isfinite(resid[j])):
-            raise SolverAbort(j, "non-finite values in fixed-point correction")
-        levels[j] = corrected
-        lap_flat[j] = reference_laplacian(grid, corrected).ravel()
-    return levels, resid
+        with np.errstate(invalid="ignore"):
+            levels[j] = np.linalg.solve(identity - w[j] * lap_matrix, drive).reshape(shape)
+        if not np.all(np.isfinite(levels[j])):
+            raise SolverAbort(j, "non-finite values")
+        lap_flat[j] = lap_matrix @ levels[j].ravel()
+    return levels
+
+
+def non_mode_one(grid: Grid, levels: np.ndarray) -> float:
+    """Largest nodal value a 1D level stack keeps once its sine mode 1,
+    sin(pi x / L), is projected out: round-off for a run that starts in
+    mode 1, as the march is linear and diagonal in sine modes."""
+    phi = np.sin(np.pi * grid.axis_coordinates(0) / grid.extent[0])
+    phi /= np.linalg.norm(phi)
+    return float(np.max(np.abs(levels - np.outer(levels @ phi, phi))))
 
 
 def reference_bound_lhs(traj: TrajectorySolution) -> np.ndarray:

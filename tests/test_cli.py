@@ -226,12 +226,20 @@ class TestRunSingle:
              "must be an integer number of steps"),
             (SEQUENCE.replace("horizon = 0.2\ndt = 0.01", "horizon = 0.5\ndt = 0.03"),
              "must be an integer number of steps"),
+            (STRESS.replace("dt = 0.01", "dt = 0.03"), "must be an integer number of steps"),
+            (QUICK.replace("family = constant\ng0 = 1.0", "family = powerlaw\nc = 1.0\nalpha = 0.5")
+             + "\n[experiment]\nformulation = integral_volterra\n\n[eps]\neps = 0\n",
+             "[time] the modulus is unbounded at eps = 0, so no cfl rule applies: give dt"),
         ],
-        ids=["history_window", "leapfrog_eps_zero", "single_run_dt", "eps_sequence_dt"],
+        ids=[
+            "history_window", "leapfrog_eps_zero", "single_run_dt", "eps_sequence_dt",
+            "stress_test_dt", "singular_eps_zero_cfl",
+        ],
     )
     def test_config_that_cannot_run_exits_two(self, tmp_path, capsys, text, message):
         # the memory reaches back to t = 0, so there is no history window;
-        # the others used to parse, then crash with a traceback (exit 1)
+        # stress_test_dt used to run to t = 0.51 and exit 0, and the others
+        # to parse, then crash with a traceback (exit 1)
         cfg = write_cfg(tmp_path, text)
         assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -299,7 +307,8 @@ eps = 0
 
 
     def test_sequence_abort_names_its_shift(self, tmp_path):
-        # the top grid mode under a large dt overflows at the finest shift only
+        # the top grid mode under a large dt overflows first at eps = 0.001,
+        # the third of the four shifts
         text = """\
 [experiment]
 mode = eps_sequence
@@ -311,15 +320,15 @@ c = 1.0
 alpha = 0.5
 
 [grid]
-n = 19
+n = 39
 
 [time]
-horizon = 6.0
-dt = 0.02
+horizon = 22.5
+dt = 0.015
 
 [data]
 u0 = sine_mode
-u0_params = {"amplitude": 1.0, "modes": [19]}
+u0_params = {"amplitude": 1.0, "modes": [39]}
 
 [eps]
 eps0 = 0.1
@@ -331,7 +340,8 @@ count = 3
             assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 3
         abort = read_manifest(out)["abort"]
         assert abort["type"] == "SolverAbort"
-        assert abort["eps"] == 0.1 * 0.1**3
+        assert abort["eps"] == pytest.approx(1e-3, rel=1e-12)
+        assert abort["message"].startswith("aborted at step 1342 ")
         assert f"eps = {abort['eps']!r}" in abort["message"]
 
 
@@ -383,7 +393,7 @@ class TestOtherModes:
     def test_manifest_records_every_run(self, tmp_path):
         from memvisco.config import parse_config_file
         from memvisco.runner import _build_spec, _resolve_dt
-        from memvisco.solver import stable_time_step
+        from memvisco.solver import run, stable_time_step
 
         cases = {
             "single": (QUICK, "direct", [0.05]),
@@ -408,14 +418,16 @@ class TestOtherModes:
                 assert record["spec_fingerprint"] == _build_spec(cfg, eps, dt).fingerprint()
                 assert record["history_backend"] == backend
                 if name == "volterra":
-                    assert 0.0 < record["max_correction_residual"] < 1e-3
+                    # the self-weight times the top eigenvalue of -lap
+                    assert record["z_max"] == run(_build_spec(cfg, eps, dt)).z_max
+                    assert 0.0 < record["z_max"] < 1.0
                     assert "dt_over_limit" not in record
                 elif backend is not None:
                     # dt over the leapfrog's stable limit at this shift
                     limit = stable_time_step(cfg.grid, cfg.kernel.modulus(eps))
                     assert record["dt_over_limit"] == dt / limit
                     assert 0.0 < record["dt_over_limit"] <= 1.0
-                    assert "max_correction_residual" not in record
+                    assert "z_max" not in record
 
     def test_manifest_times_the_phases_that_ran(self, tmp_path):
         every = "[diagnostics]\nenergy_decay = true\nweak_residual = true\n"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from memvisco.convergence import (
     eps_schedule,
     run_eps_sequence,
 )
+from memvisco.config import parse_config_file
 from memvisco.diagnostics import default_battery
 from memvisco.expressions import field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import ConstantKernel, PowerLawKernel, PronyKernel
-from memvisco.solver import CflViolation, ProblemSpec, cfl_time_step
+from memvisco.runner import _build_spec
+from memvisco.solver import CflViolation, ProblemSpec, cfl_time_step, run, trajectory_distance
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
 
@@ -76,6 +79,19 @@ class TestRunEpsSequence:
         )
         with pytest.raises(CflViolation, match="required dt"):
             run_eps_sequence(base, 0.1, 0.25, 4)
+
+
+def test_bundled_shifts_approach_the_unshifted_run():
+    # the paper's weak solution is the eps -> 0 limit: the distance of
+    # each powerlaw_theorem1.cfg shift to the run at eps = 0 itself falls
+    # with eps, at about the sqrt(eps) of sup|Ksh - K| ~ 2 sqrt(eps)
+    cfg = parse_config_file(Path(__file__).resolve().parents[1] / "configs" / "powerlaw_theorem1.cfg")
+    shifts = eps_schedule(cfg.eps0, cfg.ratio, cfg.count)
+    *shifted, limit = run(_build_spec(cfg, float(shifts[0]), cfg.dt), [*shifts, 0.0]).trajectories
+    distances = np.array([trajectory_distance(traj, limit) for traj in shifted])
+    assert np.all(np.diff(distances) < 0.0)
+    rate = np.polyfit(np.log(shifts), np.log(distances), 1)[0]
+    assert 0.4 <= rate <= 0.7
 
 
 class TestCauchyReport:

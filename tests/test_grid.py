@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import reference_laplacian
+from helpers import dirichlet_gradient_sq, reference_laplacian
 from memvisco.grid import (
     Field,
     Grid,
     GridMismatchError,
     dirichlet_edge_differences,
-    dirichlet_gradient_sq,
     inner_space,
     l2_space,
     l2_spacetime,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,15 +17,18 @@ from helpers import (
     l2q_error,
     manufactured_exact,
     manufactured_forcing,
+    non_mode_one,
     reference_integrodiff,
+    reference_laplacian,
     reference_velocities,
     reference_volterra,
     unchecked_spec,
 )
 import memvisco.solver as solver_module
+from memvisco.config import parse_config_file
 from memvisco.convergence import eps_schedule, run_eps_sequence
 from memvisco.expressions import Forcing, field_from_name
-from memvisco.grid import Field, Grid
+from memvisco.grid import Field, Grid, laplacian_array
 from memvisco.kernels import (
     ConstantKernel,
     KernelSum,
@@ -32,6 +36,7 @@ from memvisco.kernels import (
     PronyKernel,
     translate,
 )
+from memvisco.runner import _build_spec
 from memvisco.solver import (
     CflViolation,
     HistoryConvolution,
@@ -52,6 +57,7 @@ from memvisco.solver import (
 )
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def standing_wave_spec(n=49, cfl=0.5, horizon=1.0):
@@ -377,7 +383,7 @@ class TestShiftBatch:
             with _small_blocks(7, 3):
                 alone = run(dataclasses.replace(spec, eps=eps))
             assert traj.levels.tobytes() == alone.levels.tobytes()
-            assert traj.correction_residuals.tobytes() == alone.correction_residuals.tobytes()
+            assert traj.z_max == alone.z_max
             assert traj.spec_fingerprint == alone.spec_fingerprint
 
     def test_each_shift_is_its_lone_march_at_the_module_caps(self):
@@ -400,22 +406,30 @@ class TestShiftBatch:
             run(standing_wave_spec(), self.SHIFTS)
 
     def test_abort_names_the_failing_shift(self):
-        # the top grid mode under a large dt overflows at the finest shift
-        # only; a batched march stops for all shifts and names that one
-        g = Grid.line(19)
+        # the top grid mode under a large dt: of the shifts 0.1 .. 1e-4
+        # (z_max 0.74, 2.1, 4.0, 5.4) the third overflows first and the
+        # fourth later, while 0.1 and 0.01 stay finite; a batched march
+        # stops for all shifts at the first failure and names that shift
+        g = Grid.line(39)
         base = ProblemSpec(
-            kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=6.0, dt=0.02, eps=0.1,
-            u0=field_from_name(g, "sine_mode", {"amplitude": 1.0, "modes": [19]}),
+            kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=22.5, dt=0.015, eps=0.1,
+            u0=field_from_name(g, "sine_mode", {"amplitude": 1.0, "modes": [39]}),
             u1=Field.zero(g), formulation="integral_volterra",
         )
-        finest = float(eps_schedule(0.1, 0.1, 3)[-1])
+        shifts = eps_schedule(0.1, 0.1, 3)
+        failing = float(shifts[2])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverAbort, match="non-finite") as got:
                 run_eps_sequence(base, 0.1, 0.1, 3)
-            assert np.all(np.isfinite(run(dataclasses.replace(base, eps=0.001)).levels))
-        assert got.value.eps == finest
-        assert f"eps = {finest!r}" in str(got.value)
-        assert got.value.step < base.n_steps
+            with pytest.raises(SolverAbort) as alone:
+                run(dataclasses.replace(base, eps=failing))
+            with pytest.raises(SolverAbort) as finest:
+                run(dataclasses.replace(base, eps=float(shifts[3])))
+            assert np.all(np.isfinite(run(dataclasses.replace(base, eps=float(shifts[1]))).levels))
+        assert got.value.eps == failing
+        assert f"eps = {failing!r}" in str(got.value)
+        assert got.value.step == alone.value.step == 1342
+        assert got.value.step < finest.value.step < base.n_steps
 
 
 def _peak_above_entry(fn):
@@ -430,8 +444,9 @@ def _peak_above_entry(fn):
 
 def test_volterra_sequence_holds_no_history():
     # the benchmark's 7-shift sequence: the levels plus the blocked sums'
-    # ring, far sums and chunks, under 0.3x the levels; a stored history of
-    # every shift, as a (K, J, N) buffer, would add 1.0x
+    # ring, far sums and products, and the sine transforms' few levels,
+    # under 0.3x the levels; a stored history of every shift, as a
+    # (K, J, N) buffer, would add 1.0x
     g = Grid.line(99)
     base = ProblemSpec(
         kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=1.0, dt=0.0005, eps=0.1,
@@ -620,28 +635,26 @@ def _march_cases():
 class TestMarchersMatchReferenceLoops:
     """The marchers against their one-conv_weights-per-step loops.
 
-    Bitwise wherever the direct backend serves the run.  A Prony leapfrog
-    runs on the exponential recursion instead, whose sums
-    differ from the weight rows by round-off: there the levels must agree
-    to 1e-12 of max|u|.
+    Bitwise wherever the direct backend serves a leapfrog.  A Prony
+    leapfrog runs on the exponential recursion instead, whose sums differ
+    from the weight rows by round-off, and the Volterra march runs in sine
+    coefficients, where its oracle solves on the nodes: there the levels
+    must agree to 1e-12 of max|u|.
     """
 
     @pytest.mark.parametrize("spec", _march_cases())
     def test_levels_bitwise(self, spec):
         traj = run(spec)
-        exponential = spec.formulation == "integrodifferential" and isinstance(spec.kernel, PronyKernel)
+        leapfrog = spec.formulation == "integrodifferential"
+        exponential = leapfrog and isinstance(spec.kernel, PronyKernel)
         assert traj.history_backend == ("exponential" if exponential else "direct")
-        if exponential:
-            want = reference_integrodiff(spec)
+        if leapfrog and not exponential:
+            assert traj.levels.tobytes() == reference_integrodiff(spec).tobytes()
+        else:
+            want = reference_integrodiff(spec) if leapfrog else reference_volterra(spec)
             scale = np.max(np.abs(want))
             assert scale > 0.1
             assert np.max(np.abs(traj.levels - want)) <= 1e-12 * scale
-        elif spec.formulation == "integrodifferential":
-            assert traj.levels.tobytes() == reference_integrodiff(spec).tobytes()
-        else:
-            levels, resid = reference_volterra(spec)
-            assert traj.levels.tobytes() == levels.tobytes()
-            assert traj.correction_residuals.tobytes() == resid.tobytes()
 
 
 @pytest.mark.parametrize("spec", _march_cases())
@@ -654,9 +667,7 @@ def test_blocked_marchers_match_reference_loops(spec):
     if spec.formulation == "integrodifferential":
         want = reference_integrodiff(spec)
     else:
-        want, resid = reference_volterra(spec)
-        scale = np.max(resid)
-        assert np.max(np.abs(traj.correction_residuals - resid)) <= 1e-9 * scale
+        want = reference_volterra(spec)
     assert np.max(np.abs(traj.levels - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -788,8 +799,14 @@ class TestVolterra:
         )
         traj = run(spec)
         assert np.all(traj.levels == 0.0)
-        assert traj.correction_residuals is not None
-        assert np.all(traj.correction_residuals == 0.0)
+        # z_max: the self-weight lags[0] = left[0] times the top eigenvalue
+        # of -lap, read off the stencil on the top sine mode
+        left, _ = interval_weights(
+            translate(PRONY, 0.05)._integral2, translate(PRONY, 0.05)._integral3, 50, 0.02
+        )
+        top = np.sin(19 * np.pi * g.axis_coordinates(0))
+        mu_top = -reference_laplacian(g, top)[9] / top[9]
+        assert traj.z_max == pytest.approx(left[0] * mu_top, rel=1e-12)
 
     def test_agrees_with_integrodiff(self):
         g = Grid.line(31)
@@ -831,11 +848,11 @@ class TestVolterra:
         assert d_fine < 5e-3
 
     def test_abort_on_overflow(self):
-        # a far-too-large dt makes the explicit correction amplify the
-        # highest grid mode until it overflows
+        # the implicit step is not stable at every z: under a large dt,
+        # z_max = 28, the highest grid mode grows until it overflows
         g = Grid.line(19)
         spec = ProblemSpec(
-            kernel=ConstantKernel(1.0), grid=g, horizon=200.0, dt=2.0, eps=0.0,
+            kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=200.0, dt=0.2, eps=0.1,
             u0=Field(g, np.sin(19 * np.pi * g.axis_coordinates(0))), u1=Field.zero(g),
             formulation="integral_volterra",
         )
@@ -844,19 +861,70 @@ class TestVolterra:
                 run_integral_volterra(spec)
             with pytest.raises(SolverAbort) as want:
                 reference_volterra(spec)
-        # the residual check alone stops at the step both checks stopped at
-        assert got.value.step == want.value.step < spec.n_steps
+        # the oracle overflows in its nodal Laplacians, up to 4 / h^2 = 1600
+        # times the level, one step before the levels themselves do
+        assert got.value.step == 638 < spec.n_steps
+        assert got.value.eps == 0.1
+        assert want.value.step == got.value.step - 1
 
-    def test_correction_residuals_shrink_with_dt(self):
+    def test_z_max_shrinks_with_dt(self):
+        # the self-weight of a bounded modulus is G(eps) dt^2 / 6 to leading
+        # order, so halving dt quarters z_max
         g = Grid.line(19)
         u1 = field_from_name(g, "sin_pi_product", {"amplitude": 1.0})
-        def max_resid(dt):
+        def z_max(dt):
             spec = ProblemSpec(
                 kernel=PRONY, grid=g, horizon=0.5, dt=dt, eps=0.05,
                 u0=Field.zero(g), u1=u1, formulation="integral_volterra",
             )
-            return float(np.max(run(spec).correction_residuals))
-        assert max_resid(0.005) < max_resid(0.01) / 3.0
+            return run(spec).z_max
+        assert 3.9 < z_max(0.01) / z_max(0.005) < 4.1
+
+    @pytest.mark.parametrize(
+        "n, dt, eps, peak",
+        [(49, 0.005, 0.0, 0.1274), (49, 0.005, 0.1 * 2**-8, 0.1327), (99, 0.00125, 0.0, 0.1273)],
+    )
+    def test_runs_in_the_singular_limit_stay_in_mode_one(self, n, dt, eps, peak):
+        # a run that starts in sine mode 1 stays there; the explicit
+        # corrector grew the round-off of the top modes to max|u| = 2.8e184,
+        # 6.1e78 and 3.3e11 in these runs
+        g = Grid.line(n)
+        traj = run(ProblemSpec(
+            kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=1.0, dt=dt, eps=eps,
+            u0=Field.zero(g), u1=field_from_name(g, "sin_pi_product", {"amplitude": 1.0}),
+            formulation="integral_volterra",
+        ))
+        assert np.max(np.abs(traj.levels)) == pytest.approx(peak, abs=1e-4)
+        assert non_mode_one(g, traj.levels) < 1e-14
+
+    def test_bundled_shifts_stay_in_mode_one(self):
+        # every shift of powerlaw_theorem1.cfg, h = 6 too, where the
+        # explicit corrector had grown the other modes to 1.2e-5
+        cfg = parse_config_file(CONFIGS / "powerlaw_theorem1.cfg")
+        shifts = eps_schedule(cfg.eps0, cfg.ratio, cfg.count)
+        batch = run(_build_spec(cfg, float(shifts[0]), cfg.dt), shifts)
+        for traj in batch.trajectories:
+            assert non_mode_one(cfg.grid, traj.levels) < 1e-14
+
+
+@pytest.mark.parametrize("shifts", [None, (0.1, 0.01, 0.0)])
+@pytest.mark.parametrize("grid", [Grid.line(17), Grid((4, 5, 3), (1.0, 1.5, 0.8))])
+def test_volterra_march_takes_no_laplacian(grid, shifts):
+    # the march runs in sine coefficients: no Laplacian per step, nor for
+    # the blocked history sums, whose older levels past two blocks of
+    # _BLOCK_ROWS rows are read back from the stored coefficients
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return laplacian_array(*args)
+
+    n_steps = 2 * solver_module._BLOCK_ROWS + 5
+    spec = _volterra_spec(grid, 0.6, 0.6 / n_steps)
+    with mock.patch.object(solver_module, "laplacian_array", counted):
+        result = run(spec) if shifts is None else run(spec, shifts)
+    assert np.all(np.isfinite(result.levels))
+    assert calls == []
 
 
 class TestVelocities:
