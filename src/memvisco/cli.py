@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from memvisco import __version__
@@ -19,28 +20,38 @@ __all__ = ["main"]
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, float]:
-    out = {}
+    """KEY=VALUE pairs as a dict; like a [tolerances] value, each must be
+    a finite number > 0.  Raises ConfigError naming every bad pair."""
+    out, violations = {}, []
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep:
-            raise SystemExit(f"error: override {pair!r} is not of the form KEY=VALUE")
+            violations.append(f"override {pair!r} is not of the form KEY=VALUE")
+            continue
         try:
-            out[key.strip()] = float(value)
+            number = float(value)
         except ValueError:
-            raise SystemExit(f"error: override value {value!r} is not a number")
+            violations.append(f"override value {value!r} is not a number")
+            continue
+        if not (math.isfinite(number) and number > 0):
+            violations.append(f"override {pair!r} invalid: must be finite and positive")
+            continue
+        out[key.strip()] = number
+    if violations:
+        raise ConfigError(violations)
     return out
 
 
 def _cmd_run(args) -> int:
     try:
         cfg = parse_config_file(args.config)
+        overrides = _parse_overrides(args.tol_override)
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
-    overrides = _parse_overrides(args.tol_override)
     unknown = set(overrides) - set(cfg.tolerances)
     if unknown:
         print(

@@ -288,24 +288,14 @@ def _exponential_weights(a: float, tau: float, dt: float) -> tuple[float, float]
 
 
 # Caps of the direct backend's blocked history sums (HistoryConvolution).
-# A block of B rows holds 3 B samples per shift (the ring, the far sums and
-# one product) and a chunk of c recomputed samples per shift.  B stays
-# within _BLOCK_ROWS, and over all K shifts K B within _BLOCK_SAMPLES
-# samples and _BLOCK_BYTES bytes; c likewise.  That gives B = 73, c = 18
-# for a 7-shift sequence on 99 nodes and B = 105, c = 17 for one run on
-# 31^3 nodes.  Every leapfrog block recomputes the Laplacians of all older
-# levels, J^2 / (2 B) in a run, which bounds B from below on large grids.
+# A block of B rows holds two (K, B, N) buffers, its far sums and one
+# product, and a (K, B, B) weight block.  B stays within _BLOCK_ROWS, and
+# over all K shifts K B within _BLOCK_SAMPLES samples and _BLOCK_BYTES
+# bytes.  That gives B = 73 for a 7-shift sequence on 99 nodes and B = 105
+# for one run on 31^3 nodes.
 _BLOCK_ROWS = 128
 _BLOCK_SAMPLES = 512
 _BLOCK_BYTES = 24 * 2**20
-_CHUNK_SAMPLES = 128
-_CHUNK_BYTES = 4 * 2**20
-
-
-def _within(samples: int, cap_bytes: int, shifts: int, level_bytes: int) -> int:
-    """Levels per shift, at least 1, within `samples` samples over all
-    shifts and cap_bytes bytes."""
-    return max(1, min(samples // shifts, cap_bytes // level_bytes))
 
 
 class HistoryConvolution:
@@ -316,31 +306,28 @@ class HistoryConvolution:
     j = 1 .. n.  Its one table of lag weights is lags[d] = left[d] +
     right[d - 1] (lags[0] = left[0], lags[n] = right[n - 1]).  Row j weighs
     level m >= 1 by lags[j - m], and level 0 by oldest[j - 1] = right[j - 1].
-    row, the blocked sums and adjoint read that table.
+    row, next_sum and adjoint read that table.
 
     left and right may carry a leading shift axis, (K, n): one weight set
-    per shift of a sequence, sharing n.  lags, oldest, row and the streamed
-    sums then carry that axis too; adjoint takes a single weight set.
+    per shift of a sequence, sharing n.  lags, oldest, row and next_sum
+    then carry that axis too; adjoint takes a single weight set.
 
-    A marcher streams its samples through it: push(p(t_0)), push(p(t_1)),
-    ..., and next_sum() gives row(j) @ the samples pushed so far for
-    j = 1, 2, ... in turn, levels not pushed yet weighing nothing.  A
-    sample holds N values per shift.  This direct backend sums in blocks
-    of B rows and keeps no history.  At a block's first row j0 the part
-    of its B sums on the levels m < j0 is one matrix product per shift and
-    chunk of levels: the levels since the previous block's first row are
-    still in a ring of the pushed samples, and source(m0, m1) gives the
-    older ones again, levels m0 .. m1 - 1, shaped (K, m1 - m0, N) or
-    reshapable to it.  The levels from j0 on come from the ring.  A run of
-    at most two blocks needs no source.  B and the chunk length c follow
-    from the module caps _BLOCK_* and _CHUNK_*.  A sum costs O(j N) flops;
-    a block recomputes O(j0) samples; the ring, the block's sums and a
-    chunk are all the memory it holds.
+    A marcher that stores its levels asks next_sum(levels) for the rows
+    j = 1, 2, ... in turn, passing a view of its levels 0 .. top - 1:
+    top = j + 1 for the whole row, or top = j to leave level j out.  The
+    memory term is linear in the levels, so a marcher sums the levels
+    themselves and applies any operator, such as the Laplacian, once to
+    the sum.  This direct backend sums in blocks of B rows, B from the
+    module caps _BLOCK_*.  At a block's first row j0 the part of its B
+    sums on the levels m < j0 is one matrix product per shift and chunk of
+    B levels; a row then adds its levels from j0 on.  A sum costs O(j N)
+    flops, and the block's sums and one product are all the memory it
+    holds.
     """
 
     backend = "direct"
 
-    def __init__(self, left, right, source=None):
+    def __init__(self, left, right):
         left = np.asarray(left, dtype=float)
         right = np.asarray(right, dtype=float)
         n = left.shape[-1]
@@ -349,25 +336,19 @@ class HistoryConvolution:
         self.lags[..., :n] += left
         self.lags[..., 1:] += right
         self._largest = max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0))
-        self._source = source
-        self._ring = None
-        self._pushed = 0
         self._rows_summed = 0
 
     @classmethod
-    def memory(
-        cls, kernel: RelaxationKernel, eps: float, n: int, dt: float, source=None
-    ) -> "HistoryConvolution":
+    def memory(cls, kernel: RelaxationKernel, eps: float, n: int, dt: float) -> "HistoryConvolution":
         """The leapfrog's memory term, w(s) = dG(eps + s), over n steps of dt.
 
         A Prony kernel with terms gets the exponential backend; any other
-        kernel gets the direct one, which recomputes older samples from
-        source.
+        kernel gets the direct one.
         """
         if isinstance(kernel, PronyKernel) and kernel.terms:
             return _ExponentialHistory(kernel, eps, n, dt)
         shifted = translate(kernel, eps)
-        return cls(*interval_weights(shifted._modulus, shifted._integral, n, dt), source)
+        return cls(*interval_weights(shifted._modulus, shifted._integral, n, dt))
 
     def inert(self, g0: float) -> bool:
         """True when the weights are pure roundoff next to G(eps).
@@ -425,71 +406,54 @@ class HistoryConvolution:
             w[:, :, 0] = np.atleast_2d(self.oldest)[:, j0 - 1 : j1 - 1] + 0.0
         return w
 
-    def push(self, sample: np.ndarray) -> None:
-        """Append the sample of the next level, level 0 first."""
-        if self._ring is None:
-            self._start(sample.size)
-        self._ring[:, self._pushed - self._first] = sample.reshape(self._ring.shape[0], -1)
-        self._pushed += 1
-
-    def _start(self, size: int) -> None:
-        shifts = 1 if self.lags.ndim == 1 else self.lags.shape[0]
-        n_nodes = size // shifts
-        # one block, rows 1 .. n, serves a run shorter than B
-        block = _within(_BLOCK_SAMPLES, _BLOCK_BYTES, shifts, 8 * size)
-        self._rows = min(block, _BLOCK_ROWS, self.lags.shape[-1])
-        self._chunk = _within(_CHUNK_SAMPLES, _CHUNK_BYTES, shifts, 8 * size)
-        # The first block is rows 1 .. B - 1, with levels 0 .. B in the ring
-        # and nothing far; a later one starts at row j0 with level j0 in
-        # ring slot 0.  Either way the ring slot of level m is m - _first.
-        self._first = 0
-        self._ring = np.empty((shifts, self._rows + 1, n_nodes))
-        self._far = np.zeros((shifts, self._rows, n_nodes))
-        self._product = np.empty_like(self._far)
-
-    def _begin_block(self, j0: int) -> None:
-        """Sum the rows j0 .. j0 + B - 1 over the levels below j0, then carry
-        the pushed levels >= j0 to the front of the ring.
-
-        The levels since the last block's first row are still in the ring;
-        only the ones before it come from source, chunk by chunk.
-        """
-        n_rows = min(self._rows, self.lags.shape[-1] - j0)
-        far, product = self._far[:, :n_rows], self._product[:, :n_rows]
-        first = self._first
-        spans = [(m0, min(m0 + self._chunk, first)) for m0 in range(0, first, self._chunk)]
-        spans.append((first, j0))
-        for i, (m0, m1) in enumerate(spans):
-            if m0 >= first:
-                samples = self._ring[:, m0 - first : m1 - first]
-            elif self._source is None:
-                raise ValueError("the direct backend needs a source for histories past two blocks")
-            else:
-                samples = self._source(m0, m1).reshape(self._ring.shape[0], m1 - m0, -1)
-            np.matmul(self._block(j0, j0 + n_rows, m0, m1), samples, out=product if i else far)
-            if i:
-                far += product
-        self._ring[:, : self._pushed - j0] = self._ring[:, j0 - first : self._pushed - first]
-        self._first = j0
-
-    def next_sum(self) -> np.ndarray:
-        """row(j) @ the pushed samples for the next row j, one flat sum per shift."""
+    def _next_row(self, levels: np.ndarray) -> tuple[int, np.ndarray]:
+        """The next row j and levels as a (K, top, N) stack, top j or j + 1."""
         self._rows_summed += 1
         j = self._rows_summed
-        if self._pushed < j:
-            raise ValueError("the direct backend sums a row j once levels 0 .. j - 1 are pushed")
+        top = levels.shape[self.lags.ndim - 1]
+        if top not in (j, j + 1):
+            raise ValueError(f"row {j} sums levels 0 .. {j - 1} or 0 .. {j}, not {top} levels")
+        shifts = 1 if self.lags.ndim == 1 else self.lags.shape[0]
+        return j, levels.reshape(shifts, top, -1)
+
+    def next_sum(self, levels: np.ndarray) -> np.ndarray:
+        """row(j) @ levels for the next row j, one flat sum per shift.
+
+        levels holds the stored levels 0 .. top - 1 of each shift, as
+        (K, top, ...) or, without a shift axis, (top, ...); top is j or
+        j + 1, the levels past it weighing nothing.
+        """
+        j, stack = self._next_row(levels)
+        if j == 1:
+            # the first block is rows 1 .. B - 1, with nothing far
+            shifts, _, n_nodes = stack.shape
+            block = min(_BLOCK_SAMPLES // shifts, _BLOCK_BYTES // (8 * shifts * n_nodes))
+            self._rows = max(1, min(block, _BLOCK_ROWS, self.lags.shape[-1]))
+            self._first = 0
+            self._far = np.zeros((shifts, self._rows, n_nodes))
+            self._product = np.empty_like(self._far)
         if j == self._first + self._rows:
-            self._begin_block(j)
-        top = min(self._pushed, j + 1)
-        near = np.matmul(
-            self._block(j, j + 1, self._first, top), self._ring[:, : top - self._first]
-        )[:, 0]
-        near += self._far[:, j - self._first]
+            self._begin_block(j, stack)
+        first = self._first
+        near = np.matmul(self._block(j, j + 1, first, stack.shape[1]), stack[:, first:])[:, 0]
+        near += self._far[:, j - first]
         return near if self.lags.ndim > 1 else near[0]
+
+    def _begin_block(self, j0: int, stack: np.ndarray) -> None:
+        """Sum the rows j0 .. j0 + B - 1 over the levels below j0, one
+        product per chunk of B levels."""
+        n_rows = min(self._rows, self.lags.shape[-1] - j0)
+        far, product = self._far[:, :n_rows], self._product[:, :n_rows]
+        for m0 in range(0, j0, self._rows):
+            m1 = min(m0 + self._rows, j0)
+            np.matmul(self._block(j0, j0 + n_rows, m0, m1), stack[:, m0:m1], out=product if m0 else far)
+            if m0:
+                far += product
+        self._first = j0
 
 
 class _ExponentialHistory(HistoryConvolution):
-    """Streamed sums of w(s) = dG(eps + s) for a Prony kernel, by recursion.
+    """Sums of w(s) = dG(eps + s) for a Prony kernel, by recursion.
 
     A term g e^{-t/tau} of G has interval weights geometric in the lag,
     left[d] = r^d left[0] and right[d] = r^d right[0] with r = e^{-dt/tau},
@@ -498,10 +462,10 @@ class _ExponentialHistory(HistoryConvolution):
         C_j = r C_{j-1} + left[0] p_j + right[0] p_{j-1},   C_0 = 0,
 
     and next_sum() returns the sum of C_j over the terms: O(terms N) per
-    step with no stored samples.  It sums whole rows only, so push level j
-    before asking for row j.  row, adjoint and inert see the geometric
-    weights, summed over the terms; they match the direct interval weights
-    up to the round-off those lose to cancellation.
+    step, reading only the two newest of the levels it is given.  It sums
+    whole rows only, top = j + 1.  row, adjoint and inert see the
+    geometric weights, summed over the terms; they match the direct
+    interval weights up to the round-off those lose to cancellation.
     """
 
     backend = "exponential"
@@ -518,26 +482,19 @@ class _ExponentialHistory(HistoryConvolution):
             left += left0 * decay
             right += right0 * decay
         super().__init__(left, right)
-        self._states = None
 
-    def push(self, sample: np.ndarray) -> None:
-        sample = sample.reshape(-1)
-        if self._states is None:
-            self._states = [np.zeros(sample.size) for _ in self._terms]
-            self._previous = np.empty(sample.size)
-        else:
-            for state, (r, left0, right0) in zip(self._states, self._terms):
-                state *= r
-                state += left0 * sample
-                state += right0 * self._previous
-        self._previous[:] = sample
-        self._pushed += 1
-
-    def next_sum(self) -> np.ndarray:
+    def next_sum(self, levels: np.ndarray) -> np.ndarray:
         """The sum of the newest whole row; the array may be reused, do not keep it."""
-        self._rows_summed += 1
-        if self._pushed != self._rows_summed + 1:
-            raise ValueError("the exponential backend sums whole rows: push level j first")
+        j, stack = self._next_row(levels)
+        if stack.shape[1] != j + 1:
+            raise ValueError("the exponential backend sums whole rows: pass levels 0 .. j")
+        newest, previous = stack[0, j], stack[0, j - 1]
+        if j == 1:
+            self._states = [np.zeros(newest.size) for _ in self._terms]
+        for state, (r, left0, right0) in zip(self._states, self._terms):
+            state *= r
+            state += left0 * newest
+            state += right0 * previous
         if len(self._states) == 1:
             return self._states[0]
         return sum(self._states[1:], self._states[0])
@@ -555,9 +512,7 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
     g0 = translate(spec.kernel, spec.eps).modulus(0.0)
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
-    history = HistoryConvolution.memory(
-        spec.kernel, spec.eps, J, dt, source=lambda m0, m1: laplacian_array(grid, levels[m0:m1])
-    )
+    history = HistoryConvolution.memory(spec.kernel, spec.eps, J, dt)
     # constant kernel: weights are pure roundoff, skip the memory term
     inert = history.inert(g0)
 
@@ -569,18 +524,15 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
     lap = laplacian_array(grid, levels[0])
     levels[1] = levels[0] + dt * spec.u1.values + 0.5 * dt * dt * (g0 * lap + forcing(0.0))
 
-    memory = 0.0
-    if not inert:
-        history.push(lap)
     for j in range(1, J):
-        lap = laplacian_array(grid, levels[j])
+        # u_{j+1} = 2 u_j - u_{j-1} + dt^2 (lap(g0 u_j + H_j) + f), in place,
+        # operation by operation as written, with H_j the history sum of the
+        # levels 0 .. j: the memory term is linear in u, so one Laplacian a
+        # step serves it and the instantaneous term
+        stress = g0 * levels[j]
         if not inert:
-            history.push(lap)
-            memory = history.next_sum().reshape(shape)
-        # u_{j+1} = 2 u_j - u_{j-1} + dt^2 (g0 lap + memory + f), in place,
-        # operation by operation as written
-        accel = g0 * lap
-        accel += memory
+            stress += history.next_sum(levels[: j + 1]).reshape(shape)
+        accel = laplacian_array(grid, stress)
         accel += forcing(j * dt)
         accel *= dt * dt
         new = levels[j + 1]
@@ -716,7 +668,7 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     for k, eps in enumerate(shifts):
         kk = spec.kernel if eps == 0.0 else translate(spec.kernel, float(eps))
         left[k], right[k] = interval_weights(kk._integral2, kk._integral3, J, dt)
-    history = HistoryConvolution(left, right, source=lambda m0, m1: levels[:, m0:m1])
+    history = HistoryConvolution(left, right)
     mu = _laplacian_eigenvalues(grid)
     minus_mu = -mu
     # the newest level of every row weighs lags[0]
@@ -731,9 +683,8 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     levels[:, 0] = u0
 
     for j in range(1, J + 1):
-        history.push(levels[:, j - 1])
         new = levels[:, j]
-        np.multiply(history.next_sum().reshape(new.shape), minus_mu, out=new)
+        np.multiply(history.next_sum(levels[:, :j]).reshape(new.shape), minus_mu, out=new)
         new += u1 * (j * dt)
         new += u0
         new += f_double[j]

@@ -361,10 +361,23 @@ class TestToleranceOverrides:
         assert code == 2
         assert "unknown tolerance override" in capsys.readouterr().err
 
-    def test_malformed_override_rejected(self, tmp_path):
+    def test_malformed_override_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
-        with pytest.raises(SystemExit, match="KEY=VALUE"):
-            cli.main(["run", cfg, "--tol-override", "no_equals_sign"])
+        assert cli.main(["run", cfg, "--tol-override", "no_equals_sign"]) == 2
+        assert "KEY=VALUE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pair", ["decay_safety=nan", "decay_safety=inf", "decay_safety=-1", "decay_safety=0",
+                 "decay_safety=abc", "decay_safety"],
+    )
+    def test_bad_override_exits_two(self, tmp_path, capsys, pair):
+        # an override obeys the [tolerances] rule, finite and > 0: a NaN
+        # tolerance passed every decay check
+        cfg = write_cfg(tmp_path, QUICK)
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out), "--tol-override", pair]) == 2
+        assert "override" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOtherModes:

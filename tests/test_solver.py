@@ -281,36 +281,36 @@ def test_adjoint_is_the_transposed_row_loop(n, exponential, zeros, seed):
 
 
 def _blocked_sums(history, samples, newest):
-    """Streamed sums of rows 1 .. n of samples (K, n + 1, N).  With newest,
-    level j is pushed before row j is asked for (the leapfrog's order);
-    without, after (the Volterra march's, whose row j leaves level j out)."""
-    n = samples.shape[1] - 1
+    """next_sum of rows 1 .. n on views of samples (K, n + 1, N), or
+    (n + 1, N) for weights without a shift axis.  With newest, row j sees
+    levels 0 .. j (the leapfrog's view); without, levels 0 .. j - 1 (the
+    Volterra march's, whose row j leaves level j out)."""
+    stacked = history.lags.ndim > 1
+    n = samples.shape[stacked] - 1
     got = np.zeros_like(samples)
-    history.push(samples[:, 0])
     for j in range(1, n + 1):
-        if newest:
-            history.push(samples[:, j])
-        got[:, j] = history.next_sum()
-        if not newest and j < n:
-            history.push(samples[:, j])
+        top = j + 1 if newest else j
+        if stacked:
+            got[:, j] = history.next_sum(samples[:, :top])
+        else:
+            got[j] = history.next_sum(samples[:top])
     return got
 
 
-def _small_blocks(rows, chunk, shifts=1):
-    """Blocks of `rows` rows and chunks of `chunk` levels for `shifts` shifts."""
-    return mock.patch.multiple(solver_module, _BLOCK_ROWS=rows, _CHUNK_SAMPLES=chunk * shifts)
+def _small_blocks(rows):
+    """Blocks of `rows` rows, and chunks of as many levels."""
+    return mock.patch.object(solver_module, "_BLOCK_ROWS", rows)
 
 
 @given(
     shifts=st.integers(1, 3),
     flat=st.booleans(),
     rows=st.sampled_from([1, 2, 3, 5]),
-    chunk=st.sampled_from([1, 2, 4]),
     edge=st.sampled_from(["B-1", "B", "B+1", "2B+1"]),
     newest=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_sums_match_the_row_loop(shifts, flat, rows, chunk, edge, newest, seed):
+def test_blocked_sums_match_the_row_loop(shifts, flat, rows, edge, newest, seed):
     # the blocked (K, N) sums against the conv_weights row loop, with the
     # run ending on and around the block edges; K = 1 also without a shift
     # axis.  The blocks sum in another order, so the bound is relative to
@@ -319,10 +319,11 @@ def test_blocked_sums_match_the_row_loop(shifts, flat, rows, chunk, edge, newest
     rng = np.random.default_rng(seed)
     left, right = rng.standard_normal((2, shifts, n))
     samples = rng.standard_normal((shifts, n + 1, 4))
-    weights = (left[0], right[0]) if flat and shifts == 1 else (left, right)
-    history = HistoryConvolution(*weights, source=lambda m0, m1: samples[:, m0:m1])
-    with _small_blocks(rows, chunk, shifts):
-        got = _blocked_sums(history, samples, newest)
+    flat = flat and shifts == 1
+    history = HistoryConvolution(*((left[0], right[0]) if flat else (left, right)))
+    with _small_blocks(rows):
+        got = _blocked_sums(history, samples[0] if flat else samples, newest)
+    got = got[None] if flat else got
     for k in range(shifts):
         for j in range(1, n + 1):
             top = j + 1 if newest else j
@@ -338,23 +339,13 @@ def test_blocked_sums_at_the_module_caps():
     rng = np.random.default_rng(3)
     left, right = rng.standard_normal((2, shifts, n))
     samples = rng.standard_normal((shifts, n + 1, 5))
-    history = HistoryConvolution(left, right, source=lambda m0, m1: samples[:, m0:m1])
+    history = HistoryConvolution(left, right)
     got = _blocked_sums(history, samples, newest=False)
     for k in range(shifts):
         for j in range(1, n + 1):
             w = conv_weights(left[k], right[k], j)[:j]
             magnitude = np.abs(w) @ np.abs(samples[k, :j])
             assert np.all(np.abs(got[k, j] - w @ samples[k, :j]) <= 1e-13 * magnitude)
-
-
-def test_blocked_sums_need_a_source_past_two_blocks():
-    samples = np.ones((12, 3))
-    history = HistoryConvolution(np.ones(11), np.ones(11))
-    with _small_blocks(4, 2), pytest.raises(ValueError, match="source"):
-        _blocked_sums(history, samples[None], newest=True)
-    history = HistoryConvolution(np.ones(7), np.ones(7))
-    with _small_blocks(4, 2):
-        _blocked_sums(history, samples[None, :8], newest=True)
 
 
 def _volterra_spec(grid, horizon, dt, forcing=None):
@@ -372,23 +363,24 @@ class TestShiftBatch:
     SHIFTS = (0.1, 0.01, 0.0)
 
     def test_each_shift_is_its_lone_march_bitwise(self):
-        # the products are issued per shift, so with the same block and
-        # chunk lengths a shift's levels do not depend on the others
+        # the products are issued per shift, so with the same block
+        # length a shift's levels do not depend on the others
         pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
         spec = _volterra_spec(Grid.line(17), 0.6, 0.01, pulse)
-        with _small_blocks(7, 3, len(self.SHIFTS)):
+        with _small_blocks(7):
             batch = run(spec, self.SHIFTS)
         assert batch.levels.shape == (3, spec.n_steps + 1, 17)
         for eps, traj in zip(self.SHIFTS, batch.trajectories):
-            with _small_blocks(7, 3):
+            with _small_blocks(7):
                 alone = run(dataclasses.replace(spec, eps=eps))
             assert traj.levels.tobytes() == alone.levels.tobytes()
             assert traj.z_max == alone.z_max
             assert traj.spec_fingerprint == alone.spec_fingerprint
 
     def test_each_shift_is_its_lone_march_at_the_module_caps(self):
-        # the caps give a batch shorter chunks than a lone run, so the two
-        # sum in different orders and agree to round-off
+        # over three blocks of the shipped caps; where the caps give a batch
+        # shorter blocks than a lone run, the two sum in different orders
+        # and agree to round-off
         spec = _volterra_spec(Grid.line(17), 0.6, 0.6 / (2 * solver_module._BLOCK_ROWS + 5))
         batch = run(spec, self.SHIFTS)
         for eps, traj in zip(self.SHIFTS, batch.trajectories):
@@ -444,9 +436,9 @@ def _peak_above_entry(fn):
 
 def test_volterra_sequence_holds_no_history():
     # the benchmark's 7-shift sequence: the levels plus the blocked sums'
-    # ring, far sums and products, and the sine transforms' few levels,
-    # under 0.3x the levels; a stored history of every shift, as a
-    # (K, J, N) buffer, would add 1.0x
+    # far sums and product, and the sine transforms' few levels, under
+    # 0.3x the levels; a stored history of every shift, as a (K, J, N)
+    # buffer, would add 1.0x
     g = Grid.line(99)
     base = ProblemSpec(
         kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=1.0, dt=0.0005, eps=0.1,
@@ -461,7 +453,7 @@ def test_volterra_sequence_holds_no_history():
 
 def test_powerlaw_leapfrog_holds_no_history():
     # the direct backend kept a (J + 1, N) Laplacian stack the size of the
-    # levels; the blocked sums hold under 0.75x of it here
+    # levels; the blocked sums on the levels hold under 0.35x of it here
     g = Grid.box(9)
     kernel = PowerLawKernel(c=1.0, alpha=0.5)
     spec = ProblemSpec(
@@ -472,7 +464,7 @@ def test_powerlaw_leapfrog_holds_no_history():
     levels_bytes = 8 * (spec.n_steps + 1) * g.n_total
     assert traj.history_backend == "direct"
     assert traj.levels.nbytes == levels_bytes
-    assert peak < 1.75 * levels_bytes
+    assert peak < 1.35 * levels_bytes
 
 
 _TERMS = {
@@ -483,12 +475,10 @@ _TERMS = {
 
 
 def _stream_sums(history, samples):
-    """next_sum() after the push of every level j >= 1; row 0 stays zero."""
+    """next_sum() of every row j >= 1 on the levels 0 .. j; row 0 stays zero."""
     out = np.zeros_like(samples)
-    history.push(samples[0])
     for j in range(1, samples.shape[0]):
-        history.push(samples[j])
-        out[j] = history.next_sum()
+        out[j] = history.next_sum(samples[: j + 1])
     return out
 
 
@@ -559,23 +549,31 @@ class TestExponentialHistory:
 
     @pytest.mark.parametrize("kernel", [PRONY, PowerLawKernel(c=1.0, alpha=0.5)])
     def test_push_keeps_no_reference_to_the_caller_array(self, kernel):
+        # each next_sum pushes the levels it is handed into the history's
+        # sums or states; it may keep no view of the caller's storage
         samples = np.random.default_rng(9).standard_normal((12, 5))
         want = _stream_sums(HistoryConvolution.memory(kernel, 0.05, 11, 0.02), samples)
         history = HistoryConvolution.memory(kernel, 0.05, 11, 0.02)
-        buf = np.empty(5)
         got = np.zeros_like(samples)
-        for j in range(12):
-            buf[:] = samples[j]  # one buffer, overwritten for every level
-            history.push(buf)
-            if j:
-                got[j] = history.next_sum()
+        for j in range(1, 12):
+            levels = samples[: j + 1].copy()
+            got[j] = history.next_sum(levels)
+            levels[:] = np.nan  # the caller's storage changes after the call
         assert got.tobytes() == want.tobytes()
 
     def test_refuses_a_partial_row(self):
         history = HistoryConvolution.memory(PRONY, 0.05, 10, 0.01)
-        history.push(np.ones(3))
         with pytest.raises(ValueError, match="whole rows"):
-            history.next_sum()
+            history.next_sum(np.ones((1, 3)))
+
+    @pytest.mark.parametrize("kernel", [PRONY, PowerLawKernel(c=1.0, alpha=0.5)])
+    @pytest.mark.parametrize("top", [0, 1, 4])
+    def test_refuses_a_stack_that_is_not_the_row(self, kernel, top):
+        # row 2 takes levels 0 .. 1 or 0 .. 2, nothing shorter or longer
+        history = HistoryConvolution.memory(kernel, 0.05, 10, 0.01)
+        history.next_sum(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="row 2"):
+            history.next_sum(np.ones((top, 3)))
 
 
 def test_prony_leapfrog_stores_no_history():
@@ -635,11 +633,12 @@ def _march_cases():
 class TestMarchersMatchReferenceLoops:
     """The marchers against their one-conv_weights-per-step loops.
 
-    Bitwise wherever the direct backend serves a leapfrog.  A Prony
-    leapfrog runs on the exponential recursion instead, whose sums differ
-    from the weight rows by round-off, and the Volterra march runs in sine
-    coefficients, where its oracle solves on the nodes: there the levels
-    must agree to 1e-12 of max|u|.
+    The levels must agree to 1e-12 of max|u|.  The leapfrog takes the
+    Laplacian of its history sum of the levels, where the oracle sums the
+    levels' Laplacians, and the two differ by round-off; a Prony leapfrog
+    also runs on the exponential recursion, whose sums differ from the
+    weight rows by round-off.  The Volterra march runs in sine
+    coefficients, where its oracle solves on the nodes.
     """
 
     @pytest.mark.parametrize("spec", _march_cases())
@@ -648,27 +647,24 @@ class TestMarchersMatchReferenceLoops:
         leapfrog = spec.formulation == "integrodifferential"
         exponential = leapfrog and isinstance(spec.kernel, PronyKernel)
         assert traj.history_backend == ("exponential" if exponential else "direct")
-        if leapfrog and not exponential:
-            assert traj.levels.tobytes() == reference_integrodiff(spec).tobytes()
-        else:
-            want = reference_integrodiff(spec) if leapfrog else reference_volterra(spec)
-            scale = np.max(np.abs(want))
-            assert scale > 0.1
-            assert np.max(np.abs(traj.levels - want)) <= 1e-12 * scale
+        want = reference_integrodiff(spec) if leapfrog else reference_volterra(spec)
+        scale = np.max(np.abs(want))
+        assert scale > 0.1
+        assert np.max(np.abs(traj.levels - want)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("spec", _march_cases())
 def test_blocked_marchers_match_reference_loops(spec):
-    # the runs above fit one block of the shipped caps, where a sum is one
-    # product over its row as in the row loop; blocks of 4 rows and chunks
-    # of 3 levels sum in another order, so the levels agree to round-off
-    with _small_blocks(4, 3):
-        traj = run(spec)
+    # the runs above fit one block of the shipped caps; blocks of 4 rows,
+    # and of 1, sum in other orders, so the levels agree to round-off
     if spec.formulation == "integrodifferential":
         want = reference_integrodiff(spec)
     else:
         want = reference_volterra(spec)
-    assert np.max(np.abs(traj.levels - want)) <= 1e-12 * np.max(np.abs(want))
+    for rows in (4, 1):
+        with _small_blocks(rows):
+            traj = run(spec)
+        assert np.max(np.abs(traj.levels - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_integrated_forcing_without_forcing_is_a_broadcast_zero():
@@ -925,6 +921,36 @@ def test_volterra_march_takes_no_laplacian(grid, shifts):
         result = run(spec) if shifts is None else run(spec, shifts)
     assert np.all(np.isfinite(result.levels))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        PowerLawKernel(c=1.0, alpha=0.5),
+        KernelSum((PronyKernel(g_inf=0.3, terms=((0.4, 0.5),)), PowerLawKernel(c=0.5, alpha=0.3))),
+        PRONY,
+    ],
+)
+def test_leapfrog_takes_one_laplacian_per_step(kernel):
+    # the history is summed on the levels, so step j takes the one
+    # Laplacian of g0 u_j + H_j, a single level, also in runs past two
+    # blocks of _BLOCK_ROWS rows, whose far sums read the older levels
+    calls = []
+
+    def counted(grid, values):
+        calls.append(values.shape)
+        return laplacian_array(grid, values)
+
+    g = Grid.line(17)
+    n_steps = 2 * solver_module._BLOCK_ROWS + 5
+    spec = ProblemSpec(
+        kernel=kernel, grid=g, horizon=2.0, dt=2.0 / n_steps, eps=0.05,
+        u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}),
+    )
+    with mock.patch.object(solver_module, "laplacian_array", counted):
+        traj = run(spec)
+    assert np.all(np.isfinite(traj.levels))
+    assert calls == [g.shape] * spec.n_steps
 
 
 class TestVelocities:
