@@ -5,16 +5,33 @@ Usage: run_all_configs.py [out-root]   (default: ./out next to the repo)
 
 After each config it prints one `<sha256>  <config>/<file>.csv` line per
 CSV in its run directory, so two checkouts' outputs compare byte for byte
-with `diff <(grep 'csv$' a.txt) <(grep 'csv$' b.txt)`.
+with `diff <(grep 'csv$' a.txt) <(grep 'csv$' b.txt)`.  A config fails
+when its exit code is not 0 or its manifest.json is not strict JSON
+(RFC 8259: no NaN or Infinity).
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
 from memvisco.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def strict_json_error(path: Path) -> str | None:
+    """Why path is not strict JSON, or None when it is."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON value")
+
+    try:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+    except (OSError, ValueError) as exc:
+        return str(exc)
+    return None
+
 
 if __name__ == "__main__":
     out_root = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "out"
@@ -25,7 +42,10 @@ if __name__ == "__main__":
         print(f"{cfg.name}: exit {code}")
         for path in sorted(out.glob("*.csv")):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {cfg.stem}/{path.name}")
-        if code != 0:
+        error = strict_json_error(out / "manifest.json")
+        if error:
+            print(f"{cfg.name}: manifest.json is not strict JSON: {error}")
+        if code != 0 or error:
             failures.append(cfg.name)
     if failures:
         raise SystemExit(f"failed: {', '.join(failures)}")

@@ -7,8 +7,6 @@ error, 3 solver abort or stability refusal.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import math
 import sys
 
 from memvisco import __version__
@@ -19,48 +17,17 @@ from memvisco.runner import run_experiment
 __all__ = ["main"]
 
 
-def _parse_overrides(pairs: list[str]) -> dict[str, float]:
-    """KEY=VALUE pairs as a dict; like a [tolerances] value, each must be
-    a finite number > 0.  Raises ConfigError naming every bad pair."""
-    out, violations = {}, []
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            violations.append(f"override {pair!r} is not of the form KEY=VALUE")
-            continue
-        try:
-            number = float(value)
-        except ValueError:
-            violations.append(f"override value {value!r} is not a number")
-            continue
-        if not (math.isfinite(number) and number > 0):
-            violations.append(f"override {pair!r} invalid: must be finite and positive")
-            continue
-        out[key.strip()] = number
-    if violations:
-        raise ConfigError(violations)
-    return out
-
-
 def _cmd_run(args) -> int:
+    # a KEY=VALUE pair is a [tolerances] line, checked by its rules
+    overrides = dict(pair.partition("=")[::2] for pair in args.tol_override)
     try:
-        cfg = parse_config_file(args.config)
-        overrides = _parse_overrides(args.tol_override)
+        cfg = parse_config_file(args.config, overrides)
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
-    unknown = set(overrides) - set(cfg.tolerances)
-    if unknown:
-        print(
-            "error: unknown tolerance override(s): " + ", ".join(sorted(unknown)),
-            file=sys.stderr,
-        )
-        return 2
-    if overrides:
-        cfg = dataclasses.replace(cfg, tolerances={**cfg.tolerances, **overrides})
     code = run_experiment(cfg, args.out)
     print(f"mode={cfg.mode} out={args.out} exit={code}")
     return code

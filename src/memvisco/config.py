@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from memvisco.expressions import FORCING_NAMES, SPACE_NAMES, Forcing, field_from_name
 from memvisco.grid import Grid
-from memvisco.kernels import RelaxationKernel, kernel_from_dict
+from memvisco.kernels import KERNEL_KEYS, RelaxationKernel, kernel_from_dict
 from memvisco.solver import FORMULATIONS, ProblemSpec
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_file"]
@@ -26,7 +26,7 @@ STRAINS = ("step", "ramp", "constant_forever")
 
 _KNOWN_KEYS = {
     "experiment": {"mode", "formulation"},
-    "kernel": {"family", "g0", "g_inf", "terms", "c", "alpha", "parts"},
+    "kernel": {"family", *(key for keys in KERNEL_KEYS.values() for key in keys)},
     "grid": {"dim", "n", "extent"},
     "time": {"horizon", "dt", "cfl", "n_samples"},
     "data": {"u0", "u0_params", "u1", "u1_params", "f", "f_params"},
@@ -113,14 +113,11 @@ class _Collector:
             if default is not None:
                 self.defaults.append(f"{section}.{key} = {default!r}")
             return default
-        if isinstance(raw, str):
-            try:
-                value = cast(raw)
-            except (TypeError, ValueError):
-                self.fail(f"[{section}] {key} = {raw!r} is not a valid {cast.__name__}")
-                return default
-        else:
-            value = raw
+        try:
+            value = cast(raw)
+        except ValueError:
+            self.fail(f"[{section}] {key} = {raw!r} is not a valid {cast.__name__}")
+            return default
         if isinstance(value, float) and not math.isfinite(value):
             self.fail(f"[{section}] {key} = {value!r} is not finite")
             return default
@@ -129,11 +126,10 @@ class _Collector:
             return default
         return value
 
-    def choice(self, section, key, options, default=None, required=False):
-        raw = self.get(section, key, default=default, required=required)
+    def choice(self, section, key, options, default=None):
+        raw = self.get(section, key, default=default)
         if raw is None:
             return default
-        raw = str(raw).strip()
         if raw not in options:
             near = difflib.get_close_matches(raw, options, n=1)
             hint = f"; nearest valid: '{near[0]}'" if near else ""
@@ -185,40 +181,20 @@ def _build_kernel(col: _Collector) -> RelaxationKernel | None:
     if not col.parser.has_section("kernel"):
         col.fail("missing required section [kernel]")
         return None
-    family = col.choice("kernel", "family", ("constant", "prony", "powerlaw", "sum"), required=True)
-    if family is None:
-        return None
-    mapping: dict = {"family": family}
-    if family == "constant":
-        mapping["g0"] = col.typed("kernel", "g0", float, required=True)
-    elif family == "prony":
-        mapping["g_inf"] = col.typed("kernel", "g_inf", float, required=True)
-        mapping["terms"] = col.json_value("kernel", "terms")
-        if mapping["terms"] is None:
-            col.fail("[kernel] prony family needs terms = [[g, tau], ...]")
-            return None
-    elif family == "powerlaw":
-        mapping["c"] = col.typed("kernel", "c", float, required=True)
-        mapping["alpha"] = col.typed("kernel", "alpha", float, required=True)
-    elif family == "sum":
-        mapping["parts"] = col.json_value("kernel", "parts")
-        if mapping["parts"] is None:
-            col.fail('[kernel] sum family needs parts = [{"family": ...}, ...] as JSON')
-            return None
-    # a key of another family goes along too, and kernel_from_dict rejects it
-    for key in col.parser.options("kernel"):
-        if key in _KNOWN_KEYS["kernel"]:
-            mapping.setdefault(key, col.parser.get("kernel", key))
-    if any(v is None for v in mapping.values()):
+    # check_unknown names a key no family has; the rest is kernel_from_dict's
+    known = len(col.violations)
+    spec = {
+        key: col.json_value("kernel", key) if key in ("terms", "parts") else col.get("kernel", key)
+        for key in col.parser.options("kernel")
+        if key in _KNOWN_KEYS["kernel"]
+    }
+    if len(col.violations) > known:  # terms or parts is not JSON
         return None
     try:
-        return kernel_from_dict(mapping)
+        return kernel_from_dict(spec)
     except ValueError as exc:
         col.fail(f"[kernel] {exc}")
-    except TypeError as exc:
-        # JSON of the wrong shape, e.g. terms = 5 or parts = [5]
-        col.fail(f"[kernel] malformed {family} kernel: {exc}")
-    return None
+        return None
 
 
 def _build_grid(col: _Collector, required: bool) -> Grid | None:
@@ -238,12 +214,16 @@ def _build_grid(col: _Collector, required: bool) -> Grid | None:
         return None
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, tolerances: dict[str, str] | None = None) -> ExperimentConfig:
+    """Parse and validate config text.  tolerances, KEY -> value text, go
+    into [tolerances] over the text's values and obey its rules."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"cannot parse config text: {exc}"]) from None
+    if tolerances:
+        parser.read_dict({"tolerances": tolerances})
 
     col = _Collector(parser)
     col.check_unknown()
@@ -285,7 +265,10 @@ def parse_config(text: str) -> ExperimentConfig:
     eps = col.typed("eps", "eps", float, default=0.05, check=lambda v: v >= 0, what="eps must be >= 0")
     eps0 = col.typed("eps", "eps0", float, default=None, check=lambda v: v > 0, what="eps0 must be positive")
     ratio = col.typed("eps", "ratio", float, default=None, check=lambda v: 0 < v < 1, what="ratio must be in (0, 1)")
-    count = col.typed("eps", "count", int, default=None, check=lambda v: v >= 1, what="need count >= 1")
+    count = col.typed(
+        "eps", "count", int, default=None, check=lambda v: v >= 2,
+        what="need count >= 2: the Cauchy report compares at least 3 shifts",
+    )
     if mode == "eps_sequence":
         missing = [k for k, v in (("eps0", eps0), ("ratio", ratio), ("count", count)) if v is None]
         if missing:
@@ -406,6 +389,6 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def parse_config_file(path) -> ExperimentConfig:
+def parse_config_file(path, tolerances: dict[str, str] | None = None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), tolerances)

@@ -14,6 +14,7 @@ for moduli that blow up at t = 0 (power laws with exponent in (0, 1)).
 
 from __future__ import annotations
 
+import difflib
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ __all__ = [
     "AdmissibilityReport",
     "check_admissibility",
     "check_fading_memory",
+    "KERNEL_KEYS",
     "kernel_from_dict",
 ]
 
@@ -454,9 +456,14 @@ class TranslatedKernel(RelaxationKernel):
         )
 
 
-def translate(kernel: RelaxationKernel, eps: float) -> TranslatedKernel:
-    """Shifted kernel G(eps + .) with a re-based integral tower."""
-    return TranslatedKernel(kernel, float(eps))
+def translate(kernel: RelaxationKernel, eps: float) -> RelaxationKernel:
+    """Shifted kernel G(eps + .) with a re-based integral tower.
+
+    A constant modulus is its own shift: re-basing its tower would only
+    add round-off.
+    """
+    shifted = TranslatedKernel(kernel, float(eps))  # refuses eps <= 0
+    return kernel if isinstance(kernel, ConstantKernel) else shifted
 
 
 def kernel_diff_bound(kernel: RelaxationKernel, eps: float, s) -> np.ndarray:
@@ -589,35 +596,69 @@ def check_fading_memory(
 # construction from config mappings
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("constant", "prony", "powerlaw", "sum")
+KERNEL_KEYS = {
+    "constant": ("g0",),
+    "prony": ("g_inf", "terms"),
+    "powerlaw": ("c", "alpha"),
+    "sum": ("parts",),
+}
+
+
+def _number(key: str, value) -> float:
+    """A JSON number or numeric text, finite.  TypeError for anything else
+    that is not a number, bools included."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError):
+        raise TypeError(f"{key} = {value!r} is not a number") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{key} = {number!r} is not finite")
+    return number
 
 
 def kernel_from_dict(spec: dict) -> RelaxationKernel:
-    """Build a kernel from a {'family': ..., ...} mapping (config layer)."""
+    """Build a kernel from a {'family': ..., ...} mapping: a config's
+    [kernel] section or one part of a sum, under the same rules.
+
+    The family name must match a KERNEL_KEYS entry exactly, with exactly
+    that family's keys.  A value of the wrong shape or type raises
+    ValueError("malformed <family> kernel: ...").
+    """
+    if not isinstance(spec, dict):
+        raise TypeError(f"a kernel is a {{'family': ...}} mapping, got {spec!r}")
     if "family" not in spec:
         raise ValueError("kernel mapping needs a 'family' key")
-    family = str(spec["family"]).lower()
-    known = {k for k in spec if k != "family"}
-
-    def require(*names):
-        missing = [n for n in names if n not in spec]
-        if missing:
-            raise ValueError(f"{family} kernel needs keys: {', '.join(missing)}")
-        extra = known - set(names)
-        if extra:
-            raise ValueError(f"{family} kernel got unknown keys: {', '.join(sorted(extra))}")
-
-    if family == "constant":
-        require("g0")
-        return ConstantKernel(g0=float(spec["g0"]))
-    if family == "prony":
-        require("g_inf", "terms")
-        terms = tuple((float(g), float(tau)) for g, tau in spec["terms"])
-        return PronyKernel(g_inf=float(spec["g_inf"]), terms=terms)
-    if family == "powerlaw":
-        require("c", "alpha")
-        return PowerLawKernel(c=float(spec["c"]), alpha=float(spec["alpha"]))
-    if family == "sum":
-        require("parts")
+    family = spec["family"]
+    if not isinstance(family, str) or family not in KERNEL_KEYS:
+        near = difflib.get_close_matches(str(family), KERNEL_KEYS, n=1)
+        hint = f"; nearest valid: '{near[0]}'" if near else ""
+        raise ValueError(
+            f"family = {family!r} not recognized (valid: {', '.join(KERNEL_KEYS)}){hint}"
+        )
+    names = KERNEL_KEYS[family]
+    missing = [n for n in names if n not in spec]
+    if missing:
+        raise ValueError(f"{family} kernel needs keys: {', '.join(missing)}")
+    extra = sorted(set(spec) - {"family", *names})
+    if extra:
+        raise ValueError(f"{family} kernel got unknown keys: {', '.join(extra)}")
+    try:
+        if family == "constant":
+            return ConstantKernel(g0=_number("g0", spec["g0"]))
+        if family == "prony":
+            terms = spec["terms"]
+            if not isinstance(terms, (list, tuple)) or not all(
+                isinstance(t, (list, tuple)) and len(t) == 2 for t in terms
+            ):
+                raise TypeError(f"terms = {terms!r} is not [[g, tau], ...]")
+            return PronyKernel(
+                g_inf=_number("g_inf", spec["g_inf"]),
+                terms=tuple((_number("g", g), _number("tau", tau)) for g, tau in terms),
+            )
+        if family == "powerlaw":
+            return PowerLawKernel(c=_number("c", spec["c"]), alpha=_number("alpha", spec["alpha"]))
         return KernelSum(parts=tuple(kernel_from_dict(p) for p in spec["parts"]))
-    raise ValueError(f"unknown kernel family '{family}'; valid: {', '.join(_FAMILIES)}")
+    except TypeError as exc:
+        raise ValueError(f"malformed {family} kernel: {exc}") from None

@@ -75,7 +75,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_manifest(out_dir: Path, payload: dict) -> None:
-    _write_atomic(out_dir / "manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON (RFC 8259): each non-finite float is written as null
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    text = json.dumps(strict, indent=2, sort_keys=True, allow_nan=False)
+    _write_atomic(out_dir / "manifest.json", text + "\n")
 
 
 class _Phases:

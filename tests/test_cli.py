@@ -230,10 +230,11 @@ class TestRunSingle:
             (QUICK.replace("family = constant\ng0 = 1.0", "family = powerlaw\nc = 1.0\nalpha = 0.5")
              + "\n[experiment]\nformulation = integral_volterra\n\n[eps]\neps = 0\n",
              "[time] the modulus is unbounded at eps = 0, so no cfl rule applies: give dt"),
+            (SEQUENCE.replace("count = 3", "count = 1"), "need count >= 2"),
         ],
         ids=[
             "history_window", "leapfrog_eps_zero", "single_run_dt", "eps_sequence_dt",
-            "stress_test_dt", "singular_eps_zero_cfl",
+            "stress_test_dt", "singular_eps_zero_cfl", "count_one",
         ],
     )
     def test_config_that_cannot_run_exits_two(self, tmp_path, capsys, text, message):
@@ -245,6 +246,22 @@ class TestRunSingle:
         err = capsys.readouterr().err
         assert "invalid configuration" in err
         assert message in err
+
+    @pytest.mark.parametrize(
+        "part, message",
+        [
+            ('{"family": "constant", "g0": true}', "[kernel] malformed constant kernel: g0 = True is not a number"),
+            ('{"family": "PowerLaw", "c": 1.0, "alpha": 0.5}', "nearest valid: 'powerlaw'"),
+        ],
+        ids=["g0_bool", "family_case"],
+    )
+    def test_sum_part_obeys_the_top_level_rules(self, tmp_path, capsys, part, message):
+        # both parts used to run: g0 = true as 1.0, and the family lower-cased
+        text = QUICK.replace("family = constant\ng0 = 1.0", f"family = sum\nparts = [{part}]")
+        out = tmp_path / "out"
+        assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("decay", [False, True])
     def test_ledger_is_skipped_at_a_singular_limit(self, tmp_path, decay):
@@ -355,16 +372,23 @@ class TestToleranceOverrides:
         assert code == 0
         assert read_manifest(out)["tolerances"]["decay_safety"] == 7.5
 
+    def test_override_lands_in_the_resolved_config(self, tmp_path):
+        # the manifest's resolved config used to keep the file's 5.0
+        cfg = write_cfg(tmp_path, QUICK + "\n[tolerances]\ndecay_safety = 5.0\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out), "--tol-override", "decay_safety=7.5"]) == 0
+        assert read_manifest(out)["config"]["tolerances"]["decay_safety"] == 7.5
+
     def test_unknown_override_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
         code = cli.main(["run", cfg, "--tol-override", "warp_factor=9"])
         assert code == 2
-        assert "unknown tolerance override" in capsys.readouterr().err
+        assert "unknown key 'warp_factor' in [tolerances]" in capsys.readouterr().err
 
     def test_malformed_override_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
         assert cli.main(["run", cfg, "--tol-override", "no_equals_sign"]) == 2
-        assert "KEY=VALUE" in capsys.readouterr().err
+        assert "unknown key 'no_equals_sign' in [tolerances]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "pair", ["decay_safety=nan", "decay_safety=inf", "decay_safety=-1", "decay_safety=0",
@@ -376,7 +400,7 @@ class TestToleranceOverrides:
         cfg = write_cfg(tmp_path, QUICK)
         out = tmp_path / "out"
         assert cli.main(["run", cfg, "--out", str(out), "--tol-override", pair]) == 2
-        assert "override" in capsys.readouterr().err
+        assert "[tolerances] decay_safety = " in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -390,6 +414,41 @@ class TestOtherModes:
         assert (out / "plot_convergence.py").exists()
         manifest = read_manifest(out)
         assert manifest["verdicts"]["cauchy"]["passed"] is True
+
+    def test_constant_modulus_sequence_is_exact(self, tmp_path):
+        # a constant modulus is its own shift, so every Volterra run is the
+        # same run; the re-based tower left 1e-17 noise and the Cauchy
+        # report fitted a rate to it and failed (exit 1)
+        text = SEQUENCE.replace("family = prony\ng_inf = 0.5\nterms = [[0.5, 1.0]]", "family = constant\ng0 = 1.0")
+        text = text.replace("n = 9", "n = 19").replace("horizon = 0.2", "horizon = 0.5")
+        text = text.replace("count = 3", "count = 6")
+        text = text.replace("[experiment]\n", "[experiment]\nformulation = integral_volterra\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        rows = (out / "convergence.csv").read_text(encoding="utf-8").splitlines()[1:]
+        distances = [float(v) for row in rows for v in row.split(",")[2:4] if v]
+        assert len(rows) == 7 and len(distances) == 12
+        assert all(d == 0.0 for d in distances)
+
+    def test_manifest_is_strict_json(self, tmp_path):
+        # a leapfrog constant-modulus sequence fits no rate, and a Prony
+        # term with tau = 1e13 never fades: both used to write NaN / Infinity
+        constant = SEQUENCE.replace("family = prony\ng_inf = 0.5\nterms = [[0.5, 1.0]]", "family = constant\ng0 = 1.0")
+        slow = ADMISSIBILITY.replace("family = powerlaw\nc = 1.0\nalpha = 0.5", "family = prony\ng_inf = 0.5\nterms = [[0.5, 1e13]]")
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        for name, text, key in (
+            ("constant", constant, ("verdicts", "cauchy", "fitted_rate")),
+            ("slow", slow, ("verdicts", "admissibility", "fading_memory_shift_tol_1e-3")),
+        ):
+            out = tmp_path / name
+            assert cli.main(["run", write_cfg(tmp_path, text, name=f"{name}.cfg"), "--out", str(out)]) == 0
+            value = json.loads((out / "manifest.json").read_text(encoding="utf-8"), parse_constant=refuse)
+            for part in key:
+                value = value[part]
+            assert value is None, name
 
     def test_stress_test_artifacts(self, tmp_path):
         cfg = write_cfg(tmp_path, STRESS)

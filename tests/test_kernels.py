@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,10 @@ class TestTranslated:
         assert k.base is base
         assert k.eps == pytest.approx(0.3)
 
+    def test_constant_modulus_is_its_own_shift(self):
+        base = ConstantKernel(2.0)
+        assert translate(base, 0.3) is base
+
     def test_positive_shift_required(self):
         base = ConstantKernel(1.0)
         with pytest.raises(ValueError):
@@ -367,3 +372,20 @@ class TestKernelFromDict:
     def test_extra_keys_rejected(self):
         with pytest.raises(ValueError):
             kernel_from_dict({"family": "constant", "g0": 1.0, "tau": 2.0})
+
+    def test_numeric_text_is_a_number(self):
+        assert kernel_from_dict({"family": "powerlaw", "c": "1.5", "alpha": 0.5}) == PowerLawKernel(1.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"family": "constant", "g0": True}, "malformed constant kernel: g0 = True"),
+            ({"family": "constant", "g0": "abc"}, "malformed constant kernel: g0 = 'abc'"),
+            ({"family": "constant", "g0": float("inf")}, "g0 = inf is not finite"),
+            ({"family": "prony", "g_inf": 0.5, "terms": [[0.5, 1.0, 2.0]]}, "malformed prony kernel: terms"),
+        ],
+        ids=["bool", "text", "inf", "triple"],
+    )
+    def test_malformed_spec_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kernel_from_dict(spec)
