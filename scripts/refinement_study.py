@@ -9,11 +9,11 @@ import numpy as np
 
 from memvisco.expressions import field_from_name
 from memvisco.grid import Field, Grid
-from memvisco.kernels import ConstantKernel
+from memvisco.kernels import PronyKernel
 from memvisco.solver import ProblemSpec, cfl_time_step, run
 
 if __name__ == "__main__":
-    kernel = ConstantKernel(1.0)
+    kernel = PronyKernel(1.0, ())
     prev = None
     for n in (49, 99, 199, 399):
         grid = Grid.line(n)

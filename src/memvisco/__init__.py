@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from memvisco.grid import Field, Grid, GridMismatchError
 from memvisco.kernels import (
     AdmissibilityReport,
-    ConstantKernel,
     KernelDomainError,
     KernelSum,
     PowerLawKernel,
@@ -41,7 +40,6 @@ __all__ = [
     "__version__",
     "AdmissibilityReport",
     "CflViolation",
-    "ConstantKernel",
     "Field",
     "Grid",
     "GridMismatchError",

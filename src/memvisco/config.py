@@ -270,7 +270,7 @@ def parse_config(text: str, tolerances: dict[str, str] | None = None) -> Experim
         what="need count >= 2: the Cauchy report compares at least 3 shifts",
     )
     if mode == "eps_sequence":
-        missing = [k for k, v in (("eps0", eps0), ("ratio", ratio), ("count", count)) if v is None]
+        missing = [k for k in ("eps0", "ratio", "count") if not col.parser.has_option("eps", k)]
         if missing:
             col.fail(
                 f"mode eps_sequence needs [eps] keys: {', '.join(missing)}"

@@ -23,7 +23,7 @@ from memvisco.grid import (
     laplacian_array,
     trapezoid_weights,
 )
-from memvisco.kernels import RelaxationKernel, translate
+from memvisco.kernels import PronyKernel, RelaxationKernel, translate
 from memvisco.solver import (
     HistoryConvolution,
     ProblemSpec,
@@ -192,9 +192,7 @@ def calibrate_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> float:
     the twin's worst per-step energy increase measures the pure
     discretization drift at this resolution.  Scales like dt^2 + h^2.
     """
-    from memvisco.kernels import ConstantKernel
-
-    twin = replace(spec, kernel=ConstantKernel(spec.kernel.modulus(spec.eps)), eps=1.0)
+    twin = replace(spec, kernel=PronyKernel(spec.kernel.modulus(spec.eps), ()), eps=1.0)
     ledger = energy_ledger(run_integrodiff(twin), twin.kernel, twin.eps, twin.forcing)
     drift = max(float(np.max(np.diff(ledger.stored))), 0.0)
     floor = 1e-13 * max(float(ledger.stored[0]), 1.0)

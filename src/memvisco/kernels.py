@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "KernelDomainError",
     "RelaxationKernel",
-    "ConstantKernel",
     "PronyKernel",
     "PowerLawKernel",
     "KernelSum",
@@ -135,53 +134,12 @@ class RelaxationKernel:
 
 
 @dataclass(frozen=True)
-class ConstantKernel(RelaxationKernel):
-    """G(t) = g0.  The purely elastic degenerate member of the family."""
-
-    g0: float
-
-    def __post_init__(self):
-        if not (self.g0 > 0 and math.isfinite(self.g0)):
-            raise ValueError(f"g0 must be positive and finite, got {self.g0}")
-
-    @property
-    def singular_at_zero(self) -> bool:
-        return False
-
-    @property
-    def value_at_inf(self) -> float:
-        return self.g0
-
-    @property
-    def rate_integrable_at_zero(self) -> bool:
-        return True
-
-    @property
-    def integrable_on_halfline(self) -> bool:
-        return False
-
-    def _modulus(self, t):
-        return np.full_like(t, self.g0)
-
-    def _modulus_dt(self, t):
-        return np.zeros_like(t)
-
-    def _modulus_dtt(self, t):
-        return np.zeros_like(t)
-
-    def _integral(self, x):
-        return self.g0 * x
-
-    def _integral2(self, x):
-        return self.g0 * x * x / 2.0
-
-    def _integral3(self, x):
-        return self.g0 * x**3 / 6.0
-
-
-@dataclass(frozen=True)
 class PronyKernel(RelaxationKernel):
-    """G(t) = g_inf + sum_i g_i exp(-t / tau_i)."""
+    """G(t) = g_inf + sum_i g_i exp(-t / tau_i).
+
+    With no terms it is the constant modulus g_inf, the purely elastic
+    degenerate member of the family.
+    """
 
     g_inf: float
     terms: tuple[tuple[float, float], ...]
@@ -326,7 +284,7 @@ class KernelSum(RelaxationKernel):
         for p in self.parts:
             if isinstance(p, KernelSum):
                 flat.extend(p.parts)
-            elif isinstance(p, (ConstantKernel, PronyKernel, PowerLawKernel)):
+            elif isinstance(p, (PronyKernel, PowerLawKernel)):
                 flat.append(p)
             else:
                 raise ValueError(f"unsupported summand type {type(p).__name__}")
@@ -459,11 +417,12 @@ class TranslatedKernel(RelaxationKernel):
 def translate(kernel: RelaxationKernel, eps: float) -> RelaxationKernel:
     """Shifted kernel G(eps + .) with a re-based integral tower.
 
-    A constant modulus is its own shift: re-basing its tower would only
-    add round-off.
+    A constant modulus (a Prony kernel with no terms) is its own shift:
+    re-basing its tower would only add round-off.
     """
     shifted = TranslatedKernel(kernel, float(eps))  # refuses eps <= 0
-    return kernel if isinstance(kernel, ConstantKernel) else shifted
+    constant = isinstance(kernel, PronyKernel) and not kernel.terms
+    return kernel if constant else shifted
 
 
 def kernel_diff_bound(kernel: RelaxationKernel, eps: float, s) -> np.ndarray:
@@ -624,7 +583,8 @@ def kernel_from_dict(spec: dict) -> RelaxationKernel:
 
     The family name must match a KERNEL_KEYS entry exactly, with exactly
     that family's keys.  A value of the wrong shape or type raises
-    ValueError("malformed <family> kernel: ...").
+    ValueError("malformed <family> kernel: ...").  Family 'constant' is
+    the Prony kernel with g_inf = g0 and no terms.
     """
     if not isinstance(spec, dict):
         raise TypeError(f"a kernel is a {{'family': ...}} mapping, got {spec!r}")
@@ -646,7 +606,10 @@ def kernel_from_dict(spec: dict) -> RelaxationKernel:
         raise ValueError(f"{family} kernel got unknown keys: {', '.join(extra)}")
     try:
         if family == "constant":
-            return ConstantKernel(g0=_number("g0", spec["g0"]))
+            g0 = _number("g0", spec["g0"])
+            if not g0 > 0:
+                raise ValueError(f"g0 must be positive, got {g0}")
+            return PronyKernel(g_inf=g0, terms=())
         if family == "prony":
             terms = spec["terms"]
             if not isinstance(terms, (list, tuple)) or not all(

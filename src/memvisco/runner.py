@@ -7,7 +7,6 @@ every file is written to a temporary name and atomically renamed.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import resource

@@ -19,7 +19,6 @@ from memvisco.grid import (
     trapezoid_weights,
 )
 from memvisco.kernels import (
-    ConstantKernel,
     KernelSum,
     PowerLawKernel,
     PronyKernel,
@@ -69,7 +68,7 @@ def random_kernel(rng: np.random.Generator):
     """Admissible kernel from any family, weighted toward memory kernels."""
     kind = int(rng.integers(0, 4))
     if kind == 0:
-        return ConstantKernel(float(rng.uniform(0.3, 2.0)))
+        return PronyKernel(float(rng.uniform(0.3, 2.0)), ())
     if kind == 1:
         return random_prony(rng)
     if kind == 2:

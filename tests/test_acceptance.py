@@ -28,7 +28,6 @@ from memvisco.diagnostics import (
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import (
-    ConstantKernel,
     PowerLawKernel,
     PronyKernel,
     kernel_diff_bound,
@@ -94,7 +93,7 @@ def volterra_sequences():
 
 def test_01_elastic_limit_accuracy():
     started = time.perf_counter()
-    kernel = ConstantKernel(1.0)
+    kernel = PronyKernel(1.0, ())
 
     def max_error(n):
         grid = Grid.line(n)

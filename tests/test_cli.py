@@ -231,10 +231,12 @@ class TestRunSingle:
              + "\n[experiment]\nformulation = integral_volterra\n\n[eps]\neps = 0\n",
              "[time] the modulus is unbounded at eps = 0, so no cfl rule applies: give dt"),
             (SEQUENCE.replace("count = 3", "count = 1"), "need count >= 2"),
+            (QUICK.replace("g0 = 1.0", "g0 = 0"), "[kernel] g0 must be positive, got 0.0"),
+            (QUICK.replace("g0 = 1.0", "g0 = -1"), "[kernel] g0 must be positive, got -1.0"),
         ],
         ids=[
             "history_window", "leapfrog_eps_zero", "single_run_dt", "eps_sequence_dt",
-            "stress_test_dt", "singular_eps_zero_cfl", "count_one",
+            "stress_test_dt", "singular_eps_zero_cfl", "count_one", "g0_zero", "g0_negative",
         ],
     )
     def test_config_that_cannot_run_exits_two(self, tmp_path, capsys, text, message):
@@ -429,6 +431,29 @@ class TestOtherModes:
         distances = [float(v) for row in rows for v in row.split(",")[2:4] if v]
         assert len(rows) == 7 and len(distances) == 12
         assert all(d == 0.0 for d in distances)
+
+    @pytest.mark.parametrize("formulation", ["integral_volterra", "integrodifferential"])
+    def test_both_constant_spellings_run_alike(self, tmp_path, formulation):
+        # family = prony with no terms is the constant modulus; its Volterra
+        # sequence used to re-base the tower, read 1e-17 distances as a
+        # non-monotone rate and exit 1
+        text = SEQUENCE.replace("n = 9", "n = 19").replace("horizon = 0.2", "horizon = 0.5")
+        text = text.replace("count = 3", "count = 6")
+        text = text.replace("[experiment]\n", f"[experiment]\nformulation = {formulation}\n")
+        prony = "family = prony\ng_inf = 0.5\nterms = [[0.5, 1.0]]"
+        spellings = {"constant": "family = constant\ng0 = 1", "prony": "family = prony\ng_inf = 1\nterms = []"}
+        outputs = {}
+        for name, kernel in spellings.items():
+            out = tmp_path / name
+            cfg = write_cfg(tmp_path, text.replace(prony, kernel), name=f"{name}.cfg")
+            assert cli.main(["run", cfg, "--out", str(out)]) == 0, name
+            cauchy = read_manifest(out)["verdicts"]["cauchy"]
+            assert cauchy["passed"] is True and cauchy["monotone"] is True, name
+            rows = (out / "convergence.csv").read_text(encoding="utf-8").splitlines()[1:]
+            assert all(float(v) == 0.0 for row in rows for v in row.split(",")[2:4] if v), name
+            outputs[name] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        assert sorted(outputs["constant"]) == ["convergence.csv", "lemma.csv"]
+        assert outputs["constant"] == outputs["prony"]
 
     def test_manifest_is_strict_json(self, tmp_path):
         # a leapfrog constant-modulus sequence fits no rate, and a Prony

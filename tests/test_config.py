@@ -3,7 +3,7 @@
 import pytest
 
 from memvisco.config import ConfigError, parse_config, parse_config_file
-from memvisco.kernels import ConstantKernel, PowerLawKernel, PronyKernel
+from memvisco.kernels import PowerLawKernel, PronyKernel
 
 MINIMAL = """\
 [kernel]
@@ -72,7 +72,7 @@ class TestDefaults:
         cfg = parse_config(MINIMAL)
         assert cfg.mode == "single_run"
         assert cfg.formulation == "integrodifferential"
-        assert cfg.kernel == ConstantKernel(1.0)
+        assert cfg.kernel == PronyKernel(1.0, ())
         assert cfg.grid.n == (9,)
         assert cfg.dt is None and cfg.cfl == 0.5
         assert cfg.horizon == 1.0
@@ -180,6 +180,14 @@ class TestViolations:
         bad = MINIMAL + "[experiment]\nmode = eps_sequence\n"
         msgs = violations_of(bad)
         assert "mode eps_sequence needs [eps] keys: eps0, ratio, count" in msgs
+
+    def test_eps_sequence_reports_a_bad_key_once(self):
+        # an out-of-range key is present: it used to be listed again as missing
+        bad = MINIMAL + "[experiment]\nmode = eps_sequence\n[eps]\neps0 = 0.1\nratio = 1.5\ncount = 1\n"
+        msgs = violations_of(bad)
+        assert len(msgs) == 2
+        assert any(m.startswith("[eps] ratio = 1.5 invalid") for m in msgs)
+        assert any(m.startswith("[eps] count = 1 invalid") for m in msgs)
 
     def test_unknown_key_gets_nearest_hint(self):
         bad = MINIMAL + "[output]\nexport_fromat = csv\n"

@@ -21,7 +21,7 @@ from memvisco.config import parse_config_file
 from memvisco.diagnostics import default_battery
 from memvisco.expressions import field_from_name
 from memvisco.grid import Field, Grid
-from memvisco.kernels import ConstantKernel, PowerLawKernel, PronyKernel
+from memvisco.kernels import PowerLawKernel, PronyKernel
 from memvisco.runner import _build_spec
 from memvisco.solver import CflViolation, ProblemSpec, cfl_time_step, run, trajectory_distance
 
@@ -62,7 +62,7 @@ class TestRunEpsSequence:
 
     def test_constant_kernel_is_identity(self):
         base = sequence_base(
-            ConstantKernel(1.0), formulation="integrodifferential", dt=0.01
+            PronyKernel(1.0, ()), formulation="integrodifferential", dt=0.01
         )
         trajs = run_eps_sequence(base, 0.1, 0.5, 2)
         for t in trajs[1:]:
@@ -103,14 +103,29 @@ class TestCauchyReport:
 
     def test_identical_trajectories_trivially_pass(self):
         base = sequence_base(
-            ConstantKernel(1.0), formulation="integrodifferential", dt=0.01
+            PronyKernel(1.0, ()), formulation="integrodifferential", dt=0.01
         )
         eps_vals = eps_schedule(0.1, 0.5, 3)
         trajs = run_eps_sequence(base, 0.1, 0.5, 3)
-        rep = cauchy_report(trajs, eps_vals, ConstantKernel(1.0), 1e-2)
+        rep = cauchy_report(trajs, eps_vals, PronyKernel(1.0, ()), 1e-2)
         assert np.all(rep.distances == 0.0)
         assert rep.passed
         assert math.isnan(rep.fitted_rate)
+
+    def test_zero_distances_are_monotone_until_one_grows(self):
+        # 0 -> 0 is no increase: the verdict used to read monotone=False
+        k = PronyKernel(1.0, ())
+        eps_vals = eps_schedule(0.1, 0.5, 3)
+        trajs = run_eps_sequence(sequence_base(k, formulation="integrodifferential", dt=0.01), 0.1, 0.5, 3)
+        rep = cauchy_report(trajs, eps_vals, k, 1e-2)
+        assert rep.monotone
+        assert rep.first_nonmonotone is None
+        # 0 -> positive is an increase
+        trajs[3] = dataclasses.replace(trajs[3], levels=trajs[3].levels + 1e-3)
+        rep = cauchy_report(trajs, eps_vals, k, 1e-2)
+        assert not rep.monotone
+        assert not rep.passed
+        assert rep.first_nonmonotone == 2
 
     def test_prony_rate_near_one(self):
         eps_vals = eps_schedule(0.1, 0.5, 4)
@@ -148,7 +163,7 @@ class TestCauchyReport:
 
 class TestLemmaCheck:
     def test_constant_kernel_exactly_zero(self):
-        k = ConstantKernel(1.0)
+        k = PronyKernel(1.0, ())
         base = sequence_base(k, formulation="integrodifferential", dt=0.01)
         eps_vals = eps_schedule(0.1, 0.5, 2)
         trajs = run_eps_sequence(base, 0.1, 0.5, 2)

@@ -24,7 +24,7 @@ from memvisco.diagnostics import (
 )
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid, l2_space, l2_spacetime
-from memvisco.kernels import ConstantKernel, PowerLawKernel, PronyKernel
+from memvisco.kernels import PowerLawKernel, PronyKernel
 from memvisco.solver import ProblemSpec, cfl_time_step, run
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -53,8 +53,8 @@ class TestEnergyLedger:
             assert np.all(arr == 0.0)
 
     def test_constant_kernel_memory_inert(self):
-        spec = damped_spec(kernel=ConstantKernel(1.0), eps=1.0)
-        led = energy_ledger(run(spec), ConstantKernel(1.0), 1.0)
+        spec = damped_spec(kernel=PronyKernel(1.0, ()), eps=1.0)
+        led = energy_ledger(run(spec), PronyKernel(1.0, ()), 1.0)
         assert np.all(led.memory == 0.0)
         assert np.all(led.rate_modulus == 0.0)
         assert np.all(led.rate_curvature == 0.0)
@@ -189,7 +189,7 @@ class TestEnergyBound:
         assert rep.gamma == pytest.approx(math.exp(2.0), rel=1e-12)
 
     def test_gamma_floor_is_one(self):
-        k = ConstantKernel(5.0)
+        k = PronyKernel(5.0, ())
         spec = damped_spec(kernel=k, eps=1.0)
         traj = run(spec)
         rep = check_energy_bound(traj, k, 1.0, spec.u1)

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from helpers import random_prony, unchecked_prony
 from memvisco.kernels import (
-    ConstantKernel,
     KernelDomainError,
     KernelSum,
     PowerLawKernel,
@@ -43,7 +42,7 @@ fading_kernel_strategy = st.one_of(
 
 class TestConstant:
     def test_values(self):
-        k = ConstantKernel(2.0)
+        k = PronyKernel(2.0, ())
         assert k.modulus(0.0) == 2.0
         assert k.modulus_dt(5.0) == 0.0
         assert k.modulus_dtt(1.0) == 0.0
@@ -56,9 +55,9 @@ class TestConstant:
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
-            ConstantKernel(0.0)
+            PronyKernel(0.0, ())
         with pytest.raises(ValueError):
-            ConstantKernel(-1.0)
+            PronyKernel(-1.0, ())
 
 
 class TestProny:
@@ -171,7 +170,7 @@ class TestKernelSum:
         assert s.value_at_inf == pytest.approx(0.2)
 
     def test_flattening(self):
-        a = ConstantKernel(1.0)
+        a = PronyKernel(1.0, ())
         b = PronyKernel(g_inf=0.0, terms=((0.5, 1.0),))
         c = PowerLawKernel(c=1.0, alpha=0.5)
         s = KernelSum((KernelSum((a, b)), c))
@@ -226,11 +225,11 @@ class TestTranslated:
         assert k.eps == pytest.approx(0.3)
 
     def test_constant_modulus_is_its_own_shift(self):
-        base = ConstantKernel(2.0)
+        base = PronyKernel(2.0, ())
         assert translate(base, 0.3) is base
 
     def test_positive_shift_required(self):
-        base = ConstantKernel(1.0)
+        base = PronyKernel(1.0, ())
         with pytest.raises(ValueError):
             translate(base, 0.0)
         with pytest.raises(ValueError):
@@ -251,7 +250,7 @@ class TestDiffBound:
                 assert abs(kernel_diff_bound(k, eps, s) - exact) < 1e-12
 
     def test_constant_is_linear(self):
-        k = ConstantKernel(2.0)
+        k = PronyKernel(2.0, ())
         assert kernel_diff_bound(k, 0.1, 0.0) == pytest.approx(0.2)
 
     @given(prony_strategy, st.floats(0.01, 0.5), st.floats(0.0, 2.0))
@@ -281,7 +280,7 @@ class TestAdmissibility:
         assert not rep.integrable_on_halfline
 
     def test_constant_not_integrable_on_halfline(self):
-        rep = check_admissibility(ConstantKernel(1.0), 1.0)
+        rep = check_admissibility(PronyKernel(1.0, ()), 1.0)
         assert rep.passed
         assert not rep.integrable_on_halfline
 
@@ -316,7 +315,7 @@ class TestFadingMemory:
         assert a == pytest.approx(100.0, rel=1e-9)
 
     def test_constant_memoryless_tail(self):
-        assert check_fading_memory(ConstantKernel(1.0), 1.0, 1e-6) == 0.0
+        assert check_fading_memory(PronyKernel(1.0, ()), 1.0, 1e-6) == 0.0
 
     def test_unattainable_returns_inf(self):
         k = PowerLawKernel(c=1.0, alpha=0.5)
@@ -346,7 +345,7 @@ class TestFadingMemory:
 
 class TestKernelFromDict:
     def test_families(self):
-        assert isinstance(kernel_from_dict({"family": "constant", "g0": 1.0}), ConstantKernel)
+        assert isinstance(kernel_from_dict({"family": "constant", "g0": 1.0}), PronyKernel)
         k = kernel_from_dict({"family": "prony", "g_inf": 0.5, "terms": [[0.5, 2.0]]})
         assert isinstance(k, PronyKernel)
         assert k.terms == ((0.5, 2.0),)
@@ -364,6 +363,19 @@ class TestKernelFromDict:
             }
         )
         assert isinstance(s, KernelSum)
+
+    def test_constant_is_a_prony_kernel_without_terms(self):
+        # both spellings of one modulus parse to one kernel, so they share
+        # every code path, the shift rule included
+        constant = kernel_from_dict({"family": "constant", "g0": 1.0})
+        assert constant == kernel_from_dict({"family": "prony", "g_inf": 1.0, "terms": []})
+        assert translate(constant, 0.1) is constant
+
+    @pytest.mark.parametrize("g0", [0.0, -1.0])
+    def test_constant_needs_positive_g0(self, g0):
+        # a term-less Prony kernel would name g_inf or call the kernel zero
+        with pytest.raises(ValueError, match=re.escape(f"g0 must be positive, got {g0}")):
+            kernel_from_dict({"family": "constant", "g0": g0})
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):

@@ -1,14 +1,16 @@
-"""The study scripts under scripts/ import cleanly, and run_all_configs.py
-prints the digest of every CSV it writes.
+"""The study scripts under scripts/ import cleanly and run to the end,
+and run_all_configs.py prints the digest of every CSV it writes.
 
 Each script guards its work behind __main__, so importing it runs nothing
 but resolves every name it takes from memvisco: a renamed or removed name
-fails here instead of in the next study run.
+fails here instead of in the next study run.  Running the two studies
+checks what they print.
 """
 
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,17 +32,35 @@ def test_script_imports_as_module(path):
     assert module.__name__ != "__main__"
 
 
+def run_script(name, *args):
+    """stdout of scripts/<name> run to the end against this checkout's src."""
+    script = next(p for p in SCRIPTS if p.name == name)
+    env = {**os.environ, "PYTHONPATH": str(script.parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(script), *args], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
+def test_refinement_study_converges_at_second_order():
+    # each joint halving of h and dt cuts the elastic standing-wave error 4x
+    ratios = [float(r) for r in re.findall(r"ratio (\S+)", run_script("refinement_study.py"))]
+    assert len(ratios) == 3
+    assert all(abs(r - 4.0) <= 0.05 for r in ratios)
+
+
+def test_shift_convergence_study_passes():
+    lines = run_script("shift_convergence_study.py").splitlines()
+    assert len(lines) == 9
+    assert lines[-1].endswith("monotone True   passed True")
+
+
 def test_run_all_configs_prints_a_digest_per_csv(tmp_path):
     # every CSV the script writes gets a `<sha256>  <config>/<file>.csv`
     # line holding the digest of its bytes
-    script = next(p for p in SCRIPTS if p.name == "run_all_configs.py")
-    src = script.parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, str(script), str(tmp_path)], env=env, capture_output=True, text=True, check=True
-    )
+    stdout = run_script("run_all_configs.py", str(tmp_path))
     printed = {}
-    for line in proc.stdout.splitlines():
+    for line in stdout.splitlines():
         if line.endswith(".csv"):
             digest, name = line.split("  ")
             printed[name] = digest

@@ -30,7 +30,6 @@ from memvisco.convergence import eps_schedule, run_eps_sequence
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid, laplacian_array
 from memvisco.kernels import (
-    ConstantKernel,
     KernelSum,
     PowerLawKernel,
     PronyKernel,
@@ -62,7 +61,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def standing_wave_spec(n=49, cfl=0.5, horizon=1.0):
     g = Grid.line(n)
-    k = ConstantKernel(1.0)
+    k = PronyKernel(1.0, ())
     dt = cfl_time_step(g, k, 1.0, cfl, horizon)
     x = g.axis_coordinates(0)
     return ProblemSpec(
@@ -96,7 +95,7 @@ class TestProblemSpec:
         g = Grid.line(9)
         with pytest.raises(ValueError, match="integer"):
             ProblemSpec(
-                kernel=ConstantKernel(1.0), grid=g, horizon=1.0, dt=0.3,
+                kernel=PronyKernel(1.0, ()), grid=g, horizon=1.0, dt=0.3,
                 eps=1.0, u0=Field.zero(g), u1=Field.zero(g),
             )
 
@@ -104,7 +103,7 @@ class TestProblemSpec:
         g = Grid.line(99)
         with pytest.raises(CflViolation, match="required dt"):
             ProblemSpec(
-                kernel=ConstantKernel(1.0), grid=g, horizon=1.0, dt=0.5,
+                kernel=PronyKernel(1.0, ()), grid=g, horizon=1.0, dt=0.5,
                 eps=1.0, u0=Field.zero(g), u1=Field.zero(g),
             )
 
@@ -129,7 +128,7 @@ class TestProblemSpec:
         g = Grid.line(9)
         with pytest.raises(ValueError, match="grid"):
             ProblemSpec(
-                kernel=ConstantKernel(1.0), grid=g, horizon=1.0, dt=0.01,
+                kernel=PronyKernel(1.0, ()), grid=g, horizon=1.0, dt=0.01,
                 eps=1.0, u0=Field.zero(Grid.line(11)), u1=Field.zero(g),
             )
 
@@ -539,7 +538,7 @@ class TestExponentialHistory:
         assert HistoryConvolution.memory(PRONY, eps, n, dt).backend == "exponential"
         assert HistoryConvolution.memory(power, eps, n, dt).backend == "direct"
         assert HistoryConvolution.memory(KernelSum((PRONY, power)), eps, n, dt).backend == "direct"
-        assert HistoryConvolution.memory(ConstantKernel(1.0), eps, n, dt).backend == "direct"
+        assert HistoryConvolution.memory(PronyKernel(1.0, ()), eps, n, dt).backend == "direct"
 
     def test_inert_keeps_its_meaning(self):
         g0 = 1.0
@@ -772,7 +771,7 @@ class TestIntegrodiff:
         # highest grid mode under a far-too-large dt amplifies each step
         g = Grid.line(19)
         spec = unchecked_spec(
-            kernel=ConstantKernel(1.0), grid=g, horizon=200.0, dt=2.0, eps=1.0,
+            kernel=PronyKernel(1.0, ()), grid=g, horizon=200.0, dt=2.0, eps=1.0,
             u0=Field(g, np.sin(19 * np.pi * g.axis_coordinates(0))), u1=Field.zero(g),
         )
         with np.errstate(over="ignore", invalid="ignore"):
