@@ -25,7 +25,6 @@ from memvisco.kernels import (
 )
 from memvisco.solver import (
     CflViolation,
-    KernelUnboundedError,
     ProblemSpec,
     SolverAbort,
     TrajectorySolution,
@@ -45,7 +44,6 @@ __all__ = [
     "GridMismatchError",
     "KernelDomainError",
     "KernelSum",
-    "KernelUnboundedError",
     "PowerLawKernel",
     "ProblemSpec",
     "PronyKernel",

@@ -80,7 +80,6 @@ class ConvergenceReport:
     distances: np.ndarray
     tail_distances: np.ndarray
     fitted_rate: float
-    fit_intercept: float
     kernel_sup_bounds: np.ndarray
     monotone: bool
     first_nonmonotone: int | None
@@ -123,16 +122,15 @@ def cauchy_report(
     monotone = increases.size == 0
     first_nonmonotone = None if monotone else int(increases[0]) + 1
     if np.any(d == 0.0):
-        rate, intercept = math.nan, math.nan
+        rate = math.nan
     else:
-        rate, intercept = np.polyfit(np.log(eps_values[:-1]), np.log(d), 1)
+        rate = np.polyfit(np.log(eps_values[:-1]), np.log(d), 1)[0]
     passed = monotone and float(d[-1]) <= tolerance
     return ConvergenceReport(
         eps_values=eps_values,
         distances=d,
         tail_distances=tail,
         fitted_rate=float(rate),
-        fit_intercept=float(intercept),
         kernel_sup_bounds=sup_bounds,
         monotone=monotone,
         first_nonmonotone=first_nonmonotone,

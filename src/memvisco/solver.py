@@ -32,7 +32,6 @@ from memvisco.kernels import PronyKernel, RelaxationKernel, translate
 __all__ = [
     "CflViolation",
     "SolverAbort",
-    "KernelUnboundedError",
     "ProblemSpec",
     "TrajectorySolution",
     "ShiftedRuns",
@@ -64,10 +63,6 @@ class SolverAbort(RuntimeError):
         self.eps = eps
         at = "" if eps is None else f" of the run at eps = {eps!r}"
         super().__init__(f"aborted at step {step}{at}: {reason}")
-
-
-class KernelUnboundedError(ValueError):
-    """Raised when the classical stress form is asked for a modulus with no G(0)."""
 
 
 def stable_time_step(grid: Grid, wave_speed_sq: float) -> float:
@@ -747,25 +742,20 @@ def compute_stress(
     strain_history: np.ndarray,
     dt: float,
     past_value: float = 0.0,
-    form: str = "classical",
 ) -> float:
     """Stress at t = (len(history) - 1) * dt for a sampled strain path.
 
     strain_history holds E(0), E(dt), ..., E(t) on a uniform grid; the
-    strain equals past_value for all times < 0.  Two algebraically
-    equivalent evaluations:
+    strain equals past_value for all times < 0.  The stress is
 
-      * 'classical':   G(0) E(t) + int_0^t dG(tau) E(t - tau) dtau
-                       + past_value * (G(inf) - G(t));
-        needs a modulus that is bounded at 0.
-      * 'integrated':  G(t) E(0) + int_0^t G(tau) dE(t - tau) dtau
-                       + past_value * (G(inf) - G(t));
-        works for unbounded moduli because only integrals of G appear
-        (the strain rate of the interpolant is piecewise constant, so the
-        quadrature is exact for it).
+        G(t) E(0) + int_0^t G(tau) dE(t - tau) dtau + past_value * (G(inf) - G(t)),
+
+    which needs only integrals of G, so it holds for moduli unbounded at
+    t = 0 too.  The strain rate of the piecewise-linear interpolant is
+    piecewise constant, so the integral is exact for it.
     """
     E = _strain_samples(strain_history, dt)
-    return float(_stresses(kernel, E, dt, past_value, form, [E.size - 1])[0])
+    return float(_stresses(kernel, E, dt, past_value, [E.size - 1])[0])
 
 
 def stress_curve(
@@ -773,7 +763,6 @@ def stress_curve(
     strain_history: np.ndarray,
     dt: float,
     past_value: float = 0.0,
-    form: str = "classical",
 ) -> np.ndarray:
     """compute_stress of every prefix strain_history[: M + 1], M = 1 .. n.
 
@@ -781,43 +770,18 @@ def stress_curve(
     weights are built once for the whole path, not once per prefix.
     """
     E = _strain_samples(strain_history, dt)
-    return _stresses(kernel, E, dt, past_value, form, range(1, E.size))
+    return _stresses(kernel, E, dt, past_value, range(1, E.size))
 
 
-def _stresses(kernel, E: np.ndarray, dt: float, past_value: float, form: str, levels) -> np.ndarray:
+def _stresses(kernel, E: np.ndarray, dt: float, past_value: float, levels) -> np.ndarray:
     """Stress at t_M = M dt from the samples E[: M + 1], for each M in levels."""
     n = E.size - 1
     g_inf = kernel.value_at_inf
+    slopes = np.diff(E) / dt
+    increments = np.diff(kernel.integral(dt * np.arange(n + 1)))
     out = []
-
-    if form == "classical":
-        if kernel.singular_at_zero:
-            raise KernelUnboundedError(
-                "modulus unbounded at t = 0; use form='integrated'"
-            )
-        g0 = kernel.modulus(0.0)
-        if n:
-            history = HistoryConvolution(*interval_weights(kernel._modulus, kernel._integral, n, dt))
-        for M in levels:
-            if M == 0:
-                conv = 0.0
-                g_t = g0
-            else:
-                conv = float(history.row(M) @ E[: M + 1])
-                g_t = kernel.modulus(M * dt)
-            out.append(g0 * E[M] + conv + past_value * (g_inf - g_t))
-        return np.array(out)
-
-    if form == "integrated":
-        slopes = np.diff(E) / dt
-        increments = np.diff(kernel.integral(dt * np.arange(n + 1)))
-        for M in levels:
-            g_t = kernel.modulus(M * dt)
-            if M == 0:
-                out.append(g_t * E[0] + past_value * (g_inf - g_t))
-            else:
-                conv = float(np.dot(increments[:M], slopes[M - 1 :: -1]))
-                out.append(g_t * E[0] + conv + past_value * (g_inf - g_t))
-        return np.array(out)
-
-    raise ValueError(f"unknown form '{form}'; valid: classical, integrated")
+    for M in levels:
+        g_t = kernel.modulus(M * dt)
+        conv = float(np.dot(increments[:M], slopes[M - 1 :: -1])) if M else 0.0
+        out.append(g_t * E[0] + conv + past_value * (g_inf - g_t))
+    return np.array(out)

@@ -385,6 +385,17 @@ def reference_full(history: HistoryConvolution, samples: np.ndarray) -> np.ndarr
     return out
 
 
+def classical_stress_curve(kernel: RelaxationKernel, strain, dt: float, past_value: float = 0.0) -> np.ndarray:
+    """Oracle for stress_curve in the classical form, for moduli bounded at 0:
+    G(0) E(t) + int_0^t dG(tau) E(t - tau) dtau + past_value (G(inf) - G(t))
+    at t = M dt, M = 1 .. n, with the dG weights exact on the strain interpolant."""
+    E = np.asarray(strain, dtype=float)
+    n = E.size - 1
+    history = HistoryConvolution(*interval_weights(kernel._modulus, kernel._integral, n, dt))
+    g_t = kernel.modulus(dt * np.arange(1, n + 1))
+    return kernel.modulus(0.0) * E[1:] + reference_full(history, E)[1:] + past_value * (kernel.value_at_inf - g_t)
+
+
 def reference_lemma_check(
     kernel: RelaxationKernel,
     eps_values,

@@ -481,6 +481,64 @@ class TestOtherModes:
         assert cli.main(["run", cfg, "--out", str(out)]) == 0
         assert (out / "stress.csv").exists()
 
+    def test_ramp_stress_test_checks_amplitude_times_integral(self, tmp_path, monkeypatch):
+        # the ramp used to write an empty reference, so max_abs_error read 0.0
+        # whatever the stress was
+        from memvisco import runner
+        from memvisco.config import parse_config_file
+        from memvisco.solver import stress_curve
+
+        text = STRESS + "\n[stress]\nstrain = ramp\namplitude = 0.75\n"
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        t, stress, reference, error = np.loadtxt(out / "stress.csv", delimiter=",", skiprows=1, unpack=True)
+        assert reference == pytest.approx(0.75 * parse_config_file(path).kernel.integral(t), rel=1e-15)
+        assert error.tobytes() == np.abs(stress - reference).tobytes()
+        assert read_manifest(out)["verdicts"]["stress"] == {"max_abs_error": error.max()}
+
+        monkeypatch.setattr(runner, "stress_curve", lambda *args: stress_curve(*args) + 1e-3)
+        wrong = tmp_path / "wrong"
+        assert cli.main(["run", path, "--out", str(wrong)]) == 1
+        assert read_manifest(wrong)["verdicts"]["stress"]["max_abs_error"] == pytest.approx(1e-3)
+
+    def test_stress_test_fails_on_a_nan_stress(self, tmp_path, monkeypatch):
+        # the running max(worst, err) used to skip a NaN error and exit 0
+        from memvisco import runner
+        from memvisco.solver import stress_curve
+
+        def with_nan(*args):
+            stress = stress_curve(*args)
+            stress[3] = np.nan
+            return stress
+
+        monkeypatch.setattr(runner, "stress_curve", with_nan)
+        out = tmp_path / "out"
+        assert cli.main(["run", write_cfg(tmp_path, STRESS), "--out", str(out)]) == 1
+        assert read_manifest(out)["verdicts"]["stress"]["max_abs_error"] is None
+
+    @pytest.mark.parametrize("strain", ["step", "ramp"])
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            "family = powerlaw\nc = 1.0\nalpha = 0.5",
+            'family = sum\nparts = [{"family": "prony", "g_inf": 0.5, "terms": [[0.3, 1.0]]},'
+            ' {"family": "powerlaw", "c": 0.5, "alpha": 0.3}]',
+        ],
+        ids=["powerlaw", "sum"],
+    )
+    def test_stress_test_of_a_modulus_unbounded_at_zero(self, tmp_path, kernel, strain):
+        text = STRESS.replace("family = prony\ng_inf = 0.5\nterms = [[0.3, 1.0]]", kernel)
+        text += f"\n[stress]\nstrain = {strain}\namplitude = 0.75\n"
+        out = tmp_path / "out"
+        assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        rows = (out / "stress.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 50 and all(row.split(",")[2] for row in rows)
+        manifest = read_manifest(out)
+        verdict = manifest["verdicts"]["stress"]
+        assert set(verdict) == {"max_abs_error"}
+        assert verdict["max_abs_error"] <= manifest["tolerances"]["stress_tol"]
+
     def test_admissibility_artifacts(self, tmp_path):
         cfg = write_cfg(tmp_path, ADMISSIBILITY)
         out = tmp_path / "out"

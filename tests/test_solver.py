@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from helpers import (
+    classical_stress_curve,
     conv_weights,
     cumulative_trapezoid,
     direct_weights,
@@ -39,7 +40,6 @@ from memvisco.runner import _build_spec
 from memvisco.solver import (
     CflViolation,
     HistoryConvolution,
-    KernelUnboundedError,
     ProblemSpec,
     SolverAbort,
     cfl_time_step,
@@ -1031,39 +1031,41 @@ class TestStress:
         stress = compute_stress(PRONY, history, dt, past_value=2.0)
         assert stress == pytest.approx(PRONY.value_at_inf * 2.0, abs=1e-12)
 
-    def test_classical_form_rejects_singular_kernel(self):
-        k = PowerLawKernel(c=1.0, alpha=0.5)
-        with pytest.raises(KernelUnboundedError):
-            compute_stress(k, np.ones(11), 0.01)
-
     def test_integrated_form_handles_singular_kernel(self):
         k = PowerLawKernel(c=1.0, alpha=0.5)
         history = np.ones(11)
-        stress = compute_stress(k, history, 0.01, form="integrated")
+        stress = compute_stress(k, history, 0.01)
         assert stress == pytest.approx(k.modulus(0.1), abs=1e-10)
 
     def test_forms_agree_for_smooth_kernel(self):
-        dt = 0.02
-        times = dt * np.arange(51)
-        history = np.sin(times)
-        a = compute_stress(PRONY, history, dt, form="classical")
-        b = compute_stress(PRONY, history, dt, form="integrated")
-        assert a == pytest.approx(b, rel=1e-3, abs=1e-6)
+        # against the classical form G(0) E(t) + int dG E, which a modulus
+        # bounded at 0 also admits; both are exact on the strain interpolant
+        dt, n = 0.01, 120
+        times = dt * np.arange(n + 1)
+        strains = {"step": np.full(n + 1, 1.3), "ramp": 1.3 * times, "sine": np.sin(7 * times)}
+        for kernel in (PRONY, PronyKernel(0.5, ((0.3, 1.0), (0.2, 0.25)))):
+            for name, history in strains.items():
+                for past in (0.0, 0.4):
+                    curve = stress_curve(kernel, history, dt, past)
+                    want = classical_stress_curve(kernel, history, dt, past)
+                    assert np.abs(curve - want).max() <= 1e-13, (kernel, name, past)
 
     @pytest.mark.parametrize("strain", ["step", "ramp", "sine"])
+    # ids number the kernels and name the integrated form the stress is taken in
     @pytest.mark.parametrize(
-        "kernel, form",
+        "kernel",
         [
-            (PRONY, "classical"),
-            (PRONY, "integrated"),
-            (PowerLawKernel(c=1.0, alpha=0.5), "integrated"),
+            pytest.param(PronyKernel(0.5, ((0.3, 1.0), (0.2, 0.25))), id="kernel0-integrated"),
+            pytest.param(PRONY, id="kernel1-integrated"),
+            pytest.param(PowerLawKernel(c=1.0, alpha=0.5), id="kernel2-integrated"),
+            pytest.param(KernelSum((PRONY, PowerLawKernel(c=0.3, alpha=0.4))), id="kernel3-integrated"),
         ],
     )
-    def test_curve_equals_prefix_stresses_bitwise(self, kernel, form, strain):
+    def test_curve_equals_prefix_stresses_bitwise(self, kernel, strain):
         dt, n = 0.01, 120
         times = dt * np.arange(n + 1)
         history = {"step": np.full(n + 1, 1.3), "ramp": 1.3 * times, "sine": np.sin(7 * times)}[strain]
-        curve = stress_curve(kernel, history, dt, 0.4, form=form)
-        want = [compute_stress(kernel, history[: m + 1], dt, 0.4, form=form) for m in range(1, n + 1)]
+        curve = stress_curve(kernel, history, dt, 0.4)
+        want = [compute_stress(kernel, history[: m + 1], dt, 0.4) for m in range(1, n + 1)]
         assert curve.tobytes() == np.array(want).tobytes()
 
