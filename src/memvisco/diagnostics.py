@@ -18,6 +18,7 @@ from memvisco.grid import (
     Field,
     Grid,
     dirichlet_edge_differences,
+    double_trapezoid,
     inner_space,
     l2_space,
     laplacian_array,
@@ -30,8 +31,6 @@ from memvisco.solver import (
     TrajectorySolution,
     interval_weights,
     run_integrodiff,
-    _forcing_values,
-    _integrated_forcing,
 )
 
 __all__ = [
@@ -121,8 +120,8 @@ def energy_ledger(
 
     memory = np.zeros(J + 1)
     rate_curvature = np.zeros(J + 1)
-    # constant kernel: moment weights are pure roundoff, skip the history sums
-    if not hist_m.inert(g_now[0]):
+    # a modulus with dG = 0 has no memory: its weights would be round-off
+    if np.any(gdot_now):
         # Level j weighs lag i by lags[i] for i < j and by the oldest-lag
         # weight oldest[j - 1] at i = j, so one pass per lag serves all j.
         for i in range(1, J + 1):
@@ -139,12 +138,7 @@ def energy_ledger(
     if forcing is None:
         forcing_power = np.zeros(J + 1)
     else:
-        forcing_power = np.array(
-            [
-                inner_space(grid, _forcing_values(forcing, grid, times[j]).ravel(), v[j])
-                for j in range(J + 1)
-            ]
-        )
+        forcing_power = vol * forcing.factor(times) * (v @ forcing.profile(grid).ravel())
 
     stored = kinetic + elastic + memory
     residual = (stored[2:] - stored[:-2]) / (2 * dt) - (
@@ -241,14 +235,14 @@ def check_energy_bound(
     T = float(traj.times[-1])
     gamma = max(1.0 / kernel.modulus(T + 1.0), 1.0)
 
-    # |f|^2 level by level: no stack of the forcing at every level
+    # f = profile * factor: |f|^2 = |profile|^2 int factor^2
     f_spacetime_sq = 0.0
     if forcing is not None:
-        f_sq = np.empty(traj.n_levels)
-        for j, t in enumerate(traj.times):
-            f = _forcing_values(forcing, grid, t)
-            f_sq[j] = inner_space(grid, f, f)
-        f_spacetime_sq = float(np.dot(trapezoid_weights(traj.n_levels, dt), f_sq))
+        profile = forcing.profile(grid)
+        factor = forcing.factor(traj.times)
+        f_spacetime_sq = inner_space(grid, profile, profile) * float(
+            np.dot(trapezoid_weights(traj.n_levels, dt), factor * factor)
+        )
     c_data = 0.5 * f_spacetime_sq + 0.5 * l2_space(grid, u1) ** 2
     bound = gamma * math.exp(T) * c_data
 
@@ -389,14 +383,15 @@ def weak_residual(
     flat = traj.levels.reshape(J + 1, -1)
     space = [v.space_values(grid).ravel() for v in battery]
     if forcing is not None:
-        # one forcing field at a time, projected on every test function
-        forced = _integrated_forcing(forcing, grid, traj.times, dt, np.stack(space, axis=1))
+        # F2 = c2 * profile, c2 the time factor integrated twice
+        c2 = double_trapezoid(forcing.factor(traj.times), dt)
+        profile = forcing.profile(grid).ravel()
 
     wt = trapezoid_weights(J + 1, dt)
     vol = grid.cell_volume
     tested = {}
     out = []
-    for b, (v, vx) in enumerate(zip(battery, space)):
+    for v, vx in zip(battery, space):
         a = wt * v.time_values(traj.times, horizon)
         key = a.tobytes()
         if key not in tested:
@@ -405,7 +400,7 @@ def weak_residual(
         projected = flat @ vx
         ramp = traj.times * (u1.values.ravel() @ vx) + u0.values.ravel() @ vx
         if forcing is not None:
-            ramp += forced[:, b]
+            ramp += c2 * (profile @ vx)
         rest = float(a @ (projected - ramp))
         lap_vx = laplacian_array(grid, vx.reshape(grid.shape)).ravel()
         direct = vol * (rest - float(y @ (flat @ lap_vx)))

@@ -80,16 +80,15 @@ def field_from_name(grid: Grid, name: str, params: dict | None = None) -> Field:
 
 @dataclass(frozen=True)
 class Forcing:
-    """Space profile, optionally modulated in time by cos(omega t).
+    """f(x, t) = profile(x) factor(t): a named space profile, optionally
+    modulated in time by factor(t) = cos(omega t).
 
-    The profile is separable from time, so it is computed once per grid and
-    kept with the forcing; samples are always fresh arrays.
+    A consumer reads the profile once per grid and the factor once per time
+    axis; sample is their product at one time, a fresh array.
     """
 
     name: str
     params: tuple[tuple[str, float], ...] = field(default=())
-    # (grid, profile) for the last grid sampled on
-    _profile: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name not in FORCING_NAMES:
@@ -110,13 +109,16 @@ class Forcing:
     def is_zero(self) -> bool:
         return self.name == "zero"
 
+    def profile(self, grid: Grid) -> np.ndarray:
+        """The space profile on grid's nodes."""
+        params = {k: v for k, v in self.params if k != "omega"}
+        return space_values(grid, self.name, params)
+
+    def factor(self, times) -> np.ndarray:
+        """The time factor at times: cos(omega t), or ones without omega."""
+        times = np.asarray(times, dtype=float)
+        omega = dict(self.params).get("omega", 0.0)
+        return np.cos(omega * times) if omega else np.ones(times.shape)
+
     def sample(self, grid: Grid, t: float) -> np.ndarray:
-        params = dict(self.params)
-        omega = params.pop("omega", 0.0)
-        if self._profile is None or self._profile[0] != grid:
-            # the one attribute of the frozen forcing set after construction
-            object.__setattr__(self, "_profile", (grid, space_values(grid, self.name, params)))
-        profile = self._profile[1]
-        if omega:
-            return profile * np.cos(omega * t)
-        return profile.copy()
+        return self.profile(grid) * self.factor(t)

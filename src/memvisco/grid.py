@@ -24,6 +24,7 @@ __all__ = [
     "inner_space",
     "l2_space",
     "trapezoid_weights",
+    "double_trapezoid",
     "l2_spacetime",
 ]
 
@@ -209,6 +210,17 @@ def trapezoid_weights(n_levels: int, dt: float) -> np.ndarray:
     w = np.full(n_levels, dt)
     w[0] = w[-1] = dt / 2.0
     return w
+
+
+def double_trapezoid(samples, dt: float) -> np.ndarray:
+    """int_0^t int_0^s of samples on a uniform time axis, at every level:
+    the cumulative trapezoid rule twice, 0 at level 0."""
+    out = np.asarray(samples, dtype=float)
+    for _ in range(2):
+        integral = np.zeros_like(out)
+        np.cumsum(0.5 * dt * (out[1:] + out[:-1]), axis=0, out=integral[1:])
+        out = integral
+    return out
 
 
 def l2_spacetime(grid: Grid, levels: np.ndarray, dt: float, overwrite: bool = False) -> float:

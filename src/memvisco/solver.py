@@ -26,7 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from memvisco.grid import Field, Grid, l2_spacetime, laplacian_array
+from memvisco.expressions import Forcing
+from memvisco.grid import Field, Grid, double_trapezoid, l2_spacetime, laplacian_array
 from memvisco.kernels import PronyKernel, RelaxationKernel, translate
 
 __all__ = [
@@ -81,20 +82,8 @@ def cfl_time_step(
     return horizon / n
 
 
-def _forcing_values(forcing, grid: Grid, t: float) -> np.ndarray:
-    if forcing is None:
-        return np.zeros(grid.shape)
-    if hasattr(forcing, "sample"):
-        return np.asarray(forcing.sample(grid, t), dtype=float)
-    return np.asarray(forcing(grid, t), dtype=float)
-
-
-def _forcing_tag(forcing) -> str:
-    if forcing is None:
-        return "none"
-    if hasattr(forcing, "name"):
-        return f"{forcing.name}:{getattr(forcing, 'params', '')}"
-    return getattr(forcing, "__qualname__", repr(forcing))
+def _forcing_tag(forcing: Forcing | None) -> str:
+    return "none" if forcing is None else f"{forcing.name}:{forcing.params}"
 
 
 @dataclass(frozen=True)
@@ -114,7 +103,7 @@ class ProblemSpec:
     eps: float
     u0: Field
     u1: Field
-    forcing: object = None
+    forcing: Forcing | None = None
     formulation: str = "integrodifferential"
 
     def __post_init__(self):
@@ -162,6 +151,13 @@ class ProblemSpec:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
+
+    def forcing_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(profile, factor) with f(t_j) = factor[j] * profile; a zero
+        profile without forcing."""
+        if self.forcing is None:
+            return np.zeros(self.grid.shape), np.zeros(self.n_steps + 1)
+        return self.forcing.profile(self.grid), self.forcing.factor(self.times)
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -301,11 +297,11 @@ class HistoryConvolution:
     j = 1 .. n.  Its one table of lag weights is lags[d] = left[d] +
     right[d - 1] (lags[0] = left[0], lags[n] = right[n - 1]).  Row j weighs
     level m >= 1 by lags[j - m], and level 0 by oldest[j - 1] = right[j - 1].
-    row, next_sum and adjoint read that table.
+    next_sum and adjoint read that table.
 
     left and right may carry a leading shift axis, (K, n): one weight set
-    per shift of a sequence, sharing n.  lags, oldest, row and next_sum
-    then carry that axis too; adjoint takes a single weight set.
+    per shift of a sequence, sharing n.  lags, oldest and next_sum then
+    carry that axis too; adjoint takes a single weight set.
 
     A marcher that stores its levels asks next_sum(levels) for the rows
     j = 1, 2, ... in turn, passing a view of its levels 0 .. top - 1:
@@ -330,37 +326,23 @@ class HistoryConvolution:
         self.lags = np.zeros(left.shape[:-1] + (n + 1,))
         self.lags[..., :n] += left
         self.lags[..., 1:] += right
-        self._largest = max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0))
         self._rows_summed = 0
 
     @classmethod
     def memory(cls, kernel: RelaxationKernel, eps: float, n: int, dt: float) -> "HistoryConvolution":
         """The leapfrog's memory term, w(s) = dG(eps + s), over n steps of dt.
 
-        A Prony kernel with terms gets the exponential backend; any other
-        kernel gets the direct one.
+        A Prony kernel gets the exponential backend, a constant modulus (no
+        terms) included; any other kernel gets the direct one.
         """
-        if isinstance(kernel, PronyKernel) and kernel.terms:
+        if isinstance(kernel, PronyKernel):
             return _ExponentialHistory(kernel, eps, n, dt)
         shifted = translate(kernel, eps)
         return cls(*interval_weights(shifted._modulus, shifted._integral, n, dt))
 
-    def inert(self, g0: float) -> bool:
-        """True when the weights are pure roundoff next to G(eps).
-
-        A constant kernel has dG = 0, so its memory weights come out of the
-        antiderivative differences as rounding noise; callers skip the
-        memory term instead of summing that noise.
-        """
-        return self._largest <= 1e-13 * max(1.0, abs(g0))
-
-    def row(self, j: int) -> np.ndarray:
-        """Level weights of row j >= 1, indexed by level m = 0 .. j."""
-        w = self._block(j, j + 1, 0, j + 1)[:, 0]
-        return w if self.lags.ndim > 1 else w[0]
-
     def adjoint(self, a: np.ndarray) -> np.ndarray:
-        """y[m] = sum_j a[j] row(j)[m] over the rows j = 1 .. n; a[0] weighs nothing.
+        """y[m] = sum_j a[j] w_j[m] over the rows j = 1 .. n, w_j the level
+        weights of row j; a[0] weighs nothing.
 
         The transpose of the row-by-row sums, so a @ (row sums of p) equals
         adjoint(a) @ p for samples p of any shape: a diagnostic that only
@@ -412,7 +394,7 @@ class HistoryConvolution:
         return j, levels.reshape(shifts, top, -1)
 
     def next_sum(self, levels: np.ndarray) -> np.ndarray:
-        """row(j) @ levels for the next row j, one flat sum per shift.
+        """The next row j's level weights @ levels, one flat sum per shift.
 
         levels holds the stored levels 0 .. top - 1 of each shift, as
         (K, top, ...) or, without a shift axis, (top, ...); top is j or
@@ -458,9 +440,10 @@ class _ExponentialHistory(HistoryConvolution):
 
     and next_sum() returns the sum of C_j over the terms: O(terms N) per
     step, reading only the two newest of the levels it is given.  It sums
-    whole rows only, top = j + 1.  row, adjoint and inert see the
-    geometric weights, summed over the terms; they match the direct
-    interval weights up to the round-off those lose to cancellation.
+    whole rows only, top = j + 1.  adjoint sees the geometric weights,
+    summed over the terms; they match the direct interval weights up to the
+    round-off those lose to cancellation.  Without terms every sum is an
+    exact zero.
     """
 
     backend = "exponential"
@@ -484,6 +467,8 @@ class _ExponentialHistory(HistoryConvolution):
         if stack.shape[1] != j + 1:
             raise ValueError("the exponential backend sums whole rows: pass levels 0 .. j")
         newest, previous = stack[0, j], stack[0, j - 1]
+        if not self._terms:
+            return np.zeros(newest.size)
         if j == 1:
             self._states = [np.zeros(newest.size) for _ in self._terms]
         for state, (r, left0, right0) in zip(self._states, self._terms):
@@ -508,16 +493,11 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
     history = HistoryConvolution.memory(spec.kernel, spec.eps, J, dt)
-    # constant kernel: weights are pure roundoff, skip the memory term
-    inert = history.inert(g0)
-
-    def forcing(t):
-        # unforced: adding 0.0 still turns -0.0 into 0.0, as a zero field did
-        return 0.0 if spec.forcing is None else _forcing_values(spec.forcing, grid, t)
+    profile, factor = spec.forcing_parts()
 
     levels[0] = spec.u0.values
     lap = laplacian_array(grid, levels[0])
-    levels[1] = levels[0] + dt * spec.u1.values + 0.5 * dt * dt * (g0 * lap + forcing(0.0))
+    levels[1] = levels[0] + dt * spec.u1.values + 0.5 * dt * dt * (g0 * lap + factor[0] * profile)
 
     for j in range(1, J):
         # u_{j+1} = 2 u_j - u_{j-1} + dt^2 (lap(g0 u_j + H_j) + f), in place,
@@ -525,10 +505,9 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
         # levels 0 .. j: the memory term is linear in u, so one Laplacian a
         # step serves it and the instantaneous term
         stress = g0 * levels[j]
-        if not inert:
-            stress += history.next_sum(levels[: j + 1]).reshape(shape)
+        stress += history.next_sum(levels[: j + 1]).reshape(shape)
         accel = laplacian_array(grid, stress)
-        accel += forcing(j * dt)
+        accel += factor[j] * profile
         accel *= dt * dt
         new = levels[j + 1]
         np.multiply(levels[j], 2.0, out=new)
@@ -550,29 +529,6 @@ def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
 # ---------------------------------------------------------------------------
 # integral (Volterra) march
 # ---------------------------------------------------------------------------
-
-
-def _integrated_forcing(
-    forcing, grid: Grid, times: np.ndarray, dt: float, onto: np.ndarray | None = None
-) -> np.ndarray:
-    """int_0^t int_0^s f at every level: the cumulative trapezoid rule twice.
-
-    Without forcing the result is a zero per level that broadcasts
-    against the grid, not a zero field per level.  With onto, an (N, B)
-    matrix, each level's forcing is projected on its columns first: the
-    result is (levels, B) and no stack of forcing fields is held.
-    """
-    if forcing is None:
-        return np.zeros((len(times),) + (1,) * grid.dim)
-    if onto is None:
-        out = np.stack([_forcing_values(forcing, grid, t) for t in times])
-    else:
-        out = np.stack([_forcing_values(forcing, grid, t).ravel() @ onto for t in times])
-    for _ in range(2):
-        integral = np.zeros_like(out)
-        np.cumsum(0.5 * dt * (out[1:] + out[:-1]), axis=0, out=integral[1:])
-        out = integral
-    return out
 
 
 # Levels per in-place sine transform of a stored level stack.
@@ -644,7 +600,8 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
         u_j = (-mu H_j + t_j u1 + u0 + F_j) / (1 + lags[0] mu),
 
     all in sine coefficients, with H_j the history sum of the levels before
-    j and F_j the integrated forcing.  The levels are stored as
+    j and F_j = C2_j p the integrated forcing: p the profile's coefficients
+    and C2 the factor integrated twice.  The levels are stored as
     coefficients and turned back into nodal values, shift by shift, once
     the march is done.  Every operation but the history sum acts on each
     shift's coefficients alone, as a one-shift march would; the history
@@ -672,9 +629,9 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     sine = _sine_matrices(grid)
     u0 = _sine_transform(spec.u0.values, sine)
     u1 = _sine_transform(spec.u1.values, sine)
-    f_double = _integrated_forcing(spec.forcing, grid, spec.times, dt)
-    if spec.forcing is not None:
-        _sine_transform_levels(f_double, sine)
+    profile, factor = spec.forcing_parts()
+    p = _sine_transform(profile, sine)
+    c2 = double_trapezoid(factor, dt)
     levels[:, 0] = u0
 
     for j in range(1, J + 1):
@@ -682,7 +639,7 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
         np.multiply(history.next_sum(levels[:, :j]).reshape(new.shape), minus_mu, out=new)
         new += u1 * (j * dt)
         new += u0
-        new += f_double[j]
+        new += c2[j] * p
         new /= denominator
         if not np.isfinite(new).all():
             finite = np.isfinite(new.reshape(K, -1)).all(axis=1)

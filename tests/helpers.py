@@ -32,8 +32,6 @@ from memvisco.solver import (
     TrajectorySolution,
     cfl_time_step,
     interval_weights,
-    _forcing_values,
-    _integrated_forcing,
 )
 
 # Populated by the acceptance tests, printed in the terminal summary.
@@ -100,16 +98,38 @@ def prony_history_moment(kernel: PronyKernel, eps: float, t) -> np.ndarray:
     return total
 
 
-def manufactured_forcing(kernel: PronyKernel, eps: float):
+class SeparableForcing:
+    """Test double of Forcing: space(grid) times time(t), both callables."""
+
+    def __init__(self, name: str, space, time):
+        self.name = name
+        self.params = ()
+        self.space = space
+        self.time = time
+
+    def profile(self, grid: Grid) -> np.ndarray:
+        return np.asarray(self.space(grid), dtype=float)
+
+    def factor(self, times) -> np.ndarray:
+        return np.asarray(self.time(np.asarray(times, dtype=float)), dtype=float)
+
+    def sample(self, grid: Grid, t: float) -> np.ndarray:
+        return self.profile(grid) * self.factor(t)
+
+
+def forcing_at(forcing, grid: Grid, t: float) -> np.ndarray:
+    """The forcing field at time t, a zero field without forcing."""
+    return np.zeros(grid.shape) if forcing is None else forcing.sample(grid, t)
+
+
+def manufactured_forcing(kernel: PronyKernel, eps: float) -> SeparableForcing:
     """Forcing that makes sin(pi x)(1+t^2) the exact solution in 1D."""
     g_eps = kernel.modulus(eps)
-
-    def forcing(grid: Grid, t: float) -> np.ndarray:
-        x = grid.axis_coordinates(0)
-        moment = float(prony_history_moment(kernel, eps, t))
-        return np.sin(np.pi * x) * (2.0 + np.pi**2 * (g_eps * (1 + t * t) + moment))
-
-    return forcing
+    return SeparableForcing(
+        "manufactured",
+        lambda grid: np.sin(np.pi * grid.axis_coordinates(0)),
+        lambda t: 2.0 + np.pi**2 * (g_eps * (1 + t * t) + prony_history_moment(kernel, eps, t)),
+    )
 
 
 def manufactured_exact(grid: Grid, times: np.ndarray) -> np.ndarray:
@@ -136,8 +156,15 @@ def unchecked_spec(**fields) -> ProblemSpec:
     return spec
 
 
+def history_row(history: HistoryConvolution, j: int) -> np.ndarray:
+    """Level weights of row j >= 1 of history, indexed by level m = 0 .. j,
+    read from the weight blocks its sums use; one row per shift."""
+    w = history._block(j, j + 1, 0, j + 1)[:, 0]
+    return w if history.lags.ndim > 1 else w[0]
+
+
 def conv_weights(left, right, j: int) -> np.ndarray:
-    """Oracle for HistoryConvolution.row: level weights for
+    """Oracle for history_row: level weights for
     int_0^{t_j} w(s) p(t_j - s) ds, indexed by level m."""
     w = np.zeros(j + 1)
     if j:
@@ -155,17 +182,18 @@ def direct_weights(left, right, j: int) -> np.ndarray:
     return w
 
 
-def weights_inert(left, right, g0: float) -> bool:
-    """Oracle for HistoryConvolution.inert."""
-    weight_floor = 1e-13 * max(1.0, abs(g0))
-    return max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0)) <= weight_floor
-
-
 def cumulative_trapezoid(levels: np.ndarray, dt: float) -> np.ndarray:
     """Running trapezoid integral along the first axis, 0 at level 0."""
     out = np.zeros_like(levels)
     np.cumsum(0.5 * dt * (levels[1:] + levels[:-1]), axis=0, out=out[1:])
     return out
+
+
+def integrated_forcing(forcing, grid: Grid, times: np.ndarray, dt: float) -> np.ndarray:
+    """int_0^t int_0^s f at every level as a (levels, N) stack, from a
+    forcing field per level."""
+    f = np.stack([forcing_at(forcing, grid, t).ravel() for t in times])
+    return cumulative_trapezoid(cumulative_trapezoid(f, dt), dt)
 
 
 def dirichlet_gradient_sq(grid: Grid, values: np.ndarray) -> float:
@@ -199,11 +227,6 @@ def reference_energy_ledger(
     gdot_now = kk.modulus_dt(times)
     left_m, right_m = interval_weights(kk._modulus, kk._integral, J, dt)
     left_c, right_c = interval_weights(kk._modulus_dt, kk._modulus, J, dt)
-    weight_floor = 1e-13 * max(1.0, float(g_now[0]))
-    memory_inert = (
-        max(np.abs(left_m).max(initial=0.0), np.abs(right_m).max(initial=0.0))
-        <= weight_floor
-    )
 
     grad_sq = np.array([dirichlet_gradient_sq(grid, u[j]) for j in range(J + 1)])
     kinetic = np.array([0.5 * l2_space(grid, v[j]) ** 2 for j in range(J + 1)])
@@ -212,7 +235,8 @@ def reference_energy_ledger(
 
     memory = np.zeros(J + 1)
     rate_curvature = np.zeros(J + 1)
-    if not memory_inert:
+    # dG = 0: no memory, where the weights would be round-off
+    if np.any(gdot_now):
         for j in range(1, J + 1):
             phi = np.empty(j + 1)
             phi[0] = 0.0
@@ -223,7 +247,7 @@ def reference_energy_ledger(
 
     forcing_power = np.array(
         [
-            inner_space(grid, _forcing_values(forcing, grid, times[j]), v[j])
+            inner_space(grid, forcing_at(forcing, grid, times[j]), v[j])
             for j in range(J + 1)
         ]
     )
@@ -274,12 +298,11 @@ def reference_integrodiff(spec: ProblemSpec) -> np.ndarray:
     shifted = translate(spec.kernel, spec.eps)
     g0 = shifted.modulus(0.0)
     left, right = interval_weights(shifted._modulus, shifted._integral, J, dt)
-    inert = weights_inert(left, right, g0)
 
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
     lap_flat = np.empty((J + 1, grid.n_total))
-    f_now = _forcing_values(spec.forcing, grid, 0.0)
+    f_now = forcing_at(spec.forcing, grid, 0.0)
     levels[0] = spec.u0.values
     lap_flat[0] = reference_laplacian(grid, levels[0]).ravel()
     levels[1] = (
@@ -289,12 +312,9 @@ def reference_integrodiff(spec: ProblemSpec) -> np.ndarray:
     )
     for j in range(1, J):
         lap_flat[j] = reference_laplacian(grid, levels[j]).ravel()
-        if inert:
-            memory = 0.0
-        else:
-            w = conv_weights(left, right, j)
-            memory = (w @ lap_flat[: j + 1]).reshape(shape)
-        f_now = _forcing_values(spec.forcing, grid, j * dt)
+        w = conv_weights(left, right, j)
+        memory = (w @ lap_flat[: j + 1]).reshape(shape)
+        f_now = forcing_at(spec.forcing, grid, j * dt)
         levels[j + 1] = (
             2.0 * levels[j]
             - levels[j - 1]
@@ -318,17 +338,15 @@ def reference_volterra(spec: ProblemSpec) -> np.ndarray:
     )
     levels = np.empty((J + 1,) + shape)
     lap_flat = np.empty((J + 1, grid.n_total))
-    f_levels = np.stack(
-        [_forcing_values(spec.forcing, grid, j * dt) for j in range(J + 1)]
-    )
-    f_double = cumulative_trapezoid(cumulative_trapezoid(f_levels, dt), dt)
+    f_double = integrated_forcing(spec.forcing, grid, spec.times, dt)
     levels[0] = spec.u0.values
     lap_flat[0] = lap_matrix @ levels[0].ravel()
     for j in range(1, J + 1):
         w = conv_weights(left, right, j)
         drive = (
             w[:j] @ lap_flat[:j]
-            + (spec.u1.values * (j * dt) + spec.u0.values + f_double[j]).ravel()
+            + (spec.u1.values * (j * dt) + spec.u0.values).ravel()
+            + f_double[j]
         )
         with np.errstate(invalid="ignore"):
             levels[j] = np.linalg.solve(identity - w[j] * lap_matrix, drive).reshape(shape)
@@ -381,7 +399,7 @@ def reference_full(history: HistoryConvolution, samples: np.ndarray) -> np.ndarr
     for every level; out[0] = 0."""
     out = np.zeros_like(samples)
     for j in range(1, samples.shape[0]):
-        out[j] = history.row(j) @ samples[: j + 1]
+        out[j] = history_row(history, j) @ samples[: j + 1]
     return out
 
 
@@ -486,7 +504,7 @@ def reference_weak_residual(
     conv_lap = reference_full(history, laplacian_array(grid, traj.levels).reshape(J + 1, -1))
     conv_u = reference_full(history, flat)
 
-    f_double = _integrated_forcing(forcing, grid, traj.times, dt).reshape(J + 1, -1)
+    f_double = integrated_forcing(forcing, grid, traj.times, dt)
     ramp = (
         np.outer(traj.times, u1.values.ravel())
         + u0.values.ravel()[None, :]
@@ -557,7 +575,7 @@ def weak_term_magnitudes(traj, kernel, eps, u0, u1, forcing=None, battery=None) 
     flat = traj.levels.reshape(J + 1, -1)
     sums_u = _abs_row_sums(left, right, flat)
     sums_lap = _abs_row_sums(left, right, laplacian_array(grid, traj.levels).reshape(J + 1, -1))
-    f_double = _integrated_forcing(forcing, grid, traj.times, dt).reshape(J + 1, -1)
+    f_double = integrated_forcing(forcing, grid, traj.times, dt)
     ramp = (
         np.outer(traj.times, np.abs(u1.values.ravel()))
         + np.abs(u0.values.ravel())[None, :]

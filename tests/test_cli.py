@@ -551,7 +551,7 @@ class TestOtherModes:
         from memvisco.solver import run, stable_time_step
 
         cases = {
-            "single": (QUICK, "direct", [0.05]),
+            "single": (QUICK, "exponential", [0.05]),
             "leapfrog": (SEQUENCE, "exponential", [0.1, 0.05, 0.025, 0.0125]),
             "volterra": (
                 SEQUENCE.replace("[experiment]\n", "[experiment]\nformulation = integral_volterra\n"),

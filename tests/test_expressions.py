@@ -86,27 +86,54 @@ class TestForcing:
             Forcing.from_dict("ramp", {})
 
     @pytest.mark.parametrize("params", [{"amplitude": 0.5}, {"amplitude": 0.5, "omega": 3.0}])
-    def test_profile_computed_once_per_grid(self, monkeypatch, params):
-        import memvisco.expressions as expressions
+    def test_profile_times_factor(self, params):
+        f = Forcing.from_dict("sin_pi_product", params)
+        line, box = Grid.line(7), Grid.box(4)
+        times = np.array([0.0, 0.3, 0.9])
+        omega = params.get("omega", 0.0)
+        assert f.factor(times) == pytest.approx(np.cos(omega * times))
+        for grid in (line, box):
+            profile = f.profile(grid)
+            assert profile.tobytes() == space_values(grid, "sin_pi_product", {"amplitude": 0.5}).tobytes()
+            for t, c in zip(times, f.factor(times)):
+                assert f.sample(grid, t).tobytes() == (c * profile).tobytes()
 
+    @pytest.mark.parametrize("formulation", ["integrodifferential", "integral_volterra"])
+    def test_profile_read_once_per_consumer(self, monkeypatch, formulation):
+        # a forced run, its ledger, bound and weak residual read the profile
+        # once each, however many time levels the run has
+        import memvisco.expressions as expressions
+        from memvisco.diagnostics import check_energy_bound, energy_ledger, weak_residual
+        from memvisco.kernels import PronyKernel
+        from memvisco.solver import ProblemSpec, run
+
+        kernel = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
+        box = Grid.box(5)
+        forcing = Forcing.from_dict("sin_pi_product", {"amplitude": 0.5, "omega": 3.0})
+        specs = [
+            ProblemSpec(
+                kernel=kernel, grid=box, horizon=horizon, dt=0.02, eps=0.05,
+                u0=field_from_name(box, "zero"), u1=field_from_name(box, "bump", {"radius": 0.3}),
+                forcing=forcing, formulation=formulation,
+            )
+            for horizon in (0.2, 0.8)
+        ]
         calls = []
 
         def counted(grid, name, p=None):
-            calls.append(grid)
+            calls.append(name)
             return space_values(grid, name, p)
 
         monkeypatch.setattr(expressions, "space_values", counted)
-        f = Forcing.from_dict("sin_pi_product", params)
-        line, box = Grid.line(7), Grid.box(4)
-        for t in (0.0, 0.3, 0.9):
-            assert f.sample(line, t) == pytest.approx(
-                space_values(line, "sin_pi_product", {"amplitude": 0.5})
-                * np.cos(params.get("omega", 0.0) * t)
-            )
-        assert calls == [line]
-        assert f.sample(box, 0.2).shape == box.shape
-        assert f.sample(line, 0.2).shape == line.shape
-        assert calls == [line, box, line]
+        counts = []
+        for spec in specs:
+            calls.clear()
+            traj = run(spec)
+            energy_ledger(traj, kernel, spec.eps, forcing)
+            check_energy_bound(traj, kernel, spec.eps, spec.u1, forcing)
+            weak_residual(traj, kernel, spec.eps, spec.u0, spec.u1, forcing)
+            counts.append(len(calls))
+        assert counts == [4, 4]
 
     @pytest.mark.parametrize("params", [{"value": 2.0}, {"value": 2.0, "omega": 1.0}])
     def test_samples_are_fresh_arrays(self, params):

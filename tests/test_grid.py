@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import dirichlet_gradient_sq, reference_laplacian
+from helpers import cumulative_trapezoid, dirichlet_gradient_sq, reference_laplacian
 from memvisco.grid import (
     Field,
     Grid,
     GridMismatchError,
     dirichlet_edge_differences,
+    double_trapezoid,
     inner_space,
     l2_space,
     l2_spacetime,
@@ -198,6 +199,20 @@ class TestNorms:
         w = trapezoid_weights(5, 0.25)
         assert w == pytest.approx([0.125, 0.25, 0.25, 0.25, 0.125])
         assert w.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shape", [(31,), (31, 4, 5)])
+    def test_double_trapezoid_is_the_trapezoid_twice_bitwise(self, shape):
+        samples = np.random.default_rng(2).standard_normal(shape)
+        want = cumulative_trapezoid(cumulative_trapezoid(samples, 0.02), 0.02)
+        assert double_trapezoid(samples, 0.02).tobytes() == want.tobytes()
+
+    def test_double_trapezoid_of_a_line(self):
+        # int_0^t int_0^s (1 + r) dr ds = t^2 / 2 + t^3 / 6; the first rule
+        # is exact on the line, the second overshoots s^2 / 2 by t h^2 / 12
+        h = 0.1
+        t = h * np.arange(11)
+        want = t**2 / 2 + t**3 / 6 + t * h**2 / 12
+        assert double_trapezoid(1.0 + t, h) == pytest.approx(want, abs=1e-14)
 
     def test_spacetime_norm_separable(self):
         g = Grid.line(40)

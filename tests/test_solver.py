@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from helpers import (
+    SeparableForcing,
     classical_stress_curve,
     conv_weights,
-    cumulative_trapezoid,
     direct_weights,
+    history_row,
     l2q_error,
     manufactured_exact,
     manufactured_forcing,
@@ -26,7 +27,7 @@ from helpers import (
     unchecked_spec,
 )
 import memvisco.solver as solver_module
-from memvisco.config import parse_config_file
+from memvisco.config import parse_config, parse_config_file
 from memvisco.convergence import eps_schedule, run_eps_sequence
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid, laplacian_array
@@ -51,8 +52,6 @@ from memvisco.solver import (
     run_integrodiff,
     stable_time_step,
     trajectory_distance,
-    _forcing_values,
-    _integrated_forcing,
 )
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -139,6 +138,27 @@ class TestProblemSpec:
         c = dataclasses.replace(a, dt=a.dt / 2)
         assert c.fingerprint() != a.fingerprint()
 
+    @pytest.mark.parametrize(
+        "forcing, fingerprint",
+        [
+            ('f = constant\nf_params = {"value": 0.3, "omega": 2.0}', "5c7f0b80ddcc7146"),
+            ('f = sin_pi_product\nf_params = {"amplitude": 0.7}', "89a4af2e6945c483"),
+        ],
+    )
+    def test_forced_config_fingerprint_is_pinned(self, forcing, fingerprint):
+        # a forcing enters the fingerprint as "<name>:<sorted params>"; the
+        # values were recorded before the forcing was read as profile times
+        # factor, and earlier manifests must keep matching them
+        cfg = parse_config(
+            "[experiment]\nformulation = integral_volterra\n"
+            "[kernel]\nfamily = prony\ng_inf = 0.5\nterms = [[0.5, 2.0]]\n"
+            "[grid]\ndim = 1\nn = 49\nextent = 2.0\n"
+            "[time]\nhorizon = 1.5\ndt = 0.005\n"
+            f"[data]\nu0 = sin_pi_product\nu0_params = {{\"amplitude\": 0.5}}\n{forcing}\n"
+            "[eps]\neps = 0.02\n"
+        )
+        assert _build_spec(cfg, cfg.eps, cfg.dt).fingerprint() == fingerprint
+
 
 class TestProductQuadrature:
     @given(
@@ -155,7 +175,7 @@ class TestProductQuadrature:
         left, right = interval_weights(modulus, integral, n, dt)
         samples = a + b * dt * np.arange(n + 1)
         # row n weighs level m by lag n - m: reversed samples give int w(s) p(s)
-        got = float(HistoryConvolution(left, right).row(n) @ samples[::-1])
+        got = float(history_row(HistoryConvolution(left, right), n) @ samples[::-1])
         t = n * dt
         exact = quad(lambda s: (-1.0 / tau) * math.exp(-s / tau) * (a + b * s), 0, t)[0]
         assert got == pytest.approx(exact, rel=1e-9, abs=1e-12)
@@ -173,7 +193,7 @@ class TestProductQuadrature:
         k = PRONY
         left, right = interval_weights(k._modulus, k._integral, 6, 0.1)
         j = 5
-        assert HistoryConvolution(left, right).row(j) == pytest.approx(
+        assert history_row(HistoryConvolution(left, right), j) == pytest.approx(
             direct_weights(left, right, j)[::-1]
         )
 
@@ -222,7 +242,7 @@ class TestConvWeightRows:
             left, right = _signed_zero_weights(n, shifts)
         history = HistoryConvolution(left, right)
         for j in range(1, left.shape[-1] + 1):
-            w = history.row(j)
+            w = history_row(history, j)
             assert w.shape == left.shape[:-1] + (j + 1,)
             for k in np.ndindex(left.shape[:-1]):
                 expected = conv_weights(left[k], right[k], j)
@@ -272,7 +292,7 @@ def test_adjoint_is_the_transposed_row_loop(n, exponential, zeros, seed):
     want = np.zeros(3)
     magnitude = np.zeros(3)
     for j in range(1, n + 1):
-        w = history.row(j)
+        w = history_row(history, j)
         want += a[j] * (w @ p[: j + 1])
         magnitude += abs(a[j]) * (np.abs(w) @ np.abs(p[: j + 1]))
     got = history.adjoint(a) @ p
@@ -527,7 +547,7 @@ class TestExponentialHistory:
         samples = np.concatenate([rough, smooth], axis=1)
         want = np.zeros_like(samples)
         for j in range(1, n + 1):
-            want[j] = history.row(j) @ samples[: j + 1]
+            want[j] = history_row(history, j) @ samples[: j + 1]
         got = _stream_sums(history, samples)
         scale = np.abs(want).max(axis=0)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -538,13 +558,12 @@ class TestExponentialHistory:
         assert HistoryConvolution.memory(PRONY, eps, n, dt).backend == "exponential"
         assert HistoryConvolution.memory(power, eps, n, dt).backend == "direct"
         assert HistoryConvolution.memory(KernelSum((PRONY, power)), eps, n, dt).backend == "direct"
-        assert HistoryConvolution.memory(PronyKernel(1.0, ()), eps, n, dt).backend == "direct"
-
-    def test_inert_keeps_its_meaning(self):
-        g0 = 1.0
-        faint = PronyKernel(g_inf=1.0, terms=((1e-20, 1.0),))
-        assert HistoryConvolution.memory(faint, 0.05, 50, 0.01).inert(g0)
-        assert not HistoryConvolution.memory(PRONY, 0.05, 50, 0.01).inert(g0)
+        constant = HistoryConvolution.memory(PronyKernel(1.0, ()), eps, n, dt)
+        assert constant.backend == "exponential"
+        # a modulus without terms has no memory: its sums are exact zeros
+        levels = np.random.default_rng(5).standard_normal((n + 1, 3))
+        sums = _stream_sums(constant, levels)
+        assert sums.tobytes() == np.zeros_like(levels).tobytes()
 
     @pytest.mark.parametrize("kernel", [PRONY, PowerLawKernel(c=1.0, alpha=0.5)])
     def test_push_keeps_no_reference_to_the_caller_array(self, kernel):
@@ -598,6 +617,28 @@ def test_prony_leapfrog_stores_no_history():
     assert traj.history_backend == "exponential"
     assert traj.levels.nbytes == levels_bytes
     assert peak - entry < 1.25 * levels_bytes
+
+
+def test_forced_volterra_holds_no_forcing_stack():
+    # the march adds c2[j] * p, the profile's sine coefficients p times the
+    # twice-integrated factor c2: forcing costs no per-level stack, where a
+    # stack of J + 1 integrated forcing fields once took 30 MB more here
+    box = Grid.box(23)
+    peaks = []
+    for forcing in (None, Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})):
+        spec = ProblemSpec(
+            kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=box, horizon=1.0, dt=0.005, eps=0.1,
+            u0=Field.zero(box), u1=field_from_name(box, "bump", {"radius": 0.3}),
+            forcing=forcing, formulation="integral_volterra",
+        )
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            run(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**20
 
 
 def _march_cases():
@@ -666,29 +707,31 @@ def test_blocked_marchers_match_reference_loops(spec):
         assert np.max(np.abs(traj.levels - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_integrated_forcing_without_forcing_is_a_broadcast_zero():
+def test_unforced_parts_are_zeros():
+    # an unforced march adds factor[j] * profile = 0.0 * 0.0, as it added a
+    # zero field before: -0.0 turns into 0.0
     grid = Grid((4, 5, 3), (1.0, 1.5, 0.8))
-    times = 0.02 * np.arange(31)
-    got = _integrated_forcing(None, grid, times, 0.02)
-    assert got.shape == (31, 1, 1, 1)
-    # adding it acts as adding a zero field: -0.0 turns into 0.0
+    spec = ProblemSpec(
+        kernel=PRONY, grid=grid, horizon=0.6, dt=0.02, eps=0.05,
+        u0=Field.zero(grid), u1=Field.zero(grid), formulation="integral_volterra",
+    )
+    profile, factor = spec.forcing_parts()
+    assert profile.shape == grid.shape and factor.shape == (31,)
     field = np.full(grid.shape, -0.0)
-    stacked = np.zeros((31,) + grid.shape)
-    assert (field + got[7]).tobytes() == (field + stacked[7]).tobytes()
+    assert (field + factor[7] * profile).tobytes() == np.zeros(grid.shape).tobytes()
 
 
-def test_integrated_forcing_equals_trapezoid_twice_bitwise():
-    # weak_residual integrates the flattened stack, the Volterra march the
-    # stack on the grid shape: both must match the oracle bit for bit
+@pytest.mark.parametrize("params", [{"amplitude": 0.7, "omega": 5.0}, {"amplitude": 0.7}])
+def test_forcing_parts_are_the_samples_bitwise(params):
     grid = Grid((4, 5, 3), (1.0, 1.5, 0.8))
-    pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
-    dt = 0.02
-    times = dt * np.arange(31)
-    f = np.stack([_forcing_values(pulse, grid, t) for t in times]).reshape(31, -1)
-    expected = cumulative_trapezoid(cumulative_trapezoid(f, dt), dt)
-    got = _integrated_forcing(pulse, grid, times, dt)
-    assert got.shape == (31,) + grid.shape
-    assert got.reshape(31, -1).tobytes() == expected.tobytes()
+    pulse = Forcing.from_dict("sin_pi_product", params)
+    spec = ProblemSpec(
+        kernel=PRONY, grid=grid, horizon=0.6, dt=0.02, eps=0.05,
+        u0=Field.zero(grid), u1=Field.zero(grid), forcing=pulse,
+    )
+    profile, factor = spec.forcing_parts()
+    for j, t in enumerate(spec.times):
+        assert (factor[j] * profile).tobytes() == pulse.sample(grid, t).tobytes()
 
 
 class TestIntegrodiff:
@@ -711,7 +754,9 @@ class TestIntegrodiff:
         x = g.axis_coordinates(0)
         u0 = Field(g, np.sin(np.pi * x))
         u1 = Field(g, 0.3 * np.sin(2 * np.pi * x))
-        forcing = lambda grid, t: np.cos(np.pi * grid.axis_coordinates(0)) * (1.0 + t)
+        forcing = SeparableForcing(
+            "startup", lambda grid: np.cos(np.pi * grid.axis_coordinates(0)), lambda t: 1.0 + t
+        )
         spec = ProblemSpec(
             kernel=PRONY, grid=g, horizon=1.0, dt=0.02, eps=0.05,
             u0=u0, u1=u1, forcing=forcing,
@@ -723,7 +768,7 @@ class TestIntegrodiff:
         expected = (
             u0.values
             + 0.02 * u1.values
-            + 0.5 * 0.02**2 * (g_eps * laplacian_array(g, u0.values) + forcing(g, 0.0))
+            + 0.5 * 0.02**2 * (g_eps * laplacian_array(g, u0.values) + forcing.sample(g, 0.0))
         )
         assert traj.levels[1] == pytest.approx(expected, abs=1e-15)
 
