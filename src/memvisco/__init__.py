@@ -8,7 +8,7 @@ convergence studies are the main entry points.
 
 __version__ = "0.1.0"
 
-from memvisco.grid import Field, Grid, GridMismatchError
+from memvisco.grid import Field, Grid
 from memvisco.kernels import (
     AdmissibilityReport,
     KernelDomainError,
@@ -41,7 +41,6 @@ __all__ = [
     "CflViolation",
     "Field",
     "Grid",
-    "GridMismatchError",
     "KernelDomainError",
     "KernelSum",
     "PowerLawKernel",

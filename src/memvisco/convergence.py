@@ -217,8 +217,9 @@ def convergence_lemma_check(
                 tested[key] = history.adjoint(a)
             projected = flat @ v.space_values(grid).ravel()
             residual = vol * v.laplace_factor(grid) * float(tested[key] @ projected)
+            # the time profiles peak at 1
             majorant = (
-                v.sup_laplacian(grid, horizon)
+                abs(v.laplace_factor(grid))
                 * c_level
                 * grid.volume
                 * horizon

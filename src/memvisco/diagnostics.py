@@ -30,7 +30,7 @@ from memvisco.solver import (
     ProblemSpec,
     TrajectorySolution,
     interval_weights,
-    run_integrodiff,
+    run,
 )
 
 __all__ = [
@@ -92,14 +92,11 @@ def energy_ledger(
     """Assemble the energy balance for a trajectory of the shifted problem.
 
     All modulus evaluations use the shifted kernel G(eps + .); eps = 0 is
-    accepted only when the unshifted modulus rate is integrable at 0.
+    accepted only for a modulus bounded at 0.
     """
-    if eps > 0:
-        kk = translate(kernel, eps)
-    elif kernel.rate_integrable_at_zero:
-        kk = kernel
-    else:
-        raise HypothesisError("eps = 0 needs a modulus whose rate is integrable at 0")
+    if eps == 0.0 and kernel.singular_at_zero:
+        raise HypothesisError("eps = 0 with a modulus unbounded at 0")
+    kk = translate(kernel, eps)
 
     grid, dt = traj.grid, traj.dt
     J = traj.n_levels - 1
@@ -187,7 +184,7 @@ def calibrate_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> float:
     discretization drift at this resolution.  Scales like dt^2 + h^2.
     """
     twin = replace(spec, kernel=PronyKernel(spec.kernel.modulus(spec.eps), ()), eps=1.0)
-    ledger = energy_ledger(run_integrodiff(twin), twin.kernel, twin.eps, twin.forcing)
+    ledger = energy_ledger(run(twin), twin.kernel, twin.eps, twin.forcing)
     drift = max(float(np.max(np.diff(ledger.stored))), 0.0)
     floor = 1e-13 * max(float(ledger.stored[0]), 1.0)
     return safety * drift + floor
@@ -220,7 +217,6 @@ def check_energy_bound(
     eps: float,
     u1: Field,
     forcing=None,
-    slack: float = 1e-9,
 ) -> BoundReport:
     """Check  0.5 |grad u|^2 + 0.5 |u_t|^2 <= gamma e^T C  at every level.
 
@@ -267,7 +263,7 @@ def check_energy_bound(
     else:
         max_ratio = peak / bound
     return BoundReport(
-        passed=max_ratio <= 1.0 + slack,
+        passed=max_ratio <= 1.0 + 1e-9,
         gamma=gamma,
         data_constant=c_data,
         bound=bound,
@@ -312,9 +308,6 @@ class ModeTestFunction:
             out = out * np.sin(m * np.pi * x / L)
         return out
 
-    def space_boundary_max(self, grid: Grid) -> float:
-        return 0.0  # sine products vanish identically on the box faces
-
     def laplace_factor(self, grid: Grid) -> float:
         return -sum((m * np.pi / L) ** 2 for m, L in zip(self.modes, grid.extent))
 
@@ -322,9 +315,6 @@ class ModeTestFunction:
         if self.time_profile == "parabolic":
             return 4.0 * times * (horizon - times) / horizon**2
         return np.sin(np.pi * times / horizon)
-
-    def sup_laplacian(self, grid: Grid, horizon: float) -> float:
-        return abs(self.laplace_factor(grid))  # time profiles peak at 1
 
 
 def default_battery(grid: Grid) -> tuple[ModeTestFunction, ...]:
@@ -351,9 +341,9 @@ def weak_residual(
     u0: Field,
     u1: Field,
     forcing=None,
-    battery=None,
 ) -> list[WeakResidualEntry]:
-    """Integral-form defect tested against smooth battery functions.
+    """Integral-form defect tested against the default battery of smooth
+    test functions.
 
     For each test function v the residual is
 
@@ -367,13 +357,8 @@ def weak_residual(
     grid, dt = traj.grid, traj.dt
     J = traj.n_levels - 1
     horizon = float(traj.times[-1])
-    if battery is None:
-        battery = default_battery(grid)
-    for v in battery:
-        if v.space_boundary_max(grid) > 1e-10:
-            raise ValueError(f"test function {v.name} does not vanish on the boundary")
-
-    kk = kernel if eps == 0.0 else translate(kernel, eps)
+    battery = default_battery(grid)
+    kk = translate(kernel, eps)
     history = HistoryConvolution(*interval_weights(kk._integral2, kk._integral3, J, dt))
 
     # Every term is linear in u, so project the levels on each test

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from memvisco.grid import Field, Grid
+from memvisco.kernels import finite_number
 
 __all__ = ["space_values", "field_from_name", "Forcing", "SPACE_NAMES", "FORCING_NAMES"]
 
@@ -29,35 +30,48 @@ def _normalize_modes(grid: Grid, modes) -> tuple[int, ...]:
     if modes is None:
         return (1,) * grid.dim
     if np.ndim(modes) == 0:
-        return (int(modes),) * grid.dim
-    modes = tuple(int(m) for m in modes)
-    if len(modes) != grid.dim:
-        raise ValueError(f"need {grid.dim} mode numbers, got {len(modes)}")
-    return modes
+        modes = (modes,) * grid.dim
+    out = []
+    for m in modes:
+        number = finite_number("modes", m)
+        if not (number.is_integer() and number >= 1):
+            raise ValueError(f"modes = {m!r} is not an integer >= 1")
+        out.append(int(number))
+    if len(out) != grid.dim:
+        raise ValueError(f"need {grid.dim} mode numbers, got {len(out)}")
+    return tuple(out)
+
+
+def _param(params: dict, key: str, default: float) -> float:
+    return finite_number(key, params.pop(key, default))
 
 
 def space_values(grid: Grid, name: str, params: dict | None = None) -> np.ndarray:
+    """A named profile on grid's nodes.  Every parameter is a finite number
+    (a bool is not), a mode an integer >= 1 and a radius > 0."""
     params = dict(params or {})
     if name == "zero":
         _reject_extras(name, params)
         return np.zeros(grid.shape)
     if name == "constant":
-        value = float(params.pop("value", 1.0))
+        value = _param(params, "value", 1.0)
         _reject_extras(name, params)
         return np.full(grid.shape, value)
     if name == "sin_pi_product":
-        amplitude = float(params.pop("amplitude", 1.0))
+        amplitude = _param(params, "amplitude", 1.0)
         _reject_extras(name, params)
         return amplitude * _sin_product(grid, (1,) * grid.dim)
     if name == "sine_mode":
-        amplitude = float(params.pop("amplitude", 1.0))
+        amplitude = _param(params, "amplitude", 1.0)
         modes = _normalize_modes(grid, params.pop("modes", None))
         _reject_extras(name, params)
         return amplitude * _sin_product(grid, modes)
     if name == "bump":
-        amplitude = float(params.pop("amplitude", 1.0))
-        center = float(params.pop("center", 0.5))
-        radius = float(params.pop("radius", 0.35))
+        amplitude = _param(params, "amplitude", 1.0)
+        center = _param(params, "center", 0.5)
+        radius = _param(params, "radius", 0.35)
+        if not radius > 0:
+            raise ValueError(f"radius = {radius!r} is not > 0")
         _reject_extras(name, params)
         r2 = np.zeros(grid.shape)
         for x, L in zip(grid.mesh(), grid.extent):
@@ -95,11 +109,8 @@ class Forcing:
             raise ValueError(
                 f"unknown forcing '{self.name}'; valid: {', '.join(FORCING_NAMES)}"
             )
-        object.__setattr__(
-            self, "params", tuple(sorted((str(k), float(v)) for k, v in self.params))
-        )
-        if not np.all(np.isfinite([v for _, v in self.params])):
-            raise ValueError(f"forcing params must be finite, got {dict(self.params)}")
+        params = ((str(k), finite_number(str(k), v)) for k, v in self.params)
+        object.__setattr__(self, "params", tuple(sorted(params)))
 
     @classmethod
     def from_dict(cls, name: str, params: dict | None = None) -> "Forcing":

@@ -17,8 +17,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "GridMismatchError",
-    "laplacian",
     "laplacian_array",
     "dirichlet_edge_differences",
     "inner_space",
@@ -27,10 +25,6 @@ __all__ = [
     "double_trapezoid",
     "l2_spacetime",
 ]
-
-
-class GridMismatchError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -127,11 +121,6 @@ class Field:
         return cls(grid, np.zeros(grid.shape))
 
 
-def _require_same_grid(grid: Grid, field: Field) -> None:
-    if field.grid != grid:
-        raise GridMismatchError("field lives on a different grid")
-
-
 def laplacian_array(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Second-order central Laplacian with implicit zero boundary.
 
@@ -162,11 +151,6 @@ def laplacian_array(grid: Grid, values: np.ndarray) -> np.ndarray:
         else:
             out += term
     return out
-
-
-def laplacian(grid: Grid, u: Field) -> Field:
-    _require_same_grid(grid, u)
-    return Field(grid, laplacian_array(grid, u.values))
 
 
 def dirichlet_edge_differences(grid: Grid, levels: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ __all__ = [
     "check_admissibility",
     "check_fading_memory",
     "KERNEL_KEYS",
+    "finite_number",
     "kernel_from_dict",
 ]
 
@@ -53,16 +54,14 @@ class RelaxationKernel:
 
     @property
     def singular_at_zero(self) -> bool:
+        """Whether G is unbounded at t = 0.  G is nonincreasing, so
+        int_0^1 |dG/dt| = G(0+) - G(1): this is also whether the rate
+        fails to be integrable near 0, the one regularity the paper drops."""
         raise NotImplementedError
 
     @property
     def value_at_inf(self) -> float:
         """Equilibrium modulus, lim G(t) for t -> infinity."""
-        raise NotImplementedError
-
-    @property
-    def rate_integrable_at_zero(self) -> bool:
-        """Whether dG/dt is integrable on (0, 1]."""
         raise NotImplementedError
 
     @property
@@ -97,12 +96,9 @@ class RelaxationKernel:
             raise KernelDomainError("modulus is defined for t >= 0 only")
         if self.singular_at_zero and np.any(arr == 0.0):
             raise KernelDomainError(
-                f"modulus is unbounded at t = 0 ({self._singular_part()}); "
+                f"modulus is unbounded at t = 0 ({self!r}); "
                 "evaluate at t > 0 or use a translated kernel"
             )
-
-    def _singular_part(self) -> str:
-        return "power-law part"
 
     def _eval(self, t, fn, check):
         arr = np.asarray(t, dtype=float)
@@ -165,10 +161,6 @@ class PronyKernel(RelaxationKernel):
     @property
     def value_at_inf(self) -> float:
         return self.g_inf
-
-    @property
-    def rate_integrable_at_zero(self) -> bool:
-        return True
 
     @property
     def integrable_on_halfline(self) -> bool:
@@ -238,15 +230,8 @@ class PowerLawKernel(RelaxationKernel):
         return 0.0
 
     @property
-    def rate_integrable_at_zero(self) -> bool:
-        return False
-
-    @property
     def integrable_on_halfline(self) -> bool:
         return False
-
-    def _singular_part(self) -> str:
-        return f"power-law part c={self.c}, alpha={self.alpha}"
 
     def _modulus(self, t):
         with np.errstate(divide="ignore"):
@@ -304,18 +289,8 @@ class KernelSum(RelaxationKernel):
         return sum(p.value_at_inf for p in self.parts)
 
     @property
-    def rate_integrable_at_zero(self) -> bool:
-        return all(p.rate_integrable_at_zero for p in self.parts)
-
-    @property
     def integrable_on_halfline(self) -> bool:
         return all(p.integrable_on_halfline for p in self.parts)
-
-    def _singular_part(self) -> str:
-        for p in self.parts:
-            if p.singular_at_zero:
-                return p._singular_part()
-        return "none"
 
     def _sum(self, fn_name, arg):
         out = getattr(self.parts[0], fn_name)(arg)
@@ -375,10 +350,6 @@ class TranslatedKernel(RelaxationKernel):
         return self.base.value_at_inf
 
     @property
-    def rate_integrable_at_zero(self) -> bool:
-        return True
-
-    @property
     def integrable_on_halfline(self) -> bool:
         return self.base.integrable_on_halfline
 
@@ -417,10 +388,13 @@ class TranslatedKernel(RelaxationKernel):
 def translate(kernel: RelaxationKernel, eps: float) -> RelaxationKernel:
     """Shifted kernel G(eps + .) with a re-based integral tower.
 
-    A constant modulus (a Prony kernel with no terms) is its own shift:
-    re-basing its tower would only add round-off.
+    A zero shift is the kernel itself, and so is any shift of a constant
+    modulus (a Prony kernel with no terms): re-basing its tower would only
+    add round-off.
     """
-    shifted = TranslatedKernel(kernel, float(eps))  # refuses eps <= 0
+    if eps == 0.0:
+        return kernel
+    shifted = TranslatedKernel(kernel, float(eps))  # refuses eps < 0 and non-finite eps
     constant = isinstance(kernel, PronyKernel) and not kernel.terms
     return kernel if constant else shifted
 
@@ -496,7 +470,8 @@ def check_admissibility(
         rate_nonpositive=bool(np.all(gd <= 0)),
         curvature_nonnegative=bool(np.all(gdd >= 0)),
         bounded_at_zero=not kernel.singular_at_zero,
-        rate_integrable_at_zero=kernel.rate_integrable_at_zero,
+        # for a nonincreasing G, int_0^1 |dG/dt| = G(0+) - G(1)
+        rate_integrable_at_zero=not kernel.singular_at_zero,
         # G stays integrable on (0, horizon] for every family here; the
         # half-line question is the one that separates the families.
         integrable_on_window=True,
@@ -508,14 +483,13 @@ def check_fading_memory(
     kernel: RelaxationKernel,
     history_norm_bound: float,
     tol: float,
-    max_shift: float = 1e12,
 ) -> float:
     """Smallest shift a* past which bounded histories stop mattering.
 
     Uses the analytic tail int_a^inf |dG/dt| = G(a) - G(inf): returns the
     smallest a* with  history_norm_bound * (G(a*) - G(inf)) <= tol,  so any
     history bounded by history_norm_bound contributes less than tol beyond
-    the shift.  Returns math.inf when no shift below max_shift achieves the
+    the shift.  Returns math.inf when no shift below 1e12 achieves the
     tolerance.
     """
     if not tol > 0:
@@ -525,8 +499,7 @@ def check_fading_memory(
     g_inf = kernel.value_at_inf
 
     def tail(a: float) -> float:
-        if a == 0.0 and kernel.singular_at_zero:
-            return math.inf
+        # a > 0 throughout: lo stops halving at 1e-30
         return history_norm_bound * (float(kernel._modulus(np.asarray(a, float))) - g_inf)
 
     lo = 1.0
@@ -537,7 +510,7 @@ def check_fading_memory(
     hi = 2.0 * lo
     while tail(hi) > tol:
         hi *= 2.0
-        if hi > max_shift:
+        if hi > 1e12:
             return math.inf
     # tail(lo) > tol >= tail(hi): bisect down to adjacent floats, so hi is
     # the smallest float meeting the tolerance.
@@ -563,9 +536,10 @@ KERNEL_KEYS = {
 }
 
 
-def _number(key: str, value) -> float:
-    """A JSON number or numeric text, finite.  TypeError for anything else
-    that is not a number, bools included."""
+def finite_number(key: str, value) -> float:
+    """A JSON number or numeric text, finite: a kernel number or a profile
+    parameter.  TypeError for anything else that is not a number, bools
+    included."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -606,7 +580,7 @@ def kernel_from_dict(spec: dict) -> RelaxationKernel:
         raise ValueError(f"{family} kernel got unknown keys: {', '.join(extra)}")
     try:
         if family == "constant":
-            g0 = _number("g0", spec["g0"])
+            g0 = finite_number("g0", spec["g0"])
             if not g0 > 0:
                 raise ValueError(f"g0 must be positive, got {g0}")
             return PronyKernel(g_inf=g0, terms=())
@@ -617,11 +591,13 @@ def kernel_from_dict(spec: dict) -> RelaxationKernel:
             ):
                 raise TypeError(f"terms = {terms!r} is not [[g, tau], ...]")
             return PronyKernel(
-                g_inf=_number("g_inf", spec["g_inf"]),
-                terms=tuple((_number("g", g), _number("tau", tau)) for g, tau in terms),
+                g_inf=finite_number("g_inf", spec["g_inf"]),
+                terms=tuple((finite_number("g", g), finite_number("tau", tau)) for g, tau in terms),
             )
         if family == "powerlaw":
-            return PowerLawKernel(c=_number("c", spec["c"]), alpha=_number("alpha", spec["alpha"]))
+            return PowerLawKernel(
+                c=finite_number("c", spec["c"]), alpha=finite_number("alpha", spec["alpha"])
+            )
         return KernelSum(parts=tuple(kernel_from_dict(p) for p in spec["parts"]))
     except TypeError as exc:
         raise ValueError(f"malformed {family} kernel: {exc}") from None

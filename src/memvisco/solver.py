@@ -40,8 +40,6 @@ __all__ = [
     "cfl_time_step",
     "interval_weights",
     "HistoryConvolution",
-    "run_integrodiff",
-    "run_integral_volterra",
     "run",
     "trajectory_distance",
     "compute_stress",
@@ -485,11 +483,9 @@ class _ExponentialHistory(HistoryConvolution):
 # ---------------------------------------------------------------------------
 
 
-def run_integrodiff(spec: ProblemSpec) -> TrajectorySolution:
-    if spec.formulation != "integrodifferential":
-        raise ValueError("spec requests a different formulation")
+def _march_leapfrog(spec: ProblemSpec) -> TrajectorySolution:
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
-    g0 = translate(spec.kernel, spec.eps).modulus(0.0)
+    g0 = spec.kernel.modulus(spec.eps)
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
     history = HistoryConvolution.memory(spec.kernel, spec.eps, J, dt)
@@ -608,8 +604,6 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     sums are one matrix product per shift, so a shift's levels do not
     depend on the other shifts.
     """
-    if spec.formulation != "integral_volterra":
-        raise ValueError("spec requests a different formulation")
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     shifts = np.array(shifts, dtype=float).reshape(-1)
     K = shifts.size
@@ -618,7 +612,7 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     # kernel factor Ksh(s); antiderivatives are the next two tower levels
     left, right = np.empty((2, K, J))
     for k, eps in enumerate(shifts):
-        kk = spec.kernel if eps == 0.0 else translate(spec.kernel, float(eps))
+        kk = translate(spec.kernel, float(eps))
         left[k], right[k] = interval_weights(kk._integral2, kk._integral3, J, dt)
     history = HistoryConvolution(left, right)
     mu = _laplacian_eigenvalues(grid)
@@ -663,21 +657,19 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     return ShiftedRuns(levels=levels, trajectories=trajectories)
 
 
-def run_integral_volterra(spec: ProblemSpec) -> TrajectorySolution:
-    return _march_volterra(spec, [spec.eps]).trajectories[0]
-
-
 def run(spec: ProblemSpec, shifts=None):
     """Solve spec; a TrajectorySolution.
 
     With shifts, an integral_volterra spec is solved at every shift eps in
     shifts, all marched together, and the result is a ShiftedRuns.
     """
-    if shifts is not None:
-        return _march_volterra(spec, shifts)
     if spec.formulation == "integrodifferential":
-        return run_integrodiff(spec)
-    return run_integral_volterra(spec)
+        if shifts is not None:
+            raise ValueError("shifts need the integral_volterra formulation")
+        return _march_leapfrog(spec)
+    if shifts is None:
+        return _march_volterra(spec, [spec.eps]).trajectories[0]
+    return _march_volterra(spec, shifts)
 
 
 # ---------------------------------------------------------------------------

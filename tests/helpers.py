@@ -210,12 +210,9 @@ def reference_energy_ledger(
     traj: TrajectorySolution, kernel, eps: float, forcing=None
 ) -> EnergyLedger:
     """Per-pair loop oracle for energy_ledger: one gradient per (level, lag)."""
-    if eps > 0:
-        kk = translate(kernel, eps)
-    elif kernel.rate_integrable_at_zero:
-        kk = kernel
-    else:
-        raise ValueError("eps = 0 needs a modulus whose rate is integrable at 0")
+    if eps == 0.0 and kernel.singular_at_zero:
+        raise ValueError("eps = 0 with a modulus unbounded at 0")
+    kk = translate(kernel, eps)
 
     grid, dt = traj.grid, traj.dt
     J = traj.n_levels - 1
@@ -293,7 +290,7 @@ def reference_velocities(levels: np.ndarray, dt: float) -> np.ndarray:
 
 
 def reference_integrodiff(spec: ProblemSpec) -> np.ndarray:
-    """Level stack of run_integrodiff, one conv_weights vector per step."""
+    """Level stack of a leapfrog run, one conv_weights vector per step."""
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     shifted = translate(spec.kernel, spec.eps)
     g0 = shifted.modulus(0.0)
@@ -324,11 +321,11 @@ def reference_integrodiff(spec: ProblemSpec) -> np.ndarray:
 
 
 def reference_volterra(spec: ProblemSpec) -> np.ndarray:
-    """Level stack of run_integral_volterra on the nodes, one conv_weights
+    """Level stack of a one-shift Volterra run on the nodes, one conv_weights
     vector per step: step j solves (I - lags[0] lap) u_j = drive densely,
     with no sine transform, and stops where a level is not finite."""
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
-    kk = spec.kernel if spec.eps == 0.0 else translate(spec.kernel, spec.eps)
+    kk = translate(spec.kernel, spec.eps)
     left, right = interval_weights(kk._integral2, kk._integral3, J, dt)
 
     shape = grid.shape
@@ -460,7 +457,7 @@ def reference_lemma_check(
             lam = v.laplace_factor(grid)
             residual = vol * lam * float(np.dot(wt * vt, conv @ vx))
             majorant = (
-                v.sup_laplacian(grid, horizon)
+                abs(lam)
                 * c_level
                 * grid.volume
                 * horizon
@@ -484,20 +481,14 @@ def reference_weak_residual(
     u0: Field,
     u1: Field,
     forcing=None,
-    battery=None,
 ) -> list[WeakResidualEntry]:
     """Whole-stack oracle for weak_residual: the Laplacian of every level,
     both (J+1, N) history sums and the stacked defects, then tested."""
     grid, dt = traj.grid, traj.dt
     J = traj.n_levels - 1
     horizon = float(traj.times[-1])
-    if battery is None:
-        battery = default_battery(grid)
-    for v in battery:
-        if v.space_boundary_max(grid) > 1e-10:
-            raise ValueError(f"test function {v.name} does not vanish on the boundary")
-
-    kk = kernel if eps == 0.0 else translate(kernel, eps)
+    battery = default_battery(grid)
+    kk = translate(kernel, eps)
     history = HistoryConvolution(*interval_weights(kk._integral2, kk._integral3, J, dt))
 
     flat = traj.levels.reshape(J + 1, -1)
@@ -561,16 +552,15 @@ def lemma_term_magnitudes(kernel, eps_values, battery, trajectories) -> list[flo
     return out
 
 
-def weak_term_magnitudes(traj, kernel, eps, u0, u1, forcing=None, battery=None) -> list[float]:
+def weak_term_magnitudes(traj, kernel, eps, u0, u1, forcing=None) -> list[float]:
     """Per entry of weak_residual: the size of the terms both of its
     residuals sum, vol sum_j |a_j| (|u_j| + |ramp_j| + history sums of
     |u|, |lap_h u| and |lam u|) . |vx| plus the history sums of |u| . |lap_h vx|."""
     grid, dt = traj.grid, traj.dt
     J = traj.n_levels - 1
     horizon = float(traj.times[-1])
-    if battery is None:
-        battery = default_battery(grid)
-    kk = kernel if eps == 0.0 else translate(kernel, eps)
+    battery = default_battery(grid)
+    kk = translate(kernel, eps)
     left, right = interval_weights(kk._integral2, kk._integral3, J, dt)
     flat = traj.levels.reshape(J + 1, -1)
     sums_u = _abs_row_sums(left, right, flat)

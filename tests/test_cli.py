@@ -199,10 +199,10 @@ class TestRunSingle:
             (QUICK + "f = constant\nf_params = [1, 2]\n", "[data] f_params = [1, 2] is not a JSON object"),
             (QUICK + "u1_params = [1, 2]\n", "[data] u1_params = [1, 2] is not a JSON object"),
             (QUICK.replace("u1 = sin_pi_product", 'u1 = sine_mode\nu1_params = {"modes": "ab"}'),
-             "[data] u1_params: invalid literal"),
+             "[data] u1_params: modes = 'ab' is not a number"),
             (QUICK.replace("u1 = sin_pi_product", 'u1 = sine_mode\nu1_params = {"amplitude": NaN}'),
-             "[data] u1_params: field values must be finite"),
-            (QUICK + 'f = constant\nf_params = {"omega": NaN}\n', "[data] f_params: forcing params must be finite"),
+             "[data] u1_params: amplitude = nan is not finite"),
+            (QUICK + 'f = constant\nf_params = {"omega": NaN}\n', "[data] f_params: omega = nan is not finite"),
         ],
         ids=[
             "terms_int", "terms_null", "parts_int", "f_params_list", "u1_params_list", "modes_str",
@@ -216,6 +216,40 @@ class TestRunSingle:
         err = capsys.readouterr().err
         assert "invalid configuration" in err
         assert message in err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ('u1 = sine_mode\nu1_params = {"modes": [1.5]}',
+             "[data] u1_params: modes = 1.5 is not an integer >= 1"),
+            ('u1 = sine_mode\nu1_params = {"modes": [0]}',
+             "[data] u1_params: modes = 0 is not an integer >= 1"),
+            ('u1 = sine_mode\nu1_params = {"modes": [-2]}',
+             "[data] u1_params: modes = -2 is not an integer >= 1"),
+            ('u1 = sine_mode\nu1_params = {"modes": true}', "[data] u1_params: modes = True is not a number"),
+            ('u1 = bump\nu1_params = {"radius": 0}', "[data] u1_params: radius = 0.0 is not > 0"),
+            ('u1 = bump\nu1_params = {"radius": -0.3}', "[data] u1_params: radius = -0.3 is not > 0"),
+            ('u1 = sin_pi_product\nu1_params = {"amplitude": true}',
+             "[data] u1_params: amplitude = True is not a number"),
+            ('u1 = sin_pi_product\nf = constant\nf_params = {"value": true}',
+             "[data] f_params: value = True is not a number"),
+        ],
+        ids=[
+            "modes_fraction", "modes_zero", "modes_negative", "modes_bool", "radius_zero",
+            "radius_negative", "amplitude_bool", "f_params_bool",
+        ],
+    )
+    def test_bad_profile_parameter_exits_two(self, tmp_path, capsys, data, message):
+        # each of these used to run: mode 1.5 as 1, mode 0 as a zero field,
+        # mode -2 as mode 2 negated, radius 0 as a zero field, radius -0.3
+        # as 0.3, and true as 1.0
+        text = QUICK.replace("u1 = sin_pi_product", data)
+        out = tmp_path / "out"
+        assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -268,7 +302,7 @@ class TestRunSingle:
     @pytest.mark.parametrize("decay", [False, True])
     def test_ledger_is_skipped_at_a_singular_limit(self, tmp_path, decay):
         # a power-law Volterra run at eps = 0, the paper's singular limit:
-        # the ledger needs a rate integrable at 0, and the decay check
+        # the ledger needs a modulus bounded at 0, and the decay check
         # reads the ledger, so both are skipped and the bound still runs
         text = """\
 [experiment]
@@ -298,7 +332,7 @@ eps = 0
         out = tmp_path / "out"
         assert cli.main(["run", cfg, "--out", str(out)]) == 0
         verdicts = read_manifest(out)["verdicts"]
-        skipped = {"skipped": "eps = 0 needs a modulus whose rate is integrable at 0"}
+        skipped = {"skipped": "eps = 0 with a modulus unbounded at 0"}
         assert verdicts["energy_ledger"] == skipped
         assert verdicts.get("energy_decay") == (skipped if decay else None)
         assert "max_energy_residual" not in verdicts

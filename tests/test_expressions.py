@@ -47,6 +47,29 @@ class TestSpaceValues:
         with pytest.raises(ValueError, match="profile"):
             space_values(g, "sinpi", {})
 
+    @pytest.mark.parametrize(
+        "name, params, error",
+        [
+            ("sine_mode", {"modes": [1.5]}, ValueError),
+            ("sine_mode", {"modes": 0}, ValueError),
+            ("sine_mode", {"modes": [-2]}, ValueError),
+            ("sine_mode", {"modes": [True]}, TypeError),
+            ("bump", {"radius": 0}, ValueError),
+            ("bump", {"radius": -0.3}, ValueError),
+            ("constant", {"value": True}, TypeError),
+            ("sin_pi_product", {"amplitude": float("inf")}, ValueError),
+        ],
+    )
+    def test_bad_parameter_named(self, name, params, error):
+        (key,) = params
+        with pytest.raises(error, match=f"^{key} = "):
+            space_values(Grid.line(5), name, params)
+
+    def test_whole_number_modes_accepted(self):
+        g = Grid.line(9)
+        want = space_values(g, "sine_mode", {"modes": [3]})
+        assert space_values(g, "sine_mode", {"modes": 3.0}).tobytes() == want.tobytes()
+
     def test_unknown_param_rejected(self):
         g = Grid.line(5)
         with pytest.raises(ValueError):
@@ -84,6 +107,12 @@ class TestForcing:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             Forcing.from_dict("ramp", {})
+
+    @pytest.mark.parametrize("params", [{"value": True}, {"omega": False}, {"omega": float("nan")}])
+    def test_bad_parameter_named(self, params):
+        (key,) = params
+        with pytest.raises((TypeError, ValueError), match=f"^{key} = "):
+            Forcing.from_dict("constant", params)
 
     @pytest.mark.parametrize("params", [{"amplitude": 0.5}, {"amplitude": 0.5, "omega": 3.0}])
     def test_profile_times_factor(self, params):

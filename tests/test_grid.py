@@ -9,13 +9,11 @@ from helpers import cumulative_trapezoid, dirichlet_gradient_sq, reference_lapla
 from memvisco.grid import (
     Field,
     Grid,
-    GridMismatchError,
     dirichlet_edge_differences,
     double_trapezoid,
     inner_space,
     l2_space,
     l2_spacetime,
-    laplacian,
     laplacian_array,
     trapezoid_weights,
 )
@@ -124,13 +122,6 @@ class TestLaplacian:
         assert laplacian_array(grid, paired).tobytes() == want.tobytes()
         for u, w in zip(stack, want):
             assert laplacian_array(grid, u).tobytes() == w.tobytes()
-
-    def test_field_wrapper_and_mismatch(self):
-        g = Grid.line(5)
-        out = laplacian(g, Field.zero(g))
-        assert isinstance(out, Field)
-        with pytest.raises(GridMismatchError):
-            laplacian(g, Field.zero(Grid.line(7)))
 
     @given(st.integers(3, 20), st.integers(0, 2**32 - 1))
     def test_adjoint_identity_1d(self, n, seed):

@@ -51,7 +51,6 @@ class TestConstant:
         assert k.integral3(3.0) == 9.0
         assert k.value_at_inf == 2.0
         assert not k.singular_at_zero
-        assert k.rate_integrable_at_zero
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
@@ -122,13 +121,16 @@ class TestPowerLaw:
         assert k.modulus_dt(1.0) == pytest.approx(-1.0)
         assert k.modulus_dtt(1.0) == pytest.approx(1.5)
         assert k.singular_at_zero
-        assert not k.rate_integrable_at_zero
         assert k.value_at_inf == 0.0
 
     def test_unbounded_at_zero_rejected(self):
         k = PowerLawKernel(c=1.0, alpha=0.5)
-        with pytest.raises(KernelDomainError, match="power"):
+        with pytest.raises(KernelDomainError, match=re.escape(repr(k))):
             k.modulus(0.0)
+        # a sum names itself, its power-law part included
+        s = KernelSum((PronyKernel(0.5, ((0.5, 2.0),)), k))
+        with pytest.raises(KernelDomainError, match=re.escape(repr(s))):
+            s.modulus(0.0)
         with pytest.raises(KernelDomainError):
             k.modulus_dt(0.0)
         with pytest.raises(KernelDomainError):
@@ -228,12 +230,27 @@ class TestTranslated:
         base = PronyKernel(2.0, ())
         assert translate(base, 0.3) is base
 
+    @pytest.mark.parametrize(
+        "base",
+        [
+            PronyKernel(g_inf=0.5, terms=((0.5, 2.0),)),
+            PowerLawKernel(c=1.0, alpha=0.5),
+            KernelSum((PronyKernel(0.5, ((0.5, 2.0),)), PowerLawKernel(1.0, 0.5))),
+        ],
+        ids=["prony", "powerlaw", "sum"],
+    )
+    def test_zero_shift_is_the_kernel(self, base):
+        assert translate(base, 0.0) is base
+        assert translate(base, -0.0) is base
+
     def test_positive_shift_required(self):
-        base = PronyKernel(1.0, ())
-        with pytest.raises(ValueError):
-            translate(base, 0.0)
-        with pytest.raises(ValueError):
-            translate(base, -0.1)
+        # translate passes a zero shift through; a TranslatedKernel needs eps > 0
+        for base in (PronyKernel(1.0, ()), PowerLawKernel(c=1.0, alpha=0.5)):
+            with pytest.raises(KernelDomainError):
+                TranslatedKernel(base, 0.0)
+            for eps in (-0.1, -1e-300, math.inf, math.nan):
+                with pytest.raises(KernelDomainError):
+                    translate(base, eps)
 
 
 class TestDiffBound:
@@ -295,6 +312,45 @@ class TestAdmissibility:
         assert rep.times.shape == (64,)
         assert rep.times[-1] == pytest.approx(2.0)
         assert np.all(np.diff(rep.times) > 0)
+
+    # (modulus_positive, rate_nonpositive, curvature_nonnegative,
+    # bounded_at_zero, rate_integrable_at_zero, integrable_on_window,
+    # integrable_on_halfline, passed, regime) on (0, 1], as each family
+    # reported them while rate integrability was a flag of its own
+    @pytest.mark.parametrize(
+        "kernel, want",
+        [
+            (PronyKernel(0.0, ((1.0, 1.0),)), (True,) * 8 + ("classical",)),
+            (PronyKernel(0.5, ((0.5, 2.0),)), (True,) * 6 + (False, True, "classical")),
+            (PronyKernel(1.0, ()), (True,) * 6 + (False, True, "classical")),
+            (PowerLawKernel(1.0, 0.5), (True,) * 3 + (False, False, True, False, True, "singular")),
+            (
+                KernelSum((PronyKernel(0.5, ((0.5, 2.0),)), PowerLawKernel(1.0, 0.5))),
+                (True,) * 3 + (False, False, True, False, True, "singular"),
+            ),
+            (
+                KernelSum((PronyKernel(0.5, ((0.5, 2.0),)), PronyKernel(0.0, ((1.0, 0.5),)))),
+                (True,) * 6 + (False, True, "classical"),
+            ),
+            (translate(PowerLawKernel(1.0, 0.5), 0.04), (True,) * 6 + (False, True, "classical")),
+            (translate(PronyKernel(0.5, ((0.5, 2.0),)), 0.1), (True,) * 6 + (False, True, "classical")),
+        ],
+        ids=[
+            "prony", "prony_g_inf", "constant", "powerlaw", "sum_singular", "sum_bounded",
+            "translated_powerlaw", "translated_prony",
+        ],
+    )
+    def test_report_fields_per_family(self, kernel, want):
+        rep = check_admissibility(kernel, 1.0)
+        got = (
+            rep.modulus_positive, rep.rate_nonpositive, rep.curvature_nonnegative,
+            rep.bounded_at_zero, rep.rate_integrable_at_zero, rep.integrable_on_window,
+            rep.integrable_on_halfline, rep.passed, rep.regime,
+        )
+        assert got == want
+        assert rep.modulus_values.tobytes() == kernel._modulus(rep.times).tobytes()
+        assert rep.rate_values.tobytes() == kernel._modulus_dt(rep.times).tobytes()
+        assert rep.curvature_values.tobytes() == kernel._modulus_dtt(rep.times).tobytes()
 
     @given(prony_strategy)
     def test_admissible_prony_passes(self, k):

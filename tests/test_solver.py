@@ -48,8 +48,6 @@ from memvisco.solver import (
     interval_weights,
     run,
     stress_curve,
-    run_integral_volterra,
-    run_integrodiff,
     stable_time_step,
     trajectory_distance,
 )
@@ -821,12 +819,14 @@ class TestIntegrodiff:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverAbort, match="non-finite"):
-                run_integrodiff(spec)
+                run(spec)
 
     def test_wrong_formulation_rejected(self):
+        # run dispatches on spec.formulation, so a name it does not know
+        # must be stopped when the spec is built
         spec = standing_wave_spec()
-        with pytest.raises(ValueError):
-            run_integral_volterra(spec)
+        with pytest.raises(ValueError, match="unknown formulation 'volterra'; valid:"):
+            dataclasses.replace(spec, formulation="volterra")
 
 
 class TestVolterra:
@@ -898,7 +898,7 @@ class TestVolterra:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverAbort, match="non-finite") as got:
-                run_integral_volterra(spec)
+                run(spec)
             with pytest.raises(SolverAbort) as want:
                 reference_volterra(spec)
         # the oracle overflows in its nodal Laplacians, up to 4 / h^2 = 1600
