@@ -93,13 +93,6 @@ class Grid:
         axes = [self.axis_coordinates(a) for a in range(self.dim)]
         return list(np.meshgrid(*axes, indexing="ij", sparse=True))
 
-    def node_coordinates(self) -> np.ndarray:
-        """(n_total, dim) array of interior node coordinates, row-major order."""
-        full = np.meshgrid(
-            *[self.axis_coordinates(a) for a in range(self.dim)], indexing="ij"
-        )
-        return np.stack([f.ravel() for f in full], axis=1)
-
 
 @dataclass(frozen=True)
 class Field:

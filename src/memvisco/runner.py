@@ -7,6 +7,7 @@ every file is written to a temporary name and atomically renamed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import resource
@@ -16,6 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from memvisco import __version__
 from memvisco.config import ExperimentConfig
@@ -57,13 +59,42 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_atomic(path: Path, text) -> None:
-    """Write text, a string or an iterable of strings, under a temporary
-    name and rename it into place."""
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr(float(x)) for every entry of values, in C order.
+
+    orjson prints the same shortest round-trip digits as repr, but not in
+    repr's exponent form, so the entries repr writes with an exponent
+    (0 < |x| < 1e-4 or |x| >= 1e16) and the non-finite ones go to repr.
+    """
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    out = text.split(",") if text else []
+    mag = np.abs(flat)
+    plain = ((mag >= 1e-4) & (mag < 1e16)) | (flat == 0.0)
+    for i in np.flatnonzero(~plain):
+        out[i] = repr(float(flat[i]))
+    return out
+
+
+@contextmanager
+def _atomic_file(path: Path):
+    """A binary file under a temporary name: renamed to path when the block
+    completes, removed when it raises."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+
+
+def _write_atomic(path: Path, text) -> None:
+    """Write text, a string or an iterable of strings, as UTF-8."""
+    with _atomic_file(path) as fh:
+        for chunk in [text] if isinstance(text, str) else text:
+            fh.write(chunk.encode("utf-8"))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -183,25 +214,29 @@ def _trajectory_csv(traj, stride: int):
     """trajectory.csv text, one chunk per exported level."""
     axis_names = ["x", "y", "z"][: traj.grid.dim]
     yield ",".join(["t", "node", *axis_names, "u", "u_t"]) + "\n"
-    # "node,x[,y,z]," is the same at every level
+    # "node,x[,y,z]," is the same at every level; nodes are row-major
+    axes = [_reprs(traj.grid.axis_coordinates(a)) for a in range(traj.grid.dim)]
     prefixes = [
-        ",".join([str(node), *map(repr, xyz)]) + ","
-        for node, xyz in enumerate(traj.grid.node_coordinates().tolist())
+        f"{node},{','.join(xyz)},"
+        for node, xyz in enumerate(itertools.product(*axes))
     ]
     vel = traj.velocities(stride)
     for i, j in enumerate(range(0, traj.n_levels, stride)):
         t = _fmt(traj.times[j])
-        u = traj.levels[j].ravel().tolist()
-        v = vel[i].ravel().tolist()
-        yield "".join(f"{t},{p}{a!r},{b!r}\n" for p, a, b in zip(prefixes, u, v))
+        u = _reprs(traj.levels[j])
+        v = _reprs(vel[i])
+        yield "".join(f"{t},{p}{a},{b}\n" for p, a, b in zip(prefixes, u, v))
 
 
 def _export_trajectory(out_dir: Path, cfg: ExperimentConfig, traj) -> None:
     if cfg.export_format in ("csv", "both"):
         _write_atomic(out_dir / "trajectory.csv", _trajectory_csv(traj, cfg.snapshot_stride))
     if cfg.export_format in ("binary", "both"):
-        np.save(out_dir / "trajectory.npy", traj.levels)
-        np.save(out_dir / "times.npy", traj.times)
+        # np.save appends ".npy" to a name that lacks it, so it gets the file
+        with _atomic_file(out_dir / "trajectory.npy") as fh:
+            np.save(fh, traj.levels)
+        with _atomic_file(out_dir / "times.npy") as fh:
+            np.save(fh, traj.times)
 
 
 def _export_ledger(out_dir: Path, ledger) -> None:

@@ -374,9 +374,15 @@ def reference_bound_lhs(traj: TrajectorySolution) -> np.ndarray:
     )
 
 
+def node_coordinates(grid: Grid) -> np.ndarray:
+    """(n_total, dim) array of interior node coordinates, row-major order."""
+    full = np.meshgrid(*[grid.axis_coordinates(a) for a in range(grid.dim)], indexing="ij")
+    return np.stack([f.ravel() for f in full], axis=1)
+
+
 def reference_trajectory_csv(traj: TrajectorySolution, stride: int) -> str:
     """trajectory.csv text from one row list over all exported nodes."""
-    coords = traj.grid.node_coordinates()
+    coords = node_coordinates(traj.grid)
     vel = reference_velocities(traj.levels, traj.dt)
     axis_names = ["x", "y", "z"][: traj.grid.dim]
     lines = [",".join(["t", "node", *axis_names, "u", "u_t"])]

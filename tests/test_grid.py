@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cumulative_trapezoid, dirichlet_gradient_sq, reference_laplacian
+from helpers import (
+    cumulative_trapezoid,
+    dirichlet_gradient_sq,
+    node_coordinates,
+    reference_laplacian,
+)
 from memvisco.grid import (
     Field,
     Grid,
@@ -50,7 +55,7 @@ class TestGrid:
 
     def test_node_coordinates_shape(self):
         g = Grid.box(4)
-        coords = g.node_coordinates()
+        coords = node_coordinates(g)
         assert coords.shape == (64, 3)
         assert coords[0] == pytest.approx([0.2, 0.2, 0.2])
 

@@ -1,10 +1,17 @@
 """Module boundaries of the package: no src module imports a private name
-of another, so every name that crosses a module is public."""
+of another, so every name that crosses a module is public, and every
+third-party module it imports is a declared dependency."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "memvisco"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "memvisco"
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def private_imports(path: Path) -> list[str]:
@@ -31,3 +38,32 @@ def test_scan_sees_a_private_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from memvisco.solver import run, _forcing_values\nfrom memvisco import __version__\n")
     assert private_imports(probe) == ["memvisco.solver._forcing_values"]
+
+
+def third_party_imports(path: Path) -> set[str]:
+    """Top-level modules path imports from outside the standard library and memvisco."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"memvisco"}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
+    imported = set().union(*(third_party_imports(path) for path in SRC.glob("*.py")))
+    assert "numpy" in imported
+    assert imported - declared == set()
+
+
+def test_scan_sees_a_third_party_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os.path\nimport numpy as np\nimport scipy.integrate\n"
+        "from orjson import dumps\nfrom memvisco.grid import Grid\nfrom . import sibling\n"
+    )
+    assert third_party_imports(probe) == {"numpy", "scipy", "orjson"}

@@ -1,28 +1,115 @@
 """Artifact writers of the experiment runner."""
 
+import dataclasses
+import os
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import reference_trajectory_csv
 from memvisco.expressions import field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import PronyKernel
-from memvisco.runner import _export_trajectory
+from memvisco.runner import _export_trajectory, _reprs, _write_atomic
 from memvisco.solver import ProblemSpec, run
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
+LINE = Grid.line(7)
+BOX = Grid((3, 4, 5), (1.0, 2.0, 0.5))
 
 
-@pytest.mark.parametrize("grid", [Grid.line(7), Grid((3, 4, 5), (1.0, 2.0, 0.5))], ids=["1d", "3d"])
-@pytest.mark.parametrize("stride", [1, 4, 5])
-def test_trajectory_csv_matches_row_list_export(tmp_path, grid, stride):
+def solve(grid: Grid):
     spec = ProblemSpec(
         kernel=PRONY, grid=grid, horizon=0.2, dt=0.02, eps=0.05,
         u0=Field.zero(grid), u1=field_from_name(grid, "bump", {"radius": 0.4}),
     )
-    traj = run(spec)
+    return run(spec)
+
+
+@pytest.mark.parametrize(
+    "grid, wide",
+    [
+        pytest.param(LINE, False, id="1d"),
+        pytest.param(BOX, False, id="3d"),
+        pytest.param(LINE, True, id="1d-wide"),
+        pytest.param(BOX, True, id="3d-wide"),
+    ],
+)
+@pytest.mark.parametrize("stride", [1, 4, 5])
+def test_trajectory_csv_matches_row_list_export(tmp_path, grid, wide, stride):
+    traj = solve(grid)
+    if wide:
+        # per-node scales from 1e-12 to 1e20, so values below 1e-4 and of at
+        # least 1e16 reach the CSV, which repr writes with an exponent
+        scale = np.logspace(-12, 20, grid.n_total).reshape(grid.shape)
+        traj = dataclasses.replace(traj, levels=traj.levels * scale)
     _export_trajectory(tmp_path, SimpleNamespace(export_format="csv", snapshot_stride=stride), traj)
     got = (tmp_path / "trajectory.csv").read_bytes()
     assert got == reference_trajectory_csv(traj, stride).encode()
+    assert (b"e-" in got and b"e+" in got) == wide
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
+
+
+@pytest.mark.parametrize("export_format", ["binary", "both"])
+def test_npy_export_is_renamed_into_place(tmp_path, monkeypatch, export_format):
+    traj = solve(LINE)
+    renamed = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        renamed.append((Path(src).name, Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr("memvisco.runner.os.replace", spy)
+    _export_trajectory(tmp_path, SimpleNamespace(export_format=export_format, snapshot_stride=1), traj)
+    assert ("trajectory.npy.tmp", "trajectory.npy") in renamed
+    assert ("times.npy.tmp", "times.npy") in renamed
+    assert np.array_equal(np.load(tmp_path / "trajectory.npy"), traj.levels)
+    assert np.array_equal(np.load(tmp_path / "times.npy"), traj.times)
+    expected = ["times.npy", "trajectory.npy"] + (["trajectory.csv"] if export_format == "both" else [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+
+
+def test_failed_write_leaves_neither_file_nor_tmp(tmp_path):
+    def chunks():
+        yield "t,node,x,u,u_t\n"
+        raise RuntimeError("level failed")
+
+    with pytest.raises(RuntimeError, match="level failed"):
+        _write_atomic(tmp_path / "trajectory.csv", chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
+EDGE_VALUES = [
+    0.0,
+    5e-324,
+    np.nextafter(5e-324, 1.0),
+    2.0**-1050,
+    1e-310,
+    np.nextafter(SMALLEST_NORMAL, 0.0),
+    SMALLEST_NORMAL,
+    np.nextafter(1e-4, 0.0),
+    1e-4,
+    np.nextafter(1e-4, 1.0),
+    np.nextafter(1e16, 0.0),
+    1e16,
+    np.nextafter(1e16, np.inf),
+    2.0**53,
+    np.inf,
+    np.nan,
+]
+
+
+def test_reprs_pins_repr_at_the_format_edges():
+    xs = [float(x) for x in EDGE_VALUES] + [-float(x) for x in EDGE_VALUES]
+    assert _reprs(np.array(xs)) == [repr(x) for x in xs]
+
+
+@given(st.lists(st.floats(), max_size=40))
+def test_reprs_is_repr_of_every_double(xs):
+    assert _reprs(np.array(xs, dtype=np.float64)) == [repr(float(x)) for x in xs]
