@@ -29,6 +29,7 @@ from memvisco.solver import (
     HistoryConvolution,
     ProblemSpec,
     TrajectorySolution,
+    exponential_terms,
     interval_weights,
     run,
 )
@@ -56,6 +57,18 @@ class HypothesisError(ValueError):
 # ---------------------------------------------------------------------------
 # energy ledger
 # ---------------------------------------------------------------------------
+
+# cap on the transient edge-difference buffers of the energy ledger's and
+# check_energy_bound's blocks of levels
+_EDGE_BLOCK_BYTES = 8 * 2**20
+# most levels in a block of the energy ledger: its geometric filters are
+# (block, block + 1) matrices
+_LEDGER_LEVELS = 64
+
+
+def _ledger_block(row_bytes: int) -> int:
+    """Levels per block of the energy ledger, for row_bytes of buffers per level."""
+    return max(1, min(_LEDGER_LEVELS, _EDGE_BLOCK_BYTES // row_bytes))
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,13 @@ def energy_ledger(
 
     All modulus evaluations use the shifted kernel G(eps + .); eps = 0 is
     accepted only for a modulus bounded at 0.
+
+    The memory and curvature columns weigh phi_j(i) = |grad(u_j - u_{j-i})|^2
+    over every lag i of every level j.  A Prony modulus gets them from a
+    recursion on edge differences, linear in J (_prony_history_sums).
+    A power-law or summed modulus has no geometric weights, so it takes one
+    pass per lag, O(J^2 N) (_lag_pass_sums).  A modulus with dG = 0, such as
+    a Prony kernel without terms, has no memory and takes neither.
     """
     if eps == 0.0 and kernel.singular_at_zero:
         raise HypothesisError("eps = 0 with a modulus unbounded at 0")
@@ -101,17 +121,30 @@ def energy_ledger(
     grid, dt = traj.grid, traj.dt
     J = traj.n_levels - 1
     vol = grid.cell_volume
-    v = traj.velocities().reshape(J + 1, -1)
     times = traj.times
 
     g_now = kk.modulus(times)
     gdot_now = kk.modulus_dt(times)
-    hist_m = HistoryConvolution(*interval_weights(kk._modulus, kk._integral, J, dt))
-    hist_c = HistoryConvolution(*interval_weights(kk._modulus_dt, kk._modulus, J, dt))
 
     edges = dirichlet_edge_differences(grid, traj.levels)
-    grad_sq = vol * np.sum(edges * edges, axis=1)
-    kinetic = 0.5 * vol * np.sum(v * v, axis=1)
+    # velocities and squares a block of levels at a time, so the edge stack
+    # is the one array of every level held
+    block = _ledger_block(8 * edges.shape[1])
+    grad_sq = np.empty(J + 1)
+    kinetic = np.empty(J + 1)
+    forcing_power = np.zeros(J + 1)
+    if forcing is not None:
+        profile = forcing.profile(grid).ravel()
+    for start in range(0, J + 1, block):
+        stop = start + block
+        e = edges[start:stop]
+        v = traj.velocities(start=start, stop=stop).reshape(len(e), -1)
+        grad_sq[start:stop] = vol * np.sum(e * e, axis=1)
+        kinetic[start:stop] = 0.5 * vol * np.sum(v * v, axis=1)
+        if forcing is not None:
+            forcing_power[start:stop] = v @ profile
+    if forcing is not None:
+        forcing_power *= vol * forcing.factor(times)
     elastic = 0.5 * g_now * grad_sq
     rate_modulus = 0.5 * gdot_now * grad_sq
 
@@ -119,23 +152,17 @@ def energy_ledger(
     rate_curvature = np.zeros(J + 1)
     # a modulus with dG = 0 has no memory: its weights would be round-off
     if np.any(gdot_now):
-        # Level j weighs lag i by lags[i] for i < j and by the oldest-lag
-        # weight oldest[j - 1] at i = j, so one pass per lag serves all j.
-        for i in range(1, J + 1):
-            # phi_j(i) = |grad(u(t_j) - u(t_j - s_i))|^2 for j = i .. J at once
-            d = edges[i:] - edges[:-i]
-            phi = vol * np.einsum("ij,ij->i", d, d)
-            memory[i] += hist_m.oldest[i - 1] * phi[0]
-            rate_curvature[i] += hist_c.oldest[i - 1] * phi[0]
-            memory[i + 1 :] += hist_m.lags[i] * phi[1:]
-            rate_curvature[i + 1 :] += hist_c.lags[i] * phi[1:]
-        memory *= -0.5
-        rate_curvature *= -0.5
-
-    if forcing is None:
-        forcing_power = np.zeros(J + 1)
-    else:
-        forcing_power = vol * forcing.factor(times) * (v @ forcing.profile(grid).ravel())
+        # weights of w = dG (memory) and w = d2G (curvature)
+        if isinstance(kernel, PronyKernel):
+            weights = [exponential_terms(kernel, eps, dt, order) for order in (1, 2)]
+            sums = _prony_history_sums(edges, vol, weights)
+        else:
+            histories = [
+                HistoryConvolution(*interval_weights(kk._modulus, kk._integral, J, dt)),
+                HistoryConvolution(*interval_weights(kk._modulus_dt, kk._modulus, J, dt)),
+            ]
+            sums = _lag_pass_sums(edges, vol, histories)
+        memory, rate_curvature = -0.5 * sums
 
     stored = kinetic + elastic + memory
     residual = (stored[2:] - stored[:-2]) / (2 * dt) - (
@@ -153,6 +180,105 @@ def energy_ledger(
         stored=stored,
         residual=residual,
     )
+
+
+def _lag_pass_sums(edges: np.ndarray, vol: float, histories) -> np.ndarray:
+    """sum_i W_j(i) phi_j(i) at every level j, one row per history, with
+    phi_j(i) = vol |e_j - e_{j-i}|^2 and e_j the edge differences of level j.
+
+    Level j weighs lag i by lags[i] for i < j and by the oldest-lag weight
+    oldest[j - 1] at i = j, so one pass per lag serves all j: O(J^2 N).
+    """
+    J = len(edges) - 1
+    out = np.zeros((len(histories), J + 1))
+    for i in range(1, J + 1):
+        # phi_j(i) for j = i .. J at once
+        d = edges[i:] - edges[:-i]
+        phi = vol * np.einsum("ij,ij->i", d, d)
+        for row, history in zip(out, histories):
+            row[i] += history.oldest[i - 1] * phi[0]
+            row[i + 1 :] += history.lags[i] * phi[1:]
+    return out
+
+
+def _filter_matrices(rs: np.ndarray, size: int) -> np.ndarray:
+    """(terms, size, size + 1) matrices, one per ratio r: row k maps
+    [y_0, x_0 .. x_{size-1}] to y_{k+1} = r^(k+1) y_0 + sum_{l <= k} r^(k-l) x_l,
+    the filter y_{m+1} = r y_m + x_m run over size steps from y_0."""
+    k = np.arange(size)
+    lag = np.maximum(k[:, None] - k, 0)
+    out = np.empty((rs.size, size, size + 1))
+    for f, r in zip(out, rs):
+        f[:, 0] = r ** (k + 1)
+        f[:, 1:] = np.tril(r**lag)
+    return out
+
+
+def _prony_history_sums(edges: np.ndarray, vol: float, weights) -> np.ndarray:
+    """_lag_pass_sums for a Prony modulus, one row per weight set in weights,
+    each the (r, left[0], right[0]) per term of exponential_terms.
+
+    A term's lag weights are geometric: lags[i] = c r^(i-1) with
+    c = r left[0] + right[0], and oldest[j - 1] = r^(j-1) right[0] =
+    c r^(j-1) - r^j left[0].  So its share of level j is
+    vol (c Q_j - r^j left[0] |e_j - e_0|^2) with
+
+        Q_j = sum_{i=1}^{j} r^(i-1) |e_j - e_{j-i}|^2,
+        S_j = sum_{i=1}^{j} r^i (e_j - e_{j-i}),
+
+    and with delta_j = e_{j+1} - e_j and s_j = sum_{k=0}^{j} r^k these obey
+
+        S_{j+1} = r s_j delta_j + r S_j,
+        Q_{j+1} = s_j |delta_j|^2 + 2 delta_j . S_j + r Q_j.
+
+    Every term is built from differences, so nothing large cancels, as it
+    would in the expanded |e_j|^2 - 2 e_j . e_{j-i} + |e_{j-i}|^2.  Both
+    recursions are geometric filters, run a block of levels at a time as one
+    product with a small lower-triangular matrix of powers of r, carrying
+    S and Q from block to block.  A block's edge buffers stay within
+    _EDGE_BLOCK_BYTES, so no stack beyond edges is held.  A block of B
+    levels costs O(terms B^2 N) flops: O(terms B J N) in all.
+    """
+    J = len(edges) - 1
+    rs = np.array([r for r, _, _ in weights[0]])
+    n_edges = edges.shape[1]
+    block = _ledger_block(8 * rs.size * n_edges)
+    filters = _filter_matrices(rs, block)
+    s = np.cumsum(rs[:, None] ** np.arange(J), axis=1)
+    gain = rs[:, None] * s  # r s_j, the weight of delta_j in S_{j+1}
+    q = np.zeros((rs.size, J + 1))
+    oldest = np.zeros(J + 1)  # vol |e_j - e_0|^2
+    # the filters' inputs: S_j0 then gain * delta, and Q_j0 then the
+    # inflow s_j |delta_j|^2 + 2 delta_j . S_j of each level in the block
+    s_in = np.zeros((rs.size, block + 1, n_edges))
+    q_in = np.zeros((rs.size, block + 1))
+    for j0 in range(0, J, block):
+        n = min(block, J - j0)
+        now = slice(j0 + 1, j0 + n + 1)
+        delta = edges[now] - edges[j0 : j0 + n]
+        np.multiply(gain[:, j0 : j0 + n, None], delta, out=s_in[:, 1 : n + 1])
+        # einsum, not matmul: a first BLAS matrix product pages in buffers
+        # that raised a 1D audit run's peak RSS by about 0.4 MiB
+        s_out = np.einsum("tkl,tle->tke", filters[:, :n, : n + 1], s_in[:, : n + 1])
+        # delta_j . S_j, with S_j the sum of the level before
+        cross = np.empty((rs.size, n))
+        cross[:, 0] = s_in[:, 0] @ delta[0]
+        cross[:, 1:] = np.einsum("tke,ke->tk", s_out[:, :-1], delta[1:])
+        q_in[:, 1 : n + 1] = s[:, j0 : j0 + n] * np.einsum("ke,ke->k", delta, delta)
+        q_in[:, 1 : n + 1] += 2.0 * cross
+        q[:, now] = np.einsum("tkl,tl->tk", filters[:, :n, : n + 1], q_in[:, : n + 1])
+        s_in[:, 0] = s_out[:, -1]
+        q_in[:, 0] = q[:, j0 + n]
+        d = edges[now] - edges[0]
+        oldest[now] = vol * np.einsum("ke,ke->k", d, d)
+
+    decay = rs[:, None] ** np.arange(J + 1)
+    out = np.zeros((len(weights), J + 1))
+    for row, terms in zip(out, weights):
+        for q_t, decay_t, (r, left0, right0) in zip(q, decay, terms):
+            row += (r * left0 + right0) * vol * q_t
+            row -= left0 * decay_t * oldest
+    return out
 
 
 @dataclass(frozen=True)
@@ -193,10 +319,6 @@ def calibrate_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> float:
 # ---------------------------------------------------------------------------
 # a-priori energy bound
 # ---------------------------------------------------------------------------
-
-
-# cap on the transient edge-difference buffer of check_energy_bound
-_EDGE_BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)

@@ -51,14 +51,6 @@ from memvisco.solver import (
 __all__ = ["run_experiment"]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _reprs(values: np.ndarray) -> list[str]:
     """repr(float(x)) for every entry of values, in C order.
 
@@ -97,10 +89,34 @@ def _write_atomic(path: Path, text) -> None:
             fh.write(chunk.encode("utf-8"))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+def _csv_fields(values) -> list[str]:
+    """The fields of one CSV column: None empty, ints as str, strings as
+    they are and every other value as repr(float(x)), all of those in one
+    _reprs call."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return _reprs(values)
+    out, floats = [], []
+    for v in values:
+        if v is None:
+            out.append("")
+        elif isinstance(v, str):
+            out.append(v)
+        elif isinstance(v, (int, np.integer)):
+            out.append(str(int(v)))
+        else:
+            floats.append(len(out))
+            out.append(v)
+    for i, text in zip(floats, _reprs(np.array([out[i] for i in floats], dtype=float))):
+        out[i] = text
+    return out
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """A CSV of the given columns, one sequence of values per header name."""
+    fields = [_csv_fields(c) for c in columns]
+    if len(fields) != len(header) or len({len(f) for f in fields}) > 1:
+        raise ValueError("a CSV needs one column per header name, all of one length")
+    lines = [",".join(header), *map(",".join, zip(*fields))]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -221,9 +237,8 @@ def _trajectory_csv(traj, stride: int):
         for node, xyz in enumerate(itertools.product(*axes))
     ]
     vel = traj.velocities(stride)
-    for i, j in enumerate(range(0, traj.n_levels, stride)):
-        t = _fmt(traj.times[j])
-        u = _reprs(traj.levels[j])
+    for i, t in enumerate(_reprs(traj.times[::stride])):
+        u = _reprs(traj.levels[i * stride])
         v = _reprs(vel[i])
         yield "".join(f"{t},{p}{a},{b}\n" for p, a, b in zip(prefixes, u, v))
 
@@ -252,25 +267,20 @@ def _export_ledger(out_dir: Path, ledger) -> None:
         "stored",
         "residual",
     ]
-    n = ledger.times.size
-    rows = []
-    for j in range(n):
-        res = ledger.residual[j - 1] if 1 <= j <= n - 2 else None
-        rows.append(
-            [
-                j,
-                ledger.times[j],
-                ledger.kinetic[j],
-                ledger.elastic[j],
-                ledger.memory[j],
-                ledger.rate_modulus[j],
-                ledger.rate_curvature[j],
-                ledger.forcing_power[j],
-                ledger.stored[j],
-                res,
-            ]
-        )
-    _write_csv(out_dir / "energy.csv", header, rows)
+    # the residual is defined on the interior levels only
+    columns = [
+        range(ledger.times.size),
+        ledger.times,
+        ledger.kinetic,
+        ledger.elastic,
+        ledger.memory,
+        ledger.rate_modulus,
+        ledger.rate_curvature,
+        ledger.forcing_power,
+        ledger.stored,
+        [None, *ledger.residual, None],
+    ]
+    _write_csv(out_dir / "energy.csv", header, columns)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
@@ -412,7 +422,7 @@ def _run_single(
             _write_csv(
                 out_dir / "weak_residuals.csv",
                 ["test_function", "direct", "moved"],
-                [[e.name, e.direct, e.moved] for e in entries],
+                [[e.name for e in entries], [e.direct for e in entries], [e.moved for e in entries]],
             )
         worst = max(max(abs(e.direct), abs(e.moved)) for e in entries)
         verdicts["weak_residual_max"] = worst
@@ -433,22 +443,19 @@ def _run_sequence(
     with phases("cauchy"):
         report = cauchy_report(trajs, eps_values, cfg.kernel, cfg.tolerances["cauchy_tol"])
 
-    rows = []
-    for h, e in enumerate(eps_values):
-        rows.append(
-            [
-                h,
-                e,
-                report.distances[h] if h < report.distances.size else None,
-                report.tail_distances[h] if h < report.tail_distances.size else None,
-                report.kernel_sup_bounds[h],
-            ]
-        )
+    count = len(eps_values)
     with phases("export"):
         _write_csv(
             out_dir / "convergence.csv",
             ["h", "eps", "distance_to_next", "distance_to_finest", "kernel_sup_bound"],
-            rows,
+            [
+                range(count),
+                eps_values,
+                # a distance column is None past its last entry
+                [*report.distances, *[None] * (count - report.distances.size)],
+                [*report.tail_distances, *[None] * (count - report.tail_distances.size)],
+                report.kernel_sup_bounds,
+            ],
         )
         _write_atomic(out_dir / "plot_convergence.py", _PLOT_CONVERGENCE)
     verdicts["cauchy"] = {
@@ -473,7 +480,12 @@ def _run_sequence(
             _write_csv(
                 out_dir / "lemma.csv",
                 ["eps", "test_function", "residual", "majorant"],
-                [[e.eps, e.test_function, e.residual, e.majorant] for e in entries],
+                [
+                    [e.eps for e in entries],
+                    [e.test_function for e in entries],
+                    [e.residual for e in entries],
+                    [e.majorant for e in entries],
+                ],
             )
         within = all(e.within for e in entries)
         verdicts["lemma_check"] = {"passed": within, "entries": len(entries)}
@@ -490,10 +502,7 @@ def _run_admissibility(
         _write_csv(
             out_dir / "admissibility.csv",
             ["t", "modulus", "modulus_dt", "modulus_dtt"],
-            [
-                [report.times[i], report.modulus_values[i], report.rate_values[i], report.curvature_values[i]]
-                for i in range(report.times.size)
-            ],
+            [report.times, report.modulus_values, report.rate_values, report.curvature_values],
         )
     fade = check_fading_memory(cfg.kernel, history_norm_bound=1.0, tol=1e-3)
     verdicts["admissibility"] = {
@@ -532,8 +541,11 @@ def _run_stress(cfg: ExperimentConfig, out_dir: Path, verdicts: dict, phases: _P
     stress = stress_curve(cfg.kernel, history, dt, past)
     errors = np.abs(stress - reference)
     worst = float(errors.max())
-    rows = [list(row) for row in zip(times[1:], stress, reference, errors)]
     with phases("export"):
-        _write_csv(out_dir / "stress.csv", ["t", "stress", "reference", "abs_error"], rows)
+        _write_csv(
+            out_dir / "stress.csv",
+            ["t", "stress", "reference", "abs_error"],
+            [times[1:], stress, reference, errors],
+        )
     verdicts["stress"] = {"max_abs_error": worst}
     return 0 if worst <= cfg.tolerances["stress_tol"] else 1

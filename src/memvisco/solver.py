@@ -39,6 +39,7 @@ __all__ = [
     "stable_time_step",
     "cfl_time_step",
     "interval_weights",
+    "exponential_terms",
     "HistoryConvolution",
     "run",
     "trajectory_distance",
@@ -276,6 +277,24 @@ def _exponential_weights(a: float, tau: float, dt: float) -> tuple[float, float]
     return -a * math.expm1(-x) - right, right
 
 
+def exponential_terms(kernel: PronyKernel, eps: float, dt: float, order: int = 1):
+    """(r, left[0], right[0]) per term g e^{-t/tau} of a Prony kernel, for
+    w(s) = dG(eps + s) (order 1) or d2G(eps + s) (order 2).
+
+    Each term's share of w is (a / tau) e^{-s / tau}, so its interval
+    weights are geometric in the lag: left[d] = r^d left[0] and right[d] =
+    r^d right[0] with r = e^{-dt/tau}, and (left[0], right[0]) come from
+    _exponential_weights' closed forms.
+    """
+    out = []
+    for g, tau in kernel.terms:
+        a = -g * math.exp(-eps / tau)
+        if order == 2:
+            a = -a / tau
+        out.append((math.exp(-dt / tau), *_exponential_weights(a, tau, dt)))
+    return out
+
+
 # Caps of the direct backend's blocked history sums (HistoryConvolution).
 # A block of B rows holds two (K, B, N) buffers, its far sums and one
 # product, and a (K, B, B) weight block.  B stays within _BLOCK_ROWS, and
@@ -447,10 +466,7 @@ class _ExponentialHistory(HistoryConvolution):
     backend = "exponential"
 
     def __init__(self, kernel: PronyKernel, eps: float, n: int, dt: float):
-        self._terms = [
-            (math.exp(-dt / tau), *_exponential_weights(-g * math.exp(-eps / tau), tau, dt))
-            for g, tau in kernel.terms
-        ]
+        self._terms = exponential_terms(kernel, eps, dt)
         lag = np.arange(n)
         left, right = np.zeros(n), np.zeros(n)
         for r, left0, right0 in self._terms:

@@ -182,6 +182,36 @@ def direct_weights(left, right, j: int) -> np.ndarray:
     return w
 
 
+def geometric_history(terms, n: int) -> HistoryConvolution:
+    """The lag table of a Prony modulus's closed-form weights over n
+    intervals: left[d] = sum of r^d left[0] and right[d] = sum of r^d
+    right[0] over the (r, left[0], right[0]) of solver.exponential_terms."""
+    lag = np.arange(n)
+    left, right = np.zeros(n), np.zeros(n)
+    for r, left0, right0 in terms:
+        left += left0 * r**lag
+        right += right0 * r**lag
+    return HistoryConvolution(left, right)
+
+
+def row_wise_csv(header, rows) -> str:
+    """Oracle for runner._write_csv: the CSV text formatted one value at a
+    time, None empty, ints as str, strings as they are, any other value as
+    repr(float(value))."""
+
+    def field(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    lines = [",".join(header)] + [",".join(field(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def cumulative_trapezoid(levels: np.ndarray, dt: float) -> np.ndarray:
     """Running trapezoid integral along the first axis, 0 at level 0."""
     out = np.zeros_like(levels)

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     forced_box_spec,
+    geometric_history,
     oracle_specs,
     reference_bound_lhs,
     reference_energy_ledger,
@@ -16,6 +17,7 @@ from helpers import (
 from memvisco.diagnostics import (
     HypothesisError,
     ModeTestFunction,
+    _lag_pass_sums,
     calibrate_decay_tolerance,
     check_energy_bound,
     check_energy_decay,
@@ -24,9 +26,9 @@ from memvisco.diagnostics import (
     weak_residual,
 )
 from memvisco.expressions import Forcing, field_from_name
-from memvisco.grid import Field, Grid, l2_space, l2_spacetime
+from memvisco.grid import Field, Grid, dirichlet_edge_differences, l2_space, l2_spacetime
 from memvisco.kernels import KernelSum, PowerLawKernel, PronyKernel
-from memvisco.solver import ProblemSpec, cfl_time_step, run
+from memvisco.solver import ProblemSpec, cfl_time_step, exponential_terms, run
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
 
@@ -59,6 +61,10 @@ class TestEnergyLedger:
         assert np.all(led.memory == 0.0)
         assert np.all(led.rate_modulus == 0.0)
         assert np.all(led.rate_curvature == 0.0)
+        # +0.0, not the -0.0 of scaling a zero sum by -0.5: the CSV keeps its bytes
+        zeros = np.zeros(spec.n_steps + 1).tobytes()
+        assert led.memory.tobytes() == zeros
+        assert led.rate_curvature.tobytes() == zeros
         # without memory the stored energy is conserved up to O(dt^2) drift
         drift = np.abs(led.stored - led.stored[0]).max()
         assert drift < 2e-2 * led.stored[0]
@@ -174,6 +180,68 @@ class TestLedgerMatchesReference:
         if spec.forcing is None:
             # no zero field is summed, and the signs of the zeros stay
             assert led.forcing_power.tobytes() == ref.forcing_power.tobytes()
+
+
+def _long_prony_spec(kernel):
+    # the audit grid (1D, n = 99) over 1,591 levels; dt is PRONY's, whose
+    # wave is the fastest here, so every kernel takes the same levels
+    g = Grid.line(99)
+    return ProblemSpec(
+        kernel=kernel, grid=g, horizon=8.0, dt=cfl_time_step(g, PRONY, 0.05, 0.5, 8.0),
+        eps=0.05, u0=Field.zero(g),
+        u1=field_from_name(g, "sin_pi_product", {"amplitude": 1.0}),
+    )
+
+
+class TestPronyRecursion:
+    """The Prony ledger's difference-form recursion against lag passes over
+    the same closed-form geometric weights."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [PRONY, PronyKernel(0.2, ((0.3, 0.02), (0.4, 0.7), (0.1, 20.0)))],
+        ids=["1-term", "3-term"],
+    )
+    def test_matches_lag_passes_at_long_horizon(self, kernel):
+        spec = _long_prony_spec(kernel)
+        traj = run(spec)
+        J = traj.n_levels - 1
+        assert J >= 1500
+        led = energy_ledger(traj, kernel, spec.eps)
+        edges = dirichlet_edge_differences(spec.grid, traj.levels)
+        histories = [
+            geometric_history(exponential_terms(kernel, spec.eps, spec.dt, order), J)
+            for order in (1, 2)
+        ]
+        memory, curvature = -0.5 * _lag_pass_sums(edges, spec.grid.cell_volume, histories)
+        assert np.abs(memory).max() > 0.0
+        for got, want in ((led.memory, memory), (led.rate_curvature, curvature)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # the residual divides stored by 2 dt, so equal sums would still move
+        # it by a few 1e-12 here
+        stored = led.kinetic + led.elastic + memory
+        residual = (stored[2:] - stored[:-2]) / (2 * spec.dt) - (
+            led.forcing_power[1:-1] + led.rate_modulus[1:-1] + curvature[1:-1]
+        )
+        want = float(np.abs(residual).max())
+        assert abs(led.max_residual - want) <= 1e-9 * want
+
+    def test_holds_no_stack_beyond_edges(self):
+        import tracemalloc
+
+        spec = _long_prony_spec(PRONY)
+        traj = run(spec)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            energy_ledger(traj, PRONY, spec.eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        edge_bytes = 8 * traj.n_levels * (spec.grid.n[0] + 1)
+        # the edge stack and a few blocks of 64 levels: about 1.4x; the lag
+        # passes with whole velocity and square stacks held 4.1x
+        assert peak - entry <= 4.2 * edge_bytes
 
 
 class TestEnergyDecay:

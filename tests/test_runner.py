@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import reference_trajectory_csv
+from helpers import reference_trajectory_csv, row_wise_csv
 from memvisco.expressions import field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import PronyKernel
-from memvisco.runner import _export_trajectory, _reprs, _write_atomic
+from memvisco.runner import _export_trajectory, _reprs, _write_atomic, _write_csv
 from memvisco.solver import ProblemSpec, run
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -113,3 +113,40 @@ def test_reprs_pins_repr_at_the_format_edges():
 @given(st.lists(st.floats(), max_size=40))
 def test_reprs_is_repr_of_every_double(xs):
     assert _reprs(np.array(xs, dtype=np.float64)) == [repr(float(x)) for x in xs]
+
+
+EDGE_FLOATS = [float(x) for x in EDGE_VALUES] + [-float(x) for x in EDGE_VALUES]
+CSV_FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+CSV_VALUES = (
+    st.none()
+    | st.integers(-(10**20), 10**20)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | CSV_FLOATS
+    | CSV_FLOATS.map(np.float64)
+    | st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)), max_size=6)
+)
+
+
+def csv_column(n: int):
+    """n values of any kind, or n floats as one array."""
+    return st.lists(CSV_VALUES, min_size=n, max_size=n) | st.lists(
+        CSV_FLOATS, min_size=n, max_size=n
+    ).map(np.array)
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(csv_column(n), min_size=1, max_size=5)))
+def test_write_csv_matches_row_wise_writer(tmp_path_factory, columns):
+    # each column is formatted in one _reprs call; the bytes are those of
+    # formatting the rows one value at a time
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    _write_csv(path, header, columns)
+    assert path.read_bytes() == row_wise_csv(header, zip(*columns)).encode("utf-8")
+
+
+def test_write_csv_refuses_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="one column per header name"):
+        _write_csv(tmp_path / "a.csv", ["a", "b"], [[1.0, 2.0], [3.0]])
+    with pytest.raises(ValueError, match="one column per header name"):
+        _write_csv(tmp_path / "b.csv", ["a", "b"], [[1.0]])
+    assert list(tmp_path.iterdir()) == []
