@@ -5,8 +5,11 @@ Usage: run_all_configs.py [out-root]   (default: ./out next to the repo)
 
 After each config it prints one `<sha256>  <config>/<file>.csv` line per
 CSV in its run directory, so two checkouts' outputs compare byte for byte
-with `diff <(grep 'csv$' a.txt) <(grep 'csv$' b.txt)`.  A config fails
-when its exit code is not 0 or its manifest.json is not strict JSON
+with `diff <(grep 'csv$' a.txt) <(grep 'csv$' b.txt)`.  It also prints one
+`<sha256>  <config>/verdicts` line: the digest of the manifest's `verdicts`
+and `runs` blocks as canonical JSON (sorted keys), so "verdicts unchanged"
+is `diff <(grep 'verdicts$' a.txt) <(grep 'verdicts$' b.txt)`.  A config
+fails when its exit code is not 0 or its manifest.json is not strict JSON
 (RFC 8259: no NaN or Infinity).
 """
 
@@ -33,6 +36,13 @@ def strict_json_error(path: Path) -> str | None:
     return None
 
 
+def verdicts_digest(path: Path) -> str:
+    """sha256 of the manifest's verdicts and runs blocks as canonical JSON."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    blocks = {key: manifest[key] for key in ("verdicts", "runs")}
+    return hashlib.sha256(json.dumps(blocks, sort_keys=True).encode()).hexdigest()
+
+
 if __name__ == "__main__":
     out_root = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "out"
     failures = []
@@ -45,6 +55,8 @@ if __name__ == "__main__":
         error = strict_json_error(out / "manifest.json")
         if error:
             print(f"{cfg.name}: manifest.json is not strict JSON: {error}")
+        else:
+            print(f"{verdicts_digest(out / 'manifest.json')}  {cfg.stem}/verdicts")
         if code != 0 or error:
             failures.append(cfg.name)
     if failures:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from memvisco.grid import trapezoid_weights
+from memvisco.diagnostics import battery_projections
 from memvisco.kernels import RelaxationKernel, kernel_diff_bound, translate
 from memvisco.solver import (
     HistoryConvolution,
@@ -159,19 +159,18 @@ class LemmaCheckEntry:
 def convergence_lemma_check(
     kernel: RelaxationKernel,
     eps_values,
-    battery,
     trajectories: list[TrajectorySolution],
 ) -> list[LemmaCheckEntry]:
     """Residual of swapping the shifted kernel for the unshifted one.
 
-    For each shift and test function v:
+    For each shift and test function v of the default battery:
 
         R = int_Q  lap v(x,t) * int_0^t [Ksh(s) - K(s)] u(t - s) ds  dx dt,
 
     where Ksh is the re-based integral of the shifted modulus; R must be
     dominated by  sup|lap v| * C * |Omega| * T * sup_s |Ksh - K|  with
     C = sup|u| / |Omega|.  Both sides vanish as the shift does, and both
-    are exactly zero for constant kernels (the shift changes nothing).
+    are exactly zero for constant kernels, whose shift is the kernel itself.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     if len(trajectories) != eps_values.size:
@@ -189,12 +188,6 @@ def convergence_lemma_check(
         sup_diff = float(
             np.max(np.abs(shifted._integral(s_grid) - kernel._integral(s_grid)))
         )
-        if sup_diff <= 1e-12 * max(1.0, float(kernel._integral(horizon))):
-            # the shift changes nothing (constant kernel): identically zero
-            for v in battery:
-                out.append(LemmaCheckEntry(float(e), v.name, 0.0, 0.0))
-            continue
-
         weights = interval_weights(
             lambda s: shifted._integral2(s) - kernel._integral2(s),
             lambda s: shifted._integral3(s) - kernel._integral3(s),
@@ -204,19 +197,10 @@ def convergence_lemma_check(
         # max |u| without an |u| stack
         c_level = float(max(traj.levels.max(), -traj.levels.min())) / grid.volume
 
-        wt = trapezoid_weights(J + 1, dt)
         vol = grid.cell_volume
-        # R is linear in u: project the levels on each test function, then
-        # convolve scalars, y = W^T (wt vt), once per time profile
-        flat = traj.levels.reshape(J + 1, -1)
-        tested = {}
-        for v in battery:
-            a = wt * v.time_values(traj.times, horizon)
-            key = a.tobytes()
-            if key not in tested:
-                tested[key] = history.adjoint(a)
-            projected = flat @ v.space_values(grid).ravel()
-            residual = vol * v.laplace_factor(grid) * float(tested[key] @ projected)
+        for v, _, _, y, projected in battery_projections(traj, history):
+            # + 0.0: a constant modulus has zero weights, and -0.0 is not a residual
+            residual = vol * v.laplace_factor(grid) * float(y @ projected) + 0.0
             # the time profiles peak at 1
             majorant = (
                 abs(v.laplace_factor(grid))

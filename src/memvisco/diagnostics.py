@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from memvisco.expressions import sin_product
 from memvisco.grid import (
     Field,
     Grid,
@@ -45,6 +46,7 @@ __all__ = [
     "check_energy_bound",
     "ModeTestFunction",
     "default_battery",
+    "battery_projections",
     "WeakResidualEntry",
     "weak_residual",
 ]
@@ -58,16 +60,16 @@ class HypothesisError(ValueError):
 # energy ledger
 # ---------------------------------------------------------------------------
 
-# cap on the transient edge-difference buffers of the energy ledger's and
-# check_energy_bound's blocks of levels
+# cap on the transient edge-difference buffers of a block of levels, in the
+# per-level sums and the Prony recursion
 _EDGE_BLOCK_BYTES = 8 * 2**20
-# most levels in a block of the energy ledger: its geometric filters are
+# most levels in a block: the Prony recursion's geometric filters are
 # (block, block + 1) matrices
 _LEDGER_LEVELS = 64
 
 
 def _ledger_block(row_bytes: int) -> int:
-    """Levels per block of the energy ledger, for row_bytes of buffers per level."""
+    """Levels per block of a pass over the levels, for row_bytes of buffers per level."""
     return max(1, min(_LEDGER_LEVELS, _EDGE_BLOCK_BYTES // row_bytes))
 
 
@@ -126,23 +128,10 @@ def energy_ledger(
     g_now = kk.modulus(times)
     gdot_now = kk.modulus_dt(times)
 
-    edges = dirichlet_edge_differences(grid, traj.levels)
-    # velocities and squares a block of levels at a time, so the edge stack
-    # is the one array of every level held
-    block = _ledger_block(8 * edges.shape[1])
-    grad_sq = np.empty(J + 1)
-    kinetic = np.empty(J + 1)
-    forcing_power = np.zeros(J + 1)
-    if forcing is not None:
-        profile = forcing.profile(grid).ravel()
-    for start in range(0, J + 1, block):
-        stop = start + block
-        e = edges[start:stop]
-        v = traj.velocities(start=start, stop=stop).reshape(len(e), -1)
-        grad_sq[start:stop] = vol * np.sum(e * e, axis=1)
-        kinetic[start:stop] = 0.5 * vol * np.sum(v * v, axis=1)
-        if forcing is not None:
-            forcing_power[start:stop] = v @ profile
+    profile = None if forcing is None else forcing.profile(grid).ravel()
+    grad_sq, kinetic, forcing_power = _level_sums(traj, profile)
+    grad_sq *= vol
+    kinetic *= 0.5 * vol
     if forcing is not None:
         forcing_power *= vol * forcing.factor(times)
     elastic = 0.5 * g_now * grad_sq
@@ -152,6 +141,7 @@ def energy_ledger(
     rate_curvature = np.zeros(J + 1)
     # a modulus with dG = 0 has no memory: its weights would be round-off
     if np.any(gdot_now):
+        edges = dirichlet_edge_differences(grid, traj.levels)
         # weights of w = dG (memory) and w = d2G (curvature)
         if isinstance(kernel, PronyKernel):
             weights = [exponential_terms(kernel, eps, dt, order) for order in (1, 2)]
@@ -180,6 +170,32 @@ def energy_ledger(
         stored=stored,
         residual=residual,
     )
+
+
+def _level_sums(traj: TrajectorySolution, profile: np.ndarray | None = None):
+    """Per-level |e_j|^2, |v_j|^2 and v_j . profile (zeros without a profile),
+    e_j the edge differences and v_j the velocities of level j, unscaled by
+    the cell volume.
+
+    Edges and velocities are taken a block of levels at a time, so no
+    (J+1, edges) or (J+1, N) stack is held; each block is fresh, so it is
+    squared in place once the forcing power has read it.
+    """
+    grid = traj.grid
+    n_levels = traj.n_levels
+    block = _ledger_block(8 * sum(grid.n_total // n * (n + 1) for n in grid.n))
+    grad_sq = np.empty(n_levels)
+    vel_sq = np.empty(n_levels)
+    power = np.zeros(n_levels)
+    for start in range(0, n_levels, block):
+        stop = start + block
+        e = dirichlet_edge_differences(grid, traj.levels[start:stop])
+        v = traj.velocities(start=start, stop=stop).reshape(len(e), -1)
+        if profile is not None:
+            power[start:stop] = v @ profile
+        grad_sq[start:stop] = np.square(e, out=e).sum(axis=1)
+        vel_sq[start:stop] = np.square(v, out=v).sum(axis=1)
+    return grad_sq, vel_sq, power
 
 
 def _lag_pass_sums(edges: np.ndarray, vol: float, histories) -> np.ndarray:
@@ -309,10 +325,15 @@ def calibrate_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> float:
     the twin's worst per-step energy increase measures the pure
     discretization drift at this resolution.  Scales like dt^2 + h^2.
     """
-    twin = replace(spec, kernel=PronyKernel(spec.kernel.modulus(spec.eps), ()), eps=1.0)
-    ledger = energy_ledger(run(twin), twin.kernel, twin.eps, twin.forcing)
-    drift = max(float(np.max(np.diff(ledger.stored))), 0.0)
-    floor = 1e-13 * max(float(ledger.stored[0]), 1.0)
+    g = spec.kernel.modulus(spec.eps)
+    traj = run(replace(spec, kernel=PronyKernel(g, ()), eps=1.0))
+    # the twin has no memory, so its stored energy is kinetic + elastic,
+    # formed as energy_ledger forms them
+    grad_sq, vel_sq, _ = _level_sums(traj)
+    vol = traj.grid.cell_volume
+    stored = 0.5 * vol * vel_sq + 0.5 * g * (vol * grad_sq)
+    drift = max(float(np.max(np.diff(stored))), 0.0)
+    floor = 1e-13 * max(float(stored[0]), 1.0)
     return safety * drift + floor
 
 
@@ -344,9 +365,11 @@ def check_energy_bound(
 
     gamma = max(1 / G(T + 1), 1) uses the unshifted modulus; requires
     eps <= 1 so the shifted modulus dominates G(T + 1) on the window.
-    C = 0.5 |f|^2 (space-time) + 0.5 |u1|^2 (space).  Holds for zero
-    initial displacement.
+    C = 0.5 |f|^2 (space-time) + 0.5 |u1|^2 (space) covers no initial
+    displacement, so a run that starts displaced is refused.
     """
+    if np.any(traj.levels[0]):
+        raise HypothesisError("nonzero initial displacement")
     if eps > 1.0:
         raise HypothesisError(f"bound requires eps <= 1, got {eps}")
     grid, dt = traj.grid, traj.dt
@@ -364,21 +387,8 @@ def check_energy_bound(
     c_data = 0.5 * f_spacetime_sq + 0.5 * l2_space(grid, u1) ** 2
     bound = gamma * math.exp(T) * c_data
 
-    vol = grid.cell_volume
-    # edge differences and velocities of a block of levels at a time, at
-    # most _EDGE_BLOCK_BYTES of edges, so a large grid needs neither a full
-    # edge stack nor a full velocity stack
-    n_edges = sum(grid.n_total // n * (n + 1) for n in grid.n)
-    block = max(1, _EDGE_BLOCK_BYTES // (8 * n_edges))
-    grad_sq = np.empty(traj.n_levels)
-    kinetic = np.empty(traj.n_levels)
-    for start in range(0, traj.n_levels, block):
-        stop = start + block
-        edges = dirichlet_edge_differences(grid, traj.levels[start:stop])
-        grad_sq[start:stop] = np.einsum("ij,ij->i", edges, edges)
-        v = traj.velocities(start=start, stop=stop).reshape(len(edges), -1)
-        kinetic[start:stop] = 0.5 * vol * np.einsum("ij,ij->i", v, v)
-    lhs = 0.5 * vol * grad_sq + kinetic
+    grad_sq, vel_sq, _ = _level_sums(traj)
+    lhs = 0.5 * grid.cell_volume * grad_sq + 0.5 * grid.cell_volume * vel_sq
     peak = float(np.max(lhs))
     if bound == 0.0:
         max_ratio = 0.0 if peak == 0.0 else math.inf
@@ -425,10 +435,7 @@ class ModeTestFunction:
     def space_values(self, grid: Grid) -> np.ndarray:
         if len(self.modes) != grid.dim:
             raise ValueError("mode count does not match grid dimension")
-        out = np.ones(grid.shape)
-        for m, x, L in zip(self.modes, grid.mesh(), grid.extent):
-            out = out * np.sin(m * np.pi * x / L)
-        return out
+        return sin_product(grid, self.modes)
 
     def laplace_factor(self, grid: Grid) -> float:
         return -sum((m * np.pi / L) ** 2 for m, L in zip(self.modes, grid.extent))
@@ -478,33 +485,19 @@ def weak_residual(
     """
     grid, dt = traj.grid, traj.dt
     J = traj.n_levels - 1
-    horizon = float(traj.times[-1])
-    battery = default_battery(grid)
     kk = translate(kernel, eps)
     history = HistoryConvolution(*interval_weights(kk._integral2, kk._integral3, J, dt))
-
-    # Every term is linear in u, so project the levels on each test
-    # function first and convolve scalars: y = W^T (wt vt) once per time
-    # profile.  The stencil is symmetric with Dirichlet faces, so
-    # vx . lap_h u = (lap_h vx) . u and no level needs a Laplacian.
-    flat = traj.levels.reshape(J + 1, -1)
-    space = [v.space_values(grid).ravel() for v in battery]
     if forcing is not None:
         # F2 = c2 * profile, c2 the time factor integrated twice
         c2 = double_trapezoid(forcing.factor(traj.times), dt)
         profile = forcing.profile(grid).ravel()
 
-    wt = trapezoid_weights(J + 1, dt)
+    # The stencil is symmetric with Dirichlet faces, so
+    # vx . lap_h u = (lap_h vx) . u and no level needs a Laplacian.
+    flat = traj.levels.reshape(J + 1, -1)
     vol = grid.cell_volume
-    tested = {}
     out = []
-    for v, vx in zip(battery, space):
-        a = wt * v.time_values(traj.times, horizon)
-        key = a.tobytes()
-        if key not in tested:
-            tested[key] = history.adjoint(a)
-        y = tested[key]
-        projected = flat @ vx
+    for v, vx, a, y, projected in battery_projections(traj, history):
         ramp = traj.times * (u1.values.ravel() @ vx) + u0.values.ravel() @ vx
         if forcing is not None:
             ramp += c2 * (profile @ vx)
@@ -514,3 +507,25 @@ def weak_residual(
         moved = vol * (rest - v.laplace_factor(grid) * float(y @ projected))
         out.append(WeakResidualEntry(name=v.name, direct=direct, moved=moved))
     return out
+
+
+def battery_projections(traj: TrajectorySolution, history: HistoryConvolution):
+    """(v, vx, a, y, projected) for each test function v of the default
+    battery: vx its space values, flat; a = w v(t) its time profile with
+    the trapezoid weights; y = history.adjoint(a), one transposed history
+    sum per time profile; projected = the levels projected on vx.
+
+    Every tested term is linear in u, so projecting the levels first leaves
+    only scalar convolutions, and no (J+1, N) array beyond the levels.
+    """
+    grid = traj.grid
+    horizon = float(traj.times[-1])
+    flat = traj.levels.reshape(traj.n_levels, -1)
+    wt = trapezoid_weights(traj.n_levels, traj.dt)
+    adjoints = {}
+    for v in default_battery(grid):
+        vx = v.space_values(grid).ravel()
+        a = wt * v.time_values(traj.times, horizon)
+        if v.time_profile not in adjoints:
+            adjoints[v.time_profile] = history.adjoint(a)
+        yield v, vx, a, adjoints[v.time_profile], flat @ vx

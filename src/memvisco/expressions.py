@@ -13,13 +13,14 @@ import numpy as np
 from memvisco.grid import Field, Grid
 from memvisco.kernels import finite_number
 
-__all__ = ["space_values", "field_from_name", "Forcing", "SPACE_NAMES", "FORCING_NAMES"]
+__all__ = ["space_values", "sin_product", "field_from_name", "Forcing", "SPACE_NAMES", "FORCING_NAMES"]
 
 SPACE_NAMES = ("zero", "constant", "sin_pi_product", "sine_mode", "bump")
 FORCING_NAMES = ("zero", "constant", "sin_pi_product")
 
 
-def _sin_product(grid: Grid, modes: tuple[int, ...]) -> np.ndarray:
+def sin_product(grid: Grid, modes: tuple[int, ...]) -> np.ndarray:
+    """prod_k sin(m_k pi x_k / L_k) at the grid nodes, one mode per axis."""
     out = np.ones(grid.shape)
     for axis, (x, L) in enumerate(zip(grid.mesh(), grid.extent)):
         out = out * np.sin(modes[axis] * np.pi * x / L)
@@ -60,12 +61,12 @@ def space_values(grid: Grid, name: str, params: dict | None = None) -> np.ndarra
     if name == "sin_pi_product":
         amplitude = _param(params, "amplitude", 1.0)
         _reject_extras(name, params)
-        return amplitude * _sin_product(grid, (1,) * grid.dim)
+        return amplitude * sin_product(grid, (1,) * grid.dim)
     if name == "sine_mode":
         amplitude = _param(params, "amplitude", 1.0)
         modes = _normalize_modes(grid, params.pop("modes", None))
         _reject_extras(name, params)
-        return amplitude * _sin_product(grid, modes)
+        return amplitude * sin_product(grid, modes)
     if name == "bump":
         amplitude = _param(params, "amplitude", 1.0)
         center = _param(params, "center", 0.5)

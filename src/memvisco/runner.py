@@ -32,7 +32,6 @@ from memvisco.diagnostics import (
     calibrate_decay_tolerance,
     check_energy_bound,
     check_energy_decay,
-    default_battery,
     energy_ledger,
     weak_residual,
 )
@@ -392,26 +391,19 @@ def _run_single(
             ok = ok and decay.passed
 
     if cfg.diagnostics["energy_bound"]:
-        # The a priori estimate's data constant covers forcing and initial
-        # velocity only, so it applies just to runs started from rest shape.
-        if np.any(spec.u0.values != 0.0):
-            verdicts["energy_bound"] = {"skipped": "nonzero initial displacement"}
+        try:
+            with phases("bound"):
+                bound = check_energy_bound(traj, cfg.kernel, cfg.eps, spec.u1, spec.forcing)
+        except HypothesisError as exc:
+            verdicts["energy_bound"] = {"skipped": str(exc)}
         else:
-            try:
-                with phases("bound"):
-                    bound = check_energy_bound(
-                        traj, cfg.kernel, cfg.eps, spec.u1, spec.forcing
-                    )
-            except HypothesisError as exc:
-                verdicts["energy_bound"] = {"skipped": str(exc)}
-            else:
-                verdicts["energy_bound"] = {
-                    "passed": bound.passed,
-                    "gamma": bound.gamma,
-                    "bound": bound.bound,
-                    "max_ratio": bound.max_ratio,
-                }
-                ok = ok and bound.passed
+            verdicts["energy_bound"] = {
+                "passed": bound.passed,
+                "gamma": bound.gamma,
+                "bound": bound.bound,
+                "max_ratio": bound.max_ratio,
+            }
+            ok = ok and bound.passed
 
     if cfg.diagnostics["weak_residual"]:
         with phases("weak_residual"):
@@ -473,9 +465,8 @@ def _run_sequence(
     )
 
     if cfg.diagnostics["lemma_check"]:
-        battery = default_battery(cfg.grid)
         with phases("lemma_check"):
-            entries = convergence_lemma_check(cfg.kernel, eps_values, battery, trajs)
+            entries = convergence_lemma_check(cfg.kernel, eps_values, trajs)
         with phases("export"):
             _write_csv(
                 out_dir / "lemma.csv",

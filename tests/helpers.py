@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from memvisco.convergence import LemmaCheckEntry
-from memvisco.diagnostics import EnergyLedger, WeakResidualEntry, default_battery
+from memvisco.diagnostics import EnergyLedger, WeakResidualEntry, default_battery, energy_ledger
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import (
     Field,
@@ -32,6 +33,7 @@ from memvisco.solver import (
     TrajectorySolution,
     cfl_time_step,
     interval_weights,
+    run,
 )
 
 # Populated by the acceptance tests, printed in the terminal summary.
@@ -293,6 +295,17 @@ def reference_energy_ledger(
         stored=stored,
         residual=residual,
     )
+
+
+def reference_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> float:
+    """calibrate_decay_tolerance read off a whole energy ledger of the
+    memory-free twin: the formula the twin's per-level sums must match bit
+    for bit."""
+    twin = replace(spec, kernel=PronyKernel(spec.kernel.modulus(spec.eps), ()), eps=1.0)
+    ledger = energy_ledger(run(twin), twin.kernel, twin.eps, twin.forcing)
+    drift = max(float(np.max(np.diff(ledger.stored))), 0.0)
+    floor = 1e-13 * max(float(ledger.stored[0]), 1.0)
+    return safety * drift + floor
 
 
 def reference_laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:

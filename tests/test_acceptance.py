@@ -22,7 +22,6 @@ from memvisco.diagnostics import (
     calibrate_decay_tolerance,
     check_energy_bound,
     check_energy_decay,
-    default_battery,
     energy_ledger,
 )
 from memvisco.expressions import Forcing, field_from_name
@@ -296,12 +295,11 @@ def test_07_vanishing_shift_rates(volterra_sequences):
 
 def test_08_shift_residual_majorant(volterra_sequences):
     eps_values = eps_schedule(0.1, 0.5, 6)
-    battery = default_battery(Grid.line(49))
     checks = []
     details = []
     for label, kernel in (("powerlaw", PowerLawKernel(1.0, 0.5)), ("prony", PRONY)):
         trajs, _ = volterra_sequences[label]
-        entries = convergence_lemma_check(kernel, eps_values, battery, trajs)
+        entries = convergence_lemma_check(kernel, eps_values, trajs)
         dominated = all(
             abs(e.residual) <= e.majorant * (1 + 1e-9) + 1e-300 for e in entries
         )

@@ -348,6 +348,15 @@ eps = 0
         assert verdicts["energy_bound"] == {"skipped": "bound requires eps <= 1, got 2.0"}
         assert "max_energy_residual" in verdicts
 
+    def test_bound_is_skipped_for_a_displaced_start(self, tmp_path):
+        # the bound refuses the run itself, inside its timed phase
+        cfg = write_cfg(tmp_path, QUICK.replace("u1 = sin_pi_product", "u0 = sin_pi_product"))
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        assert manifest["verdicts"]["energy_bound"] == {"skipped": "nonzero initial displacement"}
+        assert "bound" in manifest["phases"]
+
     def test_cfl_refusal_exits_three(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, UNSTABLE)
         out = tmp_path / "out"

@@ -167,11 +167,24 @@ class TestLemmaCheck:
         base = sequence_base(k, formulation="integrodifferential", dt=0.01)
         eps_vals = eps_schedule(0.1, 0.5, 2)
         trajs = run_eps_sequence(base, 0.1, 0.5, 2)
-        entries = convergence_lemma_check(k, eps_vals, default_battery(base.grid), trajs)
+        entries = convergence_lemma_check(k, eps_vals, trajs)
         assert len(entries) == 3 * 6
         for e in entries:
-            assert e.residual == 0.0
-            assert e.majorant == 0.0
+            # +0.0, not -0.0: the sign lands in lemma.csv
+            assert math.copysign(1.0, e.residual) == 1.0 and e.residual == 0.0
+            assert math.copysign(1.0, e.majorant) == 1.0 and e.majorant == 0.0
+            assert e.within
+
+    def test_tiny_shift_effect_is_computed(self):
+        # a 1e-13 term moves the shifted tower by about 1e-14: both sides
+        # are computed, not set to zero because they are small
+        k = PronyKernel(1.0, ((1e-13, 1.0),))
+        base = sequence_base(k, formulation="integrodifferential", dt=0.01)
+        eps_vals = eps_schedule(0.1, 0.5, 2)
+        entries = convergence_lemma_check(k, eps_vals, run_eps_sequence(base, 0.1, 0.5, 2))
+        assert len(entries) == 3 * 6
+        for e in entries:
+            assert e.majorant > 0.0
             assert e.within
 
     def test_powerlaw_residual_below_majorant_and_vanishing(self):
@@ -179,7 +192,7 @@ class TestLemmaCheck:
         base = sequence_base(k)
         eps_vals = eps_schedule(0.1, 0.5, 4)
         trajs = run_eps_sequence(base, 0.1, 0.5, 4)
-        entries = convergence_lemma_check(k, eps_vals, default_battery(base.grid), trajs)
+        entries = convergence_lemma_check(k, eps_vals, trajs)
         assert all(e.within for e in entries)
         by_eps = {}
         for e in entries:
@@ -193,7 +206,7 @@ class TestLemmaCheck:
         base = sequence_base(PRONY)
         eps_vals = eps_schedule(0.1, 0.5, 3)
         trajs = run_eps_sequence(base, 0.1, 0.5, 3)
-        entries = convergence_lemma_check(PRONY, eps_vals, default_battery(base.grid), trajs)
+        entries = convergence_lemma_check(PRONY, eps_vals, trajs)
         m = {}
         for e in entries:
             if e.test_function == entries[0].test_function:
@@ -208,7 +221,7 @@ class TestLemmaCheck:
         eps_vals = eps_schedule(0.1, 0.5, 2)
         trajs = run_eps_sequence(base, 0.1, 0.5, 2)
         battery = default_battery(base.grid)
-        got = convergence_lemma_check(base.kernel, eps_vals, battery, trajs)
+        got = convergence_lemma_check(base.kernel, eps_vals, trajs)
         want = reference_lemma_check(base.kernel, eps_vals, battery, trajs)
         scales = lemma_term_magnitudes(base.kernel, eps_vals, battery, trajs)
         assert len(got) == len(want) == 3 * 6
@@ -226,11 +239,10 @@ class TestLemmaCheck:
         base = forced_box_spec(9, 6.0)
         eps_vals = eps_schedule(0.1, 0.5, 1)
         trajs = run_eps_sequence(base, 0.1, 0.5, 1)
-        battery = default_battery(base.grid)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            entries = convergence_lemma_check(base.kernel, eps_vals, battery, trajs)
+            entries = convergence_lemma_check(base.kernel, eps_vals, trajs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -242,7 +254,7 @@ class TestLemmaCheck:
         base = sequence_base(PRONY)
         trajs = run_eps_sequence(base, 0.1, 0.5, 2)
         with pytest.raises(ValueError):
-            convergence_lemma_check(PRONY, eps_schedule(0.1, 0.5, 3), default_battery(base.grid), trajs)
+            convergence_lemma_check(PRONY, eps_schedule(0.1, 0.5, 3), trajs)
 
 
 def test_vanishing_shift_in_three_dimensions():

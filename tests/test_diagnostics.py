@@ -9,6 +9,7 @@ from helpers import (
     geometric_history,
     oracle_specs,
     reference_bound_lhs,
+    reference_decay_tolerance,
     reference_energy_ledger,
     reference_weak_residual,
     unchecked_prony,
@@ -272,6 +273,48 @@ class TestEnergyDecay:
     def test_calibration_positive(self):
         assert calibrate_decay_tolerance(damped_spec()) > 0.0
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            damped_spec(),
+            damped_spec(forcing=Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 4.0})),
+            forced_box_spec(7, 0.5),
+        ],
+        ids=["prony-1d", "prony-1d-forced", "box-3d-forced"],
+    )
+    def test_matches_the_ledger_formula_bit_for_bit(self, spec):
+        assert calibrate_decay_tolerance(spec) == reference_decay_tolerance(spec)
+
+    def test_holds_no_edge_stack(self, monkeypatch):
+        # the twin's stored energy needs per-level sums only, taken a block
+        # of levels at a time; the twin's solve is done before tracing
+        import tracemalloc
+
+        import memvisco.diagnostics as diagnostics
+
+        spec = _long_prony_spec(PRONY)
+        solved = []
+
+        def run_once(twin):
+            if not solved:
+                solved.append(run(twin))
+            return solved[0]
+
+        monkeypatch.setattr(diagnostics, "run", run_once)
+        want = calibrate_decay_tolerance(spec)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            got = calibrate_decay_tolerance(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        edge_bytes = 8 * solved[0].n_levels * (spec.grid.n[0] + 1)
+        # blocks of 64 levels and a few (J+1,) vectors: about 0.3x; a whole
+        # ledger would hold the edge stack and more
+        assert peak - entry < 0.5 * edge_bytes
+
 
 class TestEnergyBound:
     def test_gamma_uses_window_end_modulus(self):
@@ -373,6 +416,18 @@ class TestEnergyBound:
         f_levels = np.stack([f.sample(g, t) for t in traj.times])
         want = 0.5 * l2_spacetime(g, f_levels, dt) ** 2 + 0.5 * l2_space(g, spec.u1) ** 2
         assert rep.data_constant == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_displaced_start_rejected(self):
+        # the data constant covers u1 and f only, so a displaced start at
+        # rest is refused rather than read as max_ratio = inf
+        g = Grid.line(19)
+        spec = ProblemSpec(
+            kernel=PRONY, grid=g, horizon=1.0, dt=cfl_time_step(g, PRONY, 0.05, 0.5, 1.0),
+            eps=0.05, u0=field_from_name(g, "sin_pi_product", {"amplitude": 1.0}),
+            u1=Field.zero(g),
+        )
+        with pytest.raises(HypothesisError, match="^nonzero initial displacement$"):
+            check_energy_bound(run(spec), PRONY, 0.05, spec.u1)
 
     def test_large_shift_rejected(self):
         spec = damped_spec()

@@ -9,6 +9,7 @@ checks what they print.
 
 import hashlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -55,17 +56,42 @@ def test_shift_convergence_study_passes():
     assert lines[-1].endswith("monotone True   passed True")
 
 
-def test_run_all_configs_prints_a_digest_per_csv(tmp_path):
+@pytest.fixture(scope="module")
+def all_configs(tmp_path_factory):
+    """(stdout, out-root) of one run_all_configs.py run."""
+    out_root = tmp_path_factory.mktemp("configs")
+    return run_script("run_all_configs.py", str(out_root)), out_root
+
+
+def printed_digests(stdout, suffix):
+    """{name: digest} of the `<sha256>  <name>` lines ending in suffix."""
+    pairs = (line.split("  ") for line in stdout.splitlines() if line.endswith(suffix))
+    return {name: digest for digest, name in pairs}
+
+
+def test_run_all_configs_prints_a_digest_per_csv(all_configs):
     # every CSV the script writes gets a `<sha256>  <config>/<file>.csv`
     # line holding the digest of its bytes
-    stdout = run_script("run_all_configs.py", str(tmp_path))
-    printed = {}
-    for line in stdout.splitlines():
-        if line.endswith(".csv"):
-            digest, name = line.split("  ")
-            printed[name] = digest
-    written = sorted(tmp_path.glob("*/*.csv"))
+    stdout, out_root = all_configs
+    written = sorted(out_root.glob("*/*.csv"))
     assert len(written) == 9
-    assert printed == {
+    assert printed_digests(stdout, ".csv") == {
         f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in written
     }
+
+
+def test_run_all_configs_prints_a_verdicts_digest_per_config(all_configs):
+    # one `<sha256>  <config>/verdicts` line per config: the manifest's
+    # verdicts and runs blocks as canonical JSON, free of timings
+    stdout, out_root = all_configs
+    manifests = sorted(out_root.glob("*/manifest.json"))
+    assert len(manifests) == 5
+    want = {}
+    for path in manifests:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert manifest["verdicts"]
+        blocks = {"runs": manifest["runs"], "verdicts": manifest["verdicts"]}
+        text = json.dumps(blocks, sort_keys=True)
+        assert "seconds" not in text
+        want[f"{path.parent.name}/verdicts"] = hashlib.sha256(text.encode()).hexdigest()
+    assert printed_digests(stdout, "/verdicts") == want
