@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from memvisco.diagnostics import battery_projections
+from memvisco.diagnostics import battery_projections, level_blocks
 from memvisco.kernels import RelaxationKernel, kernel_diff_bound, translate
 from memvisco.solver import (
     HistoryConvolution,
@@ -194,8 +194,9 @@ def convergence_lemma_check(
             J, dt,
         )
         history = HistoryConvolution(*weights)
-        # max |u| without an |u| stack
-        c_level = float(max(traj.levels.max(), -traj.levels.min())) / grid.volume
+        # max |u| over the nodes, from two arrays of a few levels at a time
+        blocks = level_blocks(traj, 2)
+        c_level = max(float(np.abs(traj.nodal(a, b)).max()) for a, b in blocks) / grid.volume
 
         vol = grid.cell_volume
         for v, _, _, y, projected in battery_projections(traj, history):

@@ -18,11 +18,10 @@ from memvisco.expressions import sin_product
 from memvisco.grid import (
     Field,
     Grid,
-    dirichlet_edge_differences,
     double_trapezoid,
     inner_space,
     l2_space,
-    laplacian_array,
+    sine_transform,
     trapezoid_weights,
 )
 from memvisco.kernels import PronyKernel, RelaxationKernel, translate
@@ -47,6 +46,7 @@ __all__ = [
     "ModeTestFunction",
     "default_battery",
     "battery_projections",
+    "level_blocks",
     "WeakResidualEntry",
     "weak_residual",
 ]
@@ -60,17 +60,26 @@ class HypothesisError(ValueError):
 # energy ledger
 # ---------------------------------------------------------------------------
 
-# cap on the transient edge-difference buffers of a block of levels, in the
-# per-level sums and the Prony recursion
-_EDGE_BLOCK_BYTES = 8 * 2**20
+# cap on each transient (block, N) buffer of a pass over a block of levels
+_BLOCK_BYTES = 4 * 2**20
 # most levels in a block: the Prony recursion's geometric filters are
 # (block, block + 1) matrices
-_LEDGER_LEVELS = 64
+_BLOCK_LEVELS = 64
+# the buffers of a block together hold at most this share of the levels
+_BLOCK_SHARE = 8
 
 
-def _ledger_block(row_bytes: int) -> int:
-    """Levels per block of a pass over the levels, for row_bytes of buffers per level."""
-    return max(1, min(_LEDGER_LEVELS, _EDGE_BLOCK_BYTES // row_bytes))
+def _block_levels(traj: TrajectorySolution, buffers: int) -> int:
+    """Levels per block of a pass that holds `buffers` (block, N) arrays."""
+    share = traj.n_levels // (_BLOCK_SHARE * buffers)
+    return max(1, min(_BLOCK_LEVELS, share, _BLOCK_BYTES // (8 * traj.grid.n_total)))
+
+
+def level_blocks(traj: TrajectorySolution, buffers: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of a pass over traj's levels that holds
+    `buffers` (block, N) arrays."""
+    block = _block_levels(traj, buffers)
+    return [(m, min(m + block, traj.n_levels)) for m in range(0, traj.n_levels, block)]
 
 
 @dataclass(frozen=True)
@@ -110,11 +119,13 @@ def energy_ledger(
     accepted only for a modulus bounded at 0.
 
     The memory and curvature columns weigh phi_j(i) = |grad(u_j - u_{j-i})|^2
-    over every lag i of every level j.  A Prony modulus gets them from a
-    recursion on edge differences, linear in J (_prony_history_sums).
-    A power-law or summed modulus has no geometric weights, so it takes one
-    pass per lag, O(J^2 N) (_lag_pass_sums).  A modulus with dG = 0, such as
-    a Prony kernel without terms, has no memory and takes neither.
+    over every lag i of every level j.  Every squared gradient is read off
+    the sine coefficients as |sqrt(mu) (u_j - u_{j-i})|^2 (grid.py).  A
+    Prony modulus gets the columns from a recursion, linear in J
+    (_prony_history_sums).  A power-law or summed modulus has no geometric
+    weights, so it takes one pass per lag, O(J^2 N) (_lag_pass_sums).  A
+    modulus with dG = 0, such as a Prony kernel without terms, has no memory
+    and takes neither.
     """
     if eps == 0.0 and kernel.singular_at_zero:
         raise HypothesisError("eps = 0 with a modulus unbounded at 0")
@@ -128,7 +139,7 @@ def energy_ledger(
     g_now = kk.modulus(times)
     gdot_now = kk.modulus_dt(times)
 
-    profile = None if forcing is None else forcing.profile(grid).ravel()
+    profile = None if forcing is None else sine_transform(grid, forcing.profile(grid)).ravel()
     grad_sq, kinetic, forcing_power = _level_sums(traj, profile)
     grad_sq *= vol
     kinetic *= 0.5 * vol
@@ -141,17 +152,17 @@ def energy_ledger(
     rate_curvature = np.zeros(J + 1)
     # a modulus with dG = 0 has no memory: its weights would be round-off
     if np.any(gdot_now):
-        edges = dirichlet_edge_differences(grid, traj.levels)
         # weights of w = dG (memory) and w = d2G (curvature)
         if isinstance(kernel, PronyKernel):
             weights = [exponential_terms(kernel, eps, dt, order) for order in (1, 2)]
-            sums = _prony_history_sums(edges, vol, weights)
+            sums = _prony_history_sums(traj, weights)
         else:
             histories = [
                 HistoryConvolution(*interval_weights(kk._modulus, kk._integral, J, dt)),
                 HistoryConvolution(*interval_weights(kk._modulus_dt, kk._modulus, J, dt)),
             ]
-            sums = _lag_pass_sums(edges, vol, histories)
+            scaled = traj.coefficients.reshape(J + 1, -1) * np.sqrt(grid.eigenvalues).ravel()
+            sums = _lag_pass_sums(scaled, vol, histories)
         memory, rate_curvature = -0.5 * sums
 
     stored = kinetic + elastic + memory
@@ -175,32 +186,32 @@ def energy_ledger(
 def _level_sums(traj: TrajectorySolution, profile: np.ndarray | None = None):
     """Per-level |e_j|^2, |v_j|^2 and v_j . profile (zeros without a profile),
     e_j the edge differences and v_j the velocities of level j, unscaled by
-    the cell volume.
+    the cell volume; profile holds sine coefficients.
 
-    Edges and velocities are taken a block of levels at a time, so no
-    (J+1, edges) or (J+1, N) stack is held; each block is fresh, so it is
-    squared in place once the forcing power has read it.
+    All three are read off the sine coefficients by Parseval, the DST-I
+    being orthonormal: |e_j|^2 = sum mu u_hat_j^2, |v_j|^2 = sum v_hat_j^2
+    and v_j . p = v_hat_j . p_hat.  They are taken a block of levels at a
+    time, so no (J+1, N) stack is held.
     """
-    grid = traj.grid
     n_levels = traj.n_levels
-    block = _ledger_block(8 * sum(grid.n_total // n * (n + 1) for n in grid.n))
+    root_mu = np.sqrt(traj.grid.eigenvalues).ravel()
     grad_sq = np.empty(n_levels)
     vel_sq = np.empty(n_levels)
     power = np.zeros(n_levels)
-    for start in range(0, n_levels, block):
-        stop = start + block
-        e = dirichlet_edge_differences(grid, traj.levels[start:stop])
-        v = traj.velocities(start=start, stop=stop).reshape(len(e), -1)
+    for start, stop in level_blocks(traj, 2):
+        e = traj.coefficients[start:stop].reshape(stop - start, -1) * root_mu
+        v = traj.velocity_coefficients(start=start, stop=stop).reshape(stop - start, -1)
         if profile is not None:
             power[start:stop] = v @ profile
-        grad_sq[start:stop] = np.square(e, out=e).sum(axis=1)
-        vel_sq[start:stop] = np.square(v, out=v).sum(axis=1)
+        grad_sq[start:stop] = np.einsum("ij,ij->i", e, e)
+        vel_sq[start:stop] = np.einsum("ij,ij->i", v, v)
     return grad_sq, vel_sq, power
 
 
 def _lag_pass_sums(edges: np.ndarray, vol: float, histories) -> np.ndarray:
     """sum_i W_j(i) phi_j(i) at every level j, one row per history, with
-    phi_j(i) = vol |e_j - e_{j-i}|^2 and e_j the edge differences of level j.
+    phi_j(i) = vol |e_j - e_{j-i}|^2: e_j is sqrt(mu) times the sine
+    coefficients of level j, or equally its edge differences.
 
     Level j weighs lag i by lags[i] for i < j and by the oldest-lag weight
     oldest[j - 1] at i = j, so one pass per lag serves all j: O(J^2 N).
@@ -230,9 +241,9 @@ def _filter_matrices(rs: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _prony_history_sums(edges: np.ndarray, vol: float, weights) -> np.ndarray:
-    """_lag_pass_sums for a Prony modulus, one row per weight set in weights,
-    each the (r, left[0], right[0]) per term of exponential_terms.
+def _prony_history_sums(traj: TrajectorySolution, weights) -> np.ndarray:
+    """_lag_pass_sums of traj for a Prony modulus, one row per weight set in
+    weights, each the (r, left[0], right[0]) per term of exponential_terms.
 
     A term's lag weights are geometric: lags[i] = c r^(i-1) with
     c = r left[0] + right[0], and oldest[j - 1] = r^(j-1) right[0] =
@@ -251,14 +262,18 @@ def _prony_history_sums(edges: np.ndarray, vol: float, weights) -> np.ndarray:
     would in the expanded |e_j|^2 - 2 e_j . e_{j-i} + |e_{j-i}|^2.  Both
     recursions are geometric filters, run a block of levels at a time as one
     product with a small lower-triangular matrix of powers of r, carrying
-    S and Q from block to block.  A block's edge buffers stay within
-    _EDGE_BLOCK_BYTES, so no stack beyond edges is held.  A block of B
-    levels costs O(terms B^2 N) flops: O(terms B J N) in all.
+    S and Q from block to block.  e_j = sqrt(mu) u_hat_j is formed a block
+    at a time from the sine coefficients, plus e_0, so no second stack is
+    held.  A block of B levels costs O(terms B^2 N) flops: O(terms B J N)
+    in all.
     """
-    J = len(edges) - 1
+    J = traj.n_levels - 1
+    vol = traj.grid.cell_volume
+    coefficients = traj.coefficients.reshape(J + 1, -1)
+    root_mu = np.sqrt(traj.grid.eigenvalues).ravel()
     rs = np.array([r for r, _, _ in weights[0]])
-    n_edges = edges.shape[1]
-    block = _ledger_block(8 * rs.size * n_edges)
+    n_edges = coefficients.shape[1]
+    block = _block_levels(traj, 2 * rs.size + 2)
     filters = _filter_matrices(rs, block)
     s = np.cumsum(rs[:, None] ** np.arange(J), axis=1)
     gain = rs[:, None] * s  # r s_j, the weight of delta_j in S_{j+1}
@@ -268,13 +283,14 @@ def _prony_history_sums(edges: np.ndarray, vol: float, weights) -> np.ndarray:
     # inflow s_j |delta_j|^2 + 2 delta_j . S_j of each level in the block
     s_in = np.zeros((rs.size, block + 1, n_edges))
     q_in = np.zeros((rs.size, block + 1))
+    first = coefficients[0] * root_mu
     for j0 in range(0, J, block):
         n = min(block, J - j0)
         now = slice(j0 + 1, j0 + n + 1)
-        delta = edges[now] - edges[j0 : j0 + n]
+        # e_j0 .. e_{j0 + n}
+        edges = coefficients[j0 : j0 + n + 1] * root_mu
+        delta = edges[1:] - edges[:-1]
         np.multiply(gain[:, j0 : j0 + n, None], delta, out=s_in[:, 1 : n + 1])
-        # einsum, not matmul: a first BLAS matrix product pages in buffers
-        # that raised a 1D audit run's peak RSS by about 0.4 MiB
         s_out = np.einsum("tkl,tle->tke", filters[:, :n, : n + 1], s_in[:, : n + 1])
         # delta_j . S_j, with S_j the sum of the level before
         cross = np.empty((rs.size, n))
@@ -285,7 +301,7 @@ def _prony_history_sums(edges: np.ndarray, vol: float, weights) -> np.ndarray:
         q[:, now] = np.einsum("tkl,tl->tk", filters[:, :n, : n + 1], q_in[:, : n + 1])
         s_in[:, 0] = s_out[:, -1]
         q_in[:, 0] = q[:, j0 + n]
-        d = edges[now] - edges[0]
+        d = np.subtract(edges[1:], first, out=edges[1:])
         oldest[now] = vol * np.einsum("ke,ke->k", d, d)
 
     decay = rs[:, None] ** np.arange(J + 1)
@@ -368,7 +384,7 @@ def check_energy_bound(
     C = 0.5 |f|^2 (space-time) + 0.5 |u1|^2 (space) covers no initial
     displacement, so a run that starts displaced is refused.
     """
-    if np.any(traj.levels[0]):
+    if np.any(traj.coefficients[0]):
         raise HypothesisError("nonzero initial displacement")
     if eps > 1.0:
         raise HypothesisError(f"bound requires eps <= 1, got {eps}")
@@ -492,9 +508,6 @@ def weak_residual(
         c2 = double_trapezoid(forcing.factor(traj.times), dt)
         profile = forcing.profile(grid).ravel()
 
-    # The stencil is symmetric with Dirichlet faces, so
-    # vx . lap_h u = (lap_h vx) . u and no level needs a Laplacian.
-    flat = traj.levels.reshape(J + 1, -1)
     vol = grid.cell_volume
     out = []
     for v, vx, a, y, projected in battery_projections(traj, history):
@@ -502,8 +515,10 @@ def weak_residual(
         if forcing is not None:
             ramp += c2 * (profile @ vx)
         rest = float(a @ (projected - ramp))
-        lap_vx = laplacian_array(grid, vx.reshape(grid.shape)).ravel()
-        direct = vol * (rest - float(y @ (flat @ lap_vx)))
+        # vx is a sine mode, which the stencil scales by -mu, so
+        # (lap_h u) . vx = u . lap_h vx = -mu_m u . vx
+        mu_m = grid.eigenvalues[tuple(m - 1 for m in v.modes)]
+        direct = vol * (rest + mu_m * float(y @ projected))
         moved = vol * (rest - v.laplace_factor(grid) * float(y @ projected))
         out.append(WeakResidualEntry(name=v.name, direct=direct, moved=moved))
     return out
@@ -516,11 +531,13 @@ def battery_projections(traj: TrajectorySolution, history: HistoryConvolution):
     sum per time profile; projected = the levels projected on vx.
 
     Every tested term is linear in u, so projecting the levels first leaves
-    only scalar convolutions, and no (J+1, N) array beyond the levels.
+    only scalar convolutions.  vx is the product of sine modes m, which is
+    prod_axes sqrt((n + 1) / 2) times the orthonormal DST-I mode, so a
+    level's projection on it is that multiple of its coefficient u_hat_m.
     """
     grid = traj.grid
     horizon = float(traj.times[-1])
-    flat = traj.levels.reshape(traj.n_levels, -1)
+    scale = math.prod(math.sqrt((n + 1) / 2) for n in grid.n)
     wt = trapezoid_weights(traj.n_levels, traj.dt)
     adjoints = {}
     for v in default_battery(grid):
@@ -528,4 +545,5 @@ def battery_projections(traj: TrajectorySolution, history: HistoryConvolution):
         a = wt * v.time_values(traj.times, horizon)
         if v.time_profile not in adjoints:
             adjoints[v.time_profile] = history.adjoint(a)
-        yield v, vx, a, adjoints[v.time_profile], flat @ vx
+        column = traj.coefficients[(slice(None),) + tuple(m - 1 for m in v.modes)]
+        yield v, vx, a, adjoints[v.time_profile], scale * column

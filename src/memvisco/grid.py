@@ -1,9 +1,15 @@
 """Uniform box grids with homogeneous Dirichlet boundaries.
 
-Only interior nodes are stored; the boundary value 0 is implicit in the
-stencils, so the discrete operators below satisfy a summation-by-parts
-identity exactly: with E = dirichlet_edge_differences of u,
-<-lap(u), u> * cell_volume == cell_volume * sum(E ** 2).
+Only interior nodes are stored; the boundary value 0 is implicit.  The
+second-order stencil Laplacian lap_h of the box is diagonal in the
+orthonormal DST-I of its axes: it scales sine mode k by -mu[k], with
+mu[k] = sum over the axes of (4 / h^2) sin^2(pi k / (2 (n + 1))).  So with
+u_hat = sine_transform(grid, u) and E the edge differences (u_b - u_a) / h
+of u, zero outside, summation by parts reads
+
+    <-lap_h u, u> = sum(E ** 2) = sum(mu * u_hat ** 2),
+
+and the sine coefficients carry every sum of squares a nodal field does.
 """
 
 from __future__ import annotations
@@ -17,8 +23,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "laplacian_array",
-    "dirichlet_edge_differences",
+    "sine_transform",
     "inner_space",
     "l2_space",
     "trapezoid_weights",
@@ -93,6 +98,34 @@ class Grid:
         axes = [self.axis_coordinates(a) for a in range(self.dim)]
         return list(np.meshgrid(*axes, indexing="ij", sparse=True))
 
+    @cached_property
+    def sine_matrices(self) -> tuple[np.ndarray, ...]:
+        """The orthonormal DST-I of each axis, a symmetric (n, n) matrix that
+        is its own inverse: entry (k - 1, i - 1) is sine mode k at node i.
+
+        The angle pi k i / (n + 1) is reduced modulo 2 pi in integers first,
+        which keeps the matrix orthonormal to a few ulps at any n."""
+        out = []
+        for n in self.n:
+            k = np.arange(1, n + 1)
+            turns = np.outer(k, k) % (2 * (n + 1))
+            s = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * turns / (n + 1))
+            s.flags.writeable = False
+            out.append(s)
+        return tuple(out)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """mu on grid.shape: the stencil Laplacian scales sine mode k by -mu[k]."""
+        mu = np.zeros(self.shape)
+        for axis, (n, h) in enumerate(zip(self.n, self.spacing)):
+            along = [1] * self.dim
+            along[axis] = n
+            k = np.arange(1, n + 1)
+            mu += (4.0 / (h * h) * np.sin(np.pi * k / (2 * (n + 1))) ** 2).reshape(along)
+        mu.flags.writeable = False
+        return mu
+
 
 @dataclass(frozen=True)
 class Field:
@@ -114,60 +147,20 @@ class Field:
         return cls(grid, np.zeros(grid.shape))
 
 
-def laplacian_array(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Second-order central Laplacian with implicit zero boundary.
-
-    values is one field of shape grid.shape or a stack (..., *grid.shape);
-    the stencil acts on the trailing grid axes.  Each axis contributes
-    (u[i-1] + u[i+1] - 2u) / h^2 with u = 0 outside the box, and the
-    contributions are summed axis by axis starting from 0.0, so a stack
-    gives bit for bit the per-field results.
-    """
-    twice = 2.0 * values
-    term = np.empty_like(twice)
-    for axis, h in enumerate(grid.spacing):
-        rest = (slice(None),) * (grid.dim - 1 - axis)
-
-        def at(index):
-            return (..., index) + rest
-
-        np.add(values[at(slice(None, -2))], values[at(slice(2, None))], out=term[at(slice(1, -1))])
-        # At the faces the outside neighbour is 0.0.  Adding it could only
-        # turn -0.0 into 0.0, and such a zero reaches the result as
-        # 0.0 + term or out + term with out never -0.0, so it is left out.
-        term[at(0)] = values[at(1)]
-        term[at(-1)] = values[at(-2)]
-        term -= twice
-        term /= h * h
-        if axis == 0:
-            out = term + 0.0
+def sine_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The DST-I of a field or stack (..., *grid.shape) along its grid axes:
+    nodal values to sine coefficients, or back, as it is its own inverse."""
+    out = np.asarray(values, dtype=float)
+    shape = out.shape
+    first = out.ndim - grid.dim
+    for axis, s in enumerate(grid.sine_matrices, start=first):
+        # a product per axis; no view of the last result outlives it, so at
+        # most two arrays of the input's size are held
+        before, n, after = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1 :])
+        if after == 1:
+            out = (out.reshape(before, n) @ s).reshape(shape)
         else:
-            out += term
-    return out
-
-
-def dirichlet_edge_differences(grid: Grid, levels: np.ndarray) -> np.ndarray:
-    """Edge differences (u_b - u_a) / h of a level stack, with u = 0 outside.
-
-    levels has shape (m, *grid.shape); the result has shape (m, n_edges),
-    the edges of each axis in turn, so  cell_volume * sum(E[j] ** 2)  is
-    the squared gradient norm of level j.
-    """
-    levels = np.asarray(levels, dtype=float)
-    sizes = [grid.n_total // n * (n + 1) for n in grid.n]
-    out = np.empty((levels.shape[0], sum(sizes)))
-    start = 0
-    for axis, (h, size) in enumerate(zip(grid.spacing, sizes), start=1):
-        edge_shape = list(levels.shape)
-        edge_shape[axis] += 1
-        # views with the differenced axis second: (m, edges along axis, ...)
-        block = np.moveaxis(out[:, start : start + size].reshape(edge_shape), axis, 1)
-        u = np.moveaxis(levels, axis, 1)
-        start += size
-        np.subtract(u[:, 1:], u[:, :-1], out=block[:, 1:-1])
-        block[:, 0] = u[:, 0]
-        np.negative(u[:, -1], out=block[:, -1])
-        block /= h
+            out = np.matmul(s, out.reshape(before, n, after)).reshape(shape)
     return out
 
 

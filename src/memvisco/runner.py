@@ -225,27 +225,33 @@ def _build_spec(cfg: ExperimentConfig, eps: float, dt: float) -> ProblemSpec:
     )
 
 
-def _trajectory_csv(traj, stride: int):
-    """trajectory.csv text, one chunk per exported level."""
-    axis_names = ["x", "y", "z"][: traj.grid.dim]
+def _trajectory_csv(grid, times, nodal, velocities):
+    """trajectory.csv text of the levels at times, with nodal values and
+    velocities, each an iterable of grid.shape fields; one chunk per level."""
+    axis_names = ["x", "y", "z"][: grid.dim]
     yield ",".join(["t", "node", *axis_names, "u", "u_t"]) + "\n"
     # "node,x[,y,z]," is the same at every level; nodes are row-major
-    axes = [_reprs(traj.grid.axis_coordinates(a)) for a in range(traj.grid.dim)]
+    axes = [_reprs(grid.axis_coordinates(a)) for a in range(grid.dim)]
     prefixes = [
         f"{node},{','.join(xyz)},"
         for node, xyz in enumerate(itertools.product(*axes))
     ]
-    vel = traj.velocities(stride)
-    for i, t in enumerate(_reprs(traj.times[::stride])):
-        u = _reprs(traj.levels[i * stride])
-        v = _reprs(vel[i])
+    for t, level, rate in zip(_reprs(times), nodal, velocities):
+        u = _reprs(level)
+        v = _reprs(rate)
         yield "".join(f"{t},{p}{a},{b}\n" for p, a, b in zip(prefixes, u, v))
 
 
 def _export_trajectory(out_dir: Path, cfg: ExperimentConfig, traj) -> None:
     if cfg.export_format in ("csv", "both"):
-        _write_atomic(out_dir / "trajectory.csv", _trajectory_csv(traj, cfg.snapshot_stride))
+        # the nodal values of an exported level are formed as it is written
+        levels = range(0, traj.n_levels, cfg.snapshot_stride)
+        nodal = (traj.nodal(j, j + 1)[0] for j in levels)
+        velocities = (traj.velocities(1, j, j + 1)[0] for j in levels)
+        text = _trajectory_csv(traj.grid, traj.times[levels], nodal, velocities)
+        _write_atomic(out_dir / "trajectory.csv", text)
     if cfg.export_format in ("binary", "both"):
+        # every level's nodal values, formed once here;
         # np.save appends ".npy" to a name that lacks it, so it gets the file
         with _atomic_file(out_dir / "trajectory.npy") as fh:
             np.save(fh, traj.levels)
@@ -333,12 +339,14 @@ def _run_record(cfg: ExperimentConfig, eps: float, traj) -> dict:
 
     A leapfrog run records its stability margin, dt over the largest stable
     dt at the shift; a Volterra run its modal one, z_max, the self-weight
-    times the largest eigenvalue of -lap.
+    times the largest eigenvalue of -lap.  levels_bytes is the size of the
+    stored sine coefficients, the run's one array of every level.
     """
     record = {
         "eps": float(eps),
         "spec_fingerprint": traj.spec_fingerprint,
         "history_backend": traj.history_backend,
+        "levels_bytes": int(traj.coefficients.nbytes),
     }
     if traj.z_max is not None:
         record["z_max"] = traj.z_max

@@ -8,9 +8,12 @@ Two equivalent formulations of the same shifted problem:
 
   * integral (Volterra):  u(t) = int_0^t Ksh(t - tau) lap u(tau) dtau
         + u1 t + u0 + int_0^t int_0^s f,
-    with Ksh the re-based integral of the shifted modulus, marched in the
-    sine modes of the box, where the Laplacian is diagonal: each step
-    solves its self-term implicitly and exactly, with no Laplacian.
+    with Ksh the re-based integral of the shifted modulus, each step
+    solving its self-term implicitly and exactly.
+
+Both march in the sine modes of the box, where the Laplacian is -mu
+(grid.py), and a trajectory stores its levels' sine coefficients; nodal
+values are formed only where they are read.
 
 All convolution weights integrate the kernel factor exactly over each
 subinterval against a piecewise-linear interpolant of the smooth factor,
@@ -27,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from memvisco.expressions import Forcing
-from memvisco.grid import Field, Grid, double_trapezoid, l2_spacetime, laplacian_array
+from memvisco.grid import Field, Grid, double_trapezoid, l2_spacetime, sine_transform
 from memvisco.kernels import PronyKernel, RelaxationKernel, translate
 
 __all__ = [
@@ -173,7 +176,7 @@ class ProblemSpec:
 class TrajectorySolution:
     grid: Grid
     times: np.ndarray
-    levels: np.ndarray  # (n_levels, *grid.shape)
+    coefficients: np.ndarray  # (n_levels, *grid.shape): sine coefficients of each level
     formulation: str
     spec_fingerprint: str
     # Volterra runs: the self-weight lags[0] times the top eigenvalue of -lap
@@ -186,15 +189,30 @@ class TrajectorySolution:
 
     @property
     def n_levels(self) -> int:
-        return self.levels.shape[0]
+        return self.coefficients.shape[0]
+
+    @property
+    def levels(self) -> np.ndarray:
+        """Nodal values of every level, (n_levels, *grid.shape), formed anew
+        on each read: for the binary export and for tests."""
+        return self.nodal()
+
+    def nodal(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Nodal values of the levels start .. stop - 1."""
+        return sine_transform(self.grid, self.coefficients[start:stop])
 
     def velocities(self, stride: int = 1, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Second-order time derivative estimates at levels range(start, stop, stride).
+        """Nodal values of velocity_coefficients(stride, start, stop)."""
+        return sine_transform(self.grid, self.velocity_coefficients(stride, start, stop))
+
+    def velocity_coefficients(self, stride: int = 1, start: int = 0, stop: int | None = None):
+        """Second-order time derivative estimates, in sine coefficients, at
+        levels range(start, stop, stride).
 
         Centered differences inside, one-sided ones at the first and last
         level; an estimate does not depend on which other levels are asked for.
         """
-        u = self.levels
+        u = self.coefficients
         dt = self.dt
         last = self.n_levels - 1
         wanted = range(start, self.n_levels if stop is None else min(stop, self.n_levels), stride)
@@ -219,12 +237,16 @@ class TrajectorySolution:
 
 
 def trajectory_distance(a: TrajectorySolution, b: TrajectorySolution) -> float:
-    """Space-time L2 distance; requires matching grids and time levels."""
+    """Space-time L2 distance; requires matching grids and time levels.
+
+    Taken on the sine coefficients: the DST-I is orthonormal, so each
+    level's sum of squares is the nodal one (Parseval).
+    """
     if a.grid != b.grid:
         raise ValueError("trajectories live on different grids")
     if a.n_levels != b.n_levels or abs(a.dt - b.dt) > 1e-12 * a.dt:
         raise ValueError("trajectories use different time levels")
-    return l2_spacetime(a.grid, a.levels - b.levels, a.dt, overwrite=True)
+    return l2_spacetime(a.grid, a.coefficients - b.coefficients, a.dt, overwrite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -500,26 +522,24 @@ class _ExponentialHistory(HistoryConvolution):
 
 
 def _march_leapfrog(spec: ProblemSpec) -> TrajectorySolution:
+    """u_{j+1} = 2 u_j - u_{j-1} + dt^2 (-mu (g0 u_j + H_j) + f_j) in sine
+    coefficients, H_j the history sum of the levels 0 .. j."""
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     g0 = spec.kernel.modulus(spec.eps)
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
     history = HistoryConvolution.memory(spec.kernel, spec.eps, J, dt)
+    minus_mu = -grid.eigenvalues
     profile, factor = spec.forcing_parts()
-
-    levels[0] = spec.u0.values
-    lap = laplacian_array(grid, levels[0])
-    levels[1] = levels[0] + dt * spec.u1.values + 0.5 * dt * dt * (g0 * lap + factor[0] * profile)
-
+    p, u0, u1 = (sine_transform(grid, f) for f in (profile, spec.u0.values, spec.u1.values))
+    levels[0] = u0
+    levels[1] = u0 + dt * u1 + 0.5 * dt * dt * (g0 * (minus_mu * u0) + factor[0] * p)
+    accel, push = np.empty((2,) + shape)
     for j in range(1, J):
-        # u_{j+1} = 2 u_j - u_{j-1} + dt^2 (lap(g0 u_j + H_j) + f), in place,
-        # operation by operation as written, with H_j the history sum of the
-        # levels 0 .. j: the memory term is linear in u, so one Laplacian a
-        # step serves it and the instantaneous term
-        stress = g0 * levels[j]
-        stress += history.next_sum(levels[: j + 1]).reshape(shape)
-        accel = laplacian_array(grid, stress)
-        accel += factor[j] * profile
+        np.multiply(levels[j], g0, out=accel)
+        accel += history.next_sum(levels[: j + 1]).reshape(shape)
+        accel *= minus_mu
+        accel += np.multiply(p, factor[j], out=push)
         accel *= dt * dt
         new = levels[j + 1]
         np.multiply(levels[j], 2.0, out=new)
@@ -531,7 +551,7 @@ def _march_leapfrog(spec: ProblemSpec) -> TrajectorySolution:
     return TrajectorySolution(
         grid=grid,
         times=spec.times,
-        levels=levels,
+        coefficients=levels,
         formulation=spec.formulation,
         spec_fingerprint=spec.fingerprint(),
         history_backend=history.backend,
@@ -543,62 +563,21 @@ def _march_leapfrog(spec: ProblemSpec) -> TrajectorySolution:
 # ---------------------------------------------------------------------------
 
 
-# Levels per in-place sine transform of a stored level stack.
-_TRANSFORM_LEVELS = 16
-
-
-def _sine_matrices(grid: Grid) -> list[np.ndarray]:
-    """The orthonormal DST-I of each grid axis, a symmetric (n, n) matrix
-    that is its own inverse: entry (k - 1, i - 1) is sine mode k at node i."""
-    return [
-        math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.outer(np.arange(1, n + 1), np.arange(1, n + 1)))
-        for n in grid.n
-    ]
-
-
-def _laplacian_eigenvalues(grid: Grid) -> np.ndarray:
-    """mu on grid.shape: laplacian_array scales sine mode k by -mu[k]."""
-    mu = np.zeros(grid.shape)
-    for axis, (n, h) in enumerate(zip(grid.n, grid.spacing)):
-        along = [1] * grid.dim
-        along[axis] = n
-        k = np.arange(1, n + 1)
-        mu += (4.0 / (h * h) * np.sin(np.pi * k / (2 * (n + 1))) ** 2).reshape(along)
-    return mu
-
-
-def _sine_transform(values: np.ndarray, matrices) -> np.ndarray:
-    """The DST-I of a stack (..., *grid.shape) along its grid axes: nodal
-    values to sine coefficients, or back, as it is its own inverse."""
-    out = values
-    first = values.ndim - len(matrices)
-    for axis, s in enumerate(matrices, start=first):
-        shape = out.shape
-        if axis == values.ndim - 1:
-            out = (out.reshape(-1, shape[axis]) @ s).reshape(shape)
-        else:
-            out = np.matmul(s, out.reshape(math.prod(shape[:axis]), shape[axis], -1)).reshape(shape)
-    return out
-
-
-def _sine_transform_levels(levels: np.ndarray, matrices) -> None:
-    """_sine_transform of a level stack (levels, *grid.shape) in place, a
-    few levels at a time, so that no second stack is held."""
-    for m0 in range(0, levels.shape[0], _TRANSFORM_LEVELS):
-        block = levels[m0 : m0 + _TRANSFORM_LEVELS]
-        block[...] = _sine_transform(block, matrices)
-
-
 @dataclass(frozen=True)
 class ShiftedRuns:
     """One integral_volterra problem marched at several shifts as one stack.
 
-    levels is (K, n_levels, *grid.shape), one slab per shift, and each
-    trajectory's levels are a view of its slab.
+    coefficients is (K, n_levels, *grid.shape), one slab per shift, and
+    each trajectory's coefficients are a view of its slab.
     """
 
-    levels: np.ndarray
+    coefficients: np.ndarray
     trajectories: tuple[TrajectorySolution, ...]
+
+    @property
+    def levels(self) -> np.ndarray:
+        """Nodal values of every shift's levels, formed anew on each read."""
+        return sine_transform(self.trajectories[0].grid, self.coefficients)
 
 
 def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
@@ -613,12 +592,10 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
 
     all in sine coefficients, with H_j the history sum of the levels before
     j and F_j = C2_j p the integrated forcing: p the profile's coefficients
-    and C2 the factor integrated twice.  The levels are stored as
-    coefficients and turned back into nodal values, shift by shift, once
-    the march is done.  Every operation but the history sum acts on each
-    shift's coefficients alone, as a one-shift march would; the history
-    sums are one matrix product per shift, so a shift's levels do not
-    depend on the other shifts.
+    and C2 the factor integrated twice.  Every operation but the history
+    sum acts on each shift's coefficients alone, as a one-shift march
+    would; the history sums are one matrix product per shift, so a shift's
+    levels do not depend on the other shifts.
     """
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     shifts = np.array(shifts, dtype=float).reshape(-1)
@@ -631,16 +608,15 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
         kk = translate(spec.kernel, float(eps))
         left[k], right[k] = interval_weights(kk._integral2, kk._integral3, J, dt)
     history = HistoryConvolution(left, right)
-    mu = _laplacian_eigenvalues(grid)
+    mu = grid.eigenvalues
     minus_mu = -mu
     # the newest level of every row weighs lags[0]
     denominator = 1.0 + history.lags[:, :1].reshape((K,) + (1,) * grid.dim) * mu
 
-    sine = _sine_matrices(grid)
-    u0 = _sine_transform(spec.u0.values, sine)
-    u1 = _sine_transform(spec.u1.values, sine)
+    u0 = sine_transform(grid, spec.u0.values)
+    u1 = sine_transform(grid, spec.u1.values)
     profile, factor = spec.forcing_parts()
-    p = _sine_transform(profile, sine)
+    p = sine_transform(grid, profile)
     c2 = double_trapezoid(factor, dt)
     levels[:, 0] = u0
 
@@ -655,14 +631,12 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
             finite = np.isfinite(new.reshape(K, -1)).all(axis=1)
             raise SolverAbort(j, "non-finite values", float(shifts[np.argmin(finite)]))
 
-    for slab in levels:
-        _sine_transform_levels(slab, sine)
     top = float(mu.max())
     trajectories = tuple(
         TrajectorySolution(
             grid=grid,
             times=spec.times,
-            levels=levels[k],
+            coefficients=levels[k],
             formulation=spec.formulation,
             spec_fingerprint=replace(spec, eps=float(eps)).fingerprint(),
             z_max=float(history.lags[k, 0]) * top,
@@ -670,7 +644,7 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
         )
         for k, eps in enumerate(shifts)
     )
-    return ShiftedRuns(levels=levels, trajectories=trajectories)
+    return ShiftedRuns(coefficients=levels, trajectories=trajectories)
 
 
 def run(spec: ProblemSpec, shifts=None):

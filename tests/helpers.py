@@ -13,10 +13,8 @@ from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import (
     Field,
     Grid,
-    dirichlet_edge_differences,
     inner_space,
     l2_space,
-    laplacian_array,
     trapezoid_weights,
 )
 from memvisco.kernels import (
@@ -228,6 +226,62 @@ def integrated_forcing(forcing, grid: Grid, times: np.ndarray, dt: float) -> np.
     return cumulative_trapezoid(cumulative_trapezoid(f, dt), dt)
 
 
+def laplacian_array(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Second-order central Laplacian with implicit zero boundary: the
+    nodal stencil oracle for the sine modes' -mu.
+
+    values is one field of shape grid.shape or a stack (..., *grid.shape);
+    the stencil acts on the trailing grid axes.  Each axis contributes
+    (u[i-1] + u[i+1] - 2u) / h^2 with u = 0 outside the box, and the
+    contributions are summed axis by axis starting from 0.0, so a stack
+    gives bit for bit the per-field results.
+    """
+    twice = 2.0 * values
+    term = np.empty_like(twice)
+    for axis, h in enumerate(grid.spacing):
+        rest = (slice(None),) * (grid.dim - 1 - axis)
+
+        def at(index):
+            return (..., index) + rest
+
+        np.add(values[at(slice(None, -2))], values[at(slice(2, None))], out=term[at(slice(1, -1))])
+        # at the faces the outside neighbour is 0.0
+        term[at(0)] = values[at(1)]
+        term[at(-1)] = values[at(-2)]
+        term -= twice
+        term /= h * h
+        if axis == 0:
+            out = term + 0.0
+        else:
+            out += term
+    return out
+
+
+def dirichlet_edge_differences(grid: Grid, levels: np.ndarray) -> np.ndarray:
+    """Edge differences (u_b - u_a) / h of a level stack, with u = 0 outside.
+
+    levels has shape (m, *grid.shape); the result has shape (m, n_edges),
+    the edges of each axis in turn, so  cell_volume * sum(E[j] ** 2)  is
+    the squared gradient norm of level j.
+    """
+    levels = np.asarray(levels, dtype=float)
+    sizes = [grid.n_total // n * (n + 1) for n in grid.n]
+    out = np.empty((levels.shape[0], sum(sizes)))
+    start = 0
+    for axis, (h, size) in enumerate(zip(grid.spacing, sizes), start=1):
+        edge_shape = list(levels.shape)
+        edge_shape[axis] += 1
+        # views with the differenced axis second: (m, edges along axis, ...)
+        block = np.moveaxis(out[:, start : start + size].reshape(edge_shape), axis, 1)
+        u = np.moveaxis(levels, axis, 1)
+        start += size
+        np.subtract(u[:, 1:], u[:, :-1], out=block[:, 1:-1])
+        block[:, 0] = u[:, 0]
+        np.negative(u[:, -1], out=block[:, -1])
+        block /= h
+    return out
+
+
 def dirichlet_gradient_sq(grid: Grid, values: np.ndarray) -> float:
     """Edge-based squared gradient norm, int |grad u|^2 with u = 0 outside.
 
@@ -423,17 +477,17 @@ def node_coordinates(grid: Grid) -> np.ndarray:
     return np.stack([f.ravel() for f in full], axis=1)
 
 
-def reference_trajectory_csv(traj: TrajectorySolution, stride: int) -> str:
-    """trajectory.csv text from one row list over all exported nodes."""
-    coords = node_coordinates(traj.grid)
-    vel = reference_velocities(traj.levels, traj.dt)
-    axis_names = ["x", "y", "z"][: traj.grid.dim]
+def reference_trajectory_csv(grid: Grid, times, nodal, velocities) -> str:
+    """trajectory.csv text of the levels at times, from one row list over
+    all exported nodes."""
+    coords = node_coordinates(grid)
+    axis_names = ["x", "y", "z"][: grid.dim]
     lines = [",".join(["t", "node", *axis_names, "u", "u_t"])]
-    for j in range(0, traj.n_levels, stride):
-        flat_u = traj.levels[j].ravel()
-        flat_v = vel[j].ravel()
+    for t, level, rate in zip(times, nodal, velocities):
+        flat_u = level.ravel()
+        flat_v = rate.ravel()
         for node in range(coords.shape[0]):
-            row = [traj.times[j], node, *coords[node], flat_u[node], flat_v[node]]
+            row = [t, node, *coords[node], flat_u[node], flat_v[node]]
             lines.append(
                 ",".join(str(x) if isinstance(x, int) else repr(float(x)) for x in row)
             )

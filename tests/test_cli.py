@@ -615,6 +615,10 @@ class TestOtherModes:
                 dt = _resolve_dt(cfg, eps_values[-1] if len(eps_values) > 1 else eps)
                 assert record["spec_fingerprint"] == _build_spec(cfg, eps, dt).fingerprint()
                 assert record["history_backend"] == backend
+                # the run's stored sine coefficients, its one array of every level
+                levels_bytes = 8 * (round(cfg.horizon / dt) + 1) * cfg.grid.n_total
+                assert record["levels_bytes"] == levels_bytes
+                assert record["levels_bytes"] == run(_build_spec(cfg, eps, dt)).coefficients.nbytes
                 if name == "volterra":
                     # the self-weight times the top eigenvalue of -lap
                     assert record["z_max"] == run(_build_spec(cfg, eps, dt)).z_max
@@ -673,6 +677,67 @@ class TestOtherModes:
                 rows = list(csv.reader(fh))
             width = len(rows[0])
             assert rows and all(len(r) == width for r in rows), path.name
+
+
+BOX3D_EXPORT = """\
+[kernel]
+family = prony
+g_inf = 0.5
+terms = [[0.5, 2.0]]
+
+[grid]
+dim = 3
+n = 31
+
+[time]
+horizon = 2.0
+cfl = 0.5
+
+[data]
+u1 = bump
+u1_params = {"radius": 0.3}
+f = sin_pi_product
+f_params = {"omega": 6.0}
+
+[eps]
+eps = 0.05
+
+[diagnostics]
+energy_ledger = false
+energy_decay = false
+energy_bound = true
+weak_residual = false
+
+[output]
+snapshot_stride = 40
+"""
+
+
+def test_three_dimensional_run_forms_no_nodal_stack(tmp_path):
+    # a forced 3D run through solve, bound and CSV export of every 40th
+    # level: the stored sine coefficients are its one array of every level.
+    # The audits read them by Parseval in blocks of at most 4 MiB, and the
+    # export transforms its 6 levels back, so what the run holds beyond
+    # the coefficients stays under half of them; a nodal stack, or an edge
+    # or velocity stack, formed at any step would add at least as much again
+    import tracemalloc
+
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        code = cli.main(["run", write_cfg(tmp_path, BOX3D_EXPORT), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    (record,) = read_manifest(out)["runs"]
+    levels_bytes = record["levels_bytes"]
+    assert levels_bytes == 8 * 222 * 31**3
+    assert levels_bytes >= 4 * 4 * 2**20  # at least 4x the audits' block cap
+    with open(out / "trajectory.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + 6 * 31**3
+    assert peak - entry - levels_bytes < 0.5 * levels_bytes
 
 
 class TestCheckKernel:

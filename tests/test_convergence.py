@@ -121,7 +121,7 @@ class TestCauchyReport:
         assert rep.monotone
         assert rep.first_nonmonotone is None
         # 0 -> positive is an increase
-        trajs[3] = dataclasses.replace(trajs[3], levels=trajs[3].levels + 1e-3)
+        trajs[3] = dataclasses.replace(trajs[3], coefficients=trajs[3].coefficients + 1e-3)
         rep = cauchy_report(trajs, eps_vals, k, 1e-2)
         assert not rep.monotone
         assert not rep.passed
@@ -140,8 +140,9 @@ class TestCauchyReport:
         eps_vals = eps_schedule(0.1, 0.5, 3)
         trajs = run_eps_sequence(sequence_base(PRONY), 0.1, 0.5, 3)
         rng = np.random.default_rng(0)
-        noisy = trajs[2].levels + 0.05 * rng.standard_normal(trajs[2].levels.shape)
-        trajs[2] = dataclasses.replace(trajs[2], levels=noisy)
+        # white noise in the sine coefficients is white noise on the nodes
+        noisy = trajs[2].coefficients + 0.05 * rng.standard_normal(trajs[2].coefficients.shape)
+        trajs[2] = dataclasses.replace(trajs[2], coefficients=noisy)
         rep = cauchy_report(trajs, eps_vals, PRONY, 1e-2)
         assert not rep.monotone
         assert not rep.passed
@@ -248,7 +249,7 @@ class TestLemmaCheck:
             tracemalloc.stop()
         assert len(entries) == 2 * 6
         # the whole convolution and |u| were each the size of the levels
-        assert peak - entry < 0.25 * trajs[0].levels.nbytes
+        assert peak - entry < 0.25 * trajs[0].coefficients.nbytes
 
     def test_mismatched_lengths_rejected(self):
         base = sequence_base(PRONY)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    dirichlet_edge_differences,
     forced_box_spec,
     geometric_history,
     oracle_specs,
@@ -19,6 +20,7 @@ from memvisco.diagnostics import (
     HypothesisError,
     ModeTestFunction,
     _lag_pass_sums,
+    battery_projections,
     calibrate_decay_tolerance,
     check_energy_bound,
     check_energy_decay,
@@ -27,9 +29,16 @@ from memvisco.diagnostics import (
     weak_residual,
 )
 from memvisco.expressions import Forcing, field_from_name
-from memvisco.grid import Field, Grid, dirichlet_edge_differences, l2_space, l2_spacetime
+from memvisco.grid import Field, Grid, l2_space, l2_spacetime
 from memvisco.kernels import KernelSum, PowerLawKernel, PronyKernel
-from memvisco.solver import ProblemSpec, cfl_time_step, exponential_terms, run
+from memvisco.solver import (
+    HistoryConvolution,
+    ProblemSpec,
+    TrajectorySolution,
+    cfl_time_step,
+    exponential_terms,
+    run,
+)
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
 
@@ -239,10 +248,10 @@ class TestPronyRecursion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        edge_bytes = 8 * traj.n_levels * (spec.grid.n[0] + 1)
-        # the edge stack and a few blocks of 64 levels: about 1.4x; the lag
-        # passes with whole velocity and square stacks held 4.1x
-        assert peak - entry <= 4.2 * edge_bytes
+        # blocks of 64 levels of sqrt(mu) u_hat, velocities and filter
+        # inputs, formed from the coefficients; an edge stack alone would
+        # be 1.0x, and the ledger held 1.44x with it
+        assert peak - entry < 0.5 * traj.coefficients.nbytes
 
 
 class TestEnergyDecay:
@@ -360,8 +369,7 @@ class TestEnergyBound:
         import memvisco.diagnostics as diagnostics
 
         g = Grid((5, 4, 6), (1.0, 0.8, 1.2))
-        n_edges = sum(g.n_total // n * (n + 1) for n in g.n)
-        monkeypatch.setattr(diagnostics, "_EDGE_BLOCK_BYTES", 8 * n_edges * block_levels)
+        monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", 8 * g.n_total * block_levels)
         f = Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 4.0})
         dt = cfl_time_step(g, PRONY, 0.05, 0.5, 1.0)
         spec = ProblemSpec(
@@ -376,14 +384,14 @@ class TestEnergyBound:
         assert rep.lhs == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_blocks_hold_no_velocity_stack(self, monkeypatch):
-        # a few levels of edges and velocities at a time, never every level
+        # a few levels of sqrt(mu) u_hat and velocities at a time, never
+        # every level
         import tracemalloc
 
         import memvisco.diagnostics as diagnostics
 
         g = Grid.box(9)
-        n_edges = sum(g.n_total // n * (n + 1) for n in g.n)
-        monkeypatch.setattr(diagnostics, "_EDGE_BLOCK_BYTES", 8 * n_edges * 4)
+        monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", 8 * g.n_total * 4)
         spec = ProblemSpec(
             kernel=PRONY, grid=g, horizon=6.0, dt=cfl_time_step(g, PRONY, 0.05, 0.5, 6.0),
             eps=0.05, u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}),
@@ -398,9 +406,9 @@ class TestEnergyBound:
             tracemalloc.stop()
         assert rep.passed
         assert rep.data_constant == 0.5 * l2_space(g, spec.u1) ** 2
-        # about 0.25 MB of blocks and buffers against 1.2 MB of levels; a
-        # velocity stack alone would be the size of the levels
-        assert peak - entry < 0.5 * traj.levels.nbytes
+        # a few blocks and buffers against 1.2 MB of levels; a velocity
+        # stack alone would be the size of the levels
+        assert peak - entry < 0.5 * traj.coefficients.nbytes
 
     def test_data_constant_matches_stacked_oracle(self):
         # |f|^2 is summed level by level; the oracle stacks every level
@@ -529,4 +537,26 @@ class TestWeakResidualProjection:
         assert len(entries) == 6
         # vectors of J+1 projections against (J+1, 729) levels; the stacked form
         # held the Laplacians, two history sums and the ramp at full size
-        assert peak - entry < 0.25 * traj.levels.nbytes
+        assert peak - entry < 0.25 * traj.coefficients.nbytes
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid.line(99), Grid.box(31), Grid((4, 5, 3), (1.0, 1.5, 0.8))],
+    ids=["line99", "box31", "box453"],
+)
+def test_battery_projections_are_scaled_coefficient_columns(grid):
+    # a battery function is a product of sine modes, a multiple of one
+    # orthonormal DST-I mode, so projecting the nodal levels on it reads
+    # one coefficient column
+    coefficients = np.random.default_rng(3).standard_normal((3,) + grid.shape)
+    traj = TrajectorySolution(
+        grid=grid, times=0.1 * np.arange(3), coefficients=coefficients,
+        formulation="integrodifferential", spec_fingerprint="",
+    )
+    history = HistoryConvolution(np.ones(2), np.ones(2))
+    flat = traj.levels.reshape(3, -1)
+    for v, vx, _, _, projected in battery_projections(traj, history):
+        want = flat @ vx
+        assert np.abs(projected - want).max() <= 1e-13 * np.abs(want).max(), v.name
+        assert np.array_equal(vx, v.space_values(grid).ravel())

@@ -7,19 +7,20 @@ from hypothesis import strategies as st
 
 from helpers import (
     cumulative_trapezoid,
+    dirichlet_edge_differences,
     dirichlet_gradient_sq,
+    laplacian_array,
     node_coordinates,
     reference_laplacian,
 )
 from memvisco.grid import (
     Field,
     Grid,
-    dirichlet_edge_differences,
     double_trapezoid,
     inner_space,
     l2_space,
     l2_spacetime,
-    laplacian_array,
+    sine_transform,
     trapezoid_weights,
 )
 
@@ -168,6 +169,38 @@ class TestEdgeDifferences:
             assert g.cell_volume * float(np.sum(stack[j] ** 2)) == pytest.approx(
                 dirichlet_gradient_sq(g, levels[j]), rel=1e-14
             )
+
+
+SINE_GRIDS = [Grid.line(99), Grid.box(31), Grid((4, 5, 3), (1.0, 1.5, 0.8))]
+
+
+@pytest.mark.parametrize("grid", SINE_GRIDS, ids=["line99", "box31", "box453"])
+class TestSineModes:
+    """The stencil oracles against the sine coefficients the solvers keep:
+    lap_h is -mu in sine modes, so the edge sum of squares is sum mu u_hat^2."""
+
+    @staticmethod
+    def _levels(grid):
+        return np.random.default_rng(grid.n_total).standard_normal((3,) + grid.shape)
+
+    def test_transform_is_its_own_inverse(self, grid):
+        levels = self._levels(grid)
+        back = sine_transform(grid, sine_transform(grid, levels))
+        assert np.abs(back - levels).max() <= 1e-13 * np.abs(levels).max()
+
+    def test_edge_squares_are_mu_weighted_coefficient_squares(self, grid):
+        levels = self._levels(grid)
+        edges = dirichlet_edge_differences(grid, levels)
+        coefficients = sine_transform(grid, levels).reshape(3, -1)
+        want = grid.cell_volume * np.sum(edges**2, axis=1)
+        got = grid.cell_volume * (coefficients**2 @ grid.eigenvalues.ravel())
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_laplacian_is_minus_mu_in_sine_modes(self, grid):
+        levels = self._levels(grid)
+        want = laplacian_array(grid, levels)
+        got = -sine_transform(grid, grid.eigenvalues * sine_transform(grid, levels))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestNorms:

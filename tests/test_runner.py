@@ -1,6 +1,5 @@
 """Artifact writers of the experiment runner."""
 
-import dataclasses
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,11 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import reference_trajectory_csv, row_wise_csv
+from helpers import reference_trajectory_csv, reference_velocities, row_wise_csv
 from memvisco.expressions import field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import PronyKernel
-from memvisco.runner import _export_trajectory, _reprs, _write_atomic, _write_csv
+from memvisco.runner import _export_trajectory, _reprs, _trajectory_csv, _write_atomic, _write_csv
 from memvisco.solver import ProblemSpec, run
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -42,14 +41,23 @@ def solve(grid: Grid):
 @pytest.mark.parametrize("stride", [1, 4, 5])
 def test_trajectory_csv_matches_row_list_export(tmp_path, grid, wide, stride):
     traj = solve(grid)
+    times = traj.times[::stride]
+    # the export transforms each exported level's sine coefficients back alone
+    exported = range(0, traj.n_levels, stride)
+    u = np.concatenate([traj.nodal(j, j + 1) for j in exported])
+    v = np.concatenate([traj.velocities(1, j, j + 1) for j in exported])
+    assert np.abs(u - traj.levels[::stride]).max() <= 1e-15 * np.abs(u).max()
+    assert np.abs(v - reference_velocities(traj.levels, traj.dt)[::stride]).max() <= 1e-13 * np.abs(v).max()
     if wide:
         # per-node scales from 1e-12 to 1e20, so values below 1e-4 and of at
         # least 1e16 reach the CSV, which repr writes with an exponent
         scale = np.logspace(-12, 20, grid.n_total).reshape(grid.shape)
-        traj = dataclasses.replace(traj, levels=traj.levels * scale)
-    _export_trajectory(tmp_path, SimpleNamespace(export_format="csv", snapshot_stride=stride), traj)
+        u, v = u * scale, v * scale
+        _write_atomic(tmp_path / "trajectory.csv", _trajectory_csv(grid, times, u, v))
+    else:
+        _export_trajectory(tmp_path, SimpleNamespace(export_format="csv", snapshot_stride=stride), traj)
     got = (tmp_path / "trajectory.csv").read_bytes()
-    assert got == reference_trajectory_csv(traj, stride).encode()
+    assert got == reference_trajectory_csv(grid, times, u, v).encode()
     assert (b"e-" in got and b"e+" in got) == wide
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
 

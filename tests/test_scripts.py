@@ -95,3 +95,28 @@ def test_run_all_configs_prints_a_verdicts_digest_per_config(all_configs):
         assert "seconds" not in text
         want[f"{path.parent.name}/verdicts"] = hashlib.sha256(text.encode()).hexdigest()
     assert printed_digests(stdout, "/verdicts") == want
+
+
+def test_csv_drift_reports_changed_columns(tmp_path):
+    # per CSV whose bytes differ, max |new - old| / max |old| of each
+    # numeric column; text columns, byte-identical CSVs and CSVs under one
+    # root only are not measured
+    files = {
+        "old/run/table.csv": "t,u,name,gap\n0.0,1.0,p,\n0.5,-4.0,q,0.0\n",
+        "new/run/table.csv": "t,u,name,gap\n0.0,1.5,p,\n0.5,-4.0,r,1e-3\n",
+        "old/run/same.csv": "a\n1\n",
+        "new/run/same.csv": "a\n1\n",
+        "new/run/extra.csv": "a\n1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    old, new = tmp_path / "old", tmp_path / "new"
+    assert run_script("csv_drift.py", str(old), str(new)).splitlines() == [
+        f"run/extra.csv: only under {new}",
+        "run/table.csv",
+        "  t  0",
+        "  u  0.125",
+        "  gap  0.001 (absolute)",
+        "2 CSVs compared, 1 byte-identical",
+    ]

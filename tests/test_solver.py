@@ -17,6 +17,7 @@ from helpers import (
     direct_weights,
     history_row,
     l2q_error,
+    laplacian_array,
     manufactured_exact,
     manufactured_forcing,
     non_mode_one,
@@ -30,7 +31,7 @@ import memvisco.solver as solver_module
 from memvisco.config import parse_config, parse_config_file
 from memvisco.convergence import eps_schedule, run_eps_sequence
 from memvisco.expressions import Forcing, field_from_name
-from memvisco.grid import Field, Grid, laplacian_array
+from memvisco.grid import Field, Grid, sine_transform
 from memvisco.kernels import (
     KernelSum,
     PowerLawKernel,
@@ -386,11 +387,11 @@ class TestShiftBatch:
         spec = _volterra_spec(Grid.line(17), 0.6, 0.01, pulse)
         with _small_blocks(7):
             batch = run(spec, self.SHIFTS)
-        assert batch.levels.shape == (3, spec.n_steps + 1, 17)
+        assert batch.coefficients.shape == (3, spec.n_steps + 1, 17)
         for eps, traj in zip(self.SHIFTS, batch.trajectories):
             with _small_blocks(7):
                 alone = run(dataclasses.replace(spec, eps=eps))
-            assert traj.levels.tobytes() == alone.levels.tobytes()
+            assert traj.coefficients.tobytes() == alone.coefficients.tobytes()
             assert traj.z_max == alone.z_max
             assert traj.spec_fingerprint == alone.spec_fingerprint
 
@@ -401,14 +402,16 @@ class TestShiftBatch:
         spec = _volterra_spec(Grid.line(17), 0.6, 0.6 / (2 * solver_module._BLOCK_ROWS + 5))
         batch = run(spec, self.SHIFTS)
         for eps, traj in zip(self.SHIFTS, batch.trajectories):
-            alone = run(dataclasses.replace(spec, eps=eps)).levels
-            assert np.max(np.abs(traj.levels - alone)) <= 1e-12 * np.max(np.abs(alone))
+            alone = run(dataclasses.replace(spec, eps=eps)).coefficients
+            assert np.max(np.abs(traj.coefficients - alone)) <= 1e-12 * np.max(np.abs(alone))
 
     def test_sequence_is_one_batch(self):
         spec = _volterra_spec(Grid.line(17), 0.3, 0.01)
         trajs = run_eps_sequence(spec, 0.1, 0.5, 2)
         batch = run(spec, eps_schedule(0.1, 0.5, 2))
-        assert [t.levels.tobytes() for t in trajs] == [t.levels.tobytes() for t in batch.trajectories]
+        assert [t.coefficients.tobytes() for t in trajs] == [
+            t.coefficients.tobytes() for t in batch.trajectories
+        ]
 
     def test_leapfrog_specs_are_refused(self):
         with pytest.raises(ValueError, match="formulation"):
@@ -453,9 +456,8 @@ def _peak_above_entry(fn):
 
 def test_volterra_sequence_holds_no_history():
     # the benchmark's 7-shift sequence: the levels plus the blocked sums'
-    # far sums and product, and the sine transforms' few levels, under
-    # 0.3x the levels; a stored history of every shift, as a (K, J, N)
-    # buffer, would add 1.0x
+    # far sums and product, under 0.3x the levels; a stored history of
+    # every shift, as a (K, J, N) buffer, would add 1.0x
     g = Grid.line(99)
     base = ProblemSpec(
         kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=1.0, dt=0.0005, eps=0.1,
@@ -464,7 +466,7 @@ def test_volterra_sequence_holds_no_history():
     )
     trajs, peak = _peak_above_entry(lambda: run_eps_sequence(base, 0.1, 0.5, 6))
     levels_bytes = 7 * 8 * (base.n_steps + 1) * g.n_total
-    assert sum(t.levels.nbytes for t in trajs) == levels_bytes
+    assert sum(t.coefficients.nbytes for t in trajs) == levels_bytes
     assert peak < 1.3 * levels_bytes
 
 
@@ -480,7 +482,7 @@ def test_powerlaw_leapfrog_holds_no_history():
     traj, peak = _peak_above_entry(lambda: run(spec))
     levels_bytes = 8 * (spec.n_steps + 1) * g.n_total
     assert traj.history_backend == "direct"
-    assert traj.levels.nbytes == levels_bytes
+    assert traj.coefficients.nbytes == levels_bytes
     assert peak < 1.35 * levels_bytes
 
 
@@ -613,7 +615,7 @@ def test_prony_leapfrog_stores_no_history():
     finally:
         tracemalloc.stop()
     assert traj.history_backend == "exponential"
-    assert traj.levels.nbytes == levels_bytes
+    assert traj.coefficients.nbytes == levels_bytes
     assert peak - entry < 1.25 * levels_bytes
 
 
@@ -671,12 +673,11 @@ def _march_cases():
 class TestMarchersMatchReferenceLoops:
     """The marchers against their one-conv_weights-per-step loops.
 
-    The levels must agree to 1e-12 of max|u|.  The leapfrog takes the
-    Laplacian of its history sum of the levels, where the oracle sums the
-    levels' Laplacians, and the two differ by round-off; a Prony leapfrog
-    also runs on the exponential recursion, whose sums differ from the
-    weight rows by round-off.  The Volterra march runs in sine
-    coefficients, where its oracle solves on the nodes.
+    The levels must agree to 1e-12 of max|u|.  Both marchers run in sine
+    coefficients, where their oracles step on the nodes with the stencil
+    Laplacian, and the two differ by round-off; a Prony leapfrog also runs
+    on the exponential recursion, whose sums differ from the weight rows
+    by round-off.
     """
 
     @pytest.mark.parametrize("spec", _march_cases())
@@ -745,7 +746,10 @@ class TestIntegrodiff:
     def test_level_zero_is_u0(self):
         spec = standing_wave_spec()
         traj = run(spec)
-        assert np.array_equal(traj.levels[0], spec.u0.values)
+        u0 = spec.u0.values
+        assert traj.coefficients[0].tobytes() == sine_transform(spec.grid, u0).tobytes()
+        # nodal values are the coefficients transformed back
+        assert np.abs(traj.levels[0] - u0).max() <= 1e-15 * np.abs(u0).max()
 
     def test_startup_rule(self):
         g = Grid.line(19)
@@ -760,8 +764,6 @@ class TestIntegrodiff:
             u0=u0, u1=u1, forcing=forcing,
         )
         traj = run(spec)
-        from memvisco.grid import laplacian_array
-
         g_eps = PRONY.modulus(0.05)
         expected = (
             u0.values
@@ -781,8 +783,6 @@ class TestIntegrodiff:
         # the memory path must be exactly inert, not just small
         spec = standing_wave_spec(n=19, horizon=0.5)
         traj = run(spec)
-        from memvisco.grid import laplacian_array
-
         g = spec.grid
         dt = spec.dt
         u_prev = spec.u0.values.copy()
@@ -947,24 +947,31 @@ class TestVolterra:
             assert non_mode_one(cfg.grid, traj.levels) < 1e-14
 
 
+def _transform_calls(fn):
+    """fn() and the shapes of the fields the solver sine-transforms in it."""
+    calls = []
+
+    def counted(grid, values):
+        calls.append(np.shape(values))
+        return sine_transform(grid, values)
+
+    with mock.patch.object(solver_module, "sine_transform", counted):
+        return fn(), calls
+
+
 @pytest.mark.parametrize("shifts", [None, (0.1, 0.01, 0.0)])
 @pytest.mark.parametrize("grid", [Grid.line(17), Grid((4, 5, 3), (1.0, 1.5, 0.8))])
 def test_volterra_march_takes_no_laplacian(grid, shifts):
-    # the march runs in sine coefficients: no Laplacian per step, nor for
-    # the blocked history sums, whose older levels past two blocks of
-    # _BLOCK_ROWS rows are read back from the stored coefficients
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return laplacian_array(*args)
-
+    # the march runs in sine coefficients, where the Laplacian is -mu: it
+    # transforms u0, u1 and the forcing profile once and nothing per step,
+    # nor for the blocked history sums, whose older levels past two blocks
+    # of _BLOCK_ROWS rows are read back from the stored coefficients
     n_steps = 2 * solver_module._BLOCK_ROWS + 5
     spec = _volterra_spec(grid, 0.6, 0.6 / n_steps)
-    with mock.patch.object(solver_module, "laplacian_array", counted):
-        result = run(spec) if shifts is None else run(spec, shifts)
-    assert np.all(np.isfinite(result.levels))
-    assert calls == []
+    result, calls = _transform_calls(lambda: run(spec) if shifts is None else run(spec, shifts))
+    assert np.all(np.isfinite(result.coefficients))
+    assert calls == [grid.shape] * 3
+    assert not hasattr(solver_module, "laplacian_array")
 
 
 @pytest.mark.parametrize(
@@ -975,26 +982,26 @@ def test_volterra_march_takes_no_laplacian(grid, shifts):
         PRONY,
     ],
 )
-def test_leapfrog_takes_one_laplacian_per_step(kernel):
-    # the history is summed on the levels, so step j takes the one
-    # Laplacian of g0 u_j + H_j, a single level, also in runs past two
-    # blocks of _BLOCK_ROWS rows, whose far sums read the older levels
-    calls = []
-
-    def counted(grid, values):
-        calls.append(values.shape)
-        return laplacian_array(grid, values)
-
+def test_leapfrog_takes_no_laplacian(kernel):
+    # the leapfrog marches the sine coefficients too: step j scales
+    # g0 u_j + H_j by -mu, also in runs past two blocks of _BLOCK_ROWS rows,
+    # whose far sums read the older levels, and transforms nothing per step
     g = Grid.line(17)
     n_steps = 2 * solver_module._BLOCK_ROWS + 5
     spec = ProblemSpec(
         kernel=kernel, grid=g, horizon=2.0, dt=2.0 / n_steps, eps=0.05,
         u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}),
     )
-    with mock.patch.object(solver_module, "laplacian_array", counted):
-        traj = run(spec)
-    assert np.all(np.isfinite(traj.levels))
-    assert calls == [g.shape] * spec.n_steps
+    traj, calls = _transform_calls(lambda: run(spec))
+    assert np.all(np.isfinite(traj.coefficients))
+    assert calls == [g.shape] * 3
+    # the modal march is the nodal leapfrog: level 2 against one stencil step
+    g0 = kernel.modulus(0.05)
+    u = traj.levels
+    history = HistoryConvolution.memory(kernel, 0.05, spec.n_steps, spec.dt)
+    h1 = history.next_sum(traj.coefficients[:2])
+    want = 2 * u[1] - u[0] + spec.dt**2 * laplacian_array(g, g0 * u[1] + sine_transform(g, h1))
+    assert np.abs(u[2] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestVelocities:
@@ -1006,11 +1013,11 @@ class TestVelocities:
         g = Grid((3, 4, 3), (1.0, 1.0, 1.0))
         levels = np.random.default_rng(n_levels).standard_normal((n_levels,) + g.shape)
         traj = TrajectorySolution(
-            grid=g, times=0.1 * np.arange(n_levels), levels=levels,
+            grid=g, times=0.1 * np.arange(n_levels), coefficients=levels,
             formulation="integrodifferential", spec_fingerprint="",
         )
         want = reference_velocities(levels, traj.dt)[::stride]
-        assert traj.velocities(stride).tobytes() == want.tobytes()
+        assert traj.velocity_coefficients(stride).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_level_ranges_match_full_stack_bitwise(self, stride):
@@ -1019,12 +1026,12 @@ class TestVelocities:
         g = Grid((3, 4, 3), (1.0, 1.0, 1.0))
         levels = np.random.default_rng(5).standard_normal((11,) + g.shape)
         traj = TrajectorySolution(
-            grid=g, times=0.1 * np.arange(11), levels=levels,
+            grid=g, times=0.1 * np.arange(11), coefficients=levels,
             formulation="integrodifferential", spec_fingerprint="",
         )
         full = reference_velocities(levels, traj.dt)
         for start, stop in [(0, 1), (0, 4), (1, 2), (3, 7), (9, 11), (10, 11), (4, 40), (5, 5)]:
-            got = traj.velocities(stride, start, stop)
+            got = traj.velocity_coefficients(stride, start, stop)
             assert got.tobytes() == full[start:stop:stride].tobytes(), (start, stop)
 
     def test_exact_on_linear_trajectory(self):
@@ -1034,7 +1041,7 @@ class TestVelocities:
         times = 0.25 * np.arange(5)
         ramp = np.outer(times, np.ones(9))
         traj = TrajectorySolution(
-            grid=g, times=times, levels=2.0 * ramp + 1.0,
+            grid=g, times=times, coefficients=sine_transform(g, 2.0 * ramp + 1.0),
             formulation="integrodifferential", spec_fingerprint="",
         )
         assert traj.velocities() == pytest.approx(np.full((5, 9), 2.0), abs=1e-12)
