@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""How far the CSVs of two run_all_configs.py output trees drift apart.
+"""How far the CSVs and manifests of two run_all_configs.py output trees
+drift apart.
 
 Usage: csv_drift.py OLD_ROOT NEW_ROOT
 
@@ -9,10 +10,19 @@ max |new - old| / max |old| over the column's rows.  A column is numeric
 when every filled cell of both files parses as a float; empty cells must
 match.  A column whose old values are all 0 prints the absolute change.
 A CSV under one root only, or with other rows or columns, is named as such.
-The last line counts the CSVs compared and those whose bytes match.
+
+For every manifest.json under both roots whose `verdicts` and `runs`
+blocks differ (the blocks run_all_configs.py digests), it prints the path,
+then one line per leaf that differs: its dotted key, old -> new, and for
+two numbers |new - old| / |old|, or the absolute change when old is 0.  A
+leaf on one side only reads (absent) on the other.
+
+The last two lines count the CSVs compared and those whose bytes match,
+and the manifests compared and those whose blocks match.
 """
 
 import csv
+import json
 import math
 import sys
 from pathlib import Path
@@ -42,6 +52,48 @@ def column_drift(old: list[str], new: list[str]) -> str | None:
     return f"{change / scale:.3g}"
 
 
+def leaves(value, key: str = "") -> list[tuple[str, object]]:
+    """(dotted key, value) of every leaf of a JSON value; list items are
+    keyed by their index."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [(key, value)]
+    out = []
+    for name, item in items:
+        out += leaves(item, f"{key}.{name}" if key else str(name))
+    return out
+
+
+def leaf_change(old, new) -> str:
+    """One changed leaf's old -> new, with the relative change of two numbers."""
+    text = f"{json.dumps(old)} -> {json.dumps(new)}"
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)]
+    if not all(numbers):
+        return text
+    if old == 0 or not math.isfinite(old):
+        return f"{text}  ({abs(new - old):.3g} absolute)"
+    return f"{text}  ({abs(new - old) / abs(old):.3g})"
+
+
+def manifest_drift(old_path: Path, new_path: Path) -> list[str]:
+    """The changed leaves of the blocks run_all_configs.py digests, one line each."""
+    old, new = (
+        dict(leaves({key: manifest.get(key) for key in ("verdicts", "runs")}))
+        for manifest in (json.loads(p.read_text(encoding="utf-8")) for p in (old_path, new_path))
+    )
+    lines = []
+    for key in [*old, *(k for k in new if k not in old)]:
+        if key not in old or key not in new:
+            a, b = (json.dumps(side[key]) if key in side else "(absent)" for side in (old, new))
+            lines.append(f"  {key}  {a} -> {b}")
+        elif json.dumps(old[key]) != json.dumps(new[key]):
+            lines.append(f"  {key}  {leaf_change(old[key], new[key])}")
+    return lines
+
+
 def drift(old_root: Path, new_root: Path) -> list[str]:
     """The report's lines."""
     lines = []
@@ -66,8 +118,20 @@ def drift(old_root: Path, new_root: Path) -> list[str]:
             change = column_drift(old, new)
             if change is not None:
                 lines.append(f"  {column}  {change}")
-    lines.append(f"{len(shared)} CSVs compared, {same} byte-identical")
-    return lines
+    counts = [f"{len(shared)} CSVs compared, {same} byte-identical"]
+    manifests = sorted(
+        p.relative_to(old_root)
+        for p in old_root.rglob("manifest.json")
+        if (new_root / p.relative_to(old_root)).is_file()
+    )
+    changed = 0
+    for name in manifests:
+        leaf_lines = manifest_drift(old_root / name, new_root / name)
+        if leaf_lines:
+            changed += 1
+            lines += [f"{name}", *leaf_lines]
+    counts.append(f"{len(manifests)} manifests compared, {len(manifests) - changed} with the same verdicts and runs")
+    return lines + counts
 
 
 if __name__ == "__main__":

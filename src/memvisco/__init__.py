@@ -16,7 +16,6 @@ from memvisco.kernels import (
     PowerLawKernel,
     PronyKernel,
     RelaxationKernel,
-    TranslatedKernel,
     check_admissibility,
     check_fading_memory,
     kernel_diff_bound,
@@ -49,7 +48,6 @@ __all__ = [
     "RelaxationKernel",
     "SolverAbort",
     "TrajectorySolution",
-    "TranslatedKernel",
     "cfl_time_step",
     "check_admissibility",
     "check_fading_memory",

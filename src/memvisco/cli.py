@@ -17,16 +17,22 @@ from memvisco.runner import run_experiment
 __all__ = ["main"]
 
 
+def _load_config(path: str, overrides=None):
+    """The config at path, or None after printing why it is unreadable or invalid."""
+    try:
+        return parse_config_file(path, overrides)
+    except ConfigError as exc:
+        print(f"configuration error:\n{exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+    return None
+
+
 def _cmd_run(args) -> int:
     # a KEY=VALUE pair is a [tolerances] line, checked by its rules
     overrides = dict(pair.partition("=")[::2] for pair in args.tol_override)
-    try:
-        cfg = parse_config_file(args.config, overrides)
-    except ConfigError as exc:
-        print(f"configuration error:\n{exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
+    cfg = _load_config(args.config, overrides)
+    if cfg is None:
         return 2
     code = run_experiment(cfg, args.out)
     print(f"mode={cfg.mode} out={args.out} exit={code}")
@@ -34,13 +40,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check_kernel(args) -> int:
-    try:
-        cfg = parse_config_file(args.config)
-    except ConfigError as exc:
-        print(f"configuration error:\n{exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
+    cfg = _load_config(args.config)
+    if cfg is None:
         return 2
     report = check_admissibility(cfg.kernel, cfg.horizon, cfg.n_samples)
     print(f"kernel: {cfg.kernel!r}")

@@ -305,7 +305,7 @@ def parse_config(text: str, tolerances: dict[str, str] | None = None) -> Experim
     for key, profile, evaluate in (
         ("u0", u0_name, lambda: field_from_name(grid, u0_name, u0_params)),
         ("u1", u1_name, lambda: field_from_name(grid, u1_name, u1_params)),
-        ("f", forcing, lambda: forcing.sample(grid, 0.0)),
+        ("f", forcing, lambda: forcing.profile(grid)),
     ):
         if grid is not None and profile is not None:
             try:

@@ -185,12 +185,12 @@ def convergence_lemma_check(
 
         # sup_s |Ksh(s) - K(s)| on [0, horizon]: increasing in s, peak at s = horizon
         s_grid = np.linspace(0.0, horizon, 257)
-        sup_diff = float(
-            np.max(np.abs(shifted._integral(s_grid) - kernel._integral(s_grid)))
-        )
+        sup_diff = float(np.max(np.abs(shifted.integral(s_grid) - kernel.integral(s_grid))))
+        # Ksh - K is no modulus, so HistoryConvolution.of cannot weigh it:
+        # its weights come from the difference of the two towers
         weights = interval_weights(
-            lambda s: shifted._integral2(s) - kernel._integral2(s),
-            lambda s: shifted._integral3(s) - kernel._integral3(s),
+            lambda s: shifted.integral2(s) - kernel.integral2(s),
+            lambda s: shifted.integral3(s) - kernel.integral3(s),
             J, dt,
         )
         history = HistoryConvolution(*weights)

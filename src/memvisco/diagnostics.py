@@ -25,14 +25,7 @@ from memvisco.grid import (
     trapezoid_weights,
 )
 from memvisco.kernels import PronyKernel, RelaxationKernel, translate
-from memvisco.solver import (
-    HistoryConvolution,
-    ProblemSpec,
-    TrajectorySolution,
-    exponential_terms,
-    interval_weights,
-    run,
-)
+from memvisco.solver import HistoryConvolution, ProblemSpec, TrajectorySolution, run
 
 __all__ = [
     "HypothesisError",
@@ -153,14 +146,10 @@ def energy_ledger(
     # a modulus with dG = 0 has no memory: its weights would be round-off
     if np.any(gdot_now):
         # weights of w = dG (memory) and w = d2G (curvature)
-        if isinstance(kernel, PronyKernel):
-            weights = [exponential_terms(kernel, eps, dt, order) for order in (1, 2)]
-            sums = _prony_history_sums(traj, weights)
+        histories = [HistoryConvolution.of(kk, order, J, dt) for order in (1, 2)]
+        if histories[0].backend == "exponential":
+            sums = _prony_history_sums(traj, [h.terms for h in histories])
         else:
-            histories = [
-                HistoryConvolution(*interval_weights(kk._modulus, kk._integral, J, dt)),
-                HistoryConvolution(*interval_weights(kk._modulus_dt, kk._modulus, J, dt)),
-            ]
             scaled = traj.coefficients.reshape(J + 1, -1) * np.sqrt(grid.eigenvalues).ravel()
             sums = _lag_pass_sums(scaled, vol, histories)
         memory, rate_curvature = -0.5 * sums
@@ -380,7 +369,8 @@ def check_energy_bound(
     """Check  0.5 |grad u|^2 + 0.5 |u_t|^2 <= gamma e^T C  at every level.
 
     gamma = max(1 / G(T + 1), 1) uses the unshifted modulus; requires
-    eps <= 1 so the shifted modulus dominates G(T + 1) on the window.
+    eps <= 1 so the shifted modulus dominates G(T + 1) on the window, and
+    G(T + 1) > 0, which a Prony modulus can underflow.
     C = 0.5 |f|^2 (space-time) + 0.5 |u1|^2 (space) covers no initial
     displacement, so a run that starts displaced is refused.
     """
@@ -390,7 +380,10 @@ def check_energy_bound(
         raise HypothesisError(f"bound requires eps <= 1, got {eps}")
     grid, dt = traj.grid, traj.dt
     T = float(traj.times[-1])
-    gamma = max(1.0 / kernel.modulus(T + 1.0), 1.0)
+    g_end = kernel.modulus(T + 1.0)
+    if not g_end > 0:
+        raise HypothesisError(f"bound requires G(T + 1) > 0, got {g_end!r}")
+    gamma = max(1.0 / g_end, 1.0)
 
     # f = profile * factor: |f|^2 = |profile|^2 int factor^2
     f_spacetime_sq = 0.0
@@ -501,8 +494,7 @@ def weak_residual(
     """
     grid, dt = traj.grid, traj.dt
     J = traj.n_levels - 1
-    kk = translate(kernel, eps)
-    history = HistoryConvolution(*interval_weights(kk._integral2, kk._integral3, J, dt))
+    history = HistoryConvolution.of(translate(kernel, eps), -1, J, dt)
     if forcing is not None:
         # F2 = c2 * profile, c2 the time factor integrated twice
         c2 = double_trapezoid(forcing.factor(traj.times), dt)

@@ -99,7 +99,7 @@ class Forcing:
     modulated in time by factor(t) = cos(omega t).
 
     A consumer reads the profile once per grid and the factor once per time
-    axis; sample is their product at one time, a fresh array.
+    axis.
     """
 
     name: str
@@ -131,6 +131,3 @@ class Forcing:
         times = np.asarray(times, dtype=float)
         omega = dict(self.params).get("omega", 0.0)
         return np.cos(omega * times) if omega else np.ones(times.shape)
-
-    def sample(self, grid: Grid, t: float) -> np.ndarray:
-        return self.profile(grid) * self.factor(t)

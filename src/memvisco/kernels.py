@@ -26,7 +26,6 @@ __all__ = [
     "PronyKernel",
     "PowerLawKernel",
     "KernelSum",
-    "TranslatedKernel",
     "translate",
     "kernel_diff_bound",
     "AdmissibilityReport",
@@ -203,27 +202,41 @@ class PronyKernel(RelaxationKernel):
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PowerLawKernel(RelaxationKernel):
-    """G(t) = c * t**(-alpha) with 0 < alpha < 1.
+    """G(t) = c * (t + offset)**(-alpha) with 0 < alpha < 1.
 
-    Unbounded at t = 0, and dG/dt is not integrable near 0; still G is
-    integrable on any finite window, which is what the integral tower and
-    the solvers rely on.
+    At offset 0, unbounded at t = 0, and dG/dt is not integrable near 0;
+    still G is integrable on any finite window, which is what the integral
+    tower and the solvers rely on.  A positive offset is a shift made by
+    translate(): G is bounded, and the tower K, K2, K3 of c t**(-alpha) is
+    re-based at e = offset so that integral(0) = 0,
+
+        integral(x)  = K(e + x) - K(e)
+        integral2(x) = K2(e + x) - K2(e) - K(e) x
+        integral3(x) = K3(e + x) - K3(e) - K2(e) x - K(e) x^2 / 2.
     """
 
     c: float
     alpha: float
+    offset: float = 0.0
 
     def __post_init__(self):
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError(f"c must be positive and finite, got {self.c}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
+        if not (self.offset >= 0 and math.isfinite(self.offset)):
+            raise KernelDomainError(f"shift must be finite and >= 0, got {self.offset}")
+
+    def __repr__(self) -> str:
+        # an unshifted power law reads as it always has: specs fingerprint it
+        offset = f", offset={self.offset!r}" if self.offset else ""
+        return f"PowerLawKernel(c={self.c!r}, alpha={self.alpha!r}{offset})"
 
     @property
     def singular_at_zero(self) -> bool:
-        return True
+        return self.offset == 0.0
 
     @property
     def value_at_inf(self) -> float:
@@ -233,29 +246,49 @@ class PowerLawKernel(RelaxationKernel):
     def integrable_on_halfline(self) -> bool:
         return False
 
+    def _at(self, t):
+        """t + offset; t itself at offset 0, where t + 0.0 would turn a 0-d
+        array into a scalar, whose ** 0.5 numpy takes as pow, not sqrt."""
+        return t + self.offset if self.offset else t
+
     def _modulus(self, t):
         with np.errstate(divide="ignore"):
-            return self.c * t ** (-self.alpha)
+            return self.c * self._at(t) ** (-self.alpha)
 
     def _modulus_dt(self, t):
         with np.errstate(divide="ignore"):
-            return -self.alpha * self.c * t ** (-self.alpha - 1.0)
+            return -self.alpha * self.c * self._at(t) ** (-self.alpha - 1.0)
 
     def _modulus_dtt(self, t):
         with np.errstate(divide="ignore"):
-            return self.alpha * (self.alpha + 1.0) * self.c * t ** (-self.alpha - 2.0)
+            return self.alpha * (self.alpha + 1.0) * self.c * self._at(t) ** (-self.alpha - 2.0)
+
+    def _unshifted(self, x, level: int):
+        """Level 1, 2 or 3 of the tower of c t**(-alpha) at x."""
+        a = 1.0 - self.alpha
+        return self.c * x ** (a + (level - 1)) / math.prod(a + i for i in range(level))
+
+    def _rebased(self, x, level: int):
+        """Level 1, 2 or 3 of the tower re-based at the offset, its terms
+        subtracted in the order the class docstring writes them."""
+        out = self._unshifted(self._at(x), level)
+        if self.offset:
+            e = np.asarray(self.offset, dtype=float)
+            out = out - self._unshifted(e, level)
+            if level > 1:
+                out = out - self._unshifted(e, level - 1) * x
+            if level > 2:
+                out = out - self._unshifted(e, 1) * x * x / 2.0
+        return out
 
     def _integral(self, x):
-        a = 1.0 - self.alpha
-        return self.c * x**a / a
+        return self._rebased(x, 1)
 
     def _integral2(self, x):
-        a = 1.0 - self.alpha
-        return self.c * x ** (a + 1.0) / (a * (a + 1.0))
+        return self._rebased(x, 2)
 
     def _integral3(self, x):
-        a = 1.0 - self.alpha
-        return self.c * x ** (a + 2.0) / (a * (a + 1.0) * (a + 2.0))
+        return self._rebased(x, 3)
 
 
 @dataclass(frozen=True)
@@ -317,86 +350,30 @@ class KernelSum(RelaxationKernel):
         return self._sum("_integral3", x)
 
 
-@dataclass(frozen=True)
-class TranslatedKernel(RelaxationKernel):
-    """The shifted kernel t -> G(eps + t), bounded at t = 0 for eps > 0.
-
-    The integral tower is re-based so that integral(0) = 0:
-
-        integral(x)  = K(eps + x) - K(eps)
-        integral2(x) = K2(eps + x) - K2(eps) - K(eps) x
-        integral3(x) = K3(eps + x) - K3(eps) - K2(eps) x - K(eps) x^2 / 2
-
-    with K, K2, K3 the tower of the base kernel.
-    """
-
-    base: RelaxationKernel
-    eps: float
-
-    def __post_init__(self):
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise KernelDomainError(f"shift must be positive and finite, got {self.eps}")
-        if isinstance(self.base, TranslatedKernel):
-            # collapse nested shifts
-            object.__setattr__(self, "eps", self.eps + self.base.eps)
-            object.__setattr__(self, "base", self.base.base)
-
-    @property
-    def singular_at_zero(self) -> bool:
-        return False
-
-    @property
-    def value_at_inf(self) -> float:
-        return self.base.value_at_inf
-
-    @property
-    def integrable_on_halfline(self) -> bool:
-        return self.base.integrable_on_halfline
-
-    def _modulus(self, t):
-        return self.base._modulus(t + self.eps)
-
-    def _modulus_dt(self, t):
-        return self.base._modulus_dt(t + self.eps)
-
-    def _modulus_dtt(self, t):
-        return self.base._modulus_dtt(t + self.eps)
-
-    def _integral(self, x):
-        return self.base._integral(x + self.eps) - self.base._integral(
-            np.asarray(self.eps, dtype=float)
-        )
-
-    def _integral2(self, x):
-        e = np.asarray(self.eps, dtype=float)
-        return (
-            self.base._integral2(x + self.eps)
-            - self.base._integral2(e)
-            - self.base._integral(e) * x
-        )
-
-    def _integral3(self, x):
-        e = np.asarray(self.eps, dtype=float)
-        return (
-            self.base._integral3(x + self.eps)
-            - self.base._integral3(e)
-            - self.base._integral2(e) * x
-            - self.base._integral(e) * x * x / 2.0
-        )
-
-
 def translate(kernel: RelaxationKernel, eps: float) -> RelaxationKernel:
-    """Shifted kernel G(eps + .) with a re-based integral tower.
-
-    A zero shift is the kernel itself, and so is any shift of a constant
-    modulus (a Prony kernel with no terms): re-basing its tower would only
-    add round-off.
+    """G(eps + .) as a member of the kernel's own family, its integral tower
+    re-based so that integral(0) = 0.  A Prony series takes the weights
+    g e^{-eps/tau}; one that underflows to 0 keeps its term, which adds
+    exact zeros, so the shift skips the checks that refuse zero weights of a
+    given kernel.  A power law takes the shift as its offset, and a sum is
+    the sum of its shifted parts.  A zero shift is the kernel itself, and so
+    is any shift of a constant modulus.
     """
     if eps == 0.0:
         return kernel
-    shifted = TranslatedKernel(kernel, float(eps))  # refuses eps < 0 and non-finite eps
-    constant = isinstance(kernel, PronyKernel) and not kernel.terms
-    return kernel if constant else shifted
+    if not (eps > 0 and math.isfinite(eps)):
+        raise KernelDomainError(f"shift must be positive and finite, got {eps}")
+    if isinstance(kernel, KernelSum):
+        return KernelSum(tuple(translate(p, eps) for p in kernel.parts))
+    if isinstance(kernel, PowerLawKernel):
+        return PowerLawKernel(kernel.c, kernel.alpha, kernel.offset + float(eps))
+    if not kernel.terms:
+        return kernel
+    shifted = object.__new__(PronyKernel)
+    object.__setattr__(shifted, "g_inf", kernel.g_inf)
+    terms = tuple((g * math.exp(-eps / tau), tau) for g, tau in kernel.terms)
+    object.__setattr__(shifted, "terms", terms)
+    return shifted
 
 
 def kernel_diff_bound(kernel: RelaxationKernel, eps: float, s) -> np.ndarray:

@@ -247,7 +247,7 @@ def _export_trajectory(out_dir: Path, cfg: ExperimentConfig, traj) -> None:
         # the nodal values of an exported level are formed as it is written
         levels = range(0, traj.n_levels, cfg.snapshot_stride)
         nodal = (traj.nodal(j, j + 1)[0] for j in levels)
-        velocities = (traj.velocities(1, j, j + 1)[0] for j in levels)
+        velocities = (traj.velocities(j, j + 1)[0] for j in levels)
         text = _trajectory_csv(traj.grid, traj.times[levels], nodal, velocities)
         _write_atomic(out_dir / "trajectory.csv", text)
     if cfg.export_format in ("binary", "both"):

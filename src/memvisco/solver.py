@@ -201,13 +201,13 @@ class TrajectorySolution:
         """Nodal values of the levels start .. stop - 1."""
         return sine_transform(self.grid, self.coefficients[start:stop])
 
-    def velocities(self, stride: int = 1, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Nodal values of velocity_coefficients(stride, start, stop)."""
-        return sine_transform(self.grid, self.velocity_coefficients(stride, start, stop))
+    def velocities(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Nodal values of velocity_coefficients(start, stop)."""
+        return sine_transform(self.grid, self.velocity_coefficients(start, stop))
 
-    def velocity_coefficients(self, stride: int = 1, start: int = 0, stop: int | None = None):
+    def velocity_coefficients(self, start: int = 0, stop: int | None = None):
         """Second-order time derivative estimates, in sine coefficients, at
-        levels range(start, stop, stride).
+        the levels start .. stop - 1.
 
         Centered differences inside, one-sided ones at the first and last
         level; an estimate does not depend on which other levels are asked for.
@@ -215,7 +215,7 @@ class TrajectorySolution:
         u = self.coefficients
         dt = self.dt
         last = self.n_levels - 1
-        wanted = range(start, self.n_levels if stop is None else min(stop, self.n_levels), stride)
+        wanted = range(start, self.n_levels if stop is None else min(stop, self.n_levels))
         v = np.empty((len(wanted),) + u.shape[1:])
         if not wanted:
             return v
@@ -223,11 +223,7 @@ class TrajectorySolution:
         hi = len(wanted) - 1 if wanted[-1] == last else len(wanted)
         inner = wanted[lo:hi]
         if inner:
-            np.subtract(
-                u[inner.start + 1 : inner.stop + 1 : stride],
-                u[inner.start - 1 : inner.stop - 1 : stride],
-                out=v[lo:hi],
-            )
+            np.subtract(u[inner.start + 1 : inner.stop + 1], u[inner.start - 1 : inner.stop - 1], out=v[lo:hi])
             v[lo:hi] /= 2 * dt
         if lo:
             v[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dt)
@@ -299,9 +295,9 @@ def _exponential_weights(a: float, tau: float, dt: float) -> tuple[float, float]
     return -a * math.expm1(-x) - right, right
 
 
-def exponential_terms(kernel: PronyKernel, eps: float, dt: float, order: int = 1):
+def exponential_terms(kernel: PronyKernel, dt: float, order: int = 1):
     """(r, left[0], right[0]) per term g e^{-t/tau} of a Prony kernel, for
-    w(s) = dG(eps + s) (order 1) or d2G(eps + s) (order 2).
+    w(s) = dG(s) (order 1) or d2G(s) (order 2).
 
     Each term's share of w is (a / tau) e^{-s / tau}, so its interval
     weights are geometric in the lag: left[d] = r^d left[0] and right[d] =
@@ -310,9 +306,7 @@ def exponential_terms(kernel: PronyKernel, eps: float, dt: float, order: int = 1
     """
     out = []
     for g, tau in kernel.terms:
-        a = -g * math.exp(-eps / tau)
-        if order == 2:
-            a = -a / tau
+        a = -g if order == 1 else g / tau
         out.append((math.exp(-dt / tau), *_exponential_weights(a, tau, dt)))
     return out
 
@@ -368,16 +362,26 @@ class HistoryConvolution:
         self._rows_summed = 0
 
     @classmethod
-    def memory(cls, kernel: RelaxationKernel, eps: float, n: int, dt: float) -> "HistoryConvolution":
-        """The leapfrog's memory term, w(s) = dG(eps + s), over n steps of dt.
+    def of(cls, kernel, order: int, n: int, dt: float) -> "HistoryConvolution":
+        """The sums of w = the order-th time derivative of G over n steps of
+        dt: order 1 the leapfrog's memory dG, 2 the ledger's curvature d2G,
+        and -1 the Volterra factor int_0^s G.  kernel is a shifted modulus,
+        bounded at 0, or a sequence of K of them for a (K, n) weight set.
 
-        A Prony kernel gets the exponential backend, a constant modulus (no
-        terms) included; any other kernel gets the direct one.
+        The weights come from interval_weights on the two tower members
+        below w, the tower indexed by derivative order -3 .. 1.  The rate and
+        curvature of a single Prony kernel get the exponential backend, a
+        constant modulus (no terms) included.
         """
-        if isinstance(kernel, PronyKernel):
-            return _ExponentialHistory(kernel, eps, n, dt)
-        shifted = translate(kernel, eps)
-        return cls(*interval_weights(shifted._modulus, shifted._integral, n, dt))
+        if isinstance(kernel, PronyKernel) and order > 0:
+            return _ExponentialHistory(kernel, order, n, dt)
+        single = isinstance(kernel, RelaxationKernel)
+        pairs = []
+        for k in [kernel] if single else kernel:
+            tower = (k._integral3, k._integral2, k._integral, k._modulus, k._modulus_dt)
+            pairs.append(interval_weights(tower[order + 2], tower[order + 1], n, dt))
+        left, right = np.array(pairs).swapaxes(0, 1)
+        return cls(left[0], right[0]) if single else cls(left, right)
 
     def adjoint(self, a: np.ndarray) -> np.ndarray:
         """y[m] = sum_j a[j] w_j[m] over the rows j = 1 .. n, w_j the level
@@ -469,7 +473,8 @@ class HistoryConvolution:
 
 
 class _ExponentialHistory(HistoryConvolution):
-    """Sums of w(s) = dG(eps + s) for a Prony kernel, by recursion.
+    """Sums of w = dG (order 1) or d2G (order 2) for a Prony kernel, by
+    recursion.
 
     A term g e^{-t/tau} of G has interval weights geometric in the lag,
     left[d] = r^d left[0] and right[d] = r^d right[0] with r = e^{-dt/tau},
@@ -482,16 +487,16 @@ class _ExponentialHistory(HistoryConvolution):
     whole rows only, top = j + 1.  adjoint sees the geometric weights,
     summed over the terms; they match the direct interval weights up to the
     round-off those lose to cancellation.  Without terms every sum is an
-    exact zero.
+    exact zero.  terms holds exponential_terms' (r, left[0], right[0]).
     """
 
     backend = "exponential"
 
-    def __init__(self, kernel: PronyKernel, eps: float, n: int, dt: float):
-        self._terms = exponential_terms(kernel, eps, dt)
+    def __init__(self, kernel: PronyKernel, order: int, n: int, dt: float):
+        self.terms = exponential_terms(kernel, dt, order)
         lag = np.arange(n)
         left, right = np.zeros(n), np.zeros(n)
-        for r, left0, right0 in self._terms:
+        for r, left0, right0 in self.terms:
             decay = r**lag
             left += left0 * decay
             right += right0 * decay
@@ -503,11 +508,11 @@ class _ExponentialHistory(HistoryConvolution):
         if stack.shape[1] != j + 1:
             raise ValueError("the exponential backend sums whole rows: pass levels 0 .. j")
         newest, previous = stack[0, j], stack[0, j - 1]
-        if not self._terms:
+        if not self.terms:
             return np.zeros(newest.size)
         if j == 1:
-            self._states = [np.zeros(newest.size) for _ in self._terms]
-        for state, (r, left0, right0) in zip(self._states, self._terms):
+            self._states = [np.zeros(newest.size) for _ in self.terms]
+        for state, (r, left0, right0) in zip(self._states, self.terms):
             state *= r
             state += left0 * newest
             state += right0 * previous
@@ -528,7 +533,7 @@ def _march_leapfrog(spec: ProblemSpec) -> TrajectorySolution:
     g0 = spec.kernel.modulus(spec.eps)
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
-    history = HistoryConvolution.memory(spec.kernel, spec.eps, J, dt)
+    history = HistoryConvolution.of(translate(spec.kernel, spec.eps), 1, J, dt)
     minus_mu = -grid.eigenvalues
     profile, factor = spec.forcing_parts()
     p, u0, u1 = (sine_transform(grid, f) for f in (profile, spec.u0.values, spec.u1.values))
@@ -602,12 +607,8 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     K = shifts.size
     levels = np.empty((K, J + 1) + grid.shape)
 
-    # kernel factor Ksh(s); antiderivatives are the next two tower levels
-    left, right = np.empty((2, K, J))
-    for k, eps in enumerate(shifts):
-        kk = translate(spec.kernel, float(eps))
-        left[k], right[k] = interval_weights(kk._integral2, kk._integral3, J, dt)
-    history = HistoryConvolution(left, right)
+    # kernel factor Ksh(s), the integral of each shifted modulus
+    history = HistoryConvolution.of([translate(spec.kernel, float(e)) for e in shifts], -1, J, dt)
     mu = grid.eigenvalues
     minus_mu = -mu
     # the newest level of every row weighs lags[0]

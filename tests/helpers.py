@@ -113,13 +113,10 @@ class SeparableForcing:
     def factor(self, times) -> np.ndarray:
         return np.asarray(self.time(np.asarray(times, dtype=float)), dtype=float)
 
-    def sample(self, grid: Grid, t: float) -> np.ndarray:
-        return self.profile(grid) * self.factor(t)
-
 
 def forcing_at(forcing, grid: Grid, t: float) -> np.ndarray:
     """The forcing field at time t, a zero field without forcing."""
-    return np.zeros(grid.shape) if forcing is None else forcing.sample(grid, t)
+    return np.zeros(grid.shape) if forcing is None else forcing.profile(grid) * forcing.factor(t)
 
 
 def manufactured_forcing(kernel: PronyKernel, eps: float) -> SeparableForcing:

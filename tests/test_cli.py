@@ -98,6 +98,36 @@ dt = 0.05
 """
 
 
+# a Prony modulus whose one term fades within the shift: e^{-eps / tau} and
+# e^{-(T + 1) / tau} underflow to 0
+UNDERFLOW = """\
+[experiment]
+formulation = integral_volterra
+
+[kernel]
+family = prony
+g_inf = 0
+terms = [[1.0, 0.001]]
+
+[grid]
+n = 19
+
+[time]
+horizon = 0.5
+dt = 0.01
+
+[data]
+u1 = sin_pi_product
+
+[eps]
+eps = 1
+"""
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -357,6 +387,26 @@ eps = 0
         assert manifest["verdicts"]["energy_bound"] == {"skipped": "nonzero initial displacement"}
         assert "bound" in manifest["phases"]
 
+    def test_bound_is_skipped_when_the_modulus_underflows(self, tmp_path):
+        # G(T + 1) = e^{-1500} is 0, so gamma = 1 / G(T + 1) has no value:
+        # the bound is skipped, not a crash that reads like a failed verdict
+        cfg = write_cfg(tmp_path, UNDERFLOW)
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"), parse_constant=_refuse)
+        assert manifest["verdicts"]["energy_bound"] == {"skipped": "bound requires G(T + 1) > 0, got 0.0"}
+        # the shifted modulus is 0 too: the ledger balances to round-off
+        assert manifest["verdicts"]["max_energy_residual"] <= 1e-12
+
+    def test_a_shift_that_underflows_a_prony_weight_runs(self, tmp_path):
+        # e^{-eps / tau} = e^{-1000} is 0: the shifted modulus is a Prony
+        # series with a zero weight, so the march is the drive t u1 alone
+        text = UNDERFLOW + "\n[diagnostics]\nenergy_bound = false\nenergy_ledger = false\n"
+        out = tmp_path / "out"
+        assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 1 + 51 * 19
+
     def test_cfl_refusal_exits_three(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, UNSTABLE)
         out = tmp_path / "out"
@@ -503,17 +553,13 @@ class TestOtherModes:
         # term with tau = 1e13 never fades: both used to write NaN / Infinity
         constant = SEQUENCE.replace("family = prony\ng_inf = 0.5\nterms = [[0.5, 1.0]]", "family = constant\ng0 = 1.0")
         slow = ADMISSIBILITY.replace("family = powerlaw\nc = 1.0\nalpha = 0.5", "family = prony\ng_inf = 0.5\nterms = [[0.5, 1e13]]")
-
-        def refuse(token):
-            raise ValueError(f"{token} is not JSON")
-
         for name, text, key in (
             ("constant", constant, ("verdicts", "cauchy", "fitted_rate")),
             ("slow", slow, ("verdicts", "admissibility", "fading_memory_shift_tol_1e-3")),
         ):
             out = tmp_path / name
             assert cli.main(["run", write_cfg(tmp_path, text, name=f"{name}.cfg"), "--out", str(out)]) == 0
-            value = json.loads((out / "manifest.json").read_text(encoding="utf-8"), parse_constant=refuse)
+            value = json.loads((out / "manifest.json").read_text(encoding="utf-8"), parse_constant=_refuse)
             for part in key:
                 value = value[part]
             assert value is None, name
@@ -759,4 +805,11 @@ class TestCheckKernel:
         cfg = write_cfg(tmp_path, "[kernel]\nfamily = constant\n[grid]\nn = 9\n")
         assert cli.main(["check-kernel", cfg]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["nope.cfg", "."])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, name):
+        # a missing file and a directory are both unreadable
+        path = tmp_path / name
+        assert cli.main(["check-kernel", str(path)]) == 2
+        assert f"error: cannot read {path}" in capsys.readouterr().err
 

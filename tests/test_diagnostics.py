@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     dirichlet_edge_differences,
     forced_box_spec,
+    forcing_at,
     geometric_history,
     oracle_specs,
     reference_bound_lhs,
@@ -30,7 +31,7 @@ from memvisco.diagnostics import (
 )
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid, l2_space, l2_spacetime
-from memvisco.kernels import KernelSum, PowerLawKernel, PronyKernel
+from memvisco.kernels import KernelSum, PowerLawKernel, PronyKernel, translate
 from memvisco.solver import (
     HistoryConvolution,
     ProblemSpec,
@@ -220,7 +221,7 @@ class TestPronyRecursion:
         led = energy_ledger(traj, kernel, spec.eps)
         edges = dirichlet_edge_differences(spec.grid, traj.levels)
         histories = [
-            geometric_history(exponential_terms(kernel, spec.eps, spec.dt, order), J)
+            geometric_history(exponential_terms(translate(kernel, spec.eps), spec.dt, order), J)
             for order in (1, 2)
         ]
         memory, curvature = -0.5 * _lag_pass_sums(edges, spec.grid.cell_volume, histories)
@@ -421,7 +422,7 @@ class TestEnergyBound:
         )
         traj = run(spec)
         rep = check_energy_bound(traj, PRONY, 0.05, spec.u1, forcing=f)
-        f_levels = np.stack([f.sample(g, t) for t in traj.times])
+        f_levels = np.stack([forcing_at(f, g, t) for t in traj.times])
         want = 0.5 * l2_spacetime(g, f_levels, dt) ** 2 + 0.5 * l2_space(g, spec.u1) ** 2
         assert rep.data_constant == pytest.approx(want, rel=1e-12, abs=0.0)
 

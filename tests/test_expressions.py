@@ -94,15 +94,15 @@ class TestForcing:
     def test_static_sample(self):
         g = Grid.line(7)
         f = Forcing.from_dict("sin_pi_product", {"amplitude": 0.5})
-        assert f.sample(g, 0.0) == pytest.approx(0.5 * np.sin(np.pi * g.axis_coordinates(0)))
-        assert f.sample(g, 10.0) == pytest.approx(f.sample(g, 0.0))
+        assert f.profile(g) == pytest.approx(0.5 * np.sin(np.pi * g.axis_coordinates(0)))
+        assert f.factor([0.0, 10.0]).tolist() == [1.0, 1.0]
 
     def test_time_modulation(self):
         g = Grid.line(7)
         f = Forcing.from_dict("constant", {"value": 1.0, "omega": 2.0})
-        assert f.sample(g, 0.0) == pytest.approx(np.ones(7))
+        assert f.profile(g) == pytest.approx(np.ones(7))
         t = 0.7
-        assert f.sample(g, t) == pytest.approx(np.cos(2.0 * t) * np.ones(7))
+        assert f.factor([0.0, t]) == pytest.approx([1.0, np.cos(2.0 * t)])
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -124,8 +124,9 @@ class TestForcing:
         for grid in (line, box):
             profile = f.profile(grid)
             assert profile.tobytes() == space_values(grid, "sin_pi_product", {"amplitude": 0.5}).tobytes()
-            for t, c in zip(times, f.factor(times)):
-                assert f.sample(grid, t).tobytes() == (c * profile).tobytes()
+        # one time at a time reads the same factor as the whole axis
+        for t, c in zip(times, f.factor(times)):
+            assert f.factor(t) == c
 
     @pytest.mark.parametrize("formulation", ["integrodifferential", "integral_volterra"])
     def test_profile_read_once_per_consumer(self, monkeypatch, formulation):
@@ -168,9 +169,9 @@ class TestForcing:
     def test_samples_are_fresh_arrays(self, params):
         g = Grid.line(5)
         f = Forcing.from_dict("constant", params)
-        first = f.sample(g, 0.0)
-        first[:] = -1.0
-        assert np.all(f.sample(g, 0.0) == 2.0)
+        first, factor = f.profile(g), f.factor([0.0])
+        first[:] = factor[:] = -1.0
+        assert np.all(f.profile(g) == 2.0) and np.all(f.factor([0.0]) == 1.0)
 
     def test_hashable_for_fingerprints(self):
         f = Forcing.from_dict("constant", {"value": 1.0})

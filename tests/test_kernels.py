@@ -13,7 +13,6 @@ from memvisco.kernels import (
     KernelSum,
     PowerLawKernel,
     PronyKernel,
-    TranslatedKernel,
     check_admissibility,
     check_fading_memory,
     kernel_diff_bound,
@@ -188,6 +187,29 @@ class TestKernelSum:
             KernelSum(())
 
 
+def rebased_tower(base, eps: float, x: np.ndarray):
+    """The tower of G(eps + .) re-based to start at 0, by subtraction from
+    the base kernel's tower: K(eps + x) - K(eps), and so on."""
+    e = np.asarray(eps, dtype=float)
+    k1, k2, k3 = base._integral, base._integral2, base._integral3
+    return (
+        k1(x + eps) - k1(e),
+        k2(x + eps) - k2(e) - k1(e) * x,
+        k3(x + eps) - k3(e) - k2(e) * x - k1(e) * x * x / 2.0,
+    )
+
+
+def tower(k, x: np.ndarray):
+    return k._modulus(x), k._modulus_dt(x), k._integral(x), k._integral2(x), k._integral3(x)
+
+
+SHIFT_FAMILIES = [
+    PronyKernel(g_inf=0.5, terms=((0.5, 2.0), (0.3, 0.7))),
+    PowerLawKernel(c=1.0, alpha=0.5),
+    KernelSum((PronyKernel(0.5, ((0.5, 2.0),)), PowerLawKernel(1.0, 0.5))),
+]
+
+
 class TestTranslated:
     def test_shifted_evaluation(self):
         base = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -220,34 +242,77 @@ class TestTranslated:
         assert not k.singular_at_zero
 
     def test_nested_shifts_collapse(self):
-        base = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
+        # a shifted power law is a power law with the shifts summed
+        base = PowerLawKernel(c=1.0, alpha=0.5)
         k = translate(translate(base, 0.1), 0.2)
-        assert isinstance(k, TranslatedKernel)
-        assert k.base is base
-        assert k.eps == pytest.approx(0.3)
+        assert k == PowerLawKernel(c=1.0, alpha=0.5, offset=0.1 + 0.2)
+
+    @pytest.mark.parametrize("base", SHIFT_FAMILIES, ids=["prony", "powerlaw", "sum"])
+    def test_a_shift_is_a_member_of_the_family(self, base):
+        k = translate(base, 0.3)
+        assert type(k) is type(base)
+        if isinstance(k, KernelSum):
+            assert [type(p) for p in k.parts] == [type(p) for p in base.parts]
+
+    @pytest.mark.parametrize("base", SHIFT_FAMILIES, ids=["prony", "powerlaw", "sum"])
+    def test_shifts_compose(self, base):
+        x = np.linspace(0.0, 4.0, 41)
+        nested, whole = translate(translate(base, 0.1), 0.2), translate(base, 0.1 + 0.2)
+        for got, want in zip(tower(nested, x), tower(whole, x)):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "base",
+        [PronyKernel(0.5, ((0.5, 2.0),)), PronyKernel(0.0, ((0.4, 0.7), (0.2, 3.0)))],
+        ids=["1-term", "2-term"],
+    )
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0])
+    def test_prony_shift_is_the_shifted_series(self, base, eps):
+        x = np.linspace(0.0, 4.0, 41)
+        k = translate(base, eps)
+        pairs = [(k._modulus(x), base._modulus(x + eps)), (k._modulus_dt(x), base._modulus_dt(x + eps))]
+        pairs += zip((k._integral(x), k._integral2(x), k._integral3(x)), rebased_tower(base, eps, x))
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("eps", [0.1, 0.0125, 0.3])
+    def test_power_law_shift_keeps_the_rebased_bits(self, eps):
+        # the offset power law re-bases its tower in the order of operations
+        # of rebased_tower, so every weight built on it keeps its bits
+        base = PowerLawKernel(c=1.0, alpha=0.5)
+        x = 0.005 * np.arange(201)
+        k = translate(base, eps)
+        for got, want in zip((k._integral(x), k._integral2(x), k._integral3(x)), rebased_tower(base, eps, x)):
+            assert got.tobytes() == want.tobytes()
+        assert k._modulus(x).tobytes() == base._modulus(x + eps).tobytes()
+
+    def test_unshifted_power_law_reads_as_before(self):
+        # the repr feeds every spec fingerprint
+        k = PowerLawKernel(1.0, 0.5)
+        assert repr(k) == "PowerLawKernel(c=1.0, alpha=0.5)"
+        assert repr(translate(k, 0.25)) == "PowerLawKernel(c=1.0, alpha=0.5, offset=0.25)"
+
+    def test_underflowed_prony_weight_is_kept_as_zero(self):
+        # e^{-1000} underflows: the shift is a zero modulus, not a refusal
+        k = translate(PronyKernel(0.0, ((1.0, 0.001),)), 1.0)
+        assert k.terms == ((0.0, 0.001),)
+        x = np.linspace(0.0, 1.0, 5)
+        assert all(not np.any(values) for values in tower(k, x))
 
     def test_constant_modulus_is_its_own_shift(self):
         base = PronyKernel(2.0, ())
         assert translate(base, 0.3) is base
 
-    @pytest.mark.parametrize(
-        "base",
-        [
-            PronyKernel(g_inf=0.5, terms=((0.5, 2.0),)),
-            PowerLawKernel(c=1.0, alpha=0.5),
-            KernelSum((PronyKernel(0.5, ((0.5, 2.0),)), PowerLawKernel(1.0, 0.5))),
-        ],
-        ids=["prony", "powerlaw", "sum"],
-    )
+    @pytest.mark.parametrize("base", SHIFT_FAMILIES, ids=["prony", "powerlaw", "sum"])
     def test_zero_shift_is_the_kernel(self, base):
         assert translate(base, 0.0) is base
         assert translate(base, -0.0) is base
 
     def test_positive_shift_required(self):
-        # translate passes a zero shift through; a TranslatedKernel needs eps > 0
-        for base in (PronyKernel(1.0, ()), PowerLawKernel(c=1.0, alpha=0.5)):
-            with pytest.raises(KernelDomainError):
-                TranslatedKernel(base, 0.0)
+        # translate passes a zero shift through; a power law refuses a negative offset
+        with pytest.raises(KernelDomainError):
+            PowerLawKernel(c=1.0, alpha=0.5, offset=-0.1)
+        for base in (PronyKernel(1.0, ()), PowerLawKernel(c=1.0, alpha=0.5), *SHIFT_FAMILIES):
             for eps in (-0.1, -1e-300, math.inf, math.nan):
                 with pytest.raises(KernelDomainError):
                     translate(base, eps)

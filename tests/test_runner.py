@@ -45,7 +45,7 @@ def test_trajectory_csv_matches_row_list_export(tmp_path, grid, wide, stride):
     # the export transforms each exported level's sine coefficients back alone
     exported = range(0, traj.n_levels, stride)
     u = np.concatenate([traj.nodal(j, j + 1) for j in exported])
-    v = np.concatenate([traj.velocities(1, j, j + 1) for j in exported])
+    v = np.concatenate([traj.velocities(j, j + 1) for j in exported])
     assert np.abs(u - traj.levels[::stride]).max() <= 1e-15 * np.abs(u).max()
     assert np.abs(v - reference_velocities(traj.levels, traj.dt)[::stride]).max() <= 1e-13 * np.abs(v).max()
     if wide:

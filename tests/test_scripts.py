@@ -119,4 +119,36 @@ def test_csv_drift_reports_changed_columns(tmp_path):
         "  u  0.125",
         "  gap  0.001 (absolute)",
         "2 CSVs compared, 1 byte-identical",
+        "0 manifests compared, 0 with the same verdicts and runs",
+    ]
+
+
+def test_csv_drift_reports_changed_manifest_leaves(tmp_path):
+    # per manifest whose verdicts or runs differ, each changed leaf by its
+    # dotted key; other blocks, such as the phase times, are not compared
+    def manifest(gamma, passed, runs, seconds):
+        return {"verdicts": {"bound": {"gamma": gamma, "passed": passed}, "dt": 0.5}, "runs": runs, "phases": {"solve": seconds}}
+
+    trees = {
+        "old/a": manifest(2.0, True, [{"eps": 0.1}], 1.0),
+        "new/a": manifest(2.5, False, [{"eps": 0.1, "z_max": 0.0}, {"eps": 0.05}], 2.0),
+        "old/b": manifest(1.0, True, [], 1.0),
+        "new/b": manifest(1.0, True, [], 3.0),
+        "old/c": manifest(0.0, True, [], 1.0),
+        "new/c": manifest(1e-3, True, [], 1.0),
+    }
+    for name, payload in trees.items():
+        (tmp_path / name).mkdir(parents=True)
+        (tmp_path / name / "manifest.json").write_text(json.dumps(payload), encoding="utf-8")
+    old, new = tmp_path / "old", tmp_path / "new"
+    assert run_script("csv_drift.py", str(old), str(new)).splitlines() == [
+        "a/manifest.json",
+        "  verdicts.bound.gamma  2.0 -> 2.5  (0.25)",
+        "  verdicts.bound.passed  true -> false",
+        "  runs.0.z_max  (absent) -> 0.0",
+        "  runs.1.eps  (absent) -> 0.05",
+        "c/manifest.json",
+        "  verdicts.bound.gamma  0.0 -> 0.001  (0.001 absolute)",
+        "0 CSVs compared, 0 byte-identical",
+        "3 manifests compared, 1 with the same verdicts and runs",
     ]

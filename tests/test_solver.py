@@ -15,6 +15,7 @@ from helpers import (
     classical_stress_curve,
     conv_weights,
     direct_weights,
+    forcing_at,
     history_row,
     l2q_error,
     laplacian_array,
@@ -158,6 +159,17 @@ class TestProblemSpec:
         )
         assert _build_spec(cfg, cfg.eps, cfg.dt).fingerprint() == fingerprint
 
+    def test_power_law_fingerprint_is_pinned(self):
+        # the first run of configs/powerlaw_theorem1.cfg: the fingerprint
+        # hashes repr(kernel), which the shift offset must leave alone
+        g = Grid.line(49)
+        spec = ProblemSpec(
+            kernel=PowerLawKernel(1.0, 0.5), grid=g, horizon=1.0, dt=0.005, eps=0.1,
+            u0=Field.zero(g), u1=field_from_name(g, "sin_pi_product", {"amplitude": 1.0}),
+            formulation="integral_volterra",
+        )
+        assert spec.fingerprint() == "7a7b8de2f510c9f0"
+
 
 class TestProductQuadrature:
     @given(
@@ -279,7 +291,7 @@ def test_adjoint_is_the_transposed_row_loop(n, exponential, zeros, seed):
     rng = np.random.default_rng(seed)
     if exponential:
         kernel = PronyKernel(0.5, ((0.3, 1.0), (0.2, 0.1)))
-        history = HistoryConvolution.memory(kernel, 0.05, n, 0.1)
+        history = HistoryConvolution.of(translate(kernel, 0.05), 1, n, 0.1)
         assert history.backend == "exponential"
     else:
         left, right = rng.standard_normal(n), rng.standard_normal(n)
@@ -525,7 +537,7 @@ class TestExponentialHistory:
         # moderate ratios and a short span
         k = PronyKernel(0.5, _TERMS[n_terms])
         dt, eps, n = 1.0 / ratio, 0.05, 40
-        exponential = HistoryConvolution.memory(k, eps, n, dt)
+        exponential = HistoryConvolution.of(translate(k, eps), 1, n, dt)
         shifted = translate(k, eps)
         direct = HistoryConvolution(*interval_weights(shifted._modulus, shifted._integral, n, dt))
         scale = np.abs(direct.lags).max()
@@ -539,7 +551,7 @@ class TestExponentialHistory:
         # the first term's tau / dt is `ratio`, the others' 0.03 to 7 times it
         k = PronyKernel(0.5, _TERMS[n_terms])
         dt = 1.0 / ratio
-        history = HistoryConvolution.memory(k, 0.05, n, dt)
+        history = HistoryConvolution.of(translate(k, 0.05), 1, n, dt)
         assert history.backend == "exponential"
         t = np.linspace(0.0, 1.0, n + 1)
         rough = np.random.default_rng(n_terms).standard_normal((n + 1, 2))
@@ -555,10 +567,16 @@ class TestExponentialHistory:
     def test_backend_follows_kernel(self):
         n, dt, eps = 20, 0.05, 0.05
         power = PowerLawKernel(c=1.0, alpha=0.5)
-        assert HistoryConvolution.memory(PRONY, eps, n, dt).backend == "exponential"
-        assert HistoryConvolution.memory(power, eps, n, dt).backend == "direct"
-        assert HistoryConvolution.memory(KernelSum((PRONY, power)), eps, n, dt).backend == "direct"
-        constant = HistoryConvolution.memory(PronyKernel(1.0, ()), eps, n, dt)
+        prony = translate(PRONY, eps)
+        for order in (1, 2):
+            assert HistoryConvolution.of(prony, order, n, dt).backend == "exponential"
+            assert HistoryConvolution.of(translate(power, eps), order, n, dt).backend == "direct"
+            summed = translate(KernelSum((PRONY, power)), eps)
+            assert HistoryConvolution.of(summed, order, n, dt).backend == "direct"
+        # the Volterra factor of any kernel, and a stack of shifts, are direct
+        assert HistoryConvolution.of(prony, -1, n, dt).backend == "direct"
+        assert HistoryConvolution.of([prony, prony], 1, n, dt).lags.shape == (2, n + 1)
+        constant = HistoryConvolution.of(PronyKernel(1.0, ()), 1, n, dt)
         assert constant.backend == "exponential"
         # a modulus without terms has no memory: its sums are exact zeros
         levels = np.random.default_rng(5).standard_normal((n + 1, 3))
@@ -570,8 +588,8 @@ class TestExponentialHistory:
         # each next_sum pushes the levels it is handed into the history's
         # sums or states; it may keep no view of the caller's storage
         samples = np.random.default_rng(9).standard_normal((12, 5))
-        want = _stream_sums(HistoryConvolution.memory(kernel, 0.05, 11, 0.02), samples)
-        history = HistoryConvolution.memory(kernel, 0.05, 11, 0.02)
+        want = _stream_sums(HistoryConvolution.of(translate(kernel, 0.05), 1, 11, 0.02), samples)
+        history = HistoryConvolution.of(translate(kernel, 0.05), 1, 11, 0.02)
         got = np.zeros_like(samples)
         for j in range(1, 12):
             levels = samples[: j + 1].copy()
@@ -580,7 +598,7 @@ class TestExponentialHistory:
         assert got.tobytes() == want.tobytes()
 
     def test_refuses_a_partial_row(self):
-        history = HistoryConvolution.memory(PRONY, 0.05, 10, 0.01)
+        history = HistoryConvolution.of(translate(PRONY, 0.05), 1, 10, 0.01)
         with pytest.raises(ValueError, match="whole rows"):
             history.next_sum(np.ones((1, 3)))
 
@@ -588,7 +606,7 @@ class TestExponentialHistory:
     @pytest.mark.parametrize("top", [0, 1, 4])
     def test_refuses_a_stack_that_is_not_the_row(self, kernel, top):
         # row 2 takes levels 0 .. 1 or 0 .. 2, nothing shorter or longer
-        history = HistoryConvolution.memory(kernel, 0.05, 10, 0.01)
+        history = HistoryConvolution.of(translate(kernel, 0.05), 1, 10, 0.01)
         history.next_sum(np.ones((2, 3)))
         with pytest.raises(ValueError, match="row 2"):
             history.next_sum(np.ones((top, 3)))
@@ -730,7 +748,7 @@ def test_forcing_parts_are_the_samples_bitwise(params):
     )
     profile, factor = spec.forcing_parts()
     for j, t in enumerate(spec.times):
-        assert (factor[j] * profile).tobytes() == pulse.sample(grid, t).tobytes()
+        assert (factor[j] * profile).tobytes() == (pulse.profile(grid) * pulse.factor(t)).tobytes()
 
 
 class TestIntegrodiff:
@@ -768,7 +786,7 @@ class TestIntegrodiff:
         expected = (
             u0.values
             + 0.02 * u1.values
-            + 0.5 * 0.02**2 * (g_eps * laplacian_array(g, u0.values) + forcing.sample(g, 0.0))
+            + 0.5 * 0.02**2 * (g_eps * laplacian_array(g, u0.values) + forcing_at(forcing, g, 0.0))
         )
         assert traj.levels[1] == pytest.approx(expected, abs=1e-15)
 
@@ -998,7 +1016,7 @@ def test_leapfrog_takes_no_laplacian(kernel):
     # the modal march is the nodal leapfrog: level 2 against one stencil step
     g0 = kernel.modulus(0.05)
     u = traj.levels
-    history = HistoryConvolution.memory(kernel, 0.05, spec.n_steps, spec.dt)
+    history = HistoryConvolution.of(translate(kernel, 0.05), 1, spec.n_steps, spec.dt)
     h1 = history.next_sum(traj.coefficients[:2])
     want = 2 * u[1] - u[0] + spec.dt**2 * laplacian_array(g, g0 * u[1] + sine_transform(g, h1))
     assert np.abs(u[2] - want).max() <= 1e-13 * np.abs(want).max()
@@ -1008,6 +1026,7 @@ class TestVelocities:
     @pytest.mark.parametrize("n_levels", [3, 4, 10, 11])
     @pytest.mark.parametrize("stride", [1, 2, 3, 5, 12])
     def test_strided_levels_match_full_stack_bitwise(self, n_levels, stride):
+        # a strided export asks for its levels one at a time
         from memvisco.solver import TrajectorySolution
 
         g = Grid((3, 4, 3), (1.0, 1.0, 1.0))
@@ -1017,22 +1036,23 @@ class TestVelocities:
             formulation="integrodifferential", spec_fingerprint="",
         )
         want = reference_velocities(levels, traj.dt)[::stride]
-        assert traj.velocity_coefficients(stride).tobytes() == want.tobytes()
+        got = np.concatenate([traj.velocity_coefficients(j, j + 1) for j in range(0, n_levels, stride)])
+        assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("stride", [1, 3])
-    def test_level_ranges_match_full_stack_bitwise(self, stride):
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_level_ranges_match_full_stack_bitwise(self, seed):
         from memvisco.solver import TrajectorySolution
 
         g = Grid((3, 4, 3), (1.0, 1.0, 1.0))
-        levels = np.random.default_rng(5).standard_normal((11,) + g.shape)
+        levels = np.random.default_rng(seed).standard_normal((11,) + g.shape)
         traj = TrajectorySolution(
             grid=g, times=0.1 * np.arange(11), coefficients=levels,
             formulation="integrodifferential", spec_fingerprint="",
         )
         full = reference_velocities(levels, traj.dt)
         for start, stop in [(0, 1), (0, 4), (1, 2), (3, 7), (9, 11), (10, 11), (4, 40), (5, 5)]:
-            got = traj.velocity_coefficients(stride, start, stop)
-            assert got.tobytes() == full[start:stop:stride].tobytes(), (start, stop)
+            got = traj.velocity_coefficients(start, stop)
+            assert got.tobytes() == full[start:stop].tobytes(), (start, stop)
 
     def test_exact_on_linear_trajectory(self):
         from memvisco.solver import TrajectorySolution
