@@ -13,10 +13,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from memvisco.convergence import eps_schedule
 from memvisco.expressions import FORCING_NAMES, SPACE_NAMES, Forcing, field_from_name
 from memvisco.grid import Grid
 from memvisco.kernels import KERNEL_KEYS, RelaxationKernel, kernel_from_dict
-from memvisco.solver import FORMULATIONS, ProblemSpec
+from memvisco.solver import FORMULATIONS, ProblemSpec, stable_time_step, time_step_shifts
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_file"]
 
@@ -283,6 +284,23 @@ def parse_config(text: str, tolerances: dict[str, str] | None = None) -> Experim
         # the CFL rule reads the modulus at eps, unbounded there
         if dt is None and eps == 0 and kernel is not None and kernel.singular_at_zero:
             col.fail("[time] the modulus is unbounded at eps = 0, so no cfl rule applies: give dt")
+
+    # a shift far down a Prony term can underflow G(eps) to 0, which leaves
+    # no stable step (at eps = 0 a bounded modulus is positive, and an
+    # unbounded one is refused above)
+    eps_values = []
+    if mode == "single_run" and eps is not None:
+        eps_values = [eps]
+    elif mode == "eps_sequence" and None not in (eps0, ratio, count):
+        eps_values = eps_schedule(eps0, ratio, count)
+    if grid is not None and kernel is not None:
+        for e in time_step_shifts(formulation, eps_values, dt):
+            if e > 0:
+                try:
+                    stable_time_step(grid, kernel.modulus(e))
+                except ValueError as exc:
+                    col.fail(f"[eps] at eps = {e!r}: {exc}")
+                    break
 
     u0_name = col.choice("data", "u0", SPACE_NAMES, default="zero")
     u1_name = col.choice("data", "u1", SPACE_NAMES, default="zero")

@@ -7,7 +7,6 @@ every file is written to a temporary name and atomically renamed.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import resource
@@ -50,20 +49,37 @@ from memvisco.solver import (
 __all__ = ["run_experiment"]
 
 
+def _dump(flat: np.ndarray) -> str:
+    """orjson's comma-separated text of a float64 vector, without brackets."""
+    return orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+
+
 def _reprs(values: np.ndarray) -> list[str]:
     """repr(float(x)) for every entry of values, in C order.
 
-    orjson prints the same shortest round-trip digits as repr, but not in
-    repr's exponent form, so the entries repr writes with an exponent
-    (0 < |x| < 1e-4 or |x| >= 1e16) and the non-finite ones go to repr.
+    orjson prints the same shortest round-trip digits as repr, and the same
+    text for |x| < 1e-9 (zeros and subnormals included) and for
+    1e-4 <= |x| < 1e16.  For 1e-9 <= |x| < 1e-5 it writes one exponent
+    digit where repr writes two (1e-7 for 1e-07): that class is dumped
+    again as one vector, mended by one replace and scattered back.  The
+    rest, 1e-5 <= |x| < 1e-4, |x| >= 1e16 and the non-finite entries, go
+    to repr one by one.
     """
     flat = np.asarray(values, dtype=np.float64).ravel()
-    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    text = _dump(flat)
     out = text.split(",") if text else []
     mag = np.abs(flat)
-    plain = ((mag >= 1e-4) & (mag < 1e16)) | (flat == 0.0)
-    for i in np.flatnonzero(~plain):
-        out[i] = repr(float(flat[i]))
+    # the entries whose orjson text is not repr's; NaN fails every comparison
+    odd = np.flatnonzero(((mag >= 1e-9) & (mag < 1e-4)) | ~(mag < 1e16))
+    if odd.size:
+        small = mag[odd] < 1e-5
+        if small.any():
+            index = odd[small]
+            mended = _dump(flat[index]).replace("e-", "e-0").split(",")
+            for i, entry in zip(index.tolist(), mended):
+                out[i] = entry
+        for i in odd[~small].tolist():
+            out[i] = repr(float(flat[i]))
     return out
 
 
@@ -225,21 +241,35 @@ def _build_spec(cfg: ExperimentConfig, eps: float, dt: float) -> ProblemSpec:
     )
 
 
+# rows of trajectory.csv formatted and joined at a time: a level is written
+# in slices of this many rows, so no level-sized list of strings is held
+_SLICE_ROWS = 2048
+
+
 def _trajectory_csv(grid, times, nodal, velocities):
     """trajectory.csv text of the levels at times, with nodal values and
-    velocities, each an iterable of grid.shape fields; one chunk per level."""
+    velocities, each an iterable of grid.shape fields; one chunk per slice
+    of at most _SLICE_ROWS rows of a level."""
     axis_names = ["x", "y", "z"][: grid.dim]
     yield ",".join(["t", "node", *axis_names, "u", "u_t"]) + "\n"
-    # "node,x[,y,z]," is the same at every level; nodes are row-major
-    axes = [_reprs(grid.axis_coordinates(a)) for a in range(grid.dim)]
-    prefixes = [
-        f"{node},{','.join(xyz)},"
-        for node, xyz in enumerate(itertools.product(*axes))
-    ]
+    # "node" and ",x[,y,z]," are the same at every level; nodes are row-major
+    nodes = list(map(str, range(grid.n_total)))
+    coordinates = [","]
+    for a in range(grid.dim):
+        tails = [x + "," for x in _reprs(grid.axis_coordinates(a))]
+        coordinates = [head + x for head in coordinates for x in tails]
+    n = len(nodes)
     for t, level, rate in zip(_reprs(times), nodal, velocities):
-        u = _reprs(level)
-        v = _reprs(rate)
-        yield "".join(f"{t},{p}{a},{b}\n" for p, a, b in zip(prefixes, u, v))
+        u, v = level.ravel(), rate.ravel()
+        for start in range(0, n, _SLICE_ROWS):
+            stop = min(start + _SLICE_ROWS, n)
+            # a row is the seven slots "t," node ",x[,y,z]," u "," u_t "\n"
+            rows = [t + ",", "", "", "", ",", "", "\n"] * (stop - start)
+            rows[1::7] = nodes[start:stop]
+            rows[2::7] = coordinates[start:stop]
+            rows[3::7] = _reprs(u[start:stop])
+            rows[5::7] = _reprs(v[start:stop])
+            yield "".join(rows)
 
 
 def _export_trajectory(out_dir: Path, cfg: ExperimentConfig, traj) -> None:

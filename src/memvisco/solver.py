@@ -40,6 +40,7 @@ __all__ = [
     "TrajectorySolution",
     "ShiftedRuns",
     "stable_time_step",
+    "time_step_shifts",
     "cfl_time_step",
     "interval_weights",
     "exponential_terms",
@@ -69,8 +70,26 @@ class SolverAbort(RuntimeError):
 
 
 def stable_time_step(grid: Grid, wave_speed_sq: float) -> float:
-    """Largest leapfrog-stable dt for instantaneous modulus wave_speed_sq."""
+    """Largest leapfrog-stable dt for instantaneous modulus wave_speed_sq.
+
+    Raises ValueError unless the modulus is positive: the limit divides by
+    its square root, and a shift far down a Prony term can underflow it to 0.
+    """
+    if not wave_speed_sq > 0:
+        raise ValueError(
+            f"the stable time step h / sqrt(dim G(eps)) needs G(eps) > 0, got G(eps) = {wave_speed_sq!r}"
+        )
     return grid.h_min / math.sqrt(grid.dim * wave_speed_sq)
+
+
+def time_step_shifts(formulation: str, eps_values, dt: float | None) -> list[float]:
+    """The shifts of a run whose G(eps) stable_time_step reads: the cfl rule
+    reads the finest, the last, when no dt is given, and the leapfrog checks
+    its dt at every shift it marches."""
+    shifts = [float(e) for e in eps_values]
+    if formulation == "integrodifferential":
+        return shifts
+    return shifts[-1:] if dt is None else []
 
 
 def cfl_time_step(

@@ -29,17 +29,26 @@ def solve(grid: Grid):
     return run(spec)
 
 
+# slices of 4 rows split the line's 7 nodes as 4 + 3 and slices of 7 the
+# box's 60 as 8 x 7 + 4: a level spans several slices and ends in a partial
+# one; None keeps the module's slice, which holds each level whole
 @pytest.mark.parametrize(
-    "grid, wide",
+    "grid, wide, slice_rows",
     [
-        pytest.param(LINE, False, id="1d"),
-        pytest.param(BOX, False, id="3d"),
-        pytest.param(LINE, True, id="1d-wide"),
-        pytest.param(BOX, True, id="3d-wide"),
+        pytest.param(LINE, False, None, id="1d"),
+        pytest.param(BOX, False, None, id="3d"),
+        pytest.param(LINE, True, None, id="1d-wide"),
+        pytest.param(BOX, True, None, id="3d-wide"),
+        pytest.param(LINE, False, 4, id="1d-slices"),
+        pytest.param(BOX, False, 7, id="3d-slices"),
+        pytest.param(LINE, True, 4, id="1d-wide-slices"),
+        pytest.param(BOX, True, 7, id="3d-wide-slices"),
     ],
 )
 @pytest.mark.parametrize("stride", [1, 4, 5])
-def test_trajectory_csv_matches_row_list_export(tmp_path, grid, wide, stride):
+def test_trajectory_csv_matches_row_list_export(tmp_path, monkeypatch, grid, wide, slice_rows, stride):
+    if slice_rows is not None:
+        monkeypatch.setattr("memvisco.runner._SLICE_ROWS", slice_rows)
     traj = solve(grid)
     times = traj.times[::stride]
     # the export transforms each exported level's sine coefficients back alone
@@ -60,6 +69,27 @@ def test_trajectory_csv_matches_row_list_export(tmp_path, grid, wide, stride):
     assert got == reference_trajectory_csv(grid, times, u, v).encode()
     assert (b"e-" in got and b"e+" in got) == wide
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
+
+
+def test_trajectory_csv_holds_one_slice_of_rows(tmp_path):
+    # what the export of 31^3 nodes holds is the per-node "node" and
+    # ",x,y,z," strings, measured at 22 level bytes (8 bytes a node), and one
+    # slice of rows; a level-sized list of rows and its join would add more
+    # than 10 level bytes again
+    import tracemalloc
+
+    grid = Grid((31, 31, 31), (1.0, 1.0, 1.0))
+    rng = np.random.default_rng(0)
+    u = [rng.standard_normal(grid.shape) for _ in range(2)]
+    v = [1e-7 * rng.standard_normal(grid.shape) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        _write_atomic(tmp_path / "trajectory.csv", _trajectory_csv(grid, np.array([0.0, 0.5]), u, v))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < 25 * 8 * grid.n_total
 
 
 @pytest.mark.parametrize("export_format", ["binary", "both"])
@@ -101,6 +131,15 @@ EDGE_VALUES = [
     1e-310,
     np.nextafter(SMALLEST_NORMAL, 0.0),
     SMALLEST_NORMAL,
+    np.nextafter(1e-10, 0.0),
+    1e-10,
+    np.nextafter(1e-10, 1.0),
+    np.nextafter(1e-9, 0.0),
+    1e-9,
+    np.nextafter(1e-9, 1.0),
+    np.nextafter(1e-5, 0.0),
+    1e-5,
+    np.nextafter(1e-5, 1.0),
     np.nextafter(1e-4, 0.0),
     1e-4,
     np.nextafter(1e-4, 1.0),
@@ -118,7 +157,17 @@ def test_reprs_pins_repr_at_the_format_edges():
     assert _reprs(np.array(xs)) == [repr(x) for x in xs]
 
 
-@given(st.lists(st.floats(), max_size=40))
+# doubles from uniformly random 64-bit patterns, so every binary exponent,
+# and with it every format class of _reprs, is as likely as the rest
+# (hypothesis draws its own integers and floats biased towards small ones)
+BIT_PATTERNS = st.builds(
+    lambda seed, n: np.frombuffer(np.random.default_rng(seed).bytes(8 * n), dtype=np.float64),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 400),
+)
+
+
+@given(st.lists(st.floats(), max_size=40) | BIT_PATTERNS)
 def test_reprs_is_repr_of_every_double(xs):
     assert _reprs(np.array(xs, dtype=np.float64)) == [repr(float(x)) for x in xs]
 

@@ -106,6 +106,20 @@ class TestProblemSpec:
                 eps=1.0, u0=Field.zero(g), u1=Field.zero(g),
             )
 
+    def test_modulus_underflowed_to_zero_has_no_stable_step(self):
+        # G(1) = exp(-1000) is 0.0 in double precision; the stable step
+        # used to divide by its square root and raise ZeroDivisionError
+        g = Grid.line(19)
+        fast = PronyKernel(0.0, ((1.0, 0.001),))
+        assert fast.modulus(1.0) == 0.0
+        with pytest.raises(ValueError, match=r"needs G\(eps\) > 0, got G\(eps\) = 0.0"):
+            cfl_time_step(g, fast, 1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match=r"needs G\(eps\) > 0"):
+            ProblemSpec(
+                kernel=fast, grid=g, horizon=1.0, dt=0.01,
+                eps=1.0, u0=Field.zero(g), u1=Field.zero(g),
+            )
+
     def test_integrodiff_needs_positive_eps(self):
         g = Grid.line(9)
         with pytest.raises(ValueError, match="eps"):
