@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,23 +56,15 @@ class HypothesisError(ValueError):
 
 # cap on each transient (block, N) buffer of a pass over a block of levels
 _BLOCK_BYTES = 4 * 2**20
-# most levels in a block: the Prony recursion's geometric filters are
-# (block, block + 1) matrices
-_BLOCK_LEVELS = 64
 # the buffers of a block together hold at most this share of the levels
 _BLOCK_SHARE = 8
-
-
-def _block_levels(traj: TrajectorySolution, buffers: int) -> int:
-    """Levels per block of a pass that holds `buffers` (block, N) arrays."""
-    share = traj.n_levels // (_BLOCK_SHARE * buffers)
-    return max(1, min(_BLOCK_LEVELS, share, _BLOCK_BYTES // (8 * traj.grid.n_total)))
 
 
 def level_blocks(traj: TrajectorySolution, buffers: int) -> list[tuple[int, int]]:
     """(start, stop) of each block of a pass over traj's levels that holds
     `buffers` (block, N) arrays."""
-    block = _block_levels(traj, buffers)
+    share = traj.n_levels // (_BLOCK_SHARE * buffers)
+    block = max(1, min(share, _BLOCK_BYTES // (8 * traj.grid.n_total)))
     return [(m, min(m + block, traj.n_levels)) for m in range(0, traj.n_levels, block)]
 
 
@@ -217,19 +210,6 @@ def _lag_pass_sums(edges: np.ndarray, vol: float, histories) -> np.ndarray:
     return out
 
 
-def _filter_matrices(rs: np.ndarray, size: int) -> np.ndarray:
-    """(terms, size, size + 1) matrices, one per ratio r: row k maps
-    [y_0, x_0 .. x_{size-1}] to y_{k+1} = r^(k+1) y_0 + sum_{l <= k} r^(k-l) x_l,
-    the filter y_{m+1} = r y_m + x_m run over size steps from y_0."""
-    k = np.arange(size)
-    lag = np.maximum(k[:, None] - k, 0)
-    out = np.empty((rs.size, size, size + 1))
-    for f, r in zip(out, rs):
-        f[:, 0] = r ** (k + 1)
-        f[:, 1:] = np.tril(r**lag)
-    return out
-
-
 def _prony_history_sums(traj: TrajectorySolution, weights) -> np.ndarray:
     """_lag_pass_sums of traj for a Prony modulus, one row per weight set in
     weights, each the (r, left[0], right[0]) per term of exponential_terms.
@@ -244,56 +224,52 @@ def _prony_history_sums(traj: TrajectorySolution, weights) -> np.ndarray:
 
     and with delta_j = e_{j+1} - e_j and s_j = sum_{k=0}^{j} r^k these obey
 
-        S_{j+1} = r s_j delta_j + r S_j,
+        S_{j+1} = r (S_j + s_j delta_j),
         Q_{j+1} = s_j |delta_j|^2 + 2 delta_j . S_j + r Q_j.
 
     Every term is built from differences, so nothing large cancels, as it
-    would in the expanded |e_j|^2 - 2 e_j . e_{j-i} + |e_{j-i}|^2.  Both
-    recursions are geometric filters, run a block of levels at a time as one
-    product with a small lower-triangular matrix of powers of r, carrying
-    S and Q from block to block.  e_j = sqrt(mu) u_hat_j is formed a block
-    at a time from the sine coefficients, plus e_0, so no second stack is
-    held.  A block of B levels costs O(terms B^2 N) flops: O(terms B J N)
-    in all.
+    would in the expanded |e_j|^2 - 2 e_j . e_{j-i} + |e_{j-i}|^2.  S steps
+    one level at a time, one (terms, N) state; Q is a scalar filter of the
+    inflows.  e_j = sqrt(mu) u_hat_j is formed a block of levels at a time
+    from the sine coefficients, plus e_0, so no second stack is held:
+    O(terms J N) flops in O(J) Python steps.
     """
     J = traj.n_levels - 1
     vol = traj.grid.cell_volume
     coefficients = traj.coefficients.reshape(J + 1, -1)
     root_mu = np.sqrt(traj.grid.eigenvalues).ravel()
     rs = np.array([r for r, _, _ in weights[0]])
-    n_edges = coefficients.shape[1]
-    block = _block_levels(traj, 2 * rs.size + 2)
-    filters = _filter_matrices(rs, block)
-    s = np.cumsum(rs[:, None] ** np.arange(J), axis=1)
-    gain = rs[:, None] * s  # r s_j, the weight of delta_j in S_{j+1}
-    q = np.zeros((rs.size, J + 1))
+    r_column = rs[:, None]
+    decay = r_column ** np.arange(J + 1)
+    s = np.cumsum(decay[:, :J], axis=1)
+    s_columns = s.T[:, :, None]
+    state = np.zeros((rs.size, coefficients.shape[1]))  # S_j
+    cross = np.empty((J, rs.size))  # delta_j . S_j
+    delta_sq = np.empty(J)  # |delta_j|^2
     oldest = np.zeros(J + 1)  # vol |e_j - e_0|^2
-    # the filters' inputs: S_j0 then gain * delta, and Q_j0 then the
-    # inflow s_j |delta_j|^2 + 2 delta_j . S_j of each level in the block
-    s_in = np.zeros((rs.size, block + 1, n_edges))
-    q_in = np.zeros((rs.size, block + 1))
     first = coefficients[0] * root_mu
-    for j0 in range(0, J, block):
-        n = min(block, J - j0)
-        now = slice(j0 + 1, j0 + n + 1)
-        # e_j0 .. e_{j0 + n}
-        edges = coefficients[j0 : j0 + n + 1] * root_mu
+    for start, stop in level_blocks(traj, 2):
+        # e_{j0} .. e_{stop - 1} and delta_{j0} .. delta_{stop - 2}, j0 the
+        # level before the block, so every delta falls in one block
+        j0 = max(start - 1, 0)
+        edges = coefficients[j0:stop] * root_mu
         delta = edges[1:] - edges[:-1]
-        np.multiply(gain[:, j0 : j0 + n, None], delta, out=s_in[:, 1 : n + 1])
-        s_out = np.einsum("tkl,tle->tke", filters[:, :n, : n + 1], s_in[:, : n + 1])
-        # delta_j . S_j, with S_j the sum of the level before
-        cross = np.empty((rs.size, n))
-        cross[:, 0] = s_in[:, 0] @ delta[0]
-        cross[:, 1:] = np.einsum("tke,ke->tk", s_out[:, :-1], delta[1:])
-        q_in[:, 1 : n + 1] = s[:, j0 : j0 + n] * np.einsum("ke,ke->k", delta, delta)
-        q_in[:, 1 : n + 1] += 2.0 * cross
-        q[:, now] = np.einsum("tkl,tl->tk", filters[:, :n, : n + 1], q_in[:, : n + 1])
-        s_in[:, 0] = s_out[:, -1]
-        q_in[:, 0] = q[:, j0 + n]
+        steps = slice(j0, stop - 1)
+        delta_sq[steps] = np.einsum("ke,ke->k", delta, delta)
+        for d, s_j, cross_j in zip(delta, s_columns[steps], cross[steps]):
+            np.matmul(state, d, out=cross_j)
+            state += s_j * d
+            state *= r_column
         d = np.subtract(edges[1:], first, out=edges[1:])
-        oldest[now] = vol * np.einsum("ke,ke->k", d, d)
+        oldest[j0 + 1 : stop] = vol * np.einsum("ke,ke->k", d, d)
 
-    decay = rs[:, None] ** np.arange(J + 1)
+    inflow = 2.0 * cross.T + s * delta_sq
+    # Q_{j+1} = r Q_j + inflow_j from Q_0 = 0, a scalar filter per term
+    q = [
+        np.fromiter(accumulate(inflow_t, lambda q_j, x, r=r: r * q_j + x, initial=0.0), float, J + 1)
+        for inflow_t, r in zip(inflow.tolist(), rs.tolist())
+    ]
+
     out = np.zeros((len(weights), J + 1))
     for row, terms in zip(out, weights):
         for q_t, decay_t, (r, left0, right0) in zip(q, decay, terms):

@@ -196,7 +196,6 @@ class TrajectorySolution:
     grid: Grid
     times: np.ndarray
     coefficients: np.ndarray  # (n_levels, *grid.shape): sine coefficients of each level
-    formulation: str
     spec_fingerprint: str
     # Volterra runs: the self-weight lags[0] times the top eigenvalue of -lap
     z_max: float | None = None
@@ -381,7 +380,7 @@ class HistoryConvolution:
         self._rows_summed = 0
 
     @classmethod
-    def of(cls, kernel, order: int, n: int, dt: float) -> "HistoryConvolution":
+    def of(cls, kernel, order: int, n: int, dt: float) -> HistoryConvolution | _ExponentialHistory:
         """The sums of w = the order-th time derivative of G over n steps of
         dt: order 1 the leapfrog's memory dG, 2 the ledger's curvature d2G,
         and -1 the Volterra factor int_0^s G.  kernel is a shifted modulus,
@@ -393,7 +392,7 @@ class HistoryConvolution:
         constant modulus (no terms) included.
         """
         if isinstance(kernel, PronyKernel) and order > 0:
-            return _ExponentialHistory(kernel, order, n, dt)
+            return _ExponentialHistory(kernel, order, dt)
         single = isinstance(kernel, RelaxationKernel)
         pairs = []
         for k in [kernel] if single else kernel:
@@ -491,9 +490,9 @@ class HistoryConvolution:
         self._first = j0
 
 
-class _ExponentialHistory(HistoryConvolution):
+class _ExponentialHistory:
     """Sums of w = dG (order 1) or d2G (order 2) for a Prony kernel, by
-    recursion.
+    recursion; HistoryConvolution.of builds it.
 
     A term g e^{-t/tau} of G has interval weights geometric in the lag,
     left[d] = r^d left[0] and right[d] = r^d right[0] with r = e^{-dt/tau},
@@ -502,35 +501,31 @@ class _ExponentialHistory(HistoryConvolution):
         C_j = r C_{j-1} + left[0] p_j + right[0] p_{j-1},   C_0 = 0,
 
     and next_sum() returns the sum of C_j over the terms: O(terms N) per
-    step, reading only the two newest of the levels it is given.  It sums
-    whole rows only, top = j + 1.  adjoint sees the geometric weights,
-    summed over the terms; they match the direct interval weights up to the
-    round-off those lose to cancellation.  Without terms every sum is an
-    exact zero.  terms holds exponential_terms' (r, left[0], right[0]).
+    step, reading only the two newest of the levels it is given.  It holds
+    one state C per term and no lag table, and sums whole rows only,
+    top = j + 1.  Without terms every sum is an exact zero.  terms holds
+    exponential_terms' (r, left[0], right[0]).
     """
 
     backend = "exponential"
 
-    def __init__(self, kernel: PronyKernel, order: int, n: int, dt: float):
+    def __init__(self, kernel: PronyKernel, order: int, dt: float):
         self.terms = exponential_terms(kernel, dt, order)
-        lag = np.arange(n)
-        left, right = np.zeros(n), np.zeros(n)
-        for r, left0, right0 in self.terms:
-            decay = r**lag
-            left += left0 * decay
-            right += right0 * decay
-        super().__init__(left, right)
+        self._rows_summed = 0
 
     def next_sum(self, levels: np.ndarray) -> np.ndarray:
-        """The sum of the newest whole row; the array may be reused, do not keep it."""
-        j, stack = self._next_row(levels)
-        if stack.shape[1] != j + 1:
+        """The sum of the newest whole row, levels 0 .. j as (j + 1, ...);
+        the array may be reused, do not keep it."""
+        self._rows_summed += 1
+        j, top = self._rows_summed, levels.shape[0]
+        if top not in (j, j + 1):
+            raise ValueError(f"row {j} sums levels 0 .. {j - 1} or 0 .. {j}, not {top} levels")
+        if top == j:
             raise ValueError("the exponential backend sums whole rows: pass levels 0 .. j")
-        newest, previous = stack[0, j], stack[0, j - 1]
-        if not self.terms:
-            return np.zeros(newest.size)
+        newest, previous = levels[j].ravel(), levels[j - 1].ravel()
         if j == 1:
-            self._states = [np.zeros(newest.size) for _ in self.terms]
+            # without terms the one zero state is every row's sum
+            self._states = [np.zeros(newest.size) for _ in range(max(1, len(self.terms)))]
         for state, (r, left0, right0) in zip(self._states, self.terms):
             state *= r
             state += left0 * newest
@@ -576,7 +571,6 @@ def _march_leapfrog(spec: ProblemSpec) -> TrajectorySolution:
         grid=grid,
         times=spec.times,
         coefficients=levels,
-        formulation=spec.formulation,
         spec_fingerprint=spec.fingerprint(),
         history_backend=history.backend,
     )
@@ -657,7 +651,6 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
             grid=grid,
             times=spec.times,
             coefficients=levels[k],
-            formulation=spec.formulation,
             spec_fingerprint=replace(spec, eps=float(eps)).fingerprint(),
             z_max=float(history.lags[k, 0]) * top,
             history_backend=history.backend,

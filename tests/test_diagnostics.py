@@ -193,15 +193,46 @@ class TestLedgerMatchesReference:
             assert led.forcing_power.tobytes() == ref.forcing_power.tobytes()
 
 
-def _long_prony_spec(kernel):
+def _long_prony_spec(kernel, grid=Grid.line(99)):
     # the audit grid (1D, n = 99) over 1,591 levels; dt is PRONY's, whose
     # wave is the fastest here, so every kernel takes the same levels
-    g = Grid.line(99)
     return ProblemSpec(
-        kernel=kernel, grid=g, horizon=8.0, dt=cfl_time_step(g, PRONY, 0.05, 0.5, 8.0),
-        eps=0.05, u0=Field.zero(g),
-        u1=field_from_name(g, "sin_pi_product", {"amplitude": 1.0}),
+        kernel=kernel, grid=grid, horizon=8.0, dt=cfl_time_step(grid, PRONY, 0.05, 0.5, 8.0),
+        eps=0.05, u0=Field.zero(grid),
+        u1=field_from_name(grid, "sin_pi_product", {"amplitude": 1.0}),
     )
+
+
+# two terms on 9^3 nodes over 276 levels
+BOX_SPEC = _long_prony_spec(PronyKernel(0.3, ((0.4, 1.0), (0.3, 0.05))), Grid.box(9))
+
+
+def _lag_pass_columns(spec, traj):
+    """memory and rate_curvature by lag passes over the closed-form
+    geometric weights, from the levels' edge differences."""
+    J = traj.n_levels - 1
+    edges = dirichlet_edge_differences(spec.grid, traj.levels)
+    histories = [
+        geometric_history(exponential_terms(translate(spec.kernel, spec.eps), spec.dt, order), J)
+        for order in (1, 2)
+    ]
+    return -0.5 * _lag_pass_sums(edges, spec.grid.cell_volume, histories)
+
+
+def _ledger_peak(spec):
+    """The trajectory of spec, and the energy ledger's traced peak above
+    entry."""
+    import tracemalloc
+
+    traj = run(spec)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        energy_ledger(traj, spec.kernel, spec.eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return traj, peak - entry
 
 
 class TestPronyRecursion:
@@ -209,22 +240,19 @@ class TestPronyRecursion:
     the same closed-form geometric weights."""
 
     @pytest.mark.parametrize(
-        "kernel",
-        [PRONY, PronyKernel(0.2, ((0.3, 0.02), (0.4, 0.7), (0.1, 20.0)))],
-        ids=["1-term", "3-term"],
+        "spec, min_steps",
+        [
+            (_long_prony_spec(PRONY), 1500),
+            (_long_prony_spec(PronyKernel(0.2, ((0.3, 0.02), (0.4, 0.7), (0.1, 20.0)))), 1500),
+            (BOX_SPEC, 250),
+        ],
+        ids=["1-term", "3-term", "3d-2-term"],
     )
-    def test_matches_lag_passes_at_long_horizon(self, kernel):
-        spec = _long_prony_spec(kernel)
+    def test_matches_lag_passes_at_long_horizon(self, spec, min_steps):
         traj = run(spec)
-        J = traj.n_levels - 1
-        assert J >= 1500
-        led = energy_ledger(traj, kernel, spec.eps)
-        edges = dirichlet_edge_differences(spec.grid, traj.levels)
-        histories = [
-            geometric_history(exponential_terms(translate(kernel, spec.eps), spec.dt, order), J)
-            for order in (1, 2)
-        ]
-        memory, curvature = -0.5 * _lag_pass_sums(edges, spec.grid.cell_volume, histories)
+        assert traj.n_levels - 1 >= min_steps
+        led = energy_ledger(traj, spec.kernel, spec.eps)
+        memory, curvature = _lag_pass_columns(spec, traj)
         assert np.abs(memory).max() > 0.0
         for got, want in ((led.memory, memory), (led.rate_curvature, curvature)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -237,22 +265,33 @@ class TestPronyRecursion:
         want = float(np.abs(residual).max())
         assert abs(led.max_residual - want) <= 1e-9 * want
 
-    def test_holds_no_stack_beyond_edges(self):
-        import tracemalloc
+    @pytest.mark.parametrize("block_levels", [1, 3])
+    def test_state_crosses_every_block_edge(self, monkeypatch, block_levels):
+        # blocks of a few levels, the last of a single level: S and the Q
+        # inflows carry over every block edge
+        import memvisco.diagnostics as diagnostics
 
-        spec = _long_prony_spec(PRONY)
+        spec = BOX_SPEC
+        monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", 8 * spec.grid.n_total * block_levels)
         traj = run(spec)
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            energy_ledger(traj, PRONY, spec.eps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # blocks of 64 levels of sqrt(mu) u_hat, velocities and filter
-        # inputs, formed from the coefficients; an edge stack alone would
-        # be 1.0x, and the ledger held 1.44x with it
-        assert peak - entry < 0.5 * traj.coefficients.nbytes
+        blocks = diagnostics.level_blocks(traj, 2)
+        assert len(blocks) > 90
+        assert blocks[-1] == (traj.n_levels - 1, traj.n_levels)
+        led = energy_ledger(traj, spec.kernel, spec.eps)
+        memory, curvature = _lag_pass_columns(spec, traj)
+        for got, want in ((led.memory, memory), (led.rate_curvature, curvature)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_holds_no_stack_beyond_edges(self):
+        traj, peak = _ledger_peak(_long_prony_spec(PRONY))
+        # blocks of sqrt(mu) u_hat, its differences and velocities, formed
+        # from the coefficients, and one (terms, N) state; an edge stack
+        # alone would be 1.0x, and the ledger held 1.44x with it
+        assert peak < 0.5 * traj.coefficients.nbytes
+
+    def test_holds_no_stack_beyond_edges_in_3d(self):
+        traj, peak = _ledger_peak(BOX_SPEC)
+        assert peak < 0.5 * traj.coefficients.nbytes
 
 
 class TestEnergyDecay:
@@ -321,7 +360,7 @@ class TestEnergyDecay:
             tracemalloc.stop()
         assert got == want
         edge_bytes = 8 * solved[0].n_levels * (spec.grid.n[0] + 1)
-        # blocks of 64 levels and a few (J+1,) vectors: about 0.3x; a whole
+        # blocks of levels and a few (J+1,) vectors: about 0.3x; a whole
         # ledger would hold the edge stack and more
         assert peak - entry < 0.5 * edge_bytes
 
@@ -553,7 +592,7 @@ def test_battery_projections_are_scaled_coefficient_columns(grid):
     coefficients = np.random.default_rng(3).standard_normal((3,) + grid.shape)
     traj = TrajectorySolution(
         grid=grid, times=0.1 * np.arange(3), coefficients=coefficients,
-        formulation="integrodifferential", spec_fingerprint="",
+        spec_fingerprint="",
     )
     history = HistoryConvolution(np.ones(2), np.ones(2))
     flat = traj.levels.reshape(3, -1)

@@ -16,6 +16,7 @@ from helpers import (
     conv_weights,
     direct_weights,
     forcing_at,
+    geometric_history,
     history_row,
     l2q_error,
     laplacian_array,
@@ -301,12 +302,14 @@ class TestConvWeightRows:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_adjoint_is_the_transposed_row_loop(n, exponential, zeros, seed):
-    # <adjoint(a), p> = sum_j a_j (row(j) @ p[: j + 1]) for either backend
+    # <adjoint(a), p> = sum_j a_j (row(j) @ p[: j + 1]), also for the
+    # geometric weights of a Prony rate
     rng = np.random.default_rng(seed)
     if exponential:
         kernel = PronyKernel(0.5, ((0.3, 1.0), (0.2, 0.1)))
-        history = HistoryConvolution.of(translate(kernel, 0.05), 1, n, 0.1)
-        assert history.backend == "exponential"
+        recursion = HistoryConvolution.of(translate(kernel, 0.05), 1, n, 0.1)
+        assert recursion.backend == "exponential"
+        history = geometric_history(recursion.terms, n)
     else:
         left, right = rng.standard_normal(n), rng.standard_normal(n)
         for i in zeros:
@@ -551,7 +554,7 @@ class TestExponentialHistory:
         # moderate ratios and a short span
         k = PronyKernel(0.5, _TERMS[n_terms])
         dt, eps, n = 1.0 / ratio, 0.05, 40
-        exponential = HistoryConvolution.of(translate(k, eps), 1, n, dt)
+        exponential = geometric_history(HistoryConvolution.of(translate(k, eps), 1, n, dt).terms, n)
         shifted = translate(k, eps)
         direct = HistoryConvolution(*interval_weights(shifted._modulus, shifted._integral, n, dt))
         scale = np.abs(direct.lags).max()
@@ -571,9 +574,10 @@ class TestExponentialHistory:
         rough = np.random.default_rng(n_terms).standard_normal((n + 1, 2))
         smooth = np.stack([np.sin(3 * t), 1.0 + t * t], axis=1)
         samples = np.concatenate([rough, smooth], axis=1)
+        rows = geometric_history(history.terms, n)
         want = np.zeros_like(samples)
         for j in range(1, n + 1):
-            want[j] = history_row(history, j) @ samples[: j + 1]
+            want[j] = history_row(rows, j) @ samples[: j + 1]
         got = _stream_sums(history, samples)
         scale = np.abs(want).max(axis=0)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -610,6 +614,14 @@ class TestExponentialHistory:
             got[j] = history.next_sum(levels)
             levels[:] = np.nan  # the caller's storage changes after the call
         assert got.tobytes() == want.tobytes()
+
+    def test_holds_no_lag_table(self):
+        # a state per term, formed on the first sum: no O(n) table of the
+        # weights, which took tens of MB here
+        prony = translate(PRONY, 0.05)
+        history, peak = _peak_above_entry(lambda: HistoryConvolution.of(prony, 1, 10**6, 0.01))
+        assert history.backend == "exponential"
+        assert peak < 2**20
 
     def test_refuses_a_partial_row(self):
         history = HistoryConvolution.of(translate(PRONY, 0.05), 1, 10, 0.01)
@@ -1047,7 +1059,7 @@ class TestVelocities:
         levels = np.random.default_rng(n_levels).standard_normal((n_levels,) + g.shape)
         traj = TrajectorySolution(
             grid=g, times=0.1 * np.arange(n_levels), coefficients=levels,
-            formulation="integrodifferential", spec_fingerprint="",
+            spec_fingerprint="",
         )
         want = reference_velocities(levels, traj.dt)[::stride]
         got = np.concatenate([traj.velocity_coefficients(j, j + 1) for j in range(0, n_levels, stride)])
@@ -1061,7 +1073,7 @@ class TestVelocities:
         levels = np.random.default_rng(seed).standard_normal((11,) + g.shape)
         traj = TrajectorySolution(
             grid=g, times=0.1 * np.arange(11), coefficients=levels,
-            formulation="integrodifferential", spec_fingerprint="",
+            spec_fingerprint="",
         )
         full = reference_velocities(levels, traj.dt)
         for start, stop in [(0, 1), (0, 4), (1, 2), (3, 7), (9, 11), (10, 11), (4, 40), (5, 5)]:
@@ -1076,7 +1088,7 @@ class TestVelocities:
         ramp = np.outer(times, np.ones(9))
         traj = TrajectorySolution(
             grid=g, times=times, coefficients=sine_transform(g, 2.0 * ramp + 1.0),
-            formulation="integrodifferential", spec_fingerprint="",
+            spec_fingerprint="",
         )
         assert traj.velocities() == pytest.approx(np.full((5, 9), 2.0), abs=1e-12)
 
