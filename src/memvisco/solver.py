@@ -200,6 +200,10 @@ class TrajectorySolution:
     # Volterra runs: the self-weight lags[0] times the top eigenvalue of -lap
     z_max: float | None = None
     history_backend: str = "direct"
+    # Volterra runs: the exponential terms of the far history sums, and their
+    # fit's checked error relative to max |Ksh|; 0 and 0.0 when summed directly
+    far_nodes: int = 0
+    far_error: float = 0.0
 
     @property
     def dt(self) -> float:
@@ -333,8 +337,8 @@ def exponential_terms(kernel: PronyKernel, dt: float, order: int = 1):
 # A block of B rows holds two (K, B, N) buffers, its far sums and one
 # product, and a (K, B, B) weight block.  B stays within _BLOCK_ROWS, and
 # over all K shifts K B within _BLOCK_SAMPLES samples and _BLOCK_BYTES
-# bytes.  That gives B = 73 for a 7-shift sequence on 99 nodes and B = 105
-# for one run on 31^3 nodes.
+# bytes.  That gives B = 128 for one run on 99 nodes and B = 105 for one
+# run on 31^3 nodes.
 _BLOCK_ROWS = 128
 _BLOCK_SAMPLES = 512
 _BLOCK_BYTES = 24 * 2**20
@@ -526,10 +530,12 @@ class _ExponentialHistory:
         if j == 1:
             # without terms the one zero state is every row's sum
             self._states = [np.zeros(newest.size) for _ in range(max(1, len(self.terms)))]
+            self._product = np.empty(newest.size)
+        product = self._product
         for state, (r, left0, right0) in zip(self._states, self.terms):
             state *= r
-            state += left0 * newest
-            state += right0 * previous
+            state += np.multiply(newest, left0, out=product)
+            state += np.multiply(previous, right0, out=product)
         if len(self._states) == 1:
             return self._states[0]
         return sum(self._states[1:], self._states[0])
@@ -564,7 +570,7 @@ def _march_leapfrog(spec: ProblemSpec) -> TrajectorySolution:
         np.multiply(levels[j], 2.0, out=new)
         new -= levels[j - 1]
         new += accel
-        if not np.all(np.isfinite(new)):
+        if not np.isfinite(new).all():
             raise SolverAbort(j + 1, "non-finite values (instability or overflow)", spec.eps)
 
     return TrajectorySolution(
@@ -579,6 +585,103 @@ def _march_leapfrog(spec: ProblemSpec) -> TrajectorySolution:
 # ---------------------------------------------------------------------------
 # integral (Volterra) march
 # ---------------------------------------------------------------------------
+
+
+# The Volterra march steps in blocks of _MARCH_ROWS rows.  Levels older
+# than the previous block enter its sums through _ExponentialTail, a fit of
+# each shift's Ksh whose checked error is at most _TAIL_TOLERANCE of max |Ksh|;
+# without one the march sums them directly.  The fit places
+# _TAIL_NODES_PER_DECADE decay rates per decade of its range and reads at
+# most _TAIL_SAMPLES values of Ksh, fewer where samples x (terms)^2 would
+# pass _TAIL_FIT_SIZE: from there OpenBLAS ran the fit's factorization on a
+# second thread, which then spun for about 0.15 s of CPU time.
+_MARCH_ROWS = 64
+_TAIL_TOLERANCE = 1e-10
+_TAIL_NODES_PER_DECADE = 8
+_TAIL_SAMPLES = 256
+_TAIL_FIT_SIZE = 2**18
+_TAIL_CHECK_CHUNK = 2048
+
+
+@dataclass(frozen=True)
+class _ExponentialTail:
+    """Ksh(s) ~ constant + slope s + sum_l coefficients[l] ratios[l]^(s / dt)
+    on [start, horizon], one row of constant, slope and coefficients per
+    shift: exponentials e^(-x s) with ratios e^(-x dt) per step.
+
+    The decay rates x are geometric on [0.1 / horizon, 40 / start], their
+    number growing with the decades of that range; the terms are fitted by
+    least squares to samples of Ksh, geometric in s.  The fit is taken in
+    the rounded ratios, the numbers the march multiplies by, so that a
+    state aged d steps is no further off than one power of them.  error is
+    each shift's max |fit - Ksh| over the half steps of [start, horizon],
+    relative to max |Ksh| there.  A lag weight is Ksh integrated against a
+    hat of width 2 dt, so a lag whose hat lies in [start, horizon] moves by
+    at most error max|Ksh| dt when the fit stands in for Ksh.
+    """
+
+    dt: float
+    ratios: np.ndarray  # (L,)
+    constant: np.ndarray  # (K,)
+    slope: np.ndarray  # (K,)
+    coefficients: np.ndarray  # (K, L)
+    error: np.ndarray  # (K,)
+
+    @classmethod
+    def fit(cls, kernels, start: float, horizon: float, dt: float) -> _ExponentialTail:
+        decades = math.log10(400.0 * horizon / start)
+        rates = np.geomspace(0.1 / horizon, 40.0 / start, math.ceil(_TAIL_NODES_PER_DECADE * decades))
+        ratios = np.exp(-rates * dt)
+
+        def basis(s):
+            return np.hstack([np.ones((s.size, 1)), s[:, None] / horizon, ratios ** (s[:, None] / dt)])
+
+        # each shift is fitted and checked by products of its own, so that
+        # its terms do not depend on the other shifts of a batch
+        samples = np.geomspace(start, horizon, min(_TAIL_SAMPLES, _TAIL_FIT_SIZE // (ratios.size + 2) ** 2))
+        fit_basis = basis(samples)
+        fitted = np.array([np.linalg.lstsq(fit_basis, k._integral(samples), rcond=None)[0] for k in kernels])
+        halves = np.arange(round(2 * start / dt), round(2 * horizon / dt) + 1) * (0.5 * dt)
+        worst, size = np.zeros(len(kernels)), np.zeros(len(kernels))
+        for lo in range(0, halves.size, _TAIL_CHECK_CHUNK):
+            s = halves[lo : lo + _TAIL_CHECK_CHUNK]
+            terms = basis(s)
+            for i, k in enumerate(kernels):
+                exact = k._integral(s)
+                worst[i] = max(worst[i], np.abs(terms @ fitted[i] - exact).max())
+                size[i] = max(size[i], np.abs(exact).max())
+        return cls(dt, ratios, fitted[:, 0], fitted[:, 1] / horizon, fitted[:, 2:], worst / size)
+
+    def readout(self, lags: np.ndarray) -> np.ndarray:
+        """(K, lags.size, L + 2) weights on the states at level M of the far
+        sum of row j = M + lag.  The states are sum_m ratios[l]^(M - m) u_m
+        per term, sum_m u_m and sum_m (M - m) u_m over the levels m <= M.
+
+        Each term's lag weights come in closed form: constant dt, slope dt^2
+        lag and c r^lag (left[0] + right[0] / r), (left[0], right[0]) from
+        _exponential_weights.  So the readout of a lone level at M, whose
+        states are (1, .., 1, 1, 0), is the fit's weight of that lag.
+        """
+        dt, r = self.dt, self.ratios
+        hat = []
+        for ratio in r:
+            tau = -dt / math.log(ratio)
+            left, right = _exponential_weights(tau, tau, dt)
+            hat.append(left + right / ratio)
+        lags = np.asarray(lags, dtype=float)
+        out = np.empty(self.coefficients.shape[:1] + lags.shape + (r.size + 2,))
+        out[..., :-2] = (self.coefficients * hat)[:, None, :] * r ** lags[:, None]
+        out[..., -2] = self.constant[:, None] * dt + self.slope[:, None] * dt * dt * lags
+        out[..., -1] = (self.slope * dt * dt)[:, None]
+        return out
+
+    def fold(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """(decay, weights): M moves on by width levels when each state
+        takes decay times itself, the third one width times the second as
+        well, plus weights (L + 2, width) @ the width levels M + 1 .. M + width."""
+        age = np.arange(width - 1, -1, -1, dtype=float)
+        weights = np.vstack([self.ratios[:, None] ** age, np.ones(width), age])
+        return self.ratios**width, weights
 
 
 @dataclass(frozen=True)
@@ -610,18 +713,37 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
 
     all in sine coefficients, with H_j the history sum of the levels before
     j and F_j = C2_j p the integrated forcing: p the profile's coefficients
-    and C2 the factor integrated twice.  Every operation but the history
-    sum acts on each shift's coefficients alone, as a one-shift march
-    would; the history sums are one matrix product per shift, so a shift's
-    levels do not depend on the other shifts.
+    and C2 the factor integrated twice.
+
+    The rows j0 .. j0 + W - 1 of a block (W = _MARCH_ROWS) split H_j three
+    ways: level 0, weighed by oldest[j - 1]; the levels of the previous
+    block and of this one, weighed by lags, so every lag below 2 W is
+    exact; and the levels 1 .. M = j0 - W - 1 before them.  With an
+    _ExponentialTail whose fit of every shift checks within
+    _TAIL_TOLERANCE, those older levels are L + 2 states per shift, folded
+    in W levels at a time and read out once per block, each one product per
+    shift; without, M stays 0 and the previous-block sums reach back to
+    level 1.  A step adds only its sum over the block's own levels.  Every
+    operation acts on each shift's coefficients alone, as a one-shift
+    march would, so a shift's levels do not depend on the other shifts.
     """
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     shifts = np.array(shifts, dtype=float).reshape(-1)
     K = shifts.size
     levels = np.empty((K, J + 1) + grid.shape)
+    stack = levels.reshape(K, J + 1, -1)
 
     # kernel factor Ksh(s), the integral of each shifted modulus
-    history = HistoryConvolution.of([translate(spec.kernel, float(e)) for e in shifts], -1, J, dt)
+    kernels = [translate(spec.kernel, float(e)) for e in shifts]
+    history = HistoryConvolution.of(kernels, -1, J, dt)
+    W = _MARCH_ROWS
+    tail = _ExponentialTail.fit(kernels, (W - 1) * dt, J * dt, dt) if J > 2 * W else None
+    if tail is not None and not np.all(tail.error <= _TAIL_TOLERANCE):
+        tail = None
+    if tail is not None:
+        readout = tail.readout(np.arange(W + 1, 2 * W + 1))
+        decay, fold = tail.fold(W)
+        states = np.zeros((K, decay.size + 2, stack.shape[2]))
     mu = grid.eigenvalues
     minus_mu = -mu
     # the newest level of every row weighs lags[0]
@@ -634,16 +756,36 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     c2 = double_trapezoid(factor, dt)
     levels[:, 0] = u0
 
-    for j in range(1, J + 1):
-        new = levels[:, j]
-        np.multiply(history.next_sum(levels[:, :j]).reshape(new.shape), minus_mu, out=new)
-        new += u1 * (j * dt)
-        new += u0
-        new += c2[j] * p
-        new /= denominator
-        if not np.isfinite(new).all():
-            finite = np.isfinite(new.reshape(K, -1)).all(axis=1)
-            raise SolverAbort(j, "non-finite values", float(shifts[np.argmin(finite)]))
+    far = np.empty((K, W, stack.shape[2]))
+    M = 0
+    for j0 in range(1, J + 1, W):
+        j1 = min(j0 + W, J + 1)
+        rows = far[:, : j1 - j0]
+        np.multiply(history.oldest[:, j0 - 1 : j1 - 1, None], stack[:, :1], out=rows)
+        if tail is not None and j0 - W - 1 > M:
+            states[:, :-2] *= decay[:, None]
+            states[:, -1] += W * states[:, -2]
+            states += np.matmul(fold, stack[:, M + 1 : j0 - W])
+            M = j0 - W - 1
+        if M:
+            rows += np.matmul(readout[:, : j1 - j0], states)
+        for m0 in range(M + 1, j0, W):
+            m1 = min(m0 + W, j0)
+            rows += np.matmul(history._block(j0, j1, m0, m1), stack[:, m0:m1])
+        for j in range(j0, j1):
+            h = rows[:, j - j0]
+            if j > j0:
+                h = h + np.matmul(history._block(j, j + 1, j0, j), stack[:, j0:j])[:, 0]
+            new = levels[:, j]
+            np.multiply(h.reshape(new.shape), minus_mu, out=new)
+            new += u1 * (j * dt)
+            new += u0
+            new += c2[j] * p
+            new /= denominator
+        finite = np.isfinite(stack[:, j0:j1]).all(axis=2)
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=0)))
+            raise SolverAbort(j0 + row, "non-finite values", float(shifts[np.argmin(finite[:, row])]))
 
     top = float(mu.max())
     trajectories = tuple(
@@ -654,6 +796,8 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
             spec_fingerprint=replace(spec, eps=float(eps)).fingerprint(),
             z_max=float(history.lags[k, 0]) * top,
             history_backend=history.backend,
+            far_nodes=0 if tail is None else tail.ratios.size,
+            far_error=0.0 if tail is None else float(tail.error[k]),
         )
         for k, eps in enumerate(shifts)
     )

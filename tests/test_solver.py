@@ -434,6 +434,18 @@ class TestShiftBatch:
             alone = run(dataclasses.replace(spec, eps=eps)).coefficients
             assert np.max(np.abs(traj.coefficients - alone)) <= 1e-12 * np.max(np.abs(alone))
 
+    def test_each_shift_is_its_lone_march_bitwise_past_two_blocks(self):
+        # from the third block on the far sums go through each shift's own
+        # exponential fit, which the other shifts do not touch either
+        pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
+        spec = _volterra_spec(Grid.line(17), 0.6, 0.003, pulse)
+        batch = run(spec, self.SHIFTS)
+        for eps, traj in zip(self.SHIFTS, batch.trajectories):
+            alone = run(dataclasses.replace(spec, eps=eps))
+            assert traj.far_nodes > 0
+            assert (traj.far_nodes, traj.far_error) == (alone.far_nodes, alone.far_error)
+            assert traj.coefficients.tobytes() == alone.coefficients.tobytes()
+
     def test_sequence_is_one_batch(self):
         spec = _volterra_spec(Grid.line(17), 0.3, 0.01)
         trajs = run_eps_sequence(spec, 0.1, 0.5, 2)
@@ -989,6 +1001,157 @@ class TestVolterra:
         batch = run(_build_spec(cfg, float(shifts[0]), cfg.dt), shifts)
         for traj in batch.trajectories:
             assert non_mode_one(cfg.grid, traj.levels) < 1e-14
+
+
+_TAIL_FAMILIES = {
+    "powerlaw": [PowerLawKernel(c=1.0, alpha=a) for a in (0.3, 0.5, 0.7)],
+    "prony": [PronyKernel(0.5, ((0.5, 2.0),)), PronyKernel(0.2, ((0.5, 2.0), (0.3, 0.07)))],
+    "sum": [KernelSum((PronyKernel(g_inf=0.3, terms=((0.4, 0.5),)), PowerLawKernel(c=0.5, alpha=0.3)))],
+}
+
+
+def _direct_sums():
+    """The Volterra march with every fit refused: its far sums go direct."""
+    return mock.patch.object(solver_module, "_TAIL_TOLERANCE", 0.0)
+
+
+def _hat_integrals(kernel, lags, dt):
+    """Exact Volterra lag weights: Ksh integrated against the hat on
+    [s_{d-1}, s_{d+1}], by 10-point Gauss-Legendre on each half, where Ksh
+    is smooth for d >= 1."""
+    x, w = np.polynomial.legendre.leggauss(10)
+    x, w = (x + 1) / 2, w / 2
+    s = (np.asarray(lags)[:, None] - 1 + x) * dt
+    return dt * (kernel._integral(s) * x + kernel._integral(s + dt) * (1 - x)) @ w
+
+
+class TestVolterraTail:
+    """The exponential fit that carries the Volterra march's far history sums."""
+
+    @pytest.mark.parametrize("J", [200, 2000, 8000])
+    @pytest.mark.parametrize("family", sorted(_TAIL_FAMILIES))
+    def test_fit_lag_weights_match_interval_weights(self, family, J):
+        # a lag weight integrates Ksh against a hat of area dt, so the fit's
+        # weights are within delta dt of the exact ones, delta the checked
+        # error times max |Ksh|, plus the rounding of their own sum;
+        # interval_weights' rounding is its distance from the exact weights
+        # (up to 1e-7 relative at J = 8000)
+        W, dt = solver_module._MARCH_ROWS, 1.0 / J
+        kernels = [translate(k, e) for k in _TAIL_FAMILIES[family] for e in (0.0, 0.01, 0.1)]
+        tail = solver_module._ExponentialTail.fit(kernels, (W - 1) * dt, 1.0, dt)
+        assert np.all(tail.error <= solver_module._TAIL_TOLERANCE)
+        lags = np.arange(W, J)  # lag J weighs only level 0, through oldest
+        terms = tail.readout(lags)[..., :-1]  # a lone level at M: states (1, .., 1, 1, 0)
+        fitted, magnitude = terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+        table = HistoryConvolution.of(kernels, -1, J, dt).lags[:, W:J]
+        for k, kernel in enumerate(kernels):
+            exact = _hat_integrals(kernel, lags, dt)
+            delta = tail.error[k] * kernel._integral(1.0) * dt
+            rounding = 8 * np.finfo(float).eps * (np.abs(exact) + magnitude[k])
+            assert np.all(np.abs(fitted[k] - exact) <= delta + rounding)
+            assert np.all(np.abs(fitted[k] - table[k]) <= delta + np.abs(table[k] - exact) + rounding)
+
+    @pytest.mark.parametrize(
+        "kernel, shifts, forced",
+        [
+            (PowerLawKernel(c=1.0, alpha=0.5), tuple(eps_schedule(0.1, 0.5, 6)), False),
+            (PowerLawKernel(c=1.0, alpha=0.5), (0.0,), True),
+            (_TAIL_FAMILIES["sum"][0], (0.0, 0.01), True),
+            (_TAIL_FAMILIES["prony"][1], (0.05,), True),
+        ],
+        ids=["benchmark-sequence", "powerlaw-eps0", "sum", "prony2"],
+    )
+    def test_blocked_march_matches_direct_sums(self, kernel, shifts, forced):
+        # the benchmark's grid and J = 2,000 steps, both marches on the exact
+        # weights of the lags from W on: interval_weights' own rounding there
+        # (4e-9 relative for the Prony kernel) would hide the fit's.  The fit
+        # then moves every far sum by at most delta T max|u|, T = 1 and delta
+        # the checked error times max |Ksh|.  The levels move by less than
+        # that plus 1e-13 max|u|, the round-off of summing 2,000 rows in
+        # another order (measured: under 0.1 of the sum, under 0.7 of the
+        # first term alone)
+        W, J = solver_module._MARCH_ROWS, 2000
+        g = Grid.line(99)
+        pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
+        spec = ProblemSpec(
+            kernel=kernel, grid=g, horizon=1.0, dt=1.0 / J, eps=shifts[0],
+            u0=Field.zero(g), u1=field_from_name(g, "sine_mode", {"amplitude": 1.0, "modes": [1]}),
+            forcing=pulse if forced else None, formulation="integral_volterra",
+        )
+        weights = HistoryConvolution.of
+
+        def exact_from_w(kernels, order, n, dt):
+            history = weights(kernels, order, n, dt)
+            for k, shifted in enumerate(kernels):
+                history.lags[k, W:n] = _hat_integrals(shifted, np.arange(W, n), dt)
+            return history
+
+        with mock.patch.object(HistoryConvolution, "of", exact_from_w):
+            blocked = run(spec, shifts).trajectories
+            with _direct_sums():
+                direct = run(spec, shifts).trajectories
+        for eps, fast, slow in zip(shifts, blocked, direct):
+            assert fast.far_nodes == 33 and slow.far_nodes == 0
+            assert 0.0 < fast.far_error <= solver_module._TAIL_TOLERANCE
+            scale = np.max(np.abs(slow.coefficients))
+            bound = fast.far_error * translate(kernel, eps)._integral(1.0) + 1e-13
+            assert np.max(np.abs(fast.coefficients - slow.coefficients)) <= bound * scale
+
+    def test_short_and_refused_runs_sum_directly(self):
+        g = Grid.line(19)
+        long = _volterra_spec(g, 1.0, 0.005)  # J = 200 > 2 W
+        traj = run(long)
+        assert traj.far_nodes == 25 and 0.0 < traj.far_error <= solver_module._TAIL_TOLERANCE
+        with _direct_sums():
+            refused = run(long)
+        assert (refused.far_nodes, refused.far_error) == (0, 0.0)
+        short = run(_volterra_spec(g, 0.64, 0.005))  # J = 128 = 2 W
+        assert (short.far_nodes, short.far_error) == (0, 0.0)
+
+    @pytest.mark.parametrize("rows", [5, 6, 7, 64])
+    def test_abort_mid_block_reports_its_step(self, rows):
+        # a block checks its levels once, after its last row; the step
+        # reported is still the first non-finite one, for a lone run (638)
+        # and for the shift it names in a batch (1342).  Both fall inside a
+        # block, but with 7 rows step 638 is the first row of one
+        g = Grid.line(19)
+        lone = ProblemSpec(
+            kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=200.0, dt=0.2, eps=0.1,
+            u0=Field(g, np.sin(19 * np.pi * g.axis_coordinates(0))), u1=Field.zero(g),
+            formulation="integral_volterra",
+        )
+        g = Grid.line(39)
+        batch = ProblemSpec(
+            kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=22.5, dt=0.015, eps=0.1,
+            u0=field_from_name(g, "sine_mode", {"amplitude": 1.0, "modes": [39]}),
+            u1=Field.zero(g), formulation="integral_volterra",
+        )
+        shifts = eps_schedule(0.1, 0.1, 3)
+        with mock.patch.object(solver_module, "_MARCH_ROWS", rows), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverAbort) as one:
+                run(lone)
+            with pytest.raises(SolverAbort) as many:
+                run(batch, shifts)
+        assert one.value.step == 638
+        assert (many.value.step, many.value.eps) == (1342, float(shifts[2]))
+
+
+def test_volterra_3d_run_holds_no_history():
+    # one 3D run on 23^3 nodes, J = 200: beyond its coefficient stack the
+    # march holds a block's far sums and one product, 2 W levels, and two
+    # sets of the fit's states, 2 (L + 2) levels: 182 / 201 of the stack, a
+    # bound of 0.95x (measured 0.82x); summing far levels from a (J, N)
+    # history would add 1.0x
+    box = Grid.box(23)
+    spec = ProblemSpec(
+        kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=box, horizon=1.0, dt=0.005, eps=0.1,
+        u0=Field.zero(box), u1=field_from_name(box, "bump", {"radius": 0.3}),
+        formulation="integral_volterra",
+    )
+    traj, peak = _peak_above_entry(lambda: run(spec))
+    stack = traj.coefficients.nbytes
+    assert traj.far_nodes == 25 and stack == 8 * 201 * box.n_total
+    assert peak < 1.95 * stack
 
 
 def _transform_calls(fn):
