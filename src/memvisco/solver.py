@@ -334,13 +334,11 @@ def exponential_terms(kernel: PronyKernel, dt: float, order: int = 1):
 
 
 # Caps of the direct backend's blocked history sums (HistoryConvolution).
-# A block of B rows holds two (K, B, N) buffers, its far sums and one
-# product, and a (K, B, B) weight block.  B stays within _BLOCK_ROWS, and
-# over all K shifts K B within _BLOCK_SAMPLES samples and _BLOCK_BYTES
-# bytes.  That gives B = 128 for one run on 99 nodes and B = 105 for one
-# run on 31^3 nodes.
+# A block of B rows holds two (B, N) buffers, its far sums and one
+# product, and a (B, B) weight block.  B stays within _BLOCK_ROWS, and
+# B N within _BLOCK_BYTES bytes.  That gives B = 128 for a run on 99 nodes
+# and B = 105 for a run on 31^3 nodes.
 _BLOCK_ROWS = 128
-_BLOCK_SAMPLES = 512
 _BLOCK_BYTES = 24 * 2**20
 
 
@@ -355,8 +353,9 @@ class HistoryConvolution:
     next_sum and adjoint read that table.
 
     left and right may carry a leading shift axis, (K, n): one weight set
-    per shift of a sequence, sharing n.  lags, oldest and next_sum then
-    carry that axis too; adjoint takes a single weight set.
+    per shift of a sequence, sharing n, as the Volterra march reads them
+    through _block.  lags and oldest then carry that axis too; next_sum
+    and adjoint take a single weight set.
 
     A marcher that stores its levels asks next_sum(levels) for the rows
     j = 1, 2, ... in turn, passing a view of its levels 0 .. top - 1:
@@ -365,10 +364,9 @@ class HistoryConvolution:
     themselves and applies any operator, such as the Laplacian, once to
     the sum.  This direct backend sums in blocks of B rows, B from the
     module caps _BLOCK_*.  At a block's first row j0 the part of its B
-    sums on the levels m < j0 is one matrix product per shift and chunk of
-    B levels; a row then adds its levels from j0 on.  A sum costs O(j N)
-    flops, and the block's sums and one product are all the memory it
-    holds.
+    sums on the levels m < j0 is one matrix product per chunk of B levels;
+    a row then adds its levels from j0 on.  A sum costs O(j N) flops, and
+    the block's sums and one product are all the memory it holds.
     """
 
     backend = "direct"
@@ -448,43 +446,36 @@ class HistoryConvolution:
             w[:, :, 0] = np.atleast_2d(self.oldest)[:, j0 - 1 : j1 - 1] + 0.0
         return w
 
-    def _next_row(self, levels: np.ndarray) -> tuple[int, np.ndarray]:
-        """The next row j and levels as a (K, top, N) stack, top j or j + 1."""
+    def next_sum(self, levels: np.ndarray) -> np.ndarray:
+        """The next row j's level weights @ levels, one flat sum.
+
+        levels holds the stored levels 0 .. top - 1 as (top, ...); top is j
+        or j + 1, the levels past it weighing nothing.
+        """
         self._rows_summed += 1
-        j = self._rows_summed
-        top = levels.shape[self.lags.ndim - 1]
+        j, top = self._rows_summed, levels.shape[0]
         if top not in (j, j + 1):
             raise ValueError(f"row {j} sums levels 0 .. {j - 1} or 0 .. {j}, not {top} levels")
-        shifts = 1 if self.lags.ndim == 1 else self.lags.shape[0]
-        return j, levels.reshape(shifts, top, -1)
-
-    def next_sum(self, levels: np.ndarray) -> np.ndarray:
-        """The next row j's level weights @ levels, one flat sum per shift.
-
-        levels holds the stored levels 0 .. top - 1 of each shift, as
-        (K, top, ...) or, without a shift axis, (top, ...); top is j or
-        j + 1, the levels past it weighing nothing.
-        """
-        j, stack = self._next_row(levels)
+        # a stack of one shift, the axis _block's weights carry
+        stack = levels.reshape(1, top, -1)
         if j == 1:
             # the first block is rows 1 .. B - 1, with nothing far
-            shifts, _, n_nodes = stack.shape
-            block = min(_BLOCK_SAMPLES // shifts, _BLOCK_BYTES // (8 * shifts * n_nodes))
-            self._rows = max(1, min(block, _BLOCK_ROWS, self.lags.shape[-1]))
+            n_nodes = stack.shape[2]
+            self._rows = max(1, min(_BLOCK_BYTES // (8 * n_nodes), _BLOCK_ROWS, self.lags.size))
             self._first = 0
-            self._far = np.zeros((shifts, self._rows, n_nodes))
+            self._far = np.zeros((1, self._rows, n_nodes))
             self._product = np.empty_like(self._far)
         if j == self._first + self._rows:
             self._begin_block(j, stack)
         first = self._first
-        near = np.matmul(self._block(j, j + 1, first, stack.shape[1]), stack[:, first:])[:, 0]
-        near += self._far[:, j - first]
-        return near if self.lags.ndim > 1 else near[0]
+        near = np.matmul(self._block(j, j + 1, first, top), stack[:, first:])[0, 0]
+        near += self._far[0, j - first]
+        return near
 
     def _begin_block(self, j0: int, stack: np.ndarray) -> None:
         """Sum the rows j0 .. j0 + B - 1 over the levels below j0, one
         product per chunk of B levels."""
-        n_rows = min(self._rows, self.lags.shape[-1] - j0)
+        n_rows = min(self._rows, self.lags.size - j0)
         far, product = self._far[:, :n_rows], self._product[:, :n_rows]
         for m0 in range(0, j0, self._rows):
             m1 = min(m0 + self._rows, j0)
@@ -723,9 +714,20 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     _TAIL_TOLERANCE, those older levels are L + 2 states per shift, folded
     in W levels at a time and read out once per block, each one product per
     shift; without, M stays 0 and the previous-block sums reach back to
-    level 1.  A step adds only its sum over the block's own levels.  Every
-    operation acts on each shift's coefficients alone, as a one-shift
-    march would, so a shift's levels do not depend on the other shifts.
+    level 1.  These far sums are written into the block's own slots of
+    the stack, and each slot then gains its row's data term over -mu,
+    (t_j u1 + u0 + F_j) / (-mu), for all rows at once.
+
+    Row i of the block is then three operations: the product of its
+    weights lags[i] .. lags[1], 1 with the slots 0 .. i, which gives
+    H_j + data / (-mu); that sum times -mu; and the division by
+    1 + lags[0] mu into slot i.  The product by -mu comes before the
+    division, as in the formula above: one factor -mu / (1 + lags[0] mu)
+    stays finite where the product by -mu overflows, so a march that
+    blows up would report inf some steps later (641 for 638 in the abort
+    tests of TestVolterraTail).  Every operation acts on each shift's
+    coefficients alone, as a one-shift march would, so a shift's levels
+    do not depend on the other shifts.
     """
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     shifts = np.array(shifts, dtype=float).reshape(-1)
@@ -744,23 +746,32 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
         readout = tail.readout(np.arange(W + 1, 2 * W + 1))
         decay, fold = tail.fold(W)
         states = np.zeros((K, decay.size + 2, stack.shape[2]))
-    mu = grid.eigenvalues
+    mu = grid.eigenvalues.reshape(-1)
     minus_mu = -mu
     # the newest level of every row weighs lags[0]
-    denominator = 1.0 + history.lags[:, :1].reshape((K,) + (1,) * grid.dim) * mu
+    denominator = 1.0 + history.lags[:, :1, None] * mu
+    # a row's weights on the block's levels, newest last: lags[W - 1] ..
+    # lags[1] and 1, for the slot that holds its own far sum and data
+    # term; a run of J < W - 1 steps reads lags up to J - 1 only
+    table = np.zeros((K, 1, W))
+    table[:, 0, -1] = 1.0
+    near = min(W - 1, J)
+    table[:, 0, W - 1 - near : W - 1] = history.lags[:, near:0:-1]
 
-    u0 = sine_transform(grid, spec.u0.values)
-    u1 = sine_transform(grid, spec.u1.values)
+    u0 = sine_transform(grid, spec.u0.values).reshape(-1)
+    u1 = sine_transform(grid, spec.u1.values).reshape(-1)
     profile, factor = spec.forcing_parts()
-    p = sine_transform(grid, profile)
+    p = sine_transform(grid, profile).reshape(-1)
     c2 = double_trapezoid(factor, dt)
-    levels[:, 0] = u0
+    times = spec.times
+    stack[:, 0] = u0
 
-    far = np.empty((K, W, stack.shape[2]))
+    data = np.empty((W, stack.shape[2]))
+    h = np.empty((K, 1, stack.shape[2]))
     M = 0
     for j0 in range(1, J + 1, W):
         j1 = min(j0 + W, J + 1)
-        rows = far[:, : j1 - j0]
+        rows = stack[:, j0:j1]
         np.multiply(history.oldest[:, j0 - 1 : j1 - 1, None], stack[:, :1], out=rows)
         if tail is not None and j0 - W - 1 > M:
             states[:, :-2] *= decay[:, None]
@@ -772,17 +783,18 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
         for m0 in range(M + 1, j0, W):
             m1 = min(m0 + W, j0)
             rows += np.matmul(history._block(j0, j1, m0, m1), stack[:, m0:m1])
-        for j in range(j0, j1):
-            h = rows[:, j - j0]
-            if j > j0:
-                h = h + np.matmul(history._block(j, j + 1, j0, j), stack[:, j0:j])[:, 0]
-            new = levels[:, j]
-            np.multiply(h.reshape(new.shape), minus_mu, out=new)
-            new += u1 * (j * dt)
-            new += u0
-            new += c2[j] * p
-            new /= denominator
-        finite = np.isfinite(stack[:, j0:j1]).all(axis=2)
+        # the data terms t_j u1 + u0 + C2_j p of every row, over -mu
+        terms = data[: j1 - j0]
+        np.multiply(times[j0:j1, None], u1, out=terms)
+        terms += u0
+        terms += c2[j0:j1, None] * p
+        terms /= minus_mu
+        rows += terms
+        for i in range(j1 - j0):
+            np.matmul(table[:, :, W - 1 - i :], rows[:, : i + 1], out=h)
+            h *= minus_mu
+            np.divide(h, denominator, out=rows[:, i : i + 1])
+        finite = np.isfinite(rows).all(axis=2)
         if not finite.all():
             row = int(np.argmin(finite.all(axis=0)))
             raise SolverAbort(j0 + row, "non-finite values", float(shifts[np.argmin(finite[:, row])]))

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -328,71 +329,64 @@ def test_adjoint_is_the_transposed_row_loop(n, exponential, zeros, seed):
 
 
 def _blocked_sums(history, samples, newest):
-    """next_sum of rows 1 .. n on views of samples (K, n + 1, N), or
-    (n + 1, N) for weights without a shift axis.  With newest, row j sees
-    levels 0 .. j (the leapfrog's view); without, levels 0 .. j - 1 (the
-    Volterra march's, whose row j leaves level j out)."""
-    stacked = history.lags.ndim > 1
-    n = samples.shape[stacked] - 1
+    """next_sum of rows 1 .. n on views of samples (n + 1, N).  With
+    newest, row j sees levels 0 .. j (the leapfrog's view); without,
+    levels 0 .. j - 1, leaving level j out."""
     got = np.zeros_like(samples)
-    for j in range(1, n + 1):
-        top = j + 1 if newest else j
-        if stacked:
-            got[:, j] = history.next_sum(samples[:, :top])
-        else:
-            got[j] = history.next_sum(samples[:top])
+    for j in range(1, samples.shape[0]):
+        got[j] = history.next_sum(samples[: j + 1 if newest else j])
     return got
 
 
 def _small_blocks(rows):
-    """Blocks of `rows` rows, and chunks of as many levels."""
+    """Leapfrog history sums in blocks of `rows` rows, and chunks of as
+    many levels."""
     return mock.patch.object(solver_module, "_BLOCK_ROWS", rows)
 
 
+@contextlib.contextmanager
+def _small_march_blocks(rows):
+    """The Volterra march in blocks of `rows` rows, its far sums direct: a
+    tail fit from (rows - 1) dt on checks only to _TAIL_TOLERANCE."""
+    with mock.patch.object(solver_module, "_MARCH_ROWS", rows), _direct_sums():
+        yield
+
+
 @given(
-    shifts=st.integers(1, 3),
-    flat=st.booleans(),
     rows=st.sampled_from([1, 2, 3, 5]),
     edge=st.sampled_from(["B-1", "B", "B+1", "2B+1"]),
     newest=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_sums_match_the_row_loop(shifts, flat, rows, edge, newest, seed):
-    # the blocked (K, N) sums against the conv_weights row loop, with the
-    # run ending on and around the block edges; K = 1 also without a shift
-    # axis.  The blocks sum in another order, so the bound is relative to
-    # sum |w| |p|, the size of the terms each row adds up.
+def test_blocked_sums_match_the_row_loop(rows, edge, newest, seed):
+    # the blocked sums against the conv_weights row loop, with the run
+    # ending on and around the block edges.  The blocks sum in another
+    # order, so the bound is relative to sum |w| |p|, the size of the terms
+    # each row adds up.
     n = max(1, {"B-1": rows - 1, "B": rows, "B+1": rows + 1, "2B+1": 2 * rows + 1}[edge])
     rng = np.random.default_rng(seed)
-    left, right = rng.standard_normal((2, shifts, n))
-    samples = rng.standard_normal((shifts, n + 1, 4))
-    flat = flat and shifts == 1
-    history = HistoryConvolution(*((left[0], right[0]) if flat else (left, right)))
+    left, right = rng.standard_normal((2, n))
+    samples = rng.standard_normal((n + 1, 4))
     with _small_blocks(rows):
-        got = _blocked_sums(history, samples[0] if flat else samples, newest)
-    got = got[None] if flat else got
-    for k in range(shifts):
-        for j in range(1, n + 1):
-            top = j + 1 if newest else j
-            w = conv_weights(left[k], right[k], j)[:top]
-            want = w @ samples[k, :top]
-            magnitude = np.abs(w) @ np.abs(samples[k, :top])
-            assert np.all(np.abs(got[k, j] - want) <= 1e-13 * magnitude)
+        got = _blocked_sums(HistoryConvolution(left, right), samples, newest)
+    for j in range(1, n + 1):
+        top = j + 1 if newest else j
+        w = conv_weights(left, right, j)[:top]
+        magnitude = np.abs(w) @ np.abs(samples[:top])
+        assert np.all(np.abs(got[j] - w @ samples[:top]) <= 1e-13 * magnitude)
 
 
 def test_blocked_sums_at_the_module_caps():
     # the same comparison with the shipped caps, over three blocks
-    shifts, n = 2, 2 * solver_module._BLOCK_ROWS + 1
+    n = 2 * solver_module._BLOCK_ROWS + 1
     rng = np.random.default_rng(3)
-    left, right = rng.standard_normal((2, shifts, n))
-    samples = rng.standard_normal((shifts, n + 1, 5))
-    history = HistoryConvolution(left, right)
-    got = _blocked_sums(history, samples, newest=False)
-    for k in range(shifts):
-        for j in range(1, n + 1):
-            w = conv_weights(left[k], right[k], j)[:j]
-            magnitude = np.abs(w) @ np.abs(samples[k, :j])
-            assert np.all(np.abs(got[k, j] - w @ samples[k, :j]) <= 1e-13 * magnitude)
+    left, right = rng.standard_normal((2, n))
+    samples = rng.standard_normal((n + 1, 5))
+    got = _blocked_sums(HistoryConvolution(left, right), samples, newest=False)
+    for j in range(1, n + 1):
+        w = conv_weights(left, right, j)[:j]
+        magnitude = np.abs(w) @ np.abs(samples[:j])
+        assert np.all(np.abs(got[j] - w @ samples[:j]) <= 1e-13 * magnitude)
 
 
 def _volterra_spec(grid, horizon, dt, forcing=None):
@@ -414,25 +408,24 @@ class TestShiftBatch:
         # length a shift's levels do not depend on the others
         pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
         spec = _volterra_spec(Grid.line(17), 0.6, 0.01, pulse)
-        with _small_blocks(7):
+        with _small_march_blocks(7):
             batch = run(spec, self.SHIFTS)
         assert batch.coefficients.shape == (3, spec.n_steps + 1, 17)
         for eps, traj in zip(self.SHIFTS, batch.trajectories):
-            with _small_blocks(7):
+            with _small_march_blocks(7):
                 alone = run(dataclasses.replace(spec, eps=eps))
             assert traj.coefficients.tobytes() == alone.coefficients.tobytes()
             assert traj.z_max == alone.z_max
             assert traj.spec_fingerprint == alone.spec_fingerprint
 
     def test_each_shift_is_its_lone_march_at_the_module_caps(self):
-        # over three blocks of the shipped caps; where the caps give a batch
-        # shorter blocks than a lone run, the two sum in different orders
-        # and agree to round-off
-        spec = _volterra_spec(Grid.line(17), 0.6, 0.6 / (2 * solver_module._BLOCK_ROWS + 5))
+        # over three blocks of the shipped _MARCH_ROWS, the blocks of a
+        # batch and of a lone run alike
+        spec = _volterra_spec(Grid.line(17), 0.6, 0.6 / (2 * solver_module._MARCH_ROWS + 5))
         batch = run(spec, self.SHIFTS)
         for eps, traj in zip(self.SHIFTS, batch.trajectories):
-            alone = run(dataclasses.replace(spec, eps=eps)).coefficients
-            assert np.max(np.abs(traj.coefficients - alone)) <= 1e-12 * np.max(np.abs(alone))
+            alone = run(dataclasses.replace(spec, eps=eps))
+            assert traj.coefficients.tobytes() == alone.coefficients.tobytes()
 
     def test_each_shift_is_its_lone_march_bitwise_past_two_blocks(self):
         # from the third block on the far sums go through each shift's own
@@ -750,14 +743,15 @@ class TestMarchersMatchReferenceLoops:
 
 @pytest.mark.parametrize("spec", _march_cases())
 def test_blocked_marchers_match_reference_loops(spec):
-    # the runs above fit one block of the shipped caps; blocks of 4 rows,
-    # and of 1, sum in other orders, so the levels agree to round-off
+    # the runs above fit one block of the shipped caps.  Leapfrog blocks of
+    # 4 rows and of 1, and Volterra blocks of 4, 5 and 7 rows with direct
+    # far sums, sum in other orders, so the levels agree to round-off
     if spec.formulation == "integrodifferential":
-        want = reference_integrodiff(spec)
+        want, blocks = reference_integrodiff(spec), [_small_blocks(rows) for rows in (4, 1)]
     else:
-        want = reference_volterra(spec)
-    for rows in (4, 1):
-        with _small_blocks(rows):
+        want, blocks = reference_volterra(spec), [_small_march_blocks(rows) for rows in (4, 5, 7)]
+    for small in blocks:
+        with small:
             traj = run(spec)
         assert np.max(np.abs(traj.levels - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -1171,9 +1165,10 @@ def _transform_calls(fn):
 def test_volterra_march_takes_no_laplacian(grid, shifts):
     # the march runs in sine coefficients, where the Laplacian is -mu: it
     # transforms u0, u1 and the forcing profile once and nothing per step,
-    # nor for the blocked history sums, whose older levels past two blocks
-    # of _BLOCK_ROWS rows are read back from the stored coefficients
-    n_steps = 2 * solver_module._BLOCK_ROWS + 5
+    # nor for the blocked history sums, whose levels older than the
+    # previous block of _MARCH_ROWS rows are folded into the tail's states
+    # from the stored coefficients
+    n_steps = 2 * solver_module._MARCH_ROWS + 5
     spec = _volterra_spec(grid, 0.6, 0.6 / n_steps)
     result, calls = _transform_calls(lambda: run(spec) if shifts is None else run(spec, shifts))
     assert np.all(np.isfinite(result.coefficients))
