@@ -369,10 +369,10 @@ def _run_record(cfg: ExperimentConfig, eps: float, traj) -> dict:
 
     A leapfrog run records its stability margin, dt over the largest stable
     dt at the shift; a Volterra run its modal one, z_max, the self-weight
-    times the largest eigenvalue of -lap, and the far history sums' fit:
-    far_nodes exponential terms (0 when summed directly) whose checked error
-    is far_error of max |Ksh|.  levels_bytes is the size of the stored sine
-    coefficients, the run's one array of every level.
+    times the largest eigenvalue of -lap.  A direct-backend run records the
+    far history sums' fit: far_nodes terms (0 when summed directly) whose
+    checked error is far_error of max |w|, w = Ksh or dG.  levels_bytes is
+    the size of the stored sine coefficients, the run's one array of every level.
     """
     record = {
         "eps": float(eps),
@@ -382,11 +382,12 @@ def _run_record(cfg: ExperimentConfig, eps: float, traj) -> dict:
     }
     if traj.z_max is not None:
         record["z_max"] = traj.z_max
-        record["far_nodes"] = traj.far_nodes
-        record["far_error"] = traj.far_error
     else:
         limit = stable_time_step(cfg.grid, cfg.kernel.modulus(float(eps)))
         record["dt_over_limit"] = traj.dt / limit
+    if traj.history_backend == "direct":
+        record["far_nodes"] = traj.far_nodes
+        record["far_error"] = traj.far_error
     return record
 
 

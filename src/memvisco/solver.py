@@ -200,8 +200,8 @@ class TrajectorySolution:
     # Volterra runs: the self-weight lags[0] times the top eigenvalue of -lap
     z_max: float | None = None
     history_backend: str = "direct"
-    # Volterra runs: the exponential terms of the far history sums, and their
-    # fit's checked error relative to max |Ksh|; 0 and 0.0 when summed directly
+    # direct-backend runs: the exponential terms of the far history sums and
+    # their fit's checked error relative to max |w| (w = Ksh or dG); 0, 0.0 direct
     far_nodes: int = 0
     far_error: float = 0.0
 
@@ -333,257 +333,13 @@ def exponential_terms(kernel: PronyKernel, dt: float, order: int = 1):
     return out
 
 
-# Caps of the direct backend's blocked history sums (HistoryConvolution).
-# A block of B rows holds two (B, N) buffers, its far sums and one
-# product, and a (B, B) weight block.  B stays within _BLOCK_ROWS, and
-# B N within _BLOCK_BYTES bytes.  That gives B = 128 for a run on 99 nodes
-# and B = 105 for a run on 31^3 nodes.
-_BLOCK_ROWS = 128
-_BLOCK_BYTES = 24 * 2**20
-
-
-class HistoryConvolution:
-    """Product-quadrature weights of one causal convolution, and its sums.
-
-    Built from interval_weights' (left, right) over n subintervals, it
-    weighs the samples p(t_0 .. t_j) of  int_0^{t_j} w(s) p(t_j - s) ds,
-    j = 1 .. n.  Its one table of lag weights is lags[d] = left[d] +
-    right[d - 1] (lags[0] = left[0], lags[n] = right[n - 1]).  Row j weighs
-    level m >= 1 by lags[j - m], and level 0 by oldest[j - 1] = right[j - 1].
-    next_sum and adjoint read that table.
-
-    left and right may carry a leading shift axis, (K, n): one weight set
-    per shift of a sequence, sharing n, as the Volterra march reads them
-    through _block.  lags and oldest then carry that axis too; next_sum
-    and adjoint take a single weight set.
-
-    A marcher that stores its levels asks next_sum(levels) for the rows
-    j = 1, 2, ... in turn, passing a view of its levels 0 .. top - 1:
-    top = j + 1 for the whole row, or top = j to leave level j out.  The
-    memory term is linear in the levels, so a marcher sums the levels
-    themselves and applies any operator, such as the Laplacian, once to
-    the sum.  This direct backend sums in blocks of B rows, B from the
-    module caps _BLOCK_*.  At a block's first row j0 the part of its B
-    sums on the levels m < j0 is one matrix product per chunk of B levels;
-    a row then adds its levels from j0 on.  A sum costs O(j N) flops, and
-    the block's sums and one product are all the memory it holds.
-    """
-
-    backend = "direct"
-
-    def __init__(self, left, right):
-        left = np.asarray(left, dtype=float)
-        right = np.asarray(right, dtype=float)
-        n = left.shape[-1]
-        self.oldest = right
-        self.lags = np.zeros(left.shape[:-1] + (n + 1,))
-        self.lags[..., :n] += left
-        self.lags[..., 1:] += right
-        self._rows_summed = 0
-
-    @classmethod
-    def of(cls, kernel, order: int, n: int, dt: float) -> HistoryConvolution | _ExponentialHistory:
-        """The sums of w = the order-th time derivative of G over n steps of
-        dt: order 1 the leapfrog's memory dG, 2 the ledger's curvature d2G,
-        and -1 the Volterra factor int_0^s G.  kernel is a shifted modulus,
-        bounded at 0, or a sequence of K of them for a (K, n) weight set.
-
-        The weights come from interval_weights on the two tower members
-        below w, the tower indexed by derivative order -3 .. 1.  The rate and
-        curvature of a single Prony kernel get the exponential backend, a
-        constant modulus (no terms) included.
-        """
-        if isinstance(kernel, PronyKernel) and order > 0:
-            return _ExponentialHistory(kernel, order, dt)
-        single = isinstance(kernel, RelaxationKernel)
-        pairs = []
-        for k in [kernel] if single else kernel:
-            tower = (k._integral3, k._integral2, k._integral, k._modulus, k._modulus_dt)
-            pairs.append(interval_weights(tower[order + 2], tower[order + 1], n, dt))
-        left, right = np.array(pairs).swapaxes(0, 1)
-        return cls(left[0], right[0]) if single else cls(left, right)
-
-    def adjoint(self, a: np.ndarray) -> np.ndarray:
-        """y[m] = sum_j a[j] w_j[m] over the rows j = 1 .. n, w_j the level
-        weights of row j; a[0] weighs nothing.
-
-        The transpose of the row-by-row sums, so a @ (row sums of p) equals
-        adjoint(a) @ p for samples p of any shape: a diagnostic that only
-        tests the sums against a time profile a projects p first and never
-        forms them.  Level 0 takes oldest[j - 1] from each row j, and every
-        level above it one correlation of a against lags.
-        """
-        a = np.asarray(a, dtype=float)
-        n = a.size - 1
-        y = np.empty(n + 1)
-        y[0] = a[1:] @ self.oldest[:n]
-        y[1:] = np.correlate(a[1:], self.lags[:n], "full")[n - 1 : 2 * n - 1]
-        return y
-
-    @cached_property
-    def _toeplitz(self) -> np.ndarray:
-        """lags as (K, n + 1), reversed: lag d in column n - d."""
-        return np.ascontiguousarray(np.atleast_2d(self.lags)[:, ::-1])
-
-    def _block(self, j0: int, j1: int, m0: int, m1: int) -> np.ndarray:
-        """(K, j1 - j0, m1 - m0) weights of the rows j0 .. j1 - 1 on the
-        levels m0 .. m1 - 1, m1 <= j0 + 1, equal to the rows' entries."""
-        # row j on level m weighs lag j - m: in the reversed Toeplitz lags
-        # its weights start at column n - j + m0, one column less per row
-        start = self._toeplitz.shape[1] - 1 - j0 + m0
-        if j1 - j0 == 1 and m0 > 0:
-            return self._toeplitz[:, None, start : start + m1 - m0]
-        rows, cols = j1 - j0, m1 - m0
-        # row j0 + rows - 1 first, then a copy in row order for the product
-        stride = self._toeplitz.strides
-        w = np.lib.stride_tricks.as_strided(
-            self._toeplitz[:, start - rows + 1 :],
-            (self._toeplitz.shape[0], rows, cols),
-            (stride[0], stride[1], stride[1]),
-        )[:, ::-1].copy()
-        if m0 == 0:
-            # level 0 is the oldest lag of every row
-            w[:, :, 0] = np.atleast_2d(self.oldest)[:, j0 - 1 : j1 - 1] + 0.0
-        return w
-
-    def next_sum(self, levels: np.ndarray) -> np.ndarray:
-        """The next row j's level weights @ levels, one flat sum.
-
-        levels holds the stored levels 0 .. top - 1 as (top, ...); top is j
-        or j + 1, the levels past it weighing nothing.
-        """
-        self._rows_summed += 1
-        j, top = self._rows_summed, levels.shape[0]
-        if top not in (j, j + 1):
-            raise ValueError(f"row {j} sums levels 0 .. {j - 1} or 0 .. {j}, not {top} levels")
-        # a stack of one shift, the axis _block's weights carry
-        stack = levels.reshape(1, top, -1)
-        if j == 1:
-            # the first block is rows 1 .. B - 1, with nothing far
-            n_nodes = stack.shape[2]
-            self._rows = max(1, min(_BLOCK_BYTES // (8 * n_nodes), _BLOCK_ROWS, self.lags.size))
-            self._first = 0
-            self._far = np.zeros((1, self._rows, n_nodes))
-            self._product = np.empty_like(self._far)
-        if j == self._first + self._rows:
-            self._begin_block(j, stack)
-        first = self._first
-        near = np.matmul(self._block(j, j + 1, first, top), stack[:, first:])[0, 0]
-        near += self._far[0, j - first]
-        return near
-
-    def _begin_block(self, j0: int, stack: np.ndarray) -> None:
-        """Sum the rows j0 .. j0 + B - 1 over the levels below j0, one
-        product per chunk of B levels."""
-        n_rows = min(self._rows, self.lags.size - j0)
-        far, product = self._far[:, :n_rows], self._product[:, :n_rows]
-        for m0 in range(0, j0, self._rows):
-            m1 = min(m0 + self._rows, j0)
-            np.matmul(self._block(j0, j0 + n_rows, m0, m1), stack[:, m0:m1], out=product if m0 else far)
-            if m0:
-                far += product
-        self._first = j0
-
-
-class _ExponentialHistory:
-    """Sums of w = dG (order 1) or d2G (order 2) for a Prony kernel, by
-    recursion; HistoryConvolution.of builds it.
-
-    A term g e^{-t/tau} of G has interval weights geometric in the lag,
-    left[d] = r^d left[0] and right[d] = r^d right[0] with r = e^{-dt/tau},
-    so its share of row j is
-
-        C_j = r C_{j-1} + left[0] p_j + right[0] p_{j-1},   C_0 = 0,
-
-    and next_sum() returns the sum of C_j over the terms: O(terms N) per
-    step, reading only the two newest of the levels it is given.  It holds
-    one state C per term and no lag table, and sums whole rows only,
-    top = j + 1.  Without terms every sum is an exact zero.  terms holds
-    exponential_terms' (r, left[0], right[0]).
-    """
-
-    backend = "exponential"
-
-    def __init__(self, kernel: PronyKernel, order: int, dt: float):
-        self.terms = exponential_terms(kernel, dt, order)
-        self._rows_summed = 0
-
-    def next_sum(self, levels: np.ndarray) -> np.ndarray:
-        """The sum of the newest whole row, levels 0 .. j as (j + 1, ...);
-        the array may be reused, do not keep it."""
-        self._rows_summed += 1
-        j, top = self._rows_summed, levels.shape[0]
-        if top not in (j, j + 1):
-            raise ValueError(f"row {j} sums levels 0 .. {j - 1} or 0 .. {j}, not {top} levels")
-        if top == j:
-            raise ValueError("the exponential backend sums whole rows: pass levels 0 .. j")
-        newest, previous = levels[j].ravel(), levels[j - 1].ravel()
-        if j == 1:
-            # without terms the one zero state is every row's sum
-            self._states = [np.zeros(newest.size) for _ in range(max(1, len(self.terms)))]
-            self._product = np.empty(newest.size)
-        product = self._product
-        for state, (r, left0, right0) in zip(self._states, self.terms):
-            state *= r
-            state += np.multiply(newest, left0, out=product)
-            state += np.multiply(previous, right0, out=product)
-        if len(self._states) == 1:
-            return self._states[0]
-        return sum(self._states[1:], self._states[0])
-
-
-# ---------------------------------------------------------------------------
-# integro-differential leapfrog
-# ---------------------------------------------------------------------------
-
-
-def _march_leapfrog(spec: ProblemSpec) -> TrajectorySolution:
-    """u_{j+1} = 2 u_j - u_{j-1} + dt^2 (-mu (g0 u_j + H_j) + f_j) in sine
-    coefficients, H_j the history sum of the levels 0 .. j."""
-    grid, dt, J = spec.grid, spec.dt, spec.n_steps
-    g0 = spec.kernel.modulus(spec.eps)
-    shape = grid.shape
-    levels = np.empty((J + 1,) + shape)
-    history = HistoryConvolution.of(translate(spec.kernel, spec.eps), 1, J, dt)
-    minus_mu = -grid.eigenvalues
-    profile, factor = spec.forcing_parts()
-    p, u0, u1 = (sine_transform(grid, f) for f in (profile, spec.u0.values, spec.u1.values))
-    levels[0] = u0
-    levels[1] = u0 + dt * u1 + 0.5 * dt * dt * (g0 * (minus_mu * u0) + factor[0] * p)
-    accel, push = np.empty((2,) + shape)
-    for j in range(1, J):
-        np.multiply(levels[j], g0, out=accel)
-        accel += history.next_sum(levels[: j + 1]).reshape(shape)
-        accel *= minus_mu
-        accel += np.multiply(p, factor[j], out=push)
-        accel *= dt * dt
-        new = levels[j + 1]
-        np.multiply(levels[j], 2.0, out=new)
-        new -= levels[j - 1]
-        new += accel
-        if not np.isfinite(new).all():
-            raise SolverAbort(j + 1, "non-finite values (instability or overflow)", spec.eps)
-
-    return TrajectorySolution(
-        grid=grid,
-        times=spec.times,
-        coefficients=levels,
-        spec_fingerprint=spec.fingerprint(),
-        history_backend=history.backend,
-    )
-
-
-# ---------------------------------------------------------------------------
-# integral (Volterra) march
-# ---------------------------------------------------------------------------
-
-
-# The Volterra march steps in blocks of _MARCH_ROWS rows.  Levels older
-# than the previous block enter its sums through _ExponentialTail, a fit of
-# each shift's Ksh whose checked error is at most _TAIL_TOLERANCE of max |Ksh|;
-# without one the march sums them directly.  The fit places
+# The direct backend's far sums (HistoryConvolution.far_sums) come in
+# blocks of _MARCH_ROWS rows, for both marchers.  Levels older than the
+# previous block enter them through _ExponentialTail, a fit of each weight
+# set's factor w whose checked error is at most _TAIL_TOLERANCE of max |w|;
+# without one they are summed directly.  The fit places
 # _TAIL_NODES_PER_DECADE decay rates per decade of its range and reads at
-# most _TAIL_SAMPLES values of Ksh, fewer where samples x (terms)^2 would
+# most _TAIL_SAMPLES values of w, fewer where samples x (terms)^2 would
 # pass _TAIL_FIT_SIZE: from there OpenBLAS ran the fit's factorization on a
 # second thread, which then spun for about 0.15 s of CPU time.
 _MARCH_ROWS = 64
@@ -596,19 +352,21 @@ _TAIL_CHECK_CHUNK = 2048
 
 @dataclass(frozen=True)
 class _ExponentialTail:
-    """Ksh(s) ~ constant + slope s + sum_l coefficients[l] ratios[l]^(s / dt)
+    """w(s) ~ constant + slope s + sum_l coefficients[l] ratios[l]^(s / dt)
     on [start, horizon], one row of constant, slope and coefficients per
-    shift: exponentials e^(-x s) with ratios e^(-x dt) per step.
+    weight set: exponentials e^(-x s) with ratios e^(-x dt) per step.  w is
+    the factor of a direct history, the tower member at its order: Ksh for
+    the Volterra march, dG for the leapfrog.
 
     The decay rates x are geometric on [0.1 / horizon, 40 / start], their
     number growing with the decades of that range; the terms are fitted by
-    least squares to samples of Ksh, geometric in s.  The fit is taken in
-    the rounded ratios, the numbers the march multiplies by, so that a
+    least squares to samples of w, geometric in s.  The fit is taken in
+    the rounded ratios, the numbers the sums multiply by, so that a
     state aged d steps is no further off than one power of them.  error is
-    each shift's max |fit - Ksh| over the half steps of [start, horizon],
-    relative to max |Ksh| there.  A lag weight is Ksh integrated against a
+    each weight set's max |fit - w| over the half steps of [start, horizon],
+    relative to max |w| there.  A lag weight is w integrated against a
     hat of width 2 dt, so a lag whose hat lies in [start, horizon] moves by
-    at most error max|Ksh| dt when the fit stands in for Ksh.
+    at most error max|w| dt when the fit stands in for w.
     """
 
     dt: float
@@ -619,7 +377,7 @@ class _ExponentialTail:
     error: np.ndarray  # (K,)
 
     @classmethod
-    def fit(cls, kernels, start: float, horizon: float, dt: float) -> _ExponentialTail:
+    def fit(cls, factors, start: float, horizon: float, dt: float) -> _ExponentialTail:
         decades = math.log10(400.0 * horizon / start)
         rates = np.geomspace(0.1 / horizon, 40.0 / start, math.ceil(_TAIL_NODES_PER_DECADE * decades))
         ratios = np.exp(-rates * dt)
@@ -627,18 +385,18 @@ class _ExponentialTail:
         def basis(s):
             return np.hstack([np.ones((s.size, 1)), s[:, None] / horizon, ratios ** (s[:, None] / dt)])
 
-        # each shift is fitted and checked by products of its own, so that
-        # its terms do not depend on the other shifts of a batch
+        # each weight set is fitted and checked by products of its own, so
+        # that its terms do not depend on the other shifts of a batch
         samples = np.geomspace(start, horizon, min(_TAIL_SAMPLES, _TAIL_FIT_SIZE // (ratios.size + 2) ** 2))
         fit_basis = basis(samples)
-        fitted = np.array([np.linalg.lstsq(fit_basis, k._integral(samples), rcond=None)[0] for k in kernels])
+        fitted = np.array([np.linalg.lstsq(fit_basis, w(samples), rcond=None)[0] for w in factors])
         halves = np.arange(round(2 * start / dt), round(2 * horizon / dt) + 1) * (0.5 * dt)
-        worst, size = np.zeros(len(kernels)), np.zeros(len(kernels))
+        worst, size = np.zeros(len(factors)), np.zeros(len(factors))
         for lo in range(0, halves.size, _TAIL_CHECK_CHUNK):
             s = halves[lo : lo + _TAIL_CHECK_CHUNK]
             terms = basis(s)
-            for i, k in enumerate(kernels):
-                exact = k._integral(s)
+            for i, w in enumerate(factors):
+                exact = w(s)
                 worst[i] = max(worst[i], np.abs(terms @ fitted[i] - exact).max())
                 size[i] = max(size[i], np.abs(exact).max())
         return cls(dt, ratios, fitted[:, 0], fitted[:, 1] / horizon, fitted[:, 2:], worst / size)
@@ -675,6 +433,271 @@ class _ExponentialTail:
         return self.ratios**width, weights
 
 
+class HistoryConvolution:
+    """Product-quadrature weights of one causal convolution, and its sums.
+
+    Built from interval_weights' (left, right) over n subintervals, it
+    weighs the samples p(t_0 .. t_j) of  int_0^{t_j} w(s) p(t_j - s) ds,
+    j = 1 .. n.  Its one table of lag weights is lags[d] = left[d] +
+    right[d - 1] (lags[0] = left[0], lags[n] = right[n - 1]).  Row j weighs
+    level m >= 1 by lags[j - m], and level 0 by oldest[j - 1] = right[j - 1].
+    far_sums, next_sum and adjoint read that table.
+
+    left and right may carry a leading shift axis, (K, n): one weight set
+    per shift of a sequence, sharing n, as the Volterra march reads them.
+    lags and oldest then carry that axis too; next_sum and adjoint take a
+    single weight set.  factors (w of each weight set, as callables) and dt
+    let the far sums fit a tail; without them every far sum is direct.
+
+    Both marchers sum in blocks of W = _MARCH_ROWS rows: far_sums gives a
+    block's sums over the levels below it, and each row adds the block's
+    own levels.  With a tail a row's sum costs O(N) flops amortised, else
+    O(j N).  The memory term is linear in the levels, so a marcher sums
+    the levels themselves and applies any operator, such as the
+    Laplacian, once to the sum.
+    """
+
+    backend = "direct"
+
+    def __init__(self, left, right, factors=(), dt: float = 0.0):
+        left = np.asarray(left, dtype=float)
+        right = np.asarray(right, dtype=float)
+        n = left.shape[-1]
+        self.oldest = right
+        self.lags = np.zeros(left.shape[:-1] + (n + 1,))
+        self.lags[..., :n] += left
+        self.lags[..., 1:] += right
+        self._factors, self._dt = factors, dt
+        self._rows_summed = 0
+
+    @classmethod
+    def of(cls, kernel, order: int, n: int, dt: float) -> HistoryConvolution | _ExponentialHistory:
+        """The sums of w = the order-th time derivative of G over n steps of
+        dt: order 1 the leapfrog's memory dG, 2 the ledger's curvature d2G,
+        and -1 the Volterra factor int_0^s G.  kernel is a shifted modulus,
+        bounded at 0, or a sequence of K of them for a (K, n) weight set.
+
+        The weights come from interval_weights on the two tower members
+        below w, the tower indexed by derivative order -3 .. 2, and the far
+        sums' tail fits w itself, the member at the order.  The rate and
+        curvature of a single Prony kernel get the exponential backend, a
+        constant modulus (no terms) included.
+        """
+        if isinstance(kernel, PronyKernel) and order > 0:
+            return _ExponentialHistory(kernel, order, dt)
+        single = isinstance(kernel, RelaxationKernel)
+        towers = [
+            (k._integral3, k._integral2, k._integral, k._modulus, k._modulus_dt, k._modulus_dtt)
+            for k in ([kernel] if single else kernel)
+        ]
+        pairs = [interval_weights(tower[order + 2], tower[order + 1], n, dt) for tower in towers]
+        left, right = np.array(pairs).swapaxes(0, 1)
+        factors = [tower[order + 3] for tower in towers]
+        return cls(left[0], right[0], factors, dt) if single else cls(left, right, factors, dt)
+
+    def adjoint(self, a: np.ndarray) -> np.ndarray:
+        """y[m] = sum_j a[j] w_j[m] over the rows j = 1 .. n, w_j the level
+        weights of row j; a[0] weighs nothing.
+
+        The transpose of the row-by-row sums, so a @ (row sums of p) equals
+        adjoint(a) @ p for samples p of any shape: a diagnostic that only
+        tests the sums against a time profile a projects p first and never
+        forms them.  Level 0 takes oldest[j - 1] from each row j, and every
+        level above it one correlation of a against lags.
+        """
+        a = np.asarray(a, dtype=float)
+        n = a.size - 1
+        y = np.empty(n + 1)
+        y[0] = a[1:] @ self.oldest[:n]
+        y[1:] = np.correlate(a[1:], self.lags[:n], "full")[n - 1 : 2 * n - 1]
+        return y
+
+    @cached_property
+    def _toeplitz(self) -> np.ndarray:
+        """lags as (K, n + 1), reversed: lag d in column n - d."""
+        return np.ascontiguousarray(np.atleast_2d(self.lags)[:, ::-1])
+
+    def _block(self, j0: int, j1: int, m0: int, m1: int) -> np.ndarray:
+        """(K, j1 - j0, m1 - m0) weights of the rows j0 .. j1 - 1 on the
+        levels m0 .. m1 - 1, 0 < m0 < m1 <= j0 + 1, the rows' own entries."""
+        # row j on level m weighs lag j - m: in the reversed Toeplitz lags
+        # its weights start at column n - j + m0, one column less per row
+        start = self._toeplitz.shape[1] - 1 - j0 + m0
+        if j1 - j0 == 1:
+            return self._toeplitz[:, None, start : start + m1 - m0]
+        rows, cols = j1 - j0, m1 - m0
+        # row j0 + rows - 1 first, then a copy in row order for the product
+        stride = self._toeplitz.strides
+        return np.lib.stride_tricks.as_strided(
+            self._toeplitz[:, start - rows + 1 :],
+            (self._toeplitz.shape[0], rows, cols),
+            (stride[0], stride[1], stride[1]),
+        )[:, ::-1].copy()
+
+    @cached_property
+    def tail(self) -> _ExponentialTail | None:
+        """The far sums' fit; None without factors, for n <= 2 W, where no
+        row reaches past the previous block, and when any weight set's
+        checked error passes _TAIL_TOLERANCE."""
+        W, n, dt = _MARCH_ROWS, self.lags.shape[-1] - 1, self._dt
+        if not self._factors or n <= 2 * W:
+            return None
+        tail = _ExponentialTail.fit(self._factors, (W - 1) * dt, n * dt, dt)
+        return tail if np.all(tail.error <= _TAIL_TOLERANCE) else None
+
+    def far_sums(self, stack: np.ndarray, j0: int, out: np.ndarray) -> np.ndarray:
+        """The sums of the rows j0 .. j1 - 1 of a block on the levels 0 ..
+        j0 - 1 of stack, (K, >= j0, N), written into out, (K, j1 - j0, N).
+
+        A march asks for its blocks in turn, j0 = 1, 1 + W, 1 + 2 W, ....
+        Row j weighs level 0 by oldest[j - 1], and the levels of the
+        previous block by their lags, so with its own block every lag below
+        2 W is exact.  The levels 1 .. M = j0 - W - 1 before them enter
+        through the tail's L + 2 states per weight set, folded in W levels
+        at a time and read out once per block, each one product per weight
+        set; without a tail M stays 0 and the previous-block sums reach
+        back to level 1, in chunks of W levels.
+        """
+        W, j1 = _MARCH_ROWS, j0 + out.shape[1]
+        np.multiply(self.oldest[..., j0 - 1 : j1 - 1, None], stack[:, :1], out=out)
+        M = j0 - W - 1 if j0 > 2 * W and self.tail is not None else 0
+        if M:
+            if M == W:
+                # the first fold, of the levels 1 .. W, starts from zero states
+                tail = self.tail
+                states = np.zeros((out.shape[0], tail.ratios.size + 2, out.shape[2]))
+                self._tail_sums = (tail.readout(np.arange(W + 1, 2 * W + 1)), *tail.fold(W), states)
+            readout, decay, fold, states = self._tail_sums
+            states[:, :-2] *= decay[:, None]
+            states[:, -1] += W * states[:, -2]
+            states += np.matmul(fold, stack[:, M - W + 1 : M + 1])
+            out += np.matmul(readout[:, : j1 - j0], states)
+        for m0 in range(M + 1, j0, W):
+            m1 = min(m0 + W, j0)
+            out += np.matmul(self._block(j0, j1, m0, m1), stack[:, m0:m1])
+        return out
+
+    def next_sum(self, levels: np.ndarray) -> np.ndarray:
+        """The next row j's level weights @ levels, the stored levels 0 .. j
+        as (j + 1, ...): one flat sum.  At a block's first row j0 it takes
+        the block's far_sums; a row then adds its levels from j0 on, one
+        product."""
+        self._rows_summed += 1
+        j = self._rows_summed
+        if levels.shape[0] != j + 1:
+            raise ValueError(f"next_sum sums whole rows: row {j} takes levels 0 .. {j}, not {levels.shape[0]}")
+        # a stack of one shift, the axis _block's weights carry
+        stack = levels.reshape(1, j + 1, -1)
+        W = _MARCH_ROWS
+        first = j - (j - 1) % W
+        if j == 1:
+            self._far = np.empty((1, W, stack.shape[2]))
+        if j == first:
+            self.far_sums(stack, j, self._far[:, : min(W, self.lags.size - j)])
+        near = np.matmul(self._block(j, j + 1, first, j + 1), stack[:, first:])[0, 0]
+        near += self._far[0, j - first]
+        return near
+
+
+class _ExponentialHistory:
+    """Sums of w = dG (order 1) or d2G (order 2) for a Prony kernel, by
+    recursion; HistoryConvolution.of builds it.
+
+    A term g e^{-t/tau} of G has interval weights geometric in the lag,
+    left[d] = r^d left[0] and right[d] = r^d right[0] with r = e^{-dt/tau},
+    so its share of row j is
+
+        C_j = r C_{j-1} + left[0] p_j + right[0] p_{j-1},   C_0 = 0,
+
+    and next_sum() returns the sum of C_j over the terms: O(terms N) per
+    step, reading only the two newest of the levels it is given.  It holds
+    one state C per term and no lag table, and needs no tail.  Without
+    terms every sum is an exact zero.  terms holds exponential_terms'
+    (r, left[0], right[0]).
+    """
+
+    backend = "exponential"
+    tail = None
+
+    def __init__(self, kernel: PronyKernel, order: int, dt: float):
+        self.terms = exponential_terms(kernel, dt, order)
+        self._rows_summed = 0
+
+    def next_sum(self, levels: np.ndarray) -> np.ndarray:
+        """The sum of the newest whole row, levels 0 .. j as (j + 1, ...);
+        the array may be reused, do not keep it."""
+        self._rows_summed += 1
+        j = self._rows_summed
+        if levels.shape[0] != j + 1:
+            raise ValueError(f"next_sum sums whole rows: row {j} takes levels 0 .. {j}, not {levels.shape[0]}")
+        newest, previous = levels[j].ravel(), levels[j - 1].ravel()
+        if j == 1:
+            # without terms the one zero state is every row's sum
+            self._states = [np.zeros(newest.size) for _ in range(max(1, len(self.terms)))]
+            self._product = np.empty(newest.size)
+        product = self._product
+        for state, (r, left0, right0) in zip(self._states, self.terms):
+            state *= r
+            state += np.multiply(newest, left0, out=product)
+            state += np.multiply(previous, right0, out=product)
+        if len(self._states) == 1:
+            return self._states[0]
+        return sum(self._states[1:], self._states[0])
+
+
+# ---------------------------------------------------------------------------
+# integro-differential leapfrog
+# ---------------------------------------------------------------------------
+
+
+def _march_leapfrog(spec: ProblemSpec) -> TrajectorySolution:
+    """u_{j+1} = 2 u_j - u_{j-1} + dt^2 (-mu (g0 u_j + H_j) + f_j) in sine
+    coefficients, H_j the history sum of the levels 0 .. j."""
+    grid, dt, J = spec.grid, spec.dt, spec.n_steps
+    g0 = spec.kernel.modulus(spec.eps)
+    shape = grid.shape
+    levels = np.empty((J + 1,) + shape)
+    # the rows 1 .. J - 1: the last step reads no history sum
+    history = HistoryConvolution.of(translate(spec.kernel, spec.eps), 1, J - 1, dt)
+    minus_mu = -grid.eigenvalues
+    profile, factor = spec.forcing_parts()
+    p, u0, u1 = (sine_transform(grid, f) for f in (profile, spec.u0.values, spec.u1.values))
+    levels[0] = u0
+    levels[1] = u0 + dt * u1 + 0.5 * dt * dt * (g0 * (minus_mu * u0) + factor[0] * p)
+    accel, push = np.empty((2,) + shape)
+    for j in range(1, J):
+        np.multiply(levels[j], g0, out=accel)
+        accel += history.next_sum(levels[: j + 1]).reshape(shape)
+        accel *= minus_mu
+        accel += np.multiply(p, factor[j], out=push)
+        accel *= dt * dt
+        new = levels[j + 1]
+        np.multiply(levels[j], 2.0, out=new)
+        new -= levels[j - 1]
+        new += accel
+        if not np.isfinite(new).all():
+            raise SolverAbort(j + 1, "non-finite values (instability or overflow)", spec.eps)
+
+    return TrajectorySolution(
+        grid=grid,
+        times=spec.times,
+        coefficients=levels,
+        spec_fingerprint=spec.fingerprint(),
+        history_backend=history.backend,
+        **_far_fit(history.tail),
+    )
+
+
+def _far_fit(tail: _ExponentialTail | None, k: int = 0) -> dict:
+    """TrajectorySolution's far_nodes and far_error for weight set k."""
+    return {} if tail is None else {"far_nodes": tail.ratios.size, "far_error": float(tail.error[k])}
+
+
+# ---------------------------------------------------------------------------
+# integral (Volterra) march
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class ShiftedRuns:
     """One integral_volterra problem marched at several shifts as one stack.
@@ -706,17 +729,12 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     j and F_j = C2_j p the integrated forcing: p the profile's coefficients
     and C2 the factor integrated twice.
 
-    The rows j0 .. j0 + W - 1 of a block (W = _MARCH_ROWS) split H_j three
-    ways: level 0, weighed by oldest[j - 1]; the levels of the previous
-    block and of this one, weighed by lags, so every lag below 2 W is
-    exact; and the levels 1 .. M = j0 - W - 1 before them.  With an
-    _ExponentialTail whose fit of every shift checks within
-    _TAIL_TOLERANCE, those older levels are L + 2 states per shift, folded
-    in W levels at a time and read out once per block, each one product per
-    shift; without, M stays 0 and the previous-block sums reach back to
-    level 1.  These far sums are written into the block's own slots of
-    the stack, and each slot then gains its row's data term over -mu,
-    (t_j u1 + u0 + F_j) / (-mu), for all rows at once.
+    The march steps in blocks of W = _MARCH_ROWS rows.  At a block's first
+    row j0, HistoryConvolution.far_sums writes the sums of its rows over
+    the levels 0 .. j0 - 1 straight into the block's own slots of the
+    stack: exact lags for level 0 and the previous block, the tail's states
+    for the levels before them.  Each slot then gains its row's data term
+    over -mu, (t_j u1 + u0 + F_j) / (-mu), for all rows at once.
 
     Row i of the block is then three operations: the product of its
     weights lags[i] .. lags[1], 1 with the slots 0 .. i, which gives
@@ -736,16 +754,8 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     stack = levels.reshape(K, J + 1, -1)
 
     # kernel factor Ksh(s), the integral of each shifted modulus
-    kernels = [translate(spec.kernel, float(e)) for e in shifts]
-    history = HistoryConvolution.of(kernels, -1, J, dt)
+    history = HistoryConvolution.of([translate(spec.kernel, float(e)) for e in shifts], -1, J, dt)
     W = _MARCH_ROWS
-    tail = _ExponentialTail.fit(kernels, (W - 1) * dt, J * dt, dt) if J > 2 * W else None
-    if tail is not None and not np.all(tail.error <= _TAIL_TOLERANCE):
-        tail = None
-    if tail is not None:
-        readout = tail.readout(np.arange(W + 1, 2 * W + 1))
-        decay, fold = tail.fold(W)
-        states = np.zeros((K, decay.size + 2, stack.shape[2]))
     mu = grid.eigenvalues.reshape(-1)
     minus_mu = -mu
     # the newest level of every row weighs lags[0]
@@ -768,21 +778,9 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
 
     data = np.empty((W, stack.shape[2]))
     h = np.empty((K, 1, stack.shape[2]))
-    M = 0
     for j0 in range(1, J + 1, W):
         j1 = min(j0 + W, J + 1)
-        rows = stack[:, j0:j1]
-        np.multiply(history.oldest[:, j0 - 1 : j1 - 1, None], stack[:, :1], out=rows)
-        if tail is not None and j0 - W - 1 > M:
-            states[:, :-2] *= decay[:, None]
-            states[:, -1] += W * states[:, -2]
-            states += np.matmul(fold, stack[:, M + 1 : j0 - W])
-            M = j0 - W - 1
-        if M:
-            rows += np.matmul(readout[:, : j1 - j0], states)
-        for m0 in range(M + 1, j0, W):
-            m1 = min(m0 + W, j0)
-            rows += np.matmul(history._block(j0, j1, m0, m1), stack[:, m0:m1])
+        rows = history.far_sums(stack, j0, stack[:, j0:j1])
         # the data terms t_j u1 + u0 + C2_j p of every row, over -mu
         terms = data[: j1 - j0]
         np.multiply(times[j0:j1, None], u1, out=terms)
@@ -808,8 +806,7 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
             spec_fingerprint=replace(spec, eps=float(eps)).fingerprint(),
             z_max=float(history.lags[k, 0]) * top,
             history_backend=history.backend,
-            far_nodes=0 if tail is None else tail.ratios.size,
-            far_error=0.0 if tail is None else float(tail.error[k]),
+            **_far_fit(history.tail, k),
         )
         for k, eps in enumerate(shifts)
     )

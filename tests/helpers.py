@@ -155,8 +155,10 @@ def unchecked_spec(**fields) -> ProblemSpec:
 
 def history_row(history: HistoryConvolution, j: int) -> np.ndarray:
     """Level weights of row j >= 1 of history, indexed by level m = 0 .. j,
-    read from the weight blocks its sums use; one row per shift."""
-    w = history._block(j, j + 1, 0, j + 1)[:, 0]
+    read from the weights its sums use: oldest[j - 1] and the weight block
+    of the levels 1 .. j; one row per shift."""
+    oldest = np.atleast_2d(history.oldest)[:, j - 1 : j] + 0.0
+    w = np.concatenate([oldest, history._block(j, j + 1, 1, j + 1)[:, 0]], axis=1)
     return w if history.lags.ndim > 1 else w[0]
 
 

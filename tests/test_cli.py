@@ -697,31 +697,46 @@ class TestOtherModes:
                     assert record["dt_over_limit"] == dt / limit
                     assert 0.0 < record["dt_over_limit"] <= 1.0
                     assert "z_max" not in record
+                # the far sums' fit is a direct-backend record
+                assert ("far_nodes" in record) == (backend == "direct")
 
     def test_manifest_records_the_far_history_sums(self, tmp_path):
-        # a Volterra run past two blocks of 64 steps sums its far history
-        # through the exponential fit and records its terms and checked
-        # error; a shorter one sums it directly and records 0 and 0.0
+        # a run on the direct backend past two blocks of 64 steps sums its
+        # far history through the exponential fit and records its terms and
+        # checked error, a Volterra run and a power-law leapfrog alike (the
+        # leapfrog as in criterion 03, n = 24 and J = 212); a shorter run
+        # sums it directly and records 0 and 0.0
         from memvisco.config import parse_config_file
         from memvisco.runner import _build_spec
         from memvisco.solver import run
 
         volterra = SEQUENCE.replace("[experiment]\n", "[experiment]\nformulation = integral_volterra\n")
-        cases = {"short": ("horizon = 0.2", 20), "long": ("horizon = 1.5", 150)}
-        for name, (horizon, steps) in cases.items():
-            path = write_cfg(tmp_path, volterra.replace("horizon = 0.2", horizon), name=f"{name}.cfg")
+        leapfrog = (
+            QUICK.replace("family = constant\ng0 = 1.0", "family = powerlaw\nc = 1.0\nalpha = 0.5")
+            .replace("n = 9", "n = 24")
+            .replace("horizon = 0.2\ncfl = 0.5", "horizon = 1.06\ndt = 0.005")
+            + "\n[diagnostics]\nenergy_ledger = false\nenergy_bound = false\n"
+        )
+        cases = {
+            "short": (volterra, 20, 0),
+            "long": (volterra.replace("horizon = 0.2", "horizon = 1.5"), 150, 24),
+            "leapfrog": (leapfrog, 212, 26),
+        }
+        for name, (text, steps, nodes) in cases.items():
+            path = write_cfg(tmp_path, text, name=f"{name}.cfg")
             out = tmp_path / name
             assert cli.main(["run", path, "--out", str(out)]) == 0, name
             cfg = parse_config_file(path)
             assert round(cfg.horizon / cfg.dt) == steps
             for record in read_manifest(out)["runs"]:
                 traj = run(_build_spec(cfg, record["eps"], cfg.dt))
+                assert record["history_backend"] == "direct"
                 assert (record["far_nodes"], record["far_error"]) == (traj.far_nodes, traj.far_error)
-                if name == "short":
-                    assert (record["far_nodes"], record["far_error"]) == (0, 0.0)
-                else:
-                    assert record["far_nodes"] == 24
+                assert record["far_nodes"] == nodes, name
+                if nodes:
                     assert 0.0 < record["far_error"] <= 1e-10
+                else:
+                    assert record["far_error"] == 0.0
 
     def test_manifest_times_the_phases_that_ran(self, tmp_path):
         every = "[diagnostics]\nenergy_decay = true\nweak_residual = true\n"

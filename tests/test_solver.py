@@ -328,25 +328,17 @@ def test_adjoint_is_the_transposed_row_loop(n, exponential, zeros, seed):
     assert np.all(np.abs(got - want) <= 1e-13 * magnitude)
 
 
-def _blocked_sums(history, samples, newest):
-    """next_sum of rows 1 .. n on views of samples (n + 1, N).  With
-    newest, row j sees levels 0 .. j (the leapfrog's view); without,
-    levels 0 .. j - 1, leaving level j out."""
-    got = np.zeros_like(samples)
+def _stream_sums(history, samples):
+    """next_sum() of every row j >= 1 on the levels 0 .. j; row 0 stays zero."""
+    out = np.zeros_like(samples)
     for j in range(1, samples.shape[0]):
-        got[j] = history.next_sum(samples[: j + 1 if newest else j])
-    return got
-
-
-def _small_blocks(rows):
-    """Leapfrog history sums in blocks of `rows` rows, and chunks of as
-    many levels."""
-    return mock.patch.object(solver_module, "_BLOCK_ROWS", rows)
+        out[j] = history.next_sum(samples[: j + 1])
+    return out
 
 
 @contextlib.contextmanager
 def _small_march_blocks(rows):
-    """The Volterra march in blocks of `rows` rows, its far sums direct: a
+    """Both marchers' far sums in blocks of `rows` rows, summed directly: a
     tail fit from (rows - 1) dt on checks only to _TAIL_TOLERANCE."""
     with mock.patch.object(solver_module, "_MARCH_ROWS", rows), _direct_sums():
         yield
@@ -354,39 +346,37 @@ def _small_march_blocks(rows):
 
 @given(
     rows=st.sampled_from([1, 2, 3, 5]),
-    edge=st.sampled_from(["B-1", "B", "B+1", "2B+1"]),
-    newest=st.booleans(),
+    edge=st.sampled_from(["W-1", "W", "W+1", "2W+1"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_sums_match_the_row_loop(rows, edge, newest, seed):
+def test_blocked_sums_match_the_row_loop(rows, edge, seed):
     # the blocked sums against the conv_weights row loop, with the run
     # ending on and around the block edges.  The blocks sum in another
     # order, so the bound is relative to sum |w| |p|, the size of the terms
     # each row adds up.
-    n = max(1, {"B-1": rows - 1, "B": rows, "B+1": rows + 1, "2B+1": 2 * rows + 1}[edge])
+    n = max(1, {"W-1": rows - 1, "W": rows, "W+1": rows + 1, "2W+1": 2 * rows + 1}[edge])
     rng = np.random.default_rng(seed)
     left, right = rng.standard_normal((2, n))
     samples = rng.standard_normal((n + 1, 4))
-    with _small_blocks(rows):
-        got = _blocked_sums(HistoryConvolution(left, right), samples, newest)
+    with mock.patch.object(solver_module, "_MARCH_ROWS", rows), _direct_sums():
+        got = _stream_sums(HistoryConvolution(left, right), samples)
     for j in range(1, n + 1):
-        top = j + 1 if newest else j
-        w = conv_weights(left, right, j)[:top]
-        magnitude = np.abs(w) @ np.abs(samples[:top])
-        assert np.all(np.abs(got[j] - w @ samples[:top]) <= 1e-13 * magnitude)
+        w = conv_weights(left, right, j)
+        magnitude = np.abs(w) @ np.abs(samples[: j + 1])
+        assert np.all(np.abs(got[j] - w @ samples[: j + 1]) <= 1e-13 * magnitude)
 
 
 def test_blocked_sums_at_the_module_caps():
-    # the same comparison with the shipped caps, over three blocks
-    n = 2 * solver_module._BLOCK_ROWS + 1
+    # the same comparison with the shipped block, over three blocks
+    n = 2 * solver_module._MARCH_ROWS + 1
     rng = np.random.default_rng(3)
     left, right = rng.standard_normal((2, n))
     samples = rng.standard_normal((n + 1, 5))
-    got = _blocked_sums(HistoryConvolution(left, right), samples, newest=False)
+    got = _stream_sums(HistoryConvolution(left, right), samples)
     for j in range(1, n + 1):
-        w = conv_weights(left, right, j)[:j]
-        magnitude = np.abs(w) @ np.abs(samples[:j])
-        assert np.all(np.abs(got[j] - w @ samples[:j]) <= 1e-13 * magnitude)
+        w = conv_weights(left, right, j)
+        magnitude = np.abs(w) @ np.abs(samples[: j + 1])
+        assert np.all(np.abs(got[j] - w @ samples[: j + 1]) <= 1e-13 * magnitude)
 
 
 def _volterra_spec(grid, horizon, dt, forcing=None):
@@ -507,6 +497,7 @@ def test_volterra_sequence_holds_no_history():
 def test_powerlaw_leapfrog_holds_no_history():
     # the direct backend kept a (J + 1, N) Laplacian stack the size of the
     # levels; the blocked sums on the levels hold under 0.35x of it here
+    # (measured: a peak of 1.20x the levels, the tail's states included)
     g = Grid.box(9)
     kernel = PowerLawKernel(c=1.0, alpha=0.5)
     spec = ProblemSpec(
@@ -525,14 +516,6 @@ _TERMS = {
     2: ((0.3, 1.0), (0.2, 0.1)),
     3: ((0.4, 1.0), (0.1, 7.0), (0.2, 0.03)),
 }
-
-
-def _stream_sums(history, samples):
-    """next_sum() of every row j >= 1 on the levels 0 .. j; row 0 stays zero."""
-    out = np.zeros_like(samples)
-    for j in range(1, samples.shape[0]):
-        out[j] = history.next_sum(samples[: j + 1])
-    return out
 
 
 class TestExponentialHistory:
@@ -743,15 +726,13 @@ class TestMarchersMatchReferenceLoops:
 
 @pytest.mark.parametrize("spec", _march_cases())
 def test_blocked_marchers_match_reference_loops(spec):
-    # the runs above fit one block of the shipped caps.  Leapfrog blocks of
-    # 4 rows and of 1, and Volterra blocks of 4, 5 and 7 rows with direct
-    # far sums, sum in other orders, so the levels agree to round-off
-    if spec.formulation == "integrodifferential":
-        want, blocks = reference_integrodiff(spec), [_small_blocks(rows) for rows in (4, 1)]
-    else:
-        want, blocks = reference_volterra(spec), [_small_march_blocks(rows) for rows in (4, 5, 7)]
-    for small in blocks:
-        with small:
+    # the runs above fit one block of the shipped _MARCH_ROWS.  Blocks of
+    # 4, 5 and 7 rows with direct far sums sum in other orders, so the
+    # levels agree to round-off
+    leapfrog = spec.formulation == "integrodifferential"
+    want = reference_integrodiff(spec) if leapfrog else reference_volterra(spec)
+    for rows in (4, 5, 7):
+        with _small_march_blocks(rows):
             traj = run(spec)
         assert np.max(np.abs(traj.levels - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -1009,18 +990,18 @@ def _direct_sums():
     return mock.patch.object(solver_module, "_TAIL_TOLERANCE", 0.0)
 
 
-def _hat_integrals(kernel, lags, dt):
-    """Exact Volterra lag weights: Ksh integrated against the hat on
-    [s_{d-1}, s_{d+1}], by 10-point Gauss-Legendre on each half, where Ksh
-    is smooth for d >= 1."""
+def _hat_integrals(factor, lags, dt):
+    """Exact lag weights: the factor w (Ksh for the Volterra march, dG for
+    the leapfrog) integrated against the hat on [s_{d-1}, s_{d+1}], by
+    10-point Gauss-Legendre on each half, where w is smooth for d >= 1."""
     x, w = np.polynomial.legendre.leggauss(10)
     x, w = (x + 1) / 2, w / 2
     s = (np.asarray(lags)[:, None] - 1 + x) * dt
-    return dt * (kernel._integral(s) * x + kernel._integral(s + dt) * (1 - x)) @ w
+    return dt * (factor(s) * x + factor(s + dt) * (1 - x)) @ w
 
 
 class TestVolterraTail:
-    """The exponential fit that carries the Volterra march's far history sums."""
+    """The exponential fit that carries the far history sums of both marchers."""
 
     @pytest.mark.parametrize("J", [200, 2000, 8000])
     @pytest.mark.parametrize("family", sorted(_TAIL_FAMILIES))
@@ -1032,14 +1013,14 @@ class TestVolterraTail:
         # (up to 1e-7 relative at J = 8000)
         W, dt = solver_module._MARCH_ROWS, 1.0 / J
         kernels = [translate(k, e) for k in _TAIL_FAMILIES[family] for e in (0.0, 0.01, 0.1)]
-        tail = solver_module._ExponentialTail.fit(kernels, (W - 1) * dt, 1.0, dt)
+        tail = solver_module._ExponentialTail.fit([k._integral for k in kernels], (W - 1) * dt, 1.0, dt)
         assert np.all(tail.error <= solver_module._TAIL_TOLERANCE)
         lags = np.arange(W, J)  # lag J weighs only level 0, through oldest
         terms = tail.readout(lags)[..., :-1]  # a lone level at M: states (1, .., 1, 1, 0)
         fitted, magnitude = terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
         table = HistoryConvolution.of(kernels, -1, J, dt).lags[:, W:J]
         for k, kernel in enumerate(kernels):
-            exact = _hat_integrals(kernel, lags, dt)
+            exact = _hat_integrals(kernel._integral, lags, dt)
             delta = tail.error[k] * kernel._integral(1.0) * dt
             rounding = 8 * np.finfo(float).eps * (np.abs(exact) + magnitude[k])
             assert np.all(np.abs(fitted[k] - exact) <= delta + rounding)
@@ -1077,7 +1058,7 @@ class TestVolterraTail:
         def exact_from_w(kernels, order, n, dt):
             history = weights(kernels, order, n, dt)
             for k, shifted in enumerate(kernels):
-                history.lags[k, W:n] = _hat_integrals(shifted, np.arange(W, n), dt)
+                history.lags[k, W:n] = _hat_integrals(shifted._integral, np.arange(W, n), dt)
             return history
 
         with mock.patch.object(HistoryConvolution, "of", exact_from_w):
@@ -1090,6 +1071,47 @@ class TestVolterraTail:
             scale = np.max(np.abs(slow.coefficients))
             bound = fast.far_error * translate(kernel, eps)._integral(1.0) + 1e-13
             assert np.max(np.abs(fast.coefficients - slow.coefficients)) <= bound * scale
+
+    @pytest.mark.parametrize(
+        "kernel, eps, forced",
+        [
+            (PowerLawKernel(c=1.0, alpha=0.5), 0.1, False),
+            (PowerLawKernel(c=1.0, alpha=0.5), 0.01, True),
+            (_TAIL_FAMILIES["sum"][0], 0.01, False),
+        ],
+        ids=["powerlaw-eps0.1", "powerlaw-eps0.01", "sum"],
+    )
+    def test_blocked_leapfrog_matches_direct_sums(self, kernel, eps, forced):
+        # the leapfrog's far sums fit dG: the same comparison as above, at
+        # J = 2,000 steps on exact weights of the lags from W on.  The fit
+        # moves every far sum by at most delta T max|u|, delta the checked
+        # error times max |dG| = |dG((W - 1) dt)|, and the bound on the
+        # levels is that plus 1e-13 max|u| (measured: at most 0.16 of it)
+        W, J = solver_module._MARCH_ROWS, 2000
+        g = Grid.line(99)
+        pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
+        spec = ProblemSpec(
+            kernel=kernel, grid=g, horizon=1.0, dt=1.0 / J, eps=eps,
+            u0=Field.zero(g), u1=field_from_name(g, "sine_mode", {"amplitude": 1.0, "modes": [1]}),
+            forcing=pulse if forced else None,
+        )
+        weights = HistoryConvolution.of
+        shifted = translate(kernel, eps)
+
+        def exact_from_w(k, order, n, dt):
+            history = weights(k, order, n, dt)
+            history.lags[W:n] = _hat_integrals(shifted._modulus_dt, np.arange(W, n), dt)
+            return history
+
+        with mock.patch.object(HistoryConvolution, "of", exact_from_w):
+            fast = run(spec)
+            with _direct_sums():
+                slow = run(spec)
+        assert fast.far_nodes > 0 and slow.far_nodes == 0
+        assert 0.0 < fast.far_error <= solver_module._TAIL_TOLERANCE
+        scale = np.max(np.abs(slow.coefficients))
+        bound = fast.far_error * abs(shifted.modulus_dt((W - 1) * spec.dt)) + 1e-13
+        assert np.max(np.abs(fast.coefficients - slow.coefficients)) <= bound * scale
 
     def test_short_and_refused_runs_sum_directly(self):
         g = Grid.line(19)
@@ -1186,10 +1208,11 @@ def test_volterra_march_takes_no_laplacian(grid, shifts):
 )
 def test_leapfrog_takes_no_laplacian(kernel):
     # the leapfrog marches the sine coefficients too: step j scales
-    # g0 u_j + H_j by -mu, also in runs past two blocks of _BLOCK_ROWS rows,
-    # whose far sums read the older levels, and transforms nothing per step
+    # g0 u_j + H_j by -mu, also in runs past two blocks of _MARCH_ROWS rows,
+    # whose far sums read the older levels through the tail's states, and
+    # transforms nothing per step
     g = Grid.line(17)
-    n_steps = 2 * solver_module._BLOCK_ROWS + 5
+    n_steps = 2 * solver_module._MARCH_ROWS + 5
     spec = ProblemSpec(
         kernel=kernel, grid=g, horizon=2.0, dt=2.0 / n_steps, eps=0.05,
         u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}),
@@ -1197,6 +1220,7 @@ def test_leapfrog_takes_no_laplacian(kernel):
     traj, calls = _transform_calls(lambda: run(spec))
     assert np.all(np.isfinite(traj.coefficients))
     assert calls == [g.shape] * 3
+    assert (traj.far_nodes > 0) == (traj.history_backend == "direct")
     # the modal march is the nodal leapfrog: level 2 against one stencil step
     g0 = kernel.modulus(0.05)
     u = traj.levels
