@@ -30,10 +30,10 @@ if __name__ == "__main__":
         u1=field_from_name(grid, "sin_pi_product", {"amplitude": 1.0}),
         formulation="integral_volterra",
     )
-    trajs = run_eps_sequence(base, 0.1, 0.5, 6)
-    report = cauchy_report(trajs, eps_values, kernel, tolerance=1e-2)
+    sequence = run_eps_sequence(base, 0.1, 0.5, 6)
+    report = cauchy_report(sequence, kernel, tolerance=1e-2)
     print("  h        eps       d_h = |u_h - u_{h+1}|    sup|K(eps+s)-K(s)|                  z_max")
-    for h, (eps, traj) in enumerate(zip(eps_values, trajs)):
+    for h, (eps, record) in enumerate(zip(eps_values, sequence.runs)):
         d = f"{report.distances[h]:.6e}" if h < report.distances.size else "-"
-        print(f"  {h}   {eps:10.6f}   {d:>22}   {report.kernel_sup_bounds[h]:.6e}   {traj.z_max:>22.6f}")
+        print(f"  {h}   {eps:10.6f}   {d:>22}   {report.kernel_sup_bounds[h]:.6e}   {record.z_max:>22.6f}")
     print(f"fitted rate {report.fitted_rate:.3f}   monotone {report.monotone}   passed {report.passed}")

@@ -10,23 +10,29 @@ shift.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from memvisco.diagnostics import battery_projections, level_blocks
+from memvisco.diagnostics import battery_columns, battery_modes, battery_projections
+from memvisco.grid import Grid, level_squares, sine_transform, trapezoid_weights
 from memvisco.kernels import RelaxationKernel, kernel_diff_bound, translate
 from memvisco.solver import (
     HistoryConvolution,
     ProblemSpec,
+    RunRecord,
     TrajectorySolution,
     interval_weights,
+    march_shifts,
     run,
-    trajectory_distance,
+    stored_blocks,
 )
 
 __all__ = [
     "eps_schedule",
+    "ShiftSequence",
     "run_eps_sequence",
     "ConvergenceReport",
     "cauchy_report",
@@ -46,24 +52,87 @@ def eps_schedule(eps0: float, ratio: float, count: int) -> np.ndarray:
     return eps0 * ratio ** np.arange(count + 1, dtype=float)
 
 
-def run_eps_sequence(
-    base: ProblemSpec,
-    eps0: float,
-    ratio: float,
-    count: int,
-) -> list[TrajectorySolution]:
-    """Run the base problem at every shift of the schedule, shared dt.
+class ShiftSequence(NamedTuple):
+    """What a shift sequence keeps of its K runs: each run's record, the
+    level bytes each held, and what cauchy_report and
+    convergence_lemma_check read.  next_squares[h] and finest_squares[h],
+    (K - 1, J + 1), are each level's level_squares of u_h - u_{h+1} and
+    of u_h - u_{K-1} (Parseval: in sine coefficients); columns[k] is run
+    k's battery_columns and peaks[k] its max |u|.  seconds is the wall
+    time of the reduction, by the phase that reads it.
+    """
+
+    grid: Grid
+    times: np.ndarray
+    eps_values: np.ndarray
+    runs: tuple[RunRecord, ...]
+    levels_bytes: int
+    next_squares: np.ndarray
+    finest_squares: np.ndarray
+    columns: np.ndarray
+    peaks: np.ndarray
+    seconds: dict
+
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
+
+    @classmethod
+    def reduce(cls, grid: Grid, times: np.ndarray, eps_values, runs, levels_bytes: int, blocks) -> ShiftSequence:
+        """The sequence of runs whose levels come in blocks (j0, the levels
+        j0 .. j1 - 1 of every run), as march_shifts and stored_blocks hand
+        them over; each block is read as it arrives."""
+        eps_values = np.asarray(eps_values, dtype=float)
+        K, n = eps_values.size, times.size
+        next_squares, finest_squares = np.empty((2, K - 1, n))
+        columns = np.empty((K, n, len(battery_modes(grid))))
+        peaks = np.zeros(K)
+        seconds = {"cauchy": 0.0, "lemma_check": 0.0}
+        for j0, block in blocks:
+            j1 = j0 + block.shape[1]
+            start = time.perf_counter()
+            next_squares[:, j0:j1] = level_squares(grid, block[:-1] - block[1:], overwrite=True)
+            finest_squares[:, j0:j1] = level_squares(grid, block[:-1] - block[-1:], overwrite=True)
+            middle = time.perf_counter()
+            columns[:, j0:j1] = battery_columns(grid, block)
+            # one transform per shift: a product of K blocks at once woke
+            # OpenBLAS's second thread, which then spun through the march
+            for k in range(K):
+                peaks[k] = max(peaks[k], np.abs(sine_transform(grid, block[k])).max())
+            seconds["cauchy"] += middle - start
+            seconds["lemma_check"] += time.perf_counter() - middle
+        return cls(
+            grid, times, eps_values, tuple(runs), levels_bytes, next_squares, finest_squares, columns, peaks, seconds
+        )
+
+    @classmethod
+    def of(cls, eps_values, trajectories: list[TrajectorySolution]) -> ShiftSequence:
+        """The sequence of stored runs on one grid and time axis, one per shift."""
+        if len(trajectories) != np.size(eps_values):
+            raise ValueError("one shift value per trajectory required")
+        first = trajectories[0]
+        runs = [t.record for t in trajectories]
+        blocks = stored_blocks(trajectories)
+        return cls.reduce(first.grid, first.times, eps_values, runs, first.coefficients.nbytes, blocks)
+
+
+def run_eps_sequence(base: ProblemSpec, eps0: float, ratio: float, count: int) -> ShiftSequence:
+    """Run the base problem at every shift of the schedule, shared dt, and
+    reduce the runs to a ShiftSequence.
 
     An integral_volterra sequence is marched as one stack of all its
-    shifts.  A leapfrog one runs shift by shift; every shift's spec is
-    built, and so checks its own time step, before any of them runs, so an
-    infeasible dt fails before any work happens.
+    shifts, and each block of levels is reduced as march_shifts hands it
+    over: the march holds K (3 W + 1) levels, W = 64, or all of them when
+    its far sums have no tail.  A leapfrog sequence runs shift by shift,
+    and its stored levels go through the same reduction; every shift's
+    spec is built, and so checks its own time step, before any of them
+    runs, so an infeasible dt fails before any work happens.
     """
     eps_values = eps_schedule(eps0, ratio, count)
     if base.formulation == "integral_volterra":
-        return list(run(base, eps_values).trajectories)
+        return ShiftSequence.reduce(base.grid, base.times, eps_values, *march_shifts(base, eps_values))
     specs = [replace(base, eps=float(e)) for e in eps_values]
-    return [run(spec) for spec in specs]
+    return ShiftSequence.of(eps_values, [run(spec) for spec in specs])
 
 
 @dataclass(frozen=True)
@@ -88,31 +157,18 @@ class ConvergenceReport:
 
 
 def cauchy_report(
-    trajectories: list[TrajectorySolution],
-    eps_values,
+    sequence: ShiftSequence,
     kernel: RelaxationKernel,
     tolerance: float,
 ) -> ConvergenceReport:
-    eps_values = np.asarray(eps_values, dtype=float)
-    if len(trajectories) < 3:
-        raise ValueError(
-            f"need at least 3 trajectories to assess a limit, got {len(trajectories)}"
-        )
-    if len(trajectories) != eps_values.size:
-        raise ValueError("one shift value per trajectory required")
-
-    d = np.array(
-        [
-            trajectory_distance(trajectories[h], trajectories[h + 1])
-            for h in range(len(trajectories) - 1)
-        ]
-    )
-    tail = np.array(
-        [
-            trajectory_distance(trajectories[h], trajectories[-1])
-            for h in range(len(trajectories) - 1)
-        ]
-    )
+    """Each run's space-time L2 distance to the next and to the finest,
+    from the sequence's level squares, as l2_spacetime takes it."""
+    eps_values = sequence.eps_values
+    if eps_values.size < 3:
+        raise ValueError(f"need at least 3 runs to assess a limit, got {eps_values.size}")
+    w = trapezoid_weights(sequence.times.size, sequence.dt)
+    d = np.array([math.sqrt(float(np.dot(w, sq))) for sq in sequence.next_squares])
+    tail = np.array([math.sqrt(float(np.dot(w, sq))) for sq in sequence.finest_squares])
     sup_bounds = np.array(
         [float(kernel_diff_bound(kernel, float(e), 0.0)) for e in eps_values]
     )
@@ -156,11 +212,7 @@ class LemmaCheckEntry:
         return abs(self.residual) <= self.majorant * (1 + 1e-9) + 1e-300
 
 
-def convergence_lemma_check(
-    kernel: RelaxationKernel,
-    eps_values,
-    trajectories: list[TrajectorySolution],
-) -> list[LemmaCheckEntry]:
+def convergence_lemma_check(kernel: RelaxationKernel, sequence: ShiftSequence) -> list[LemmaCheckEntry]:
     """Residual of swapping the shifted kernel for the unshifted one.
 
     For each shift and test function v of the default battery:
@@ -171,16 +223,14 @@ def convergence_lemma_check(
     dominated by  sup|lap v| * C * |Omega| * T * sup_s |Ksh - K|  with
     C = sup|u| / |Omega|.  Both sides vanish as the shift does, and both
     are exactly zero for constant kernels, whose shift is the kernel itself.
+    R reads the sequence's battery columns and C its peaks.
     """
-    eps_values = np.asarray(eps_values, dtype=float)
-    if len(trajectories) != eps_values.size:
-        raise ValueError("one shift value per trajectory required")
-
+    grid, times, dt = sequence.grid, sequence.times, sequence.dt
+    J = times.size - 1
+    horizon = float(times[-1])
+    vol = grid.cell_volume
     out: list[LemmaCheckEntry] = []
-    for e, traj in zip(eps_values, trajectories):
-        grid, dt = traj.grid, traj.dt
-        J = traj.n_levels - 1
-        horizon = float(traj.times[-1])
+    for e, columns, peak in zip(sequence.eps_values, sequence.columns, sequence.peaks):
         shifted = translate(kernel, float(e))
 
         # sup_s |Ksh(s) - K(s)| on [0, horizon]: increasing in s, peak at s = horizon
@@ -194,12 +244,9 @@ def convergence_lemma_check(
             J, dt,
         )
         history = HistoryConvolution(*weights)
-        # max |u| over the nodes, from two arrays of a few levels at a time
-        blocks = level_blocks(traj, 2)
-        c_level = max(float(np.abs(traj.nodal(a, b)).max()) for a, b in blocks) / grid.volume
+        c_level = float(peak) / grid.volume
 
-        vol = grid.cell_volume
-        for v, _, _, y, projected in battery_projections(traj, history):
+        for v, _, _, y, projected in battery_projections(grid, times, columns, history):
             # + 0.0: a constant modulus has zero weights, and -0.0 is not a residual
             residual = vol * v.laplace_factor(grid) * float(y @ projected) + 0.0
             # the time profiles peak at 1

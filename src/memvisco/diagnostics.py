@@ -39,6 +39,8 @@ __all__ = [
     "check_energy_bound",
     "ModeTestFunction",
     "default_battery",
+    "battery_modes",
+    "battery_columns",
     "battery_projections",
     "level_blocks",
     "WeakResidualEntry",
@@ -478,7 +480,8 @@ def weak_residual(
 
     vol = grid.cell_volume
     out = []
-    for v, vx, a, y, projected in battery_projections(traj, history):
+    columns = battery_columns(grid, traj.coefficients)
+    for v, vx, a, y, projected in battery_projections(grid, traj.times, columns, history):
         ramp = traj.times * (u1.values.ravel() @ vx) + u0.values.ravel() @ vx
         if forcing is not None:
             ramp += c2 * (profile @ vx)
@@ -492,26 +495,39 @@ def weak_residual(
     return out
 
 
-def battery_projections(traj: TrajectorySolution, history: HistoryConvolution):
+def battery_modes(grid: Grid) -> list[tuple[int, ...]]:
+    """The mode sets of the default battery, each once, in its order."""
+    return list(dict.fromkeys(v.modes for v in default_battery(grid)))
+
+
+def battery_columns(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
+    """The sine coefficients of the battery's modes in a stack of levels
+    (..., *grid.shape): (..., modes), one column per mode set."""
+    return np.stack(
+        [coefficients[(..., *(m - 1 for m in modes))] for modes in battery_modes(grid)], axis=-1
+    )
+
+
+def battery_projections(grid: Grid, times: np.ndarray, columns: np.ndarray, history: HistoryConvolution):
     """(v, vx, a, y, projected) for each test function v of the default
     battery: vx its space values, flat; a = w v(t) its time profile with
     the trapezoid weights; y = history.adjoint(a), one transposed history
-    sum per time profile; projected = the levels projected on vx.
+    sum per time profile; projected = the levels at times projected on vx,
+    from their battery_columns, (n_levels, modes).
 
     Every tested term is linear in u, so projecting the levels first leaves
     only scalar convolutions.  vx is the product of sine modes m, which is
     prod_axes sqrt((n + 1) / 2) times the orthonormal DST-I mode, so a
     level's projection on it is that multiple of its coefficient u_hat_m.
     """
-    grid = traj.grid
-    horizon = float(traj.times[-1])
+    horizon = float(times[-1])
     scale = math.prod(math.sqrt((n + 1) / 2) for n in grid.n)
-    wt = trapezoid_weights(traj.n_levels, traj.dt)
+    wt = trapezoid_weights(times.size, float(times[1] - times[0]))
+    index = {modes: i for i, modes in enumerate(battery_modes(grid))}
     adjoints = {}
     for v in default_battery(grid):
         vx = v.space_values(grid).ravel()
-        a = wt * v.time_values(traj.times, horizon)
+        a = wt * v.time_values(times, horizon)
         if v.time_profile not in adjoints:
             adjoints[v.time_profile] = history.adjoint(a)
-        column = traj.coefficients[(slice(None),) + tuple(m - 1 for m in v.modes)]
-        yield v, vx, a, adjoints[v.time_profile], scale * column
+        yield v, vx, a, adjoints[v.time_profile], scale * columns[:, index[v.modes]]

@@ -28,6 +28,7 @@ __all__ = [
     "l2_space",
     "trapezoid_weights",
     "double_trapezoid",
+    "level_squares",
     "l2_spacetime",
 ]
 
@@ -193,14 +194,18 @@ def double_trapezoid(samples, dt: float) -> np.ndarray:
     return out
 
 
-def l2_spacetime(grid: Grid, levels: np.ndarray, dt: float, overwrite: bool = False) -> float:
-    """Trapezoid-in-time, midpoint-in-space L2 norm of a level stack.
+def level_squares(grid: Grid, levels: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Midpoint-rule squared L2 norm of each level of a stack (..., *grid.shape).
 
     With overwrite, a float stack of the caller's is squared in place
     instead of into a second stack.
     """
     levels = np.asarray(levels, dtype=float)
-    w = trapezoid_weights(levels.shape[0], dt)
     squares = np.square(levels, out=levels if overwrite else None)
-    sq = grid.cell_volume * np.sum(squares.reshape(levels.shape[0], -1), axis=1)
-    return math.sqrt(float(np.dot(w, sq)))
+    return grid.cell_volume * np.sum(squares.reshape(levels.shape[: levels.ndim - grid.dim] + (-1,)), axis=-1)
+
+
+def l2_spacetime(grid: Grid, levels: np.ndarray, dt: float, overwrite: bool = False) -> float:
+    """Trapezoid-in-time, midpoint-in-space L2 norm of a level stack."""
+    sq = level_squares(grid, levels, overwrite)
+    return math.sqrt(float(np.dot(trapezoid_weights(sq.size, dt), sq)))

@@ -39,6 +39,7 @@ from memvisco.kernels import check_admissibility, check_fading_memory
 from memvisco.solver import (
     CflViolation,
     ProblemSpec,
+    RunRecord,
     SolverAbort,
     cfl_time_step,
     run,
@@ -159,6 +160,13 @@ class _Phases:
             self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
             if steps:
                 self.steps[name] = self.steps.get(name, 0) + steps
+
+    def split(self, name: str, parts: dict) -> None:
+        """Book parts, {phase: seconds} of work done inside phase name, to
+        phases of their own."""
+        for part, seconds in parts.items():
+            self.seconds[name] -= seconds
+            self.seconds[part] = self.seconds.get(part, 0.0) + seconds
 
     def report(self) -> dict:
         out = {name: {"seconds": round(sec, 6)} for name, sec in self.seconds.items()}
@@ -364,30 +372,31 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     return exit_code
 
 
-def _run_record(cfg: ExperimentConfig, eps: float, traj) -> dict:
-    """What the manifest keeps of one trajectory.
+def _run_record(cfg: ExperimentConfig, eps: float, dt: float, facts: RunRecord, levels_bytes: int) -> dict:
+    """What the manifest keeps of one run, from its RunRecord facts.
 
     A leapfrog run records its stability margin, dt over the largest stable
     dt at the shift; a Volterra run its modal one, z_max, the self-weight
     times the largest eigenvalue of -lap.  A direct-backend run records the
     far history sums' fit: far_nodes terms (0 when summed directly) whose
     checked error is far_error of max |w|, w = Ksh or dG.  levels_bytes is
-    the size of the stored sine coefficients, the run's one array of every level.
+    the level bytes the run held: its stored sine coefficients, or its
+    share of a streamed sequence's ring.
     """
     record = {
         "eps": float(eps),
-        "spec_fingerprint": traj.spec_fingerprint,
-        "history_backend": traj.history_backend,
-        "levels_bytes": int(traj.coefficients.nbytes),
+        "spec_fingerprint": facts.spec_fingerprint,
+        "history_backend": facts.history_backend,
+        "levels_bytes": int(levels_bytes),
     }
-    if traj.z_max is not None:
-        record["z_max"] = traj.z_max
+    if facts.z_max is not None:
+        record["z_max"] = facts.z_max
     else:
         limit = stable_time_step(cfg.grid, cfg.kernel.modulus(float(eps)))
-        record["dt_over_limit"] = traj.dt / limit
-    if traj.history_backend == "direct":
-        record["far_nodes"] = traj.far_nodes
-        record["far_error"] = traj.far_error
+        record["dt_over_limit"] = dt / limit
+    if facts.history_backend == "direct":
+        record["far_nodes"] = facts.far_nodes
+        record["far_error"] = facts.far_error
     return record
 
 
@@ -398,7 +407,7 @@ def _run_single(
     spec = _build_spec(cfg, cfg.eps, dt)
     with phases("solve", steps=spec.n_steps):
         traj = run(spec)
-    runs.append(_run_record(cfg, cfg.eps, traj))
+    runs.append(_run_record(cfg, cfg.eps, traj.dt, traj.record, traj.coefficients.nbytes))
     with phases("export"):
         _export_trajectory(out_dir, cfg, traj)
     verdicts["dt"] = dt
@@ -473,10 +482,16 @@ def _run_sequence(
     dt = _resolve_dt(cfg, float(eps_values[-1]))
     base = _build_spec(cfg, float(eps_values[0]), dt)
     with phases("solve", steps=base.n_steps * (cfg.count + 1)):
-        trajs = run_eps_sequence(base, cfg.eps0, cfg.ratio, cfg.count)
-    runs.extend(_run_record(cfg, e, traj) for e, traj in zip(eps_values, trajs))
+        sequence = run_eps_sequence(base, cfg.eps0, cfg.ratio, cfg.count)
+    # the sequence reduces each block of levels as the march hands it over:
+    # that time goes to the phases that read the reductions
+    reductions = sequence.seconds
+    if not cfg.diagnostics["lemma_check"]:
+        reductions = {"cauchy": reductions["cauchy"]}
+    phases.split("solve", reductions)
+    runs.extend(_run_record(cfg, e, dt, r, sequence.levels_bytes) for e, r in zip(eps_values, sequence.runs))
     with phases("cauchy"):
-        report = cauchy_report(trajs, eps_values, cfg.kernel, cfg.tolerances["cauchy_tol"])
+        report = cauchy_report(sequence, cfg.kernel, cfg.tolerances["cauchy_tol"])
 
     count = len(eps_values)
     with phases("export"):
@@ -509,7 +524,7 @@ def _run_sequence(
 
     if cfg.diagnostics["lemma_check"]:
         with phases("lemma_check"):
-            entries = convergence_lemma_check(cfg.kernel, eps_values, trajs)
+            entries = convergence_lemma_check(cfg.kernel, sequence)
         with phases("export"):
             _write_csv(
                 out_dir / "lemma.csv",

@@ -26,6 +26,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "CflViolation",
     "SolverAbort",
     "ProblemSpec",
+    "RunRecord",
     "TrajectorySolution",
     "ShiftedRuns",
     "stable_time_step",
@@ -46,6 +48,8 @@ __all__ = [
     "exponential_terms",
     "HistoryConvolution",
     "run",
+    "march_shifts",
+    "stored_blocks",
     "trajectory_distance",
     "compute_stress",
     "stress_curve",
@@ -191,6 +195,17 @@ class ProblemSpec:
         return h.hexdigest()[:16]
 
 
+class RunRecord(NamedTuple):
+    """What a run's manifest entry reads of it besides its levels; a
+    streamed shift sequence keeps these and no trajectory."""
+
+    spec_fingerprint: str
+    z_max: float | None = None
+    history_backend: str = "direct"
+    far_nodes: int = 0
+    far_error: float = 0.0
+
+
 @dataclass(frozen=True)
 class TrajectorySolution:
     grid: Grid
@@ -212,6 +227,10 @@ class TrajectorySolution:
     @property
     def n_levels(self) -> int:
         return self.coefficients.shape[0]
+
+    @property
+    def record(self) -> RunRecord:
+        return RunRecord(*(getattr(self, name) for name in RunRecord._fields))
 
     @property
     def levels(self) -> np.ndarray:
@@ -547,7 +566,9 @@ class HistoryConvolution:
 
     def far_sums(self, stack: np.ndarray, j0: int, out: np.ndarray) -> np.ndarray:
         """The sums of the rows j0 .. j1 - 1 of a block on the levels 0 ..
-        j0 - 1 of stack, (K, >= j0, N), written into out, (K, j1 - j0, N).
+        j0 - 1 of stack, (K, 1 + R, N), written into out, (K, j1 - j0, N).
+        stack holds level 0, then level m >= 1 in slot 1 + (m - 1) % R: R
+        is 3 W, or a whole stack, which never wraps.
 
         A march asks for its blocks in turn, j0 = 1, 1 + W, 1 + 2 W, ....
         Row j weighs level 0 by oldest[j - 1], and the levels of the
@@ -558,7 +579,13 @@ class HistoryConvolution:
         set; without a tail M stays 0 and the previous-block sums reach
         back to level 1, in chunks of W levels.
         """
-        W, j1 = _MARCH_ROWS, j0 + out.shape[1]
+        W, j1, ring = _MARCH_ROWS, j0 + out.shape[1], stack.shape[1] - 1
+
+        def levels(m0, m1):
+            # a chunk starts on a block's first level, so it never wraps
+            start = 1 + (m0 - 1) % ring
+            return stack[:, start : start + m1 - m0]
+
         np.multiply(self.oldest[..., j0 - 1 : j1 - 1, None], stack[:, :1], out=out)
         M = j0 - W - 1 if j0 > 2 * W and self.tail is not None else 0
         if M:
@@ -570,11 +597,11 @@ class HistoryConvolution:
             readout, decay, fold, states = self._tail_sums
             states[:, :-2] *= decay[:, None]
             states[:, -1] += W * states[:, -2]
-            states += np.matmul(fold, stack[:, M - W + 1 : M + 1])
+            states += np.matmul(fold, levels(M - W + 1, M + 1))
             out += np.matmul(readout[:, : j1 - j0], states)
         for m0 in range(M + 1, j0, W):
             m1 = min(m0 + W, j0)
-            out += np.matmul(self._block(j0, j1, m0, m1), stack[:, m0:m1])
+            out += np.matmul(self._block(j0, j1, m0, m1), levels(m0, m1))
         return out
 
     def next_sum(self, levels: np.ndarray) -> np.ndarray:
@@ -715,10 +742,11 @@ class ShiftedRuns:
         return sine_transform(self.trajectories[0].grid, self.coefficients)
 
 
-def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
-    """March spec at every shift eps in shifts at once, as a (K, *grid.shape)
-    stack of sine coefficients: one step for all K shifts, each with its own
-    weights.
+def _march_volterra(spec: ProblemSpec, shifts: np.ndarray, history: HistoryConvolution, levels: np.ndarray):
+    """March spec at every shift eps in shifts at once, with history's
+    weight set for each, into levels, (K, 1 + R, *grid.shape) as far_sums
+    reads them: one step for all K shifts.  A generator of the finished
+    blocks, (j0, the levels j0 .. j1 - 1 of every shift), level 0 first.
 
     The box Laplacian is diagonal in sine modes, -mu, so step j solves its
     self-term lags[0] lap u_j exactly and needs no Laplacian:
@@ -731,10 +759,10 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
 
     The march steps in blocks of W = _MARCH_ROWS rows.  At a block's first
     row j0, HistoryConvolution.far_sums writes the sums of its rows over
-    the levels 0 .. j0 - 1 straight into the block's own slots of the
-    stack: exact lags for level 0 and the previous block, the tail's states
-    for the levels before them.  Each slot then gains its row's data term
-    over -mu, (t_j u1 + u0 + F_j) / (-mu), for all rows at once.
+    the levels 0 .. j0 - 1 straight into the block's own slots: exact lags
+    for level 0 and the previous block, the tail's states for the levels
+    before them.  Each slot then gains its row's data term over -mu,
+    (t_j u1 + u0 + F_j) / (-mu), for all rows at once.
 
     Row i of the block is then three operations: the product of its
     weights lags[i] .. lags[1], 1 with the slots 0 .. i, which gives
@@ -745,16 +773,12 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     blows up would report inf some steps later (641 for 638 in the abort
     tests of TestVolterraTail).  Every operation acts on each shift's
     coefficients alone, as a one-shift march would, so a shift's levels
-    do not depend on the other shifts.
+    do not depend on the other shifts, nor on where the ring keeps them.
     """
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
-    shifts = np.array(shifts, dtype=float).reshape(-1)
-    K = shifts.size
-    levels = np.empty((K, J + 1) + grid.shape)
-    stack = levels.reshape(K, J + 1, -1)
+    K, ring = levels.shape[0], levels.shape[1] - 1
+    stack = levels.reshape(K, ring + 1, -1)
 
-    # kernel factor Ksh(s), the integral of each shifted modulus
-    history = HistoryConvolution.of([translate(spec.kernel, float(e)) for e in shifts], -1, J, dt)
     W = _MARCH_ROWS
     mu = grid.eigenvalues.reshape(-1)
     minus_mu = -mu
@@ -775,12 +799,14 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
     c2 = double_trapezoid(factor, dt)
     times = spec.times
     stack[:, 0] = u0
+    yield 0, levels[:, :1]
 
     data = np.empty((W, stack.shape[2]))
     h = np.empty((K, 1, stack.shape[2]))
     for j0 in range(1, J + 1, W):
         j1 = min(j0 + W, J + 1)
-        rows = history.far_sums(stack, j0, stack[:, j0:j1])
+        slot = 1 + (j0 - 1) % ring
+        rows = history.far_sums(stack, j0, stack[:, slot : slot + j1 - j0])
         # the data terms t_j u1 + u0 + C2_j p of every row, over -mu
         terms = data[: j1 - j0]
         np.multiply(times[j0:j1, None], u1, out=terms)
@@ -796,13 +822,25 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
         if not finite.all():
             row = int(np.argmin(finite.all(axis=0)))
             raise SolverAbort(j0 + row, "non-finite values", float(shifts[np.argmin(finite[:, row])]))
+        yield j0, levels[:, slot : slot + j1 - j0]
 
-    top = float(mu.max())
-    trajectories = tuple(
-        TrajectorySolution(
-            grid=grid,
-            times=spec.times,
-            coefficients=levels[k],
+
+def _volterra(spec: ProblemSpec, shifts, ring: bool):
+    """(records, levels, blocks) of spec marched at every shift eps in
+    shifts: each run's RunRecord, the level buffer and the march's
+    generator of finished blocks, which fills it.  With ring and a tail
+    for the far sums, levels holds level 0 and the 3 W slots they read;
+    otherwise it is the whole (K, J + 1, *grid.shape) stack.
+    """
+    grid, J, W = spec.grid, spec.n_steps, _MARCH_ROWS
+    shifts = np.array(shifts, dtype=float).reshape(-1)
+    # kernel factor Ksh(s), the integral of each shifted modulus
+    history = HistoryConvolution.of([translate(spec.kernel, float(e)) for e in shifts], -1, J, spec.dt)
+    slots = min(J + 1, 3 * W + 1) if ring and history.tail is not None else J + 1
+    levels = np.empty((shifts.size, slots) + grid.shape)
+    top = float(grid.eigenvalues.max())
+    records = tuple(
+        RunRecord(
             spec_fingerprint=replace(spec, eps=float(eps)).fingerprint(),
             z_max=float(history.lags[k, 0]) * top,
             history_backend=history.backend,
@@ -810,7 +848,27 @@ def _march_volterra(spec: ProblemSpec, shifts) -> ShiftedRuns:
         )
         for k, eps in enumerate(shifts)
     )
-    return ShiftedRuns(coefficients=levels, trajectories=trajectories)
+    return records, levels, _march_volterra(spec, shifts, history, levels)
+
+
+def march_shifts(spec: ProblemSpec, shifts):
+    """(records, levels_bytes, blocks): an integral_volterra spec marched
+    at every shift eps in shifts without keeping its levels.  records
+    holds each run's RunRecord, levels_bytes each run's share of the ring
+    (3 _MARCH_ROWS + 1 levels with a tail, J + 1 without), and blocks
+    yields (j0, the levels j0 .. j1 - 1 of every shift), level 0 first,
+    then _MARCH_ROWS at a time: views that the march writes over later.
+    """
+    records, levels, blocks = _volterra(spec, shifts, ring=True)
+    return records, levels.nbytes // len(records), blocks
+
+
+def stored_blocks(trajectories):
+    """The levels of stored runs on one grid and time axis, handed over as
+    march_shifts hands them: (j0, every run's levels j0 .. j1 - 1)."""
+    n, W = trajectories[0].n_levels, _MARCH_ROWS
+    for j0, j1 in [(0, 1), *((j, min(j + W, n)) for j in range(1, n, W))]:
+        yield j0, np.stack([t.coefficients[j0:j1] for t in trajectories])
 
 
 def run(spec: ProblemSpec, shifts=None):
@@ -823,9 +881,14 @@ def run(spec: ProblemSpec, shifts=None):
         if shifts is not None:
             raise ValueError("shifts need the integral_volterra formulation")
         return _march_leapfrog(spec)
-    if shifts is None:
-        return _march_volterra(spec, [spec.eps]).trajectories[0]
-    return _march_volterra(spec, shifts)
+    records, levels, blocks = _volterra(spec, [spec.eps] if shifts is None else shifts, ring=False)
+    for _ in blocks:
+        pass
+    trajectories = tuple(
+        TrajectorySolution(grid=spec.grid, times=spec.times, coefficients=levels[k], **record._asdict())
+        for k, record in enumerate(records)
+    )
+    return trajectories[0] if shifts is None else ShiftedRuns(coefficients=levels, trajectories=trajectories)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
-from memvisco.convergence import LemmaCheckEntry
-from memvisco.diagnostics import EnergyLedger, WeakResidualEntry, default_battery, energy_ledger
+import memvisco.solver as solver_module
+from memvisco.convergence import ConvergenceReport, LemmaCheckEntry
+from memvisco.diagnostics import (
+    EnergyLedger,
+    WeakResidualEntry,
+    battery_columns,
+    battery_projections,
+    default_battery,
+    energy_ledger,
+    level_blocks,
+)
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import (
     Field,
@@ -22,6 +33,7 @@ from memvisco.kernels import (
     PowerLawKernel,
     PronyKernel,
     RelaxationKernel,
+    kernel_diff_bound,
     translate,
 )
 from memvisco.solver import (
@@ -32,7 +44,22 @@ from memvisco.solver import (
     cfl_time_step,
     interval_weights,
     run,
+    trajectory_distance,
 )
+
+
+def direct_sums():
+    """The Volterra march with every fit refused: its far sums go direct."""
+    return mock.patch.object(solver_module, "_TAIL_TOLERANCE", 0.0)
+
+
+@contextlib.contextmanager
+def small_march_blocks(rows):
+    """Both marchers' far sums in blocks of `rows` rows, summed directly: a
+    tail fit from (rows - 1) dt on checks only to _TAIL_TOLERANCE."""
+    with mock.patch.object(solver_module, "_MARCH_ROWS", rows), direct_sums():
+        yield
+
 
 # Populated by the acceptance tests, printed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -511,6 +538,120 @@ def classical_stress_curve(kernel: RelaxationKernel, strain, dt: float, past_val
     history = HistoryConvolution(*interval_weights(kernel._modulus, kernel._integral, n, dt))
     g_t = kernel.modulus(dt * np.arange(1, n + 1))
     return kernel.modulus(0.0) * E[1:] + reference_full(history, E)[1:] + past_value * (kernel.value_at_inf - g_t)
+
+
+def sequence_trajectories(base: ProblemSpec, eps_values) -> list[TrajectorySolution]:
+    """Every run of a shift sequence, stored: one batch for an
+    integral_volterra base, one leapfrog run per shift otherwise."""
+    if base.formulation == "integral_volterra":
+        return list(run(base, eps_values).trajectories)
+    return [run(replace(base, eps=float(e))) for e in eps_values]
+
+
+def listed_cauchy_report(
+    trajectories: list[TrajectorySolution],
+    eps_values,
+    kernel: RelaxationKernel,
+    tolerance: float,
+) -> ConvergenceReport:
+    """Oracle for cauchy_report on a stored trajectory list: each distance
+    is trajectory_distance of two stored runs."""
+    eps_values = np.asarray(eps_values, dtype=float)
+    if len(trajectories) < 3:
+        raise ValueError(
+            f"need at least 3 trajectories to assess a limit, got {len(trajectories)}"
+        )
+    if len(trajectories) != eps_values.size:
+        raise ValueError("one shift value per trajectory required")
+
+    d = np.array(
+        [
+            trajectory_distance(trajectories[h], trajectories[h + 1])
+            for h in range(len(trajectories) - 1)
+        ]
+    )
+    tail = np.array(
+        [
+            trajectory_distance(trajectories[h], trajectories[-1])
+            for h in range(len(trajectories) - 1)
+        ]
+    )
+    sup_bounds = np.array(
+        [float(kernel_diff_bound(kernel, float(e), 0.0)) for e in eps_values]
+    )
+
+    # a step decreases strictly or stays at exactly 0 (identical trajectories)
+    increases = np.nonzero(~((d[1:] < d[:-1]) | (d[1:] == 0.0)))[0]
+    monotone = increases.size == 0
+    first_nonmonotone = None if monotone else int(increases[0]) + 1
+    if np.any(d == 0.0):
+        rate = math.nan
+    else:
+        rate = np.polyfit(np.log(eps_values[:-1]), np.log(d), 1)[0]
+    passed = monotone and float(d[-1]) <= tolerance
+    return ConvergenceReport(
+        eps_values=eps_values,
+        distances=d,
+        tail_distances=tail,
+        fitted_rate=float(rate),
+        kernel_sup_bounds=sup_bounds,
+        monotone=monotone,
+        first_nonmonotone=first_nonmonotone,
+        tolerance=tolerance,
+        passed=passed,
+    )
+
+
+def listed_lemma_check(
+    kernel: RelaxationKernel,
+    eps_values,
+    trajectories: list[TrajectorySolution],
+) -> list[LemmaCheckEntry]:
+    """Oracle for convergence_lemma_check on a stored trajectory list: the
+    battery columns of each run's coefficients, and sup |u| from its nodal
+    values, a few levels at a time."""
+    eps_values = np.asarray(eps_values, dtype=float)
+    if len(trajectories) != eps_values.size:
+        raise ValueError("one shift value per trajectory required")
+
+    out: list[LemmaCheckEntry] = []
+    for e, traj in zip(eps_values, trajectories):
+        grid, dt = traj.grid, traj.dt
+        J = traj.n_levels - 1
+        horizon = float(traj.times[-1])
+        shifted = translate(kernel, float(e))
+
+        s_grid = np.linspace(0.0, horizon, 257)
+        sup_diff = float(np.max(np.abs(shifted.integral(s_grid) - kernel.integral(s_grid))))
+        weights = interval_weights(
+            lambda s: shifted.integral2(s) - kernel.integral2(s),
+            lambda s: shifted.integral3(s) - kernel.integral3(s),
+            J, dt,
+        )
+        history = HistoryConvolution(*weights)
+        blocks = level_blocks(traj, 2)
+        c_level = max(float(np.abs(traj.nodal(a, b)).max()) for a, b in blocks) / grid.volume
+
+        vol = grid.cell_volume
+        columns = battery_columns(grid, traj.coefficients)
+        for v, _, _, y, projected in battery_projections(grid, traj.times, columns, history):
+            residual = vol * v.laplace_factor(grid) * float(y @ projected) + 0.0
+            majorant = (
+                abs(v.laplace_factor(grid))
+                * c_level
+                * grid.volume
+                * horizon
+                * sup_diff
+            )
+            out.append(
+                LemmaCheckEntry(
+                    eps=float(e),
+                    test_function=v.name,
+                    residual=residual,
+                    majorant=majorant,
+                )
+            )
+    return out
 
 
 def reference_lemma_check(

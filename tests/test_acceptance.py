@@ -85,8 +85,8 @@ def volterra_sequences():
             kernel, grid, 1.0, 0.005, eps=0.1, formulation="integral_volterra"
         )
         started = time.perf_counter()
-        trajs = run_eps_sequence(base, 0.1, 0.5, 6)
-        out[label] = (trajs, time.perf_counter() - started)
+        sequence = run_eps_sequence(base, 0.1, 0.5, 6)
+        out[label] = (sequence, time.perf_counter() - started)
     return out
 
 
@@ -265,10 +265,10 @@ def test_07_vanishing_shift_rates(volterra_sequences):
         ("powerlaw", *POWERLAW_RATE_RANGE),
         ("prony", *PRONY_RATE_RANGE),
     ):
-        trajs, seconds = volterra_sequences[label]
+        sequence, seconds = volterra_sequences[label]
         elapsed += seconds
         kernel = PowerLawKernel(1.0, 0.5) if label == "powerlaw" else PRONY
-        report = cauchy_report(trajs, eps_values, kernel, tolerance=1e-2)
+        report = cauchy_report(sequence, kernel, tolerance=1e-2)
         checks.append(report.monotone and lo <= report.fitted_rate <= hi)
         details.append(f"{label}_rate={report.fitted_rate:.3f}")
 
@@ -298,8 +298,8 @@ def test_08_shift_residual_majorant(volterra_sequences):
     checks = []
     details = []
     for label, kernel in (("powerlaw", PowerLawKernel(1.0, 0.5)), ("prony", PRONY)):
-        trajs, _ = volterra_sequences[label]
-        entries = convergence_lemma_check(kernel, eps_values, trajs)
+        sequence, _ = volterra_sequences[label]
+        entries = convergence_lemma_check(kernel, sequence)
         dominated = all(
             abs(e.residual) <= e.majorant * (1 + 1e-9) + 1e-300 for e in entries
         )

@@ -738,6 +738,16 @@ class TestOtherModes:
                 else:
                     assert record["far_error"] == 0.0
 
+    def test_streamed_sequence_records_its_ring_share(self, tmp_path):
+        # the bundled power-law sequence, J = 200 > 2 W: each run held its
+        # share of the march's ring, 3 W + 1 = 193 levels, not all 201
+        config = Path(__file__).resolve().parent.parent / "configs" / "powerlaw_theorem1.cfg"
+        out = tmp_path / "seq"
+        assert cli.main(["run", str(config), "--out", str(out)]) == 0
+        runs = read_manifest(out)["runs"]
+        assert len(runs) == 7
+        assert all(r["levels_bytes"] == 8 * 193 * 49 and r["far_nodes"] == 25 for r in runs)
+
     def test_manifest_times_the_phases_that_ran(self, tmp_path):
         every = "[diagnostics]\nenergy_decay = true\nweak_residual = true\n"
         bare = "[diagnostics]\nenergy_ledger = false\nenergy_bound = false\n"
@@ -751,6 +761,15 @@ class TestOtherModes:
             ),
             "bare": (QUICK + bare, {"solve", "export"}, 4),
             "sequence": (SEQUENCE, {"solve", "cauchy", "lemma_check", "export"}, 4 * 20),
+            # the reductions for a lemma check that does not run stay in solve
+            "sequence-bare": (
+                SEQUENCE + "[diagnostics]\nlemma_check = false\n", {"solve", "cauchy", "export"}, 4 * 20
+            ),
+            "volterra-sequence": (
+                SEQUENCE.replace("[experiment]\n", "[experiment]\nformulation = integral_volterra\n"),
+                {"solve", "cauchy", "lemma_check", "export"},
+                4 * 20,
+            ),
             "stress": (STRESS, {"export"}, None),
         }
         for name, (text, expected, steps) in cases.items():

@@ -1,17 +1,26 @@
+import contextlib
 import dataclasses
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from helpers import (
+    direct_sums,
     forced_box_spec,
     lemma_term_magnitudes,
+    listed_cauchy_report,
+    listed_lemma_check,
     oracle_specs,
     reference_lemma_check,
+    sequence_trajectories,
+    small_march_blocks,
 )
+import memvisco.solver as solver_module
 from memvisco.convergence import (
+    ShiftSequence,
     cauchy_report,
     convergence_lemma_check,
     eps_schedule,
@@ -19,8 +28,8 @@ from memvisco.convergence import (
 )
 from memvisco.config import parse_config_file
 from memvisco.diagnostics import default_battery
-from memvisco.expressions import field_from_name
-from memvisco.grid import Field, Grid
+from memvisco.expressions import Forcing, field_from_name
+from memvisco.grid import Field, Grid, level_squares
 from memvisco.kernels import PowerLawKernel, PronyKernel
 from memvisco.runner import _build_spec
 from memvisco.solver import CflViolation, ProblemSpec, cfl_time_step, run, trajectory_distance
@@ -55,18 +64,19 @@ class TestEpsSchedule:
 class TestRunEpsSequence:
     def test_produces_shared_grid_family(self):
         base = sequence_base(PRONY)
-        trajs = run_eps_sequence(base, 0.1, 0.5, 3)
-        assert len(trajs) == 4
-        assert all(t.grid == base.grid for t in trajs)
-        assert all(t.n_levels == trajs[0].n_levels for t in trajs)
+        seq = run_eps_sequence(base, 0.1, 0.5, 3)
+        assert len(seq.runs) == 4 and np.array_equal(seq.eps_values, eps_schedule(0.1, 0.5, 3))
+        assert seq.grid == base.grid and np.array_equal(seq.times, base.times)
+        assert seq.next_squares.shape == seq.finest_squares.shape == (3, base.n_steps + 1)
+        assert seq.columns.shape == (4, base.n_steps + 1, 3) and seq.peaks.shape == (4,)
 
     def test_constant_kernel_is_identity(self):
         base = sequence_base(
             PronyKernel(1.0, ()), formulation="integrodifferential", dt=0.01
         )
-        trajs = run_eps_sequence(base, 0.1, 0.5, 2)
-        for t in trajs[1:]:
-            assert np.array_equal(t.levels, trajs[0].levels)
+        seq = run_eps_sequence(base, 0.1, 0.5, 2)
+        assert not seq.next_squares.any() and not seq.finest_squares.any()
+        assert np.all(seq.columns[1:] == seq.columns[0]) and np.all(seq.peaks == seq.peaks[0])
 
     def test_infeasible_dt_names_requirement(self):
         # smallest shift pushes the modulus, and thus the CFL bound, up
@@ -97,17 +107,15 @@ def test_bundled_shifts_approach_the_unshifted_run():
 class TestCauchyReport:
     def test_needs_three_trajectories(self):
         base = sequence_base(PRONY)
-        trajs = run_eps_sequence(base, 0.1, 0.5, 1)
+        seq = run_eps_sequence(base, 0.1, 0.5, 1)
         with pytest.raises(ValueError, match="3"):
-            cauchy_report(trajs, eps_schedule(0.1, 0.5, 1), PRONY, 1e-2)
+            cauchy_report(seq, PRONY, 1e-2)
 
     def test_identical_trajectories_trivially_pass(self):
         base = sequence_base(
             PronyKernel(1.0, ()), formulation="integrodifferential", dt=0.01
         )
-        eps_vals = eps_schedule(0.1, 0.5, 3)
-        trajs = run_eps_sequence(base, 0.1, 0.5, 3)
-        rep = cauchy_report(trajs, eps_vals, PronyKernel(1.0, ()), 1e-2)
+        rep = cauchy_report(run_eps_sequence(base, 0.1, 0.5, 3), PronyKernel(1.0, ()), 1e-2)
         assert np.all(rep.distances == 0.0)
         assert rep.passed
         assert math.isnan(rep.fitted_rate)
@@ -116,21 +124,19 @@ class TestCauchyReport:
         # 0 -> 0 is no increase: the verdict used to read monotone=False
         k = PronyKernel(1.0, ())
         eps_vals = eps_schedule(0.1, 0.5, 3)
-        trajs = run_eps_sequence(sequence_base(k, formulation="integrodifferential", dt=0.01), 0.1, 0.5, 3)
-        rep = cauchy_report(trajs, eps_vals, k, 1e-2)
+        trajs = sequence_trajectories(sequence_base(k, formulation="integrodifferential", dt=0.01), eps_vals)
+        rep = cauchy_report(ShiftSequence.of(eps_vals, trajs), k, 1e-2)
         assert rep.monotone
         assert rep.first_nonmonotone is None
         # 0 -> positive is an increase
         trajs[3] = dataclasses.replace(trajs[3], coefficients=trajs[3].coefficients + 1e-3)
-        rep = cauchy_report(trajs, eps_vals, k, 1e-2)
+        rep = cauchy_report(ShiftSequence.of(eps_vals, trajs), k, 1e-2)
         assert not rep.monotone
         assert not rep.passed
         assert rep.first_nonmonotone == 2
 
     def test_prony_rate_near_one(self):
-        eps_vals = eps_schedule(0.1, 0.5, 4)
-        trajs = run_eps_sequence(sequence_base(PRONY), 0.1, 0.5, 4)
-        rep = cauchy_report(trajs, eps_vals, PRONY, 1e-2)
+        rep = cauchy_report(run_eps_sequence(sequence_base(PRONY), 0.1, 0.5, 4), PRONY, 1e-2)
         assert rep.monotone
         assert rep.passed
         assert 0.8 <= rep.fitted_rate <= 1.2
@@ -138,27 +144,24 @@ class TestCauchyReport:
 
     def test_corrupted_trajectory_breaks_monotonicity_at_index(self):
         eps_vals = eps_schedule(0.1, 0.5, 3)
-        trajs = run_eps_sequence(sequence_base(PRONY), 0.1, 0.5, 3)
+        trajs = sequence_trajectories(sequence_base(PRONY), eps_vals)
         rng = np.random.default_rng(0)
         # white noise in the sine coefficients is white noise on the nodes
         noisy = trajs[2].coefficients + 0.05 * rng.standard_normal(trajs[2].coefficients.shape)
         trajs[2] = dataclasses.replace(trajs[2], coefficients=noisy)
-        rep = cauchy_report(trajs, eps_vals, PRONY, 1e-2)
+        rep = cauchy_report(ShiftSequence.of(eps_vals, trajs), PRONY, 1e-2)
         assert not rep.monotone
         assert not rep.passed
         assert rep.first_nonmonotone == 1
 
     def test_sup_bounds_evaluated_per_shift(self):
         eps_vals = eps_schedule(0.1, 0.5, 3)
-        trajs = run_eps_sequence(sequence_base(PRONY), 0.1, 0.5, 3)
-        rep = cauchy_report(trajs, eps_vals, PRONY, 1e-2)
+        rep = cauchy_report(run_eps_sequence(sequence_base(PRONY), 0.1, 0.5, 3), PRONY, 1e-2)
         expected = [PRONY.integral(e) for e in eps_vals]
         assert rep.kernel_sup_bounds == pytest.approx(expected)
 
     def test_tail_distances_decrease(self):
-        eps_vals = eps_schedule(0.1, 0.5, 4)
-        trajs = run_eps_sequence(sequence_base(PRONY), 0.1, 0.5, 4)
-        rep = cauchy_report(trajs, eps_vals, PRONY, 1e-2)
+        rep = cauchy_report(run_eps_sequence(sequence_base(PRONY), 0.1, 0.5, 4), PRONY, 1e-2)
         assert np.all(np.diff(rep.tail_distances) < 0.0)
 
 
@@ -166,9 +169,7 @@ class TestLemmaCheck:
     def test_constant_kernel_exactly_zero(self):
         k = PronyKernel(1.0, ())
         base = sequence_base(k, formulation="integrodifferential", dt=0.01)
-        eps_vals = eps_schedule(0.1, 0.5, 2)
-        trajs = run_eps_sequence(base, 0.1, 0.5, 2)
-        entries = convergence_lemma_check(k, eps_vals, trajs)
+        entries = convergence_lemma_check(k, run_eps_sequence(base, 0.1, 0.5, 2))
         assert len(entries) == 3 * 6
         for e in entries:
             # +0.0, not -0.0: the sign lands in lemma.csv
@@ -181,8 +182,7 @@ class TestLemmaCheck:
         # are computed, not set to zero because they are small
         k = PronyKernel(1.0, ((1e-13, 1.0),))
         base = sequence_base(k, formulation="integrodifferential", dt=0.01)
-        eps_vals = eps_schedule(0.1, 0.5, 2)
-        entries = convergence_lemma_check(k, eps_vals, run_eps_sequence(base, 0.1, 0.5, 2))
+        entries = convergence_lemma_check(k, run_eps_sequence(base, 0.1, 0.5, 2))
         assert len(entries) == 3 * 6
         for e in entries:
             assert e.majorant > 0.0
@@ -191,9 +191,7 @@ class TestLemmaCheck:
     def test_powerlaw_residual_below_majorant_and_vanishing(self):
         k = PowerLawKernel(c=1.0, alpha=0.5)
         base = sequence_base(k)
-        eps_vals = eps_schedule(0.1, 0.5, 4)
-        trajs = run_eps_sequence(base, 0.1, 0.5, 4)
-        entries = convergence_lemma_check(k, eps_vals, trajs)
+        entries = convergence_lemma_check(k, run_eps_sequence(base, 0.1, 0.5, 4))
         assert all(e.within for e in entries)
         by_eps = {}
         for e in entries:
@@ -205,9 +203,7 @@ class TestLemmaCheck:
 
     def test_prony_majorant_roughly_halves_with_shift(self):
         base = sequence_base(PRONY)
-        eps_vals = eps_schedule(0.1, 0.5, 3)
-        trajs = run_eps_sequence(base, 0.1, 0.5, 3)
-        entries = convergence_lemma_check(PRONY, eps_vals, trajs)
+        entries = convergence_lemma_check(PRONY, run_eps_sequence(base, 0.1, 0.5, 3))
         m = {}
         for e in entries:
             if e.test_function == entries[0].test_function:
@@ -220,9 +216,9 @@ class TestLemmaCheck:
     def test_matches_whole_convolution_oracle(self, case):
         base = oracle_specs()[case]
         eps_vals = eps_schedule(0.1, 0.5, 2)
-        trajs = run_eps_sequence(base, 0.1, 0.5, 2)
+        trajs = sequence_trajectories(base, eps_vals)
         battery = default_battery(base.grid)
-        got = convergence_lemma_check(base.kernel, eps_vals, trajs)
+        got = convergence_lemma_check(base.kernel, run_eps_sequence(base, 0.1, 0.5, 2))
         want = reference_lemma_check(base.kernel, eps_vals, battery, trajs)
         scales = lemma_term_magnitudes(base.kernel, eps_vals, battery, trajs)
         assert len(got) == len(want) == 3 * 6
@@ -238,24 +234,131 @@ class TestLemmaCheck:
         import tracemalloc
 
         base = forced_box_spec(9, 6.0)
-        eps_vals = eps_schedule(0.1, 0.5, 1)
-        trajs = run_eps_sequence(base, 0.1, 0.5, 1)
+        seq = run_eps_sequence(base, 0.1, 0.5, 1)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            entries = convergence_lemma_check(base.kernel, eps_vals, trajs)
+            entries = convergence_lemma_check(base.kernel, seq)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(entries) == 2 * 6
-        # the whole convolution and |u| were each the size of the levels
-        assert peak - entry < 0.25 * trajs[0].coefficients.nbytes
+        # the whole convolution and |u| were each the size of one run's levels
+        assert seq.levels_bytes == 8 * (base.n_steps + 1) * base.grid.n_total
+        assert peak - entry < 0.25 * seq.levels_bytes
 
     def test_mismatched_lengths_rejected(self):
+        # the shifts travel with the sequence; stored runs are reduced to
+        # one only with a shift value each
         base = sequence_base(PRONY)
-        trajs = run_eps_sequence(base, 0.1, 0.5, 2)
+        trajs = sequence_trajectories(base, eps_schedule(0.1, 0.5, 2))
         with pytest.raises(ValueError):
-            convergence_lemma_check(PRONY, eps_schedule(0.1, 0.5, 3), trajs)
+            ShiftSequence.of(eps_schedule(0.1, 0.5, 3), trajs)
+
+
+def _streamed_case(grid, horizon, dt, forced):
+    """A power-law integral_volterra base from a bump (3D) or sine mode 2
+    (1D) at rest shape, with or without a forcing pulse."""
+    u1 = (
+        field_from_name(grid, "bump", {"radius": 0.3}) if grid.dim == 3
+        else field_from_name(grid, "sine_mode", {"amplitude": -0.5, "modes": [2]})
+    )
+    return ProblemSpec(
+        kernel=PowerLawKernel(1.0, 0.5), grid=grid, horizon=horizon, dt=dt, eps=0.1,
+        u0=field_from_name(grid, "bump", {"radius": 0.2}), u1=u1,
+        forcing=Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0}) if forced else None,
+        formulation="integral_volterra",
+    )
+
+
+_STREAMED = {
+    # J = 200 > 2 W: far sums through the tail, a ring of 3 W + 1 levels
+    "tail-1d": (Grid.line(17), 0.6, 0.003, True),
+    "tail-3d": (Grid.box(7), 0.5, 0.0025, True),
+    "tail-1d-unforced": (Grid.line(17), 0.6, 0.003, False),
+    # J = 100 <= 2 W: no tail, the ring is the whole stack
+    "short": (Grid.line(17), 0.3, 0.003, True),
+    "short-3d": (Grid.box(7), 0.25, 0.0025, False),
+}
+
+# blocks of W = 5, 6 and 7 rows: with the tail, rings of 16, 19 and 22
+# levels that wrap many times; with small_march_blocks, fits refused
+_BLOCKS = {
+    "W64": contextlib.nullcontext,
+    "refused": direct_sums,
+    **{f"W{w}-tail": (lambda w=w: mock.patch.object(solver_module, "_MARCH_ROWS", w)) for w in (5, 6, 7)},
+    **{f"W{w}-direct": (lambda w=w: small_march_blocks(w)) for w in (5, 6, 7)},
+}
+
+
+class TestStreamedMatchesListedOracles:
+    """A streamed sequence against the trajectory-list cauchy_report and
+    lemma check on the stored runs of run(spec, shifts)."""
+
+    @staticmethod
+    def check(base, count, blocks):
+        kernel, grid, J = base.kernel, base.grid, base.n_steps
+        eps = eps_schedule(0.1, 0.5, count)
+        with blocks():
+            W = solver_module._MARCH_ROWS
+            seq = run_eps_sequence(base, 0.1, 0.5, count)
+            trajs = sequence_trajectories(base, eps)
+        for h in range(count):
+            assert np.array_equal(seq.next_squares[h], level_squares(grid, trajs[h].coefficients - trajs[h + 1].coefficients))
+            assert np.array_equal(seq.finest_squares[h], level_squares(grid, trajs[h].coefficients - trajs[-1].coefficients))
+        if count >= 2:
+            got, want = cauchy_report(seq, kernel, 1e-2), listed_cauchy_report(trajs, eps, kernel, 1e-2)
+            assert np.array_equal(got.distances, want.distances)
+            assert np.array_equal(got.tail_distances, want.tail_distances)
+            assert got.fitted_rate == want.fitted_rate
+            assert (got.monotone, got.passed) == (want.monotone, want.passed)
+        got, want = convergence_lemma_check(kernel, seq), listed_lemma_check(kernel, eps, trajs)
+        assert len(got) == len(want) == 6 * (count + 1)
+        for g, w in zip(got, want):
+            assert (g.eps, g.test_function, g.residual) == (w.eps, w.test_function, w.residual)
+            # sup |u| comes from one product of all shifts' block, the oracle's
+            # from one per shift and a few levels: a nodal value is a sum of
+            # N <= 343 terms, and another product shape may sum them in
+            # another order (measured: equal in every case here)
+            assert abs(g.majorant - w.majorant) <= 1e-13 * w.majorant
+        assert seq.runs == tuple(t.record for t in trajs)
+        ring = min(J + 1, 3 * W + 1) if trajs[0].far_nodes else J + 1
+        assert seq.levels_bytes == 8 * ring * grid.n_total
+        return seq, trajs
+
+    @pytest.mark.parametrize("blocks", sorted(_BLOCKS))
+    @pytest.mark.parametrize("case", sorted(_STREAMED))
+    def test_seven_shifts(self, case, blocks):
+        self.check(_streamed_case(*_STREAMED[case]), 6, _BLOCKS[blocks])
+
+    @pytest.mark.parametrize("case", ["tail-1d", "short-3d"])
+    def test_two_shifts(self, case):
+        self.check(_streamed_case(*_STREAMED[case]), 1, contextlib.nullcontext)
+
+    def test_benchmark_sequence(self):
+        # the benchmark's 7 shifts at J = 2,000 steps on 99 nodes: the ring
+        # of 193 levels wraps ten times
+        g = Grid.line(99)
+        base = ProblemSpec(
+            kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=1.0, dt=0.0005, eps=0.1,
+            u0=Field.zero(g), u1=field_from_name(g, "sine_mode", {"amplitude": 1.0, "modes": [1]}),
+            formulation="integral_volterra",
+        )
+        seq, trajs = self.check(base, 6, contextlib.nullcontext)
+        assert trajs[0].far_nodes == 33
+        assert seq.levels_bytes == 8 * 193 * 99
+
+    def test_tail_and_ring_are_taken(self):
+        # the cases above cover both sides: a fitted tail in a ring shorter
+        # than the stack, and no tail with the whole stack
+        base = _streamed_case(*_STREAMED["tail-1d"])
+        seq = run_eps_sequence(base, 0.1, 0.5, 6)
+        assert all(r.far_nodes > 0 for r in seq.runs) and seq.levels_bytes == 8 * 193 * 17
+        with direct_sums():
+            seq = run_eps_sequence(base, 0.1, 0.5, 6)
+        assert all(r.far_nodes == 0 for r in seq.runs) and seq.levels_bytes == 8 * 201 * 17
+        seq = run_eps_sequence(_streamed_case(*_STREAMED["short"]), 0.1, 0.5, 6)
+        assert all(r.far_nodes == 0 for r in seq.runs) and seq.levels_bytes == 8 * 101 * 17
 
 
 def test_vanishing_shift_in_three_dimensions():

@@ -21,6 +21,7 @@ from memvisco.diagnostics import (
     HypothesisError,
     ModeTestFunction,
     _lag_pass_sums,
+    battery_columns,
     battery_projections,
     calibrate_decay_tolerance,
     check_energy_bound,
@@ -596,7 +597,9 @@ def test_battery_projections_are_scaled_coefficient_columns(grid):
     )
     history = HistoryConvolution(np.ones(2), np.ones(2))
     flat = traj.levels.reshape(3, -1)
-    for v, vx, _, _, projected in battery_projections(traj, history):
+    columns = battery_columns(grid, traj.coefficients)
+    assert columns.shape == (3, 3)
+    for v, vx, _, _, projected in battery_projections(grid, traj.times, columns, history):
         want = flat @ vx
         assert np.abs(projected - want).max() <= 1e-13 * np.abs(want).max(), v.name
         assert np.array_equal(vx, v.space_values(grid).ravel())

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -15,6 +14,7 @@ from helpers import (
     SeparableForcing,
     classical_stress_curve,
     conv_weights,
+    direct_sums,
     direct_weights,
     forcing_at,
     geometric_history,
@@ -28,11 +28,12 @@ from helpers import (
     reference_laplacian,
     reference_velocities,
     reference_volterra,
+    small_march_blocks,
     unchecked_spec,
 )
 import memvisco.solver as solver_module
 from memvisco.config import parse_config, parse_config_file
-from memvisco.convergence import eps_schedule, run_eps_sequence
+from memvisco.convergence import ShiftSequence, eps_schedule, run_eps_sequence
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid, sine_transform
 from memvisco.kernels import (
@@ -336,14 +337,6 @@ def _stream_sums(history, samples):
     return out
 
 
-@contextlib.contextmanager
-def _small_march_blocks(rows):
-    """Both marchers' far sums in blocks of `rows` rows, summed directly: a
-    tail fit from (rows - 1) dt on checks only to _TAIL_TOLERANCE."""
-    with mock.patch.object(solver_module, "_MARCH_ROWS", rows), _direct_sums():
-        yield
-
-
 @given(
     rows=st.sampled_from([1, 2, 3, 5]),
     edge=st.sampled_from(["W-1", "W", "W+1", "2W+1"]),
@@ -358,7 +351,7 @@ def test_blocked_sums_match_the_row_loop(rows, edge, seed):
     rng = np.random.default_rng(seed)
     left, right = rng.standard_normal((2, n))
     samples = rng.standard_normal((n + 1, 4))
-    with mock.patch.object(solver_module, "_MARCH_ROWS", rows), _direct_sums():
+    with mock.patch.object(solver_module, "_MARCH_ROWS", rows), direct_sums():
         got = _stream_sums(HistoryConvolution(left, right), samples)
     for j in range(1, n + 1):
         w = conv_weights(left, right, j)
@@ -398,11 +391,11 @@ class TestShiftBatch:
         # length a shift's levels do not depend on the others
         pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
         spec = _volterra_spec(Grid.line(17), 0.6, 0.01, pulse)
-        with _small_march_blocks(7):
+        with small_march_blocks(7):
             batch = run(spec, self.SHIFTS)
         assert batch.coefficients.shape == (3, spec.n_steps + 1, 17)
         for eps, traj in zip(self.SHIFTS, batch.trajectories):
-            with _small_march_blocks(7):
+            with small_march_blocks(7):
                 alone = run(dataclasses.replace(spec, eps=eps))
             assert traj.coefficients.tobytes() == alone.coefficients.tobytes()
             assert traj.z_max == alone.z_max
@@ -430,12 +423,17 @@ class TestShiftBatch:
             assert traj.coefficients.tobytes() == alone.coefficients.tobytes()
 
     def test_sequence_is_one_batch(self):
+        # the streamed sequence reduces the levels of one batched march:
+        # every reduction equals, byte for byte, that of run(spec, shifts)'s
+        # stored levels, and so does every run's record (J = 30 <= 2 W, so
+        # the ring is the whole stack)
         spec = _volterra_spec(Grid.line(17), 0.3, 0.01)
-        trajs = run_eps_sequence(spec, 0.1, 0.5, 2)
-        batch = run(spec, eps_schedule(0.1, 0.5, 2))
-        assert [t.coefficients.tobytes() for t in trajs] == [
-            t.coefficients.tobytes() for t in batch.trajectories
-        ]
+        shifts = eps_schedule(0.1, 0.5, 2)
+        seq = run_eps_sequence(spec, 0.1, 0.5, 2)
+        batch = ShiftSequence.of(shifts, run(spec, shifts).trajectories)
+        for name in ("eps_values", "times", "next_squares", "finest_squares", "columns", "peaks"):
+            assert getattr(seq, name).tobytes() == getattr(batch, name).tobytes(), name
+        assert (seq.runs, seq.levels_bytes) == (batch.runs, batch.levels_bytes)
 
     def test_leapfrog_specs_are_refused(self):
         with pytest.raises(ValueError, match="formulation"):
@@ -479,19 +477,26 @@ def _peak_above_entry(fn):
 
 
 def test_volterra_sequence_holds_no_history():
-    # the benchmark's 7-shift sequence: the levels plus the blocked sums'
-    # far sums and product, under 0.3x the levels; a stored history of
-    # every shift, as a (K, J, N) buffer, would add 1.0x
+    # the benchmark's 7-shift sequence at J = 2,000 and 8,000 steps.  The
+    # march keeps a ring of 3 W + 1 levels per shift, and the reduction
+    # O(K J) scalars: the weights, lags and oldest, and the per-level sums
+    # and battery columns, about 61 doubles a level against the 693 of
+    # the (K, J + 1, N) stack (measured: peaks of 0.29x and 0.14x the
+    # stack; a sequence that kept every level peaked at 1.21x and 1.09x)
     g = Grid.line(99)
-    base = ProblemSpec(
-        kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=1.0, dt=0.0005, eps=0.1,
-        u0=Field.zero(g), u1=field_from_name(g, "sine_mode", {"amplitude": 1.0, "modes": [1]}),
-        formulation="integral_volterra",
-    )
-    trajs, peak = _peak_above_entry(lambda: run_eps_sequence(base, 0.1, 0.5, 6))
-    levels_bytes = 7 * 8 * (base.n_steps + 1) * g.n_total
-    assert sum(t.coefficients.nbytes for t in trajs) == levels_bytes
-    assert peak < 1.3 * levels_bytes
+    peaks, stacks = [], []
+    for J in (2000, 8000):
+        base = ProblemSpec(
+            kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=1.0, dt=1.0 / J, eps=0.1,
+            u0=Field.zero(g), u1=field_from_name(g, "sine_mode", {"amplitude": 1.0, "modes": [1]}),
+            formulation="integral_volterra",
+        )
+        seq, peak = _peak_above_entry(lambda: run_eps_sequence(base, 0.1, 0.5, 6))
+        assert seq.levels_bytes == 8 * 193 * g.n_total
+        peaks.append(peak)
+        stacks.append(7 * 8 * (J + 1) * g.n_total)
+    assert peaks[1] < 0.2 * stacks[1]
+    assert peaks[1] - peaks[0] < 0.15 * (stacks[1] - stacks[0])
 
 
 def test_powerlaw_leapfrog_holds_no_history():
@@ -732,7 +737,7 @@ def test_blocked_marchers_match_reference_loops(spec):
     leapfrog = spec.formulation == "integrodifferential"
     want = reference_integrodiff(spec) if leapfrog else reference_volterra(spec)
     for rows in (4, 5, 7):
-        with _small_march_blocks(rows):
+        with small_march_blocks(rows):
             traj = run(spec)
         assert np.max(np.abs(traj.levels - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -985,11 +990,6 @@ _TAIL_FAMILIES = {
 }
 
 
-def _direct_sums():
-    """The Volterra march with every fit refused: its far sums go direct."""
-    return mock.patch.object(solver_module, "_TAIL_TOLERANCE", 0.0)
-
-
 def _hat_integrals(factor, lags, dt):
     """Exact lag weights: the factor w (Ksh for the Volterra march, dG for
     the leapfrog) integrated against the hat on [s_{d-1}, s_{d+1}], by
@@ -1063,7 +1063,7 @@ class TestVolterraTail:
 
         with mock.patch.object(HistoryConvolution, "of", exact_from_w):
             blocked = run(spec, shifts).trajectories
-            with _direct_sums():
+            with direct_sums():
                 direct = run(spec, shifts).trajectories
         for eps, fast, slow in zip(shifts, blocked, direct):
             assert fast.far_nodes == 33 and slow.far_nodes == 0
@@ -1105,7 +1105,7 @@ class TestVolterraTail:
 
         with mock.patch.object(HistoryConvolution, "of", exact_from_w):
             fast = run(spec)
-            with _direct_sums():
+            with direct_sums():
                 slow = run(spec)
         assert fast.far_nodes > 0 and slow.far_nodes == 0
         assert 0.0 < fast.far_error <= solver_module._TAIL_TOLERANCE
@@ -1118,7 +1118,7 @@ class TestVolterraTail:
         long = _volterra_spec(g, 1.0, 0.005)  # J = 200 > 2 W
         traj = run(long)
         assert traj.far_nodes == 25 and 0.0 < traj.far_error <= solver_module._TAIL_TOLERANCE
-        with _direct_sums():
+        with direct_sums():
             refused = run(long)
         assert (refused.far_nodes, refused.far_error) == (0, 0.0)
         short = run(_volterra_spec(g, 0.64, 0.005))  # J = 128 = 2 W
@@ -1148,8 +1148,12 @@ class TestVolterraTail:
                 run(lone)
             with pytest.raises(SolverAbort) as many:
                 run(batch, shifts)
+            with pytest.raises(SolverAbort) as streamed:
+                run_eps_sequence(batch, 0.1, 0.1, 3)
         assert one.value.step == 638
         assert (many.value.step, many.value.eps) == (1342, float(shifts[2]))
+        # the streamed sequence marches in a ring, and stops at the same step
+        assert (streamed.value.step, streamed.value.eps) == (1342, float(shifts[2]))
 
 
 def test_volterra_3d_run_holds_no_history():
