@@ -10,8 +10,10 @@ solution and the kernel calculus together.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +28,21 @@ from memvisco.grid import (
     trapezoid_weights,
 )
 from memvisco.kernels import PronyKernel, RelaxationKernel, translate
-from memvisco.solver import HistoryConvolution, ProblemSpec, TrajectorySolution, run
+from memvisco.solver import (
+    HistoryConvolution,
+    ProblemSpec,
+    TrajectorySolution,
+    march,
+    run_block,
+    stored_blocks,
+    velocity_estimates,
+)
 
 __all__ = [
     "HypothesisError",
+    "SingleRun",
+    "ledger_plan",
+    "check_bound_hypothesis",
     "EnergyLedger",
     "energy_ledger",
     "DecayReport",
@@ -42,7 +55,6 @@ __all__ = [
     "battery_modes",
     "battery_columns",
     "battery_projections",
-    "level_blocks",
     "WeakResidualEntry",
     "weak_residual",
 ]
@@ -56,18 +68,181 @@ class HypothesisError(ValueError):
 # energy ledger
 # ---------------------------------------------------------------------------
 
-# cap on each transient (block, N) buffer of a pass over a block of levels
-_BLOCK_BYTES = 4 * 2**20
-# the buffers of a block together hold at most this share of the levels
-_BLOCK_SHARE = 8
+class SingleRun(NamedTuple):
+    """What the audits of one run keep of its levels.  Per level j, by
+    Parseval and unscaled by the cell volume: grad_sq[j] = |e_j|^2 = sum mu
+    u_hat_j^2, vel_sq[j] = |v_j|^2 and power[j] = v_j . p, e_j the edge
+    differences, v_j the velocities and p the forcing profile.  columns
+    holds the battery_columns, prony the Prony ledger's _PronyInflows and
+    coefficients the whole stack, for the lag passes; each None unless
+    asked for.  displaced tells whether level 0 is nonzero, and seconds is
+    the reduction's wall time by what it formed: the level "sums", and the
+    "ledger", "weak_residual" and "export" work."""
+
+    grid: Grid
+    times: np.ndarray
+    displaced: bool
+    grad_sq: np.ndarray | None
+    vel_sq: np.ndarray | None
+    power: np.ndarray | None
+    columns: np.ndarray | None
+    prony: tuple | None
+    coefficients: np.ndarray | None
+    seconds: dict
+
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
+
+    @classmethod
+    def reduce(
+        cls, grid, times, blocks, sums=False, forcing=None, rates=None, battery=False, export=None, coefficients=None
+    ) -> SingleRun:
+        """The reduction of a run whose levels come in blocks (j0, the levels
+        j0 .. j1 - 1), as march and stored_blocks hand them over.  sums asks
+        for the level sums, and with them forcing for the power and rates
+        (ledger_plan's) for the Prony inflows; export(j, u_hat_j, v_hat_j) is
+        called with every level.
+
+        Pieces of run_block levels are reduced, so a streamed run and its
+        stored levels are summed alike.  A level is reduced once the next is
+        known, for its centered velocity, and the last with its piece: every
+        piece reduces two levels or more, as a lone level's sums would be
+        taken in another order."""
+        n, dt, vol = times.size, float(times[1] - times[0]), grid.cell_volume
+        root_mu = np.sqrt(grid.eigenvalues).ravel()
+        grad_sq, vel_sq, power = (np.zeros(n) for _ in range(3)) if sums else (None,) * 3
+        profile = None if forcing is None else sine_transform(grid, forcing.profile(grid)).ravel()
+        columns = np.empty((n, len(battery_modes(grid)))) if battery else None
+        prony = None if rates is None else _PronyInflows(rates, n, grid.n_total, vol)
+        seconds = {}
+        clock = time.perf_counter
+
+        def book(phase, since):
+            now = clock()
+            seconds[phase] = seconds.get(phase, 0.0) + now - since
+            return now
+
+        rows = run_block(grid.n_total, n)
+        if sums or export:
+            # the (at most) two levels before a piece, then the piece; and
+            # e, then v, of the levels a piece reduces: buffers held for the
+            # whole reduction, as fresh ones would take new pages every piece
+            window, work = np.empty((2, rows + 2, grid.n_total))
+        held = 0
+        done = 0  # the levels 0 .. done - 1 are reduced
+        displaced = False
+        for j0, block in blocks:
+            block = block.reshape(block.shape[0], -1)
+            if j0 == 0:
+                displaced = bool(np.any(block[0]))
+            for a in range(j0, j0 + block.shape[0], rows):
+                piece = block[a - j0 : a - j0 + rows]
+                b = a + piece.shape[0]
+                t = clock()
+                if battery:
+                    columns[a:b] = battery_columns(grid, piece.reshape((-1, *grid.shape)))
+                    t = book("weak_residual", t)
+                if not (sums or export):
+                    continue
+                # w holds the levels b - len(w) .. b - 1, of which done .. hi - 1
+                # are reduced: its rows r0 .. r1 - 1
+                w = window[: held + piece.shape[0]]
+                w[held:] = piece
+                hi = b if b == n else b - 1
+                r0, r1 = done - (b - w.shape[0]), hi - (b - w.shape[0])
+                if hi > done:
+                    if sums:
+                        # e_{done - 1} .. e_{hi - 1}, the first for the Prony deltas
+                        lead = min(r0, 1)
+                        e = np.multiply(w[r0 - lead : r1], root_mu, out=work[: r1 - r0 + lead])
+                        grad_sq[done:hi] = np.einsum("ij,ij->i", e[lead:], e[lead:])
+                        t = book("sums", t)
+                        if prony is not None:
+                            prony.add(e, done, hi)
+                            t = book("ledger", t)
+                    v = velocity_estimates(w, dt, r0, r1, out=work[: r1 - r0])
+                    if sums:
+                        vel_sq[done:hi] = np.einsum("ij,ij->i", v, v)
+                        t = book("sums", t)
+                        if profile is not None:
+                            power[done:hi] = v @ profile
+                            t = book("ledger", t)
+                    if export:
+                        for i in range(hi - done):
+                            export(done + i, w[r0 + i], v[i])
+                        t = book("export", t)
+                held = min(2, w.shape[0])
+                window[:held] = w[-held:]
+                done = hi
+        return cls(grid, times, displaced, grad_sq, vel_sq, power, columns, prony, coefficients, seconds)
+
+    @classmethod
+    def of(cls, run: TrajectorySolution | SingleRun, **asked) -> SingleRun:
+        """run itself if it is reduced, else the reduction asked of a stored
+        run, its levels handed over as stored_blocks hands them; it keeps
+        the run's coefficients."""
+        if isinstance(run, cls):
+            return run
+        blocks = ((j0, block[0]) for j0, block in stored_blocks([run]))
+        return cls.reduce(run.grid, run.times, blocks, coefficients=run.coefficients, **asked)
 
 
-def level_blocks(traj: TrajectorySolution, buffers: int) -> list[tuple[int, int]]:
-    """(start, stop) of each block of a pass over traj's levels that holds
-    `buffers` (block, N) arrays."""
-    share = traj.n_levels // (_BLOCK_SHARE * buffers)
-    block = max(1, min(share, _BLOCK_BYTES // (8 * traj.grid.n_total)))
-    return [(m, min(m + block, traj.n_levels)) for m in range(0, traj.n_levels, block)]
+class _PronyInflows:
+    """The inflows of _prony_history_sums' filters per level, |delta_j|^2,
+    delta_j . S_j per term and vol |e_j - e_0|^2, as the pieces of e_j =
+    sqrt(mu) u_hat_j come in: S_j, one (terms, N) state, steps a level at a time."""
+
+    def __init__(self, rates: np.ndarray, n_levels: int, n_total: int, vol: float):
+        self.rates, self._vol = rates, vol
+        self._s = _geometric_sums(rates, n_levels - 1)[1].T[:, :, None]
+        self._state = np.zeros((rates.size, n_total))
+        self.cross = np.empty((n_levels - 1, rates.size))
+        self.delta_sq = np.empty(n_levels - 1)
+        self.oldest = np.zeros(n_levels)
+
+    def add(self, e: np.ndarray, done: int, hi: int) -> None:
+        """Step over the levels done .. hi - 1 from e, which holds e_{done-1}
+        .. e_{hi-1}, or e_0 .. e_{hi-1} when done = 0; e is overwritten."""
+        if not done:
+            self._first = e[0].copy()
+        # delta_{m - 1} = e_m - e_{m - 1} for the levels m >= 1 here
+        steps = slice(max(done, 1) - 1, hi - 1)
+        delta = e[1:] - e[:-1]
+        self.delta_sq[steps] = np.einsum("ke,ke->k", delta, delta)
+        r_column = self.rates[:, None]
+        for d, s_j, cross_j in zip(delta, self._s[steps], self.cross[steps]):
+            np.matmul(self._state, d, out=cross_j)
+            self._state += s_j * d
+            self._state *= r_column
+        d = np.subtract(e[1:], self._first, out=e[1:])
+        self.oldest[max(done, 1) : hi] = self._vol * np.einsum("ke,ke->k", d, d)
+
+
+def _geometric_sums(rates: np.ndarray, J: int):
+    """(decay, s): decay[t, j] = r_t^j for j = 0 .. J and s[t, j] = sum_{k=0}^{j} r_t^k for j < J."""
+    decay = rates[:, None] ** np.arange(J + 1)
+    return decay, np.cumsum(decay[:, :J], axis=1)
+
+
+def ledger_plan(kernel: RelaxationKernel, eps: float, times: np.ndarray):
+    """(histories, rates, stack): how energy_ledger weighs the lags of a
+    run over times at shift eps.  histories are the weights of w = dG and
+    w = d2G, none for a modulus with dG = 0, which has no memory; a Prony
+    modulus's ratios, rates, give the run's Prony inflows, and any other
+    modulus with memory reads the whole stack, in lag passes.
+    HypothesisError for eps = 0 with a modulus unbounded at 0."""
+    if eps == 0.0 and kernel.singular_at_zero:
+        raise HypothesisError("eps = 0 with a modulus unbounded at 0")
+    kk = translate(kernel, eps)
+    # a modulus with dG = 0 has no memory: its weights would be round-off
+    if not np.any(kk.modulus_dt(times)):
+        return [], None, False
+    J, dt = times.size - 1, float(times[1] - times[0])
+    histories = [HistoryConvolution.of(kk, order, J, dt) for order in (1, 2)]
+    if histories[0].backend == "exponential":
+        return histories, np.array([r for r, _, _ in histories[0].terms]), False
+    return histories, None, True
 
 
 @dataclass(frozen=True)
@@ -96,12 +271,14 @@ class EnergyLedger:
 
 
 def energy_ledger(
-    traj: TrajectorySolution,
+    run: TrajectorySolution | SingleRun,
     kernel: RelaxationKernel,
     eps: float,
     forcing=None,
 ) -> EnergyLedger:
-    """Assemble the energy balance for a trajectory of the shifted problem.
+    """Assemble the energy balance for a run of the shifted problem: a
+    stored trajectory, or a SingleRun reduced with the level sums and what
+    ledger_plan(kernel, eps, run.times) names.
 
     All modulus evaluations use the shifted kernel G(eps + .); eps = 0 is
     accepted only for a modulus bounded at 0.
@@ -111,43 +288,35 @@ def energy_ledger(
     the sine coefficients as |sqrt(mu) (u_j - u_{j-i})|^2 (grid.py).  A
     Prony modulus gets the columns from a recursion, linear in J
     (_prony_history_sums).  A power-law or summed modulus has no geometric
-    weights, so it takes one pass per lag, O(J^2 N) (_lag_pass_sums).  A
-    modulus with dG = 0, such as a Prony kernel without terms, has no memory
-    and takes neither.
+    weights, so it takes one pass per lag over the whole stack, O(J^2 N)
+    (_lag_pass_sums).  A modulus with dG = 0, such as a Prony kernel without
+    terms, has no memory and takes neither.
     """
-    if eps == 0.0 and kernel.singular_at_zero:
-        raise HypothesisError("eps = 0 with a modulus unbounded at 0")
+    histories, rates, _ = ledger_plan(kernel, eps, run.times)
     kk = translate(kernel, eps)
+    run = SingleRun.of(run, sums=True, forcing=forcing, rates=rates)
 
-    grid, dt = traj.grid, traj.dt
-    J = traj.n_levels - 1
+    grid, dt = run.grid, run.dt
+    J = run.times.size - 1
     vol = grid.cell_volume
-    times = traj.times
+    times = run.times
 
     g_now = kk.modulus(times)
     gdot_now = kk.modulus_dt(times)
 
-    profile = None if forcing is None else sine_transform(grid, forcing.profile(grid)).ravel()
-    grad_sq, kinetic, forcing_power = _level_sums(traj, profile)
-    grad_sq *= vol
-    kinetic *= 0.5 * vol
-    if forcing is not None:
-        forcing_power *= vol * forcing.factor(times)
+    grad_sq = run.grad_sq * vol
+    kinetic = run.vel_sq * (0.5 * vol)
+    forcing_power = run.power if forcing is None else run.power * (vol * forcing.factor(times))
     elastic = 0.5 * g_now * grad_sq
     rate_modulus = 0.5 * gdot_now * grad_sq
 
     memory = np.zeros(J + 1)
     rate_curvature = np.zeros(J + 1)
-    # a modulus with dG = 0 has no memory: its weights would be round-off
-    if np.any(gdot_now):
-        # weights of w = dG (memory) and w = d2G (curvature)
-        histories = [HistoryConvolution.of(kk, order, J, dt) for order in (1, 2)]
-        if histories[0].backend == "exponential":
-            sums = _prony_history_sums(traj, [h.terms for h in histories])
-        else:
-            scaled = traj.coefficients.reshape(J + 1, -1) * np.sqrt(grid.eigenvalues).ravel()
-            sums = _lag_pass_sums(scaled, vol, histories)
-        memory, rate_curvature = -0.5 * sums
+    if rates is not None:
+        memory, rate_curvature = -0.5 * _prony_history_sums(run, [h.terms for h in histories])
+    elif histories:
+        scaled = run.coefficients.reshape(J + 1, -1) * np.sqrt(grid.eigenvalues).ravel()
+        memory, rate_curvature = -0.5 * _lag_pass_sums(scaled, vol, histories)
 
     stored = kinetic + elastic + memory
     residual = (stored[2:] - stored[:-2]) / (2 * dt) - (
@@ -165,31 +334,6 @@ def energy_ledger(
         stored=stored,
         residual=residual,
     )
-
-
-def _level_sums(traj: TrajectorySolution, profile: np.ndarray | None = None):
-    """Per-level |e_j|^2, |v_j|^2 and v_j . profile (zeros without a profile),
-    e_j the edge differences and v_j the velocities of level j, unscaled by
-    the cell volume; profile holds sine coefficients.
-
-    All three are read off the sine coefficients by Parseval, the DST-I
-    being orthonormal: |e_j|^2 = sum mu u_hat_j^2, |v_j|^2 = sum v_hat_j^2
-    and v_j . p = v_hat_j . p_hat.  They are taken a block of levels at a
-    time, so no (J+1, N) stack is held.
-    """
-    n_levels = traj.n_levels
-    root_mu = np.sqrt(traj.grid.eigenvalues).ravel()
-    grad_sq = np.empty(n_levels)
-    vel_sq = np.empty(n_levels)
-    power = np.zeros(n_levels)
-    for start, stop in level_blocks(traj, 2):
-        e = traj.coefficients[start:stop].reshape(stop - start, -1) * root_mu
-        v = traj.velocity_coefficients(start=start, stop=stop).reshape(stop - start, -1)
-        if profile is not None:
-            power[start:stop] = v @ profile
-        grad_sq[start:stop] = np.einsum("ij,ij->i", e, e)
-        vel_sq[start:stop] = np.einsum("ij,ij->i", v, v)
-    return grad_sq, vel_sq, power
 
 
 def _lag_pass_sums(edges: np.ndarray, vol: float, histories) -> np.ndarray:
@@ -212,8 +356,8 @@ def _lag_pass_sums(edges: np.ndarray, vol: float, histories) -> np.ndarray:
     return out
 
 
-def _prony_history_sums(traj: TrajectorySolution, weights) -> np.ndarray:
-    """_lag_pass_sums of traj for a Prony modulus, one row per weight set in
+def _prony_history_sums(run: SingleRun, weights) -> np.ndarray:
+    """_lag_pass_sums of run for a Prony modulus, one row per weight set in
     weights, each the (r, left[0], right[0]) per term of exponential_terms.
 
     A term's lag weights are geometric: lags[i] = c r^(i-1) with
@@ -231,40 +375,15 @@ def _prony_history_sums(traj: TrajectorySolution, weights) -> np.ndarray:
 
     Every term is built from differences, so nothing large cancels, as it
     would in the expanded |e_j|^2 - 2 e_j . e_{j-i} + |e_{j-i}|^2.  S steps
-    one level at a time, one (terms, N) state; Q is a scalar filter of the
-    inflows.  e_j = sqrt(mu) u_hat_j is formed a block of levels at a time
-    from the sine coefficients, plus e_0, so no second stack is held:
-    O(terms J N) flops in O(J) Python steps.
+    one level at a time in SingleRun.reduce, one (terms, N) state, which
+    keeps the inflows |delta_j|^2, delta_j . S_j and vol |e_j - e_0|^2; Q is
+    a scalar filter of them: O(terms J N) flops in O(J) Python steps.
     """
-    J = traj.n_levels - 1
-    vol = traj.grid.cell_volume
-    coefficients = traj.coefficients.reshape(J + 1, -1)
-    root_mu = np.sqrt(traj.grid.eigenvalues).ravel()
+    delta_sq, cross, oldest = run.prony.delta_sq, run.prony.cross, run.prony.oldest
+    J = run.times.size - 1
+    vol = run.grid.cell_volume
     rs = np.array([r for r, _, _ in weights[0]])
-    r_column = rs[:, None]
-    decay = r_column ** np.arange(J + 1)
-    s = np.cumsum(decay[:, :J], axis=1)
-    s_columns = s.T[:, :, None]
-    state = np.zeros((rs.size, coefficients.shape[1]))  # S_j
-    cross = np.empty((J, rs.size))  # delta_j . S_j
-    delta_sq = np.empty(J)  # |delta_j|^2
-    oldest = np.zeros(J + 1)  # vol |e_j - e_0|^2
-    first = coefficients[0] * root_mu
-    for start, stop in level_blocks(traj, 2):
-        # e_{j0} .. e_{stop - 1} and delta_{j0} .. delta_{stop - 2}, j0 the
-        # level before the block, so every delta falls in one block
-        j0 = max(start - 1, 0)
-        edges = coefficients[j0:stop] * root_mu
-        delta = edges[1:] - edges[:-1]
-        steps = slice(j0, stop - 1)
-        delta_sq[steps] = np.einsum("ke,ke->k", delta, delta)
-        for d, s_j, cross_j in zip(delta, s_columns[steps], cross[steps]):
-            np.matmul(state, d, out=cross_j)
-            state += s_j * d
-            state *= r_column
-        d = np.subtract(edges[1:], first, out=edges[1:])
-        oldest[j0 + 1 : stop] = vol * np.einsum("ke,ke->k", d, d)
-
+    decay, s = _geometric_sums(rs, J)
     inflow = 2.0 * cross.T + s * delta_sq
     # Q_{j+1} = r Q_j + inflow_j from Q_0 = 0, a scalar filter per term
     q = [
@@ -306,15 +425,16 @@ def calibrate_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> float:
 
     Replaces the kernel by the constant G(eps): same grid, dt, and data, so
     the twin's worst per-step energy increase measures the pure
-    discretization drift at this resolution.  Scales like dt^2 + h^2.
+    discretization drift at this resolution.  Scales like dt^2 + h^2.  The
+    twin is marched into a ring and reduced as it goes.
     """
     g = spec.kernel.modulus(spec.eps)
-    traj = run(replace(spec, kernel=PronyKernel(g, ()), eps=1.0))
+    twin = replace(spec, kernel=PronyKernel(g, ()), eps=1.0)
+    sums = SingleRun.reduce(twin.grid, twin.times, march(twin)[2], sums=True)
     # the twin has no memory, so its stored energy is kinetic + elastic,
     # formed as energy_ledger forms them
-    grad_sq, vel_sq, _ = _level_sums(traj)
-    vol = traj.grid.cell_volume
-    stored = 0.5 * vol * vel_sq + 0.5 * g * (vol * grad_sq)
+    vol = twin.grid.cell_volume
+    stored = 0.5 * vol * sums.vel_sq + 0.5 * g * (vol * sums.grad_sq)
     drift = max(float(np.max(np.diff(stored))), 0.0)
     floor = 1e-13 * max(float(stored[0]), 1.0)
     return safety * drift + floor
@@ -337,14 +457,28 @@ class BoundReport:
     max_ratio: float
 
 
+def check_bound_hypothesis(kernel: RelaxationKernel, eps: float, horizon: float, displaced: bool) -> float:
+    """gamma = max(1 / G(T + 1), 1) of check_energy_bound at horizon T;
+    HypothesisError for a run that starts displaced, eps > 1 or G(T + 1) <= 0."""
+    if displaced:
+        raise HypothesisError("nonzero initial displacement")
+    if eps > 1.0:
+        raise HypothesisError(f"bound requires eps <= 1, got {eps}")
+    g_end = kernel.modulus(horizon + 1.0)
+    if not g_end > 0:
+        raise HypothesisError(f"bound requires G(T + 1) > 0, got {g_end!r}")
+    return max(1.0 / g_end, 1.0)
+
+
 def check_energy_bound(
-    traj: TrajectorySolution,
+    run: TrajectorySolution | SingleRun,
     kernel: RelaxationKernel,
     eps: float,
     u1: Field,
     forcing=None,
 ) -> BoundReport:
-    """Check  0.5 |grad u|^2 + 0.5 |u_t|^2 <= gamma e^T C  at every level.
+    """Check  0.5 |grad u|^2 + 0.5 |u_t|^2 <= gamma e^T C  at every level
+    of a stored trajectory, or of a SingleRun reduced with level sums.
 
     gamma = max(1 / G(T + 1), 1) uses the unshifted modulus; requires
     eps <= 1 so the shifted modulus dominates G(T + 1) on the window, and
@@ -352,30 +486,24 @@ def check_energy_bound(
     C = 0.5 |f|^2 (space-time) + 0.5 |u1|^2 (space) covers no initial
     displacement, so a run that starts displaced is refused.
     """
-    if np.any(traj.coefficients[0]):
-        raise HypothesisError("nonzero initial displacement")
-    if eps > 1.0:
-        raise HypothesisError(f"bound requires eps <= 1, got {eps}")
-    grid, dt = traj.grid, traj.dt
-    T = float(traj.times[-1])
-    g_end = kernel.modulus(T + 1.0)
-    if not g_end > 0:
-        raise HypothesisError(f"bound requires G(T + 1) > 0, got {g_end!r}")
-    gamma = max(1.0 / g_end, 1.0)
+    T = float(run.times[-1])
+    displaced = np.any(run.coefficients[0]) if isinstance(run, TrajectorySolution) else run.displaced
+    gamma = check_bound_hypothesis(kernel, eps, T, displaced)
+    run = SingleRun.of(run, sums=True)
+    grid, dt = run.grid, run.dt
 
     # f = profile * factor: |f|^2 = |profile|^2 int factor^2
     f_spacetime_sq = 0.0
     if forcing is not None:
         profile = forcing.profile(grid)
-        factor = forcing.factor(traj.times)
+        factor = forcing.factor(run.times)
         f_spacetime_sq = inner_space(grid, profile, profile) * float(
-            np.dot(trapezoid_weights(traj.n_levels, dt), factor * factor)
+            np.dot(trapezoid_weights(run.times.size, dt), factor * factor)
         )
     c_data = 0.5 * f_spacetime_sq + 0.5 * l2_space(grid, u1) ** 2
     bound = gamma * math.exp(T) * c_data
 
-    grad_sq, vel_sq, _ = _level_sums(traj)
-    lhs = 0.5 * grid.cell_volume * grad_sq + 0.5 * grid.cell_volume * vel_sq
+    lhs = 0.5 * grid.cell_volume * run.grad_sq + 0.5 * grid.cell_volume * run.vel_sq
     peak = float(np.max(lhs))
     if bound == 0.0:
         max_ratio = 0.0 if peak == 0.0 else math.inf
@@ -451,7 +579,7 @@ class WeakResidualEntry:
 
 
 def weak_residual(
-    traj: TrajectorySolution,
+    run: TrajectorySolution | SingleRun,
     kernel: RelaxationKernel,
     eps: float,
     u0: Field,
@@ -468,21 +596,22 @@ def weak_residual(
     once with the discrete Laplacian acting on u ('direct') and once with
     the convolution moved onto v via two integrations by parts ('moved').
     The two agree up to O(h^2) because the analytic Laplacian of v differs
-    from the stencil by that amount.
+    from the stencil by that amount.  It reads a stored trajectory, or a
+    SingleRun reduced with the battery columns.
     """
-    grid, dt = traj.grid, traj.dt
-    J = traj.n_levels - 1
+    run = SingleRun.of(run, battery=True)
+    grid, dt, times = run.grid, run.dt, run.times
+    J = times.size - 1
     history = HistoryConvolution.of(translate(kernel, eps), -1, J, dt)
     if forcing is not None:
         # F2 = c2 * profile, c2 the time factor integrated twice
-        c2 = double_trapezoid(forcing.factor(traj.times), dt)
+        c2 = double_trapezoid(forcing.factor(times), dt)
         profile = forcing.profile(grid).ravel()
 
     vol = grid.cell_volume
     out = []
-    columns = battery_columns(grid, traj.coefficients)
-    for v, vx, a, y, projected in battery_projections(grid, traj.times, columns, history):
-        ramp = traj.times * (u1.values.ravel() @ vx) + u0.values.ravel() @ vx
+    for v, vx, a, y, projected in battery_projections(grid, times, run.columns, history):
+        ramp = times * (u1.values.ravel() @ vx) + u0.values.ravel() @ vx
         if forcing is not None:
             ramp += c2 * (profile @ vx)
         rest = float(a @ (projected - ramp))

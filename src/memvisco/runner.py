@@ -28,13 +28,17 @@ from memvisco.convergence import (
 )
 from memvisco.diagnostics import (
     HypothesisError,
+    SingleRun,
     calibrate_decay_tolerance,
+    check_bound_hypothesis,
     check_energy_bound,
     check_energy_decay,
     energy_ledger,
+    ledger_plan,
     weak_residual,
 )
 from memvisco.expressions import field_from_name
+from memvisco.grid import sine_transform
 from memvisco.kernels import check_admissibility, check_fading_memory
 from memvisco.solver import (
     CflViolation,
@@ -42,7 +46,7 @@ from memvisco.solver import (
     RunRecord,
     SolverAbort,
     cfl_time_step,
-    run,
+    march,
     stable_time_step,
     stress_curve,
 )
@@ -254,12 +258,13 @@ def _build_spec(cfg: ExperimentConfig, eps: float, dt: float) -> ProblemSpec:
 _SLICE_ROWS = 2048
 
 
-def _trajectory_csv(grid, times, nodal, velocities):
-    """trajectory.csv text of the levels at times, with nodal values and
-    velocities, each an iterable of grid.shape fields; one chunk per slice
-    of at most _SLICE_ROWS rows of a level."""
+def _trajectory_rows(grid):
+    """(header, rows) of trajectory.csv: its header line, and rows(t, level,
+    rate), the text of one level's rows at time text t, with nodal values
+    level and velocities rate, grid.shape fields; one chunk per slice of at
+    most _SLICE_ROWS rows."""
     axis_names = ["x", "y", "z"][: grid.dim]
-    yield ",".join(["t", "node", *axis_names, "u", "u_t"]) + "\n"
+    header = ",".join(["t", "node", *axis_names, "u", "u_t"]) + "\n"
     # "node" and ",x[,y,z]," are the same at every level; nodes are row-major
     nodes = list(map(str, range(grid.n_total)))
     coordinates = [","]
@@ -267,34 +272,56 @@ def _trajectory_csv(grid, times, nodal, velocities):
         tails = [x + "," for x in _reprs(grid.axis_coordinates(a))]
         coordinates = [head + x for head in coordinates for x in tails]
     n = len(nodes)
-    for t, level, rate in zip(_reprs(times), nodal, velocities):
+
+    def rows(t, level, rate):
         u, v = level.ravel(), rate.ravel()
         for start in range(0, n, _SLICE_ROWS):
             stop = min(start + _SLICE_ROWS, n)
             # a row is the seven slots "t," node ",x[,y,z]," u "," u_t "\n"
-            rows = [t + ",", "", "", "", ",", "", "\n"] * (stop - start)
-            rows[1::7] = nodes[start:stop]
-            rows[2::7] = coordinates[start:stop]
-            rows[3::7] = _reprs(u[start:stop])
-            rows[5::7] = _reprs(v[start:stop])
-            yield "".join(rows)
+            out = [t + ",", "", "", "", ",", "", "\n"] * (stop - start)
+            out[1::7] = nodes[start:stop]
+            out[2::7] = coordinates[start:stop]
+            out[3::7] = _reprs(u[start:stop])
+            out[5::7] = _reprs(v[start:stop])
+            yield "".join(out)
+
+    return header, rows
 
 
-def _export_trajectory(out_dir: Path, cfg: ExperimentConfig, traj) -> None:
-    if cfg.export_format in ("csv", "both"):
-        # the nodal values of an exported level are formed as it is written
-        levels = range(0, traj.n_levels, cfg.snapshot_stride)
-        nodal = (traj.nodal(j, j + 1)[0] for j in levels)
-        velocities = (traj.velocities(j, j + 1)[0] for j in levels)
-        text = _trajectory_csv(traj.grid, traj.times[levels], nodal, velocities)
-        _write_atomic(out_dir / "trajectory.csv", text)
-    if cfg.export_format in ("binary", "both"):
-        # every level's nodal values, formed once here;
-        # np.save appends ".npy" to a name that lacks it, so it gets the file
-        with _atomic_file(out_dir / "trajectory.npy") as fh:
-            np.save(fh, traj.levels)
-        with _atomic_file(out_dir / "times.npy") as fh:
-            np.save(fh, traj.times)
+@contextmanager
+def _trajectory_export(out_dir: Path, cfg: ExperimentConfig, grid, times):
+    """export(j, u_hat_j, v_hat_j) for SingleRun.reduce, which writes every
+    snapshot_stride-th level to trajectory.csv as the march passes it; None
+    when the config exports no CSV.  The file is renamed into place when
+    the block completes, and removed when it raises."""
+    if cfg.export_format not in ("csv", "both"):
+        yield None
+        return
+    header, rows = _trajectory_rows(grid)
+    stride = cfg.snapshot_stride
+    stamps = _reprs(times[::stride])
+    one = (1, *grid.shape)
+    with _atomic_file(out_dir / "trajectory.csv") as fh:
+        fh.write(header.encode("utf-8"))
+
+        def export(j, u, v):
+            if j % stride == 0:
+                # the nodal values of an exported level are formed as it is written
+                level = sine_transform(grid, u.reshape(one))[0]
+                rate = sine_transform(grid, v.reshape(one))[0]
+                for chunk in rows(stamps[j // stride], level, rate):
+                    fh.write(chunk.encode("utf-8"))
+
+        yield export
+
+
+def _export_levels(out_dir: Path, grid, times, coefficients) -> None:
+    """trajectory.npy, every level's nodal values, and times.npy."""
+    # np.save appends ".npy" to a name that lacks it, so it gets the file
+    with _atomic_file(out_dir / "trajectory.npy") as fh:
+        np.save(fh, sine_transform(grid, coefficients))
+    with _atomic_file(out_dir / "times.npy") as fh:
+        np.save(fh, times)
 
 
 def _export_ledger(out_dir: Path, ledger) -> None:
@@ -405,32 +432,65 @@ def _run_single(
 ) -> int:
     dt = _resolve_dt(cfg, cfg.eps)
     spec = _build_spec(cfg, cfg.eps, dt)
+    wanted = cfg.diagnostics
+
+    # a diagnostic whose hypothesis the run does not meet is skipped, as the
+    # spec decides before the march; the decay check, which reads the
+    # ledger, goes with the ledger
+    skipped = {}
+    ledger_on = wanted["energy_ledger"] or wanted["energy_decay"]
+    bound_on = wanted["energy_bound"]
+    rates, stack = None, False
+    if ledger_on:
+        try:
+            with phases("ledger"):
+                _, rates, stack = ledger_plan(cfg.kernel, cfg.eps, spec.times)
+        except HypothesisError as exc:
+            skipped.update({name: {"skipped": str(exc)} for name in ("energy_ledger", "energy_decay") if wanted[name]})
+            ledger_on = False
+    if bound_on:
+        try:
+            with phases("bound"):
+                check_bound_hypothesis(cfg.kernel, cfg.eps, spec.horizon, bool(np.any(spec.u0.values)))
+        except HypothesisError as exc:
+            skipped["energy_bound"] = {"skipped": str(exc)}
+            bound_on = False
+    binary = cfg.export_format in ("binary", "both")
+
+    # the march hands each block of levels to the reduction the audits and
+    # the CSV export read: its time goes to their phases, the level sums' to
+    # the ledger's or else the bound's, with the time that closes and
+    # renames trajectory.csv
     with phases("solve", steps=spec.n_steps):
-        traj = run(spec)
-    runs.append(_run_record(cfg, cfg.eps, traj.dt, traj.record, traj.coefficients.nbytes))
-    with phases("export"):
-        _export_trajectory(out_dir, cfg, traj)
+        with _trajectory_export(out_dir, cfg, spec.grid, spec.times) as export:
+            record, levels, blocks = march(spec, whole=binary or stack)
+            sums = SingleRun.reduce(
+                spec.grid, spec.times, blocks, ledger_on or bound_on, spec.forcing if ledger_on else None, rates,
+                battery=wanted["weak_residual"], export=export, coefficients=levels if stack else None,
+            )
+            marched = time.perf_counter()
+        parts = dict(sums.seconds, export=sums.seconds.get("export", 0.0) + time.perf_counter() - marched)
+    if "sums" in parts:
+        summed = "ledger" if ledger_on else "bound"
+        parts[summed] = parts.get(summed, 0.0) + parts.pop("sums")
+    phases.split("solve", parts)
+    runs.append(_run_record(cfg, cfg.eps, dt, record, levels.nbytes))
+    if binary:
+        with phases("export"):
+            _export_levels(out_dir, spec.grid, spec.times, levels)
+    verdicts.update(skipped)
     verdicts["dt"] = dt
     verdicts["n_steps"] = spec.n_steps
     ok = True
 
-    # a diagnostic whose hypothesis the run does not meet is skipped, and
-    # the decay check, which reads the ledger, goes with the ledger
-    ledger = None
-    if cfg.diagnostics["energy_ledger"] or cfg.diagnostics["energy_decay"]:
-        try:
-            with phases("ledger"):
-                ledger = energy_ledger(traj, cfg.kernel, cfg.eps, spec.forcing)
-        except HypothesisError as exc:
-            for name in ("energy_ledger", "energy_decay"):
-                if cfg.diagnostics[name]:
-                    verdicts[name] = {"skipped": str(exc)}
-    if ledger is not None:
+    if ledger_on:
+        with phases("ledger"):
+            ledger = energy_ledger(sums, cfg.kernel, cfg.eps, spec.forcing)
         with phases("export"):
             _export_ledger(out_dir, ledger)
             _write_atomic(out_dir / "plot_energy.py", _PLOT_ENERGY)
         verdicts["max_energy_residual"] = ledger.max_residual
-        if cfg.diagnostics["energy_decay"]:
+        if wanted["energy_decay"]:
             with phases("decay_calibration"):
                 tol = calibrate_decay_tolerance(spec, cfg.tolerances["decay_safety"])
                 decay = check_energy_decay(ledger, tol)
@@ -442,26 +502,20 @@ def _run_single(
             }
             ok = ok and decay.passed
 
-    if cfg.diagnostics["energy_bound"]:
-        try:
-            with phases("bound"):
-                bound = check_energy_bound(traj, cfg.kernel, cfg.eps, spec.u1, spec.forcing)
-        except HypothesisError as exc:
-            verdicts["energy_bound"] = {"skipped": str(exc)}
-        else:
-            verdicts["energy_bound"] = {
-                "passed": bound.passed,
-                "gamma": bound.gamma,
-                "bound": bound.bound,
-                "max_ratio": bound.max_ratio,
-            }
-            ok = ok and bound.passed
+    if bound_on:
+        with phases("bound"):
+            bound = check_energy_bound(sums, cfg.kernel, cfg.eps, spec.u1, spec.forcing)
+        verdicts["energy_bound"] = {
+            "passed": bound.passed,
+            "gamma": bound.gamma,
+            "bound": bound.bound,
+            "max_ratio": bound.max_ratio,
+        }
+        ok = ok and bound.passed
 
-    if cfg.diagnostics["weak_residual"]:
+    if wanted["weak_residual"]:
         with phases("weak_residual"):
-            entries = weak_residual(
-                traj, cfg.kernel, cfg.eps, spec.u0, spec.u1, spec.forcing
-            )
+            entries = weak_residual(sums, cfg.kernel, cfg.eps, spec.u0, spec.u1, spec.forcing)
         with phases("export"):
             _write_csv(
                 out_dir / "weak_residuals.csv",

@@ -48,6 +48,9 @@ __all__ = [
     "exponential_terms",
     "HistoryConvolution",
     "run",
+    "march",
+    "run_block",
+    "velocity_estimates",
     "march_shifts",
     "stored_blocks",
     "trajectory_distance",
@@ -247,30 +250,32 @@ class TrajectorySolution:
         return sine_transform(self.grid, self.velocity_coefficients(start, stop))
 
     def velocity_coefficients(self, start: int = 0, stop: int | None = None):
-        """Second-order time derivative estimates, in sine coefficients, at
-        the levels start .. stop - 1.
+        """velocity_estimates of the levels start .. stop - 1, in sine coefficients."""
+        stop = self.n_levels if stop is None else min(stop, self.n_levels)
+        return velocity_estimates(self.coefficients, self.dt, start, max(start, stop))
 
-        Centered differences inside, one-sided ones at the first and last
-        level; an estimate does not depend on which other levels are asked for.
-        """
-        u = self.coefficients
-        dt = self.dt
-        last = self.n_levels - 1
-        wanted = range(start, self.n_levels if stop is None else min(stop, self.n_levels))
-        v = np.empty((len(wanted),) + u.shape[1:])
-        if not wanted:
-            return v
-        lo = 1 if wanted[0] == 0 else 0
-        hi = len(wanted) - 1 if wanted[-1] == last else len(wanted)
-        inner = wanted[lo:hi]
-        if inner:
-            np.subtract(u[inner.start + 1 : inner.stop + 1], u[inner.start - 1 : inner.stop - 1], out=v[lo:hi])
-            v[lo:hi] /= 2 * dt
-        if lo:
-            v[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dt)
-        if hi < len(wanted):
-            v[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dt)
+
+def velocity_estimates(u: np.ndarray, dt: float, start: int, stop: int, out=None) -> np.ndarray:
+    """Second-order time derivative estimates at the rows start .. stop - 1
+    of u, consecutive levels of a run, into out if given.
+
+    Centered differences where a row has both neighbours in u, one-sided
+    ones at u's first and last row, which are then the run's first and last
+    level; an estimate does not depend on which other rows are asked for.
+    """
+    v = np.empty((stop - start,) + u.shape[1:]) if out is None else out
+    if start == stop:
         return v
+    lo = 1 if start == 0 else 0
+    hi = stop - start - 1 if stop == u.shape[0] else stop - start
+    if lo < hi:
+        np.subtract(u[start + lo + 1 : start + hi + 1], u[start + lo - 1 : start + hi - 1], out=v[lo:hi])
+        v[lo:hi] /= 2 * dt
+    if lo:
+        v[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dt)
+    if hi < stop - start:
+        v[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dt)
+    return v
 
 
 def trajectory_distance(a: TrajectorySolution, b: TrajectorySolution) -> float:
@@ -362,6 +367,8 @@ def exponential_terms(kernel: PronyKernel, dt: float, order: int = 1):
 # pass _TAIL_FIT_SIZE: from there OpenBLAS ran the fit's factorization on a
 # second thread, which then spun for about 0.15 s of CPU time.
 _MARCH_ROWS = 64
+# cap on the bytes of a block a single run hands over (run_block)
+_BLOCK_BYTES = 4 * 2**20
 _TAIL_TOLERANCE = 1e-10
 _TAIL_NODES_PER_DECADE = 8
 _TAIL_SAMPLES = 256
@@ -605,25 +612,39 @@ class HistoryConvolution:
         return out
 
     def next_sum(self, levels: np.ndarray) -> np.ndarray:
-        """The next row j's level weights @ levels, the stored levels 0 .. j
-        as (j + 1, ...): one flat sum.  At a block's first row j0 it takes
-        the block's far_sums; a row then adds its levels from j0 on, one
+        """The next row j's level weights @ levels, the levels 0 .. j as
+        _ring_slots takes them, holding at least the 3 W the far sums reach
+        with a tail: one flat sum.  At a block's first row j0 it takes the
+        block's far_sums; a row then adds its levels from j0 on, one
         product."""
         self._rows_summed += 1
         j = self._rows_summed
-        if levels.shape[0] != j + 1:
-            raise ValueError(f"next_sum sums whole rows: row {j} takes levels 0 .. {j}, not {levels.shape[0]}")
+        slots = _ring_slots(levels, j, j if self.tail is None else 3 * _MARCH_ROWS)
         # a stack of one shift, the axis _block's weights carry
-        stack = levels.reshape(1, j + 1, -1)
+        stack = levels.reshape(1, slots + 1, -1)
         W = _MARCH_ROWS
         first = j - (j - 1) % W
         if j == 1:
             self._far = np.empty((1, W, stack.shape[2]))
         if j == first:
             self.far_sums(stack, j, self._far[:, : min(W, self.lags.size - j)])
-        near = np.matmul(self._block(j, j + 1, first, j + 1), stack[:, first:])[0, 0]
+        start = 1 + (first - 1) % slots
+        near = np.matmul(self._block(j, j + 1, first, j + 1), stack[:, start : start + j + 1 - first])[0, 0]
         near += self._far[0, j - first]
         return near
+
+
+def _ring_slots(levels: np.ndarray, j: int, reach: int) -> int:
+    """The slots R of levels, which holds the levels 0 .. j of row j as
+    level 0, then level m >= 1 in slot 1 + (m - 1) % R: the whole stack,
+    R = j, or a ring of the newest R >= reach of them."""
+    slots = levels.shape[0] - 1
+    if not min(j, reach) <= slots <= j:
+        raise ValueError(
+            f"next_sum sums whole rows: row {j} takes levels 0 .. {j}, or level 0 and a ring of "
+            f"at least {min(j, reach)} of them, not {levels.shape[0]}"
+        )
+    return slots
 
 
 class _ExponentialHistory:
@@ -651,13 +672,14 @@ class _ExponentialHistory:
         self._rows_summed = 0
 
     def next_sum(self, levels: np.ndarray) -> np.ndarray:
-        """The sum of the newest whole row, levels 0 .. j as (j + 1, ...);
-        the array may be reused, do not keep it."""
+        """The sum of the newest whole row, the levels 0 .. j as _ring_slots
+        takes them, of which it reads the two newest; the array may be
+        reused, do not keep it."""
         self._rows_summed += 1
         j = self._rows_summed
-        if levels.shape[0] != j + 1:
-            raise ValueError(f"next_sum sums whole rows: row {j} takes levels 0 .. {j}, not {levels.shape[0]}")
-        newest, previous = levels[j].ravel(), levels[j - 1].ravel()
+        slots = _ring_slots(levels, j, 2)
+        newest = levels[1 + (j - 1) % slots].ravel()
+        previous = levels[0 if j == 1 else 1 + (j - 2) % slots].ravel()
         if j == 1:
             # without terms the one zero state is every row's sum
             self._states = [np.zeros(newest.size) for _ in range(max(1, len(self.terms)))]
@@ -677,42 +699,89 @@ class _ExponentialHistory:
 # ---------------------------------------------------------------------------
 
 
-def _march_leapfrog(spec: ProblemSpec) -> TrajectorySolution:
-    """u_{j+1} = 2 u_j - u_{j-1} + dt^2 (-mu (g0 u_j + H_j) + f_j) in sine
-    coefficients, H_j the history sum of the levels 0 .. j."""
+def _march_leapfrog(spec: ProblemSpec, history, levels: np.ndarray, rows: int):
+    """March spec into levels, (1 + R, *grid.shape): level 0, then level
+    m >= 1 in slot 1 + (m - 1) % R, R a multiple of rows or J.  A generator
+    of the finished blocks, (j0, the levels j0 .. j1 - 1), level 0 first,
+    then rows at a time: views that the march writes over later.
+
+        u_{j+1} = 2 u_j - u_{j-1} + dt^2 (-mu (g0 u_j + H_j) + f_j)
+
+    in sine coefficients, H_j = history.next_sum of the levels 0 .. j.
+    """
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
+    ring = levels.shape[0] - 1
     g0 = spec.kernel.modulus(spec.eps)
     shape = grid.shape
-    levels = np.empty((J + 1,) + shape)
-    # the rows 1 .. J - 1: the last step reads no history sum
-    history = HistoryConvolution.of(translate(spec.kernel, spec.eps), 1, J - 1, dt)
     minus_mu = -grid.eigenvalues
     profile, factor = spec.forcing_parts()
     p, u0, u1 = (sine_transform(grid, f) for f in (profile, spec.u0.values, spec.u1.values))
     levels[0] = u0
+    yield 0, levels[:1]
     levels[1] = u0 + dt * u1 + 0.5 * dt * dt * (g0 * (minus_mu * u0) + factor[0] * p)
     accel, push = np.empty((2,) + shape)
-    for j in range(1, J):
-        np.multiply(levels[j], g0, out=accel)
-        accel += history.next_sum(levels[: j + 1]).reshape(shape)
+    for j in range(1, J + 1):
+        if j % rows == 0 or j == J:
+            j0 = j - (j - 1) % rows
+            slot = 1 + (j0 - 1) % ring
+            yield j0, levels[slot : slot + j + 1 - j0]
+        if j == J:
+            return
+        current = levels[1 + (j - 1) % ring]
+        np.multiply(current, g0, out=accel)
+        # the rows 1 .. J - 1: the last step reads no history sum
+        accel += history.next_sum(levels[: 1 + min(j, ring)]).reshape(shape)
         accel *= minus_mu
         accel += np.multiply(p, factor[j], out=push)
         accel *= dt * dt
-        new = levels[j + 1]
-        np.multiply(levels[j], 2.0, out=new)
-        new -= levels[j - 1]
+        new = levels[1 + j % ring]
+        np.multiply(current, 2.0, out=new)
+        new -= levels[0 if j == 1 else 1 + (j - 2) % ring]
         new += accel
         if not np.isfinite(new).all():
             raise SolverAbort(j + 1, "non-finite values (instability or overflow)", spec.eps)
 
-    return TrajectorySolution(
-        grid=grid,
-        times=spec.times,
-        coefficients=levels,
-        spec_fingerprint=spec.fingerprint(),
-        history_backend=history.backend,
-        **_far_fit(history.tail),
-    )
+
+def run_block(n_total: int, n_levels: int) -> int:
+    """Levels a single run's march and audits take at a time: the largest
+    divisor of _MARCH_ROWS of at least 3 levels that holds at most an
+    eighth of the run's n_levels and whose levels of n_total nodes fit in
+    _BLOCK_BYTES, else the smallest such divisor."""
+    W = _MARCH_ROWS
+    sizes = [W // k for k in range(1, W // 3 + 1) if W % k == 0] or [W]
+    fits = (b for b in sizes if 8 * b * n_total <= _BLOCK_BYTES and 8 * b <= n_levels)
+    return next(fits, sizes[-1])
+
+
+def march(spec: ProblemSpec, whole: bool = False):
+    """(record, levels, blocks) of spec: its RunRecord, the level buffer and
+    the march's generator of finished blocks, (j0, the levels j0 .. j1 - 1),
+    level 0 first: views that the march writes over later.
+
+    With whole, levels is the whole (J + 1, *grid.shape) stack, and so is
+    it where the history reads every level: a direct history without a
+    tail.  Otherwise it is a ring of level 0 and the slots the march reads:
+    for the leapfrog's exponential history a block of run_block levels, or
+    three when a block holds two; for a direct history with a tail, and for
+    the Volterra march, the 3 _MARCH_ROWS levels the far sums reach.
+    """
+    if spec.formulation == "integral_volterra":
+        records, levels, blocks = _volterra(spec, [spec.eps], ring=not whole)
+        return records[0], levels[0], ((j0, block[0]) for j0, block in blocks)
+    J = spec.n_steps
+    # the rows 1 .. J - 1: the last step reads no history sum
+    history = HistoryConvolution.of(translate(spec.kernel, spec.eps), 1, J - 1, spec.dt)
+    rows = run_block(spec.grid.n_total, J + 1)
+    if whole or history.backend == "direct" and history.tail is None:
+        ring = J
+    elif history.backend == "direct":
+        ring = min(3 * _MARCH_ROWS, J)
+    else:
+        # the step reads the two newest levels and writes a third slot
+        ring = min(rows * -(-3 // rows), J)
+    levels = np.empty((1 + ring,) + spec.grid.shape)
+    record = RunRecord(spec.fingerprint(), history_backend=history.backend, **_far_fit(history.tail))
+    return record, levels, _march_leapfrog(spec, history, levels, rows)
 
 
 def _far_fit(tail: _ExponentialTail | None, k: int = 0) -> dict:
@@ -865,23 +934,27 @@ def march_shifts(spec: ProblemSpec, shifts):
 
 def stored_blocks(trajectories):
     """The levels of stored runs on one grid and time axis, handed over as
-    march_shifts hands them: (j0, every run's levels j0 .. j1 - 1)."""
+    march_shifts hands them: (j0, every run's levels j0 .. j1 - 1), a view
+    of a lone run's levels."""
     n, W = trajectories[0].n_levels, _MARCH_ROWS
     for j0, j1 in [(0, 1), *((j, min(j + W, n)) for j in range(1, n, W))]:
-        yield j0, np.stack([t.coefficients[j0:j1] for t in trajectories])
+        levels = [t.coefficients[j0:j1] for t in trajectories]
+        yield j0, levels[0][None] if len(levels) == 1 else np.stack(levels)
 
 
 def run(spec: ProblemSpec, shifts=None):
-    """Solve spec; a TrajectorySolution.
+    """Solve spec; a TrajectorySolution, its march drained into the whole stack.
 
     With shifts, an integral_volterra spec is solved at every shift eps in
     shifts, all marched together, and the result is a ShiftedRuns.
     """
-    if spec.formulation == "integrodifferential":
-        if shifts is not None:
-            raise ValueError("shifts need the integral_volterra formulation")
-        return _march_leapfrog(spec)
-    records, levels, blocks = _volterra(spec, [spec.eps] if shifts is None else shifts, ring=False)
+    if shifts is None:
+        record, levels, blocks = march(spec, whole=True)
+        records, levels = [record], levels[None]
+    elif spec.formulation == "integrodifferential":
+        raise ValueError("shifts need the integral_volterra formulation")
+    else:
+        records, levels, blocks = _volterra(spec, shifts, ring=False)
     for _ in blocks:
         pass
     trajectories = tuple(

@@ -18,7 +18,6 @@ from memvisco.diagnostics import (
     battery_projections,
     default_battery,
     energy_ledger,
-    level_blocks,
 )
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import (
@@ -629,8 +628,7 @@ def listed_lemma_check(
             J, dt,
         )
         history = HistoryConvolution(*weights)
-        blocks = level_blocks(traj, 2)
-        c_level = max(float(np.abs(traj.nodal(a, b)).max()) for a, b in blocks) / grid.volume
+        c_level = max(float(np.abs(traj.nodal(a, a + 8)).max()) for a in range(0, J + 1, 8)) / grid.volume
 
         vol = grid.cell_volume
         columns = battery_columns(grid, traj.coefficients)

@@ -841,13 +841,13 @@ snapshot_stride = 40
 
 def test_three_dimensional_run_forms_no_nodal_stack(tmp_path):
     # a forced 3D run through solve, bound and CSV export of every 40th
-    # level: the stored sine coefficients are its one array of every level.
-    # The audits read them by Parseval in blocks of at most 4 MiB, and the
-    # export transforms its 6 levels back and writes them in slices of rows,
-    # so what the run holds beyond the coefficients, measured at 0.20 of
-    # them (the bound's blocks), stays under a quarter of them; a nodal
-    # stack, or an edge or velocity stack, formed at any step would add at
-    # least as much again
+    # level: the march writes into a ring of level 0 and one block of 16
+    # levels (4 MiB at most), and hands each block to the bound's level sums
+    # and to the export, which transforms its 6 levels back and writes them
+    # in slices of rows.  What the run holds, the ring, the reduction's two
+    # block buffers and the export's per-node strings, was measured at 0.40
+    # of the (J+1, N) stack it no longer forms; a nodal, edge or velocity
+    # stack formed at any step would add at least as much again
     import tracemalloc
 
     out = tmp_path / "out"
@@ -860,12 +860,179 @@ def test_three_dimensional_run_forms_no_nodal_stack(tmp_path):
         tracemalloc.stop()
     assert code == 0
     (record,) = read_manifest(out)["runs"]
-    levels_bytes = record["levels_bytes"]
-    assert levels_bytes == 8 * 222 * 31**3
-    assert levels_bytes >= 4 * 4 * 2**20  # at least 4x the audits' block cap
+    stack = 8 * 222 * 31**3
+    assert stack >= 4 * 4 * 2**20  # at least 4x the block cap
+    assert record["levels_bytes"] == 8 * 17 * 31**3
     with open(out / "trajectory.csv", "rb") as fh:
         assert sum(1 for _ in fh) == 1 + 6 * 31**3
-    assert peak - entry - levels_bytes < 0.25 * levels_bytes
+    assert peak - entry < 0.5 * stack
+
+
+STREAMED_3D = """\
+[kernel]
+family = prony
+g_inf = 0.5
+terms = [[0.5, 2.0], [0.2, 0.1]]
+
+[grid]
+dim = 3
+n = 15
+
+[time]
+horizon = {horizon}
+dt = 0.005
+
+[data]
+u1 = bump
+u1_params = {{"radius": 0.3}}
+f = sin_pi_product
+f_params = {{"omega": 6.0}}
+
+[eps]
+eps = 0.05
+
+[diagnostics]
+energy_ledger = true
+energy_decay = true
+energy_bound = true
+weak_residual = true
+
+[output]
+snapshot_stride = 400
+"""
+
+
+def test_streamed_single_run_holds_no_level_stack(tmp_path):
+    # a forced 3D Prony run with every audit, at J = 600 and 2,400: the
+    # march's ring (level 0 and a block of 64 levels), the reduction's two
+    # block buffers and O(J) scalars per audit (measured: peaks of 0.51x and
+    # 0.13x of the (J+1, N) stack, 8.25 and 8.61 MB), where the stored run
+    # held the whole stack and more
+    import tracemalloc
+
+    peaks, stacks = [], []
+    for J in (600, 2400):
+        out = tmp_path / f"J{J}"
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            code = cli.main(["run", write_cfg(tmp_path, STREAMED_3D.format(horizon=J * 0.005)), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        manifest = read_manifest(out)
+        assert manifest["verdicts"]["n_steps"] == J
+        assert manifest["runs"][0]["levels_bytes"] == 8 * 65 * 15**3
+        peaks.append(peak - entry)
+        stacks.append(8 * (J + 1) * 15**3)
+    assert peaks[1] < 0.25 * stacks[1]
+    assert peaks[1] - peaks[0] < 0.02 * (stacks[1] - stacks[0])
+
+
+def test_aborted_march_leaves_no_trajectory(tmp_path, monkeypatch):
+    # a level turns non-finite mid-run while trajectory.csv is being
+    # written as the levels pass: exit 3, the abort in the manifest, and
+    # neither the CSV nor its temporary file left behind
+    from memvisco.solver import _ExponentialHistory
+
+    real = _ExponentialHistory.next_sum
+
+    def poisoned(self, levels):
+        total = real(self, levels)
+        return total * np.nan if self._rows_summed == 30 else total
+
+    monkeypatch.setattr(_ExponentialHistory, "next_sum", poisoned)
+    text = PRONY_TERMS.format(terms="[[0.5, 2.0]]").replace("horizon = 0.2", "horizon = 4.0")
+    out = tmp_path / "out"
+    with np.errstate(invalid="ignore"):
+        assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 3
+    manifest = read_manifest(out)
+    assert manifest["abort"]["type"] == "SolverAbort"
+    assert manifest["abort"]["message"].startswith("aborted at step 31 ")
+    assert manifest["verdicts"] == {"aborted": True} and manifest["runs"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+# a power-law Volterra run at eps = 0, the paper's singular limit
+SINGULAR_LIMIT = QUICK.replace("family = constant\ng0 = 1.0", "family = powerlaw\nc = 1.0\nalpha = 0.5").replace(
+    "cfl = 0.5", "dt = 0.01"
+) + "\n[experiment]\nformulation = integral_volterra\n[eps]\neps = 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, skipped, decider",
+    [
+        (QUICK.replace("u1 = sin_pi_product", "u0 = sin_pi_product"), ("energy_bound", "nonzero initial displacement"), "check_bound_hypothesis"),
+        (QUICK + "\n[eps]\neps = 2\n", ("energy_bound", "bound requires eps <= 1, got 2.0"), "check_bound_hypothesis"),
+        (UNDERFLOW, ("energy_bound", "bound requires G(T + 1) > 0, got 0.0"), "check_bound_hypothesis"),
+        (SINGULAR_LIMIT, ("energy_ledger", "eps = 0 with a modulus unbounded at 0"), "ledger_plan"),
+    ],
+    ids=["displaced", "eps-past-one", "underflow", "singular-limit"],
+)
+def test_skipped_audits_are_decided_before_the_march(tmp_path, monkeypatch, text, skipped, decider):
+    # each hypothesis is read off the spec before the one march, so the
+    # march's reduction is asked only for the audits that run, and the skip
+    # keeps its text
+    import memvisco.runner as runner
+
+    calls = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("ledger_plan", "check_bound_hypothesis", "march"):
+        monkeypatch.setattr(runner, name, logged(name, getattr(runner, name)))
+    out = tmp_path / "out"
+    assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    name, reason = skipped
+    assert read_manifest(out)["verdicts"][name] == {"skipped": reason}
+    assert calls.count("march") == 1 and calls.index(decider) < calls.index("march")
+
+
+def test_streamed_run_records_its_ring_and_books_its_blocks(tmp_path, monkeypatch):
+    # a Prony run of 400 steps on 9 nodes keeps level 0 and one block of 32
+    # levels, the largest block of at most an eighth of its 401; the work
+    # each block does for an audit or the export is booked to that phase,
+    # so solve times the march alone.  Each phase's per-block work is
+    # slowed by 20 ms a call here, far beyond the march's own time
+    import time
+
+    import memvisco.diagnostics as diagnostics
+    import memvisco.runner as runner
+
+    def slowed(fn):
+        def wrapper(*args, **kwargs):
+            time.sleep(0.02)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(diagnostics, "battery_columns", slowed(diagnostics.battery_columns))
+    monkeypatch.setattr(diagnostics, "velocity_estimates", slowed(diagnostics.velocity_estimates))
+    monkeypatch.setattr(diagnostics._PronyInflows, "add", slowed(diagnostics._PronyInflows.add))
+    monkeypatch.setattr(runner, "sine_transform", slowed(runner.sine_transform))
+    text = (
+        PRONY_TERMS.format(terms="[[0.5, 2.0]]").replace("horizon = 0.2\ncfl = 0.5", "horizon = 4.0\ndt = 0.01")
+        + "[diagnostics]\nweak_residual = true\n[output]\nsnapshot_stride = 100\n[tolerances]\nweak_tol = 1.0\n"
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert manifest["runs"][0]["levels_bytes"] == 8 * 33 * 9
+    phases = {name: p["seconds"] for name, p in manifest["phases"].items()}
+    # 14 blocks: level 0 and 13 of at most 32 levels, 13 of which are
+    # reduced; 5 exported levels, two transforms each
+    slowed_phases = [phases["weak_residual"], phases["ledger"], phases["export"]]
+    assert slowed_phases[0] >= 14 * 0.02
+    assert slowed_phases[1] >= 13 * 2 * 0.02  # the inflows, and the level sums they share
+    assert slowed_phases[2] >= 10 * 0.02
+    # the slowed work, 1 s in all, would leave solve far above this
+    assert phases["solve"] < 0.25 * min(slowed_phases)
 
 
 class TestCheckKernel:

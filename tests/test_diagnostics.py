@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -13,7 +14,9 @@ from helpers import (
     reference_bound_lhs,
     reference_decay_tolerance,
     reference_energy_ledger,
+    reference_trajectory_csv,
     reference_weak_residual,
+    small_march_blocks,
     unchecked_prony,
     weak_term_magnitudes,
 )
@@ -40,6 +43,7 @@ from memvisco.solver import (
     cfl_time_step,
     exponential_terms,
     run,
+    stable_time_step,
 )
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -268,16 +272,15 @@ class TestPronyRecursion:
 
     @pytest.mark.parametrize("block_levels", [1, 3])
     def test_state_crosses_every_block_edge(self, monkeypatch, block_levels):
-        # blocks of a few levels, the last of a single level: S and the Q
-        # inflows carry over every block edge
-        import memvisco.diagnostics as diagnostics
+        # pieces of a few levels (4 under a cap of 1 or 3): S and the Q
+        # inflows carry over every piece edge
+        import memvisco.solver as solver
 
         spec = BOX_SPEC
-        monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", 8 * spec.grid.n_total * block_levels)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 8 * spec.grid.n_total * block_levels)
         traj = run(spec)
-        blocks = diagnostics.level_blocks(traj, 2)
-        assert len(blocks) > 90
-        assert blocks[-1] == (traj.n_levels - 1, traj.n_levels)
+        assert solver.run_block(spec.grid.n_total, spec.n_steps + 1) == 4
+        assert traj.n_levels / 4 > 60
         led = energy_ledger(traj, spec.kernel, spec.eps)
         memory, curvature = _lag_pass_columns(spec, traj)
         for got, want in ((led.memory, memory), (led.rate_curvature, curvature)):
@@ -335,22 +338,12 @@ class TestEnergyDecay:
     def test_matches_the_ledger_formula_bit_for_bit(self, spec):
         assert calibrate_decay_tolerance(spec) == reference_decay_tolerance(spec)
 
-    def test_holds_no_edge_stack(self, monkeypatch):
+    def test_holds_no_edge_stack(self):
         # the twin's stored energy needs per-level sums only, taken a block
-        # of levels at a time; the twin's solve is done before tracing
+        # of levels at a time as the twin's march hands them over into a ring
         import tracemalloc
 
-        import memvisco.diagnostics as diagnostics
-
         spec = _long_prony_spec(PRONY)
-        solved = []
-
-        def run_once(twin):
-            if not solved:
-                solved.append(run(twin))
-            return solved[0]
-
-        monkeypatch.setattr(diagnostics, "run", run_once)
         want = calibrate_decay_tolerance(spec)
         tracemalloc.start()
         try:
@@ -360,7 +353,7 @@ class TestEnergyDecay:
         finally:
             tracemalloc.stop()
         assert got == want
-        edge_bytes = 8 * solved[0].n_levels * (spec.grid.n[0] + 1)
+        edge_bytes = 8 * (spec.n_steps + 1) * (spec.grid.n[0] + 1)
         # blocks of levels and a few (J+1,) vectors: about 0.3x; a whole
         # ledger would hold the edge stack and more
         assert peak - entry < 0.5 * edge_bytes
@@ -407,10 +400,10 @@ class TestEnergyBound:
 
     @pytest.mark.parametrize("block_levels", [1, 3, 10**6])
     def test_lhs_matches_per_level_oracle(self, monkeypatch, block_levels):
-        import memvisco.diagnostics as diagnostics
+        import memvisco.solver as solver
 
         g = Grid((5, 4, 6), (1.0, 0.8, 1.2))
-        monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", 8 * g.n_total * block_levels)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 8 * g.n_total * block_levels)
         f = Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 4.0})
         dt = cfl_time_step(g, PRONY, 0.05, 0.5, 1.0)
         spec = ProblemSpec(
@@ -429,10 +422,10 @@ class TestEnergyBound:
         # every level
         import tracemalloc
 
-        import memvisco.diagnostics as diagnostics
+        import memvisco.solver as solver
 
         g = Grid.box(9)
-        monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", 8 * g.n_total * 4)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 8 * g.n_total * 4)
         spec = ProblemSpec(
             kernel=PRONY, grid=g, horizon=6.0, dt=cfl_time_step(g, PRONY, 0.05, 0.5, 6.0),
             eps=0.05, u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}),
@@ -603,3 +596,71 @@ def test_battery_projections_are_scaled_coefficient_columns(grid):
         want = flat @ vx
         assert np.abs(projected - want).max() <= 1e-13 * np.abs(want).max(), v.name
         assert np.array_equal(vx, v.space_values(grid).ravel())
+
+
+def _streamed_prony_spec(dim: int, forced: bool, n_steps: int) -> ProblemSpec:
+    """A Prony leapfrog of exactly n_steps steps at half its stable dt."""
+    g = Grid.line(21) if dim == 1 else Grid.box(7)
+    dt = 0.5 * stable_time_step(g, PRONY.modulus(0.05))
+    return ProblemSpec(
+        kernel=PRONY, grid=g, horizon=n_steps * dt, dt=dt, eps=0.05,
+        u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}),
+        forcing=Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 4.0}) if forced else None,
+    )
+
+
+class TestStreamedMatchesStored:
+    """A single run marched into a ring, its blocks reduced as they pass,
+    against its stored trajectory: every audit and the CSV export agree bit
+    for bit.  J puts one or two levels in the last block, whose reduction
+    takes the level before it along: a lone level's sums would be taken in
+    another order."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize(
+        "rows, n_steps", [(None, 129), (None, 130), (5, 41), (5, 42)], ids=["W-last1", "W-last2", "5-last1", "5-last2"]
+    )
+    def test_every_audit_and_the_export(self, tmp_path, dim, forced, rows, n_steps):
+        from types import SimpleNamespace
+
+        from memvisco.diagnostics import SingleRun, ledger_plan
+        from memvisco.solver import run_block
+        from memvisco.runner import _trajectory_export
+        from memvisco.solver import march
+
+        spec = _streamed_prony_spec(dim, forced, n_steps)
+        stride = 4
+        cfg = SimpleNamespace(export_format="csv", snapshot_stride=stride)
+        with contextlib.ExitStack() as stack:
+            if rows is not None:
+                stack.enter_context(small_march_blocks(rows))
+            # the last block holds one level, or two
+            assert (n_steps - 1) % run_block(spec.grid.n_total, n_steps + 1) + 1 == 2 - n_steps % 2
+            _, rates, whole = ledger_plan(spec.kernel, spec.eps, spec.times)
+            assert not whole and rates is not None
+            with _trajectory_export(tmp_path, cfg, spec.grid, spec.times) as export:
+                _, levels, blocks = march(spec)
+                streamed = SingleRun.reduce(spec.grid, spec.times, blocks, True, spec.forcing, rates, battery=True, export=export)
+            assert levels.shape[0] < n_steps + 1  # a ring that wraps
+            traj = run(spec)
+            args = (spec.kernel, spec.eps)
+            for got, want in zip(
+                dataclasses.astuple(energy_ledger(streamed, *args, spec.forcing)),
+                dataclasses.astuple(energy_ledger(traj, *args, spec.forcing)),
+            ):
+                assert got.tobytes() == want.tobytes()
+            got = check_energy_bound(streamed, *args, spec.u1, spec.forcing)
+            want = check_energy_bound(traj, *args, spec.u1, spec.forcing)
+            assert got.lhs.tobytes() == want.lhs.tobytes() and got.max_ratio == want.max_ratio
+            residual_args = (spec.u0, spec.u1, spec.forcing)
+            assert weak_residual(streamed, *args, *residual_args) == weak_residual(traj, *args, *residual_args)
+            assert calibrate_decay_tolerance(spec) == reference_decay_tolerance(spec)
+        exported = range(0, traj.n_levels, stride)
+        text = reference_trajectory_csv(
+            spec.grid,
+            traj.times[::stride],
+            np.concatenate([traj.nodal(j, j + 1) for j in exported]),
+            np.concatenate([traj.velocities(j, j + 1) for j in exported]),
+        )
+        assert (tmp_path / "trajectory.csv").read_bytes() == text.encode()

@@ -10,10 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import reference_trajectory_csv, reference_velocities, row_wise_csv
+from memvisco.diagnostics import SingleRun
 from memvisco.expressions import field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import PronyKernel
-from memvisco.runner import _export_trajectory, _reprs, _trajectory_csv, _write_atomic, _write_csv
+from memvisco.runner import _export_levels, _reprs, _trajectory_export, _trajectory_rows, _write_atomic, _write_csv
 from memvisco.solver import ProblemSpec, run
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -27,6 +28,25 @@ def solve(grid: Grid):
         u0=Field.zero(grid), u1=field_from_name(grid, "bump", {"radius": 0.4}),
     )
     return run(spec)
+
+
+def _trajectory_csv(grid, times, nodal, velocities):
+    """trajectory.csv text of the levels at times, with nodal values and
+    velocities, each an iterable of grid.shape fields."""
+    header, rows = _trajectory_rows(grid)
+    yield header
+    for t, level, rate in zip(_reprs(times), nodal, velocities):
+        yield from rows(t, level, rate)
+
+
+def export_stored(out_dir, export_format, stride, traj):
+    """The single run's exports of a stored run: trajectory.csv as the
+    reduction hands its levels over, the binary files from its coefficients."""
+    cfg = SimpleNamespace(export_format=export_format, snapshot_stride=stride)
+    with _trajectory_export(out_dir, cfg, traj.grid, traj.times) as export:
+        SingleRun.of(traj, export=export)
+    if export_format in ("binary", "both"):
+        _export_levels(out_dir, traj.grid, traj.times, traj.coefficients)
 
 
 # slices of 4 rows split the line's 7 nodes as 4 + 3 and slices of 7 the
@@ -64,7 +84,7 @@ def test_trajectory_csv_matches_row_list_export(tmp_path, monkeypatch, grid, wid
         u, v = u * scale, v * scale
         _write_atomic(tmp_path / "trajectory.csv", _trajectory_csv(grid, times, u, v))
     else:
-        _export_trajectory(tmp_path, SimpleNamespace(export_format="csv", snapshot_stride=stride), traj)
+        export_stored(tmp_path, "csv", stride, traj)
     got = (tmp_path / "trajectory.csv").read_bytes()
     assert got == reference_trajectory_csv(grid, times, u, v).encode()
     assert (b"e-" in got and b"e+" in got) == wide
@@ -103,7 +123,7 @@ def test_npy_export_is_renamed_into_place(tmp_path, monkeypatch, export_format):
         real_replace(src, dst)
 
     monkeypatch.setattr("memvisco.runner.os.replace", spy)
-    _export_trajectory(tmp_path, SimpleNamespace(export_format=export_format, snapshot_stride=1), traj)
+    export_stored(tmp_path, export_format, 1, traj)
     assert ("trajectory.npy.tmp", "trajectory.npy") in renamed
     assert ("times.npy.tmp", "times.npy") in renamed
     assert np.array_equal(np.load(tmp_path / "trajectory.npy"), traj.levels)

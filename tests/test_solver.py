@@ -616,6 +616,18 @@ class TestExponentialHistory:
         assert history.backend == "exponential"
         assert peak < 2**20
 
+    def test_reads_a_ring_as_its_whole_rows(self):
+        # level 0 and a ring of 3 slots, level m >= 1 in slot 1 + (m - 1) % 3,
+        # as a march hands them over: the sums of the whole rows, bit for bit
+        samples = np.random.default_rng(3).standard_normal((12, 5))
+        want = _stream_sums(HistoryConvolution.of(translate(PRONY, 0.05), 1, 11, 0.02), samples)
+        history = HistoryConvolution.of(translate(PRONY, 0.05), 1, 11, 0.02)
+        ring = np.empty((4, 5))
+        ring[0] = samples[0]
+        for j in range(1, 12):
+            ring[1 + (j - 1) % 3] = samples[j]
+            assert history.next_sum(ring[: 1 + min(j, 3)]).tobytes() == want[j].tobytes()
+
     def test_refuses_a_partial_row(self):
         history = HistoryConvolution.of(translate(PRONY, 0.05), 1, 10, 0.01)
         with pytest.raises(ValueError, match="whole rows"):
