@@ -5,12 +5,13 @@ With a constant modulus the exact solution is sin(pi x) cos(pi t); the
 observed max-norm error should drop by about 4x per joint halving.
 """
 
-import numpy as np
-
+# memvisco before numpy, so that numpy's OpenBLAS starts with memvisco's one thread
 from memvisco.expressions import field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import PronyKernel
 from memvisco.solver import ProblemSpec, cfl_time_step, run
+
+import numpy as np  # isort: skip
 
 if __name__ == "__main__":
     kernel = PronyKernel(1.0, ())

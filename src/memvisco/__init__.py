@@ -8,6 +8,12 @@ convergence studies are the main entry points.
 
 __version__ = "0.1.0"
 
+import os
+# One OpenBLAS thread unless the caller set one of these (read in this order):
+# no run wakes a second thread, whose start-up spin cost ~66 ms of CPU a process.
+if not any(os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from memvisco.grid import Field, Grid
 from memvisco.kernels import (
     AdmissibilityReport,

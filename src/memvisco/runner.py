@@ -180,10 +180,10 @@ class _Phases:
         return out
 
 
-def _peak_rss_mib() -> float:
-    """Peak resident set of this process; ru_maxrss is KiB on Linux, bytes on macOS."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+def _process_usage() -> tuple[float, float]:
+    """Peak resident MiB and user+sys CPU seconds of this process (ru_maxrss: KiB on Linux, bytes on macOS)."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10), usage.ru_utime + usage.ru_stime
 
 
 _PLOT_ENERGY = """\
@@ -381,6 +381,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
         verdicts["aborted"] = True
         exit_code = 3
 
+    peak_rss_mib, cpu_seconds = _process_usage()
     manifest = {
         "tool": {"name": "memvisco", "version": __version__, "numpy": np.__version__},
         "mode": cfg.mode,
@@ -388,8 +389,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
         "defaults_applied": list(cfg.defaults_applied),
         "tolerances": cfg.tolerances,
         "timing_seconds": round(time.perf_counter() - started, 6),
+        "cpu_seconds": round(cpu_seconds, 6),
         "phases": phases.report(),
-        "peak_rss_mib": round(_peak_rss_mib(), 3),
+        "peak_rss_mib": round(peak_rss_mib, 3),
         "verdicts": verdicts,
         "runs": runs,
         "abort": abort_info,

@@ -364,8 +364,9 @@ def exponential_terms(kernel: PronyKernel, dt: float, order: int = 1):
 # without one they are summed directly.  The fit places
 # _TAIL_NODES_PER_DECADE decay rates per decade of its range and reads at
 # most _TAIL_SAMPLES values of w, fewer where samples x (terms)^2 would
-# pass _TAIL_FIT_SIZE: from there OpenBLAS ran the fit's factorization on a
-# second thread, which then spun for about 0.15 s of CPU time.
+# pass _TAIL_FIT_SIZE.  The cap fixes the fitted terms and so the bundled
+# CSVs' bytes; for a caller who imported numpy first, it also keeps the
+# factorization off a second OpenBLAS thread, which spun for ~0.15 s of CPU.
 _MARCH_ROWS = 64
 # cap on the bytes of a block a single run hands over (run_block)
 _BLOCK_BYTES = 4 * 2**20

@@ -1,3 +1,5 @@
+# memvisco first, ahead of helpers' numpy: the tests run with the CLI's BLAS threads
+import memvisco  # noqa: F401
 from hypothesis import HealthCheck, settings
 
 import helpers

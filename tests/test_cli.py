@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, artifacts, manifest completeness."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -150,21 +151,98 @@ class TestVersion:
         assert capsys.readouterr().out.strip() == f"memvisco {__version__}"
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
-        src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "import sys, memvisco.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
             text=True,
             check=True,
         )
         assert proc.stdout.strip() == "[]"
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# prints the threads the loaded OpenBLAS will use, asked of the library
+# itself, or "none" where no OpenBLAS is loaded
+BLAS_THREADS = """\
+import ctypes, {module}
+try:
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        lib = ctypes.CDLL(next(line.split()[-1] for line in fh if "openblas" in line))
+except (OSError, StopIteration):
+    lib = None
+names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+if fn is None:
+    print("none")
+else:
+    fn.restype, fn.argtypes = ctypes.c_int, []
+    print(fn())
+"""
+
+
+def thread_env(**settings) -> dict:
+    """The test's environment with none of OpenBLAS's thread variables but settings."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    return {**env, "PYTHONPATH": str(SRC), **settings}
+
+
+def blas_threads(module: str, **settings) -> int:
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS.format(module=module)],
+        env=thread_env(**settings),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    if proc.stdout.strip() == "none":
+        pytest.skip("no OpenBLAS is loaded")
+    return int(proc.stdout)
+
+
+class TestBlasThreads:
+    def test_import_pins_one_thread(self):
+        assert blas_threads("memvisco") == 1
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_caller_setting_wins(self, variable):
+        # OpenBLAS caps its threads at the CPUs it sees
+        if blas_threads("numpy", **{variable: "2"}) < 2:
+            pytest.skip("OpenBLAS sees one CPU")
+        assert blas_threads("memvisco", **{variable: "2"}) == 2
+
+    @pytest.mark.parametrize("case", ["forced-3d", "volterra-sequence"])
+    def test_results_do_not_depend_on_threads(self, tmp_path, case):
+        text = {
+            "forced-3d": STREAMED_3D.format(horizon=0.2),
+            "volterra-sequence": SEQUENCE.replace("[experiment]\n", "[experiment]\nformulation = integral_volterra\n"),
+        }[case]
+        cfg = write_cfg(tmp_path, text)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            subprocess.run(
+                [sys.executable, "-m", "memvisco.cli", "run", cfg, "--out", str(out)],
+                env=thread_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                check=True,
+            )
+            outs.append(out)
+        csvs = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*.csv"))
+        assert csvs and csvs == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*.csv"))
+        for name in csvs:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        one, two = (read_manifest(out) for out in outs)
+        assert (one["verdicts"], one["runs"]) == (two["verdicts"], two["runs"])
 
 
 class TestRunSingle:
@@ -783,6 +861,7 @@ class TestOtherModes:
             # the phases do not overlap and lie inside the timed run
             assert sum(p["seconds"] for p in phases.values()) <= manifest["timing_seconds"]
             assert manifest["peak_rss_mib"] > 0.0
+            assert math.isfinite(manifest["cpu_seconds"]) and manifest["cpu_seconds"] > 0.0
             if steps is not None:
                 solve = phases["solve"]
                 assert solve["n_steps"] == steps, name
