@@ -11,14 +11,20 @@ when every filled cell of both files parses as a float; empty cells must
 match.  A column whose old values are all 0 prints the absolute change.
 A CSV under one root only, or with other rows or columns, is named as such.
 
+For every .npy file under both roots whose bytes differ, it prints the
+path, then max |new - old| / max |old| over the whole array (the absolute
+change when old is all 0), or the two shapes when they differ.  A .npy
+file under one root only is named as such.
+
 For every manifest.json under both roots whose `verdicts` and `runs`
 blocks differ (the blocks run_all_configs.py digests), it prints the path,
 then one line per leaf that differs: its dotted key, old -> new, and for
 two numbers |new - old| / |old|, or the absolute change when old is 0.  A
 leaf on one side only reads (absent) on the other.
 
-The last two lines count the CSVs compared and those whose bytes match,
-and the manifests compared and those whose blocks match.
+The last three lines count the CSVs compared and those whose bytes match,
+the .npy files likewise, and the manifests compared and those whose
+blocks match.
 """
 
 import csv
@@ -26,6 +32,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 
 def read_columns(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -47,6 +55,19 @@ def column_drift(old: list[str], new: list[str]) -> str | None:
         return "0"
     change = max(abs(b - a) if a != b else 0.0 for a, b in pairs)
     scale = max(abs(a) for a, _ in pairs)
+    if scale == 0.0 or not math.isfinite(scale):
+        return f"{change:.3g} (absolute)"
+    return f"{change / scale:.3g}"
+
+
+def npy_drift(old_path: Path, new_path: Path) -> str:
+    """max |new - old| / max |old| of two .npy arrays, as text, or their
+    shapes when they differ."""
+    old, new = np.load(old_path), np.load(new_path)
+    if old.shape != new.shape:
+        return f"shape {old.shape} -> {new.shape}"
+    change = float(np.max(np.abs(new - old), initial=0.0))
+    scale = float(np.max(np.abs(old), initial=0.0))
     if scale == 0.0 or not math.isfinite(scale):
         return f"{change:.3g} (absolute)"
     return f"{change / scale:.3g}"
@@ -94,14 +115,20 @@ def manifest_drift(old_path: Path, new_path: Path) -> list[str]:
     return lines
 
 
+def paired(old_root: Path, new_root: Path, pattern: str, lines: list[str]) -> list[Path]:
+    """The relative paths of the files matching pattern under both roots;
+    a file under one root only is named in lines."""
+    old = {p.relative_to(old_root) for p in old_root.rglob(pattern)}
+    new = {p.relative_to(new_root) for p in new_root.rglob(pattern)}
+    for name in sorted(old ^ new):
+        lines.append(f"{name}: only under {old_root if name in old else new_root}")
+    return sorted(old & new)
+
+
 def drift(old_root: Path, new_root: Path) -> list[str]:
     """The report's lines."""
     lines = []
-    old_csvs = {p.relative_to(old_root) for p in old_root.rglob("*.csv")}
-    new_csvs = {p.relative_to(new_root) for p in new_root.rglob("*.csv")}
-    for name in sorted(old_csvs ^ new_csvs):
-        lines.append(f"{name}: only under {old_root if name in old_csvs else new_root}")
-    shared = sorted(old_csvs & new_csvs)
+    shared = paired(old_root, new_root, "*.csv", lines)
     same = 0
     for name in shared:
         old_path, new_path = old_root / name, new_root / name
@@ -119,6 +146,15 @@ def drift(old_root: Path, new_root: Path) -> list[str]:
             if change is not None:
                 lines.append(f"  {column}  {change}")
     counts = [f"{len(shared)} CSVs compared, {same} byte-identical"]
+    arrays = paired(old_root, new_root, "*.npy", lines)
+    same = 0
+    for name in arrays:
+        old_path, new_path = old_root / name, new_root / name
+        if old_path.read_bytes() == new_path.read_bytes():
+            same += 1
+        else:
+            lines += [f"{name}", f"  {npy_drift(old_path, new_path)}"]
+    counts.append(f"{len(arrays)} .npy files compared, {same} byte-identical")
     manifests = sorted(
         p.relative_to(old_root)
         for p in old_root.rglob("manifest.json")

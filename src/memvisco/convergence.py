@@ -23,11 +23,9 @@ from memvisco.solver import (
     HistoryConvolution,
     ProblemSpec,
     RunRecord,
-    TrajectorySolution,
     interval_weights,
+    march,
     march_shifts,
-    run,
-    stored_blocks,
 )
 
 __all__ = [
@@ -53,8 +51,8 @@ def eps_schedule(eps0: float, ratio: float, count: int) -> np.ndarray:
 
 
 class ShiftSequence(NamedTuple):
-    """What a shift sequence keeps of its K runs: each run's record, the
-    level bytes each held, and what cauchy_report and
+    """What a shift sequence keeps of its K runs: each run's record, its
+    share of the level bytes the marches held, and what cauchy_report and
     convergence_lemma_check read.  next_squares[h] and finest_squares[h],
     (K - 1, J + 1), are each level's level_squares of u_h - u_{h+1} and
     of u_h - u_{K-1} (Parseval: in sine coefficients); columns[k] is run
@@ -80,7 +78,7 @@ class ShiftSequence(NamedTuple):
     @classmethod
     def reduce(cls, grid: Grid, times: np.ndarray, eps_values, runs, levels_bytes: int, blocks) -> ShiftSequence:
         """The sequence of runs whose levels come in blocks (j0, the levels
-        j0 .. j1 - 1 of every run), as march_shifts and stored_blocks hand
+        j0 .. j1 - 1 of every run), level 0 first, as run_eps_sequence hands
         them over; each block is read as it arrives."""
         eps_values = np.asarray(eps_values, dtype=float)
         K, n = eps_values.size, times.size
@@ -105,34 +103,30 @@ class ShiftSequence(NamedTuple):
             grid, times, eps_values, tuple(runs), levels_bytes, next_squares, finest_squares, columns, peaks, seconds
         )
 
-    @classmethod
-    def of(cls, eps_values, trajectories: list[TrajectorySolution]) -> ShiftSequence:
-        """The sequence of stored runs on one grid and time axis, one per shift."""
-        if len(trajectories) != np.size(eps_values):
-            raise ValueError("one shift value per trajectory required")
-        first = trajectories[0]
-        runs = [t.record for t in trajectories]
-        blocks = stored_blocks(trajectories)
-        return cls.reduce(first.grid, first.times, eps_values, runs, first.coefficients.nbytes, blocks)
-
 
 def run_eps_sequence(base: ProblemSpec, eps0: float, ratio: float, count: int) -> ShiftSequence:
     """Run the base problem at every shift of the schedule, shared dt, and
-    reduce the runs to a ShiftSequence.
+    reduce the runs to a ShiftSequence, each block of levels as the march
+    hands it over.
 
     An integral_volterra sequence is marched as one stack of all its
-    shifts, and each block of levels is reduced as march_shifts hands it
-    over: the march holds K (3 W + 1) levels, W = 64, or all of them when
-    its far sums have no tail.  A leapfrog sequence runs shift by shift,
-    and its stored levels go through the same reduction; every shift's
-    spec is built, and so checks its own time step, before any of them
-    runs, so an infeasible dt fails before any work happens.
+    shifts by march_shifts: it holds K (3 W + 1) levels, W = 64, or all of
+    them when its far sums have no tail.  A leapfrog sequence marches each
+    shift into its own ring; the K marches share N and J, and so their
+    blocks, which are stacked as they come.  Every shift's spec is built,
+    and so checks its own time step, before any of them marches, so an
+    infeasible dt fails before any work happens.  A march that aborts
+    stops the sequence: in a leapfrog sequence, the first shift to fail in
+    the earliest block that fails.
     """
     eps_values = eps_schedule(eps0, ratio, count)
     if base.formulation == "integral_volterra":
         return ShiftSequence.reduce(base.grid, base.times, eps_values, *march_shifts(base, eps_values))
     specs = [replace(base, eps=float(e)) for e in eps_values]
-    return ShiftSequence.of(eps_values, [run(spec) for spec in specs])
+    records, rings, marches = zip(*map(march, specs))
+    blocks = ((step[0][0], np.stack([block for _, block in step])) for step in zip(*marches))
+    levels_bytes = sum(ring.nbytes for ring in rings) // len(rings)
+    return ShiftSequence.reduce(base.grid, base.times, eps_values, records, levels_bytes, blocks)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from memvisco.solver import (
     TrajectorySolution,
     march,
     run_block,
-    stored_blocks,
     velocity_estimates,
 )
 
@@ -99,10 +98,11 @@ class SingleRun(NamedTuple):
         cls, grid, times, blocks, sums=False, forcing=None, rates=None, battery=False, export=None, coefficients=None
     ) -> SingleRun:
         """The reduction of a run whose levels come in blocks (j0, the levels
-        j0 .. j1 - 1), as march and stored_blocks hand them over.  sums asks
+        j0 .. j1 - 1), level 0 first, as march hands them over.  sums asks
         for the level sums, and with them forcing for the power and rates
         (ledger_plan's) for the Prony inflows; export(j, u_hat_j, v_hat_j) is
-        called with every level.
+        called with every level, and coefficients, a level_stack, is filled
+        with every block.
 
         Pieces of run_block levels are reduced, so a streamed run and its
         stored levels are summed alike.  A level is reduced once the next is
@@ -133,6 +133,8 @@ class SingleRun(NamedTuple):
         done = 0  # the levels 0 .. done - 1 are reduced
         displaced = False
         for j0, block in blocks:
+            if coefficients is not None:
+                coefficients[j0 : j0 + block.shape[0]] = block
             block = block.reshape(block.shape[0], -1)
             if j0 == 0:
                 displaced = bool(np.any(block[0]))
@@ -180,11 +182,11 @@ class SingleRun(NamedTuple):
     @classmethod
     def of(cls, run: TrajectorySolution | SingleRun, **asked) -> SingleRun:
         """run itself if it is reduced, else the reduction asked of a stored
-        run, its levels handed over as stored_blocks hands them; it keeps
-        the run's coefficients."""
+        run, its levels handed over as level 0 and one block of the rest; it
+        keeps the run's coefficients."""
         if isinstance(run, cls):
             return run
-        blocks = ((j0, block[0]) for j0, block in stored_blocks([run]))
+        blocks = [(0, run.coefficients[:1]), (1, run.coefficients[1:])]
         return cls.reduce(run.grid, run.times, blocks, coefficients=run.coefficients, **asked)
 
 

@@ -12,7 +12,7 @@ import os
 import resource
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ from memvisco.solver import (
     RunRecord,
     SolverAbort,
     cfl_time_step,
+    level_stack,
     march,
     stable_time_step,
     stress_curve,
@@ -290,38 +291,46 @@ def _trajectory_rows(grid):
 
 @contextmanager
 def _trajectory_export(out_dir: Path, cfg: ExperimentConfig, grid, times):
-    """export(j, u_hat_j, v_hat_j) for SingleRun.reduce, which writes every
-    snapshot_stride-th level to trajectory.csv as the march passes it; None
-    when the config exports no CSV.  The file is renamed into place when
-    the block completes, and removed when it raises."""
-    if cfg.export_format not in ("csv", "both"):
-        yield None
-        return
-    header, rows = _trajectory_rows(grid)
+    """export(j, u_hat_j, v_hat_j) for SingleRun.reduce, which writes the
+    levels as the march passes them: every snapshot_stride-th one to
+    trajectory.csv and every one to trajectory.npy, as the config asks,
+    then times.npy once the march is done.  A level's nodal values are
+    formed once, for both files, and only for a level that one of them
+    takes.  Each file is renamed into place when the block completes, and
+    removed when it raises."""
+    table = cfg.export_format in ("csv", "both")
+    binary = cfg.export_format in ("binary", "both")
     stride = cfg.snapshot_stride
-    stamps = _reprs(times[::stride])
     one = (1, *grid.shape)
-    with _atomic_file(out_dir / "trajectory.csv") as fh:
-        fh.write(header.encode("utf-8"))
+    with ExitStack() as files:
+        if table:
+            header, rows = _trajectory_rows(grid)
+            stamps = _reprs(times[::stride])
+            csv = files.enter_context(_atomic_file(out_dir / "trajectory.csv"))
+            csv.write(header.encode("utf-8"))
+        if binary:
+            npy = files.enter_context(_atomic_file(out_dir / "trajectory.npy"))
+            # the header np.save writes for the (J + 1, *grid.shape) float64 stack
+            shape = (times.size, *grid.shape)
+            np.lib.format.write_array_header_1_0(npy, {"descr": "<f8", "fortran_order": False, "shape": shape})
 
         def export(j, u, v):
-            if j % stride == 0:
-                # the nodal values of an exported level are formed as it is written
-                level = sine_transform(grid, u.reshape(one))[0]
+            tabled = table and j % stride == 0
+            if not (binary or tabled):
+                return
+            level = sine_transform(grid, u.reshape(one))[0]
+            if binary:
+                npy.write(level.tobytes())
+            if tabled:
                 rate = sine_transform(grid, v.reshape(one))[0]
                 for chunk in rows(stamps[j // stride], level, rate):
-                    fh.write(chunk.encode("utf-8"))
+                    csv.write(chunk.encode("utf-8"))
 
         yield export
-
-
-def _export_levels(out_dir: Path, grid, times, coefficients) -> None:
-    """trajectory.npy, every level's nodal values, and times.npy."""
-    # np.save appends ".npy" to a name that lacks it, so it gets the file
-    with _atomic_file(out_dir / "trajectory.npy") as fh:
-        np.save(fh, sine_transform(grid, coefficients))
-    with _atomic_file(out_dir / "times.npy") as fh:
-        np.save(fh, times)
+    if binary:
+        # np.save appends ".npy" to a name that lacks it, so it gets the file
+        with _atomic_file(out_dir / "times.npy") as fh:
+            np.save(fh, times)
 
 
 def _export_ledger(out_dir: Path, ledger) -> None:
@@ -409,8 +418,9 @@ def _run_record(cfg: ExperimentConfig, eps: float, dt: float, facts: RunRecord, 
     times the largest eigenvalue of -lap.  A direct-backend run records the
     far history sums' fit: far_nodes terms (0 when summed directly) whose
     checked error is far_error of max |w|, w = Ksh or dG.  levels_bytes is
-    the level bytes the run held: its stored sine coefficients, or its
-    share of a streamed sequence's ring.
+    the level bytes the run held: its march's buffer, and the stack a
+    ledger's lag passes read where that is another array, or its share of
+    a sequence's buffers.
     """
     record = {
         "eps": float(eps),
@@ -457,18 +467,18 @@ def _run_single(
         except HypothesisError as exc:
             skipped["energy_bound"] = {"skipped": str(exc)}
             bound_on = False
-    binary = cfg.export_format in ("binary", "both")
 
     # the march hands each block of levels to the reduction the audits and
-    # the CSV export read: its time goes to their phases, the level sums' to
+    # the exports read: its time goes to their phases, the level sums' to
     # the ledger's or else the bound's, with the time that closes and
-    # renames trajectory.csv
+    # renames the exported files
     with phases("solve", steps=spec.n_steps):
         with _trajectory_export(out_dir, cfg, spec.grid, spec.times) as export:
-            record, levels, blocks = march(spec, whole=binary or stack)
+            record, levels, blocks = march(spec)
+            coefficients = level_stack(spec, levels) if stack else None
             sums = SingleRun.reduce(
                 spec.grid, spec.times, blocks, ledger_on or bound_on, spec.forcing if ledger_on else None, rates,
-                battery=wanted["weak_residual"], export=export, coefficients=levels if stack else None,
+                battery=wanted["weak_residual"], export=export, coefficients=coefficients,
             )
             marched = time.perf_counter()
         parts = dict(sums.seconds, export=sums.seconds.get("export", 0.0) + time.perf_counter() - marched)
@@ -476,10 +486,8 @@ def _run_single(
         summed = "ledger" if ledger_on else "bound"
         parts[summed] = parts.get(summed, 0.0) + parts.pop("sums")
     phases.split("solve", parts)
-    runs.append(_run_record(cfg, cfg.eps, dt, record, levels.nbytes))
-    if binary:
-        with phases("export"):
-            _export_levels(out_dir, spec.grid, spec.times, levels)
+    held = levels.nbytes + (0 if coefficients is None or coefficients is levels else coefficients.nbytes)
+    runs.append(_run_record(cfg, cfg.eps, dt, record, held))
     verdicts.update(skipped)
     verdicts["dt"] = dt
     verdicts["n_steps"] = spec.n_steps

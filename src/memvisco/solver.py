@@ -40,7 +40,6 @@ __all__ = [
     "ProblemSpec",
     "RunRecord",
     "TrajectorySolution",
-    "ShiftedRuns",
     "stable_time_step",
     "time_step_shifts",
     "cfl_time_step",
@@ -52,7 +51,7 @@ __all__ = [
     "run_block",
     "velocity_estimates",
     "march_shifts",
-    "stored_blocks",
+    "level_stack",
     "trajectory_distance",
     "compute_stress",
     "stress_curve",
@@ -238,7 +237,7 @@ class TrajectorySolution:
     @property
     def levels(self) -> np.ndarray:
         """Nodal values of every level, (n_levels, *grid.shape), formed anew
-        on each read: for the binary export and for tests."""
+        on each read."""
         return self.nodal()
 
     def nodal(self, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -754,29 +753,27 @@ def run_block(n_total: int, n_levels: int) -> int:
     return next(fits, sizes[-1])
 
 
-def march(spec: ProblemSpec, whole: bool = False):
+def march(spec: ProblemSpec):
     """(record, levels, blocks) of spec: its RunRecord, the level buffer and
     the march's generator of finished blocks, (j0, the levels j0 .. j1 - 1),
     level 0 first: views that the march writes over later.
 
-    With whole, levels is the whole (J + 1, *grid.shape) stack, and so is
-    it where the history reads every level: a direct history without a
-    tail.  Otherwise it is a ring of level 0 and the slots the march reads:
-    for the leapfrog's exponential history a block of run_block levels, or
-    three when a block holds two; for a direct history with a tail, and for
-    the Volterra march, the 3 _MARCH_ROWS levels the far sums reach.
+    levels is a ring of level 0 and the slots the march reads: for the
+    leapfrog's exponential history a block of run_block levels, or three
+    when a block holds two; for a direct history with a tail, and for the
+    Volterra march, the 3 _MARCH_ROWS levels the far sums reach.  A direct
+    history without a tail reads every level, so there it is the whole
+    (J + 1, *grid.shape) stack.
     """
     if spec.formulation == "integral_volterra":
-        records, levels, blocks = _volterra(spec, [spec.eps], ring=not whole)
+        records, levels, blocks = _volterra(spec, [spec.eps])
         return records[0], levels[0], ((j0, block[0]) for j0, block in blocks)
     J = spec.n_steps
     # the rows 1 .. J - 1: the last step reads no history sum
     history = HistoryConvolution.of(translate(spec.kernel, spec.eps), 1, J - 1, spec.dt)
     rows = run_block(spec.grid.n_total, J + 1)
-    if whole or history.backend == "direct" and history.tail is None:
-        ring = J
-    elif history.backend == "direct":
-        ring = min(3 * _MARCH_ROWS, J)
+    if history.backend == "direct":
+        ring = J if history.tail is None else min(3 * _MARCH_ROWS, J)
     else:
         # the step reads the two newest levels and writes a third slot
         ring = min(rows * -(-3 // rows), J)
@@ -793,23 +790,6 @@ def _far_fit(tail: _ExponentialTail | None, k: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 # integral (Volterra) march
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShiftedRuns:
-    """One integral_volterra problem marched at several shifts as one stack.
-
-    coefficients is (K, n_levels, *grid.shape), one slab per shift, and
-    each trajectory's coefficients are a view of its slab.
-    """
-
-    coefficients: np.ndarray
-    trajectories: tuple[TrajectorySolution, ...]
-
-    @property
-    def levels(self) -> np.ndarray:
-        """Nodal values of every shift's levels, formed anew on each read."""
-        return sine_transform(self.trajectories[0].grid, self.coefficients)
 
 
 def _march_volterra(spec: ProblemSpec, shifts: np.ndarray, history: HistoryConvolution, levels: np.ndarray):
@@ -895,18 +875,19 @@ def _march_volterra(spec: ProblemSpec, shifts: np.ndarray, history: HistoryConvo
         yield j0, levels[:, slot : slot + j1 - j0]
 
 
-def _volterra(spec: ProblemSpec, shifts, ring: bool):
+def _volterra(spec: ProblemSpec, shifts):
     """(records, levels, blocks) of spec marched at every shift eps in
     shifts: each run's RunRecord, the level buffer and the march's
-    generator of finished blocks, which fills it.  With ring and a tail
-    for the far sums, levels holds level 0 and the 3 W slots they read;
-    otherwise it is the whole (K, J + 1, *grid.shape) stack.
+    generator of finished blocks, which fills it.  With a tail for the far
+    sums, levels holds level 0 and the 3 W slots they read; without one
+    the sums read every level, and it is the whole (K, J + 1, *grid.shape)
+    stack.
     """
     grid, J, W = spec.grid, spec.n_steps, _MARCH_ROWS
     shifts = np.array(shifts, dtype=float).reshape(-1)
     # kernel factor Ksh(s), the integral of each shifted modulus
     history = HistoryConvolution.of([translate(spec.kernel, float(e)) for e in shifts], -1, J, spec.dt)
-    slots = min(J + 1, 3 * W + 1) if ring and history.tail is not None else J + 1
+    slots = min(J + 1, 3 * W + 1) if history.tail is not None else J + 1
     levels = np.empty((shifts.size, slots) + grid.shape)
     top = float(grid.eigenvalues.max())
     records = tuple(
@@ -929,40 +910,28 @@ def march_shifts(spec: ProblemSpec, shifts):
     yields (j0, the levels j0 .. j1 - 1 of every shift), level 0 first,
     then _MARCH_ROWS at a time: views that the march writes over later.
     """
-    records, levels, blocks = _volterra(spec, shifts, ring=True)
+    records, levels, blocks = _volterra(spec, shifts)
     return records, levels.nbytes // len(records), blocks
 
 
-def stored_blocks(trajectories):
-    """The levels of stored runs on one grid and time axis, handed over as
-    march_shifts hands them: (j0, every run's levels j0 .. j1 - 1), a view
-    of a lone run's levels."""
-    n, W = trajectories[0].n_levels, _MARCH_ROWS
-    for j0, j1 in [(0, 1), *((j, min(j + W, n)) for j in range(1, n, W))]:
-        levels = [t.coefficients[j0:j1] for t in trajectories]
-        yield j0, levels[0][None] if len(levels) == 1 else np.stack(levels)
+def level_stack(spec: ProblemSpec, levels: np.ndarray) -> np.ndarray:
+    """A (J + 1, *grid.shape) stack for every level of spec: the march's
+    buffer levels where it holds them all, else a fresh one to fill from
+    the march's blocks."""
+    if levels.shape[0] == spec.n_steps + 1:
+        return levels
+    return np.empty((spec.n_steps + 1,) + spec.grid.shape)
 
 
-def run(spec: ProblemSpec, shifts=None):
-    """Solve spec; a TrajectorySolution, its march drained into the whole stack.
-
-    With shifts, an integral_volterra spec is solved at every shift eps in
-    shifts, all marched together, and the result is a ShiftedRuns.
-    """
-    if shifts is None:
-        record, levels, blocks = march(spec, whole=True)
-        records, levels = [record], levels[None]
-    elif spec.formulation == "integrodifferential":
-        raise ValueError("shifts need the integral_volterra formulation")
-    else:
-        records, levels, blocks = _volterra(spec, shifts, ring=False)
-    for _ in blocks:
-        pass
-    trajectories = tuple(
-        TrajectorySolution(grid=spec.grid, times=spec.times, coefficients=levels[k], **record._asdict())
-        for k, record in enumerate(records)
-    )
-    return trajectories[0] if shifts is None else ShiftedRuns(coefficients=levels, trajectories=trajectories)
+def run(spec: ProblemSpec) -> TrajectorySolution:
+    """Solve spec; a TrajectorySolution of every level, its march's blocks
+    copied into level_stack as they come."""
+    record, levels, blocks = march(spec)
+    stack = level_stack(spec, levels)
+    for j0, block in blocks:
+        # a copy onto itself where the stack is the march's buffer: numpy skips it
+        stack[j0 : j0 + block.shape[0]] = block
+    return TrajectorySolution(grid=spec.grid, times=spec.times, coefficients=stack, **record._asdict())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 
 import memvisco.solver as solver_module
-from memvisco.convergence import ConvergenceReport, LemmaCheckEntry
+from memvisco.convergence import ConvergenceReport, LemmaCheckEntry, ShiftSequence
 from memvisco.diagnostics import (
     EnergyLedger,
     WeakResidualEntry,
@@ -42,7 +42,9 @@ from memvisco.solver import (
     TrajectorySolution,
     cfl_time_step,
     interval_weights,
+    march_shifts,
     run,
+    run_block,
     trajectory_distance,
 )
 
@@ -539,12 +541,50 @@ def classical_stress_curve(kernel: RelaxationKernel, strain, dt: float, past_val
     return kernel.modulus(0.0) * E[1:] + reference_full(history, E)[1:] + past_value * (kernel.value_at_inf - g_t)
 
 
+def batch_runs(spec: ProblemSpec, shifts) -> list[TrajectorySolution]:
+    """An integral_volterra spec marched at every shift eps in shifts as
+    one batch, march_shifts's blocks drained into a (K, J + 1,
+    *grid.shape) stack: one stored run per shift, a view of its slab."""
+    records, _, blocks = march_shifts(spec, shifts)
+    stack = np.empty((len(records), spec.n_steps + 1) + spec.grid.shape)
+    for j0, block in blocks:
+        stack[:, j0 : j0 + block.shape[1]] = block
+    return [
+        TrajectorySolution(grid=spec.grid, times=spec.times, coefficients=levels, **record._asdict())
+        for levels, record in zip(stack, records)
+    ]
+
+
 def sequence_trajectories(base: ProblemSpec, eps_values) -> list[TrajectorySolution]:
     """Every run of a shift sequence, stored: one batch for an
     integral_volterra base, one leapfrog run per shift otherwise."""
     if base.formulation == "integral_volterra":
-        return list(run(base, eps_values).trajectories)
+        return batch_runs(base, eps_values)
     return [run(replace(base, eps=float(e))) for e in eps_values]
+
+
+def stored_blocks(trajectories, rows: int):
+    """The levels of stored runs on one grid and time axis, handed over as
+    a march of blocks of `rows` levels hands them: (j0, every run's levels
+    j0 .. j1 - 1), level 0 first."""
+    n = trajectories[0].n_levels
+    for j0, j1 in [(0, 1), *((j, min(j + rows, n)) for j in range(1, n, rows))]:
+        yield j0, np.stack([t.coefficients[j0:j1] for t in trajectories])
+
+
+def listed_sequence(eps_values, trajectories: list[TrajectorySolution]) -> ShiftSequence:
+    """Oracle for run_eps_sequence: the ShiftSequence of stored runs on one
+    grid and time axis, one per shift, their levels handed over at the
+    march's block boundaries, _MARCH_ROWS for a Volterra run and
+    run_block for a leapfrog one; levels_bytes is a run's whole stack."""
+    if len(trajectories) != np.size(eps_values):
+        raise ValueError("one shift value per trajectory required")
+    first = trajectories[0]
+    volterra = first.z_max is not None
+    rows = solver_module._MARCH_ROWS if volterra else run_block(first.grid.n_total, first.n_levels)
+    runs = [t.record for t in trajectories]
+    blocks = stored_blocks(trajectories, rows)
+    return ShiftSequence.reduce(first.grid, first.times, eps_values, runs, first.coefficients.nbytes, blocks)
 
 
 def listed_cauchy_report(

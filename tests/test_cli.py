@@ -736,7 +736,7 @@ class TestOtherModes:
     def test_manifest_records_every_run(self, tmp_path):
         from memvisco.config import parse_config_file
         from memvisco.runner import _build_spec, _resolve_dt
-        from memvisco.solver import run, stable_time_step
+        from memvisco.solver import march, run, stable_time_step
 
         cases = {
             "single": (QUICK, "exponential", [0.05]),
@@ -760,10 +760,14 @@ class TestOtherModes:
                 dt = _resolve_dt(cfg, eps_values[-1] if len(eps_values) > 1 else eps)
                 assert record["spec_fingerprint"] == _build_spec(cfg, eps, dt).fingerprint()
                 assert record["history_backend"] == backend
-                # the run's stored sine coefficients, its one array of every level
-                levels_bytes = 8 * (round(cfg.horizon / dt) + 1) * cfg.grid.n_total
+                # the level buffer of the run's march: every level of these
+                # short runs, but for the leapfrog sequence, whose shifts
+                # march one ring each, level 0 and a ring of 4
+                levels_bytes = march(_build_spec(cfg, eps, dt))[1].nbytes
                 assert record["levels_bytes"] == levels_bytes
-                assert record["levels_bytes"] == run(_build_spec(cfg, eps, dt)).coefficients.nbytes
+                stack = run(_build_spec(cfg, eps, dt)).coefficients.nbytes
+                assert stack == 8 * (round(cfg.horizon / dt) + 1) * cfg.grid.n_total
+                assert levels_bytes == (8 * 5 * cfg.grid.n_total if name == "leapfrog" else stack)
                 if name == "volterra":
                     # the self-weight times the top eigenvalue of -lap
                     assert record["z_max"] == run(_build_spec(cfg, eps, dt)).z_max
@@ -1031,6 +1035,49 @@ def test_aborted_march_leaves_no_trajectory(tmp_path, monkeypatch):
     assert manifest["abort"]["message"].startswith("aborted at step 31 ")
     assert manifest["verdicts"] == {"aborted": True} and manifest["runs"] == []
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("export_format", ["binary", "both"])
+def test_aborted_march_leaves_no_npy(tmp_path, monkeypatch, export_format):
+    # trajectory.npy is written level by level as the march passes them: a
+    # run stopped mid-march by SolverAbort (exit 3) leaves neither it, nor
+    # times.npy, nor any temporary file behind
+    from memvisco.solver import _ExponentialHistory
+
+    real = _ExponentialHistory.next_sum
+
+    def poisoned(self, levels):
+        total = real(self, levels)
+        return total * np.nan if self._rows_summed == 30 else total
+
+    monkeypatch.setattr(_ExponentialHistory, "next_sum", poisoned)
+    text = PRONY_TERMS.format(terms="[[0.5, 2.0]]").replace("horizon = 0.2", "horizon = 4.0")
+    text += f"\n[output]\nexport_format = {export_format}\n"
+    out = tmp_path / "out"
+    with np.errstate(invalid="ignore"):
+        assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 3
+    manifest = read_manifest(out)
+    assert manifest["abort"]["message"].startswith("aborted at step 31 ")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_both_exports_write_one_answer(tmp_path):
+    # prony_single.cfg with export_format = both: every exported level's u
+    # in trajectory.csv is its row of trajectory.npy, bit for bit (977 of
+    # the 7,920 entries differed in the last bit when the npy transformed
+    # the whole stack at once)
+    import csv
+
+    config = Path(__file__).resolve().parent.parent / "configs" / "prony_single.cfg"
+    text = config.read_text(encoding="utf-8") + "export_format = both\n"
+    out = tmp_path / "out"
+    assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    levels = np.load(out / "trajectory.npy")
+    with open(out / "trajectory.csv", newline="", encoding="utf-8") as fh:
+        u = np.array([float(row["u"]) for row in csv.DictReader(fh)])
+    assert levels.shape == (399, 99) and u.size == 80 * 99
+    assert u.tobytes() == levels[::5].tobytes()
+    assert np.array_equal(np.load(out / "times.npy"), read_manifest(out)["verdicts"]["dt"] * np.arange(399))
 
 
 # a power-law Volterra run at eps = 0, the paper's singular limit

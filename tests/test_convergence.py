@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    batch_runs,
     direct_sums,
     forced_box_spec,
     lemma_term_magnitudes,
     listed_cauchy_report,
     listed_lemma_check,
+    listed_sequence,
     oracle_specs,
     reference_lemma_check,
     sequence_trajectories,
@@ -20,7 +23,6 @@ from helpers import (
 )
 import memvisco.solver as solver_module
 from memvisco.convergence import (
-    ShiftSequence,
     cauchy_report,
     convergence_lemma_check,
     eps_schedule,
@@ -30,9 +32,9 @@ from memvisco.config import parse_config_file
 from memvisco.diagnostics import default_battery
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid, level_squares
-from memvisco.kernels import PowerLawKernel, PronyKernel
+from memvisco.kernels import KernelSum, PowerLawKernel, PronyKernel
 from memvisco.runner import _build_spec
-from memvisco.solver import CflViolation, ProblemSpec, cfl_time_step, run, trajectory_distance
+from memvisco.solver import CflViolation, ProblemSpec, SolverAbort, cfl_time_step, march, run_block, trajectory_distance
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
 
@@ -97,7 +99,7 @@ def test_bundled_shifts_approach_the_unshifted_run():
     # with eps, at about the sqrt(eps) of sup|Ksh - K| ~ 2 sqrt(eps)
     cfg = parse_config_file(Path(__file__).resolve().parents[1] / "configs" / "powerlaw_theorem1.cfg")
     shifts = eps_schedule(cfg.eps0, cfg.ratio, cfg.count)
-    *shifted, limit = run(_build_spec(cfg, float(shifts[0]), cfg.dt), [*shifts, 0.0]).trajectories
+    *shifted, limit = batch_runs(_build_spec(cfg, float(shifts[0]), cfg.dt), [*shifts, 0.0])
     distances = np.array([trajectory_distance(traj, limit) for traj in shifted])
     assert np.all(np.diff(distances) < 0.0)
     rate = np.polyfit(np.log(shifts), np.log(distances), 1)[0]
@@ -125,12 +127,12 @@ class TestCauchyReport:
         k = PronyKernel(1.0, ())
         eps_vals = eps_schedule(0.1, 0.5, 3)
         trajs = sequence_trajectories(sequence_base(k, formulation="integrodifferential", dt=0.01), eps_vals)
-        rep = cauchy_report(ShiftSequence.of(eps_vals, trajs), k, 1e-2)
+        rep = cauchy_report(listed_sequence(eps_vals, trajs), k, 1e-2)
         assert rep.monotone
         assert rep.first_nonmonotone is None
         # 0 -> positive is an increase
         trajs[3] = dataclasses.replace(trajs[3], coefficients=trajs[3].coefficients + 1e-3)
-        rep = cauchy_report(ShiftSequence.of(eps_vals, trajs), k, 1e-2)
+        rep = cauchy_report(listed_sequence(eps_vals, trajs), k, 1e-2)
         assert not rep.monotone
         assert not rep.passed
         assert rep.first_nonmonotone == 2
@@ -149,7 +151,7 @@ class TestCauchyReport:
         # white noise in the sine coefficients is white noise on the nodes
         noisy = trajs[2].coefficients + 0.05 * rng.standard_normal(trajs[2].coefficients.shape)
         trajs[2] = dataclasses.replace(trajs[2], coefficients=noisy)
-        rep = cauchy_report(ShiftSequence.of(eps_vals, trajs), PRONY, 1e-2)
+        rep = cauchy_report(listed_sequence(eps_vals, trajs), PRONY, 1e-2)
         assert not rep.monotone
         assert not rep.passed
         assert rep.first_nonmonotone == 1
@@ -244,8 +246,9 @@ class TestLemmaCheck:
             tracemalloc.stop()
         assert len(entries) == 2 * 6
         # the whole convolution and |u| were each the size of one run's levels
-        assert seq.levels_bytes == 8 * (base.n_steps + 1) * base.grid.n_total
-        assert peak - entry < 0.25 * seq.levels_bytes
+        stack = 8 * (base.n_steps + 1) * base.grid.n_total
+        assert seq.levels_bytes < stack
+        assert peak - entry < 0.25 * stack
 
     def test_mismatched_lengths_rejected(self):
         # the shifts travel with the sequence; stored runs are reduced to
@@ -253,7 +256,7 @@ class TestLemmaCheck:
         base = sequence_base(PRONY)
         trajs = sequence_trajectories(base, eps_schedule(0.1, 0.5, 2))
         with pytest.raises(ValueError):
-            ShiftSequence.of(eps_schedule(0.1, 0.5, 3), trajs)
+            listed_sequence(eps_schedule(0.1, 0.5, 3), trajs)
 
 
 def _streamed_case(grid, horizon, dt, forced):
@@ -293,7 +296,7 @@ _BLOCKS = {
 
 class TestStreamedMatchesListedOracles:
     """A streamed sequence against the trajectory-list cauchy_report and
-    lemma check on the stored runs of run(spec, shifts)."""
+    lemma check on the stored runs of one batched march."""
 
     @staticmethod
     def check(base, count, blocks):
@@ -361,6 +364,106 @@ class TestStreamedMatchesListedOracles:
         assert all(r.far_nodes == 0 for r in seq.runs) and seq.levels_bytes == 8 * 101 * 17
 
 
+def _leapfrog_base(kernel, grid, steps, forced=True):
+    """A leapfrog base of `steps` steps at the cfl time step of the
+    schedule's finest shift, 0.1 * 0.5**3: a bump displaced, moving in
+    sine mode 1 (1D) or as a wider bump (3D)."""
+    dt = cfl_time_step(grid, kernel, 0.0125, 0.5, 1.0)
+    u1 = field_from_name(grid, "bump", {"radius": 0.3}) if grid.dim == 3 else field_from_name(grid, "sin_pi_product", {})
+    return ProblemSpec(
+        kernel=kernel, grid=grid, horizon=steps * dt, dt=dt, eps=0.1,
+        u0=field_from_name(grid, "bump", {"radius": 0.2}), u1=u1,
+        forcing=Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0}) if forced else None,
+    )
+
+
+_LEAPFROG = {
+    # the exponential history: a ring of a block of run_block levels
+    "prony-1d": (PronyKernel(0.5, ((0.5, 2.0),)), Grid.line(17), 300, True),
+    "prony-3d": (PronyKernel(0.5, ((0.4, 2.0), (0.3, 0.1))), Grid.box(7), 100, True),
+    "prony-unforced": (PronyKernel(0.5, ((0.5, 2.0),)), Grid.line(17), 50, False),
+    # past 2 W steps: far sums through the tail, a ring of 3 W + 1 levels
+    "powerlaw-tail": (PowerLawKernel(1.0, 0.5), Grid.line(17), 300, True),
+    # up to 2 W steps: no tail, the ring is the whole stack
+    "powerlaw-short": (PowerLawKernel(1.0, 0.5), Grid.line(17), 100, True),
+    "sum": (KernelSum((PronyKernel(0.3, ((0.4, 0.5),)), PowerLawKernel(0.5, 0.3))), Grid.line(17), 300, False),
+}
+
+
+class TestStreamedLeapfrogSequence:
+    """A leapfrog sequence zips its shifts' marches: every reduction equals
+    listed_sequence's, on the stored runs, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_LEAPFROG))
+    def test_matches_listed_oracle(self, case):
+        base = _leapfrog_base(*_LEAPFROG[case])
+        eps = eps_schedule(0.1, 0.5, 3)
+        seq = run_eps_sequence(base, 0.1, 0.5, 3)
+        want = listed_sequence(eps, sequence_trajectories(base, eps))
+        for name in ("eps_values", "times", "next_squares", "finest_squares", "columns", "peaks"):
+            assert getattr(seq, name).tobytes() == getattr(want, name).tobytes(), name
+        assert seq.runs == want.runs
+        rings = [march(dataclasses.replace(base, eps=float(e)))[1].nbytes for e in eps]
+        assert seq.levels_bytes == sum(rings) // 4
+        if case == "powerlaw-tail":
+            assert all(r.far_nodes > 0 for r in seq.runs) and rings == [8 * 193 * 17] * 4
+        if case == "powerlaw-short":
+            assert seq.levels_bytes == want.levels_bytes
+
+    def test_holds_no_level_stacks(self):
+        # a forced Prony sequence of 4 shifts on 99 nodes at J = 1,000 and
+        # 4,000: each shift's ring of 65 levels, one stacked block of the 4,
+        # and O(K J) scalars of the reduction, 18 doubles a level against
+        # the 396 of the K stacks (measured: peaks of 0.29x and 0.11x the
+        # stacks, where the stored runs peaked at 1.21x and 1.09x)
+        g = Grid.line(99)
+        peaks, stacks = [], []
+        for J in (1000, 4000):
+            base = _leapfrog_base(PronyKernel(0.5, ((0.5, 2.0),)), g, J)
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                seq = run_eps_sequence(base, 0.1, 0.5, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+            finally:
+                tracemalloc.stop()
+            assert seq.levels_bytes == 8 * 65 * g.n_total
+            stacks.append(4 * 8 * (base.n_steps + 1) * g.n_total)
+        assert peaks[1] < 0.2 * stacks[1]
+        assert peaks[1] - peaks[0] < 0.1 * (stacks[1] - stacks[0])
+
+    def test_abort_names_the_earliest_failing_block(self, monkeypatch):
+        # a row of history sums turns NaN in shift 0 at row 100, in shift 3
+        # at row 19 and in shift 2 at row 30, so a lone march of each stops
+        # at step 101, 20 or 31.  The marches hand over blocks of 16 levels
+        # in step, shift by shift: the block of levels 17 .. 32 fails first,
+        # and of the shifts that fail in it, shift 2 is asked first.  (Run
+        # shift by shift, the sequence stopped at shift 0's step 101.)
+        from memvisco.solver import _ExponentialHistory
+
+        histories = []
+        real_init, real_sum = _ExponentialHistory.__init__, _ExponentialHistory.next_sum
+        poisoned_rows = {0: 100, 2: 30, 3: 19}
+
+        def init(self, *args):
+            real_init(self, *args)
+            histories.append(self)
+
+        def next_sum(self, levels):
+            total = real_sum(self, levels)
+            return total * np.nan if self._rows_summed == poisoned_rows.get(histories.index(self)) else total
+
+        monkeypatch.setattr(_ExponentialHistory, "__init__", init)
+        monkeypatch.setattr(_ExponentialHistory, "next_sum", next_sum)
+        base = _leapfrog_base(PronyKernel(0.5, ((0.5, 2.0),)), Grid.line(17), 200)
+        assert run_block(17, base.n_steps + 1) == 16
+        eps = eps_schedule(0.1, 0.5, 3)
+        with np.errstate(invalid="ignore"), pytest.raises(SolverAbort, match="non-finite") as got:
+            run_eps_sequence(base, 0.1, 0.5, 3)
+        assert (got.value.step, got.value.eps) == (31, float(eps[2]))
+        assert len(histories) == 4
+
+
 def test_vanishing_shift_in_three_dimensions():
     # the paper's own dimension: a power-law modulus on a 3D box, with
     # shifts 0.1 * 2^-h, h = 0 .. 6, and the limit eps = 0 in one batch.
@@ -375,7 +478,7 @@ def test_vanishing_shift_in_three_dimensions():
         formulation="integral_volterra",
     )
     shifts = [0.1 * 2.0**-h for h in range(7)]
-    *runs, limit = run(spec, shifts + [0.0]).trajectories
+    *runs, limit = batch_runs(spec, shifts + [0.0])
     distances = np.array([trajectory_distance(r, limit) for r in runs])
     assert np.all(np.diff(distances) < 0)
     rate = np.polyfit(np.log(shifts), np.log(distances), 1)[0]

@@ -14,7 +14,8 @@ from memvisco.diagnostics import SingleRun
 from memvisco.expressions import field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import PronyKernel
-from memvisco.runner import _export_levels, _reprs, _trajectory_export, _trajectory_rows, _write_atomic, _write_csv
+from memvisco.grid import sine_transform
+from memvisco.runner import _reprs, _trajectory_export, _trajectory_rows, _write_atomic, _write_csv
 from memvisco.solver import ProblemSpec, run
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -40,13 +41,11 @@ def _trajectory_csv(grid, times, nodal, velocities):
 
 
 def export_stored(out_dir, export_format, stride, traj):
-    """The single run's exports of a stored run: trajectory.csv as the
-    reduction hands its levels over, the binary files from its coefficients."""
+    """The single run's exports of a stored run, written as the reduction
+    hands its levels over."""
     cfg = SimpleNamespace(export_format=export_format, snapshot_stride=stride)
     with _trajectory_export(out_dir, cfg, traj.grid, traj.times) as export:
         SingleRun.of(traj, export=export)
-    if export_format in ("binary", "both"):
-        _export_levels(out_dir, traj.grid, traj.times, traj.coefficients)
 
 
 # slices of 4 rows split the line's 7 nodes as 4 + 3 and slices of 7 the
@@ -126,10 +125,31 @@ def test_npy_export_is_renamed_into_place(tmp_path, monkeypatch, export_format):
     export_stored(tmp_path, export_format, 1, traj)
     assert ("trajectory.npy.tmp", "trajectory.npy") in renamed
     assert ("times.npy.tmp", "times.npy") in renamed
-    assert np.array_equal(np.load(tmp_path / "trajectory.npy"), traj.levels)
+    # the export transforms each level's sine coefficients back alone
+    nodal = np.concatenate([traj.nodal(j, j + 1) for j in range(traj.n_levels)])
+    assert np.array_equal(np.load(tmp_path / "trajectory.npy"), nodal)
     assert np.array_equal(np.load(tmp_path / "times.npy"), traj.times)
     expected = ["times.npy", "trajectory.npy"] + (["trajectory.csv"] if export_format == "both" else [])
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+
+
+@pytest.mark.parametrize("grid", [LINE, BOX], ids=["1d", "3d"])
+def test_npy_export_writes_np_saves_bytes(tmp_path, grid):
+    # the header is np.save's for the whole stack, and the levels follow it
+    # one by one, each transformed alone: in 3D the very bytes np.save
+    # writes for the stack transformed at once, in 1D its header
+    traj = solve(grid)
+    export_stored(tmp_path, "binary", 1, traj)
+    got = (tmp_path / "trajectory.npy").read_bytes()
+    whole = tmp_path / "whole.npy"
+    np.save(whole, sine_transform(grid, traj.coefficients))
+    want = whole.read_bytes()
+    header = len(want) - traj.coefficients.nbytes
+    assert got[:header] == want[:header]
+    nodal = np.concatenate([traj.nodal(j, j + 1) for j in range(traj.n_levels)])
+    assert got[header:] == nodal.tobytes()
+    if grid.dim == 3:
+        assert got == want
 
 
 def test_failed_write_leaves_neither_file_nor_tmp(tmp_path):

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
@@ -119,6 +120,39 @@ def test_csv_drift_reports_changed_columns(tmp_path):
         "  u  0.125",
         "  gap  0.001 (absolute)",
         "2 CSVs compared, 1 byte-identical",
+        "0 .npy files compared, 0 byte-identical",
+        "0 manifests compared, 0 with the same verdicts and runs",
+    ]
+
+
+def test_csv_drift_reports_changed_npy_files(tmp_path):
+    # per .npy file whose bytes differ, max |new - old| / max |old| over the
+    # whole array, the absolute change when old is all 0, or both shapes
+    arrays = {
+        "old/run/levels.npy": np.array([[1.0, -4.0], [2.0, 0.5]]),
+        "new/run/levels.npy": np.array([[1.0, -4.0], [2.5, 0.5]]),
+        "old/run/zero.npy": np.zeros(3),
+        "new/run/zero.npy": np.array([0.0, 1e-3, 0.0]),
+        "old/run/shape.npy": np.zeros((2, 3)),
+        "new/run/shape.npy": np.zeros((3, 3)),
+        "old/run/same.npy": np.arange(4.0),
+        "new/run/same.npy": np.arange(4.0),
+        "old/run/gone.npy": np.ones(2),
+    }
+    for name, array in arrays.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        np.save(tmp_path / name, array)
+    old, new = tmp_path / "old", tmp_path / "new"
+    assert run_script("csv_drift.py", str(old), str(new)).splitlines() == [
+        f"run/gone.npy: only under {old}",
+        "run/levels.npy",
+        "  0.125",
+        "run/shape.npy",
+        "  shape (2, 3) -> (3, 3)",
+        "run/zero.npy",
+        "  0.001 (absolute)",
+        "0 CSVs compared, 0 byte-identical",
+        "4 .npy files compared, 1 byte-identical",
         "0 manifests compared, 0 with the same verdicts and runs",
     ]
 
@@ -150,5 +184,6 @@ def test_csv_drift_reports_changed_manifest_leaves(tmp_path):
         "c/manifest.json",
         "  verdicts.bound.gamma  0.0 -> 0.001  (0.001 absolute)",
         "0 CSVs compared, 0 byte-identical",
+        "0 .npy files compared, 0 byte-identical",
         "3 manifests compared, 1 with the same verdicts and runs",
     ]

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 from helpers import (
     SeparableForcing,
+    batch_runs,
     classical_stress_curve,
     conv_weights,
     direct_sums,
@@ -21,6 +22,7 @@ from helpers import (
     history_row,
     l2q_error,
     laplacian_array,
+    listed_sequence,
     manufactured_exact,
     manufactured_forcing,
     non_mode_one,
@@ -33,7 +35,7 @@ from helpers import (
 )
 import memvisco.solver as solver_module
 from memvisco.config import parse_config, parse_config_file
-from memvisco.convergence import ShiftSequence, eps_schedule, run_eps_sequence
+from memvisco.convergence import eps_schedule, run_eps_sequence
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid, sine_transform
 from memvisco.kernels import (
@@ -382,7 +384,8 @@ def _volterra_spec(grid, horizon, dt, forcing=None):
 
 
 class TestShiftBatch:
-    """run(spec, shifts): every shift of an integral_volterra spec in one march."""
+    """march_shifts: every shift of an integral_volterra spec in one march,
+    drained into a stack by batch_runs."""
 
     SHIFTS = (0.1, 0.01, 0.0)
 
@@ -392,9 +395,9 @@ class TestShiftBatch:
         pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
         spec = _volterra_spec(Grid.line(17), 0.6, 0.01, pulse)
         with small_march_blocks(7):
-            batch = run(spec, self.SHIFTS)
-        assert batch.coefficients.shape == (3, spec.n_steps + 1, 17)
-        for eps, traj in zip(self.SHIFTS, batch.trajectories):
+            batch = batch_runs(spec, self.SHIFTS)
+        assert [traj.coefficients.shape for traj in batch] == [(spec.n_steps + 1, 17)] * 3
+        for eps, traj in zip(self.SHIFTS, batch):
             with small_march_blocks(7):
                 alone = run(dataclasses.replace(spec, eps=eps))
             assert traj.coefficients.tobytes() == alone.coefficients.tobytes()
@@ -405,8 +408,7 @@ class TestShiftBatch:
         # over three blocks of the shipped _MARCH_ROWS, the blocks of a
         # batch and of a lone run alike
         spec = _volterra_spec(Grid.line(17), 0.6, 0.6 / (2 * solver_module._MARCH_ROWS + 5))
-        batch = run(spec, self.SHIFTS)
-        for eps, traj in zip(self.SHIFTS, batch.trajectories):
+        for eps, traj in zip(self.SHIFTS, batch_runs(spec, self.SHIFTS)):
             alone = run(dataclasses.replace(spec, eps=eps))
             assert traj.coefficients.tobytes() == alone.coefficients.tobytes()
 
@@ -415,8 +417,7 @@ class TestShiftBatch:
         # exponential fit, which the other shifts do not touch either
         pulse = Forcing.from_dict("sin_pi_product", {"amplitude": 0.7, "omega": 5.0})
         spec = _volterra_spec(Grid.line(17), 0.6, 0.003, pulse)
-        batch = run(spec, self.SHIFTS)
-        for eps, traj in zip(self.SHIFTS, batch.trajectories):
+        for eps, traj in zip(self.SHIFTS, batch_runs(spec, self.SHIFTS)):
             alone = run(dataclasses.replace(spec, eps=eps))
             assert traj.far_nodes > 0
             assert (traj.far_nodes, traj.far_error) == (alone.far_nodes, alone.far_error)
@@ -424,20 +425,16 @@ class TestShiftBatch:
 
     def test_sequence_is_one_batch(self):
         # the streamed sequence reduces the levels of one batched march:
-        # every reduction equals, byte for byte, that of run(spec, shifts)'s
+        # every reduction equals, byte for byte, that of the batch's
         # stored levels, and so does every run's record (J = 30 <= 2 W, so
         # the ring is the whole stack)
         spec = _volterra_spec(Grid.line(17), 0.3, 0.01)
         shifts = eps_schedule(0.1, 0.5, 2)
         seq = run_eps_sequence(spec, 0.1, 0.5, 2)
-        batch = ShiftSequence.of(shifts, run(spec, shifts).trajectories)
+        batch = listed_sequence(shifts, batch_runs(spec, shifts))
         for name in ("eps_values", "times", "next_squares", "finest_squares", "columns", "peaks"):
             assert getattr(seq, name).tobytes() == getattr(batch, name).tobytes(), name
         assert (seq.runs, seq.levels_bytes) == (batch.runs, batch.levels_bytes)
-
-    def test_leapfrog_specs_are_refused(self):
-        with pytest.raises(ValueError, match="formulation"):
-            run(standing_wave_spec(), self.SHIFTS)
 
     def test_abort_names_the_failing_shift(self):
         # the top grid mode under a large dt: of the shifts 0.1 .. 1e-4
@@ -502,7 +499,8 @@ def test_volterra_sequence_holds_no_history():
 def test_powerlaw_leapfrog_holds_no_history():
     # the direct backend kept a (J + 1, N) Laplacian stack the size of the
     # levels; the blocked sums on the levels hold under 0.35x of it here
-    # (measured: a peak of 1.20x the levels, the tail's states included)
+    # (measured: a peak of 1.26x the levels, the tail's states and the
+    # march's ring of 193 of the 1,467 levels beside run's stack included)
     g = Grid.box(9)
     kernel = PowerLawKernel(c=1.0, alpha=0.5)
     spec = ProblemSpec(
@@ -990,8 +988,7 @@ class TestVolterra:
         # explicit corrector had grown the other modes to 1.2e-5
         cfg = parse_config_file(CONFIGS / "powerlaw_theorem1.cfg")
         shifts = eps_schedule(cfg.eps0, cfg.ratio, cfg.count)
-        batch = run(_build_spec(cfg, float(shifts[0]), cfg.dt), shifts)
-        for traj in batch.trajectories:
+        for traj in batch_runs(_build_spec(cfg, float(shifts[0]), cfg.dt), shifts):
             assert non_mode_one(cfg.grid, traj.levels) < 1e-14
 
 
@@ -1074,9 +1071,9 @@ class TestVolterraTail:
             return history
 
         with mock.patch.object(HistoryConvolution, "of", exact_from_w):
-            blocked = run(spec, shifts).trajectories
+            blocked = batch_runs(spec, shifts)
             with direct_sums():
-                direct = run(spec, shifts).trajectories
+                direct = batch_runs(spec, shifts)
         for eps, fast, slow in zip(shifts, blocked, direct):
             assert fast.far_nodes == 33 and slow.far_nodes == 0
             assert 0.0 < fast.far_error <= solver_module._TAIL_TOLERANCE
@@ -1159,7 +1156,7 @@ class TestVolterraTail:
             with pytest.raises(SolverAbort) as one:
                 run(lone)
             with pytest.raises(SolverAbort) as many:
-                run(batch, shifts)
+                batch_runs(batch, shifts)
             with pytest.raises(SolverAbort) as streamed:
                 run_eps_sequence(batch, 0.1, 0.1, 3)
         assert one.value.step == 638
@@ -1169,21 +1166,32 @@ class TestVolterraTail:
 
 
 def test_volterra_3d_run_holds_no_history():
-    # one 3D run on 23^3 nodes, J = 200: beyond its coefficient stack the
-    # march holds a block's far sums and one product, 2 W levels, and two
-    # sets of the fit's states, 2 (L + 2) levels: 182 / 201 of the stack, a
-    # bound of 0.95x (measured 0.82x); summing far levels from a (J, N)
-    # history would add 1.0x
+    # one 3D run on 23^3 nodes, J = 200: beyond its level buffer the march
+    # holds a block's far sums and one product, 2 W levels, and two sets of
+    # the fit's states, 2 (L + 2) levels: 182 / 201 of the stack, a bound of
+    # 0.95x (measured 0.81x); summing far levels from a (J, N) history
+    # would add 1.0x.  The buffer is the ring of 3 W + 1 = 193 levels, and
+    # run(spec) holds the stack it copies the blocks into as well
     box = Grid.box(23)
     spec = ProblemSpec(
         kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=box, horizon=1.0, dt=0.005, eps=0.1,
         u0=Field.zero(box), u1=field_from_name(box, "bump", {"radius": 0.3}),
         formulation="integral_volterra",
     )
+
+    def drained():
+        record, levels, blocks = solver_module.march(spec)
+        for _ in blocks:
+            pass
+        return record, levels.nbytes
+
+    (record, ring), peak = _peak_above_entry(drained)
+    stack = 8 * 201 * box.n_total
+    assert record.far_nodes == 25 and ring == 8 * 193 * box.n_total
+    assert peak < ring + 0.95 * stack
     traj, peak = _peak_above_entry(lambda: run(spec))
-    stack = traj.coefficients.nbytes
-    assert traj.far_nodes == 25 and stack == 8 * 201 * box.n_total
-    assert peak < 1.95 * stack
+    assert traj.coefficients.nbytes == stack
+    assert peak < ring + 1.95 * stack
 
 
 def _transform_calls(fn):
@@ -1208,8 +1216,8 @@ def test_volterra_march_takes_no_laplacian(grid, shifts):
     # from the stored coefficients
     n_steps = 2 * solver_module._MARCH_ROWS + 5
     spec = _volterra_spec(grid, 0.6, 0.6 / n_steps)
-    result, calls = _transform_calls(lambda: run(spec) if shifts is None else run(spec, shifts))
-    assert np.all(np.isfinite(result.coefficients))
+    result, calls = _transform_calls(lambda: [run(spec)] if shifts is None else batch_runs(spec, shifts))
+    assert all(np.all(np.isfinite(traj.coefficients)) for traj in result)
     assert calls == [grid.shape] * 3
     assert not hasattr(solver_module, "laplacian_array")
 
