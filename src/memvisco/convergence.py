@@ -240,7 +240,7 @@ def convergence_lemma_check(kernel: RelaxationKernel, sequence: ShiftSequence) -
         history = HistoryConvolution(*weights)
         c_level = float(peak) / grid.volume
 
-        for v, _, _, y, projected in battery_projections(grid, times, columns, history):
+        for v, _, y, projected in battery_projections(grid, times, columns, history):
             # + 0.0: a constant modulus has zero weights, and -0.0 is not a residual
             residual = vol * v.laplace_factor(grid) * float(y @ projected) + 0.0
             # the time profiles peak at 1

@@ -612,7 +612,8 @@ def weak_residual(
 
     vol = grid.cell_volume
     out = []
-    for v, vx, a, y, projected in battery_projections(grid, times, run.columns, history):
+    for v, a, y, projected in battery_projections(grid, times, run.columns, history):
+        vx = v.space_values(grid).ravel()
         ramp = times * (u1.values.ravel() @ vx) + u0.values.ravel() @ vx
         if forcing is not None:
             ramp += c2 * (profile @ vx)
@@ -640,11 +641,11 @@ def battery_columns(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
 
 
 def battery_projections(grid: Grid, times: np.ndarray, columns: np.ndarray, history: HistoryConvolution):
-    """(v, vx, a, y, projected) for each test function v of the default
-    battery: vx its space values, flat; a = w v(t) its time profile with
-    the trapezoid weights; y = history.adjoint(a), one transposed history
-    sum per time profile; projected = the levels at times projected on vx,
-    from their battery_columns, (n_levels, modes).
+    """(v, a, y, projected) for each test function v of the default
+    battery: a = w v(t) its time profile with the trapezoid weights; y =
+    history.adjoint(a), one transposed sum per time profile; projected =
+    the levels at times projected on v's space values vx, from columns,
+    their battery_columns.
 
     Every tested term is linear in u, so projecting the levels first leaves
     only scalar convolutions.  vx is the product of sine modes m, which is
@@ -657,8 +658,7 @@ def battery_projections(grid: Grid, times: np.ndarray, columns: np.ndarray, hist
     index = {modes: i for i, modes in enumerate(battery_modes(grid))}
     adjoints = {}
     for v in default_battery(grid):
-        vx = v.space_values(grid).ravel()
         a = wt * v.time_values(times, horizon)
         if v.time_profile not in adjoints:
             adjoints[v.time_profile] = history.adjoint(a)
-        yield v, vx, a, adjoints[v.time_profile], scale * columns[:, index[v.modes]]
+        yield v, a, adjoints[v.time_profile], scale * columns[:, index[v.modes]]

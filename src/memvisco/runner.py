@@ -266,24 +266,23 @@ def _trajectory_rows(grid):
     most _SLICE_ROWS rows."""
     axis_names = ["x", "y", "z"][: grid.dim]
     header = ",".join(["t", "node", *axis_names, "u", "u_t"]) + "\n"
-    # "node" and ",x[,y,z]," are the same at every level; nodes are row-major
-    nodes = list(map(str, range(grid.n_total)))
-    coordinates = [","]
+    # "node,x[,y,z]," is the same at every level; nodes are row-major
+    heads = [","]
     for a in range(grid.dim):
         tails = [x + "," for x in _reprs(grid.axis_coordinates(a))]
-        coordinates = [head + x for head in coordinates for x in tails]
-    n = len(nodes)
+        heads = [head + x for head in heads for x in tails]
+    for node, head in enumerate(heads):  # in place: one per-node table
+        heads[node] = str(node) + head
 
     def rows(t, level, rate):
         u, v = level.ravel(), rate.ravel()
-        for start in range(0, n, _SLICE_ROWS):
-            stop = min(start + _SLICE_ROWS, n)
-            # a row is the seven slots "t," node ",x[,y,z]," u "," u_t "\n"
-            out = [t + ",", "", "", "", ",", "", "\n"] * (stop - start)
-            out[1::7] = nodes[start:stop]
-            out[2::7] = coordinates[start:stop]
-            out[3::7] = _reprs(u[start:stop])
-            out[5::7] = _reprs(v[start:stop])
+        for start in range(0, u.size, _SLICE_ROWS):
+            stop = min(start + _SLICE_ROWS, u.size)
+            # a row is the six slots "t," "node,x[,y,z]," u "," u_t "\n"
+            out = [t + ",", "", "", ",", "", "\n"] * (stop - start)
+            out[1::6] = heads[start:stop]
+            out[2::6] = _reprs(u[start:stop])
+            out[4::6] = _reprs(v[start:stop])
             yield "".join(out)
 
     return header, rows

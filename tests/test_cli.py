@@ -12,6 +12,7 @@ import pytest
 
 from memvisco import __version__, cli
 from memvisco.config import parse_config
+from memvisco.solver import run_block
 
 QUICK = """\
 [kernel]
@@ -924,13 +925,14 @@ snapshot_stride = 40
 
 def test_three_dimensional_run_forms_no_nodal_stack(tmp_path):
     # a forced 3D run through solve, bound and CSV export of every 40th
-    # level: the march writes into a ring of level 0 and one block of 16
-    # levels (4 MiB at most), and hands each block to the bound's level sums
+    # level: the march writes into a ring of level 0 and one block of 4
+    # levels (1 MiB at most), and hands each block to the bound's level sums
     # and to the export, which transforms its 6 levels back and writes them
     # in slices of rows.  What the run holds, the ring, the reduction's two
-    # block buffers and the export's per-node strings, was measured at 0.40
-    # of the (J+1, N) stack it no longer forms; a nodal, edge or velocity
-    # stack formed at any step would add at least as much again
+    # block buffers and the export's one table of per-node strings, was
+    # measured at 0.21 of the (J+1, N) stack it no longer forms (0.40 with
+    # 16-level blocks and two tables); a nodal, edge or velocity stack
+    # formed at any step would add at least as much again
     import tracemalloc
 
     out = tmp_path / "out"
@@ -944,11 +946,12 @@ def test_three_dimensional_run_forms_no_nodal_stack(tmp_path):
     assert code == 0
     (record,) = read_manifest(out)["runs"]
     stack = 8 * 222 * 31**3
-    assert stack >= 4 * 4 * 2**20  # at least 4x the block cap
-    assert record["levels_bytes"] == 8 * 17 * 31**3
+    assert stack >= 16 * 2**20  # at least 16x the block cap
+    assert run_block(31**3, 223) == 4
+    assert record["levels_bytes"] == 8 * 5 * 31**3
     with open(out / "trajectory.csv", "rb") as fh:
         assert sum(1 for _ in fh) == 1 + 6 * 31**3
-    assert peak - entry < 0.5 * stack
+    assert peak - entry < 0.3 * stack
 
 
 STREAMED_3D = """\
@@ -987,9 +990,9 @@ snapshot_stride = 400
 
 def test_streamed_single_run_holds_no_level_stack(tmp_path):
     # a forced 3D Prony run with every audit, at J = 600 and 2,400: the
-    # march's ring (level 0 and a block of 64 levels), the reduction's two
-    # block buffers and O(J) scalars per audit (measured: peaks of 0.51x and
-    # 0.13x of the (J+1, N) stack, 8.25 and 8.61 MB), where the stored run
+    # march's ring (level 0 and a block of 32 levels), the reduction's two
+    # block buffers and O(J) scalars per audit (measured: peaks of 0.28x and
+    # 0.079x of the (J+1, N) stack, 4.60 and 5.10 MB), where the stored run
     # held the whole stack and more
     import tracemalloc
 
@@ -1006,7 +1009,7 @@ def test_streamed_single_run_holds_no_level_stack(tmp_path):
         assert code == 0
         manifest = read_manifest(out)
         assert manifest["verdicts"]["n_steps"] == J
-        assert manifest["runs"][0]["levels_bytes"] == 8 * 65 * 15**3
+        assert manifest["runs"][0]["levels_bytes"] == 8 * 33 * 15**3
         peaks.append(peak - entry)
         stacks.append(8 * (J + 1) * 15**3)
     assert peaks[1] < 0.25 * stacks[1]

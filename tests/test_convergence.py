@@ -29,7 +29,7 @@ from memvisco.convergence import (
     run_eps_sequence,
 )
 from memvisco.config import parse_config_file
-from memvisco.diagnostics import default_battery
+from memvisco.diagnostics import ModeTestFunction, default_battery
 from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid, level_squares
 from memvisco.kernels import KernelSum, PowerLawKernel, PronyKernel
@@ -189,6 +189,13 @@ class TestLemmaCheck:
         for e in entries:
             assert e.majorant > 0.0
             assert e.within
+
+    def test_forms_no_space_values(self, monkeypatch):
+        # the residual reads each test function's projected coefficient
+        # column, so no test function's nodal values are formed
+        sequence = run_eps_sequence(sequence_base(PRONY), 0.1, 0.5, 2)
+        monkeypatch.setattr(ModeTestFunction, "space_values", mock.Mock(side_effect=AssertionError))
+        assert len(convergence_lemma_check(PRONY, sequence)) == 3 * 6
 
     def test_powerlaw_residual_below_majorant_and_vanishing(self):
         k = PowerLawKernel(c=1.0, alpha=0.5)

@@ -91,10 +91,11 @@ def test_trajectory_csv_matches_row_list_export(tmp_path, monkeypatch, grid, wid
 
 
 def test_trajectory_csv_holds_one_slice_of_rows(tmp_path):
-    # what the export of 31^3 nodes holds is the per-node "node" and
-    # ",x,y,z," strings, measured at 22 level bytes (8 bytes a node), and one
-    # slice of rows; a level-sized list of rows and its join would add more
-    # than 10 level bytes again
+    # what the export of 31^3 nodes holds is one table of per-node
+    # "node,x,y,z," strings, built in place (about 10.5 level bytes, 8 bytes
+    # a node), and one slice of rows: measured at 14.3 level bytes, where
+    # separate "node" and ",x,y,z," tables took 21.5; a level-sized list of
+    # rows and its join would add more than 10 level bytes again
     import tracemalloc
 
     grid = Grid((31, 31, 31), (1.0, 1.0, 1.0))
@@ -108,7 +109,7 @@ def test_trajectory_csv_holds_one_slice_of_rows(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - entry < 25 * 8 * grid.n_total
+    assert peak - entry < 17 * 8 * grid.n_total
 
 
 @pytest.mark.parametrize("export_format", ["binary", "both"])

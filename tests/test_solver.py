@@ -17,6 +17,7 @@ from helpers import (
     conv_weights,
     direct_sums,
     direct_weights,
+    exact_unshifted_mode,
     forcing_at,
     geometric_history,
     history_row,
@@ -1373,3 +1374,55 @@ class TestStress:
         want = [compute_stress(kernel, history[: m + 1], dt, 0.4) for m in range(1, n + 1)]
         assert curve.tobytes() == np.array(want).tobytes()
 
+
+
+class TestExactAtZeroShift:
+    """The Volterra march at eps = 0 against the exact modal solution of
+    the semi-discrete power-law problem (exact_unshifted_mode)."""
+
+    KERNEL = PowerLawKernel(c=1.0, alpha=0.5)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("u0, u1", [(0.0, 1.0), (1.0, 0.0), (0.7, -1.3)])
+    def test_oracle_matches_mittag_leffler_series(self, alpha, u0, u1):
+        # mu makes lam = 0.3, so lam t^(2 - alpha) <= 0.3 on these times and
+        # the series sum z^k / Gamma(ak + b) converges fast with no
+        # cancellation: u = u0 E_a,1(-lam t^a) + u1 t E_a,2(-lam t^a), a = 2 - alpha
+        kernel = PowerLawKernel(c=1.0, alpha=alpha)
+        mu = 0.3 / math.gamma(1.0 - alpha)
+        times = np.array([0.0, 0.01, 0.1, 0.5, 1.0])
+        a = 2.0 - alpha
+
+        def series(b, z):
+            return sum(z**k / math.gamma(a * k + b) for k in range(40))
+
+        want = np.array([u0 * series(1, -0.3 * t**a) + u1 * t * series(2, -0.3 * t**a) for t in times])
+        got = exact_unshifted_mode(kernel, mu, u0, u1, times)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "mode, ceiling",
+        # the relative max error at dt = 0.00125, measured 4.78e-6 and 1.76e-4
+        [(1, 5.3e-6), (4, 1.95e-4)],
+    )
+    def test_volterra_march_is_second_order(self, mode, ceiling):
+        # Grid.line(31), horizon 2, u1 one sine mode, dt = 0.02 halved four
+        # times; errors are taken at the 101 times of the coarsest run,
+        # relative to the exact coefficient's max there.  Measured orders
+        # 1.9995-2.0063 at every halving, errors 1.2e-3 and 4.5e-2 at dt 0.02
+        grid = Grid.line(31)
+        u1 = field_from_name(grid, "sine_mode", {"modes": [mode]})
+        coefficient = sine_transform(grid, u1.values)[mode - 1]
+        mu = grid.eigenvalues[mode - 1]
+        exact = exact_unshifted_mode(self.KERNEL, mu, 0.0, coefficient, np.linspace(0.0, 2.0, 101))
+        errors = []
+        for h in range(5):
+            spec = ProblemSpec(
+                kernel=self.KERNEL, grid=grid, horizon=2.0, dt=0.02 / 2**h, eps=0.0,
+                u0=Field.zero(grid), u1=u1, formulation="integral_volterra",
+            )
+            got = run(spec).coefficients[:: 2**h, mode - 1]
+            errors.append(np.abs(got - exact).max() / np.abs(exact).max())
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(orders >= 1.95), orders
+        assert errors[-1] < ceiling
