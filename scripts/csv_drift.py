@@ -20,11 +20,13 @@ For every manifest.json under both roots whose `verdicts` and `runs`
 blocks differ (the blocks run_all_configs.py digests), it prints the path,
 then one line per leaf that differs: its dotted key, old -> new, and for
 two numbers |new - old| / |old|, or the absolute change when old is 0.  A
-leaf on one side only reads (absent) on the other.
+leaf on one side only reads (absent) on the other, and a manifest under
+one root only is named as such.
 
 The last three lines count the CSVs compared and those whose bytes match,
 the .npy files likewise, and the manifests compared and those whose
-blocks match.
+blocks match.  The exit status is 0 when nothing drifts, and 1 when any
+file or block above is named.
 """
 
 import csv
@@ -125,8 +127,8 @@ def paired(old_root: Path, new_root: Path, pattern: str, lines: list[str]) -> li
     return sorted(old & new)
 
 
-def drift(old_root: Path, new_root: Path) -> list[str]:
-    """The report's lines."""
+def drift(old_root: Path, new_root: Path) -> tuple[list[str], list[str]]:
+    """The report's lines: (what drifts, the three counts)."""
     lines = []
     shared = paired(old_root, new_root, "*.csv", lines)
     same = 0
@@ -155,11 +157,7 @@ def drift(old_root: Path, new_root: Path) -> list[str]:
         else:
             lines += [f"{name}", f"  {npy_drift(old_path, new_path)}"]
     counts.append(f"{len(arrays)} .npy files compared, {same} byte-identical")
-    manifests = sorted(
-        p.relative_to(old_root)
-        for p in old_root.rglob("manifest.json")
-        if (new_root / p.relative_to(old_root)).is_file()
-    )
+    manifests = paired(old_root, new_root, "manifest.json", lines)
     changed = 0
     for name in manifests:
         leaf_lines = manifest_drift(old_root / name, new_root / name)
@@ -167,10 +165,12 @@ def drift(old_root: Path, new_root: Path) -> list[str]:
             changed += 1
             lines += [f"{name}", *leaf_lines]
     counts.append(f"{len(manifests)} manifests compared, {len(manifests) - changed} with the same verdicts and runs")
-    return lines + counts
+    return lines, counts
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         raise SystemExit("usage: csv_drift.py OLD_ROOT NEW_ROOT")
-    print("\n".join(drift(Path(sys.argv[1]), Path(sys.argv[2]))))
+    drifted, counts = drift(Path(sys.argv[1]), Path(sys.argv[2]))
+    print("\n".join(drifted + counts))
+    sys.exit(1 if drifted else 0)

@@ -71,22 +71,24 @@ class SingleRun(NamedTuple):
     """What the audits of one run keep of its levels.  Per level j, by
     Parseval and unscaled by the cell volume: grad_sq[j] = |e_j|^2 = sum mu
     u_hat_j^2, vel_sq[j] = |v_j|^2 and power[j] = v_j . p, e_j the edge
-    differences, v_j the velocities and p the forcing profile.  columns
-    holds the battery_columns, prony the Prony ledger's _PronyInflows and
-    coefficients the whole stack, for the lag passes; each None unless
-    asked for.  displaced tells whether level 0 is nonzero, and seconds is
-    the reduction's wall time by what it formed: the level "sums", and the
-    "ledger", "weak_residual" and "export" work."""
+    differences, v_j the velocities and p the forcing profile, 0 without
+    one.  columns holds the battery_columns, and history_sums the (2, J +
+    1) sums sum_i W_j(i) vol |e_j - e_{j-i}|^2 of the ledger's histories
+    (ledger_plan's), None unless asked for; stack_bytes counts the e_j
+    stack their lag passes read, 0 for a Prony modulus, whose sums step
+    with the levels.  displaced tells whether level 0 is nonzero, and
+    seconds is the reduction's wall time by what it formed: the level
+    "sums", and the "ledger", "weak_residual" and "export" work."""
 
     grid: Grid
     times: np.ndarray
     displaced: bool
-    grad_sq: np.ndarray | None
-    vel_sq: np.ndarray | None
-    power: np.ndarray | None
+    grad_sq: np.ndarray
+    vel_sq: np.ndarray
+    power: np.ndarray
     columns: np.ndarray | None
-    prony: tuple | None
-    coefficients: np.ndarray | None
+    history_sums: np.ndarray | None
+    stack_bytes: int
     seconds: dict
 
     @property
@@ -94,15 +96,13 @@ class SingleRun(NamedTuple):
         return float(self.times[1] - self.times[0])
 
     @classmethod
-    def reduce(
-        cls, grid, times, blocks, sums=False, forcing=None, rates=None, battery=False, export=None, coefficients=None
-    ) -> SingleRun:
+    def reduce(cls, grid, times, blocks, forcing=None, histories=None, battery=False, export=None) -> SingleRun:
         """The reduction of a run whose levels come in blocks (j0, the levels
-        j0 .. j1 - 1), level 0 first, as march hands them over.  sums asks
-        for the level sums, and with them forcing for the power and rates
-        (ledger_plan's) for the Prony inflows; export(j, u_hat_j, v_hat_j) is
-        called with every level, and coefficients, a level_stack, is filled
-        with every block.
+        j0 .. j1 - 1), level 0 first, as march hands them over.  forcing
+        gives the power; histories, ledger_plan's, the history sums, from
+        the Prony inflows a level at a time for a Prony modulus, else by
+        lag passes over a stack of every e_j once the last block is in;
+        export(j, u_hat_j, v_hat_j) is called with every level.
 
         Pieces of run_block levels are reduced, so a streamed run and its
         stored levels are summed alike.  A level is reduced once the next is
@@ -111,10 +111,14 @@ class SingleRun(NamedTuple):
         taken in another order."""
         n, dt, vol = times.size, float(times[1] - times[0]), grid.cell_volume
         root_mu = np.sqrt(grid.eigenvalues).ravel()
-        grad_sq, vel_sq, power = (np.zeros(n) for _ in range(3)) if sums else (None,) * 3
+        grad_sq, vel_sq, power = (np.zeros(n) for _ in range(3))
         profile = None if forcing is None else sine_transform(grid, forcing.profile(grid)).ravel()
         columns = np.empty((n, len(battery_modes(grid)))) if battery else None
-        prony = None if rates is None else _PronyInflows(rates, n, grid.n_total, vol)
+        prony = edges = None
+        if histories and histories[0].backend == "exponential":
+            prony = _PronyInflows(histories[0].terms, n, grid.n_total, vol)
+        elif histories:
+            edges = np.empty((n, grid.n_total))
         seconds = {}
         clock = time.perf_counter
 
@@ -124,17 +128,14 @@ class SingleRun(NamedTuple):
             return now
 
         rows = run_block(grid.n_total, n)
-        if sums or export:
-            # the (at most) two levels before a piece, then the piece; and
-            # e, then v, of the levels a piece reduces: buffers held for the
-            # whole reduction, as fresh ones would take new pages every piece
-            window, work = np.empty((2, rows + 2, grid.n_total))
+        # the (at most) two levels before a piece, then the piece; and e,
+        # then v, of the levels a piece reduces: buffers held for the whole
+        # reduction, as fresh ones would take new pages every piece
+        window, work = np.empty((2, rows + 2, grid.n_total))
         held = 0
         done = 0  # the levels 0 .. done - 1 are reduced
         displaced = False
         for j0, block in blocks:
-            if coefficients is not None:
-                coefficients[j0 : j0 + block.shape[0]] = block
             block = block.reshape(block.shape[0], -1)
             if j0 == 0:
                 displaced = bool(np.any(block[0]))
@@ -145,8 +146,6 @@ class SingleRun(NamedTuple):
                 if battery:
                     columns[a:b] = battery_columns(grid, piece.reshape((-1, *grid.shape)))
                     t = book("weak_residual", t)
-                if not (sums or export):
-                    continue
                 # w holds the levels b - len(w) .. b - 1, of which done .. hi - 1
                 # are reduced: its rows r0 .. r1 - 1
                 w = window[: held + piece.shape[0]]
@@ -154,22 +153,23 @@ class SingleRun(NamedTuple):
                 hi = b if b == n else b - 1
                 r0, r1 = done - (b - w.shape[0]), hi - (b - w.shape[0])
                 if hi > done:
-                    if sums:
-                        # e_{done - 1} .. e_{hi - 1}, the first for the Prony deltas
-                        lead = min(r0, 1)
-                        e = np.multiply(w[r0 - lead : r1], root_mu, out=work[: r1 - r0 + lead])
-                        grad_sq[done:hi] = np.einsum("ij,ij->i", e[lead:], e[lead:])
-                        t = book("sums", t)
-                        if prony is not None:
-                            prony.add(e, done, hi)
-                            t = book("ledger", t)
+                    # e_{done - 1} .. e_{hi - 1}, the first for the Prony deltas
+                    lead = min(r0, 1)
+                    e = np.multiply(w[r0 - lead : r1], root_mu, out=work[: r1 - r0 + lead])
+                    grad_sq[done:hi] = np.einsum("ij,ij->i", e[lead:], e[lead:])
+                    t = book("sums", t)
+                    if prony is not None:
+                        prony.add(e, done, hi)
+                        t = book("ledger", t)
+                    elif edges is not None:
+                        edges[done:hi] = e[lead:]
+                        t = book("ledger", t)
                     v = velocity_estimates(w, dt, r0, r1, out=work[: r1 - r0])
-                    if sums:
-                        vel_sq[done:hi] = np.einsum("ij,ij->i", v, v)
-                        t = book("sums", t)
-                        if profile is not None:
-                            power[done:hi] = v @ profile
-                            t = book("ledger", t)
+                    vel_sq[done:hi] = np.einsum("ij,ij->i", v, v)
+                    t = book("sums", t)
+                    if profile is not None:
+                        power[done:hi] = v @ profile
+                        t = book("ledger", t)
                     if export:
                         for i in range(hi - done):
                             export(done + i, w[r0 + i], v[i])
@@ -177,25 +177,35 @@ class SingleRun(NamedTuple):
                 held = min(2, w.shape[0])
                 window[:held] = w[-held:]
                 done = hi
-        return cls(grid, times, displaced, grad_sq, vel_sq, power, columns, prony, coefficients, seconds)
+        history_sums = None
+        if histories:
+            t = clock()
+            if prony is not None:
+                history_sums = _prony_history_sums(prony, vol, [h.terms for h in histories])
+            else:
+                history_sums = _lag_pass_sums(edges, vol, histories)
+            book("ledger", t)
+        stack_bytes = 0 if edges is None else edges.nbytes
+        return cls(grid, times, displaced, grad_sq, vel_sq, power, columns, history_sums, stack_bytes, seconds)
 
     @classmethod
     def of(cls, run: TrajectorySolution | SingleRun, **asked) -> SingleRun:
         """run itself if it is reduced, else the reduction asked of a stored
-        run, its levels handed over as level 0 and one block of the rest; it
-        keeps the run's coefficients."""
+        run, its levels handed over as level 0 and one block of the rest."""
         if isinstance(run, cls):
             return run
         blocks = [(0, run.coefficients[:1]), (1, run.coefficients[1:])]
-        return cls.reduce(run.grid, run.times, blocks, coefficients=run.coefficients, **asked)
+        return cls.reduce(run.grid, run.times, blocks, **asked)
 
 
 class _PronyInflows:
     """The inflows of _prony_history_sums' filters per level, |delta_j|^2,
     delta_j . S_j per term and vol |e_j - e_0|^2, as the pieces of e_j =
-    sqrt(mu) u_hat_j come in: S_j, one (terms, N) state, steps a level at a time."""
+    sqrt(mu) u_hat_j come in: S_j, one (terms, N) state, steps a level at a
+    time.  terms are exponential_terms' (r, left[0], right[0]) per term."""
 
-    def __init__(self, rates: np.ndarray, n_levels: int, n_total: int, vol: float):
+    def __init__(self, terms, n_levels: int, n_total: int, vol: float):
+        rates = np.array([r for r, _, _ in terms])
         self.rates, self._vol = rates, vol
         self._s = _geometric_sums(rates, n_levels - 1)[1].T[:, :, None]
         self._state = np.zeros((rates.size, n_total))
@@ -227,24 +237,19 @@ def _geometric_sums(rates: np.ndarray, J: int):
     return decay, np.cumsum(decay[:, :J], axis=1)
 
 
-def ledger_plan(kernel: RelaxationKernel, eps: float, times: np.ndarray):
-    """(histories, rates, stack): how energy_ledger weighs the lags of a
-    run over times at shift eps.  histories are the weights of w = dG and
-    w = d2G, none for a modulus with dG = 0, which has no memory; a Prony
-    modulus's ratios, rates, give the run's Prony inflows, and any other
-    modulus with memory reads the whole stack, in lag passes.
+def ledger_plan(kernel: RelaxationKernel, eps: float, times: np.ndarray) -> list:
+    """The histories by which energy_ledger weighs the lags of a run over
+    times at shift eps, for SingleRun.reduce: the weights of w = dG and w =
+    d2G, none for a modulus with dG = 0, which has no memory.
     HypothesisError for eps = 0 with a modulus unbounded at 0."""
     if eps == 0.0 and kernel.singular_at_zero:
         raise HypothesisError("eps = 0 with a modulus unbounded at 0")
     kk = translate(kernel, eps)
     # a modulus with dG = 0 has no memory: its weights would be round-off
     if not np.any(kk.modulus_dt(times)):
-        return [], None, False
+        return []
     J, dt = times.size - 1, float(times[1] - times[0])
-    histories = [HistoryConvolution.of(kk, order, J, dt) for order in (1, 2)]
-    if histories[0].backend == "exponential":
-        return histories, np.array([r for r, _, _ in histories[0].terms]), False
-    return histories, None, True
+    return [HistoryConvolution.of(kk, order, J, dt) for order in (1, 2)]
 
 
 @dataclass(frozen=True)
@@ -279,29 +284,27 @@ def energy_ledger(
     forcing=None,
 ) -> EnergyLedger:
     """Assemble the energy balance for a run of the shifted problem: a
-    stored trajectory, or a SingleRun reduced with the level sums and what
-    ledger_plan(kernel, eps, run.times) names.
+    stored trajectory, or a SingleRun reduced with forcing and the
+    histories of ledger_plan(kernel, eps, run.times).
 
     All modulus evaluations use the shifted kernel G(eps + .); eps = 0 is
     accepted only for a modulus bounded at 0.
 
     The memory and curvature columns weigh phi_j(i) = |grad(u_j - u_{j-i})|^2
-    over every lag i of every level j.  Every squared gradient is read off
-    the sine coefficients as |sqrt(mu) (u_j - u_{j-i})|^2 (grid.py).  A
-    Prony modulus gets the columns from a recursion, linear in J
+    over every lag i of every level j, read off the sine coefficients as
+    |sqrt(mu) (u_j - u_{j-i})|^2 (grid.py): they are -1/2 the reduction's
+    history_sums.  A Prony modulus gets them from a recursion, linear in J
     (_prony_history_sums).  A power-law or summed modulus has no geometric
-    weights, so it takes one pass per lag over the whole stack, O(J^2 N)
-    (_lag_pass_sums).  A modulus with dG = 0, such as a Prony kernel without
-    terms, has no memory and takes neither.
+    weights, so it takes one pass per lag over a stack of every level,
+    O(J^2 N) (_lag_pass_sums).  A modulus with dG = 0, such as a Prony
+    kernel without terms, has no memory and takes neither.
     """
-    histories, rates, _ = ledger_plan(kernel, eps, run.times)
+    histories = ledger_plan(kernel, eps, run.times)
     kk = translate(kernel, eps)
-    run = SingleRun.of(run, sums=True, forcing=forcing, rates=rates)
+    run = SingleRun.of(run, forcing=forcing, histories=histories)
 
-    grid, dt = run.grid, run.dt
-    J = run.times.size - 1
-    vol = grid.cell_volume
-    times = run.times
+    dt, times, vol = run.dt, run.times, run.grid.cell_volume
+    J = times.size - 1
 
     g_now = kk.modulus(times)
     gdot_now = kk.modulus_dt(times)
@@ -312,13 +315,7 @@ def energy_ledger(
     elastic = 0.5 * g_now * grad_sq
     rate_modulus = 0.5 * gdot_now * grad_sq
 
-    memory = np.zeros(J + 1)
-    rate_curvature = np.zeros(J + 1)
-    if rates is not None:
-        memory, rate_curvature = -0.5 * _prony_history_sums(run, [h.terms for h in histories])
-    elif histories:
-        scaled = run.coefficients.reshape(J + 1, -1) * np.sqrt(grid.eigenvalues).ravel()
-        memory, rate_curvature = -0.5 * _lag_pass_sums(scaled, vol, histories)
+    memory, rate_curvature = -0.5 * run.history_sums if histories else np.zeros((2, J + 1))
 
     stored = kinetic + elastic + memory
     residual = (stored[2:] - stored[:-2]) / (2 * dt) - (
@@ -358,9 +355,10 @@ def _lag_pass_sums(edges: np.ndarray, vol: float, histories) -> np.ndarray:
     return out
 
 
-def _prony_history_sums(run: SingleRun, weights) -> np.ndarray:
-    """_lag_pass_sums of run for a Prony modulus, one row per weight set in
-    weights, each the (r, left[0], right[0]) per term of exponential_terms.
+def _prony_history_sums(prony: _PronyInflows, vol: float, weights) -> np.ndarray:
+    """_lag_pass_sums for a Prony modulus from a run's inflows, one row per
+    weight set in weights, each the (r, left[0], right[0]) per term of
+    exponential_terms.
 
     A term's lag weights are geometric: lags[i] = c r^(i-1) with
     c = r left[0] + right[0], and oldest[j - 1] = r^(j-1) right[0] =
@@ -381,10 +379,8 @@ def _prony_history_sums(run: SingleRun, weights) -> np.ndarray:
     keeps the inflows |delta_j|^2, delta_j . S_j and vol |e_j - e_0|^2; Q is
     a scalar filter of them: O(terms J N) flops in O(J) Python steps.
     """
-    delta_sq, cross, oldest = run.prony.delta_sq, run.prony.cross, run.prony.oldest
-    J = run.times.size - 1
-    vol = run.grid.cell_volume
-    rs = np.array([r for r, _, _ in weights[0]])
+    delta_sq, cross, oldest, rs = prony.delta_sq, prony.cross, prony.oldest, prony.rates
+    J = delta_sq.size
     decay, s = _geometric_sums(rs, J)
     inflow = 2.0 * cross.T + s * delta_sq
     # Q_{j+1} = r Q_j + inflow_j from Q_0 = 0, a scalar filter per term
@@ -430,13 +426,9 @@ def calibrate_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> float:
     discretization drift at this resolution.  Scales like dt^2 + h^2.  The
     twin is marched into a ring and reduced as it goes.
     """
-    g = spec.kernel.modulus(spec.eps)
-    twin = replace(spec, kernel=PronyKernel(g, ()), eps=1.0)
-    sums = SingleRun.reduce(twin.grid, twin.times, march(twin)[2], sums=True)
-    # the twin has no memory, so its stored energy is kinetic + elastic,
-    # formed as energy_ledger forms them
-    vol = twin.grid.cell_volume
-    stored = 0.5 * vol * sums.vel_sq + 0.5 * g * (vol * sums.grad_sq)
+    twin = replace(spec, kernel=PronyKernel(spec.kernel.modulus(spec.eps), ()), eps=1.0)
+    reduction = SingleRun.reduce(twin.grid, twin.times, march(twin)[2])
+    stored = energy_ledger(reduction, twin.kernel, twin.eps).stored
     drift = max(float(np.max(np.diff(stored))), 0.0)
     floor = 1e-13 * max(float(stored[0]), 1.0)
     return safety * drift + floor
@@ -480,7 +472,7 @@ def check_energy_bound(
     forcing=None,
 ) -> BoundReport:
     """Check  0.5 |grad u|^2 + 0.5 |u_t|^2 <= gamma e^T C  at every level
-    of a stored trajectory, or of a SingleRun reduced with level sums.
+    of a stored trajectory or a SingleRun.
 
     gamma = max(1 / G(T + 1), 1) uses the unshifted modulus; requires
     eps <= 1 so the shifted modulus dominates G(T + 1) on the window, and
@@ -488,10 +480,9 @@ def check_energy_bound(
     C = 0.5 |f|^2 (space-time) + 0.5 |u1|^2 (space) covers no initial
     displacement, so a run that starts displaced is refused.
     """
+    run = SingleRun.of(run)
     T = float(run.times[-1])
-    displaced = np.any(run.coefficients[0]) if isinstance(run, TrajectorySolution) else run.displaced
-    gamma = check_bound_hypothesis(kernel, eps, T, displaced)
-    run = SingleRun.of(run, sums=True)
+    gamma = check_bound_hypothesis(kernel, eps, T, run.displaced)
     grid, dt = run.grid, run.dt
 
     # f = profile * factor: |f|^2 = |profile|^2 int factor^2

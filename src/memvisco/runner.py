@@ -46,7 +46,6 @@ from memvisco.solver import (
     RunRecord,
     SolverAbort,
     cfl_time_step,
-    level_stack,
     march,
     stable_time_step,
     stress_curve,
@@ -417,9 +416,9 @@ def _run_record(cfg: ExperimentConfig, eps: float, dt: float, facts: RunRecord, 
     times the largest eigenvalue of -lap.  A direct-backend run records the
     far history sums' fit: far_nodes terms (0 when summed directly) whose
     checked error is far_error of max |w|, w = Ksh or dG.  levels_bytes is
-    the level bytes the run held: its march's buffer, and the stack a
-    ledger's lag passes read where that is another array, or its share of
-    a sequence's buffers.
+    the level bytes the run held: its march's buffer and the e_j stack of
+    a ledger's lag passes (SingleRun.stack_bytes), or its share of a
+    sequence's buffers.
     """
     record = {
         "eps": float(eps),
@@ -451,11 +450,11 @@ def _run_single(
     skipped = {}
     ledger_on = wanted["energy_ledger"] or wanted["energy_decay"]
     bound_on = wanted["energy_bound"]
-    rates, stack = None, False
+    histories = []
     if ledger_on:
         try:
             with phases("ledger"):
-                _, rates, stack = ledger_plan(cfg.kernel, cfg.eps, spec.times)
+                histories = ledger_plan(cfg.kernel, cfg.eps, spec.times)
         except HypothesisError as exc:
             skipped.update({name: {"skipped": str(exc)} for name in ("energy_ledger", "energy_decay") if wanted[name]})
             ledger_on = False
@@ -469,24 +468,21 @@ def _run_single(
 
     # the march hands each block of levels to the reduction the audits and
     # the exports read: its time goes to their phases, the level sums' to
-    # the ledger's or else the bound's, with the time that closes and
-    # renames the exported files
+    # the ledger's, else the bound's, else the export's, with the time that
+    # closes and renames the exported files
     with phases("solve", steps=spec.n_steps):
         with _trajectory_export(out_dir, cfg, spec.grid, spec.times) as export:
             record, levels, blocks = march(spec)
-            coefficients = level_stack(spec, levels) if stack else None
             sums = SingleRun.reduce(
-                spec.grid, spec.times, blocks, ledger_on or bound_on, spec.forcing if ledger_on else None, rates,
-                battery=wanted["weak_residual"], export=export, coefficients=coefficients,
+                spec.grid, spec.times, blocks, spec.forcing if ledger_on else None, histories,
+                battery=wanted["weak_residual"], export=export,
             )
             marched = time.perf_counter()
         parts = dict(sums.seconds, export=sums.seconds.get("export", 0.0) + time.perf_counter() - marched)
-    if "sums" in parts:
-        summed = "ledger" if ledger_on else "bound"
-        parts[summed] = parts.get(summed, 0.0) + parts.pop("sums")
+    summed = "ledger" if ledger_on else "bound" if bound_on else "export"
+    parts[summed] = parts.get(summed, 0.0) + parts.pop("sums", 0.0)
     phases.split("solve", parts)
-    held = levels.nbytes + (0 if coefficients is None or coefficients is levels else coefficients.nbytes)
-    runs.append(_run_record(cfg, cfg.eps, dt, record, held))
+    runs.append(_run_record(cfg, cfg.eps, dt, record, levels.nbytes + sums.stack_bytes))
     verdicts.update(skipped)
     verdicts["dt"] = dt
     verdicts["n_steps"] = spec.n_steps

@@ -51,7 +51,6 @@ __all__ = [
     "run_block",
     "velocity_estimates",
     "march_shifts",
-    "level_stack",
     "trajectory_distance",
     "compute_stress",
     "stress_curve",
@@ -487,7 +486,8 @@ class HistoryConvolution:
 
     def __init__(self, left, right, factors=(), dt: float = 0.0):
         left = np.asarray(left, dtype=float)
-        right = np.asarray(right, dtype=float)
+        # a copy: a view would keep the caller's array of both halves alive
+        right = np.array(right, dtype=float)
         n = left.shape[-1]
         self.oldest = right
         self.lags = np.zeros(left.shape[:-1] + (n + 1,))
@@ -915,20 +915,12 @@ def march_shifts(spec: ProblemSpec, shifts):
     return records, levels.nbytes // len(records), blocks
 
 
-def level_stack(spec: ProblemSpec, levels: np.ndarray) -> np.ndarray:
-    """A (J + 1, *grid.shape) stack for every level of spec: the march's
-    buffer levels where it holds them all, else a fresh one to fill from
-    the march's blocks."""
-    if levels.shape[0] == spec.n_steps + 1:
-        return levels
-    return np.empty((spec.n_steps + 1,) + spec.grid.shape)
-
-
 def run(spec: ProblemSpec) -> TrajectorySolution:
     """Solve spec; a TrajectorySolution of every level, its march's blocks
-    copied into level_stack as they come."""
+    copied as they come into a (J + 1, *grid.shape) stack: the march's
+    buffer where it holds every level, else a fresh one."""
     record, levels, blocks = march(spec)
-    stack = level_stack(spec, levels)
+    stack = levels if levels.shape[0] == spec.n_steps + 1 else np.empty((spec.n_steps + 1,) + spec.grid.shape)
     for j0, block in blocks:
         # a copy onto itself where the stack is the march's buffer: numpy skips it
         stack[j0 : j0 + block.shape[0]] = block

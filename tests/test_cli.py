@@ -1016,6 +1016,62 @@ def test_streamed_single_run_holds_no_level_stack(tmp_path):
     assert peaks[1] - peaks[0] < 0.02 * (stacks[1] - stacks[0])
 
 
+POWERLAW_LEDGER_3D = """\
+[kernel]
+family = powerlaw
+c = 1.0
+alpha = 0.5
+
+[grid]
+dim = 3
+n = 15
+
+[time]
+horizon = 2.0
+cfl = 0.5
+
+[data]
+u1 = bump
+u1_params = {"radius": 0.3}
+
+[eps]
+eps = 0.05
+
+[diagnostics]
+energy_ledger = true
+energy_bound = true
+
+[output]
+snapshot_stride = 40
+"""
+
+
+def test_power_law_ledger_run_holds_one_level_stack(tmp_path):
+    # a 3D power-law run with the ledger and the bound at J = 235: the
+    # march's ring of level 0 and 3 W slots, and the one stack of e_j =
+    # sqrt(mu) u_hat_j that the reduction keeps for the ledger's lag passes
+    # (measured: a peak of 4.03x the (J+1, N) stack; 4.87x when the run
+    # kept a stack of its levels for the ledger, which formed e_j in a
+    # second one)
+    import tracemalloc
+
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        code = cli.main(["run", write_cfg(tmp_path, POWERLAW_LEDGER_3D), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    manifest = read_manifest(out)
+    J = manifest["verdicts"]["n_steps"]
+    assert J == 235
+    stack = 8 * (J + 1) * 15**3
+    assert manifest["runs"][0]["levels_bytes"] == 8 * (1 + 192) * 15**3 + stack
+    assert peak - entry < 4.5 * stack
+
+
 def test_aborted_march_leaves_no_trajectory(tmp_path, monkeypatch):
     # a level turns non-finite mid-run while trajectory.csv is being
     # written as the levels pass: exit 3, the abort in the manifest, and

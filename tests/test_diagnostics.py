@@ -298,6 +298,35 @@ class TestPronyRecursion:
         assert peak < 0.5 * traj.coefficients.nbytes
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [PowerLawKernel(c=1.0, alpha=0.5), KernelSum((PRONY, PowerLawKernel(c=1.0, alpha=0.5)))],
+    ids=["powerlaw", "sum"],
+)
+@pytest.mark.parametrize("grid", [Grid.line(21), Grid.box(7)], ids=["1d", "3d"])
+def test_streamed_history_sums_are_the_lag_passes_bitwise(kernel, grid):
+    # a leapfrog of J > 3 W steps marched into a ring and reduced as its
+    # blocks pass: the e_j rows the reduction keeps are sqrt(mu) u_hat_j,
+    # the product the lag passes over the stored run's coefficients take
+    from memvisco.diagnostics import SingleRun, ledger_plan
+    from memvisco.solver import march
+
+    spec = ProblemSpec(
+        kernel=kernel, grid=grid, horizon=4.0, dt=cfl_time_step(grid, kernel, 0.05, 0.5, 4.0), eps=0.05,
+        u0=Field.zero(grid), u1=field_from_name(grid, "bump", {"radius": 0.3}),
+    )
+    histories = ledger_plan(kernel, spec.eps, spec.times)
+    _, levels, blocks = march(spec)
+    streamed = SingleRun.reduce(spec.grid, spec.times, blocks, histories=histories)
+    assert levels.shape[0] < spec.n_steps + 1  # a ring, not the stack
+    traj = run(spec)
+    edges = traj.coefficients.reshape(traj.n_levels, -1) * np.sqrt(grid.eigenvalues).ravel()
+    want = _lag_pass_sums(edges, grid.cell_volume, histories)
+    assert np.abs(want).max() > 0.0
+    assert streamed.history_sums.tobytes() == want.tobytes()
+    assert streamed.stack_bytes == edges.nbytes
+
+
 class TestEnergyDecay:
     def test_admissible_kernel_passes(self):
         spec = damped_spec()
@@ -636,11 +665,12 @@ class TestStreamedMatchesStored:
                 stack.enter_context(small_march_blocks(rows))
             # the last block holds one level, or two
             assert (n_steps - 1) % run_block(spec.grid.n_total, n_steps + 1) + 1 == 2 - n_steps % 2
-            _, rates, whole = ledger_plan(spec.kernel, spec.eps, spec.times)
-            assert not whole and rates is not None
+            histories = ledger_plan(spec.kernel, spec.eps, spec.times)
+            assert histories[0].backend == "exponential"
             with _trajectory_export(tmp_path, cfg, spec.grid, spec.times) as export:
                 _, levels, blocks = march(spec)
-                streamed = SingleRun.reduce(spec.grid, spec.times, blocks, True, spec.forcing, rates, battery=True, export=export)
+                streamed = SingleRun.reduce(spec.grid, spec.times, blocks, spec.forcing, histories, battery=True, export=export)
+            assert streamed.stack_bytes == 0
             assert levels.shape[0] < n_steps + 1  # a ring that wraps
             traj = run(spec)
             args = (spec.kernel, spec.eps)

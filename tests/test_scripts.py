@@ -34,13 +34,13 @@ def test_script_imports_as_module(path):
     assert module.__name__ != "__main__"
 
 
-def run_script(name, *args):
-    """stdout of scripts/<name> run to the end against this checkout's src."""
+def run_script(name, *args, status=0):
+    """stdout of scripts/<name> run to the end against this checkout's src,
+    which must exit with status."""
     script = next(p for p in SCRIPTS if p.name == name)
     env = {**os.environ, "PYTHONPATH": str(script.parent.parent / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(script), *args], env=env, capture_output=True, text=True, check=True
-    )
+    proc = subprocess.run([sys.executable, str(script), *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == status, proc.stderr
     return proc.stdout
 
 
@@ -113,7 +113,7 @@ def test_csv_drift_reports_changed_columns(tmp_path):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text, encoding="utf-8")
     old, new = tmp_path / "old", tmp_path / "new"
-    assert run_script("csv_drift.py", str(old), str(new)).splitlines() == [
+    assert run_script("csv_drift.py", str(old), str(new), status=1).splitlines() == [
         f"run/extra.csv: only under {new}",
         "run/table.csv",
         "  t  0",
@@ -143,7 +143,7 @@ def test_csv_drift_reports_changed_npy_files(tmp_path):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         np.save(tmp_path / name, array)
     old, new = tmp_path / "old", tmp_path / "new"
-    assert run_script("csv_drift.py", str(old), str(new)).splitlines() == [
+    assert run_script("csv_drift.py", str(old), str(new), status=1).splitlines() == [
         f"run/gone.npy: only under {old}",
         "run/levels.npy",
         "  0.125",
@@ -175,7 +175,7 @@ def test_csv_drift_reports_changed_manifest_leaves(tmp_path):
         (tmp_path / name).mkdir(parents=True)
         (tmp_path / name / "manifest.json").write_text(json.dumps(payload), encoding="utf-8")
     old, new = tmp_path / "old", tmp_path / "new"
-    assert run_script("csv_drift.py", str(old), str(new)).splitlines() == [
+    assert run_script("csv_drift.py", str(old), str(new), status=1).splitlines() == [
         "a/manifest.json",
         "  verdicts.bound.gamma  2.0 -> 2.5  (0.25)",
         "  verdicts.bound.passed  true -> false",
@@ -187,3 +187,25 @@ def test_csv_drift_reports_changed_manifest_leaves(tmp_path):
         "0 .npy files compared, 0 byte-identical",
         "3 manifests compared, 1 with the same verdicts and runs",
     ]
+
+
+def test_csv_drift_exits_zero_only_on_identical_trees(tmp_path):
+    # byte-identical CSVs and .npy files and equal manifest blocks exit 0;
+    # a manifest under one root only is drift, and exits 1
+    for root in ("old", "new"):
+        run = tmp_path / root / "run"
+        run.mkdir(parents=True)
+        (run / "table.csv").write_text("t,u\n0.0,1.0\n", encoding="utf-8")
+        np.save(run / "levels.npy", np.arange(3.0))
+        (run / "manifest.json").write_text(json.dumps({"verdicts": {"dt": 0.5}, "runs": []}), encoding="utf-8")
+    old, new = tmp_path / "old", tmp_path / "new"
+    assert run_script("csv_drift.py", str(old), str(new)).splitlines() == [
+        "1 CSVs compared, 1 byte-identical",
+        "1 .npy files compared, 1 byte-identical",
+        "1 manifests compared, 1 with the same verdicts and runs",
+    ]
+    (new / "extra").mkdir()
+    (new / "extra" / "manifest.json").write_text("{}", encoding="utf-8")
+    assert run_script("csv_drift.py", str(old), str(new), status=1).splitlines()[0] == (
+        f"extra/manifest.json: only under {new}"
+    )
