@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Run every bundled config into <out-root>/<config-name>/ and summarize.
 
-Usage: run_all_configs.py [out-root]   (default: ./out next to the repo)
+Usage: run_all_configs.py [out-root [config ...]]   (default: ./out next to the repo)
+
+Config paths given after the out-root run beside the bundled configs, each
+into <out-root>/<its stem>/, so the output of any config set compares
+between two checkouts with one command each.
 
 After each config it prints one `<sha256>  <config>/<file>.csv` line per
 CSV in its run directory, so two checkouts' outputs compare byte for byte
@@ -46,7 +50,7 @@ def verdicts_digest(path: Path) -> str:
 if __name__ == "__main__":
     out_root = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "out"
     failures = []
-    for cfg in sorted((ROOT / "configs").glob("*.cfg")):
+    for cfg in sorted((ROOT / "configs").glob("*.cfg")) + [Path(arg) for arg in sys.argv[2:]]:
         out = out_root / cfg.stem
         code = main(["run", str(cfg), "--out", str(out)])
         print(f"{cfg.name}: exit {code}")

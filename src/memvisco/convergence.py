@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,14 +19,7 @@ import numpy as np
 from memvisco.diagnostics import battery_columns, battery_modes, battery_projections
 from memvisco.grid import Grid, level_squares, sine_transform, trapezoid_weights
 from memvisco.kernels import RelaxationKernel, kernel_diff_bound, translate
-from memvisco.solver import (
-    HistoryConvolution,
-    ProblemSpec,
-    RunRecord,
-    interval_weights,
-    march,
-    march_shifts,
-)
+from memvisco.solver import HistoryConvolution, ProblemSpec, RunRecord, interval_weights, march_shifts
 
 __all__ = [
     "eps_schedule",
@@ -106,27 +99,12 @@ class ShiftSequence(NamedTuple):
 
 def run_eps_sequence(base: ProblemSpec, eps0: float, ratio: float, count: int) -> ShiftSequence:
     """Run the base problem at every shift of the schedule, shared dt, and
-    reduce the runs to a ShiftSequence, each block of levels as the march
-    hands it over.
-
-    An integral_volterra sequence is marched as one stack of all its
-    shifts by march_shifts: it holds K (3 W + 1) levels, W = 64, or all of
-    them when its far sums have no tail.  A leapfrog sequence marches each
-    shift into its own ring; the K marches share N and J, and so their
-    blocks, which are stacked as they come.  Every shift's spec is built,
-    and so checks its own time step, before any of them marches, so an
-    infeasible dt fails before any work happens.  A march that aborts
-    stops the sequence: in a leapfrog sequence, the first shift to fail in
-    the earliest block that fails.
+    reduce the runs to a ShiftSequence, each block of levels as
+    march_shifts hands it over: an infeasible dt fails before any work
+    happens, and a march that aborts stops the sequence.
     """
     eps_values = eps_schedule(eps0, ratio, count)
-    if base.formulation == "integral_volterra":
-        return ShiftSequence.reduce(base.grid, base.times, eps_values, *march_shifts(base, eps_values))
-    specs = [replace(base, eps=float(e)) for e in eps_values]
-    records, rings, marches = zip(*map(march, specs))
-    blocks = ((step[0][0], np.stack([block for _, block in step])) for step in zip(*marches))
-    levels_bytes = sum(ring.nbytes for ring in rings) // len(rings)
-    return ShiftSequence.reduce(base.grid, base.times, eps_values, records, levels_bytes, blocks)
+    return ShiftSequence.reduce(base.grid, base.times, eps_values, *march_shifts(base, eps_values))
 
 
 @dataclass(frozen=True)
@@ -196,6 +174,8 @@ def cauchy_report(
 
 @dataclass(frozen=True)
 class LemmaCheckEntry:
+    """One row of lemma.csv; its fields, in order, are the columns."""
+
     eps: float
     test_function: str
     residual: float

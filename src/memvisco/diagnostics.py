@@ -259,7 +259,8 @@ class EnergyLedger:
     stored = kinetic + elastic + memory.  The residual compares the
     centered time derivative of stored against forcing_power +
     rate_modulus + rate_curvature and is defined on interior levels
-    1 .. n-1 (length n_levels - 2).
+    1 .. n-1 (length n_levels - 2).  The fields, in order, are the
+    columns of energy.csv after its level column, times written as t.
     """
 
     times: np.ndarray
@@ -399,6 +400,8 @@ def _prony_history_sums(prony: _PronyInflows, vol: float, weights) -> np.ndarray
 
 @dataclass(frozen=True)
 class DecayReport:
+    """The energy_decay verdict; its fields are the verdict's keys."""
+
     passed: bool
     tolerance: float
     max_increase: float
@@ -566,7 +569,9 @@ def default_battery(grid: Grid) -> tuple[ModeTestFunction, ...]:
 
 @dataclass(frozen=True)
 class WeakResidualEntry:
-    name: str
+    """One row of weak_residuals.csv; its fields, in order, are the columns."""
+
+    test_function: str
     direct: float  # memory term tested with the discrete laplacian of u
     moved: float  # memory term moved onto the test function
 
@@ -589,11 +594,11 @@ def weak_residual(
     once with the discrete Laplacian acting on u ('direct') and once with
     the convolution moved onto v via two integrations by parts ('moved').
     The two agree up to O(h^2) because the analytic Laplacian of v differs
-    from the stencil by that amount.  It reads a stored trajectory, or a
-    SingleRun reduced with the battery columns.
+    from the stencil by that amount.  It reads the battery columns of a
+    stored trajectory, or of a SingleRun reduced with them.
     """
-    run = SingleRun.of(run, battery=True)
     grid, dt, times = run.grid, run.dt, run.times
+    columns = run.columns if isinstance(run, SingleRun) else battery_columns(grid, run.coefficients)
     J = times.size - 1
     history = HistoryConvolution.of(translate(kernel, eps), -1, J, dt)
     if forcing is not None:
@@ -603,7 +608,7 @@ def weak_residual(
 
     vol = grid.cell_volume
     out = []
-    for v, a, y, projected in battery_projections(grid, times, run.columns, history):
+    for v, a, y, projected in battery_projections(grid, times, columns, history):
         vx = v.space_values(grid).ravel()
         ramp = times * (u1.values.ravel() @ vx) + u0.values.ravel() @ vx
         if forcing is not None:
@@ -614,7 +619,7 @@ def weak_residual(
         mu_m = grid.eigenvalues[tuple(m - 1 for m in v.modes)]
         direct = vol * (rest + mu_m * float(y @ projected))
         moved = vol * (rest - v.laplace_factor(grid) * float(y @ projected))
-        out.append(WeakResidualEntry(name=v.name, direct=direct, moved=moved))
+        out.append(WeakResidualEntry(test_function=v.name, direct=direct, moved=moved))
     return out
 
 

@@ -13,6 +13,7 @@ import resource
 import sys
 import time
 from contextlib import ExitStack, contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -332,32 +333,18 @@ def _trajectory_export(out_dir: Path, cfg: ExperimentConfig, grid, times):
 
 
 def _export_ledger(out_dir: Path, ledger) -> None:
-    header = [
-        "level",
-        "t",
-        "kinetic",
-        "elastic",
-        "memory",
-        "rate_modulus",
-        "rate_curvature",
-        "forcing_power",
-        "stored",
-        "residual",
-    ]
+    """energy.csv: the level, then the ledger's fields in order, times as t."""
+    columns = {"level": range(ledger.times.size)}
+    columns.update(("t" if f.name == "times" else f.name, getattr(ledger, f.name)) for f in fields(ledger))
     # the residual is defined on the interior levels only
-    columns = [
-        range(ledger.times.size),
-        ledger.times,
-        ledger.kinetic,
-        ledger.elastic,
-        ledger.memory,
-        ledger.rate_modulus,
-        ledger.rate_curvature,
-        ledger.forcing_power,
-        ledger.stored,
-        [None, *ledger.residual, None],
-    ]
-    _write_csv(out_dir / "energy.csv", header, columns)
+    columns["residual"] = [None, *ledger.residual, None]
+    _write_csv(out_dir / "energy.csv", list(columns), columns.values())
+
+
+def _write_entries(path: Path, entries) -> None:
+    """A CSV of report entries, one column per dataclass field, in order."""
+    names = [f.name for f in fields(entries[0])]
+    _write_csv(path, names, [[getattr(e, name) for e in entries] for name in names])
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
@@ -499,12 +486,7 @@ def _run_single(
             with phases("decay_calibration"):
                 tol = calibrate_decay_tolerance(spec, cfg.tolerances["decay_safety"])
                 decay = check_energy_decay(ledger, tol)
-            verdicts["energy_decay"] = {
-                "passed": decay.passed,
-                "tolerance": decay.tolerance,
-                "max_increase": decay.max_increase,
-                "first_violation": decay.first_violation,
-            }
+            verdicts["energy_decay"] = asdict(decay)
             ok = ok and decay.passed
 
     if bound_on:
@@ -522,11 +504,7 @@ def _run_single(
         with phases("weak_residual"):
             entries = weak_residual(sums, cfg.kernel, cfg.eps, spec.u0, spec.u1, spec.forcing)
         with phases("export"):
-            _write_csv(
-                out_dir / "weak_residuals.csv",
-                ["test_function", "direct", "moved"],
-                [[e.name for e in entries], [e.direct for e in entries], [e.moved for e in entries]],
-            )
+            _write_entries(out_dir / "weak_residuals.csv", entries)
         worst = max(max(abs(e.direct), abs(e.moved)) for e in entries)
         verdicts["weak_residual_max"] = worst
         ok = ok and worst <= cfg.tolerances["weak_tol"]
@@ -585,16 +563,7 @@ def _run_sequence(
         with phases("lemma_check"):
             entries = convergence_lemma_check(cfg.kernel, sequence)
         with phases("export"):
-            _write_csv(
-                out_dir / "lemma.csv",
-                ["eps", "test_function", "residual", "majorant"],
-                [
-                    [e.eps for e in entries],
-                    [e.test_function for e in entries],
-                    [e.residual for e in entries],
-                    [e.majorant for e in entries],
-                ],
-            )
+            _write_entries(out_dir / "lemma.csv", entries)
         within = all(e.within for e in entries)
         verdicts["lemma_check"] = {"passed": within, "entries": len(entries)}
         ok = ok and within

@@ -466,7 +466,9 @@ class HistoryConvolution:
     j = 1 .. n.  Its one table of lag weights is lags[d] = left[d] +
     right[d - 1] (lags[0] = left[0], lags[n] = right[n - 1]).  Row j weighs
     level m >= 1 by lags[j - m], and level 0 by oldest[j - 1] = right[j - 1].
-    far_sums, next_sum and adjoint read that table.
+    far_sums, next_sum and adjoint read that table.  It is held reversed,
+    (K, n + 1) with lag d in column n - d, the order _block reads, and
+    lags is a view of it.
 
     left and right may carry a leading shift axis, (K, n): one weight set
     per shift of a sequence, sharing n, as the Volterra march reads them.
@@ -490,9 +492,10 @@ class HistoryConvolution:
         right = np.array(right, dtype=float)
         n = left.shape[-1]
         self.oldest = right
-        self.lags = np.zeros(left.shape[:-1] + (n + 1,))
+        self.lags = np.zeros(left.shape[:-1] + (n + 1,))[..., ::-1]
         self.lags[..., :n] += left
         self.lags[..., 1:] += right
+        self._table = np.atleast_2d(self.lags[..., ::-1])
         self._factors, self._dt = factors, dt
         self._rows_summed = 0
 
@@ -538,26 +541,20 @@ class HistoryConvolution:
         y[1:] = np.correlate(a[1:], self.lags[:n], "full")[n - 1 : 2 * n - 1]
         return y
 
-    @cached_property
-    def _toeplitz(self) -> np.ndarray:
-        """lags as (K, n + 1), reversed: lag d in column n - d."""
-        return np.ascontiguousarray(np.atleast_2d(self.lags)[:, ::-1])
-
     def _block(self, j0: int, j1: int, m0: int, m1: int) -> np.ndarray:
         """(K, j1 - j0, m1 - m0) weights of the rows j0 .. j1 - 1 on the
         levels m0 .. m1 - 1, 0 < m0 < m1 <= j0 + 1, the rows' own entries."""
-        # row j on level m weighs lag j - m: in the reversed Toeplitz lags
-        # its weights start at column n - j + m0, one column less per row
-        start = self._toeplitz.shape[1] - 1 - j0 + m0
+        # row j on level m weighs lag j - m: in the reversed table its
+        # weights start at column n - j + m0, one column less per row
+        table = self._table
+        start = table.shape[1] - 1 - j0 + m0
         if j1 - j0 == 1:
-            return self._toeplitz[:, None, start : start + m1 - m0]
+            return table[:, None, start : start + m1 - m0]
         rows, cols = j1 - j0, m1 - m0
         # row j0 + rows - 1 first, then a copy in row order for the product
-        stride = self._toeplitz.strides
+        stride = table.strides
         return np.lib.stride_tricks.as_strided(
-            self._toeplitz[:, start - rows + 1 :],
-            (self._toeplitz.shape[0], rows, cols),
-            (stride[0], stride[1], stride[1]),
+            table[:, start - rows + 1 :], (table.shape[0], rows, cols), (stride[0], stride[1], stride[1])
         )[:, ::-1].copy()
 
     @cached_property
@@ -694,6 +691,17 @@ class _ExponentialHistory:
         return sum(self._states[1:], self._states[0])
 
 
+def _finished(block: np.ndarray, j0: int, shifts) -> np.ndarray:
+    """block, the levels j0 .. of every shift in shifts, (K, rows, ...),
+    once every value is finite; else SolverAbort at its first non-finite
+    row, naming the first shift that fails on that row."""
+    finite = np.isfinite(block.reshape(block.shape[:2] + (-1,))).all(axis=2)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=0)))
+        raise SolverAbort(j0 + row, "non-finite values", float(shifts[np.argmin(finite[:, row])]))
+    return block
+
+
 # ---------------------------------------------------------------------------
 # integro-differential leapfrog
 # ---------------------------------------------------------------------------
@@ -703,7 +711,8 @@ def _march_leapfrog(spec: ProblemSpec, history, levels: np.ndarray, rows: int):
     """March spec into levels, (1 + R, *grid.shape): level 0, then level
     m >= 1 in slot 1 + (m - 1) % R, R a multiple of rows or J.  A generator
     of the finished blocks, (j0, the levels j0 .. j1 - 1), level 0 first,
-    then rows at a time: views that the march writes over later.
+    then rows at a time: views that the march writes over later.  A block
+    with a non-finite value aborts the march (_finished).
 
         u_{j+1} = 2 u_j - u_{j-1} + dt^2 (-mu (g0 u_j + H_j) + f_j)
 
@@ -717,14 +726,14 @@ def _march_leapfrog(spec: ProblemSpec, history, levels: np.ndarray, rows: int):
     profile, factor = spec.forcing_parts()
     p, u0, u1 = (sine_transform(grid, f) for f in (profile, spec.u0.values, spec.u1.values))
     levels[0] = u0
-    yield 0, levels[:1]
+    yield 0, _finished(levels[None, :1], 0, [spec.eps])[0]
     levels[1] = u0 + dt * u1 + 0.5 * dt * dt * (g0 * (minus_mu * u0) + factor[0] * p)
     accel, push = np.empty((2,) + shape)
     for j in range(1, J + 1):
         if j % rows == 0 or j == J:
             j0 = j - (j - 1) % rows
             slot = 1 + (j0 - 1) % ring
-            yield j0, levels[slot : slot + j + 1 - j0]
+            yield j0, _finished(levels[None, slot : slot + j + 1 - j0], j0, [spec.eps])[0]
         if j == J:
             return
         current = levels[1 + (j - 1) % ring]
@@ -738,8 +747,6 @@ def _march_leapfrog(spec: ProblemSpec, history, levels: np.ndarray, rows: int):
         np.multiply(current, 2.0, out=new)
         new -= levels[0 if j == 1 else 1 + (j - 2) % ring]
         new += accel
-        if not np.isfinite(new).all():
-            raise SolverAbort(j + 1, "non-finite values (instability or overflow)", spec.eps)
 
 
 def run_block(n_total: int, n_levels: int) -> int:
@@ -749,7 +756,7 @@ def run_block(n_total: int, n_levels: int) -> int:
     _BLOCK_BYTES, else the smallest such divisor.  1 MiB was measured: 4
     levels of 31^3 nodes held 9 MiB less than 16, and were no faster."""
     W = _MARCH_ROWS
-    sizes = [W // k for k in range(1, W // 3 + 1) if W % k == 0] or [W]
+    sizes = [W // k for k in range(1, W // 3 + 1) if W % k == 0]
     fits = (b for b in sizes if 8 * b * n_total <= _BLOCK_BYTES and 8 * b <= n_levels)
     return next(fits, sizes[-1])
 
@@ -760,9 +767,9 @@ def march(spec: ProblemSpec):
     level 0 first: views that the march writes over later.
 
     levels is a ring of level 0 and the slots the march reads: for the
-    leapfrog's exponential history a block of run_block levels, or three
-    when a block holds two; for a direct history with a tail, and for the
-    Volterra march, the 3 _MARCH_ROWS levels the far sums reach.  A direct
+    leapfrog's exponential history a block of run_block levels; for a
+    direct history with a tail, and for the Volterra march, the
+    3 _MARCH_ROWS levels the far sums reach.  A direct
     history without a tail reads every level, so there it is the whole
     (J + 1, *grid.shape) stack.
     """
@@ -776,8 +783,9 @@ def march(spec: ProblemSpec):
     if history.backend == "direct":
         ring = J if history.tail is None else min(3 * _MARCH_ROWS, J)
     else:
-        # the step reads the two newest levels and writes a third slot
-        ring = min(rows * -(-3 // rows), J)
+        # the step reads the two newest levels and writes a third slot: a
+        # block holds four or more
+        ring = min(rows, J)
     levels = np.empty((1 + ring,) + spec.grid.shape)
     record = RunRecord(spec.fingerprint(), history_backend=history.backend, **_far_fit(history.tail))
     return record, levels, _march_leapfrog(spec, history, levels, rows)
@@ -850,7 +858,7 @@ def _march_volterra(spec: ProblemSpec, shifts: np.ndarray, history: HistoryConvo
     c2 = double_trapezoid(factor, dt)
     times = spec.times
     stack[:, 0] = u0
-    yield 0, levels[:, :1]
+    yield 0, _finished(levels[:, :1], 0, shifts)
 
     data = np.empty((W, stack.shape[2]))
     h = np.empty((K, 1, stack.shape[2]))
@@ -869,11 +877,7 @@ def _march_volterra(spec: ProblemSpec, shifts: np.ndarray, history: HistoryConvo
             np.matmul(table[:, :, W - 1 - i :], rows[:, : i + 1], out=h)
             h *= minus_mu
             np.divide(h, denominator, out=rows[:, i : i + 1])
-        finite = np.isfinite(rows).all(axis=2)
-        if not finite.all():
-            row = int(np.argmin(finite.all(axis=0)))
-            raise SolverAbort(j0 + row, "non-finite values", float(shifts[np.argmin(finite[:, row])]))
-        yield j0, levels[:, slot : slot + j1 - j0]
+        yield j0, _finished(levels[:, slot : slot + j1 - j0], j0, shifts)
 
 
 def _volterra(spec: ProblemSpec, shifts):
@@ -904,15 +908,27 @@ def _volterra(spec: ProblemSpec, shifts):
 
 
 def march_shifts(spec: ProblemSpec, shifts):
-    """(records, levels_bytes, blocks): an integral_volterra spec marched
-    at every shift eps in shifts without keeping its levels.  records
-    holds each run's RunRecord, levels_bytes each run's share of the ring
-    (3 _MARCH_ROWS + 1 levels with a tail, J + 1 without), and blocks
-    yields (j0, the levels j0 .. j1 - 1 of every shift), level 0 first,
-    then _MARCH_ROWS at a time: views that the march writes over later.
+    """(records, levels_bytes, blocks): spec marched at every shift eps in
+    shifts without keeping its levels.  records holds each run's
+    RunRecord, levels_bytes each run's mean share of the level buffers,
+    and blocks yields (j0, the levels j0 .. j1 - 1 of every shift), level
+    0 first: views that the march writes over later.
+
+    An integral_volterra spec marches as one stack of all its shifts, of
+    3 _MARCH_ROWS + 1 levels each with a tail and J + 1 without.  A
+    leapfrog spec marches each shift into its own ring; the K marches
+    share N and J, and so their blocks, which are stacked as they come.
+    Every shift's spec is built, and so checks its own time step, before
+    any of them marches.  An abort stops every shift: in a leapfrog
+    batch, the first shift to fail in the earliest block that fails.
     """
-    records, levels, blocks = _volterra(spec, shifts)
-    return records, levels.nbytes // len(records), blocks
+    if spec.formulation == "integral_volterra":
+        records, levels, blocks = _volterra(spec, shifts)
+        return records, levels.nbytes // len(records), blocks
+    specs = [replace(spec, eps=float(e)) for e in shifts]
+    records, rings, marches = zip(*map(march, specs))
+    blocks = ((step[0][0], np.stack([block for _, block in step])) for step in zip(*marches))
+    return records, sum(ring.nbytes for ring in rings) // len(rings), blocks
 
 
 def run(spec: ProblemSpec) -> TrajectorySolution:

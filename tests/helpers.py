@@ -833,7 +833,7 @@ def reference_weak_residual(
         moved = vol * float(
             np.dot(wt * vt, defect_rest @ vx) - lam * np.dot(wt * vt, conv_u @ vx)
         )
-        out.append(WeakResidualEntry(name=v.name, direct=direct, moved=moved))
+        out.append(WeakResidualEntry(test_function=v.name, direct=direct, moved=moved))
     return out
 
 

@@ -1091,9 +1091,32 @@ def test_aborted_march_leaves_no_trajectory(tmp_path, monkeypatch):
         assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 3
     manifest = read_manifest(out)
     assert manifest["abort"]["type"] == "SolverAbort"
-    assert manifest["abort"]["message"].startswith("aborted at step 31 ")
+    assert manifest["abort"]["message"] == "aborted at step 31 of the run at eps = 0.05: non-finite values"
     assert manifest["verdicts"] == {"aborted": True} and manifest["runs"] == []
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_audit_csv_headers_and_decay_keys_are_pinned(tmp_path):
+    # energy.csv, weak_residuals.csv, lemma.csv and the energy_decay
+    # verdict are written from the fields of their reports (EnergyLedger,
+    # WeakResidualEntry, LemmaCheckEntry, DecayReport): a reordered or
+    # renamed field must not change what a reader of the files finds
+    every = "\n[diagnostics]\nenergy_ledger = true\nenergy_decay = true\nweak_residual = true\n"
+    single = PRONY_TERMS.format(terms="[[0.5, 2.0]]") + every
+    sequence = SEQUENCE + "\n[diagnostics]\nlemma_check = true\n"
+    for name, text in (("single", single), ("sequence", sequence)):
+        assert cli.main(["run", write_cfg(tmp_path, text, f"{name}.cfg"), "--out", str(tmp_path / name)]) == 0
+
+    def header(path):
+        return path.read_text(encoding="utf-8").split("\n", 1)[0]
+
+    assert header(tmp_path / "single" / "energy.csv") == (
+        "level,t,kinetic,elastic,memory,rate_modulus,rate_curvature,forcing_power,stored,residual"
+    )
+    assert header(tmp_path / "single" / "weak_residuals.csv") == "test_function,direct,moved"
+    assert header(tmp_path / "sequence" / "lemma.csv") == "eps,test_function,residual,majorant"
+    decay = read_manifest(tmp_path / "single")["verdicts"]["energy_decay"]
+    assert list(decay) == ["first_violation", "max_increase", "passed", "tolerance"]
 
 
 @pytest.mark.parametrize("export_format", ["binary", "both"])

@@ -23,6 +23,7 @@ from helpers import (
 from memvisco.diagnostics import (
     HypothesisError,
     ModeTestFunction,
+    SingleRun,
     _lag_pass_sums,
     battery_columns,
     battery_projections,
@@ -579,11 +580,27 @@ class TestWeakResidualProjection:
         # direct is a cancellation of O(1) terms: bound the deviation by
         # the size of the terms summed, not by the residual
         scales = weak_term_magnitudes(*args)
-        assert [e.name for e in got] == [e.name for e in want]
+        assert [e.test_function for e in got] == [e.test_function for e in want]
         for g, w, scale in zip(got, want, scales):
-            assert abs(g.direct - w.direct) <= 1e-12 * scale, g.name
-            assert abs(g.moved - w.moved) <= 1e-12 * scale, g.name
+            assert abs(g.direct - w.direct) <= 1e-12 * scale, g.test_function
+            assert abs(g.moved - w.moved) <= 1e-12 * scale, g.test_function
         assert max(abs(e.moved) for e in want) > 1e-6  # not a trivial run
+
+    def test_stored_run_forms_no_level_sums(self, monkeypatch):
+        # a stored run's residual reads its battery columns straight from its
+        # coefficients: no velocity is formed, and the entries are those of
+        # the run reduced with the battery columns, bit for bit
+        spec = damped_spec(forcing=Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 4.0}))
+        traj = run(spec)
+        args = (spec.kernel, spec.eps, spec.u0, spec.u1, spec.forcing)
+        want = weak_residual(SingleRun.of(traj, battery=True), *args)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the stored run's residual formed velocities")
+
+        monkeypatch.setattr("memvisco.diagnostics.velocity_estimates", refuse)
+        got = weak_residual(traj, *args)
+        assert repr(got) == repr(want)
 
     def test_forced_run_holds_no_level_stack(self):
         import tracemalloc

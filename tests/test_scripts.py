@@ -98,6 +98,23 @@ def test_run_all_configs_prints_a_verdicts_digest_per_config(all_configs):
     assert printed_digests(stdout, "/verdicts") == want
 
 
+def test_run_all_configs_runs_extra_configs_beside_the_bundled_ones(tmp_path):
+    # a config path after the out-root runs into <out-root>/<its stem>/ and
+    # gets its digest lines; a copy of a bundled config digests alike
+    bundled = SCRIPTS[0].parent.parent / "configs" / "stress_relaxation.cfg"
+    extra = tmp_path / "extra_stress.cfg"
+    extra.write_text(bundled.read_text(encoding="utf-8"), encoding="utf-8")
+    out_root = tmp_path / "out"
+    stdout = run_script("run_all_configs.py", str(out_root), str(extra))
+    written = out_root / "extra_stress" / "stress.csv"
+    csvs, verdicts = printed_digests(stdout, ".csv"), printed_digests(stdout, "/verdicts")
+    assert csvs["extra_stress/stress.csv"] == hashlib.sha256(written.read_bytes()).hexdigest()
+    assert csvs["extra_stress/stress.csv"] == csvs["stress_relaxation/stress.csv"]
+    assert verdicts["extra_stress/verdicts"] == verdicts["stress_relaxation/verdicts"]
+    assert len(verdicts) == 6
+    assert stdout.splitlines()[-1] == "all configs passed"
+
+
 def test_csv_drift_reports_changed_columns(tmp_path):
     # per CSV whose bytes differ, max |new - old| / max |old| of each
     # numeric column; text columns, byte-identical CSVs and CSVs under one

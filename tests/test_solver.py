@@ -500,8 +500,9 @@ def test_volterra_sequence_holds_no_history():
 
 def test_history_weights_hold_no_pair_array():
     # the benchmark sequence's weights for its 7 shifts at J = 8,000 hold
-    # three (K, J) tables, lags, oldest and the reversed lags the blocks
-    # read, and the tail's few terms (measured: 3.02x lags; 4.02x when
+    # two (K, J) tables, the lags (stored once, reversed, the order the
+    # blocks read) and oldest, and the tail's few terms (measured: 2.02x
+    # lags; 3.02x with a reversed copy of lags beside them, and 4.02x when
     # oldest was a view into interval_weights' (K, 2, J) pairs)
     J = 8000
     kernels = [translate(PowerLawKernel(c=1.0, alpha=0.5), 0.1 * 0.5**h) for h in range(7)]
@@ -509,11 +510,13 @@ def test_history_weights_hold_no_pair_array():
     try:
         entry = tracemalloc.get_traced_memory()[0]
         history = HistoryConvolution.of(kernels, -1, J, 1.0 / J)
-        assert history.tail is not None and history._toeplitz.shape == (7, J + 1)
+        # the weights of a block's rows, as the march reads them
+        assert history.tail is not None and history._block(65, 129, 1, 65).shape == (7, 64, 64)
         held = tracemalloc.get_traced_memory()[0] - entry
     finally:
         tracemalloc.stop()
-    assert held < 3.5 * history.lags.nbytes
+    assert held < 2.5 * history.lags.nbytes
+    assert history.lags.base.shape == (7, J + 1)
 
 
 def test_powerlaw_leapfrog_holds_no_history():
