@@ -19,7 +19,7 @@ import numpy as np
 from memvisco.diagnostics import battery_columns, battery_modes, battery_projections
 from memvisco.grid import Grid, level_squares, sine_transform, trapezoid_weights
 from memvisco.kernels import RelaxationKernel, kernel_diff_bound, translate
-from memvisco.solver import HistoryConvolution, ProblemSpec, RunRecord, interval_weights, march_shifts
+from memvisco.solver import HistoryConvolution, ProblemSpec, RunRecord, interval_weights, march
 
 __all__ = [
     "eps_schedule",
@@ -99,12 +99,13 @@ class ShiftSequence(NamedTuple):
 
 def run_eps_sequence(base: ProblemSpec, eps0: float, ratio: float, count: int) -> ShiftSequence:
     """Run the base problem at every shift of the schedule, shared dt, and
-    reduce the runs to a ShiftSequence, each block of levels as
-    march_shifts hands it over: an infeasible dt fails before any work
-    happens, and a march that aborts stops the sequence.
+    reduce the runs to a ShiftSequence, each block of levels as march
+    hands it over: an infeasible dt fails before any work happens, and a
+    march that aborts stops the sequence.
     """
     eps_values = eps_schedule(eps0, ratio, count)
-    return ShiftSequence.reduce(base.grid, base.times, eps_values, *march_shifts(base, eps_values))
+    runs, levels, blocks = march(base, eps_values)
+    return ShiftSequence.reduce(base.grid, base.times, eps_values, runs, levels.nbytes // len(runs), blocks)
 
 
 @dataclass(frozen=True)

@@ -71,21 +71,23 @@ class SingleRun(NamedTuple):
     """What the audits of one run keep of its levels.  Per level j, by
     Parseval and unscaled by the cell volume: grad_sq[j] = |e_j|^2 = sum mu
     u_hat_j^2, vel_sq[j] = |v_j|^2 and power[j] = v_j . p, e_j the edge
-    differences, v_j the velocities and p the forcing profile, 0 without
-    one.  columns holds the battery_columns, and history_sums the (2, J +
-    1) sums sum_i W_j(i) vol |e_j - e_{j-i}|^2 of the ledger's histories
-    (ledger_plan's), None unless asked for; stack_bytes counts the e_j
-    stack their lag passes read, 0 for a Prony modulus, whose sums step
-    with the levels.  displaced tells whether level 0 is nonzero, and
-    seconds is the reduction's wall time by what it formed: the level
-    "sums", and the "ledger", "weak_residual" and "export" work."""
+    differences, v_j the velocities and p the forcing profile.  columns
+    holds the battery_columns, and history_sums the (2, J + 1) sums sum_i
+    W_j(i) vol |e_j - e_{j-i}|^2 of the ledger's histories (ledger_plan's).
+    power, columns and history_sums are None unless asked for, and an
+    audit that reads one refuses a run without it (require).  stack_bytes
+    counts the e_j stack their lag passes read, 0 for a Prony modulus,
+    whose sums step with the levels.  displaced tells whether level 0 is
+    nonzero, and seconds is the reduction's wall time by what it formed:
+    the level "sums", and the "ledger", "weak_residual" and "export"
+    work."""
 
     grid: Grid
     times: np.ndarray
     displaced: bool
     grad_sq: np.ndarray
     vel_sq: np.ndarray
-    power: np.ndarray
+    power: np.ndarray | None
     columns: np.ndarray | None
     history_sums: np.ndarray | None
     stack_bytes: int
@@ -95,14 +97,25 @@ class SingleRun(NamedTuple):
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    def require(self, audit: str, **parts: bool) -> SingleRun:
+        """self, or ValueError naming each of parts, reduce's forcing,
+        histories and battery, that audit reads (True) and the reduction
+        was made without."""
+        held = {"forcing": self.power, "histories": self.history_sums, "battery": self.columns}
+        missing = [part for part, read in parts.items() if read and held[part] is None]
+        if missing:
+            raise ValueError(f"{audit} reads a SingleRun reduced with {' and '.join(missing)}, and this one was not")
+        return self
+
     @classmethod
     def reduce(cls, grid, times, blocks, forcing=None, histories=None, battery=False, export=None) -> SingleRun:
         """The reduction of a run whose levels come in blocks (j0, the levels
-        j0 .. j1 - 1), level 0 first, as march hands them over.  forcing
-        gives the power; histories, ledger_plan's, the history sums, from
-        the Prony inflows a level at a time for a Prony modulus, else by
-        lag passes over a stack of every e_j once the last block is in;
-        export(j, u_hat_j, v_hat_j) is called with every level.
+        j0 .. j1 - 1), level 0 first, as march hands them over for one
+        shift, each read as (rows, N).  forcing gives the power;
+        histories, ledger_plan's, the history sums, from the Prony inflows
+        a level at a time for a Prony modulus, else by lag passes over a
+        stack of every e_j once the last block is in; export(j, u_hat_j,
+        v_hat_j) is called with every level.
 
         Pieces of run_block levels are reduced, so a streamed run and its
         stored levels are summed alike.  A level is reduced once the next is
@@ -111,7 +124,8 @@ class SingleRun(NamedTuple):
         taken in another order."""
         n, dt, vol = times.size, float(times[1] - times[0]), grid.cell_volume
         root_mu = np.sqrt(grid.eigenvalues).ravel()
-        grad_sq, vel_sq, power = (np.zeros(n) for _ in range(3))
+        grad_sq, vel_sq = np.zeros(n), np.zeros(n)
+        power = None if forcing is None else np.zeros(n)
         profile = None if forcing is None else sine_transform(grid, forcing.profile(grid)).ravel()
         columns = np.empty((n, len(battery_modes(grid)))) if battery else None
         prony = edges = None
@@ -136,7 +150,7 @@ class SingleRun(NamedTuple):
         done = 0  # the levels 0 .. done - 1 are reduced
         displaced = False
         for j0, block in blocks:
-            block = block.reshape(block.shape[0], -1)
+            block = block.reshape(-1, grid.n_total)
             if j0 == 0:
                 displaced = bool(np.any(block[0]))
             for a in range(j0, j0 + block.shape[0], rows):
@@ -303,6 +317,7 @@ def energy_ledger(
     histories = ledger_plan(kernel, eps, run.times)
     kk = translate(kernel, eps)
     run = SingleRun.of(run, forcing=forcing, histories=histories)
+    run.require("energy_ledger", forcing=forcing is not None, histories=bool(histories))
 
     dt, times, vol = run.dt, run.times, run.grid.cell_volume
     J = times.size - 1
@@ -312,7 +327,7 @@ def energy_ledger(
 
     grad_sq = run.grad_sq * vol
     kinetic = run.vel_sq * (0.5 * vol)
-    forcing_power = run.power if forcing is None else run.power * (vol * forcing.factor(times))
+    forcing_power = np.zeros(J + 1) if forcing is None else run.power * (vol * forcing.factor(times))
     elastic = 0.5 * g_now * grad_sq
     rate_modulus = 0.5 * gdot_now * grad_sq
 
@@ -598,7 +613,8 @@ def weak_residual(
     stored trajectory, or of a SingleRun reduced with them.
     """
     grid, dt, times = run.grid, run.dt, run.times
-    columns = run.columns if isinstance(run, SingleRun) else battery_columns(grid, run.coefficients)
+    single = isinstance(run, SingleRun)
+    columns = run.require("weak_residual", battery=True).columns if single else battery_columns(grid, run.coefficients)
     J = times.size - 1
     history = HistoryConvolution.of(translate(kernel, eps), -1, J, dt)
     if forcing is not None:

@@ -459,7 +459,7 @@ def _run_single(
     # closes and renames the exported files
     with phases("solve", steps=spec.n_steps):
         with _trajectory_export(out_dir, cfg, spec.grid, spec.times) as export:
-            record, levels, blocks = march(spec)
+            (record,), levels, blocks = march(spec)
             sums = SingleRun.reduce(
                 spec.grid, spec.times, blocks, spec.forcing if ledger_on else None, histories,
                 battery=wanted["weak_residual"], export=export,

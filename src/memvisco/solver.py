@@ -50,7 +50,6 @@ __all__ = [
     "march",
     "run_block",
     "velocity_estimates",
-    "march_shifts",
     "trajectory_distance",
     "compute_stress",
     "stress_curve",
@@ -693,8 +692,11 @@ class _ExponentialHistory:
 
 def _finished(block: np.ndarray, j0: int, shifts) -> np.ndarray:
     """block, the levels j0 .. of every shift in shifts, (K, rows, ...),
-    once every value is finite; else SolverAbort at its first non-finite
-    row, naming the first shift that fails on that row."""
+    once every value is finite; else SolverAbort at its earliest non-finite
+    step, naming the first shift that fails there.  The rows are scanned
+    only where the sum is not finite, as it is unless a value is not."""
+    if np.isfinite(block.sum()):
+        return block
     finite = np.isfinite(block.reshape(block.shape[:2] + (-1,))).all(axis=2)
     if not finite.all():
         row = int(np.argmin(finite.all(axis=0)))
@@ -707,46 +709,55 @@ def _finished(block: np.ndarray, j0: int, shifts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _march_leapfrog(spec: ProblemSpec, history, levels: np.ndarray, rows: int):
-    """March spec into levels, (1 + R, *grid.shape): level 0, then level
-    m >= 1 in slot 1 + (m - 1) % R, R a multiple of rows or J.  A generator
-    of the finished blocks, (j0, the levels j0 .. j1 - 1), level 0 first,
-    then rows at a time: views that the march writes over later.  A block
-    with a non-finite value aborts the march (_finished).
+def _march_leapfrog(specs, histories, levels: np.ndarray, rows: int):
+    """March every spec of specs, one problem at K shifts, with its
+    history, into levels, (K, 1 + R, *grid.shape): per shift level 0, then
+    level m >= 1 in slot 1 + (m - 1) % R, R a multiple of rows or J.  A
+    generator of the finished blocks, (j0, the levels j0 .. j1 - 1 of
+    every shift), level 0 first, then rows at a time: views that the march
+    writes over later.  A block with a non-finite value aborts the march
+    (_finished).
 
         u_{j+1} = 2 u_j - u_{j-1} + dt^2 (-mu (g0 u_j + H_j) + f_j)
 
     in sine coefficients, H_j = history.next_sum of the levels 0 .. j.
+    Each step takes the shifts one at a time, each with its own g0 and
+    history: at N = 99 a step is mostly Python calls, and one product over
+    a shift axis cost more than it saved.
     """
+    spec = specs[0]
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
-    ring = levels.shape[0] - 1
-    g0 = spec.kernel.modulus(spec.eps)
-    shape = grid.shape
+    ring = levels.shape[1] - 1
+    shifts = [s.eps for s in specs]
     minus_mu = -grid.eigenvalues
     profile, factor = spec.forcing_parts()
     p, u0, u1 = (sine_transform(grid, f) for f in (profile, spec.u0.values, spec.u1.values))
-    levels[0] = u0
-    yield 0, _finished(levels[None, :1], 0, [spec.eps])[0]
-    levels[1] = u0 + dt * u1 + 0.5 * dt * dt * (g0 * (minus_mu * u0) + factor[0] * p)
-    accel, push = np.empty((2,) + shape)
+    lanes = [(lane, s.kernel.modulus(s.eps), history) for lane, s, history in zip(levels, specs, histories)]
+    levels[:, 0] = u0
+    yield 0, _finished(levels[:, :1], 0, shifts)
+    for lane, g0, _ in lanes:
+        lane[1] = u0 + dt * u1 + 0.5 * dt * dt * (g0 * (minus_mu * u0) + factor[0] * p)
+    accel, push = np.empty((2,) + grid.shape)
     for j in range(1, J + 1):
         if j % rows == 0 or j == J:
             j0 = j - (j - 1) % rows
             slot = 1 + (j0 - 1) % ring
-            yield j0, _finished(levels[None, slot : slot + j + 1 - j0], j0, [spec.eps])[0]
+            yield j0, _finished(levels[:, slot : slot + j + 1 - j0], j0, shifts)
         if j == J:
             return
-        current = levels[1 + (j - 1) % ring]
-        np.multiply(current, g0, out=accel)
-        # the rows 1 .. J - 1: the last step reads no history sum
-        accel += history.next_sum(levels[: 1 + min(j, ring)]).reshape(shape)
-        accel *= minus_mu
-        accel += np.multiply(p, factor[j], out=push)
-        accel *= dt * dt
-        new = levels[1 + j % ring]
-        np.multiply(current, 2.0, out=new)
-        new -= levels[0 if j == 1 else 1 + (j - 2) % ring]
-        new += accel
+        np.multiply(p, factor[j], out=push)
+        for lane, g0, history in lanes:
+            current = lane[1 + (j - 1) % ring]
+            np.multiply(current, g0, out=accel)
+            # the rows 1 .. J - 1: the last step reads no history sum
+            accel += history.next_sum(lane[: 1 + min(j, ring)]).reshape(grid.shape)
+            accel *= minus_mu
+            accel += push
+            accel *= dt * dt
+            new = lane[1 + j % ring]
+            np.multiply(current, 2.0, out=new)
+            new -= lane[0 if j == 1 else 1 + (j - 2) % ring]
+            new += accel
 
 
 def run_block(n_total: int, n_levels: int) -> int:
@@ -761,39 +772,59 @@ def run_block(n_total: int, n_levels: int) -> int:
     return next(fits, sizes[-1])
 
 
-def march(spec: ProblemSpec):
-    """(record, levels, blocks) of spec: its RunRecord, the level buffer and
-    the march's generator of finished blocks, (j0, the levels j0 .. j1 - 1),
-    level 0 first: views that the march writes over later.
+def march(spec: ProblemSpec, shifts=None):
+    """(records, levels, blocks): spec marched at every shift eps in
+    shifts, [spec.eps] by default, as one march of K shifts.  records
+    holds each shift's RunRecord, levels is the level buffer, (K, 1 + R,
+    *grid.shape), and blocks the march's generator of finished blocks,
+    (j0, the levels j0 .. j1 - 1 of every shift), level 0 first: views
+    that the march writes over later.
 
-    levels is a ring of level 0 and the slots the march reads: for the
-    leapfrog's exponential history a block of run_block levels; for a
-    direct history with a tail, and for the Volterra march, the
-    3 _MARCH_ROWS levels the far sums reach.  A direct
-    history without a tail reads every level, so there it is the whole
-    (J + 1, *grid.shape) stack.
+    levels holds each shift's level 0 and a ring of the R slots the march
+    reads: for the leapfrog's exponential history a block of run_block
+    levels; for direct histories with a tail, the 3 _MARCH_ROWS levels the
+    far sums reach.  A direct history without a tail reads every level, so
+    where any shift's fit is refused R = J, the whole stack.  Every
+    shift's spec is built, and so checks its own time step, before any of
+    them marches.  An abort stops every shift, and names the earliest
+    non-finite step and the first shift that fails at it.
     """
-    if spec.formulation == "integral_volterra":
-        records, levels, blocks = _volterra(spec, [spec.eps])
-        return records[0], levels[0], ((j0, block[0]) for j0, block in blocks)
-    J = spec.n_steps
-    # the rows 1 .. J - 1: the last step reads no history sum
-    history = HistoryConvolution.of(translate(spec.kernel, spec.eps), 1, J - 1, spec.dt)
-    rows = run_block(spec.grid.n_total, J + 1)
-    if history.backend == "direct":
-        ring = J if history.tail is None else min(3 * _MARCH_ROWS, J)
+    grid, J, dt = spec.grid, spec.n_steps, spec.dt
+    shifts = [spec.eps] if shifts is None else [float(e) for e in shifts]
+    specs = [spec if e == spec.eps else replace(spec, eps=e) for e in shifts]
+    volterra = spec.formulation == "integral_volterra"
+    if volterra:
+        # kernel factor Ksh(s), the integral of each shifted modulus
+        history = HistoryConvolution.of([translate(spec.kernel, e) for e in shifts], -1, J, dt)
+        top = float(grid.eigenvalues.max())
+        records = [
+            RunRecord(s.fingerprint(), float(history.lags[k, 0]) * top, **_history_record(history, k))
+            for k, s in enumerate(specs)
+        ]
+        histories, rows = [history], _MARCH_ROWS
     else:
+        # the rows 1 .. J - 1: the last step reads no history sum
+        histories = [HistoryConvolution.of(translate(spec.kernel, e), 1, J - 1, dt) for e in shifts]
+        records = [RunRecord(s.fingerprint(), **_history_record(h)) for s, h in zip(specs, histories)]
+        rows = run_block(grid.n_total, J + 1)
+    if histories[0].backend == "exponential":
         # the step reads the two newest levels and writes a third slot: a
         # block holds four or more
         ring = min(rows, J)
-    levels = np.empty((1 + ring,) + spec.grid.shape)
-    record = RunRecord(spec.fingerprint(), history_backend=history.backend, **_far_fit(history.tail))
-    return record, levels, _march_leapfrog(spec, history, levels, rows)
+    else:
+        ring = min(3 * _MARCH_ROWS, J) if all(h.tail is not None for h in histories) else J
+    levels = np.empty((len(shifts), 1 + ring) + grid.shape)
+    if volterra:
+        return records, levels, _march_volterra(spec, shifts, history, levels)
+    return records, levels, _march_leapfrog(specs, histories, levels, rows)
 
 
-def _far_fit(tail: _ExponentialTail | None, k: int = 0) -> dict:
-    """TrajectorySolution's far_nodes and far_error for weight set k."""
-    return {} if tail is None else {"far_nodes": tail.ratios.size, "far_error": float(tail.error[k])}
+def _history_record(history, k: int = 0) -> dict:
+    """What a RunRecord reads of history, for its weight set k: the
+    history_backend, and far_nodes and far_error where the far sums have a tail."""
+    tail = history.tail
+    fit = {} if tail is None else {"far_nodes": tail.ratios.size, "far_error": float(tail.error[k])}
+    return {"history_backend": history.backend, **fit}
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +832,7 @@ def _far_fit(tail: _ExponentialTail | None, k: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _march_volterra(spec: ProblemSpec, shifts: np.ndarray, history: HistoryConvolution, levels: np.ndarray):
+def _march_volterra(spec: ProblemSpec, shifts, history: HistoryConvolution, levels: np.ndarray):
     """March spec at every shift eps in shifts at once, with history's
     weight set for each, into levels, (K, 1 + R, *grid.shape) as far_sums
     reads them: one step for all K shifts.  A generator of the finished
@@ -880,67 +911,16 @@ def _march_volterra(spec: ProblemSpec, shifts: np.ndarray, history: HistoryConvo
         yield j0, _finished(levels[:, slot : slot + j1 - j0], j0, shifts)
 
 
-def _volterra(spec: ProblemSpec, shifts):
-    """(records, levels, blocks) of spec marched at every shift eps in
-    shifts: each run's RunRecord, the level buffer and the march's
-    generator of finished blocks, which fills it.  With a tail for the far
-    sums, levels holds level 0 and the 3 W slots they read; without one
-    the sums read every level, and it is the whole (K, J + 1, *grid.shape)
-    stack.
-    """
-    grid, J, W = spec.grid, spec.n_steps, _MARCH_ROWS
-    shifts = np.array(shifts, dtype=float).reshape(-1)
-    # kernel factor Ksh(s), the integral of each shifted modulus
-    history = HistoryConvolution.of([translate(spec.kernel, float(e)) for e in shifts], -1, J, spec.dt)
-    slots = min(J + 1, 3 * W + 1) if history.tail is not None else J + 1
-    levels = np.empty((shifts.size, slots) + grid.shape)
-    top = float(grid.eigenvalues.max())
-    records = tuple(
-        RunRecord(
-            spec_fingerprint=replace(spec, eps=float(eps)).fingerprint(),
-            z_max=float(history.lags[k, 0]) * top,
-            history_backend=history.backend,
-            **_far_fit(history.tail, k),
-        )
-        for k, eps in enumerate(shifts)
-    )
-    return records, levels, _march_volterra(spec, shifts, history, levels)
-
-
-def march_shifts(spec: ProblemSpec, shifts):
-    """(records, levels_bytes, blocks): spec marched at every shift eps in
-    shifts without keeping its levels.  records holds each run's
-    RunRecord, levels_bytes each run's mean share of the level buffers,
-    and blocks yields (j0, the levels j0 .. j1 - 1 of every shift), level
-    0 first: views that the march writes over later.
-
-    An integral_volterra spec marches as one stack of all its shifts, of
-    3 _MARCH_ROWS + 1 levels each with a tail and J + 1 without.  A
-    leapfrog spec marches each shift into its own ring; the K marches
-    share N and J, and so their blocks, which are stacked as they come.
-    Every shift's spec is built, and so checks its own time step, before
-    any of them marches.  An abort stops every shift: in a leapfrog
-    batch, the first shift to fail in the earliest block that fails.
-    """
-    if spec.formulation == "integral_volterra":
-        records, levels, blocks = _volterra(spec, shifts)
-        return records, levels.nbytes // len(records), blocks
-    specs = [replace(spec, eps=float(e)) for e in shifts]
-    records, rings, marches = zip(*map(march, specs))
-    blocks = ((step[0][0], np.stack([block for _, block in step])) for step in zip(*marches))
-    return records, sum(ring.nbytes for ring in rings) // len(rings), blocks
-
-
 def run(spec: ProblemSpec) -> TrajectorySolution:
     """Solve spec; a TrajectorySolution of every level, its march's blocks
     copied as they come into a (J + 1, *grid.shape) stack: the march's
     buffer where it holds every level, else a fresh one."""
-    record, levels, blocks = march(spec)
-    stack = levels if levels.shape[0] == spec.n_steps + 1 else np.empty((spec.n_steps + 1,) + spec.grid.shape)
+    (record,), levels, blocks = march(spec)
+    stack = levels if levels.shape[1] == spec.n_steps + 1 else np.empty((1, spec.n_steps + 1) + spec.grid.shape)
     for j0, block in blocks:
         # a copy onto itself where the stack is the march's buffer: numpy skips it
-        stack[j0 : j0 + block.shape[0]] = block
-    return TrajectorySolution(grid=spec.grid, times=spec.times, coefficients=stack, **record._asdict())
+        stack[:, j0 : j0 + block.shape[1]] = block
+    return TrajectorySolution(grid=spec.grid, times=spec.times, coefficients=stack[0], **record._asdict())
 
 
 # ---------------------------------------------------------------------------

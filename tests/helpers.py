@@ -42,7 +42,7 @@ from memvisco.solver import (
     TrajectorySolution,
     cfl_time_step,
     interval_weights,
-    march_shifts,
+    march,
     run,
     run_block,
     trajectory_distance,
@@ -579,9 +579,9 @@ def classical_stress_curve(kernel: RelaxationKernel, strain, dt: float, past_val
 
 def batch_runs(spec: ProblemSpec, shifts) -> list[TrajectorySolution]:
     """An integral_volterra spec marched at every shift eps in shifts as
-    one batch, march_shifts's blocks drained into a (K, J + 1,
-    *grid.shape) stack: one stored run per shift, a view of its slab."""
-    records, _, blocks = march_shifts(spec, shifts)
+    one batch, march's blocks drained into a (K, J + 1, *grid.shape)
+    stack: one stored run per shift, a view of its slab."""
+    records, _, blocks = march(spec, shifts)
     stack = np.empty((len(records), spec.n_steps + 1) + spec.grid.shape)
     for j0, block in blocks:
         stack[:, j0 : j0 + block.shape[1]] = block

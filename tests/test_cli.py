@@ -691,6 +691,18 @@ class TestOtherModes:
         assert cli.main(["run", path, "--out", str(wrong)]) == 1
         assert read_manifest(wrong)["verdicts"]["stress"]["max_abs_error"] == pytest.approx(1e-3)
 
+    def test_constant_forever_stress_test_checks_the_relaxed_modulus(self, tmp_path):
+        # a strain held at its amplitude since t = -inf has relaxed: the
+        # stress is G(inf) amplitude at every time
+        text = STRESS + "\n[stress]\nstrain = constant_forever\namplitude = 0.75\n"
+        out = tmp_path / "out"
+        assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        t, stress, reference, error = np.loadtxt(out / "stress.csv", delimiter=",", skiprows=1, unpack=True)
+        assert t.size == 50
+        assert np.all(reference == 0.5 * 0.75)
+        assert error.tobytes() == np.abs(stress - reference).tobytes()
+        assert read_manifest(out)["verdicts"]["stress"] == {"max_abs_error": error.max()}
+
     def test_stress_test_fails_on_a_nan_stress(self, tmp_path, monkeypatch):
         # the running max(worst, err) used to skip a NaN error and exit 0
         from memvisco import runner

@@ -261,6 +261,14 @@ class TestViolations:
         msgs = violations_of("[kernel]\nfamily = constant\ng0 = 1.0\n")
         assert "missing required section [grid]" in msgs
 
+    def test_missing_kernel_section(self):
+        msgs = violations_of("[grid]\nn = 9\n")
+        assert "missing required section [kernel]" in msgs
+
+    def test_missing_grid_size(self):
+        msgs = violations_of("[kernel]\nfamily = constant\ng0 = 1.0\n[grid]\ndim = 1\n")
+        assert "missing required key 'n' in [grid]" in msgs
+
     def test_negative_tolerance_rejected(self):
         bad = MINIMAL + "[tolerances]\ncauchy_tol = -1.0\n"
         msgs = violations_of(bad)

@@ -34,7 +34,16 @@ from memvisco.expressions import Forcing, field_from_name
 from memvisco.grid import Field, Grid, level_squares
 from memvisco.kernels import KernelSum, PowerLawKernel, PronyKernel
 from memvisco.runner import _build_spec
-from memvisco.solver import CflViolation, ProblemSpec, SolverAbort, cfl_time_step, march, run_block, trajectory_distance
+from memvisco.solver import (
+    CflViolation,
+    HistoryConvolution,
+    ProblemSpec,
+    SolverAbort,
+    cfl_time_step,
+    march,
+    run_block,
+    trajectory_distance,
+)
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
 
@@ -398,8 +407,8 @@ _LEAPFROG = {
 
 
 class TestStreamedLeapfrogSequence:
-    """A leapfrog sequence zips its shifts' marches: every reduction equals
-    listed_sequence's, on the stored runs, bit for bit."""
+    """A leapfrog sequence marches its shifts in one stack: every reduction
+    equals listed_sequence's, on the stored runs, bit for bit."""
 
     @pytest.mark.parametrize("case", sorted(_LEAPFROG))
     def test_matches_listed_oracle(self, case):
@@ -419,10 +428,10 @@ class TestStreamedLeapfrogSequence:
 
     def test_holds_no_level_stacks(self):
         # a forced Prony sequence of 4 shifts on 99 nodes at J = 1,000 and
-        # 4,000: each shift's ring of 65 levels, one stacked block of the 4,
-        # and O(K J) scalars of the reduction, 18 doubles a level against
-        # the 396 of the K stacks (measured: peaks of 0.29x and 0.11x the
-        # stacks, where the stored runs peaked at 1.21x and 1.09x)
+        # 4,000: each shift's ring of 65 levels and O(K J) scalars of the
+        # reduction, 18 doubles a level against the 396 of the K stacks
+        # (measured: peaks of 0.20x and 0.081x the stacks, where the stored
+        # runs peaked at 1.21x and 1.09x)
         g = Grid.line(99)
         peaks, stacks = [], []
         for J in (1000, 4000):
@@ -439,13 +448,30 @@ class TestStreamedLeapfrogSequence:
         assert peaks[1] < 0.2 * stacks[1]
         assert peaks[1] - peaks[0] < 0.1 * (stacks[1] - stacks[0])
 
+    def test_a_refused_fit_takes_the_whole_stack_for_every_shift(self):
+        # a tolerance between the shifts' checked errors (7.4e-15 ..
+        # 5.1e-13) fits the far sums of the first two shifts and refuses
+        # the last two: then every shift of the batch marches in the whole
+        # stack, and each one's levels are still its lone march's
+        base = _leapfrog_base(*_LEAPFROG["powerlaw-tail"])
+        eps = eps_schedule(0.1, 0.5, 3)
+        with mock.patch.object(solver_module, "_TAIL_TOLERANCE", 2e-13):
+            seq = run_eps_sequence(base, 0.1, 0.5, 3)
+            want = listed_sequence(eps, sequence_trajectories(base, eps))
+        assert [r.far_nodes > 0 for r in seq.runs] == [True, True, False, False]
+        assert seq.runs == want.runs
+        assert seq.levels_bytes == 8 * (base.n_steps + 1) * 17
+        for name in ("next_squares", "finest_squares", "columns", "peaks"):
+            assert getattr(seq, name).tobytes() == getattr(want, name).tobytes(), name
+
     def test_abort_names_the_earliest_failing_block(self, monkeypatch):
         # a row of history sums turns NaN in shift 0 at row 100, in shift 3
         # at row 19 and in shift 2 at row 30, so a lone march of each stops
-        # at step 101, 20 or 31.  The marches hand over blocks of 16 levels
-        # in step, shift by shift: the block of levels 17 .. 32 fails first,
-        # and of the shifts that fail in it, shift 2 is asked first.  (Run
-        # shift by shift, the sequence stopped at shift 0's step 101.)
+        # at step 101, 20 or 31.  The batch checks its blocks of 16 levels
+        # for all shifts at once: the block of levels 17 .. 32 fails first,
+        # and the batch names its earliest failing step, 20, and the first
+        # shift that fails there, shift 3.  (Run shift by shift, the
+        # sequence stopped at shift 0's step 101.)
         from memvisco.solver import _ExponentialHistory
 
         histories = []
@@ -467,8 +493,31 @@ class TestStreamedLeapfrogSequence:
         eps = eps_schedule(0.1, 0.5, 3)
         with np.errstate(invalid="ignore"), pytest.raises(SolverAbort, match="non-finite") as got:
             run_eps_sequence(base, 0.1, 0.5, 3)
-        assert (got.value.step, got.value.eps) == (31, float(eps[2]))
+        assert (got.value.step, got.value.eps) == (20, float(eps[3]))
         assert len(histories) == 4
+
+
+def test_volterra_abort_names_the_earliest_failing_step(monkeypatch):
+    # the abort rule of a leapfrog batch, for the Volterra march: far sums
+    # turned NaN in shift 0 at step 30 and in shift 2 at step 20, both in
+    # the block of levels 1 .. 64, stop the batch at step 20 in shift 2
+    real = HistoryConvolution.far_sums
+    poisoned_steps = {0: 30, 2: 20}
+
+    def far_sums(self, stack, j0, out):
+        real(self, stack, j0, out)
+        for k, step in poisoned_steps.items():
+            if j0 <= step < j0 + out.shape[1]:
+                out[k, step - j0] = np.nan
+        return out
+
+    monkeypatch.setattr(HistoryConvolution, "far_sums", far_sums)
+    base = sequence_base(PowerLawKernel(1.0, 0.5))
+    assert base.n_steps > solver_module._MARCH_ROWS
+    eps = eps_schedule(0.1, 0.5, 3)
+    with np.errstate(invalid="ignore"), pytest.raises(SolverAbort, match="non-finite") as got:
+        run_eps_sequence(base, 0.1, 0.5, 3)
+    assert (got.value.step, got.value.eps) == (20, float(eps[2]))
 
 
 def test_vanishing_shift_in_three_dimensions():

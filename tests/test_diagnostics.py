@@ -319,7 +319,7 @@ def test_streamed_history_sums_are_the_lag_passes_bitwise(kernel, grid):
     histories = ledger_plan(kernel, spec.eps, spec.times)
     _, levels, blocks = march(spec)
     streamed = SingleRun.reduce(spec.grid, spec.times, blocks, histories=histories)
-    assert levels.shape[0] < spec.n_steps + 1  # a ring, not the stack
+    assert levels.shape[1] < spec.n_steps + 1  # a ring, not the stack
     traj = run(spec)
     edges = traj.coefficients.reshape(traj.n_levels, -1) * np.sqrt(grid.eigenvalues).ravel()
     want = _lag_pass_sums(edges, grid.cell_volume, histories)
@@ -688,7 +688,7 @@ class TestStreamedMatchesStored:
                 _, levels, blocks = march(spec)
                 streamed = SingleRun.reduce(spec.grid, spec.times, blocks, spec.forcing, histories, battery=True, export=export)
             assert streamed.stack_bytes == 0
-            assert levels.shape[0] < n_steps + 1  # a ring that wraps
+            assert levels.shape[1] < n_steps + 1  # a ring that wraps
             traj = run(spec)
             args = (spec.kernel, spec.eps)
             for got, want in zip(
@@ -710,3 +710,41 @@ class TestStreamedMatchesStored:
             np.concatenate([traj.velocities(j, j + 1) for j in exported]),
         )
         assert (tmp_path / "trajectory.csv").read_bytes() == text.encode()
+
+
+class TestAuditsReadWhatTheRunHolds:
+    """An audit handed a SingleRun reduced without a part it reads names
+    that part.  Without forcing the ledger silently read zero forcing power
+    (max_residual 0.680 against 0.0209), and without histories or the
+    battery the audits failed on None."""
+
+    FORCING = Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 3.0})
+
+    def reduced(self, histories=False, **asked):
+        """The spec, and its march reduced with what is asked: the
+        ledger's histories if histories, else none."""
+        from memvisco.diagnostics import ledger_plan
+        from memvisco.solver import march
+
+        spec = damped_spec(kernel=PRONY, n=49, forcing=self.FORCING)
+        if histories:
+            asked["histories"] = ledger_plan(PRONY, spec.eps, spec.times)
+        return spec, SingleRun.reduce(spec.grid, spec.times, march(spec)[2], **asked)
+
+    def test_ledger_refuses_a_run_reduced_without_forcing(self):
+        spec, reduction = self.reduced(histories=True)
+        assert reduction.power is None
+        with pytest.raises(ValueError, match="energy_ledger reads a SingleRun reduced with forcing"):
+            energy_ledger(reduction, PRONY, 0.05, self.FORCING)
+        _, reduction = self.reduced(histories=True, forcing=self.FORCING)
+        assert energy_ledger(reduction, PRONY, 0.05, self.FORCING).max_residual == pytest.approx(0.0209, abs=1e-4)
+
+    def test_ledger_refuses_a_run_reduced_without_histories(self):
+        _, reduction = self.reduced(forcing=self.FORCING)
+        with pytest.raises(ValueError, match="energy_ledger reads a SingleRun reduced with histories"):
+            energy_ledger(reduction, PRONY, 0.05, self.FORCING)
+
+    def test_weak_residual_refuses_a_run_reduced_without_the_battery(self):
+        spec, reduction = self.reduced(forcing=self.FORCING)
+        with pytest.raises(ValueError, match="weak_residual reads a SingleRun reduced with battery"):
+            weak_residual(reduction, PRONY, 0.05, spec.u0, spec.u1, self.FORCING)

@@ -67,3 +67,27 @@ def test_scan_sees_a_third_party_import(tmp_path):
         "from orjson import dumps\nfrom memvisco.grid import Grid\nfrom . import sibling\n"
     )
     assert third_party_imports(probe) == {"numpy", "scipy", "orjson"}
+
+
+def unresolved_exports(module) -> list[str]:
+    """The names in module.__all__ that the module does not define."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_every_exported_name_resolves():
+    import importlib
+
+    names = [f"memvisco.{path.stem}".removesuffix(".__init__") for path in sorted(SRC.glob("*.py"))]
+    modules = [importlib.import_module(name) for name in names]
+    assert all(hasattr(module, "__all__") for module in modules)
+    unresolved = {module.__name__: unresolved_exports(module) for module in modules}
+    assert {name: missing for name, missing in unresolved.items() if missing} == {}
+
+
+def test_scan_sees_an_unresolved_export():
+    import types
+
+    probe = types.ModuleType("probe")
+    probe.__all__ = ["run", "march_shifts"]
+    probe.run = print
+    assert unresolved_exports(probe) == ["march_shifts"]

@@ -386,8 +386,8 @@ def _volterra_spec(grid, horizon, dt, forcing=None):
 
 
 class TestShiftBatch:
-    """march_shifts: every shift of an integral_volterra spec in one march,
-    drained into a stack by batch_runs."""
+    """march(spec, shifts): every shift of an integral_volterra spec in one
+    march, drained into a stack by batch_runs."""
 
     SHIFTS = (0.1, 0.01, 0.0)
 
@@ -1203,7 +1203,7 @@ def test_volterra_3d_run_holds_no_history():
     )
 
     def drained():
-        record, levels, blocks = solver_module.march(spec)
+        (record,), levels, blocks = solver_module.march(spec)
         for _ in blocks:
             pass
         return record, levels.nbytes
