@@ -41,10 +41,12 @@ __all__ = [
     "HypothesisError",
     "SingleRun",
     "ledger_plan",
+    "check_ledger_hypothesis",
     "check_bound_hypothesis",
     "EnergyLedger",
     "energy_ledger",
     "DecayReport",
+    "check_decay_hypothesis",
     "check_energy_decay",
     "calibrate_decay_tolerance",
     "BoundReport",
@@ -73,9 +75,10 @@ class SingleRun(NamedTuple):
     u_hat_j^2, vel_sq[j] = |v_j|^2 and power[j] = v_j . p, e_j the edge
     differences, v_j the velocities and p the forcing profile.  columns
     holds the battery_columns, and history_sums the (2, J + 1) sums sum_i
-    W_j(i) vol |e_j - e_{j-i}|^2 of the ledger's histories (ledger_plan's).
-    power, columns and history_sums are None unless asked for, and an
-    audit that reads one refuses a run without it (require).  stack_bytes
+    W_j(i) vol |e_j - e_{j-i}|^2 of ledger_plan(*ledger, times), ledger
+    the run's (kernel, eps).  power, columns and ledger are None unless
+    asked for (history_sums also without memory), and an audit that reads
+    one refuses a run without it (require).  stack_bytes
     counts the e_j stack their lag passes read, 0 for a Prony modulus,
     whose sums step with the levels.  displaced tells whether level 0 is
     nonzero, and seconds is the reduction's wall time by what it formed:
@@ -90,6 +93,7 @@ class SingleRun(NamedTuple):
     power: np.ndarray | None
     columns: np.ndarray | None
     history_sums: np.ndarray | None
+    ledger: tuple | None
     stack_bytes: int
     seconds: dict
 
@@ -99,23 +103,23 @@ class SingleRun(NamedTuple):
 
     def require(self, audit: str, **parts: bool) -> SingleRun:
         """self, or ValueError naming each of parts, reduce's forcing,
-        histories and battery, that audit reads (True) and the reduction
-        was made without."""
-        held = {"forcing": self.power, "histories": self.history_sums, "battery": self.columns}
+        ledger and battery, that audit reads (True) and the reduction was
+        made without."""
+        held = {"forcing": self.power, "ledger": self.ledger, "battery": self.columns}
         missing = [part for part, read in parts.items() if read and held[part] is None]
         if missing:
             raise ValueError(f"{audit} reads a SingleRun reduced with {' and '.join(missing)}, and this one was not")
         return self
 
     @classmethod
-    def reduce(cls, grid, times, blocks, forcing=None, histories=None, battery=False, export=None) -> SingleRun:
+    def reduce(cls, grid, times, blocks, forcing=None, ledger=None, battery=False, export=None) -> SingleRun:
         """The reduction of a run whose levels come in blocks (j0, the levels
         j0 .. j1 - 1), level 0 first, as march hands them over for one
-        shift, each read as (rows, N).  forcing gives the power;
-        histories, ledger_plan's, the history sums, from the Prony inflows
-        a level at a time for a Prony modulus, else by lag passes over a
-        stack of every e_j once the last block is in; export(j, u_hat_j,
-        v_hat_j) is called with every level.
+        shift, each read as (rows, N).  forcing gives the power; ledger,
+        the run's (kernel, eps), the history sums of ledger_plan(kernel,
+        eps, times), from the Prony inflows a level at a time for a Prony
+        modulus, else by lag passes over a stack of every e_j once the last
+        block is in; export(j, u_hat_j, v_hat_j) is called with every level.
 
         Pieces of run_block levels are reduced, so a streamed run and its
         stored levels are summed alike.  A level is reduced once the next is
@@ -128,13 +132,15 @@ class SingleRun(NamedTuple):
         power = None if forcing is None else np.zeros(n)
         profile = None if forcing is None else sine_transform(grid, forcing.profile(grid)).ravel()
         columns = np.empty((n, len(battery_modes(grid)))) if battery else None
+        clock = time.perf_counter
+        t = clock()
+        histories = ledger_plan(*ledger, times) if ledger else []
         prony = edges = None
         if histories and histories[0].backend == "exponential":
-            prony = _PronyInflows(histories[0].terms, n, grid.n_total, vol)
+            prony = _PronyInflows(histories[0].terms[0], n, grid.n_total, vol)
         elif histories:
             edges = np.empty((n, grid.n_total))
-        seconds = {}
-        clock = time.perf_counter
+        seconds = {"ledger": clock() - t} if ledger else {}
 
         def book(phase, since):
             now = clock()
@@ -195,12 +201,12 @@ class SingleRun(NamedTuple):
         if histories:
             t = clock()
             if prony is not None:
-                history_sums = _prony_history_sums(prony, vol, [h.terms for h in histories])
+                history_sums = _prony_history_sums(prony, vol, [h.terms[0] for h in histories])
             else:
                 history_sums = _lag_pass_sums(edges, vol, histories)
             book("ledger", t)
         stack_bytes = 0 if edges is None else edges.nbytes
-        return cls(grid, times, displaced, grad_sq, vel_sq, power, columns, history_sums, stack_bytes, seconds)
+        return cls(grid, times, displaced, grad_sq, vel_sq, power, columns, history_sums, ledger, stack_bytes, seconds)
 
     @classmethod
     def of(cls, run: TrajectorySolution | SingleRun, **asked) -> SingleRun:
@@ -251,13 +257,19 @@ def _geometric_sums(rates: np.ndarray, J: int):
     return decay, np.cumsum(decay[:, :J], axis=1)
 
 
-def ledger_plan(kernel: RelaxationKernel, eps: float, times: np.ndarray) -> list:
-    """The histories by which energy_ledger weighs the lags of a run over
-    times at shift eps, for SingleRun.reduce: the weights of w = dG and w =
-    d2G, none for a modulus with dG = 0, which has no memory.
-    HypothesisError for eps = 0 with a modulus unbounded at 0."""
+def check_ledger_hypothesis(kernel: RelaxationKernel, eps: float) -> None:
+    """HypothesisError unless the energy ledger can be formed at shift eps:
+    not for eps = 0 with a modulus unbounded at 0."""
     if eps == 0.0 and kernel.singular_at_zero:
         raise HypothesisError("eps = 0 with a modulus unbounded at 0")
+
+
+def ledger_plan(kernel: RelaxationKernel, eps: float, times: np.ndarray) -> list:
+    """The histories by which energy_ledger weighs the lags of a run over
+    times at shift eps, which SingleRun.reduce sums: the weights of w = dG
+    and w = d2G, none for a modulus with dG = 0, which has no memory.
+    HypothesisError where check_ledger_hypothesis raises it."""
+    check_ledger_hypothesis(kernel, eps)
     kk = translate(kernel, eps)
     # a modulus with dG = 0 has no memory: its weights would be round-off
     if not np.any(kk.modulus_dt(times)):
@@ -299,8 +311,8 @@ def energy_ledger(
     forcing=None,
 ) -> EnergyLedger:
     """Assemble the energy balance for a run of the shifted problem: a
-    stored trajectory, or a SingleRun reduced with forcing and the
-    histories of ledger_plan(kernel, eps, run.times).
+    stored trajectory, or a SingleRun reduced with forcing and ledger =
+    (kernel, eps); ValueError for one reduced for another pair.
 
     All modulus evaluations use the shifted kernel G(eps + .); eps = 0 is
     accepted only for a modulus bounded at 0.
@@ -314,10 +326,11 @@ def energy_ledger(
     O(J^2 N) (_lag_pass_sums).  A modulus with dG = 0, such as a Prony
     kernel without terms, has no memory and takes neither.
     """
-    histories = ledger_plan(kernel, eps, run.times)
+    run = SingleRun.of(run, forcing=forcing, ledger=(kernel, eps))
+    run.require("energy_ledger", forcing=forcing is not None, ledger=True)
+    if run.ledger != (kernel, eps):
+        raise ValueError(f"energy_ledger of {(kernel, eps)!r} reads a SingleRun reduced for {run.ledger!r}")
     kk = translate(kernel, eps)
-    run = SingleRun.of(run, forcing=forcing, histories=histories)
-    run.require("energy_ledger", forcing=forcing is not None, histories=bool(histories))
 
     dt, times, vol = run.dt, run.times, run.grid.cell_volume
     J = times.size - 1
@@ -331,7 +344,7 @@ def energy_ledger(
     elastic = 0.5 * g_now * grad_sq
     rate_modulus = 0.5 * gdot_now * grad_sq
 
-    memory, rate_curvature = -0.5 * run.history_sums if histories else np.zeros((2, J + 1))
+    memory, rate_curvature = np.zeros((2, J + 1)) if run.history_sums is None else -0.5 * run.history_sums
 
     stored = kinetic + elastic + memory
     residual = (stored[2:] - stored[:-2]) / (2 * dt) - (
@@ -423,8 +436,16 @@ class DecayReport:
     first_violation: int | None
 
 
+def check_decay_hypothesis(forced: bool) -> None:
+    """HypothesisError for a forced run: the forcing's work may raise its energy."""
+    if forced:
+        raise HypothesisError("forced run: the forcing's work can raise the stored energy")
+
+
 def check_energy_decay(ledger: EnergyLedger, tol: float) -> DecayReport:
-    """Unforced runs must not gain stored energy beyond the drift tolerance."""
+    """Unforced runs must not gain stored energy beyond the drift tolerance;
+    HypothesisError for a ledger with forcing power."""
+    check_decay_hypothesis(bool(np.any(ledger.forcing_power)))
     diffs = np.diff(ledger.stored)
     max_inc = float(np.max(diffs)) if diffs.size else 0.0
     bad = np.nonzero(diffs > tol)[0]
@@ -445,7 +466,7 @@ def calibrate_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> float:
     twin is marched into a ring and reduced as it goes.
     """
     twin = replace(spec, kernel=PronyKernel(spec.kernel.modulus(spec.eps), ()), eps=1.0)
-    reduction = SingleRun.reduce(twin.grid, twin.times, march(twin)[2])
+    reduction = SingleRun.reduce(twin.grid, twin.times, march(twin)[2], ledger=(twin.kernel, twin.eps))
     stored = energy_ledger(reduction, twin.kernel, twin.eps).stored
     drift = max(float(np.max(np.diff(stored))), 0.0)
     floor = 1e-13 * max(float(stored[0]), 1.0)

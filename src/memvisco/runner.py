@@ -32,10 +32,11 @@ from memvisco.diagnostics import (
     SingleRun,
     calibrate_decay_tolerance,
     check_bound_hypothesis,
+    check_decay_hypothesis,
     check_energy_bound,
     check_energy_decay,
+    check_ledger_hypothesis,
     energy_ledger,
-    ledger_plan,
     weak_residual,
 )
 from memvisco.expressions import field_from_name
@@ -435,23 +436,26 @@ def _run_single(
     # spec decides before the march; the decay check, which reads the
     # ledger, goes with the ledger
     skipped = {}
-    ledger_on = wanted["energy_ledger"] or wanted["energy_decay"]
-    bound_on = wanted["energy_bound"]
-    histories = []
-    if ledger_on:
+
+    def holds(phase, names, check, *args) -> bool:
+        """Whether check passes, timed as phase; else the wanted ones of names are skipped."""
         try:
-            with phases("ledger"):
-                histories = ledger_plan(cfg.kernel, cfg.eps, spec.times)
+            with phases(phase):
+                check(*args)
         except HypothesisError as exc:
-            skipped.update({name: {"skipped": str(exc)} for name in ("energy_ledger", "energy_decay") if wanted[name]})
-            ledger_on = False
-    if bound_on:
-        try:
-            with phases("bound"):
-                check_bound_hypothesis(cfg.kernel, cfg.eps, spec.horizon, bool(np.any(spec.u0.values)))
-        except HypothesisError as exc:
-            skipped["energy_bound"] = {"skipped": str(exc)}
-            bound_on = False
+            skipped.update({name: {"skipped": str(exc)} for name in names if wanted[name] and name not in skipped})
+            return False
+        return True
+
+    forced, displaced = spec.forcing is not None, bool(np.any(spec.u0.values))
+    decay_on = wanted["energy_decay"] and holds("decay_calibration", ["energy_decay"], check_decay_hypothesis, forced)
+    ledger_on = (wanted["energy_ledger"] or decay_on) and holds(
+        "ledger", ["energy_ledger", "energy_decay"], check_ledger_hypothesis, cfg.kernel, cfg.eps
+    )
+    decay_on = decay_on and ledger_on
+    bound_on = wanted["energy_bound"] and holds(
+        "bound", ["energy_bound"], check_bound_hypothesis, cfg.kernel, cfg.eps, spec.horizon, displaced
+    )
 
     # the march hands each block of levels to the reduction the audits and
     # the exports read: its time goes to their phases, the level sums' to
@@ -461,8 +465,8 @@ def _run_single(
         with _trajectory_export(out_dir, cfg, spec.grid, spec.times) as export:
             (record,), levels, blocks = march(spec)
             sums = SingleRun.reduce(
-                spec.grid, spec.times, blocks, spec.forcing if ledger_on else None, histories,
-                battery=wanted["weak_residual"], export=export,
+                spec.grid, spec.times, blocks, spec.forcing if ledger_on else None,
+                (cfg.kernel, cfg.eps) if ledger_on else None, battery=wanted["weak_residual"], export=export,
             )
             marched = time.perf_counter()
         parts = dict(sums.seconds, export=sums.seconds.get("export", 0.0) + time.perf_counter() - marched)
@@ -482,7 +486,7 @@ def _run_single(
             _export_ledger(out_dir, ledger)
             _write_atomic(out_dir / "plot_energy.py", _PLOT_ENERGY)
         verdicts["max_energy_residual"] = ledger.max_residual
-        if wanted["energy_decay"]:
+        if decay_on:
             with phases("decay_calibration"):
                 tol = calibrate_decay_tolerance(spec, cfg.tolerances["decay_safety"])
                 decay = check_energy_decay(ledger, tol)

@@ -465,15 +465,15 @@ class HistoryConvolution:
     j = 1 .. n.  Its one table of lag weights is lags[d] = left[d] +
     right[d - 1] (lags[0] = left[0], lags[n] = right[n - 1]).  Row j weighs
     level m >= 1 by lags[j - m], and level 0 by oldest[j - 1] = right[j - 1].
-    far_sums, next_sum and adjoint read that table.  It is held reversed,
+    far_sums, row_sums and adjoint read that table.  It is held reversed,
     (K, n + 1) with lag d in column n - d, the order _block reads, and
     lags is a view of it.
 
     left and right may carry a leading shift axis, (K, n): one weight set
-    per shift of a sequence, sharing n, as the Volterra march reads them.
-    lags and oldest then carry that axis too; next_sum and adjoint take a
-    single weight set.  factors (w of each weight set, as callables) and dt
-    let the far sums fit a tail; without them every far sum is direct.
+    per shift of a sequence, sharing n, as both marchers read them.  lags
+    and oldest then carry that axis too; adjoint takes a single weight
+    set.  factors (w of each weight set, as callables) and dt let the far
+    sums fit a tail; without them every far sum is direct.
 
     Both marchers sum in blocks of W = _MARCH_ROWS rows: far_sums gives a
     block's sums over the levels below it, and each row adds the block's
@@ -496,27 +496,28 @@ class HistoryConvolution:
         self.lags[..., 1:] += right
         self._table = np.atleast_2d(self.lags[..., ::-1])
         self._factors, self._dt = factors, dt
-        self._rows_summed = 0
 
     @classmethod
     def of(cls, kernel, order: int, n: int, dt: float) -> HistoryConvolution | _ExponentialHistory:
         """The sums of w = the order-th time derivative of G over n steps of
         dt: order 1 the leapfrog's memory dG, 2 the ledger's curvature d2G,
         and -1 the Volterra factor int_0^s G.  kernel is a shifted modulus,
-        bounded at 0, or a sequence of K of them for a (K, n) weight set.
+        bounded at 0, or a sequence of K of them for K weight sets, (K, n).
 
         The weights come from interval_weights on the two tower members
         below w, the tower indexed by derivative order -3 .. 2, and the far
         sums' tail fits w itself, the member at the order.  The rate and
-        curvature of a single Prony kernel get the exponential backend, a
-        constant modulus (no terms) included.
+        curvature get the exponential backend, one term list per kernel,
+        when every kernel is a PronyKernel, a constant modulus (no terms)
+        included; a single kernel counts as a list of one.
         """
-        if isinstance(kernel, PronyKernel) and order > 0:
-            return _ExponentialHistory(kernel, order, dt)
         single = isinstance(kernel, RelaxationKernel)
+        kernels = [kernel] if single else kernel
+        if order > 0 and all(isinstance(k, PronyKernel) for k in kernels):
+            return _ExponentialHistory(kernels, order, dt)
         towers = [
             (k._integral3, k._integral2, k._integral, k._modulus, k._modulus_dt, k._modulus_dtt)
-            for k in ([kernel] if single else kernel)
+            for k in kernels
         ]
         pairs = [interval_weights(tower[order + 2], tower[order + 1], n, dt) for tower in towers]
         left, right = np.array(pairs).swapaxes(0, 1)
@@ -607,45 +608,27 @@ class HistoryConvolution:
             out += np.matmul(self._block(j0, j1, m0, m1), levels(m0, m1))
         return out
 
-    def next_sum(self, levels: np.ndarray) -> np.ndarray:
-        """The next row j's level weights @ levels, the levels 0 .. j as
-        _ring_slots takes them, holding at least the 3 W the far sums reach
-        with a tail: one flat sum.  At a block's first row j0 it takes the
-        block's far_sums; a row then adds its levels from j0 on, one
-        product."""
-        self._rows_summed += 1
-        j = self._rows_summed
-        slots = _ring_slots(levels, j, j if self.tail is None else 3 * _MARCH_ROWS)
-        # a stack of one shift, the axis _block's weights carry
-        stack = levels.reshape(1, slots + 1, -1)
+    def row_sums(self, stack: np.ndarray, j: int) -> np.ndarray:
+        """The sums of row j of every weight set on the levels 0 .. j of
+        stack, (K, 1 + R, N) as far_sums reads it: (K, N), which the next
+        call writes over.  The rows come in turn from j = 1.  A block's
+        first row takes the block's far_sums, and each row then adds the
+        block's levels up to its own, one product for all K."""
         W = _MARCH_ROWS
         first = j - (j - 1) % W
         if j == 1:
-            self._far = np.empty((1, W, stack.shape[2]))
+            self._far = np.empty((stack.shape[0], W, stack.shape[2]))
         if j == first:
-            self.far_sums(stack, j, self._far[:, : min(W, self.lags.size - j)])
-        start = 1 + (first - 1) % slots
-        near = np.matmul(self._block(j, j + 1, first, j + 1), stack[:, start : start + j + 1 - first])[0, 0]
-        near += self._far[0, j - first]
+            self.far_sums(stack, j, self._far[:, : min(W, self.lags.shape[-1] - j)])
+        start = 1 + (first - 1) % (stack.shape[1] - 1)
+        near = np.matmul(self._block(j, j + 1, first, j + 1), stack[:, start : start + j + 1 - first])[:, 0]
+        near += self._far[:, j - first]
         return near
 
 
-def _ring_slots(levels: np.ndarray, j: int, reach: int) -> int:
-    """The slots R of levels, which holds the levels 0 .. j of row j as
-    level 0, then level m >= 1 in slot 1 + (m - 1) % R: the whole stack,
-    R = j, or a ring of the newest R >= reach of them."""
-    slots = levels.shape[0] - 1
-    if not min(j, reach) <= slots <= j:
-        raise ValueError(
-            f"next_sum sums whole rows: row {j} takes levels 0 .. {j}, or level 0 and a ring of "
-            f"at least {min(j, reach)} of them, not {levels.shape[0]}"
-        )
-    return slots
-
-
 class _ExponentialHistory:
-    """Sums of w = dG (order 1) or d2G (order 2) for a Prony kernel, by
-    recursion; HistoryConvolution.of builds it.
+    """Sums of w = dG (order 1) or d2G (order 2) for K Prony kernels, one
+    weight set each, by recursion; HistoryConvolution.of builds it.
 
     A term g e^{-t/tau} of G has interval weights geometric in the lag,
     left[d] = r^d left[0] and right[d] = r^d right[0] with r = e^{-dt/tau},
@@ -653,41 +636,38 @@ class _ExponentialHistory:
 
         C_j = r C_{j-1} + left[0] p_j + right[0] p_{j-1},   C_0 = 0,
 
-    and next_sum() returns the sum of C_j over the terms: O(terms N) per
-    step, reading only the two newest of the levels it is given.  It holds
-    one state C per term and no lag table, and needs no tail.  Without
-    terms every sum is an exact zero.  terms holds exponential_terms'
-    (r, left[0], right[0]).
+    and row_sums returns the sum of C_j over each kernel's terms: O(terms N)
+    per step and shift, reading only the two newest levels.  It holds one
+    state C per term and no lag table, and needs no tail.  Without terms
+    every sum is an exact zero.  terms holds exponential_terms' (r, left[0],
+    right[0]) per term, one list per kernel.
     """
 
     backend = "exponential"
     tail = None
 
-    def __init__(self, kernel: PronyKernel, order: int, dt: float):
-        self.terms = exponential_terms(kernel, dt, order)
-        self._rows_summed = 0
+    def __init__(self, kernels, order: int, dt: float):
+        self.terms = [exponential_terms(k, dt, order) for k in kernels]
 
-    def next_sum(self, levels: np.ndarray) -> np.ndarray:
-        """The sum of the newest whole row, the levels 0 .. j as _ring_slots
-        takes them, of which it reads the two newest; the array may be
-        reused, do not keep it."""
-        self._rows_summed += 1
-        j = self._rows_summed
-        slots = _ring_slots(levels, j, 2)
-        newest = levels[1 + (j - 1) % slots].ravel()
-        previous = levels[0 if j == 1 else 1 + (j - 2) % slots].ravel()
+    def row_sums(self, stack: np.ndarray, j: int) -> list:
+        """The sums of row j of every weight set, K arrays (N,), from the
+        levels j - 1 and j of stack, (K, 1 + R, N) as far_sums reads it.
+        The rows come in turn from j = 1; the arrays may be reused, do not
+        keep them."""
+        ring = stack.shape[1] - 1
+        newest = stack[:, 1 + (j - 1) % ring]
+        previous = stack[:, 0 if j == 1 else 1 + (j - 2) % ring]
         if j == 1:
             # without terms the one zero state is every row's sum
-            self._states = [np.zeros(newest.size) for _ in range(max(1, len(self.terms)))]
-            self._product = np.empty(newest.size)
+            self._states = [[np.zeros(stack.shape[2]) for _ in range(max(1, len(t)))] for t in self.terms]
+            self._product = np.empty(stack.shape[2])
         product = self._product
-        for state, (r, left0, right0) in zip(self._states, self.terms):
-            state *= r
-            state += np.multiply(newest, left0, out=product)
-            state += np.multiply(previous, right0, out=product)
-        if len(self._states) == 1:
-            return self._states[0]
-        return sum(self._states[1:], self._states[0])
+        for states, terms, new, old in zip(self._states, self.terms, newest, previous):
+            for state, (r, left0, right0) in zip(states, terms):
+                state *= r
+                state += np.multiply(new, left0, out=product)
+                state += np.multiply(old, right0, out=product)
+        return [states[0] if len(states) == 1 else sum(states[1:], states[0]) for states in self._states]
 
 
 def _finished(block: np.ndarray, j0: int, shifts) -> np.ndarray:
@@ -709,33 +689,34 @@ def _finished(block: np.ndarray, j0: int, shifts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _march_leapfrog(specs, histories, levels: np.ndarray, rows: int):
-    """March every spec of specs, one problem at K shifts, with its
-    history, into levels, (K, 1 + R, *grid.shape): per shift level 0, then
-    level m >= 1 in slot 1 + (m - 1) % R, R a multiple of rows or J.  A
-    generator of the finished blocks, (j0, the levels j0 .. j1 - 1 of
-    every shift), level 0 first, then rows at a time: views that the march
-    writes over later.  A block with a non-finite value aborts the march
-    (_finished).
+def _march_leapfrog(specs, history, levels: np.ndarray, rows: int):
+    """March every spec of specs, one problem at K shifts, with history's
+    weight set for each, into levels, (K, 1 + R, *grid.shape): per shift
+    level 0, then level m >= 1 in slot 1 + (m - 1) % R, R a multiple of
+    rows or J.  A generator of the finished blocks, (j0, the levels j0 ..
+    j1 - 1 of every shift), level 0 first, then rows at a time: views that
+    the march writes over later.  A block with a non-finite value aborts
+    the march (_finished).
 
         u_{j+1} = 2 u_j - u_{j-1} + dt^2 (-mu (g0 u_j + H_j) + f_j)
 
-    in sine coefficients, H_j = history.next_sum of the levels 0 .. j.
-    Each step takes the shifts one at a time, each with its own g0 and
-    history: at N = 99 a step is mostly Python calls, and one product over
-    a shift axis cost more than it saved.
+    in sine coefficients, H_j = history.row_sums of the levels 0 .. j, one
+    call for all K shifts.  Each step then takes the shifts one at a time,
+    each with its own g0: at N = 99 a step is mostly Python calls, and one
+    product over a shift axis cost more than it saved.
     """
     spec = specs[0]
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     ring = levels.shape[1] - 1
+    stack = levels.reshape(len(specs), ring + 1, -1)
     shifts = [s.eps for s in specs]
     minus_mu = -grid.eigenvalues
     profile, factor = spec.forcing_parts()
     p, u0, u1 = (sine_transform(grid, f) for f in (profile, spec.u0.values, spec.u1.values))
-    lanes = [(lane, s.kernel.modulus(s.eps), history) for lane, s, history in zip(levels, specs, histories)]
+    lanes = [(lane, s.kernel.modulus(s.eps)) for lane, s in zip(levels, specs)]
     levels[:, 0] = u0
     yield 0, _finished(levels[:, :1], 0, shifts)
-    for lane, g0, _ in lanes:
+    for lane, g0 in lanes:
         lane[1] = u0 + dt * u1 + 0.5 * dt * dt * (g0 * (minus_mu * u0) + factor[0] * p)
     accel, push = np.empty((2,) + grid.shape)
     for j in range(1, J + 1):
@@ -746,11 +727,11 @@ def _march_leapfrog(specs, histories, levels: np.ndarray, rows: int):
         if j == J:
             return
         np.multiply(p, factor[j], out=push)
-        for lane, g0, history in lanes:
+        # the rows 1 .. J - 1: the last step reads no history sum
+        for (lane, g0), h in zip(lanes, history.row_sums(stack, j)):
             current = lane[1 + (j - 1) % ring]
             np.multiply(current, g0, out=accel)
-            # the rows 1 .. J - 1: the last step reads no history sum
-            accel += history.next_sum(lane[: 1 + min(j, ring)]).reshape(grid.shape)
+            accel += h.reshape(grid.shape)
             accel *= minus_mu
             accel += push
             accel *= dt * dt
@@ -780,51 +761,44 @@ def march(spec: ProblemSpec, shifts=None):
     (j0, the levels j0 .. j1 - 1 of every shift), level 0 first: views
     that the march writes over later.
 
-    levels holds each shift's level 0 and a ring of the R slots the march
-    reads: for the leapfrog's exponential history a block of run_block
-    levels; for direct histories with a tail, the 3 _MARCH_ROWS levels the
-    far sums reach.  A direct history without a tail reads every level, so
-    where any shift's fit is refused R = J, the whole stack.  Every
-    shift's spec is built, and so checks its own time step, before any of
-    them marches.  An abort stops every shift, and names the earliest
-    non-finite step and the first shift that fails at it.
+    One history, HistoryConvolution.of the K shifted kernels, sums every
+    shift.  levels holds each shift's level 0 and a ring of the R slots
+    the march reads: for the leapfrog's exponential history a block of
+    run_block levels; for a direct history with a tail, the 3 _MARCH_ROWS
+    levels the far sums reach.  A direct history without a tail reads
+    every level, so where any shift's fit is refused every shift sums
+    directly, in the whole stack, R = J.  Every shift's spec is built, and
+    so checks its own time step, before any of them marches.  An abort
+    stops every shift, and names the earliest non-finite step and the
+    first shift that fails at it.
     """
     grid, J, dt = spec.grid, spec.n_steps, spec.dt
     shifts = [spec.eps] if shifts is None else [float(e) for e in shifts]
     specs = [spec if e == spec.eps else replace(spec, eps=e) for e in shifts]
     volterra = spec.formulation == "integral_volterra"
-    if volterra:
-        # kernel factor Ksh(s), the integral of each shifted modulus
-        history = HistoryConvolution.of([translate(spec.kernel, e) for e in shifts], -1, J, dt)
-        top = float(grid.eigenvalues.max())
-        records = [
-            RunRecord(s.fingerprint(), float(history.lags[k, 0]) * top, **_history_record(history, k))
-            for k, s in enumerate(specs)
-        ]
-        histories, rows = [history], _MARCH_ROWS
-    else:
-        # the rows 1 .. J - 1: the last step reads no history sum
-        histories = [HistoryConvolution.of(translate(spec.kernel, e), 1, J - 1, dt) for e in shifts]
-        records = [RunRecord(s.fingerprint(), **_history_record(h)) for s, h in zip(specs, histories)]
-        rows = run_block(grid.n_total, J + 1)
-    if histories[0].backend == "exponential":
-        # the step reads the two newest levels and writes a third slot: a
-        # block holds four or more
-        ring = min(rows, J)
-    else:
-        ring = min(3 * _MARCH_ROWS, J) if all(h.tail is not None for h in histories) else J
+    # the Volterra factor Ksh(s), the integral of each shifted modulus, over
+    # the J rows; the leapfrog's memory dG over the rows 1 .. J - 1, as the
+    # last step reads no history sum
+    order, n = (-1, J) if volterra else (1, J - 1)
+    history = HistoryConvolution.of([translate(spec.kernel, e) for e in shifts], order, n, dt)
+    # z_max of a Volterra run; a tail's terms and each weight set's checked error
+    top, tail = float(grid.eigenvalues.max()), history.tail
+    records = [
+        RunRecord(
+            s.fingerprint(), float(history.lags[k, 0]) * top if volterra else None, history.backend,
+            *(() if tail is None else (tail.ratios.size, float(tail.error[k]))),
+        )
+        for k, s in enumerate(specs)
+    ]
+    rows = _MARCH_ROWS if volterra else run_block(grid.n_total, J + 1)
+    # an exponential step reads the two newest levels and writes a third
+    # slot, and a block holds four or more
+    reach = rows if history.backend == "exponential" else J if tail is None else 3 * _MARCH_ROWS
+    ring = min(reach, J)
     levels = np.empty((len(shifts), 1 + ring) + grid.shape)
     if volterra:
         return records, levels, _march_volterra(spec, shifts, history, levels)
-    return records, levels, _march_leapfrog(specs, histories, levels, rows)
-
-
-def _history_record(history, k: int = 0) -> dict:
-    """What a RunRecord reads of history, for its weight set k: the
-    history_backend, and far_nodes and far_error where the far sums have a tail."""
-    tail = history.tail
-    fit = {} if tail is None else {"far_nodes": tail.ratios.size, "far_error": float(tail.error[k])}
-    return {"history_backend": history.backend, **fit}
+    return records, levels, _march_leapfrog(specs, history, levels, rows)
 
 
 # ---------------------------------------------------------------------------

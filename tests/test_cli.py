@@ -1090,13 +1090,14 @@ def test_aborted_march_leaves_no_trajectory(tmp_path, monkeypatch):
     # neither the CSV nor its temporary file left behind
     from memvisco.solver import _ExponentialHistory
 
-    real = _ExponentialHistory.next_sum
+    real = _ExponentialHistory.row_sums
 
-    def poisoned(self, levels):
-        total = real(self, levels)
-        return total * np.nan if self._rows_summed == 30 else total
+    def poisoned(self, stack, j):
+        # row 30 of the one shift
+        sums = real(self, stack, j)
+        return [total * np.nan for total in sums] if j == 30 else sums
 
-    monkeypatch.setattr(_ExponentialHistory, "next_sum", poisoned)
+    monkeypatch.setattr(_ExponentialHistory, "row_sums", poisoned)
     text = PRONY_TERMS.format(terms="[[0.5, 2.0]]").replace("horizon = 0.2", "horizon = 4.0")
     out = tmp_path / "out"
     with np.errstate(invalid="ignore"):
@@ -1138,13 +1139,14 @@ def test_aborted_march_leaves_no_npy(tmp_path, monkeypatch, export_format):
     # times.npy, nor any temporary file behind
     from memvisco.solver import _ExponentialHistory
 
-    real = _ExponentialHistory.next_sum
+    real = _ExponentialHistory.row_sums
 
-    def poisoned(self, levels):
-        total = real(self, levels)
-        return total * np.nan if self._rows_summed == 30 else total
+    def poisoned(self, stack, j):
+        # row 30 of the one shift
+        sums = real(self, stack, j)
+        return [total * np.nan for total in sums] if j == 30 else sums
 
-    monkeypatch.setattr(_ExponentialHistory, "next_sum", poisoned)
+    monkeypatch.setattr(_ExponentialHistory, "row_sums", poisoned)
     text = PRONY_TERMS.format(terms="[[0.5, 2.0]]").replace("horizon = 0.2", "horizon = 4.0")
     text += f"\n[output]\nexport_format = {export_format}\n"
     out = tmp_path / "out"
@@ -1174,6 +1176,10 @@ def test_both_exports_write_one_answer(tmp_path):
     assert np.array_equal(np.load(out / "times.npy"), read_manifest(out)["verdicts"]["dt"] * np.arange(399))
 
 
+# a forced Prony run with the decay check: the forcing's work sets the
+# forced twin's step gain, and so the tolerance, which read 0.0252, five
+# times the twin's 0.00505, and passed whatever the run did
+FORCED_DECAY = PRONY_TERMS.format(terms="[[0.5, 2.0]]") + "f = sin_pi_product\n[diagnostics]\nenergy_decay = true\n"
 # a power-law Volterra run at eps = 0, the paper's singular limit
 SINGULAR_LIMIT = QUICK.replace("family = constant\ng0 = 1.0", "family = powerlaw\nc = 1.0\nalpha = 0.5").replace(
     "cfl = 0.5", "dt = 0.01"
@@ -1186,9 +1192,10 @@ SINGULAR_LIMIT = QUICK.replace("family = constant\ng0 = 1.0", "family = powerlaw
         (QUICK.replace("u1 = sin_pi_product", "u0 = sin_pi_product"), ("energy_bound", "nonzero initial displacement"), "check_bound_hypothesis"),
         (QUICK + "\n[eps]\neps = 2\n", ("energy_bound", "bound requires eps <= 1, got 2.0"), "check_bound_hypothesis"),
         (UNDERFLOW, ("energy_bound", "bound requires G(T + 1) > 0, got 0.0"), "check_bound_hypothesis"),
-        (SINGULAR_LIMIT, ("energy_ledger", "eps = 0 with a modulus unbounded at 0"), "ledger_plan"),
+        (SINGULAR_LIMIT, ("energy_ledger", "eps = 0 with a modulus unbounded at 0"), "check_ledger_hypothesis"),
+        (FORCED_DECAY, ("energy_decay", "forced run: the forcing's work can raise the stored energy"), "check_decay_hypothesis"),
     ],
-    ids=["displaced", "eps-past-one", "underflow", "singular-limit"],
+    ids=["displaced", "eps-past-one", "underflow", "singular-limit", "forced-decay"],
 )
 def test_skipped_audits_are_decided_before_the_march(tmp_path, monkeypatch, text, skipped, decider):
     # each hypothesis is read off the spec before the one march, so the
@@ -1205,7 +1212,7 @@ def test_skipped_audits_are_decided_before_the_march(tmp_path, monkeypatch, text
 
         return wrapper
 
-    for name in ("ledger_plan", "check_bound_hypothesis", "march"):
+    for name in ("check_decay_hypothesis", "check_ledger_hypothesis", "check_bound_hypothesis", "march"):
         monkeypatch.setattr(runner, name, logged(name, getattr(runner, name)))
     out = tmp_path / "out"
     assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 0

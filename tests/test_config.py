@@ -294,3 +294,15 @@ class TestFileLoading:
         assert "powerlaw_theorem1.cfg" in names
         for p in root.glob("*.cfg"):
             parse_config_file(p)
+
+    def test_drift_configs_parse(self):
+        # the byte checks' configs for the paths no bundled config runs;
+        # none is a forced run with the decay check, which is skipped
+        import pathlib
+
+        paths = sorted((pathlib.Path(__file__).resolve().parents[1] / "configs" / "drift").glob("*.cfg"))
+        assert len(paths) == 5
+        for p in paths:
+            cfg = parse_config_file(p)
+            forced = cfg.forcing is not None and not cfg.forcing.is_zero
+            assert not (forced and cfg.diagnostics["energy_decay"]), p.name

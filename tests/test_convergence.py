@@ -448,17 +448,34 @@ class TestStreamedLeapfrogSequence:
         assert peaks[1] < 0.2 * stacks[1]
         assert peaks[1] - peaks[0] < 0.1 * (stacks[1] - stacks[0])
 
+    @pytest.mark.parametrize("case", ["prony-1d", "powerlaw-tail"])
+    def test_one_history_sums_every_shift(self, monkeypatch, case):
+        # the batch's one history holds a weight set per shift, and for a
+        # direct history one tail fit serves them all
+        real = HistoryConvolution.of
+        calls = []
+
+        def of(kernels, *args):
+            calls.append(kernels)
+            return real(kernels, *args)
+
+        monkeypatch.setattr(HistoryConvolution, "of", of)
+        march(_leapfrog_base(*_LEAPFROG[case]), eps_schedule(0.1, 0.5, 3))
+        assert len(calls) == 1 and len(calls[0]) == 4
+
     def test_a_refused_fit_takes_the_whole_stack_for_every_shift(self):
         # a tolerance between the shifts' checked errors (7.4e-15 ..
-        # 5.1e-13) fits the far sums of the first two shifts and refuses
-        # the last two: then every shift of the batch marches in the whole
-        # stack, and each one's levels are still its lone march's
+        # 5.1e-13) passes the fits of the first two shifts and refuses the
+        # last two: the batch's one history then has no tail, so every
+        # shift sums directly in the whole stack, and each one's levels are
+        # its lone march's with every fit refused
         base = _leapfrog_base(*_LEAPFROG["powerlaw-tail"])
         eps = eps_schedule(0.1, 0.5, 3)
         with mock.patch.object(solver_module, "_TAIL_TOLERANCE", 2e-13):
             seq = run_eps_sequence(base, 0.1, 0.5, 3)
+        with direct_sums():
             want = listed_sequence(eps, sequence_trajectories(base, eps))
-        assert [r.far_nodes > 0 for r in seq.runs] == [True, True, False, False]
+        assert [r.far_nodes for r in seq.runs] == [0, 0, 0, 0]
         assert seq.runs == want.runs
         assert seq.levels_bytes == 8 * (base.n_steps + 1) * 17
         for name in ("next_squares", "finest_squares", "columns", "peaks"):
@@ -474,27 +491,20 @@ class TestStreamedLeapfrogSequence:
         # sequence stopped at shift 0's step 101.)
         from memvisco.solver import _ExponentialHistory
 
-        histories = []
-        real_init, real_sum = _ExponentialHistory.__init__, _ExponentialHistory.next_sum
+        real = _ExponentialHistory.row_sums
         poisoned_rows = {0: 100, 2: 30, 3: 19}
 
-        def init(self, *args):
-            real_init(self, *args)
-            histories.append(self)
+        def row_sums(self, stack, j):
+            sums = real(self, stack, j)
+            return [total * np.nan if poisoned_rows.get(k) == j else total for k, total in enumerate(sums)]
 
-        def next_sum(self, levels):
-            total = real_sum(self, levels)
-            return total * np.nan if self._rows_summed == poisoned_rows.get(histories.index(self)) else total
-
-        monkeypatch.setattr(_ExponentialHistory, "__init__", init)
-        monkeypatch.setattr(_ExponentialHistory, "next_sum", next_sum)
+        monkeypatch.setattr(_ExponentialHistory, "row_sums", row_sums)
         base = _leapfrog_base(PronyKernel(0.5, ((0.5, 2.0),)), Grid.line(17), 200)
         assert run_block(17, base.n_steps + 1) == 16
         eps = eps_schedule(0.1, 0.5, 3)
         with np.errstate(invalid="ignore"), pytest.raises(SolverAbort, match="non-finite") as got:
             run_eps_sequence(base, 0.1, 0.5, 3)
         assert (got.value.step, got.value.eps) == (20, float(eps[3]))
-        assert len(histories) == 4
 
 
 def test_volterra_abort_names_the_earliest_failing_step(monkeypatch):

@@ -318,7 +318,7 @@ def test_streamed_history_sums_are_the_lag_passes_bitwise(kernel, grid):
     )
     histories = ledger_plan(kernel, spec.eps, spec.times)
     _, levels, blocks = march(spec)
-    streamed = SingleRun.reduce(spec.grid, spec.times, blocks, histories=histories)
+    streamed = SingleRun.reduce(spec.grid, spec.times, blocks, ledger=(kernel, spec.eps))
     assert levels.shape[1] < spec.n_steps + 1  # a ring, not the stack
     traj = run(spec)
     edges = traj.coefficients.reshape(traj.n_levels, -1) * np.sqrt(grid.eigenvalues).ravel()
@@ -346,6 +346,20 @@ class TestEnergyDecay:
         assert not rep.passed
         assert rep.first_violation is not None
         assert rep.max_increase > tol
+
+    @pytest.mark.parametrize("omega", [None, 6.0], ids=["constant", "omega6"])
+    def test_refuses_a_forced_run(self, omega):
+        # the negative control, forced: the twin's tolerance grows with the
+        # forcing's work, so the check passed (max increase 1.07e-2 against
+        # 3.5e-2, and 6.9e-3 against 3.4e-2 at omega 6), where the unforced
+        # run fails it (5.5e-3 against 3.7e-4)
+        bad = unchecked_prony(1.5, ((-0.8, 0.5),))
+        params = {"amplitude": 0.5} if omega is None else {"amplitude": 0.5, "omega": omega}
+        forcing = Forcing.from_dict("sin_pi_product", params)
+        spec = damped_spec(kernel=bad, n=19, horizon=0.5, forcing=forcing)
+        led = energy_ledger(run(spec), bad, 0.05, forcing)
+        with pytest.raises(HypothesisError, match="^forced run"):
+            check_energy_decay(led, calibrate_decay_tolerance(spec))
 
     def test_tolerance_scales_with_safety(self):
         spec = damped_spec()
@@ -686,7 +700,8 @@ class TestStreamedMatchesStored:
             assert histories[0].backend == "exponential"
             with _trajectory_export(tmp_path, cfg, spec.grid, spec.times) as export:
                 _, levels, blocks = march(spec)
-                streamed = SingleRun.reduce(spec.grid, spec.times, blocks, spec.forcing, histories, battery=True, export=export)
+                ledger = (spec.kernel, spec.eps)
+                streamed = SingleRun.reduce(spec.grid, spec.times, blocks, spec.forcing, ledger, battery=True, export=export)
             assert streamed.stack_bytes == 0
             assert levels.shape[1] < n_steps + 1  # a ring that wraps
             traj = run(spec)
@@ -715,20 +730,19 @@ class TestStreamedMatchesStored:
 class TestAuditsReadWhatTheRunHolds:
     """An audit handed a SingleRun reduced without a part it reads names
     that part.  Without forcing the ledger silently read zero forcing power
-    (max_residual 0.680 against 0.0209), and without histories or the
-    battery the audits failed on None."""
+    (max_residual 0.680 against 0.0209), and without the ledger's pair or
+    the battery the audits failed on None."""
 
     FORCING = Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 3.0})
 
     def reduced(self, histories=False, **asked):
         """The spec, and its march reduced with what is asked: the
-        ledger's histories if histories, else none."""
-        from memvisco.diagnostics import ledger_plan
+        ledger's history sums if histories, else none."""
         from memvisco.solver import march
 
         spec = damped_spec(kernel=PRONY, n=49, forcing=self.FORCING)
         if histories:
-            asked["histories"] = ledger_plan(PRONY, spec.eps, spec.times)
+            asked["ledger"] = (PRONY, spec.eps)
         return spec, SingleRun.reduce(spec.grid, spec.times, march(spec)[2], **asked)
 
     def test_ledger_refuses_a_run_reduced_without_forcing(self):
@@ -739,9 +753,24 @@ class TestAuditsReadWhatTheRunHolds:
         _, reduction = self.reduced(histories=True, forcing=self.FORCING)
         assert energy_ledger(reduction, PRONY, 0.05, self.FORCING).max_residual == pytest.approx(0.0209, abs=1e-4)
 
+    def test_ledger_refuses_a_run_reduced_for_another_pair(self):
+        # history sums reduced for eps = 5 and read as eps = 0.05's gave
+        # max_residual 0.116, where the run's own read 0.0122, and raised
+        # nothing
+        from memvisco.solver import march
+
+        spec = damped_spec(kernel=PRONY, n=49)
+
+        def reduced(eps):
+            return SingleRun.reduce(spec.grid, spec.times, march(spec)[2], ledger=(PRONY, eps))
+
+        with pytest.raises(ValueError, match=r"energy_ledger of \(.*, 0\.05\) reads a SingleRun reduced for \(.*, 5\.0\)"):
+            energy_ledger(reduced(5.0), PRONY, 0.05)
+        assert energy_ledger(reduced(0.05), PRONY, 0.05).max_residual == pytest.approx(0.0122, abs=1e-4)
+
     def test_ledger_refuses_a_run_reduced_without_histories(self):
         _, reduction = self.reduced(forcing=self.FORCING)
-        with pytest.raises(ValueError, match="energy_ledger reads a SingleRun reduced with histories"):
+        with pytest.raises(ValueError, match="energy_ledger reads a SingleRun reduced with ledger"):
             energy_ledger(reduction, PRONY, 0.05, self.FORCING)
 
     def test_weak_residual_refuses_a_run_reduced_without_the_battery(self):

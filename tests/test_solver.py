@@ -315,7 +315,7 @@ def test_adjoint_is_the_transposed_row_loop(n, exponential, zeros, seed):
         kernel = PronyKernel(0.5, ((0.3, 1.0), (0.2, 0.1)))
         recursion = HistoryConvolution.of(translate(kernel, 0.05), 1, n, 0.1)
         assert recursion.backend == "exponential"
-        history = geometric_history(recursion.terms, n)
+        history = geometric_history(recursion.terms[0], n)
     else:
         left, right = rng.standard_normal(n), rng.standard_normal(n)
         for i in zeros:
@@ -334,10 +334,11 @@ def test_adjoint_is_the_transposed_row_loop(n, exponential, zeros, seed):
 
 
 def _stream_sums(history, samples):
-    """next_sum() of every row j >= 1 on the levels 0 .. j; row 0 stays zero."""
+    """row_sums() of every row j >= 1 of one weight set on the levels 0 ..
+    j, a whole stack of one shift; row 0 stays zero."""
     out = np.zeros_like(samples)
     for j in range(1, samples.shape[0]):
-        out[j] = history.next_sum(samples[: j + 1])
+        out[j] = history.row_sums(samples[None], j)[0]
     return out
 
 
@@ -568,7 +569,7 @@ class TestExponentialHistory:
         # moderate ratios and a short span
         k = PronyKernel(0.5, _TERMS[n_terms])
         dt, eps, n = 1.0 / ratio, 0.05, 40
-        exponential = geometric_history(HistoryConvolution.of(translate(k, eps), 1, n, dt).terms, n)
+        exponential = geometric_history(HistoryConvolution.of(translate(k, eps), 1, n, dt).terms[0], n)
         shifted = translate(k, eps)
         direct = HistoryConvolution(*interval_weights(shifted._modulus, shifted._integral, n, dt))
         scale = np.abs(direct.lags).max()
@@ -588,7 +589,7 @@ class TestExponentialHistory:
         rough = np.random.default_rng(n_terms).standard_normal((n + 1, 2))
         smooth = np.stack([np.sin(3 * t), 1.0 + t * t], axis=1)
         samples = np.concatenate([rough, smooth], axis=1)
-        rows = geometric_history(history.terms, n)
+        rows = geometric_history(history.terms[0], n)
         want = np.zeros_like(samples)
         for j in range(1, n + 1):
             want[j] = history_row(rows, j) @ samples[: j + 1]
@@ -605,9 +606,12 @@ class TestExponentialHistory:
             assert HistoryConvolution.of(translate(power, eps), order, n, dt).backend == "direct"
             summed = translate(KernelSum((PRONY, power)), eps)
             assert HistoryConvolution.of(summed, order, n, dt).backend == "direct"
-        # the Volterra factor of any kernel, and a stack of shifts, are direct
+        # the Volterra factor of any kernel is direct; a stack of Prony
+        # shifts is exponential, one term list each, and any other stack direct
         assert HistoryConvolution.of(prony, -1, n, dt).backend == "direct"
-        assert HistoryConvolution.of([prony, prony], 1, n, dt).lags.shape == (2, n + 1)
+        stacked = HistoryConvolution.of([prony, translate(PRONY, 0.1)], 1, n, dt)
+        assert stacked.backend == "exponential" and len(stacked.terms) == 2
+        assert HistoryConvolution.of([prony, translate(power, eps)], 1, n, dt).lags.shape == (2, n + 1)
         constant = HistoryConvolution.of(PronyKernel(1.0, ()), 1, n, dt)
         assert constant.backend == "exponential"
         # a modulus without terms has no memory: its sums are exact zeros
@@ -617,15 +621,15 @@ class TestExponentialHistory:
 
     @pytest.mark.parametrize("kernel", [PRONY, PowerLawKernel(c=1.0, alpha=0.5)])
     def test_push_keeps_no_reference_to_the_caller_array(self, kernel):
-        # each next_sum pushes the levels it is handed into the history's
+        # each row_sums pushes the levels it is handed into the history's
         # sums or states; it may keep no view of the caller's storage
         samples = np.random.default_rng(9).standard_normal((12, 5))
         want = _stream_sums(HistoryConvolution.of(translate(kernel, 0.05), 1, 11, 0.02), samples)
         history = HistoryConvolution.of(translate(kernel, 0.05), 1, 11, 0.02)
         got = np.zeros_like(samples)
         for j in range(1, 12):
-            levels = samples[: j + 1].copy()
-            got[j] = history.next_sum(levels)
+            levels = samples[None, : j + 1].copy()
+            got[j] = history.row_sums(levels, j)[0]
             levels[:] = np.nan  # the caller's storage changes after the call
         assert got.tobytes() == want.tobytes()
 
@@ -647,21 +651,7 @@ class TestExponentialHistory:
         ring[0] = samples[0]
         for j in range(1, 12):
             ring[1 + (j - 1) % 3] = samples[j]
-            assert history.next_sum(ring[: 1 + min(j, 3)]).tobytes() == want[j].tobytes()
-
-    def test_refuses_a_partial_row(self):
-        history = HistoryConvolution.of(translate(PRONY, 0.05), 1, 10, 0.01)
-        with pytest.raises(ValueError, match="whole rows"):
-            history.next_sum(np.ones((1, 3)))
-
-    @pytest.mark.parametrize("kernel", [PRONY, PowerLawKernel(c=1.0, alpha=0.5)])
-    @pytest.mark.parametrize("top", [0, 1, 4])
-    def test_refuses_a_stack_that_is_not_the_row(self, kernel, top):
-        # row 2 takes levels 0 .. 1 or 0 .. 2, nothing shorter or longer
-        history = HistoryConvolution.of(translate(kernel, 0.05), 1, 10, 0.01)
-        history.next_sum(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="row 2"):
-            history.next_sum(np.ones((top, 3)))
+            assert history.row_sums(ring[None], j)[0].tobytes() == want[j].tobytes()
 
 
 def test_prony_leapfrog_stores_no_history():
@@ -1130,9 +1120,9 @@ class TestVolterraTail:
         weights = HistoryConvolution.of
         shifted = translate(kernel, eps)
 
-        def exact_from_w(k, order, n, dt):
-            history = weights(k, order, n, dt)
-            history.lags[W:n] = _hat_integrals(shifted._modulus_dt, np.arange(W, n), dt)
+        def exact_from_w(kernels, order, n, dt):
+            history = weights(kernels, order, n, dt)
+            history.lags[:, W:n] = _hat_integrals(shifted._modulus_dt, np.arange(W, n), dt)
             return history
 
         with mock.patch.object(HistoryConvolution, "of", exact_from_w):
@@ -1272,7 +1262,7 @@ def test_leapfrog_takes_no_laplacian(kernel):
     g0 = kernel.modulus(0.05)
     u = traj.levels
     history = HistoryConvolution.of(translate(kernel, 0.05), 1, spec.n_steps, spec.dt)
-    h1 = history.next_sum(traj.coefficients[:2])
+    h1 = history.row_sums(traj.coefficients[None], 1)[0]
     want = 2 * u[1] - u[0] + spec.dt**2 * laplacian_array(g, g0 * u[1] + sine_transform(g, h1))
     assert np.abs(u[2] - want).max() <= 1e-13 * np.abs(want).max()
 
