@@ -37,7 +37,6 @@ from memvisco.solver import (
     compute_stress,
     run,
     stable_time_step,
-    trajectory_distance,
 )
 
 __all__ = [
@@ -62,6 +61,5 @@ __all__ = [
     "kernel_from_dict",
     "run",
     "stable_time_step",
-    "trajectory_distance",
     "translate",
 ]

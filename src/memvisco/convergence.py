@@ -135,7 +135,7 @@ def cauchy_report(
     tolerance: float,
 ) -> ConvergenceReport:
     """Each run's space-time L2 distance to the next and to the finest,
-    from the sequence's level squares, as l2_spacetime takes it."""
+    from the sequence's level squares, trapezoid-weighted in time."""
     eps_values = sequence.eps_values
     if eps_values.size < 3:
         raise ValueError(f"need at least 3 runs to assess a limit, got {eps_values.size}")

@@ -211,7 +211,9 @@ class SingleRun(NamedTuple):
     @classmethod
     def of(cls, run: TrajectorySolution | SingleRun, **asked) -> SingleRun:
         """run itself if it is reduced, else the reduction asked of a stored
-        run, its levels handed over as level 0 and one block of the rest."""
+        run, its levels handed over as level 0 and one block of the rest.
+        Only energy_ledger takes a stored run: the benchmark's J sweep
+        (perfbench/child.py) hands it run(spec)."""
         if isinstance(run, cls):
             return run
         blocks = [(0, run.coefficients[:1]), (1, run.coefficients[1:])]
@@ -312,7 +314,8 @@ def energy_ledger(
 ) -> EnergyLedger:
     """Assemble the energy balance for a run of the shifted problem: a
     stored trajectory, or a SingleRun reduced with forcing and ledger =
-    (kernel, eps); ValueError for one reduced for another pair.
+    (kernel, eps); ValueError for one reduced for another pair, or with
+    forcing where none is given.
 
     All modulus evaluations use the shifted kernel G(eps + .); eps = 0 is
     accepted only for a modulus bounded at 0.
@@ -328,6 +331,8 @@ def energy_ledger(
     """
     run = SingleRun.of(run, forcing=forcing, ledger=(kernel, eps))
     run.require("energy_ledger", forcing=forcing is not None, ledger=True)
+    if forcing is None and run.power is not None:
+        raise ValueError("energy_ledger without forcing reads a SingleRun reduced with forcing")
     if run.ledger != (kernel, eps):
         raise ValueError(f"energy_ledger of {(kernel, eps)!r} reads a SingleRun reduced for {run.ledger!r}")
     kk = translate(kernel, eps)
@@ -463,8 +468,10 @@ def calibrate_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> float:
     Replaces the kernel by the constant G(eps): same grid, dt, and data, so
     the twin's worst per-step energy increase measures the pure
     discretization drift at this resolution.  Scales like dt^2 + h^2.  The
-    twin is marched into a ring and reduced as it goes.
+    twin is marched into a ring and reduced as it goes.  HypothesisError
+    for a forced spec, whose decay check_energy_decay refuses.
     """
+    check_decay_hypothesis(spec.forcing is not None)
     twin = replace(spec, kernel=PronyKernel(spec.kernel.modulus(spec.eps), ()), eps=1.0)
     reduction = SingleRun.reduce(twin.grid, twin.times, march(twin)[2], ledger=(twin.kernel, twin.eps))
     stored = energy_ledger(reduction, twin.kernel, twin.eps).stored
@@ -504,14 +511,14 @@ def check_bound_hypothesis(kernel: RelaxationKernel, eps: float, horizon: float,
 
 
 def check_energy_bound(
-    run: TrajectorySolution | SingleRun,
+    run: SingleRun,
     kernel: RelaxationKernel,
     eps: float,
     u1: Field,
     forcing=None,
 ) -> BoundReport:
     """Check  0.5 |grad u|^2 + 0.5 |u_t|^2 <= gamma e^T C  at every level
-    of a stored trajectory or a SingleRun.
+    of a reduced run.
 
     gamma = max(1 / G(T + 1), 1) uses the unshifted modulus; requires
     eps <= 1 so the shifted modulus dominates G(T + 1) on the window, and
@@ -519,7 +526,6 @@ def check_energy_bound(
     C = 0.5 |f|^2 (space-time) + 0.5 |u1|^2 (space) covers no initial
     displacement, so a run that starts displaced is refused.
     """
-    run = SingleRun.of(run)
     T = float(run.times[-1])
     gamma = check_bound_hypothesis(kernel, eps, T, run.displaced)
     grid, dt = run.grid, run.dt
@@ -613,7 +619,7 @@ class WeakResidualEntry:
 
 
 def weak_residual(
-    run: TrajectorySolution | SingleRun,
+    run: SingleRun,
     kernel: RelaxationKernel,
     eps: float,
     u0: Field,
@@ -631,11 +637,10 @@ def weak_residual(
     the convolution moved onto v via two integrations by parts ('moved').
     The two agree up to O(h^2) because the analytic Laplacian of v differs
     from the stencil by that amount.  It reads the battery columns of a
-    stored trajectory, or of a SingleRun reduced with them.
+    run reduced with them.
     """
     grid, dt, times = run.grid, run.dt, run.times
-    single = isinstance(run, SingleRun)
-    columns = run.require("weak_residual", battery=True).columns if single else battery_columns(grid, run.coefficients)
+    columns = run.require("weak_residual", battery=True).columns
     J = times.size - 1
     history = HistoryConvolution.of(translate(kernel, eps), -1, J, dt)
     if forcing is not None:

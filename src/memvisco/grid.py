@@ -29,7 +29,6 @@ __all__ = [
     "trapezoid_weights",
     "double_trapezoid",
     "level_squares",
-    "l2_spacetime",
 ]
 
 
@@ -204,8 +203,3 @@ def level_squares(grid: Grid, levels: np.ndarray, overwrite: bool = False) -> np
     squares = np.square(levels, out=levels if overwrite else None)
     return grid.cell_volume * np.sum(squares.reshape(levels.shape[: levels.ndim - grid.dim] + (-1,)), axis=-1)
 
-
-def l2_spacetime(grid: Grid, levels: np.ndarray, dt: float, overwrite: bool = False) -> float:
-    """Trapezoid-in-time, midpoint-in-space L2 norm of a level stack."""
-    sq = level_squares(grid, levels, overwrite)
-    return math.sqrt(float(np.dot(trapezoid_weights(sq.size, dt), sq)))

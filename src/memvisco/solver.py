@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from memvisco.expressions import Forcing
-from memvisco.grid import Field, Grid, double_trapezoid, l2_spacetime, sine_transform
+from memvisco.grid import Field, Grid, double_trapezoid, sine_transform
 from memvisco.kernels import PronyKernel, RelaxationKernel, translate
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "march",
     "run_block",
     "velocity_estimates",
-    "trajectory_distance",
     "compute_stress",
     "stress_curve",
 ]
@@ -200,18 +199,6 @@ class RunRecord(NamedTuple):
     streamed shift sequence keeps these and no trajectory."""
 
     spec_fingerprint: str
-    z_max: float | None = None
-    history_backend: str = "direct"
-    far_nodes: int = 0
-    far_error: float = 0.0
-
-
-@dataclass(frozen=True)
-class TrajectorySolution:
-    grid: Grid
-    times: np.ndarray
-    coefficients: np.ndarray  # (n_levels, *grid.shape): sine coefficients of each level
-    spec_fingerprint: str
     # Volterra runs: the self-weight lags[0] times the top eigenvalue of -lap
     z_max: float | None = None
     history_backend: str = "direct"
@@ -220,6 +207,16 @@ class TrajectorySolution:
     far_nodes: int = 0
     far_error: float = 0.0
 
+
+@dataclass(frozen=True)
+class TrajectorySolution:
+    """Every level of a run, stored, as run returns it."""
+
+    grid: Grid
+    times: np.ndarray
+    coefficients: np.ndarray  # (n_levels, *grid.shape): sine coefficients of each level
+    record: RunRecord
+
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
@@ -227,29 +224,6 @@ class TrajectorySolution:
     @property
     def n_levels(self) -> int:
         return self.coefficients.shape[0]
-
-    @property
-    def record(self) -> RunRecord:
-        return RunRecord(*(getattr(self, name) for name in RunRecord._fields))
-
-    @property
-    def levels(self) -> np.ndarray:
-        """Nodal values of every level, (n_levels, *grid.shape), formed anew
-        on each read."""
-        return self.nodal()
-
-    def nodal(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Nodal values of the levels start .. stop - 1."""
-        return sine_transform(self.grid, self.coefficients[start:stop])
-
-    def velocities(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Nodal values of velocity_coefficients(start, stop)."""
-        return sine_transform(self.grid, self.velocity_coefficients(start, stop))
-
-    def velocity_coefficients(self, start: int = 0, stop: int | None = None):
-        """velocity_estimates of the levels start .. stop - 1, in sine coefficients."""
-        stop = self.n_levels if stop is None else min(stop, self.n_levels)
-        return velocity_estimates(self.coefficients, self.dt, start, max(start, stop))
 
 
 def velocity_estimates(u: np.ndarray, dt: float, start: int, stop: int, out=None) -> np.ndarray:
@@ -273,19 +247,6 @@ def velocity_estimates(u: np.ndarray, dt: float, start: int, stop: int, out=None
     if hi < stop - start:
         v[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dt)
     return v
-
-
-def trajectory_distance(a: TrajectorySolution, b: TrajectorySolution) -> float:
-    """Space-time L2 distance; requires matching grids and time levels.
-
-    Taken on the sine coefficients: the DST-I is orthonormal, so each
-    level's sum of squares is the nodal one (Parseval).
-    """
-    if a.grid != b.grid:
-        raise ValueError("trajectories live on different grids")
-    if a.n_levels != b.n_levels or abs(a.dt - b.dt) > 1e-12 * a.dt:
-        raise ValueError("trajectories use different time levels")
-    return l2_spacetime(a.grid, a.coefficients - b.coefficients, a.dt, overwrite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +855,7 @@ def run(spec: ProblemSpec) -> TrajectorySolution:
     for j0, block in blocks:
         # a copy onto itself where the stack is the march's buffer: numpy skips it
         stack[:, j0 : j0 + block.shape[1]] = block
-    return TrajectorySolution(grid=spec.grid, times=spec.times, coefficients=stack[0], **record._asdict())
+    return TrajectorySolution(spec.grid, spec.times, stack[0], record)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import memvisco.solver as solver_module
 from memvisco.convergence import ConvergenceReport, LemmaCheckEntry, ShiftSequence
 from memvisco.diagnostics import (
     EnergyLedger,
+    SingleRun,
     WeakResidualEntry,
     battery_columns,
     battery_projections,
@@ -25,6 +26,8 @@ from memvisco.grid import (
     Grid,
     inner_space,
     l2_space,
+    level_squares,
+    sine_transform,
     trapezoid_weights,
 )
 from memvisco.kernels import (
@@ -45,7 +48,7 @@ from memvisco.solver import (
     march,
     run,
     run_block,
-    trajectory_distance,
+    velocity_estimates,
 )
 
 
@@ -329,8 +332,8 @@ def reference_energy_ledger(
 
     grid, dt = traj.grid, traj.dt
     J = traj.n_levels - 1
-    u = traj.levels
-    v = traj.velocities()
+    u = nodal_levels(traj)
+    v = nodal_velocities(traj)
     times = traj.times
 
     g_now = kk.modulus(times)
@@ -524,10 +527,11 @@ def non_mode_one(grid: Grid, levels: np.ndarray) -> float:
 
 def reference_bound_lhs(traj: TrajectorySolution) -> np.ndarray:
     """Per-level oracle for BoundReport.lhs."""
-    v = reference_velocities(traj.levels, traj.dt)
+    u = nodal_levels(traj)
+    v = reference_velocities(u, traj.dt)
     return np.array(
         [
-            0.5 * dirichlet_gradient_sq(traj.grid, traj.levels[j])
+            0.5 * dirichlet_gradient_sq(traj.grid, u[j])
             + 0.5 * l2_space(traj.grid, v[j]) ** 2
             for j in range(traj.n_levels)
         ]
@@ -585,10 +589,7 @@ def batch_runs(spec: ProblemSpec, shifts) -> list[TrajectorySolution]:
     stack = np.empty((len(records), spec.n_steps + 1) + spec.grid.shape)
     for j0, block in blocks:
         stack[:, j0 : j0 + block.shape[1]] = block
-    return [
-        TrajectorySolution(grid=spec.grid, times=spec.times, coefficients=levels, **record._asdict())
-        for levels, record in zip(stack, records)
-    ]
+    return [TrajectorySolution(spec.grid, spec.times, levels, record) for levels, record in zip(stack, records)]
 
 
 def sequence_trajectories(base: ProblemSpec, eps_values) -> list[TrajectorySolution]:
@@ -597,6 +598,50 @@ def sequence_trajectories(base: ProblemSpec, eps_values) -> list[TrajectorySolut
     if base.formulation == "integral_volterra":
         return batch_runs(base, eps_values)
     return [run(replace(base, eps=float(e))) for e in eps_values]
+
+
+def nodal_levels(traj: TrajectorySolution, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Nodal values of a stored run's levels start .. stop - 1."""
+    return sine_transform(traj.grid, traj.coefficients[start:stop])
+
+
+def velocity_coefficients(traj: TrajectorySolution, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """velocity_estimates of a stored run's levels start .. stop - 1, in
+    sine coefficients."""
+    stop = traj.n_levels if stop is None else min(stop, traj.n_levels)
+    return velocity_estimates(traj.coefficients, traj.dt, start, max(start, stop))
+
+
+def nodal_velocities(traj: TrajectorySolution, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Nodal values of velocity_coefficients(traj, start, stop)."""
+    return sine_transform(traj.grid, velocity_coefficients(traj, start, stop))
+
+
+def stored_reduction(traj: TrajectorySolution, **asked) -> SingleRun:
+    """The SingleRun of a stored run, reduced with what is asked, its levels
+    handed over as level 0 and one block of the rest."""
+    blocks = [(0, traj.coefficients[:1]), (1, traj.coefficients[1:])]
+    return SingleRun.reduce(traj.grid, traj.times, blocks, **asked)
+
+
+def l2_spacetime(grid: Grid, levels: np.ndarray, dt: float, overwrite: bool = False) -> float:
+    """Trapezoid-in-time, midpoint-in-space L2 norm of a level stack."""
+    sq = level_squares(grid, levels, overwrite)
+    return math.sqrt(float(np.dot(trapezoid_weights(sq.size, dt), sq)))
+
+
+def trajectory_distance(a: TrajectorySolution, b: TrajectorySolution) -> float:
+    """Oracle for the space-time L2 distance of two stored runs; requires
+    matching grids and time levels.
+
+    Taken on the sine coefficients: the DST-I is orthonormal, so each
+    level's sum of squares is the nodal one (Parseval).
+    """
+    if a.grid != b.grid:
+        raise ValueError("trajectories live on different grids")
+    if a.n_levels != b.n_levels or abs(a.dt - b.dt) > 1e-12 * a.dt:
+        raise ValueError("trajectories use different time levels")
+    return l2_spacetime(a.grid, a.coefficients - b.coefficients, a.dt, overwrite=True)
 
 
 def stored_blocks(trajectories, rows: int):
@@ -616,7 +661,7 @@ def listed_sequence(eps_values, trajectories: list[TrajectorySolution]) -> Shift
     if len(trajectories) != np.size(eps_values):
         raise ValueError("one shift value per trajectory required")
     first = trajectories[0]
-    volterra = first.z_max is not None
+    volterra = first.record.z_max is not None
     rows = solver_module._MARCH_ROWS if volterra else run_block(first.grid.n_total, first.n_levels)
     runs = [t.record for t in trajectories]
     blocks = stored_blocks(trajectories, rows)
@@ -704,7 +749,7 @@ def listed_lemma_check(
             J, dt,
         )
         history = HistoryConvolution(*weights)
-        c_level = max(float(np.abs(traj.nodal(a, a + 8)).max()) for a in range(0, J + 1, 8)) / grid.volume
+        c_level = max(float(np.abs(nodal_levels(traj, a, a + 8)).max()) for a in range(0, J + 1, 8)) / grid.volume
 
         vol = grid.cell_volume
         columns = battery_columns(grid, traj.coefficients)
@@ -763,8 +808,8 @@ def reference_lemma_check(
             lambda s: shifted._integral3(s) - kernel._integral3(s),
             J, dt,
         )
-        conv = reference_full(HistoryConvolution(*weights), traj.levels.reshape(J + 1, -1))
-        c_level = float(np.max(np.abs(traj.levels))) / grid.volume
+        conv = reference_full(HistoryConvolution(*weights), nodal_levels(traj).reshape(J + 1, -1))
+        c_level = float(np.max(np.abs(nodal_levels(traj)))) / grid.volume
 
         wt = trapezoid_weights(J + 1, dt)
         vol = grid.cell_volume
@@ -808,8 +853,8 @@ def reference_weak_residual(
     kk = translate(kernel, eps)
     history = HistoryConvolution(*interval_weights(kk._integral2, kk._integral3, J, dt))
 
-    flat = traj.levels.reshape(J + 1, -1)
-    conv_lap = reference_full(history, laplacian_array(grid, traj.levels).reshape(J + 1, -1))
+    flat = nodal_levels(traj).reshape(J + 1, -1)
+    conv_lap = reference_full(history, laplacian_array(grid, nodal_levels(traj)).reshape(J + 1, -1))
     conv_u = reference_full(history, flat)
 
     f_double = integrated_forcing(forcing, grid, traj.times, dt)
@@ -859,7 +904,7 @@ def lemma_term_magnitudes(kernel, eps_values, battery, trajectories) -> list[flo
             lambda s: shifted._integral3(s) - kernel._integral3(s),
             J, dt,
         )
-        sums = _abs_row_sums(left, right, traj.levels.reshape(J + 1, -1))
+        sums = _abs_row_sums(left, right, nodal_levels(traj).reshape(J + 1, -1))
         wt = trapezoid_weights(J + 1, dt)
         for v in battery:
             a = np.abs(wt * v.time_values(traj.times, horizon))
@@ -879,9 +924,9 @@ def weak_term_magnitudes(traj, kernel, eps, u0, u1, forcing=None) -> list[float]
     battery = default_battery(grid)
     kk = translate(kernel, eps)
     left, right = interval_weights(kk._integral2, kk._integral3, J, dt)
-    flat = traj.levels.reshape(J + 1, -1)
+    flat = nodal_levels(traj).reshape(J + 1, -1)
     sums_u = _abs_row_sums(left, right, flat)
-    sums_lap = _abs_row_sums(left, right, laplacian_array(grid, traj.levels).reshape(J + 1, -1))
+    sums_lap = _abs_row_sums(left, right, laplacian_array(grid, nodal_levels(traj)).reshape(J + 1, -1))
     f_double = integrated_forcing(forcing, grid, traj.times, dt)
     ramp = (
         np.outer(traj.times, np.abs(u1.values.ravel()))

@@ -783,7 +783,7 @@ class TestOtherModes:
                 assert levels_bytes == (8 * 5 * cfg.grid.n_total if name == "leapfrog" else stack)
                 if name == "volterra":
                     # the self-weight times the top eigenvalue of -lap
-                    assert record["z_max"] == run(_build_spec(cfg, eps, dt)).z_max
+                    assert record["z_max"] == run(_build_spec(cfg, eps, dt)).record.z_max
                     assert 0.0 < record["z_max"] < 1.0
                     assert "dt_over_limit" not in record
                 elif backend is not None:
@@ -826,7 +826,7 @@ class TestOtherModes:
             for record in read_manifest(out)["runs"]:
                 traj = run(_build_spec(cfg, record["eps"], cfg.dt))
                 assert record["history_backend"] == "direct"
-                assert (record["far_nodes"], record["far_error"]) == (traj.far_nodes, traj.far_error)
+                assert (record["far_nodes"], record["far_error"]) == (traj.record.far_nodes, traj.record.far_error)
                 assert record["far_nodes"] == nodes, name
                 if nodes:
                     assert 0.0 < record["far_error"] <= 1e-10

@@ -20,6 +20,7 @@ from helpers import (
     reference_lemma_check,
     sequence_trajectories,
     small_march_blocks,
+    trajectory_distance,
 )
 import memvisco.solver as solver_module
 from memvisco.convergence import (
@@ -42,7 +43,6 @@ from memvisco.solver import (
     cfl_time_step,
     march,
     run_block,
-    trajectory_distance,
 )
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -341,7 +341,7 @@ class TestStreamedMatchesListedOracles:
             # another order (measured: equal in every case here)
             assert abs(g.majorant - w.majorant) <= 1e-13 * w.majorant
         assert seq.runs == tuple(t.record for t in trajs)
-        ring = min(J + 1, 3 * W + 1) if trajs[0].far_nodes else J + 1
+        ring = min(J + 1, 3 * W + 1) if trajs[0].record.far_nodes else J + 1
         assert seq.levels_bytes == 8 * ring * grid.n_total
         return seq, trajs
 
@@ -364,7 +364,7 @@ class TestStreamedMatchesListedOracles:
             formulation="integral_volterra",
         )
         seq, trajs = self.check(base, 6, contextlib.nullcontext)
-        assert trajs[0].far_nodes == 33
+        assert trajs[0].record.far_nodes == 33
         assert seq.levels_bytes == 8 * 193 * 99
 
     def test_tail_and_ring_are_taken(self):

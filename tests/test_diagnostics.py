@@ -10,6 +10,9 @@ from helpers import (
     forced_box_spec,
     forcing_at,
     geometric_history,
+    l2_spacetime,
+    nodal_levels,
+    nodal_velocities,
     oracle_specs,
     reference_bound_lhs,
     reference_decay_tolerance,
@@ -17,6 +20,7 @@ from helpers import (
     reference_trajectory_csv,
     reference_weak_residual,
     small_march_blocks,
+    stored_reduction,
     unchecked_prony,
     weak_term_magnitudes,
 )
@@ -35,11 +39,12 @@ from memvisco.diagnostics import (
     weak_residual,
 )
 from memvisco.expressions import Forcing, field_from_name
-from memvisco.grid import Field, Grid, l2_space, l2_spacetime
+from memvisco.grid import Field, Grid, l2_space
 from memvisco.kernels import KernelSum, PowerLawKernel, PronyKernel, translate
 from memvisco.solver import (
     HistoryConvolution,
     ProblemSpec,
+    RunRecord,
     TrajectorySolution,
     cfl_time_step,
     exponential_terms,
@@ -217,7 +222,7 @@ def _lag_pass_columns(spec, traj):
     """memory and rate_curvature by lag passes over the closed-form
     geometric weights, from the levels' edge differences."""
     J = traj.n_levels - 1
-    edges = dirichlet_edge_differences(spec.grid, traj.levels)
+    edges = dirichlet_edge_differences(spec.grid, nodal_levels(traj))
     histories = [
         geometric_history(exponential_terms(translate(spec.kernel, spec.eps), spec.dt, order), J)
         for order in (1, 2)
@@ -352,14 +357,16 @@ class TestEnergyDecay:
         # the negative control, forced: the twin's tolerance grows with the
         # forcing's work, so the check passed (max increase 1.07e-2 against
         # 3.5e-2, and 6.9e-3 against 3.4e-2 at omega 6), where the unforced
-        # run fails it (5.5e-3 against 3.7e-4)
+        # run fails it (5.5e-3 against 3.7e-4); the tolerance here is the
+        # unforced twin's, as calibrate_decay_tolerance refuses a forced spec
         bad = unchecked_prony(1.5, ((-0.8, 0.5),))
         params = {"amplitude": 0.5} if omega is None else {"amplitude": 0.5, "omega": omega}
         forcing = Forcing.from_dict("sin_pi_product", params)
         spec = damped_spec(kernel=bad, n=19, horizon=0.5, forcing=forcing)
         led = energy_ledger(run(spec), bad, 0.05, forcing)
+        tol = calibrate_decay_tolerance(dataclasses.replace(spec, forcing=None))
         with pytest.raises(HypothesisError, match="^forced run"):
-            check_energy_decay(led, calibrate_decay_tolerance(spec))
+            check_energy_decay(led, tol)
 
     def test_tolerance_scales_with_safety(self):
         spec = damped_spec()
@@ -372,15 +379,25 @@ class TestEnergyDecay:
 
     @pytest.mark.parametrize(
         "spec",
-        [
-            damped_spec(),
-            damped_spec(forcing=Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 4.0})),
-            forced_box_spec(7, 0.5),
-        ],
-        ids=["prony-1d", "prony-1d-forced", "box-3d-forced"],
+        [damped_spec(), dataclasses.replace(forced_box_spec(7, 0.5), forcing=None)],
+        ids=["prony-1d", "box-3d"],
     )
     def test_matches_the_ledger_formula_bit_for_bit(self, spec):
         assert calibrate_decay_tolerance(spec) == reference_decay_tolerance(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            damped_spec(n=49, forcing=Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 4.0})),
+            forced_box_spec(7, 0.5),
+        ],
+        ids=["prony-1d-forced", "box-3d-forced"],
+    )
+    def test_refuses_a_forced_spec(self, spec):
+        # the forced twin's tolerance (0.0314 on the 1D spec) was the
+        # forcing's work, which check_energy_decay refuses to read
+        with pytest.raises(HypothesisError, match="^forced run"):
+            calibrate_decay_tolerance(spec)
 
     def test_holds_no_edge_stack(self):
         # the twin's stored energy needs per-level sums only, taken a block
@@ -409,14 +426,14 @@ class TestEnergyBound:
         k = PronyKernel(g_inf=0.0, terms=((1.0, 1.0),))
         spec = damped_spec(kernel=k)
         traj = run(spec)
-        rep = check_energy_bound(traj, k, 0.05, spec.u1)
+        rep = check_energy_bound(stored_reduction(traj), k, 0.05, spec.u1)
         assert rep.gamma == pytest.approx(math.exp(2.0), rel=1e-12)
 
     def test_gamma_floor_is_one(self):
         k = PronyKernel(5.0, ())
         spec = damped_spec(kernel=k, eps=1.0)
         traj = run(spec)
-        rep = check_energy_bound(traj, k, 1.0, spec.u1)
+        rep = check_energy_bound(stored_reduction(traj), k, 1.0, spec.u1)
         assert rep.gamma == 1.0
 
     def test_zero_data_ratio_zero(self):
@@ -425,20 +442,20 @@ class TestEnergyBound:
             kernel=PRONY, grid=g, horizon=1.0, dt=0.02, eps=0.05,
             u0=Field.zero(g), u1=Field.zero(g),
         )
-        rep = check_energy_bound(run(spec), PRONY, 0.05, spec.u1)
+        rep = check_energy_bound(stored_reduction(run(spec)), PRONY, 0.05, spec.u1)
         assert rep.max_ratio == 0.0
         assert rep.passed
 
     def test_free_vibration_within_bound(self):
         spec = damped_spec()
-        rep = check_energy_bound(run(spec), PRONY, 0.05, spec.u1)
+        rep = check_energy_bound(stored_reduction(run(spec)), PRONY, 0.05, spec.u1)
         assert rep.passed
         assert rep.max_ratio < 1.0
 
     def test_forced_run_within_bound(self):
         f = Forcing.from_dict("sin_pi_product", {"amplitude": 1.0})
         spec = damped_spec(forcing=f)
-        rep = check_energy_bound(run(spec), PRONY, 0.05, spec.u1, forcing=f)
+        rep = check_energy_bound(stored_reduction(run(spec)), PRONY, 0.05, spec.u1, forcing=f)
         assert rep.passed
         assert rep.max_ratio < 1.0
 
@@ -456,7 +473,7 @@ class TestEnergyBound:
         )
         traj = run(spec)
         assert traj.n_levels % 3 != 0  # a short last block
-        rep = check_energy_bound(traj, PRONY, 0.05, spec.u1, forcing=f)
+        rep = check_energy_bound(stored_reduction(traj), PRONY, 0.05, spec.u1, forcing=f)
         want = reference_bound_lhs(traj)
         assert np.all(want > 0.0)
         assert rep.lhs == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -478,7 +495,7 @@ class TestEnergyBound:
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            rep = check_energy_bound(traj, PRONY, 0.05, spec.u1)
+            rep = check_energy_bound(stored_reduction(traj), PRONY, 0.05, spec.u1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -498,7 +515,7 @@ class TestEnergyBound:
             u0=Field.zero(g), u1=field_from_name(g, "bump", {"radius": 0.3}), forcing=f,
         )
         traj = run(spec)
-        rep = check_energy_bound(traj, PRONY, 0.05, spec.u1, forcing=f)
+        rep = check_energy_bound(stored_reduction(traj), PRONY, 0.05, spec.u1, forcing=f)
         f_levels = np.stack([forcing_at(f, g, t) for t in traj.times])
         want = 0.5 * l2_spacetime(g, f_levels, dt) ** 2 + 0.5 * l2_space(g, spec.u1) ** 2
         assert rep.data_constant == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -513,13 +530,13 @@ class TestEnergyBound:
             u1=Field.zero(g),
         )
         with pytest.raises(HypothesisError, match="^nonzero initial displacement$"):
-            check_energy_bound(run(spec), PRONY, 0.05, spec.u1)
+            check_energy_bound(stored_reduction(run(spec)), PRONY, 0.05, spec.u1)
 
     def test_large_shift_rejected(self):
         spec = damped_spec()
         traj = run(spec)
         with pytest.raises(ValueError, match="eps"):
-            check_energy_bound(traj, PRONY, 1.5, spec.u1)
+            check_energy_bound(stored_reduction(traj), PRONY, 1.5, spec.u1)
 
 
 class TestModeTestFunction:
@@ -552,7 +569,7 @@ class TestWeakResidual:
             kernel=PRONY, grid=g, horizon=1.0, dt=0.02, eps=0.05,
             u0=Field.zero(g), u1=Field.zero(g),
         )
-        entries = weak_residual(run(spec), PRONY, 0.05, spec.u0, spec.u1)
+        entries = weak_residual(stored_reduction(run(spec), battery=True), PRONY, 0.05, spec.u0, spec.u1)
         assert len(entries) == 6
         for e in entries:
             assert e.direct == pytest.approx(0.0, abs=1e-14)
@@ -562,7 +579,7 @@ class TestWeakResidual:
         worsts = []
         for n in (21, 43):
             spec = damped_spec(n=n)
-            entries = weak_residual(run(spec), PRONY, 0.05, spec.u0, spec.u1)
+            entries = weak_residual(stored_reduction(run(spec), battery=True), PRONY, 0.05, spec.u0, spec.u1)
             worsts.append(max(max(abs(e.direct), abs(e.moved)) for e in entries))
         assert worsts[0] < 1e-2
         assert worsts[1] < worsts[0] / 2.0
@@ -575,7 +592,7 @@ class TestWeakResidual:
             u1=field_from_name(g, "sin_pi_product", {"amplitude": 1.0}),
             formulation="integral_volterra",
         )
-        entries = weak_residual(run(spec), spec.kernel, 0.05, spec.u0, spec.u1)
+        entries = weak_residual(stored_reduction(run(spec), battery=True), spec.kernel, 0.05, spec.u0, spec.u1)
         assert all(np.isfinite(e.direct) and np.isfinite(e.moved) for e in entries)
 
 
@@ -587,9 +604,9 @@ class TestWeakResidualProjection:
         spec = oracle_specs()[case]
         traj = run(spec)
         if case == "prony_leapfrog":
-            assert traj.history_backend == "exponential"
+            assert traj.record.history_backend == "exponential"
         args = (traj, spec.kernel, spec.eps, spec.u0, spec.u1, spec.forcing)
-        got = weak_residual(*args)
+        got = weak_residual(stored_reduction(traj, battery=True), *args[1:])
         want = reference_weak_residual(*args)
         # direct is a cancellation of O(1) terms: bound the deviation by
         # the size of the terms summed, not by the residual
@@ -600,31 +617,16 @@ class TestWeakResidualProjection:
             assert abs(g.moved - w.moved) <= 1e-12 * scale, g.test_function
         assert max(abs(e.moved) for e in want) > 1e-6  # not a trivial run
 
-    def test_stored_run_forms_no_level_sums(self, monkeypatch):
-        # a stored run's residual reads its battery columns straight from its
-        # coefficients: no velocity is formed, and the entries are those of
-        # the run reduced with the battery columns, bit for bit
-        spec = damped_spec(forcing=Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 4.0}))
-        traj = run(spec)
-        args = (spec.kernel, spec.eps, spec.u0, spec.u1, spec.forcing)
-        want = weak_residual(SingleRun.of(traj, battery=True), *args)
-
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("the stored run's residual formed velocities")
-
-        monkeypatch.setattr("memvisco.diagnostics.velocity_estimates", refuse)
-        got = weak_residual(traj, *args)
-        assert repr(got) == repr(want)
-
     def test_forced_run_holds_no_level_stack(self):
         import tracemalloc
 
         spec = forced_box_spec(9, 6.0)
         traj = run(spec)
+        reduction = stored_reduction(traj, battery=True)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            entries = weak_residual(traj, spec.kernel, spec.eps, spec.u0, spec.u1, spec.forcing)
+            entries = weak_residual(reduction, spec.kernel, spec.eps, spec.u0, spec.u1, spec.forcing)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -644,12 +646,9 @@ def test_battery_projections_are_scaled_coefficient_columns(grid):
     # orthonormal DST-I mode, so projecting the nodal levels on it reads
     # one coefficient column
     coefficients = np.random.default_rng(3).standard_normal((3,) + grid.shape)
-    traj = TrajectorySolution(
-        grid=grid, times=0.1 * np.arange(3), coefficients=coefficients,
-        spec_fingerprint="",
-    )
+    traj = TrajectorySolution(grid, 0.1 * np.arange(3), coefficients, RunRecord(""))
     history = HistoryConvolution(np.ones(2), np.ones(2))
-    flat = traj.levels.reshape(3, -1)
+    flat = nodal_levels(traj).reshape(3, -1)
     columns = battery_columns(grid, traj.coefficients)
     assert columns.shape == (3, 3)
     for v, _, _, projected in battery_projections(grid, traj.times, columns, history):
@@ -712,17 +711,19 @@ class TestStreamedMatchesStored:
             ):
                 assert got.tobytes() == want.tobytes()
             got = check_energy_bound(streamed, *args, spec.u1, spec.forcing)
-            want = check_energy_bound(traj, *args, spec.u1, spec.forcing)
+            want = check_energy_bound(stored_reduction(traj), *args, spec.u1, spec.forcing)
             assert got.lhs.tobytes() == want.lhs.tobytes() and got.max_ratio == want.max_ratio
             residual_args = (spec.u0, spec.u1, spec.forcing)
-            assert weak_residual(streamed, *args, *residual_args) == weak_residual(traj, *args, *residual_args)
-            assert calibrate_decay_tolerance(spec) == reference_decay_tolerance(spec)
+            stored = stored_reduction(traj, battery=True)
+            assert weak_residual(streamed, *args, *residual_args) == weak_residual(stored, *args, *residual_args)
+            if not forced:  # a forced spec's calibration is refused
+                assert calibrate_decay_tolerance(spec) == reference_decay_tolerance(spec)
         exported = range(0, traj.n_levels, stride)
         text = reference_trajectory_csv(
             spec.grid,
             traj.times[::stride],
-            np.concatenate([traj.nodal(j, j + 1) for j in exported]),
-            np.concatenate([traj.velocities(j, j + 1) for j in exported]),
+            np.concatenate([nodal_levels(traj, j, j + 1) for j in exported]),
+            np.concatenate([nodal_velocities(traj, j, j + 1) for j in exported]),
         )
         assert (tmp_path / "trajectory.csv").read_bytes() == text.encode()
 
@@ -767,6 +768,18 @@ class TestAuditsReadWhatTheRunHolds:
         with pytest.raises(ValueError, match=r"energy_ledger of \(.*, 0\.05\) reads a SingleRun reduced for \(.*, 5\.0\)"):
             energy_ledger(reduced(5.0), PRONY, 0.05)
         assert energy_ledger(reduced(0.05), PRONY, 0.05).max_residual == pytest.approx(0.0122, abs=1e-4)
+
+    def test_ledger_refuses_a_forced_run_read_without_its_forcing(self):
+        # read without the forcing it was reduced with, the ledger took the
+        # forcing power as zero: max_residual 0.571 where 0.0272 is right
+        from memvisco.solver import march
+
+        forcing = Forcing.from_dict("sin_pi_product", {"amplitude": 1.0, "omega": 4.0})
+        spec = damped_spec(kernel=PRONY, n=49, forcing=forcing)
+        reduction = SingleRun.reduce(spec.grid, spec.times, march(spec)[2], forcing, (PRONY, spec.eps))
+        with pytest.raises(ValueError, match="^energy_ledger without forcing reads a SingleRun reduced with forcing$"):
+            energy_ledger(reduction, PRONY, 0.05)
+        assert energy_ledger(reduction, PRONY, 0.05, forcing).max_residual == pytest.approx(0.0272, abs=1e-4)
 
     def test_ledger_refuses_a_run_reduced_without_histories(self):
         _, reduction = self.reduced(forcing=self.FORCING)

@@ -9,6 +9,7 @@ from helpers import (
     cumulative_trapezoid,
     dirichlet_edge_differences,
     dirichlet_gradient_sq,
+    l2_spacetime,
     laplacian_array,
     node_coordinates,
     reference_laplacian,
@@ -19,7 +20,6 @@ from memvisco.grid import (
     double_trapezoid,
     inner_space,
     l2_space,
-    l2_spacetime,
     sine_transform,
     trapezoid_weights,
 )

@@ -91,3 +91,48 @@ def test_scan_sees_an_unresolved_export():
     probe.__all__ = ["run", "march_shifts"]
     probe.run = print
     assert unresolved_exports(probe) == ["march_shifts"]
+
+
+def unresolved_memvisco_imports(path: Path) -> list[str]:
+    """`module` or `module.name` for each memvisco module that path imports,
+    or name it imports from one, that does not resolve.  path is parsed,
+    never run, so imports inside functions count too."""
+    import importlib
+
+    missing = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            wanted = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            wanted = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        for module, name in wanted:
+            if module.split(".")[0] != "memvisco":
+                continue
+            try:
+                owner = importlib.import_module(module)
+            except ImportError:
+                missing.append(module)
+                continue
+            if name is not None and not hasattr(owner, name):
+                missing.append(f"{module}.{name}")
+    return missing
+
+
+def test_every_memvisco_name_the_benchmark_child_imports_resolves():
+    # the benchmark's J/N sweep imports its names inside a function that
+    # only a full benchmark run calls
+    child = ROOT / "perfbench" / "child.py"
+    source = child.read_text(encoding="utf-8")
+    assert "from memvisco.solver import" in source and "import memvisco.cli" in source
+    assert unresolved_memvisco_imports(child) == []
+
+
+def test_scan_sees_an_unresolved_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy\nimport memvisco.cli as cli\nimport memvisco.gone\n"
+        "def sweep():\n    from memvisco.solver import run, march_shifts\n"
+    )
+    assert unresolved_memvisco_imports(probe) == ["memvisco.gone", "memvisco.solver.march_shifts"]

@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import reference_trajectory_csv, reference_velocities, row_wise_csv
-from memvisco.diagnostics import SingleRun
+from helpers import (
+    nodal_levels,
+    nodal_velocities,
+    reference_trajectory_csv,
+    reference_velocities,
+    row_wise_csv,
+    stored_reduction,
+)
 from memvisco.expressions import field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import PronyKernel
@@ -45,7 +51,7 @@ def export_stored(out_dir, export_format, stride, traj):
     hands its levels over."""
     cfg = SimpleNamespace(export_format=export_format, snapshot_stride=stride)
     with _trajectory_export(out_dir, cfg, traj.grid, traj.times) as export:
-        SingleRun.of(traj, export=export)
+        stored_reduction(traj, export=export)
 
 
 # slices of 4 rows split the line's 7 nodes as 4 + 3 and slices of 7 the
@@ -72,10 +78,10 @@ def test_trajectory_csv_matches_row_list_export(tmp_path, monkeypatch, grid, wid
     times = traj.times[::stride]
     # the export transforms each exported level's sine coefficients back alone
     exported = range(0, traj.n_levels, stride)
-    u = np.concatenate([traj.nodal(j, j + 1) for j in exported])
-    v = np.concatenate([traj.velocities(j, j + 1) for j in exported])
-    assert np.abs(u - traj.levels[::stride]).max() <= 1e-15 * np.abs(u).max()
-    assert np.abs(v - reference_velocities(traj.levels, traj.dt)[::stride]).max() <= 1e-13 * np.abs(v).max()
+    u = np.concatenate([nodal_levels(traj, j, j + 1) for j in exported])
+    v = np.concatenate([nodal_velocities(traj, j, j + 1) for j in exported])
+    assert np.abs(u - nodal_levels(traj)[::stride]).max() <= 1e-15 * np.abs(u).max()
+    assert np.abs(v - reference_velocities(nodal_levels(traj), traj.dt)[::stride]).max() <= 1e-13 * np.abs(v).max()
     if wide:
         # per-node scales from 1e-12 to 1e20, so values below 1e-4 and of at
         # least 1e16 reach the CSV, which repr writes with an exponent
@@ -127,7 +133,7 @@ def test_npy_export_is_renamed_into_place(tmp_path, monkeypatch, export_format):
     assert ("trajectory.npy.tmp", "trajectory.npy") in renamed
     assert ("times.npy.tmp", "times.npy") in renamed
     # the export transforms each level's sine coefficients back alone
-    nodal = np.concatenate([traj.nodal(j, j + 1) for j in range(traj.n_levels)])
+    nodal = np.concatenate([nodal_levels(traj, j, j + 1) for j in range(traj.n_levels)])
     assert np.array_equal(np.load(tmp_path / "trajectory.npy"), nodal)
     assert np.array_equal(np.load(tmp_path / "times.npy"), traj.times)
     expected = ["times.npy", "trajectory.npy"] + (["trajectory.csv"] if export_format == "both" else [])
@@ -147,7 +153,7 @@ def test_npy_export_writes_np_saves_bytes(tmp_path, grid):
     want = whole.read_bytes()
     header = len(want) - traj.coefficients.nbytes
     assert got[:header] == want[:header]
-    nodal = np.concatenate([traj.nodal(j, j + 1) for j in range(traj.n_levels)])
+    nodal = np.concatenate([nodal_levels(traj, j, j + 1) for j in range(traj.n_levels)])
     assert got[header:] == nodal.tobytes()
     if grid.dim == 3:
         assert got == want

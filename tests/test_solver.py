@@ -26,13 +26,17 @@ from helpers import (
     listed_sequence,
     manufactured_exact,
     manufactured_forcing,
+    nodal_levels,
+    nodal_velocities,
     non_mode_one,
     reference_integrodiff,
     reference_laplacian,
     reference_velocities,
     reference_volterra,
     small_march_blocks,
+    trajectory_distance,
     unchecked_spec,
+    velocity_coefficients,
 )
 import memvisco.solver as solver_module
 from memvisco.config import parse_config, parse_config_file
@@ -50,6 +54,7 @@ from memvisco.solver import (
     CflViolation,
     HistoryConvolution,
     ProblemSpec,
+    RunRecord,
     SolverAbort,
     TrajectorySolution,
     cfl_time_step,
@@ -58,7 +63,6 @@ from memvisco.solver import (
     run,
     stress_curve,
     stable_time_step,
-    trajectory_distance,
 )
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -404,8 +408,8 @@ class TestShiftBatch:
             with small_march_blocks(7):
                 alone = run(dataclasses.replace(spec, eps=eps))
             assert traj.coefficients.tobytes() == alone.coefficients.tobytes()
-            assert traj.z_max == alone.z_max
-            assert traj.spec_fingerprint == alone.spec_fingerprint
+            assert traj.record.z_max == alone.record.z_max
+            assert traj.record.spec_fingerprint == alone.record.spec_fingerprint
 
     def test_each_shift_is_its_lone_march_at_the_module_caps(self):
         # over three blocks of the shipped _MARCH_ROWS, the blocks of a
@@ -422,8 +426,8 @@ class TestShiftBatch:
         spec = _volterra_spec(Grid.line(17), 0.6, 0.003, pulse)
         for eps, traj in zip(self.SHIFTS, batch_runs(spec, self.SHIFTS)):
             alone = run(dataclasses.replace(spec, eps=eps))
-            assert traj.far_nodes > 0
-            assert (traj.far_nodes, traj.far_error) == (alone.far_nodes, alone.far_error)
+            assert traj.record.far_nodes > 0
+            assert (traj.record.far_nodes, traj.record.far_error) == (alone.record.far_nodes, alone.record.far_error)
             assert traj.coefficients.tobytes() == alone.coefficients.tobytes()
 
     def test_sequence_is_one_batch(self):
@@ -459,7 +463,7 @@ class TestShiftBatch:
                 run(dataclasses.replace(base, eps=failing))
             with pytest.raises(SolverAbort) as finest:
                 run(dataclasses.replace(base, eps=float(shifts[3])))
-            assert np.all(np.isfinite(run(dataclasses.replace(base, eps=float(shifts[1]))).levels))
+            assert np.all(np.isfinite(nodal_levels(run(dataclasses.replace(base, eps=float(shifts[1]))))))
         assert got.value.eps == failing
         assert f"eps = {failing!r}" in str(got.value)
         assert got.value.step == alone.value.step == 1342
@@ -533,7 +537,7 @@ def test_powerlaw_leapfrog_holds_no_history():
     )
     traj, peak = _peak_above_entry(lambda: run(spec))
     levels_bytes = 8 * (spec.n_steps + 1) * g.n_total
-    assert traj.history_backend == "direct"
+    assert traj.record.history_backend == "direct"
     assert traj.coefficients.nbytes == levels_bytes
     assert peak < 1.35 * levels_bytes
 
@@ -674,7 +678,7 @@ def test_prony_leapfrog_stores_no_history():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traj.history_backend == "exponential"
+    assert traj.record.history_backend == "exponential"
     assert traj.coefficients.nbytes == levels_bytes
     assert peak - entry < 1.25 * levels_bytes
 
@@ -745,11 +749,11 @@ class TestMarchersMatchReferenceLoops:
         traj = run(spec)
         leapfrog = spec.formulation == "integrodifferential"
         exponential = leapfrog and isinstance(spec.kernel, PronyKernel)
-        assert traj.history_backend == ("exponential" if exponential else "direct")
+        assert traj.record.history_backend == ("exponential" if exponential else "direct")
         want = reference_integrodiff(spec) if leapfrog else reference_volterra(spec)
         scale = np.max(np.abs(want))
         assert scale > 0.1
-        assert np.max(np.abs(traj.levels - want)) <= 1e-12 * scale
+        assert np.max(np.abs(nodal_levels(traj) - want)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("spec", _march_cases())
@@ -762,7 +766,7 @@ def test_blocked_marchers_match_reference_loops(spec):
     for rows in (4, 5, 7):
         with small_march_blocks(rows):
             traj = run(spec)
-        assert np.max(np.abs(traj.levels - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(nodal_levels(traj) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_unforced_parts_are_zeros():
@@ -800,7 +804,7 @@ class TestIntegrodiff:
             u0=Field.zero(g), u1=Field.zero(g),
         )
         traj = run(spec)
-        assert np.all(traj.levels == 0.0)
+        assert np.all(nodal_levels(traj) == 0.0)
 
     def test_level_zero_is_u0(self):
         spec = standing_wave_spec()
@@ -808,7 +812,7 @@ class TestIntegrodiff:
         u0 = spec.u0.values
         assert traj.coefficients[0].tobytes() == sine_transform(spec.grid, u0).tobytes()
         # nodal values are the coefficients transformed back
-        assert np.abs(traj.levels[0] - u0).max() <= 1e-15 * np.abs(u0).max()
+        assert np.abs(nodal_levels(traj)[0] - u0).max() <= 1e-15 * np.abs(u0).max()
 
     def test_startup_rule(self):
         g = Grid.line(19)
@@ -829,14 +833,14 @@ class TestIntegrodiff:
             + 0.02 * u1.values
             + 0.5 * 0.02**2 * (g_eps * laplacian_array(g, u0.values) + forcing_at(forcing, g, 0.0))
         )
-        assert traj.levels[1] == pytest.approx(expected, abs=1e-15)
+        assert nodal_levels(traj)[1] == pytest.approx(expected, abs=1e-15)
 
     def test_elastic_standing_wave(self):
         spec = standing_wave_spec(n=49)
         traj = run(spec)
         x = spec.grid.axis_coordinates(0)
         exact = np.sin(np.pi * x)[None, :] * np.cos(np.pi * traj.times)[:, None]
-        assert np.abs(traj.levels - exact).max() < 1e-3
+        assert np.abs(nodal_levels(traj) - exact).max() < 1e-3
 
     def test_constant_kernel_matches_plain_leapfrog(self):
         # the memory path must be exactly inert, not just small
@@ -851,7 +855,7 @@ class TestIntegrodiff:
             u_next = 2 * u_curr - u_prev + dt**2 * laplacian_array(g, u_curr)
             u_prev, u_curr = u_curr, u_next
             manual.append(u_curr)
-        assert traj.levels == pytest.approx(np.array(manual), abs=1e-14)
+        assert nodal_levels(traj) == pytest.approx(np.array(manual), abs=1e-14)
 
     def test_manufactured_solution_second_order(self):
         errs = []
@@ -865,7 +869,7 @@ class TestIntegrodiff:
                 forcing=manufactured_forcing(PRONY, 0.05),
             )
             traj = run(spec)
-            errs.append(l2q_error(g, traj.levels, manufactured_exact(g, traj.times), traj.dt))
+            errs.append(l2q_error(g, nodal_levels(traj), manufactured_exact(g, traj.times), traj.dt))
         order = math.log(errs[0] / errs[1]) / math.log(2.0)
         assert order > 1.8
 
@@ -897,7 +901,7 @@ class TestVolterra:
             formulation="integral_volterra",
         )
         traj = run(spec)
-        assert np.all(traj.levels == 0.0)
+        assert np.all(nodal_levels(traj) == 0.0)
         # z_max: the self-weight lags[0] = left[0] times the top eigenvalue
         # of -lap, read off the stencil on the top sine mode
         left, _ = interval_weights(
@@ -905,7 +909,7 @@ class TestVolterra:
         )
         top = np.sin(19 * np.pi * g.axis_coordinates(0))
         mu_top = -reference_laplacian(g, top)[9] / top[9]
-        assert traj.z_max == pytest.approx(left[0] * mu_top, rel=1e-12)
+        assert traj.record.z_max == pytest.approx(left[0] * mu_top, rel=1e-12)
 
     def test_agrees_with_integrodiff(self):
         g = Grid.line(31)
@@ -926,8 +930,8 @@ class TestVolterra:
             formulation="integral_volterra",
         )
         traj = run(spec)
-        assert np.all(np.isfinite(traj.levels))
-        assert np.abs(traj.levels).max() > 0.0
+        assert np.all(np.isfinite(nodal_levels(traj)))
+        assert np.abs(nodal_levels(traj)).max() > 0.0
 
     def test_zero_shift_is_limit_of_small_shifts(self):
         g = Grid.line(19)
@@ -976,7 +980,7 @@ class TestVolterra:
                 kernel=PRONY, grid=g, horizon=0.5, dt=dt, eps=0.05,
                 u0=Field.zero(g), u1=u1, formulation="integral_volterra",
             )
-            return run(spec).z_max
+            return run(spec).record.z_max
         assert 3.9 < z_max(0.01) / z_max(0.005) < 4.1
 
     @pytest.mark.parametrize(
@@ -993,8 +997,8 @@ class TestVolterra:
             u0=Field.zero(g), u1=field_from_name(g, "sin_pi_product", {"amplitude": 1.0}),
             formulation="integral_volterra",
         ))
-        assert np.max(np.abs(traj.levels)) == pytest.approx(peak, abs=1e-4)
-        assert non_mode_one(g, traj.levels) < 1e-14
+        assert np.max(np.abs(nodal_levels(traj))) == pytest.approx(peak, abs=1e-4)
+        assert non_mode_one(g, nodal_levels(traj)) < 1e-14
 
     def test_bundled_shifts_stay_in_mode_one(self):
         # every shift of powerlaw_theorem1.cfg, h = 6 too, where the
@@ -1002,7 +1006,7 @@ class TestVolterra:
         cfg = parse_config_file(CONFIGS / "powerlaw_theorem1.cfg")
         shifts = eps_schedule(cfg.eps0, cfg.ratio, cfg.count)
         for traj in batch_runs(_build_spec(cfg, float(shifts[0]), cfg.dt), shifts):
-            assert non_mode_one(cfg.grid, traj.levels) < 1e-14
+            assert non_mode_one(cfg.grid, nodal_levels(traj)) < 1e-14
 
 
 _TAIL_FAMILIES = {
@@ -1088,10 +1092,10 @@ class TestVolterraTail:
             with direct_sums():
                 direct = batch_runs(spec, shifts)
         for eps, fast, slow in zip(shifts, blocked, direct):
-            assert fast.far_nodes == 33 and slow.far_nodes == 0
-            assert 0.0 < fast.far_error <= solver_module._TAIL_TOLERANCE
+            assert fast.record.far_nodes == 33 and slow.record.far_nodes == 0
+            assert 0.0 < fast.record.far_error <= solver_module._TAIL_TOLERANCE
             scale = np.max(np.abs(slow.coefficients))
-            bound = fast.far_error * translate(kernel, eps)._integral(1.0) + 1e-13
+            bound = fast.record.far_error * translate(kernel, eps)._integral(1.0) + 1e-13
             assert np.max(np.abs(fast.coefficients - slow.coefficients)) <= bound * scale
 
     @pytest.mark.parametrize(
@@ -1129,22 +1133,22 @@ class TestVolterraTail:
             fast = run(spec)
             with direct_sums():
                 slow = run(spec)
-        assert fast.far_nodes > 0 and slow.far_nodes == 0
-        assert 0.0 < fast.far_error <= solver_module._TAIL_TOLERANCE
+        assert fast.record.far_nodes > 0 and slow.record.far_nodes == 0
+        assert 0.0 < fast.record.far_error <= solver_module._TAIL_TOLERANCE
         scale = np.max(np.abs(slow.coefficients))
-        bound = fast.far_error * abs(shifted.modulus_dt((W - 1) * spec.dt)) + 1e-13
+        bound = fast.record.far_error * abs(shifted.modulus_dt((W - 1) * spec.dt)) + 1e-13
         assert np.max(np.abs(fast.coefficients - slow.coefficients)) <= bound * scale
 
     def test_short_and_refused_runs_sum_directly(self):
         g = Grid.line(19)
         long = _volterra_spec(g, 1.0, 0.005)  # J = 200 > 2 W
         traj = run(long)
-        assert traj.far_nodes == 25 and 0.0 < traj.far_error <= solver_module._TAIL_TOLERANCE
+        assert traj.record.far_nodes == 25 and 0.0 < traj.record.far_error <= solver_module._TAIL_TOLERANCE
         with direct_sums():
             refused = run(long)
-        assert (refused.far_nodes, refused.far_error) == (0, 0.0)
+        assert (refused.record.far_nodes, refused.record.far_error) == (0, 0.0)
         short = run(_volterra_spec(g, 0.64, 0.005))  # J = 128 = 2 W
-        assert (short.far_nodes, short.far_error) == (0, 0.0)
+        assert (short.record.far_nodes, short.record.far_error) == (0, 0.0)
 
     @pytest.mark.parametrize("rows", [5, 6, 7, 64])
     def test_abort_mid_block_reports_its_step(self, rows):
@@ -1257,10 +1261,10 @@ def test_leapfrog_takes_no_laplacian(kernel):
     traj, calls = _transform_calls(lambda: run(spec))
     assert np.all(np.isfinite(traj.coefficients))
     assert calls == [g.shape] * 3
-    assert (traj.far_nodes > 0) == (traj.history_backend == "direct")
+    assert (traj.record.far_nodes > 0) == (traj.record.history_backend == "direct")
     # the modal march is the nodal leapfrog: level 2 against one stencil step
     g0 = kernel.modulus(0.05)
-    u = traj.levels
+    u = nodal_levels(traj)
     history = HistoryConvolution.of(translate(kernel, 0.05), 1, spec.n_steps, spec.dt)
     h1 = history.row_sums(traj.coefficients[None], 1)[0]
     want = 2 * u[1] - u[0] + spec.dt**2 * laplacian_array(g, g0 * u[1] + sine_transform(g, h1))
@@ -1272,44 +1276,29 @@ class TestVelocities:
     @pytest.mark.parametrize("stride", [1, 2, 3, 5, 12])
     def test_strided_levels_match_full_stack_bitwise(self, n_levels, stride):
         # a strided export asks for its levels one at a time
-        from memvisco.solver import TrajectorySolution
-
         g = Grid((3, 4, 3), (1.0, 1.0, 1.0))
         levels = np.random.default_rng(n_levels).standard_normal((n_levels,) + g.shape)
-        traj = TrajectorySolution(
-            grid=g, times=0.1 * np.arange(n_levels), coefficients=levels,
-            spec_fingerprint="",
-        )
+        traj = TrajectorySolution(g, 0.1 * np.arange(n_levels), levels, RunRecord(""))
         want = reference_velocities(levels, traj.dt)[::stride]
-        got = np.concatenate([traj.velocity_coefficients(j, j + 1) for j in range(0, n_levels, stride)])
+        got = np.concatenate([velocity_coefficients(traj, j, j + 1) for j in range(0, n_levels, stride)])
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_level_ranges_match_full_stack_bitwise(self, seed):
-        from memvisco.solver import TrajectorySolution
-
         g = Grid((3, 4, 3), (1.0, 1.0, 1.0))
         levels = np.random.default_rng(seed).standard_normal((11,) + g.shape)
-        traj = TrajectorySolution(
-            grid=g, times=0.1 * np.arange(11), coefficients=levels,
-            spec_fingerprint="",
-        )
+        traj = TrajectorySolution(g, 0.1 * np.arange(11), levels, RunRecord(""))
         full = reference_velocities(levels, traj.dt)
         for start, stop in [(0, 1), (0, 4), (1, 2), (3, 7), (9, 11), (10, 11), (4, 40), (5, 5)]:
-            got = traj.velocity_coefficients(start, stop)
+            got = velocity_coefficients(traj, start, stop)
             assert got.tobytes() == full[start:stop].tobytes(), (start, stop)
 
     def test_exact_on_linear_trajectory(self):
-        from memvisco.solver import TrajectorySolution
-
         g = Grid.line(9)
         times = 0.25 * np.arange(5)
         ramp = np.outer(times, np.ones(9))
-        traj = TrajectorySolution(
-            grid=g, times=times, coefficients=sine_transform(g, 2.0 * ramp + 1.0),
-            spec_fingerprint="",
-        )
-        assert traj.velocities() == pytest.approx(np.full((5, 9), 2.0), abs=1e-12)
+        traj = TrajectorySolution(g, times, sine_transform(g, 2.0 * ramp + 1.0), RunRecord(""))
+        assert nodal_velocities(traj) == pytest.approx(np.full((5, 9), 2.0), abs=1e-12)
 
 
 class TestTrajectoryDistance:
@@ -1469,7 +1458,7 @@ class TestExactAtZeroShift:
         coefficients[:, 0] = exact_unshifted_mode(
             self.KERNEL, grid.eigenvalues[0], 0.0, sine_transform(grid, u1.values)[0], spec.times
         )
-        limit = TrajectorySolution(grid=grid, times=spec.times, coefficients=coefficients, spec_fingerprint="")
+        limit = TrajectorySolution(grid, spec.times, coefficients, RunRecord(""))
         unshifted = trajectory_distance(run(spec), limit)
         shifts = 0.1 * 0.5 ** np.arange(6)
         shifted = np.array([trajectory_distance(run(dataclasses.replace(spec, eps=float(e))), limit) for e in shifts])
