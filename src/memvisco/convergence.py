@@ -214,8 +214,8 @@ def convergence_lemma_check(kernel: RelaxationKernel, sequence: ShiftSequence) -
         # Ksh - K is no modulus, so HistoryConvolution.of cannot weigh it:
         # its weights come from the difference of the two towers
         weights = interval_weights(
-            lambda s: shifted.integral2(s) - kernel.integral2(s),
-            lambda s: shifted.integral3(s) - kernel.integral3(s),
+            lambda s: shifted._tower(-2, s) - kernel._tower(-2, s),
+            lambda s: shifted._tower(-3, s) - kernel._tower(-3, s),
             J, dt,
         )
         history = HistoryConvolution(*weights)

@@ -10,6 +10,10 @@ the antiderivative tower
 all in closed form.  Closed forms keep the product-quadrature weights and
 the admissibility checks free of numerical integration error, including
 for moduli that blow up at t = 0 (power laws with exponent in (0, 1)).
+
+Each family writes the six members once, as _tower(order, t) indexed by
+derivative order: 2, 1 and 0 are G'', G' and G, and -1, -2 and -3 the
+integrals.  The public methods check the domain and read it by order.
 """
 
 from __future__ import annotations
@@ -70,62 +74,49 @@ class RelaxationKernel:
 
     # -- raw closed forms, array-in/array-out ------------------------
 
-    def _modulus(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _modulus_dt(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _modulus_dtt(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _integral(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _integral2(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _integral3(self, x: np.ndarray) -> np.ndarray:
+    def _tower(self, order: int, t: np.ndarray) -> np.ndarray:
+        """Tower member order at t, for order -3 .. 2: the order-th time
+        derivative of G for 0 .. 2, and for -1 .. -3 the -order-fold
+        integral of G from 0.  ValueError for any other order."""
         raise NotImplementedError
 
     # -- validated public evaluations --------------------------------
 
-    def _check_time(self, arr: np.ndarray) -> None:
+    def _eval(self, t, order: int):
+        arr = np.asarray(t, dtype=float)
         if np.any(arr < 0.0):
-            raise KernelDomainError("modulus is defined for t >= 0 only")
-        if self.singular_at_zero and np.any(arr == 0.0):
+            what = "integrated modulus is defined for x" if order < 0 else "modulus is defined for t"
+            raise KernelDomainError(f"{what} >= 0 only")
+        if order >= 0 and self.singular_at_zero and np.any(arr == 0.0):
             raise KernelDomainError(
                 f"modulus is unbounded at t = 0 ({self!r}); "
                 "evaluate at t > 0 or use a translated kernel"
             )
-
-    def _eval(self, t, fn, check):
-        arr = np.asarray(t, dtype=float)
-        check(arr)
-        out = fn(arr)
+        out = self._tower(order, arr)
         return float(out) if np.ndim(t) == 0 else out
 
     def modulus(self, t):
-        return self._eval(t, self._modulus, self._check_time)
+        return self._eval(t, 0)
 
     def modulus_dt(self, t):
-        return self._eval(t, self._modulus_dt, self._check_time)
+        return self._eval(t, 1)
 
     def modulus_dtt(self, t):
-        return self._eval(t, self._modulus_dtt, self._check_time)
-
-    def _check_span(self, arr: np.ndarray) -> None:
-        if np.any(arr < 0.0):
-            raise KernelDomainError("integrated modulus is defined for x >= 0 only")
+        return self._eval(t, 2)
 
     def integral(self, x):
-        return self._eval(x, self._integral, self._check_span)
+        return self._eval(x, -1)
 
     def integral2(self, x):
-        return self._eval(x, self._integral2, self._check_span)
+        return self._eval(x, -2)
 
     def integral3(self, x):
-        return self._eval(x, self._integral3, self._check_span)
+        return self._eval(x, -3)
+
+
+def _check_order(order: int) -> None:
+    if order not in range(-3, 3):
+        raise ValueError(f"tower order {order!r} is outside -3 .. 2")
 
 
 @dataclass(frozen=True)
@@ -165,40 +156,26 @@ class PronyKernel(RelaxationKernel):
     def integrable_on_halfline(self) -> bool:
         return self.g_inf == 0.0
 
-    def _modulus(self, t):
-        out = np.full_like(t, self.g_inf)
-        for g, tau in self.terms:
-            out += g * np.exp(-t / tau)
-        return out
-
-    def _modulus_dt(self, t):
-        out = np.zeros_like(t)
-        for g, tau in self.terms:
-            out -= (g / tau) * np.exp(-t / tau)
-        return out
-
-    def _modulus_dtt(self, t):
-        out = np.zeros_like(t)
-        for g, tau in self.terms:
-            out += (g / tau**2) * np.exp(-t / tau)
-        return out
-
-    def _integral(self, x):
-        out = self.g_inf * x
-        for g, tau in self.terms:
-            out += g * tau * (-np.expm1(-x / tau))
-        return out
-
-    def _integral2(self, x):
-        out = self.g_inf * x * x / 2.0
-        for g, tau in self.terms:
-            out += g * tau * (x - tau * (-np.expm1(-x / tau)))
-        return out
-
-    def _integral3(self, x):
-        out = self.g_inf * x**3 / 6.0
-        for g, tau in self.terms:
-            out += g * tau * (x * x / 2.0 - tau * x + tau**2 * (-np.expm1(-x / tau)))
+    def _tower(self, order, t):
+        _check_order(order)
+        if order >= 0:
+            # d^order/dt^order of g e^{-t/tau} is (-1)^order g / tau^order e^{-t/tau}
+            out = np.full_like(t, self.g_inf) if order == 0 else np.zeros_like(t)
+            for g, tau in self.terms:
+                out += (-1) ** order * (g / tau**order) * np.exp(-t / tau)
+            return out
+        if order == -1:
+            out = self.g_inf * t
+            for g, tau in self.terms:
+                out += g * tau * (-np.expm1(-t / tau))
+        elif order == -2:
+            out = self.g_inf * t * t / 2.0
+            for g, tau in self.terms:
+                out += g * tau * (t - tau * (-np.expm1(-t / tau)))
+        else:
+            out = self.g_inf * t**3 / 6.0
+            for g, tau in self.terms:
+                out += g * tau * (t * t / 2.0 - tau * t + tau**2 * (-np.expm1(-t / tau)))
         return out
 
 
@@ -251,44 +228,30 @@ class PowerLawKernel(RelaxationKernel):
         array into a scalar, whose ** 0.5 numpy takes as pow, not sqrt."""
         return t + self.offset if self.offset else t
 
-    def _modulus(self, t):
-        with np.errstate(divide="ignore"):
-            return self.c * self._at(t) ** (-self.alpha)
-
-    def _modulus_dt(self, t):
-        with np.errstate(divide="ignore"):
-            return -self.alpha * self.c * self._at(t) ** (-self.alpha - 1.0)
-
-    def _modulus_dtt(self, t):
-        with np.errstate(divide="ignore"):
-            return self.alpha * (self.alpha + 1.0) * self.c * self._at(t) ** (-self.alpha - 2.0)
+    def _tower(self, order, t):
+        _check_order(order)
+        if order >= 0:
+            # (-alpha)(-alpha - 1)... c, the derivatives' falling factorial
+            scale = math.prod(-self.alpha - i for i in range(order)) * self.c
+            with np.errstate(divide="ignore"):
+                return scale * self._at(t) ** (-self.alpha - order)
+        # the integrals re-based at the offset, their terms subtracted in
+        # the order the class docstring writes them
+        level = -order
+        out = self._unshifted(self._at(t), level)
+        if self.offset:
+            e = np.asarray(self.offset, dtype=float)
+            out = out - self._unshifted(e, level)
+            if level > 1:
+                out = out - self._unshifted(e, level - 1) * t
+            if level > 2:
+                out = out - self._unshifted(e, 1) * t * t / 2.0
+        return out
 
     def _unshifted(self, x, level: int):
         """Level 1, 2 or 3 of the tower of c t**(-alpha) at x."""
         a = 1.0 - self.alpha
         return self.c * x ** (a + (level - 1)) / math.prod(a + i for i in range(level))
-
-    def _rebased(self, x, level: int):
-        """Level 1, 2 or 3 of the tower re-based at the offset, its terms
-        subtracted in the order the class docstring writes them."""
-        out = self._unshifted(self._at(x), level)
-        if self.offset:
-            e = np.asarray(self.offset, dtype=float)
-            out = out - self._unshifted(e, level)
-            if level > 1:
-                out = out - self._unshifted(e, level - 1) * x
-            if level > 2:
-                out = out - self._unshifted(e, 1) * x * x / 2.0
-        return out
-
-    def _integral(self, x):
-        return self._rebased(x, 1)
-
-    def _integral2(self, x):
-        return self._rebased(x, 2)
-
-    def _integral3(self, x):
-        return self._rebased(x, 3)
 
 
 @dataclass(frozen=True)
@@ -325,29 +288,11 @@ class KernelSum(RelaxationKernel):
     def integrable_on_halfline(self) -> bool:
         return all(p.integrable_on_halfline for p in self.parts)
 
-    def _sum(self, fn_name, arg):
-        out = getattr(self.parts[0], fn_name)(arg)
+    def _tower(self, order, t):
+        out = self.parts[0]._tower(order, t)
         for p in self.parts[1:]:
-            out = out + getattr(p, fn_name)(arg)
+            out = out + p._tower(order, t)
         return out
-
-    def _modulus(self, t):
-        return self._sum("_modulus", t)
-
-    def _modulus_dt(self, t):
-        return self._sum("_modulus_dt", t)
-
-    def _modulus_dtt(self, t):
-        return self._sum("_modulus_dtt", t)
-
-    def _integral(self, x):
-        return self._sum("_integral", x)
-
-    def _integral2(self, x):
-        return self._sum("_integral2", x)
-
-    def _integral3(self, x):
-        return self._sum("_integral3", x)
 
 
 def translate(kernel: RelaxationKernel, eps: float) -> RelaxationKernel:
@@ -387,7 +332,7 @@ def kernel_diff_bound(kernel: RelaxationKernel, eps: float, s) -> np.ndarray:
     arr = np.asarray(s, dtype=float)
     if np.any(arr < 0):
         raise KernelDomainError("grid points must be >= 0")
-    out = kernel._integral(arr + eps) - kernel._integral(arr)
+    out = kernel._tower(-1, arr + eps) - kernel._tower(-1, arr)
     return float(out) if np.ndim(s) == 0 else out
 
 
@@ -435,9 +380,7 @@ def check_admissibility(
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     times = np.geomspace(horizon * 1e-12, horizon, n_samples)
-    g = kernel._modulus(times)
-    gd = kernel._modulus_dt(times)
-    gdd = kernel._modulus_dtt(times)
+    g, gd, gdd = (kernel._tower(order, times) for order in (0, 1, 2))
     return AdmissibilityReport(
         times=times,
         modulus_values=g,
@@ -477,7 +420,7 @@ def check_fading_memory(
 
     def tail(a: float) -> float:
         # a > 0 throughout: lo stops halving at 1e-30
-        return history_norm_bound * (float(kernel._modulus(np.asarray(a, float))) - g_inf)
+        return history_norm_bound * (float(kernel._tower(0, np.asarray(a, float))) - g_inf)
 
     lo = 1.0
     while tail(lo) <= tol:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -466,7 +466,7 @@ class HistoryConvolution:
         bounded at 0, or a sequence of K of them for K weight sets, (K, n).
 
         The weights come from interval_weights on the two tower members
-        below w, the tower indexed by derivative order -3 .. 2, and the far
+        below w, which the kernel's _tower reads by order, and the far
         sums' tail fits w itself, the member at the order.  The rate and
         curvature get the exponential backend, one term list per kernel,
         when every kernel is a PronyKernel, a constant modulus (no terms)
@@ -476,13 +476,12 @@ class HistoryConvolution:
         kernels = [kernel] if single else kernel
         if order > 0 and all(isinstance(k, PronyKernel) for k in kernels):
             return _ExponentialHistory(kernels, order, dt)
-        towers = [
-            (k._integral3, k._integral2, k._integral, k._modulus, k._modulus_dt, k._modulus_dtt)
+        pairs = [
+            interval_weights(partial(k._tower, order - 1), partial(k._tower, order - 2), n, dt)
             for k in kernels
         ]
-        pairs = [interval_weights(tower[order + 2], tower[order + 1], n, dt) for tower in towers]
         left, right = np.array(pairs).swapaxes(0, 1)
-        factors = [tower[order + 3] for tower in towers]
+        factors = [partial(k._tower, order) for k in kernels]
         return cls(left[0], right[0], factors, dt) if single else cls(left, right, factors, dt)
 
     def adjoint(self, a: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -338,8 +339,8 @@ def reference_energy_ledger(
 
     g_now = kk.modulus(times)
     gdot_now = kk.modulus_dt(times)
-    left_m, right_m = interval_weights(kk._modulus, kk._integral, J, dt)
-    left_c, right_c = interval_weights(kk._modulus_dt, kk._modulus, J, dt)
+    left_m, right_m = interval_weights(partial(kk._tower, 0), partial(kk._tower, -1), J, dt)
+    left_c, right_c = interval_weights(partial(kk._tower, 1), partial(kk._tower, 0), J, dt)
 
     grad_sq = np.array([dirichlet_gradient_sq(grid, u[j]) for j in range(J + 1)])
     kinetic = np.array([0.5 * l2_space(grid, v[j]) ** 2 for j in range(J + 1)])
@@ -421,7 +422,7 @@ def reference_integrodiff(spec: ProblemSpec) -> np.ndarray:
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     shifted = translate(spec.kernel, spec.eps)
     g0 = shifted.modulus(0.0)
-    left, right = interval_weights(shifted._modulus, shifted._integral, J, dt)
+    left, right = interval_weights(partial(shifted._tower, 0), partial(shifted._tower, -1), J, dt)
 
     shape = grid.shape
     levels = np.empty((J + 1,) + shape)
@@ -453,7 +454,7 @@ def reference_volterra(spec: ProblemSpec) -> np.ndarray:
     with no sine transform, and stops where a level is not finite."""
     grid, dt, J = spec.grid, spec.dt, spec.n_steps
     kk = translate(spec.kernel, spec.eps)
-    left, right = interval_weights(kk._integral2, kk._integral3, J, dt)
+    left, right = interval_weights(partial(kk._tower, -2), partial(kk._tower, -3), J, dt)
 
     shape = grid.shape
     identity = np.eye(grid.n_total)
@@ -576,7 +577,7 @@ def classical_stress_curve(kernel: RelaxationKernel, strain, dt: float, past_val
     at t = M dt, M = 1 .. n, with the dG weights exact on the strain interpolant."""
     E = np.asarray(strain, dtype=float)
     n = E.size - 1
-    history = HistoryConvolution(*interval_weights(kernel._modulus, kernel._integral, n, dt))
+    history = HistoryConvolution(*interval_weights(partial(kernel._tower, 0), partial(kernel._tower, -1), n, dt))
     g_t = kernel.modulus(dt * np.arange(1, n + 1))
     return kernel.modulus(0.0) * E[1:] + reference_full(history, E)[1:] + past_value * (kernel.value_at_inf - g_t)
 
@@ -795,17 +796,17 @@ def reference_lemma_check(
         # sup_s |Ksh(s) - K(s)| on [0, horizon]: increasing in s, peak at s = horizon
         s_grid = np.linspace(0.0, horizon, 257)
         sup_diff = float(
-            np.max(np.abs(shifted._integral(s_grid) - kernel._integral(s_grid)))
+            np.max(np.abs(shifted._tower(-1, s_grid) - kernel._tower(-1, s_grid)))
         )
-        if sup_diff <= 1e-12 * max(1.0, float(kernel._integral(horizon))):
+        if sup_diff <= 1e-12 * max(1.0, float(kernel._tower(-1, horizon))):
             # the shift changes nothing (constant kernel): identically zero
             for v in battery:
                 out.append(LemmaCheckEntry(float(e), v.name, 0.0, 0.0))
             continue
 
         weights = interval_weights(
-            lambda s: shifted._integral2(s) - kernel._integral2(s),
-            lambda s: shifted._integral3(s) - kernel._integral3(s),
+            lambda s: shifted._tower(-2, s) - kernel._tower(-2, s),
+            lambda s: shifted._tower(-3, s) - kernel._tower(-3, s),
             J, dt,
         )
         conv = reference_full(HistoryConvolution(*weights), nodal_levels(traj).reshape(J + 1, -1))
@@ -851,7 +852,7 @@ def reference_weak_residual(
     horizon = float(traj.times[-1])
     battery = default_battery(grid)
     kk = translate(kernel, eps)
-    history = HistoryConvolution(*interval_weights(kk._integral2, kk._integral3, J, dt))
+    history = HistoryConvolution(*interval_weights(partial(kk._tower, -2), partial(kk._tower, -3), J, dt))
 
     flat = nodal_levels(traj).reshape(J + 1, -1)
     conv_lap = reference_full(history, laplacian_array(grid, nodal_levels(traj)).reshape(J + 1, -1))
@@ -900,8 +901,8 @@ def lemma_term_magnitudes(kernel, eps_values, battery, trajectories) -> list[flo
         horizon = float(traj.times[-1])
         shifted = translate(kernel, float(e))
         left, right = interval_weights(
-            lambda s: shifted._integral2(s) - kernel._integral2(s),
-            lambda s: shifted._integral3(s) - kernel._integral3(s),
+            lambda s: shifted._tower(-2, s) - kernel._tower(-2, s),
+            lambda s: shifted._tower(-3, s) - kernel._tower(-3, s),
             J, dt,
         )
         sums = _abs_row_sums(left, right, nodal_levels(traj).reshape(J + 1, -1))
@@ -923,7 +924,7 @@ def weak_term_magnitudes(traj, kernel, eps, u0, u1, forcing=None) -> list[float]
     horizon = float(traj.times[-1])
     battery = default_battery(grid)
     kk = translate(kernel, eps)
-    left, right = interval_weights(kk._integral2, kk._integral3, J, dt)
+    left, right = interval_weights(partial(kk._tower, -2), partial(kk._tower, -3), J, dt)
     flat = nodal_levels(traj).reshape(J + 1, -1)
     sums_u = _abs_row_sums(left, right, flat)
     sums_lap = _abs_row_sums(left, right, laplacian_array(grid, nodal_levels(traj)).reshape(J + 1, -1))

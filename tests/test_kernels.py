@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -191,7 +193,7 @@ def rebased_tower(base, eps: float, x: np.ndarray):
     """The tower of G(eps + .) re-based to start at 0, by subtraction from
     the base kernel's tower: K(eps + x) - K(eps), and so on."""
     e = np.asarray(eps, dtype=float)
-    k1, k2, k3 = base._integral, base._integral2, base._integral3
+    k1, k2, k3 = partial(base._tower, -1), partial(base._tower, -2), partial(base._tower, -3)
     return (
         k1(x + eps) - k1(e),
         k2(x + eps) - k2(e) - k1(e) * x,
@@ -200,7 +202,7 @@ def rebased_tower(base, eps: float, x: np.ndarray):
 
 
 def tower(k, x: np.ndarray):
-    return k._modulus(x), k._modulus_dt(x), k._integral(x), k._integral2(x), k._integral3(x)
+    return k._tower(0, x), k._tower(1, x), k._tower(-1, x), k._tower(-2, x), k._tower(-3, x)
 
 
 SHIFT_FAMILIES = [
@@ -270,8 +272,8 @@ class TestTranslated:
     def test_prony_shift_is_the_shifted_series(self, base, eps):
         x = np.linspace(0.0, 4.0, 41)
         k = translate(base, eps)
-        pairs = [(k._modulus(x), base._modulus(x + eps)), (k._modulus_dt(x), base._modulus_dt(x + eps))]
-        pairs += zip((k._integral(x), k._integral2(x), k._integral3(x)), rebased_tower(base, eps, x))
+        pairs = [(k._tower(0, x), base._tower(0, x + eps)), (k._tower(1, x), base._tower(1, x + eps))]
+        pairs += zip((k._tower(-1, x), k._tower(-2, x), k._tower(-3, x)), rebased_tower(base, eps, x))
         for got, want in pairs:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -282,9 +284,9 @@ class TestTranslated:
         base = PowerLawKernel(c=1.0, alpha=0.5)
         x = 0.005 * np.arange(201)
         k = translate(base, eps)
-        for got, want in zip((k._integral(x), k._integral2(x), k._integral3(x)), rebased_tower(base, eps, x)):
+        for got, want in zip((k._tower(-1, x), k._tower(-2, x), k._tower(-3, x)), rebased_tower(base, eps, x)):
             assert got.tobytes() == want.tobytes()
-        assert k._modulus(x).tobytes() == base._modulus(x + eps).tobytes()
+        assert k._tower(0, x).tobytes() == base._tower(0, x + eps).tobytes()
 
     def test_unshifted_power_law_reads_as_before(self):
         # the repr feeds every spec fingerprint
@@ -316,6 +318,122 @@ class TestTranslated:
             for eps in (-0.1, -1e-300, math.inf, math.nan):
                 with pytest.raises(KernelDomainError):
                     translate(base, eps)
+
+
+# one kernel of each kind the tower is written for; a kernel unbounded at
+# t = 0 is sampled at t > 0 only
+TOWER_KERNELS = {
+    "prony_0": PronyKernel(1.5, ()),
+    "prony_1": PronyKernel(0.5, ((0.5, 2.0),)),
+    "prony_2": PronyKernel(0.1, ((0.4, 0.7), (0.2, 3.0))),
+    "prony_shifted": translate(PronyKernel(0.1, ((0.4, 0.7), (0.2, 3.0))), 0.3),
+    "powerlaw": PowerLawKernel(1.0, 0.5),
+    "powerlaw_shifted": translate(PowerLawKernel(0.8, 0.3), 0.05),
+    "sum": KernelSum((PronyKernel(0.5, ((0.5, 2.0),)), PowerLawKernel(1.0, 0.5))),
+}
+
+# sha256 of each member's float64 bytes on tower_grid, orders -3 .. 2, as the
+# closed forms gave them when each member was a method of its own
+TOWER_DIGESTS = {
+    "prony_0": (
+        "c8d49b632a2695a8f57afee8f5d6f0b6e0e889081895573f2223f31ff36d6818",
+        "cf9c399c2841951ebc285d77886a963a003789a05b772fa8bcb482eefa361836",
+        "b9a5c1a240691d77a6d6b79f25e72aee338d08ea2c231e689afdfe18a035d5d7",
+        "220c6a5a99db8aee4867401a0c3878924bd9fdefdee983408e0a8eba6992271e",
+        "7b4499c3cc6e82a9da3100028f52af7f8c1e9ee60e33010a108e401989782962",
+        "7b4499c3cc6e82a9da3100028f52af7f8c1e9ee60e33010a108e401989782962",
+    ),
+    "prony_1": (
+        "d6f320f82887726d2480de7e475bd45775979bd780da1e62227cead0a9c1c3fc",
+        "3f81c7ed1e7a1403d487f269b39dde0998d6a065e4ae31365f5fabc35b1158cb",
+        "727c5bfdcb5fb54b44fd9b78ad7666cc36b0c155b6d79e9825de660e769e1204",
+        "54ee6d20131aa23498817551c85e6f8540d72a1ddacf7d061358ac4c5e88424a",
+        "30a1dbdbe2b7ac1e823ed9182671541d3d26f9984d89cbfff7f032a97110d8ab",
+        "02bf68743ecf4ac189e9a2a310fd5def7b3be63cb1d6a1ac1d91d00c9ab76ab3",
+    ),
+    "prony_2": (
+        "7830f26942dcdc6dc082a720555ba621047f5d05ef8e632d279d3fe110a69e4a",
+        "fb308e06a4647d63b1198ee96082a9c76c48307682c6a432ebe42406d2190a37",
+        "ac1568cb5950a83f1cd9460303d0eea6d7059e7bf91896a346eafea0c957f8ce",
+        "8253bd7b106652911c85e9356a84bc5cb41a94653c80ff26444dff693c8b0ba5",
+        "076a53f5478a8b5f8a387ca3dec1905350f046b733e4e4d1f2387745e4169f76",
+        "691d78995cb76fbb3cb5ace8b8939a01ed01da522a1e6fe21b8d73d22a825d04",
+    ),
+    "prony_shifted": (
+        "45f0a2754d36868c8e19956d9e9e7b46b94d6288376316bfa1fab04bebab5801",
+        "d168c67951129734aa6099c8dfc424676330d4f69652572d854e4329ed4e0e31",
+        "6fa181263267172dd7ecfe6ccdd27a7256d97d9366817d4b04350eeda748cd33",
+        "d1cc73b1b3a9d6fd2f6a9e90a5e932b4789abdc8df01a99d41921b6dfd1f0fe4",
+        "2ee34baeaf42aa5888fa1e23954be6b3cffbb51814dca3e2c138cc6005193f4c",
+        "0fbe0553d22bfea767f13063f49816f1d0e02674b13bacf659095a81172aa69e",
+    ),
+    "powerlaw": (
+        "f8180252041d6cd9a814c8ce87c434912d97b94319e3f17674a7cca4ee927f2c",
+        "1ad843819b195b4a4735b00a2aedffa584454169037e2ad3b4b5dff4a592f86f",
+        "b29416b3014d3cb82054ccf44addb5d6325d57cd9c18df92f1320912bc2a6fde",
+        "4cb211ecd74e4e82a3b3fa6ed7e7f93faef64c29586125a90905e8fe79f5af03",
+        "10c92184e35da77c511e15fd8db84257fe3e60d71d5cb5ea829bc3fcae9435ff",
+        "769665462a069558b256000d8356bd8f31c4bc6c6c0f57f292cd506e1e68fcb1",
+    ),
+    "powerlaw_shifted": (
+        "c9024bf01b8bc143d324d850c6f1f46e1ab93dd98d2ac9e0e45939b948405072",
+        "25c8a1fbf9faf587bf0853720038003a4559db52b9e48d20fe11d867733ccbd2",
+        "53dca5219994aca47d5c12f1c4fde9bb3c046851041d06a1a586d5acf31ad463",
+        "16874791ba1ca2bbe5fcb951d9a5585977d5e00b196994c5543053499f7a5a13",
+        "ee12d0e0b6f2b9ab738e1e46fbcb4a31563951c46aee4b15d137ead257f24de7",
+        "e20dd6171fa548ed818ab2a74b7fa0ea5bc072091a06fb0e9d22b7ea367f476e",
+    ),
+    "sum": (
+        "984702eccd33f2e8dfd3b8c906769337edda7fa0312110d6d1e23c3b7002660a",
+        "03d99fc7b72a84ca80529779ef4b7a1c082e67bb48fe2c66d676c247ffeb454c",
+        "6a8279f32ce5e977e4ab9bc126ecb0ac96811e644ffba11dcd7062320925895b",
+        "16e0da0fe1c5076afe72a722c63ec7bbd3c37c1a006e088d98fa79903794be9b",
+        "6fca7febb35223d056744220d5c188f37dd5d7a479d0bb160fc583c88c11b934",
+        "7111aa25c076549febe734a1ef8210fe0479d460d8b4a635521fea33ee659348",
+    ),
+}
+
+PUBLIC_ORDERS = {
+    "integral3": -3, "integral2": -2, "integral": -1, "modulus": 0, "modulus_dt": 1, "modulus_dtt": 2,
+}
+
+
+def tower_grid(k) -> np.ndarray:
+    t = np.linspace(0.0, 4.0, 41)
+    return t[1:] if k.singular_at_zero else t
+
+
+class TestTower:
+    @pytest.mark.parametrize("name", TOWER_DIGESTS)
+    def test_members_keep_their_bits(self, name):
+        k = TOWER_KERNELS[name]
+        t = tower_grid(k)
+        got = tuple(hashlib.sha256(k._tower(order, t).tobytes()).hexdigest() for order in range(-3, 3))
+        assert got == TOWER_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", TOWER_KERNELS)
+    def test_public_methods_read_the_tower(self, name):
+        k = TOWER_KERNELS[name]
+        t = tower_grid(k)
+        for method, order in PUBLIC_ORDERS.items():
+            assert getattr(k, method)(t).tobytes() == k._tower(order, t).tobytes()
+
+    @pytest.mark.parametrize("name", ["prony_2", "prony_shifted", "powerlaw", "powerlaw_shifted", "sum"])
+    @pytest.mark.parametrize("x", [0.05, 0.3, 1.0, 2.5])
+    def test_each_member_is_the_derivative_of_the_one_below(self, name, x):
+        k = TOWER_KERNELS[name]
+        step = 1e-6 * max(1.0, x)
+        ends = np.array([x - step, x + step])
+        for order in range(-3, 2):
+            below = k._tower(order, ends)
+            central = (below[1] - below[0]) / (2 * step)
+            assert float(k._tower(order + 1, np.array(x))) == pytest.approx(central, rel=1e-5, abs=1e-8)
+
+    @pytest.mark.parametrize("name", TOWER_KERNELS)
+    @pytest.mark.parametrize("order", [-4, 3, 7])
+    def test_an_order_outside_the_tower_is_refused(self, name, order):
+        with pytest.raises(ValueError, match=f"tower order {order} is outside -3 .. 2"):
+            TOWER_KERNELS[name]._tower(order, np.linspace(0.1, 1.0, 4))
 
 
 class TestDiffBound:
@@ -413,9 +531,9 @@ class TestAdmissibility:
             rep.integrable_on_halfline, rep.passed, rep.regime,
         )
         assert got == want
-        assert rep.modulus_values.tobytes() == kernel._modulus(rep.times).tobytes()
-        assert rep.rate_values.tobytes() == kernel._modulus_dt(rep.times).tobytes()
-        assert rep.curvature_values.tobytes() == kernel._modulus_dtt(rep.times).tobytes()
+        assert rep.modulus_values.tobytes() == kernel._tower(0, rep.times).tobytes()
+        assert rep.rate_values.tobytes() == kernel._tower(1, rep.times).tobytes()
+        assert rep.curvature_values.tobytes() == kernel._tower(2, rep.times).tobytes()
 
     @given(prony_strategy)
     def test_admissible_prony_passes(self, k):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -220,14 +221,14 @@ class TestProductQuadrature:
     def test_weights_telescope(self, n):
         dt = 0.03
         k = PRONY
-        left, right = interval_weights(k._modulus, k._integral, n, dt)
+        left, right = interval_weights(partial(k._tower, 0), partial(k._tower, -1), n, dt)
         total = float(np.sum(left) + np.sum(right))
         assert total == pytest.approx(k.modulus(n * dt) - k.modulus(0.0), abs=1e-12)
 
     def test_conv_weights_reverse_direct(self):
         # convolution weights are the direct weights seen from the far end
         k = PRONY
-        left, right = interval_weights(k._modulus, k._integral, 6, 0.1)
+        left, right = interval_weights(partial(k._tower, 0), partial(k._tower, -1), 6, 0.1)
         j = 5
         assert history_row(HistoryConvolution(left, right), j) == pytest.approx(
             direct_weights(left, right, j)[::-1]
@@ -249,7 +250,7 @@ def _power_law_memory_weights(shifts=None):
     # steps of 0.05, one weight set per shift eps of a sequence
     kernel = PowerLawKernel(c=1.0, alpha=0.5)
     sets = [
-        interval_weights(shifted._modulus, shifted._integral, 11, 0.05)
+        interval_weights(partial(shifted._tower, 0), partial(shifted._tower, -1), 11, 0.05)
         for shifted in (translate(kernel, eps) for eps in (0.1, 0.05, 0.025))
     ]
     left, right = (np.stack(part) for part in zip(*sets))
@@ -575,7 +576,7 @@ class TestExponentialHistory:
         dt, eps, n = 1.0 / ratio, 0.05, 40
         exponential = geometric_history(HistoryConvolution.of(translate(k, eps), 1, n, dt).terms[0], n)
         shifted = translate(k, eps)
-        direct = HistoryConvolution(*interval_weights(shifted._modulus, shifted._integral, n, dt))
+        direct = HistoryConvolution(*interval_weights(partial(shifted._tower, 0), partial(shifted._tower, -1), n, dt))
         scale = np.abs(direct.lags).max()
         assert np.abs(exponential.lags - direct.lags).max() <= 1e-12 * scale
         assert np.abs(exponential.oldest - direct.oldest).max() <= 1e-12 * scale
@@ -905,7 +906,7 @@ class TestVolterra:
         # z_max: the self-weight lags[0] = left[0] times the top eigenvalue
         # of -lap, read off the stencil on the top sine mode
         left, _ = interval_weights(
-            translate(PRONY, 0.05)._integral2, translate(PRONY, 0.05)._integral3, 50, 0.02
+            partial(translate(PRONY, 0.05)._tower, -2), partial(translate(PRONY, 0.05)._tower, -3), 50, 0.02
         )
         top = np.sin(19 * np.pi * g.axis_coordinates(0))
         mu_top = -reference_laplacian(g, top)[9] / top[9]
@@ -1039,15 +1040,15 @@ class TestVolterraTail:
         # (up to 1e-7 relative at J = 8000)
         W, dt = solver_module._MARCH_ROWS, 1.0 / J
         kernels = [translate(k, e) for k in _TAIL_FAMILIES[family] for e in (0.0, 0.01, 0.1)]
-        tail = solver_module._ExponentialTail.fit([k._integral for k in kernels], (W - 1) * dt, 1.0, dt)
+        tail = solver_module._ExponentialTail.fit([partial(k._tower, -1) for k in kernels], (W - 1) * dt, 1.0, dt)
         assert np.all(tail.error <= solver_module._TAIL_TOLERANCE)
         lags = np.arange(W, J)  # lag J weighs only level 0, through oldest
         terms = tail.readout(lags)[..., :-1]  # a lone level at M: states (1, .., 1, 1, 0)
         fitted, magnitude = terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
         table = HistoryConvolution.of(kernels, -1, J, dt).lags[:, W:J]
         for k, kernel in enumerate(kernels):
-            exact = _hat_integrals(kernel._integral, lags, dt)
-            delta = tail.error[k] * kernel._integral(1.0) * dt
+            exact = _hat_integrals(partial(kernel._tower, -1), lags, dt)
+            delta = tail.error[k] * kernel._tower(-1, 1.0) * dt
             rounding = 8 * np.finfo(float).eps * (np.abs(exact) + magnitude[k])
             assert np.all(np.abs(fitted[k] - exact) <= delta + rounding)
             assert np.all(np.abs(fitted[k] - table[k]) <= delta + np.abs(table[k] - exact) + rounding)
@@ -1084,7 +1085,7 @@ class TestVolterraTail:
         def exact_from_w(kernels, order, n, dt):
             history = weights(kernels, order, n, dt)
             for k, shifted in enumerate(kernels):
-                history.lags[k, W:n] = _hat_integrals(shifted._integral, np.arange(W, n), dt)
+                history.lags[k, W:n] = _hat_integrals(partial(shifted._tower, -1), np.arange(W, n), dt)
             return history
 
         with mock.patch.object(HistoryConvolution, "of", exact_from_w):
@@ -1095,7 +1096,7 @@ class TestVolterraTail:
             assert fast.record.far_nodes == 33 and slow.record.far_nodes == 0
             assert 0.0 < fast.record.far_error <= solver_module._TAIL_TOLERANCE
             scale = np.max(np.abs(slow.coefficients))
-            bound = fast.record.far_error * translate(kernel, eps)._integral(1.0) + 1e-13
+            bound = fast.record.far_error * translate(kernel, eps)._tower(-1, 1.0) + 1e-13
             assert np.max(np.abs(fast.coefficients - slow.coefficients)) <= bound * scale
 
     @pytest.mark.parametrize(
@@ -1126,7 +1127,7 @@ class TestVolterraTail:
 
         def exact_from_w(kernels, order, n, dt):
             history = weights(kernels, order, n, dt)
-            history.lags[:, W:n] = _hat_integrals(shifted._modulus_dt, np.arange(W, n), dt)
+            history.lags[:, W:n] = _hat_integrals(partial(shifted._tower, 1), np.arange(W, n), dt)
             return history
 
         with mock.patch.object(HistoryConvolution, "of", exact_from_w):
