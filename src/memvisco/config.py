@@ -76,7 +76,7 @@ class ExperimentConfig:
     u0_params: dict
     u1_name: str
     u1_params: dict
-    forcing: Forcing
+    forcing: Forcing | None  # None for f = zero
     strain: str
     strain_amplitude: float
     diagnostics: dict
@@ -395,7 +395,7 @@ def parse_config(text: str, tolerances: dict[str, str] | None = None) -> Experim
         u0_params=u0_params,
         u1_name=u1_name,
         u1_params=u1_params,
-        forcing=forcing,
+        forcing=None if f_name == "zero" else forcing,  # its params checked above
         strain=strain,
         strain_amplitude=strain_amplitude,
         diagnostics=diagnostics,

@@ -208,28 +208,19 @@ class SingleRun(NamedTuple):
         stack_bytes = 0 if edges is None else edges.nbytes
         return cls(grid, times, displaced, grad_sq, vel_sq, power, columns, history_sums, ledger, stack_bytes, seconds)
 
-    @classmethod
-    def of(cls, run: TrajectorySolution | SingleRun, **asked) -> SingleRun:
-        """run itself if it is reduced, else the reduction asked of a stored
-        run, its levels handed over as level 0 and one block of the rest.
-        Only energy_ledger takes a stored run: the benchmark's J sweep
-        (perfbench/child.py) hands it run(spec)."""
-        if isinstance(run, cls):
-            return run
-        blocks = [(0, run.coefficients[:1]), (1, run.coefficients[1:])]
-        return cls.reduce(run.grid, run.times, blocks, **asked)
-
 
 class _PronyInflows:
     """The inflows of _prony_history_sums' filters per level, |delta_j|^2,
     delta_j . S_j per term and vol |e_j - e_0|^2, as the pieces of e_j =
     sqrt(mu) u_hat_j come in: S_j, one (terms, N) state, steps a level at a
-    time.  terms are exponential_terms' (r, left[0], right[0]) per term."""
+    time.  terms are exponential_terms' (r, left[0], right[0]) per term;
+    decay[t, j] = r_t^j (j <= J) and s[t, j] = sum_{k<=j} r_t^k (j < J) serve the filter too."""
 
     def __init__(self, terms, n_levels: int, n_total: int, vol: float):
         rates = np.array([r for r, _, _ in terms])
         self.rates, self._vol = rates, vol
-        self._s = _geometric_sums(rates, n_levels - 1)[1].T[:, :, None]
+        self.decay = rates[:, None] ** np.arange(n_levels)
+        self.s = np.cumsum(self.decay[:, :-1], axis=1)
         self._state = np.zeros((rates.size, n_total))
         self.cross = np.empty((n_levels - 1, rates.size))
         self.delta_sq = np.empty(n_levels - 1)
@@ -245,18 +236,12 @@ class _PronyInflows:
         delta = e[1:] - e[:-1]
         self.delta_sq[steps] = np.einsum("ke,ke->k", delta, delta)
         r_column = self.rates[:, None]
-        for d, s_j, cross_j in zip(delta, self._s[steps], self.cross[steps]):
+        for d, s_j, cross_j in zip(delta, self.s.T[steps, :, None], self.cross[steps]):
             np.matmul(self._state, d, out=cross_j)
             self._state += s_j * d
             self._state *= r_column
         d = np.subtract(e[1:], self._first, out=e[1:])
         self.oldest[max(done, 1) : hi] = self._vol * np.einsum("ke,ke->k", d, d)
-
-
-def _geometric_sums(rates: np.ndarray, J: int):
-    """(decay, s): decay[t, j] = r_t^j for j = 0 .. J and s[t, j] = sum_{k=0}^{j} r_t^k for j < J."""
-    decay = rates[:, None] ** np.arange(J + 1)
-    return decay, np.cumsum(decay[:, :J], axis=1)
 
 
 def check_ledger_hypothesis(kernel: RelaxationKernel, eps: float) -> None:
@@ -313,9 +298,9 @@ def energy_ledger(
     forcing=None,
 ) -> EnergyLedger:
     """Assemble the energy balance for a run of the shifted problem: a
-    stored trajectory, or a SingleRun reduced with forcing and ledger =
-    (kernel, eps); ValueError for one reduced for another pair, or with
-    forcing where none is given.
+    SingleRun reduced with forcing and ledger = (kernel, eps), or a stored
+    trajectory, reduced here as level 0 and one block; ValueError for a
+    SingleRun reduced for another pair, or with forcing where none is given.
 
     All modulus evaluations use the shifted kernel G(eps + .); eps = 0 is
     accepted only for a modulus bounded at 0.
@@ -329,7 +314,10 @@ def energy_ledger(
     O(J^2 N) (_lag_pass_sums).  A modulus with dG = 0, such as a Prony
     kernel without terms, has no memory and takes neither.
     """
-    run = SingleRun.of(run, forcing=forcing, ledger=(kernel, eps))
+    if not isinstance(run, SingleRun):
+        # kept for the benchmark's J sweep (perfbench/child.py), which hands a stored run(spec)
+        blocks = [(0, run.coefficients[:1]), (1, run.coefficients[1:])]
+        run = SingleRun.reduce(run.grid, run.times, blocks, forcing=forcing, ledger=(kernel, eps))
     run.require("energy_ledger", forcing=forcing is not None, ledger=True)
     if forcing is None and run.power is not None:
         raise ValueError("energy_ledger without forcing reads a SingleRun reduced with forcing")
@@ -379,13 +367,14 @@ def _lag_pass_sums(edges: np.ndarray, vol: float, histories) -> np.ndarray:
     """
     J = len(edges) - 1
     out = np.zeros((len(histories), J + 1))
+    # every history's weights as one row, so one product per lag serves them all
+    lags, oldest = np.array([h.lags for h in histories]), np.array([h.oldest for h in histories])
     for i in range(1, J + 1):
         # phi_j(i) for j = i .. J at once
         d = edges[i:] - edges[:-i]
         phi = vol * np.einsum("ij,ij->i", d, d)
-        for row, history in zip(out, histories):
-            row[i] += history.oldest[i - 1] * phi[0]
-            row[i + 1 :] += history.lags[i] * phi[1:]
+        out[:, i] += oldest[:, i - 1] * phi[0]
+        out[:, i + 1 :] += lags[:, i, None] * phi[1:]
     return out
 
 
@@ -414,8 +403,7 @@ def _prony_history_sums(prony: _PronyInflows, vol: float, weights) -> np.ndarray
     a scalar filter of them: O(terms J N) flops in O(J) Python steps.
     """
     delta_sq, cross, oldest, rs = prony.delta_sq, prony.cross, prony.oldest, prony.rates
-    J = delta_sq.size
-    decay, s = _geometric_sums(rs, J)
+    J, decay, s = delta_sq.size, prony.decay, prony.s
     inflow = 2.0 * cross.T + s * delta_sq
     # Q_{j+1} = r Q_j + inflow_j from Q_0 = 0, a scalar filter per term
     q = [

@@ -117,10 +117,6 @@ class Forcing:
     def from_dict(cls, name: str, params: dict | None = None) -> "Forcing":
         return cls(name, tuple((params or {}).items()))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.name == "zero"
-
     def profile(self, grid: Grid) -> np.ndarray:
         """The space profile on grid's nodes."""
         params = {k: v for k, v in self.params if k != "omega"}

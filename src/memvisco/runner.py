@@ -241,7 +241,6 @@ def _resolve_dt(cfg: ExperimentConfig, eps_for_cfl: float) -> float:
 
 
 def _build_spec(cfg: ExperimentConfig, eps: float, dt: float) -> ProblemSpec:
-    forcing = None if cfg.forcing is None or cfg.forcing.is_zero else cfg.forcing
     return ProblemSpec(
         kernel=cfg.kernel,
         grid=cfg.grid,
@@ -250,7 +249,7 @@ def _build_spec(cfg: ExperimentConfig, eps: float, dt: float) -> ProblemSpec:
         eps=eps,
         u0=field_from_name(cfg.grid, cfg.u0_name, cfg.u0_params),
         u1=field_from_name(cfg.grid, cfg.u1_name, cfg.u1_params),
-        forcing=forcing,
+        forcing=cfg.forcing,
         formulation=cfg.formulation,
     )
 

@@ -649,36 +649,36 @@ def _finished(block: np.ndarray, j0: int, shifts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _march_leapfrog(specs, history, levels: np.ndarray, rows: int):
-    """March every spec of specs, one problem at K shifts, with history's
-    weight set for each, into levels, (K, 1 + R, *grid.shape): per shift
-    level 0, then level m >= 1 in slot 1 + (m - 1) % R, R a multiple of
-    rows or J.  A generator of the finished blocks, (j0, the levels j0 ..
-    j1 - 1 of every shift), level 0 first, then rows at a time: views that
-    the march writes over later.  A block with a non-finite value aborts
-    the march (_finished).
+def _march_leapfrog(specs, history, levels: np.ndarray, rows: int, data):
+    """March every spec of specs, one problem at K shifts, from march's
+    flat data (p, factor, u0, u1), with history's weight set for each, into
+    levels, (K, 1 + R, *grid.shape): per shift level 0, then level m >= 1
+    in slot 1 + (m - 1) % R, R a multiple of rows or J.  A generator of the
+    finished blocks, (j0, the levels j0 .. j1 - 1 of every shift), level 0
+    first, then rows at a time: views of levels that the march writes over
+    later.  A block with a non-finite value aborts the march (_finished).
 
         u_{j+1} = 2 u_j - u_{j-1} + dt^2 (-mu (g0 u_j + H_j) + f_j)
 
-    in sine coefficients, H_j = history.row_sums of the levels 0 .. j, one
-    call for all K shifts.  Each step then takes the shifts one at a time,
-    each with its own g0: at N = 99 a step is mostly Python calls, and one
-    product over a shift axis cost more than it saved.
+    in sine coefficients on levels' flat (K, 1 + R, N) view, H_j =
+    history.row_sums of the levels 0 .. j, one call for all K shifts.  Each
+    step then takes the shifts one at a time, each with its own g0: at N =
+    99 a step is mostly Python calls, and one product over a shift axis
+    cost more than it saved.
     """
     spec = specs[0]
-    grid, dt, J = spec.grid, spec.dt, spec.n_steps
+    dt, J = spec.dt, spec.n_steps
+    p, factor, u0, u1 = data
     ring = levels.shape[1] - 1
     stack = levels.reshape(len(specs), ring + 1, -1)
     shifts = [s.eps for s in specs]
-    minus_mu = -grid.eigenvalues
-    profile, factor = spec.forcing_parts()
-    p, u0, u1 = (sine_transform(grid, f) for f in (profile, spec.u0.values, spec.u1.values))
-    lanes = [(lane, s.kernel.modulus(s.eps)) for lane, s in zip(levels, specs)]
-    levels[:, 0] = u0
+    minus_mu = -spec.grid.eigenvalues.reshape(-1)
+    lanes = [(lane, s.kernel.modulus(s.eps)) for lane, s in zip(stack, specs)]
+    stack[:, 0] = u0
     yield 0, _finished(levels[:, :1], 0, shifts)
     for lane, g0 in lanes:
         lane[1] = u0 + dt * u1 + 0.5 * dt * dt * (g0 * (minus_mu * u0) + factor[0] * p)
-    accel, push = np.empty((2,) + grid.shape)
+    accel, push = np.empty((2, stack.shape[2]))
     for j in range(1, J + 1):
         if j % rows == 0 or j == J:
             j0 = j - (j - 1) % rows
@@ -691,7 +691,7 @@ def _march_leapfrog(specs, history, levels: np.ndarray, rows: int):
         for (lane, g0), h in zip(lanes, history.row_sums(stack, j)):
             current = lane[1 + (j - 1) % ring]
             np.multiply(current, g0, out=accel)
-            accel += h.reshape(grid.shape)
+            accel += h
             accel *= minus_mu
             accel += push
             accel *= dt * dt
@@ -756,9 +756,13 @@ def march(spec: ProblemSpec, shifts=None):
     reach = rows if history.backend == "exponential" else J if tail is None else 3 * _MARCH_ROWS
     ring = min(reach, J)
     levels = np.empty((len(shifts), 1 + ring) + grid.shape)
+    # either march's data: the forcing's factor, the flat sine coefficients of its profile, u0 and u1
+    profile, factor = spec.forcing_parts()
+    p, u0, u1 = (sine_transform(grid, f).reshape(-1) for f in (profile, spec.u0.values, spec.u1.values))
+    data = p, factor, u0, u1
     if volterra:
-        return records, levels, _march_volterra(spec, shifts, history, levels)
-    return records, levels, _march_leapfrog(specs, history, levels, rows)
+        return records, levels, _march_volterra(spec, shifts, history, levels, data)
+    return records, levels, _march_leapfrog(specs, history, levels, rows, data)
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +770,12 @@ def march(spec: ProblemSpec, shifts=None):
 # ---------------------------------------------------------------------------
 
 
-def _march_volterra(spec: ProblemSpec, shifts, history: HistoryConvolution, levels: np.ndarray):
+def _march_volterra(spec: ProblemSpec, shifts, history: HistoryConvolution, levels: np.ndarray, data):
     """March spec at every shift eps in shifts at once, with history's
     weight set for each, into levels, (K, 1 + R, *grid.shape) as far_sums
-    reads them: one step for all K shifts.  A generator of the finished
-    blocks, (j0, the levels j0 .. j1 - 1 of every shift), level 0 first.
+    reads them, from march's flat data (p, factor, u0, u1): one step for
+    all K shifts.  A generator of the finished blocks, (j0, the levels j0
+    .. j1 - 1 of every shift), level 0 first.
 
     The box Laplacian is diagonal in sine modes, -mu, so step j solves its
     self-term lags[0] lap u_j exactly and needs no Laplacian:
@@ -816,10 +821,7 @@ def _march_volterra(spec: ProblemSpec, shifts, history: HistoryConvolution, leve
     near = min(W - 1, J)
     table[:, 0, W - 1 - near : W - 1] = history.lags[:, near:0:-1]
 
-    u0 = sine_transform(grid, spec.u0.values).reshape(-1)
-    u1 = sine_transform(grid, spec.u1.values).reshape(-1)
-    profile, factor = spec.forcing_parts()
-    p = sine_transform(grid, profile).reshape(-1)
+    p, factor, u0, u1 = data
     c2 = double_trapezoid(factor, dt)
     times = spec.times
     stack[:, 0] = u0

@@ -365,6 +365,15 @@ class TestRunSingle:
         assert message in err
         assert not out.exists()
 
+    def test_params_of_the_zero_forcing_exit_two(self, tmp_path, capsys):
+        # the zero forcing is no forcing, but its params are still checked
+        out = tmp_path / "out"
+        text = QUICK + 'f = zero\nf_params = {"value": 1.0}\n'
+        assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[data] f_params: profile 'zero' got unknown parameters: value" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -124,7 +124,7 @@ class TestExplicitValues:
         assert cfg.u0_name == "sin_pi_product"
         assert cfg.u0_params == {"amplitude": 0.5}
         assert cfg.forcing.name == "constant"
-        assert not cfg.forcing.is_zero
+        assert cfg.forcing is not None
         assert cfg.snapshot_stride == 4
         assert cfg.export_format == "both"
 
@@ -153,6 +153,17 @@ class TestExplicitValues:
             "[kernel]\nfamily = powerlaw\nc = 1.0\nalpha = 0.5\n[grid]\nn = 9\n"
         )
         assert cfg.kernel == PowerLawKernel(1.0, 0.5)
+
+
+class TestZeroForcing:
+    def test_zero_forcing_parses_to_no_forcing(self):
+        from memvisco.runner import _build_spec, _resolve_dt
+
+        for text in (MINIMAL, MINIMAL + "[data]\nf = zero\n"):
+            cfg = parse_config(text)
+            assert cfg.forcing is None
+            assert cfg.resolved["data"]["f"] == "zero"
+            assert _build_spec(cfg, cfg.eps, _resolve_dt(cfg, cfg.eps)).forcing is None
 
 
 class TestResolvedEcho:
@@ -304,5 +315,5 @@ class TestFileLoading:
         assert len(paths) == 5
         for p in paths:
             cfg = parse_config_file(p)
-            forced = cfg.forcing is not None and not cfg.forcing.is_zero
+            forced = cfg.forcing is not None
             assert not (forced and cfg.diagnostics["energy_decay"]), p.name

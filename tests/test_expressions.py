@@ -87,10 +87,6 @@ class TestForcing:
         assert "sin_pi_product" in FORCING_NAMES
         assert set(FORCING_NAMES) <= set(SPACE_NAMES) | {"zero", "constant"}
 
-    def test_is_zero(self):
-        assert Forcing.from_dict("zero", {}).is_zero
-        assert not Forcing.from_dict("constant", {"value": 1.0}).is_zero
-
     def test_static_sample(self):
         g = Grid.line(7)
         f = Forcing.from_dict("sin_pi_product", {"amplitude": 0.5})

@@ -136,3 +136,60 @@ def test_scan_sees_an_unresolved_import(tmp_path):
         "def sweep():\n    from memvisco.solver import run, march_shifts\n"
     )
     assert unresolved_memvisco_imports(probe) == ["memvisco.gone", "memvisco.solver.march_shifts"]
+
+
+# the benchmark's tracer targets that resolve to nothing today, each of whose
+# per-layer metrics reads 0; no other target may join them unnoticed
+DEAD_TRACER_TARGETS = {
+    "memvisco.runner.run",
+    "memvisco.convergence.run",
+    "memvisco.diagnostics.dirichlet_gradient_sq",
+    "memvisco.solver.laplacian_array",
+    "memvisco.grid.laplacian_array",
+    "memvisco.expressions.Forcing.sample",
+    "memvisco.solver.conv_weights",
+    "memvisco.diagnostics.conv_weights",
+    "memvisco.convergence.conv_weights",
+    "memvisco.diagnostics.interval_weights",
+    "memvisco.diagnostics.direct_weights",
+}
+
+
+def unresolved_tracer_targets(path: Path) -> list[str]:
+    """`module.attr` for each (module, attr, name) of path's TARGETS list
+    that does not resolve as the tracer walks it: the module imported, then
+    each dotted part of attr read in turn.  path is parsed, never run."""
+    import importlib
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    missing = []
+    for module, attr, _ in ast.literal_eval(targets):
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    return missing
+
+
+def test_the_benchmark_tracer_targets_stay_live():
+    child = ROOT / "perfbench" / "child.py"
+    missing = unresolved_tracer_targets(child)
+    assert set(missing) <= DEAD_TRACER_TARGETS
+
+
+def test_scan_sees_an_unresolved_tracer_target(tmp_path):
+    probe = tmp_path / "child.py"
+    probe.write_text(
+        "import os\nTARGETS = [\n"
+        '    ("memvisco.runner", "energy_ledger", "diagnostics.energy_ledger"),\n'
+        '    ("memvisco.runner", "gone", "runner.gone"),\n'
+        '    ("memvisco.expressions", "Forcing.sample", "expressions.Forcing.sample"),\n'
+        "]\n"
+    )
+    assert unresolved_tracer_targets(probe) == ["memvisco.runner.gone", "memvisco.expressions.Forcing.sample"]
