@@ -647,8 +647,8 @@ def weak_residual(
         # vx is a sine mode, which the stencil scales by -mu, so
         # (lap_h u) . vx = u . lap_h vx = -mu_m u . vx
         mu_m = grid.eigenvalues[tuple(m - 1 for m in v.modes)]
-        direct = vol * (rest + mu_m * float(y @ projected))
-        moved = vol * (rest - v.laplace_factor(grid) * float(y @ projected))
+        direct = vol * (rest + mu_m * float(y[0] @ projected))
+        moved = vol * (rest - v.laplace_factor(grid) * float(y[0] @ projected))
         out.append(WeakResidualEntry(test_function=v.name, direct=direct, moved=moved))
     return out
 
@@ -668,10 +668,11 @@ def battery_columns(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
 
 def battery_projections(grid: Grid, times: np.ndarray, columns: np.ndarray, history: HistoryConvolution):
     """(v, a, y, projected) for each test function v of the default
-    battery: a = w v(t) its time profile with the trapezoid weights; y =
-    history.adjoint(a), one transposed sum per time profile; projected =
-    the levels at times projected on v's space values vx, from columns,
-    their battery_columns.
+    battery: a = w v(t) its time profile with the trapezoid weights; y,
+    (K, n + 1), the history's adjoint of a, one row per weight set (K = 1
+    for a single one), from one adjoint call for every time profile;
+    projected = the levels at times projected on v's space values vx, from
+    columns, their battery_columns (..., n, modes): (..., n).
 
     Every tested term is linear in u, so projecting the levels first leaves
     only scalar convolutions.  vx is the product of sine modes m, which is
@@ -682,9 +683,10 @@ def battery_projections(grid: Grid, times: np.ndarray, columns: np.ndarray, hist
     scale = math.prod(math.sqrt((n + 1) / 2) for n in grid.n)
     wt = trapezoid_weights(times.size, float(times[1] - times[0]))
     index = {modes: i for i, modes in enumerate(battery_modes(grid))}
-    adjoints = {}
-    for v in default_battery(grid):
-        a = wt * v.time_values(times, horizon)
-        if v.time_profile not in adjoints:
-            adjoints[v.time_profile] = history.adjoint(a)
-        yield v, a, adjoints[v.time_profile], scale * columns[:, index[v.modes]]
+    battery = default_battery(grid)
+    profiles = {v.time_profile: wt * v.time_values(times, horizon) for v in battery}
+    # one call for every profile: (K, P, n + 1), one (K, n + 1) per profile
+    ys = history.adjoint(np.array(list(profiles.values())))
+    adjoints = dict(zip(profiles, ys.swapaxes(0, 1)))
+    for v in battery:
+        yield v, profiles[v.time_profile], adjoints[v.time_profile], scale * columns[..., index[v.modes]]

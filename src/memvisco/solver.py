@@ -431,10 +431,11 @@ class HistoryConvolution:
     lags is a view of it.
 
     left and right may carry a leading shift axis, (K, n): one weight set
-    per shift of a sequence, sharing n, as both marchers read them.  lags
-    and oldest then carry that axis too; adjoint takes a single weight
-    set.  factors (w of each weight set, as callables) and dt let the far
-    sums fit a tail; without them every far sum is direct.
+    per shift of a sequence, sharing n, as both marchers and the lemma
+    check read them.  lags and oldest then carry that axis too, and
+    adjoint transposes the sums of every weight set at once, (K, P, n + 1)
+    for P time profiles.  factors (w of each weight set, as callables) and
+    dt let the far sums fit a tail; without them every far sum is direct.
 
     Both marchers sum in blocks of W = _MARCH_ROWS rows: far_sums gives a
     block's sums over the levels below it, and each row adds the block's
@@ -485,21 +486,46 @@ class HistoryConvolution:
         return cls(left[0], right[0], factors, dt) if single else cls(left, right, factors, dt)
 
     def adjoint(self, a: np.ndarray) -> np.ndarray:
-        """y[m] = sum_j a[j] w_j[m] over the rows j = 1 .. n, w_j the level
-        weights of row j; a[0] weighs nothing.
+        """y[k, p, m] = sum_j a[p, j] w_j[m] over the rows j = 1 .. n, w_j
+        the level weights of row j of weight set k: (K, P, n + 1) for P
+        time profiles a, (P, n + 1), and K = 1 for a single weight set;
+        a[:, 0] weighs nothing.
 
-        The transpose of the row-by-row sums, so a @ (row sums of p) equals
-        adjoint(a) @ p for samples p of any shape: a diagnostic that only
-        tests the sums against a time profile a projects p first and never
-        forms them.  Level 0 takes oldest[j - 1] from each row j, and every
-        level above it one correlation of a against lags.
+        The transpose of the row-by-row sums, so a[p] @ (row sums of q)
+        equals y[k, p] @ q for samples q of any shape: a diagnostic that
+        only tests the sums against time profiles projects q first and
+        never forms them.  Level 0 takes oldest[j - 1] from each row j, one
+        (1, n) @ (n, P) product per weight set.  The levels above it form a
+        Toeplitz product in blocks of B = _MARCH_ROWS: block b of y gains
+        a's block b + d @ M_d, M_d[s, r] = lags[d B + s - r] (zero below
+        lag 0), one product per offset d, batched over the weight sets.  A
+        weight set's products, and so its bits, are its lone history's.
         """
-        a = np.asarray(a, dtype=float)
-        n = a.size - 1
-        y = np.empty(n + 1)
-        y[0] = a[1:] @ self.oldest[:n]
-        y[1:] = np.correlate(a[1:], self.lags[:n], "full")[n - 1 : 2 * n - 1]
-        return y
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        P, n = a.shape[0], a.shape[1] - 1
+        B, nb = _MARCH_ROWS, -(-n // _MARCH_ROWS)
+        oldest, lags = np.atleast_2d(self.oldest), np.atleast_2d(self.lags)
+        K = lags.shape[0]
+        # a's blocks, (nb, P, B): a[d:] is a row-major ((nb - d) P, B) matrix
+        blocks = np.zeros((P, nb * B))
+        blocks[:, :n] = a[:, 1:]
+        blocks = blocks.reshape(P, nb, B).swapaxes(0, 1).copy()
+        # lags n - 1 .. 0 end at column nb B, zeros around them, so row s of
+        # the window at column c holds the lags nb B - 1 - c - s - r, r < B
+        table = np.zeros((K, (nb + 1) * B))
+        table[:, nb * B - n : nb * B] = lags[:, n - 1 :: -1]
+        stride = table.strides
+        y = np.zeros((K, nb * P, B))
+        for d in range(nb):
+            # M_d, (K, B, B), one copy at a time: all of them would hold K nb B^2
+            window = np.lib.stride_tricks.as_strided(
+                table[:, (nb - d - 1) * B :], (K, B, B), (stride[0], stride[1], stride[1])
+            )
+            y[:, : (nb - d) * P] += blocks[d:].reshape(-1, B) @ window[:, ::-1].copy()
+        out = np.empty((K, P, n + 1))
+        out[:, :, 0] = (oldest[:, None, :n] @ a[:, 1:].T)[:, 0]
+        out[:, :, 1:] = y.reshape(K, nb, P, B).transpose(0, 2, 1, 3).reshape(K, P, nb * B)[:, :, :n]
+        return out
 
     def _block(self, j0: int, j1: int, m0: int, m1: int) -> np.ndarray:
         """(K, j1 - j0, m1 - m0) weights of the rows j0 .. j1 - 1 on the

@@ -194,6 +194,18 @@ def history_row(history: HistoryConvolution, j: int) -> np.ndarray:
     return w if history.lags.ndim > 1 else w[0]
 
 
+def correlate_adjoint(history: HistoryConvolution, a) -> np.ndarray:
+    """Oracle for HistoryConvolution.adjoint of one weight set and one time
+    profile a, (n + 1,): y[m] = sum_j a[j] w_j[m], level 0 from oldest and
+    the levels above it from one correlation of a against lags."""
+    a = np.asarray(a, dtype=float)
+    n = a.size - 1
+    y = np.empty(n + 1)
+    y[0] = a[1:] @ history.oldest[:n]
+    y[1:] = np.correlate(a[1:], history.lags[:n], "full")[n - 1 : 2 * n - 1]
+    return y
+
+
 def conv_weights(left, right, j: int) -> np.ndarray:
     """Oracle for history_row: level weights for
     int_0^{t_j} w(s) p(t_j - s) ds, indexed by level m."""
@@ -755,7 +767,7 @@ def listed_lemma_check(
         vol = grid.cell_volume
         columns = battery_columns(grid, traj.coefficients)
         for v, _, y, projected in battery_projections(grid, traj.times, columns, history):
-            residual = vol * v.laplace_factor(grid) * float(y @ projected) + 0.0
+            residual = vol * v.laplace_factor(grid) * float(y[0] @ projected) + 0.0
             majorant = (
                 abs(v.laplace_factor(grid))
                 * c_level

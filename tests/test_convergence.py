@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     batch_runs,
@@ -22,8 +24,11 @@ from helpers import (
     small_march_blocks,
     trajectory_distance,
 )
+import memvisco.convergence as convergence_module
 import memvisco.solver as solver_module
 from memvisco.convergence import (
+    ShiftSequence,
+    _peak_bounds,
     cauchy_report,
     convergence_lemma_check,
     eps_schedule,
@@ -32,7 +37,7 @@ from memvisco.convergence import (
 from memvisco.config import parse_config_file
 from memvisco.diagnostics import ModeTestFunction, default_battery
 from memvisco.expressions import Forcing, field_from_name
-from memvisco.grid import Field, Grid, level_squares
+from memvisco.grid import Field, Grid, level_squares, sine_transform
 from memvisco.kernels import KernelSum, PowerLawKernel, PronyKernel
 from memvisco.runner import _build_spec
 from memvisco.solver import (
@@ -335,8 +340,8 @@ class TestStreamedMatchesListedOracles:
         assert len(got) == len(want) == 6 * (count + 1)
         for g, w in zip(got, want):
             assert (g.eps, g.test_function, g.residual) == (w.eps, w.test_function, w.residual)
-            # sup |u| comes from one product of all shifts' block, the oracle's
-            # from one per shift and a few levels: a nodal value is a sum of
+            # sup |u| comes from one transform of a shift's whole block, the
+            # oracle's from a few levels at a time: a nodal value is a sum of
             # N <= 343 terms, and another product shape may sum them in
             # another order (measured: equal in every case here)
             assert abs(g.majorant - w.majorant) <= 1e-13 * w.majorant
@@ -378,6 +383,109 @@ class TestStreamedMatchesListedOracles:
         assert all(r.far_nodes == 0 for r in seq.runs) and seq.levels_bytes == 8 * 201 * 17
         seq = run_eps_sequence(_streamed_case(*_STREAMED["short"]), 0.1, 0.5, 6)
         assert all(r.far_nodes == 0 for r in seq.runs) and seq.levels_bytes == 8 * 101 * 17
+
+
+def _gated_peaks(base, count):
+    """(peaks, oracle, transforms, blocks) of a sequence's reduction: its
+    gated peaks, the max |u| of every shift's every block, the transforms
+    the reduction took and the blocks it read."""
+    eps = eps_schedule(0.1, 0.5, count)
+    grid = base.grid
+    runs, levels, blocks = march(base, eps)
+    oracle = np.zeros(eps.size)
+    seen = []
+
+    def every_block():
+        for j0, block in blocks:
+            seen.append(j0)
+            for k in range(eps.size):
+                oracle[k] = max(oracle[k], np.abs(sine_transform(grid, block[k])).max())
+            yield j0, block
+
+    with mock.patch.object(convergence_module, "sine_transform", wraps=sine_transform) as spy:
+        seq = ShiftSequence.reduce(grid, base.times, eps, runs, levels.nbytes // len(runs), every_block())
+    return seq.peaks, oracle, spy.call_count, len(seen)
+
+
+def _mode_one_base():
+    # the benchmark sequence's data on a coarser grid: mode 1 at rest shape
+    g = Grid.line(33)
+    return ProblemSpec(
+        kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=1.0, dt=0.002, eps=0.1,
+        u0=Field.zero(g), u1=field_from_name(g, "sine_mode", {"amplitude": 1.0, "modes": [1]}),
+        formulation="integral_volterra",
+    )
+
+
+def _multi_mode_base():
+    # modes 1, 5 and 9 of unequal sizes in u0 and u1: max |u| rises and
+    # falls as they beat, so later blocks raise the peak too
+    g = Grid.line(25)
+    x = g.axis_coordinates(0)
+    return ProblemSpec(
+        kernel=PowerLawKernel(c=1.0, alpha=0.5), grid=g, horizon=1.0, dt=0.002, eps=0.1,
+        u0=Field(g, 0.3 * np.sin(5 * np.pi * x)),
+        u1=Field(g, np.sin(np.pi * x) - 2.0 * np.sin(9 * np.pi * x)),
+        formulation="integral_volterra",
+    )
+
+
+class TestPeakGate:
+    """ShiftSequence.reduce transforms a shift's block only when the bound
+    on its max |u| can raise the peak."""
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            pytest.param(_mode_one_base, id="mode1-1d"),
+            pytest.param(lambda: _streamed_case(*_STREAMED["tail-3d"]), id="box-3d"),
+            pytest.param(_multi_mode_base, id="multi-mode-1d"),
+        ],
+    )
+    def test_peaks_equal_every_block_oracle(self, base):
+        # bitwise, with fewer transforms than the 7 shifts' blocks that an
+        # ungated reduction takes
+        peaks, oracle, transforms, blocks = _gated_peaks(base(), 6)
+        assert peaks.tobytes() == oracle.tobytes()
+        assert blocks > 2 and transforms < 7 * blocks
+
+    def test_multi_mode_gate_fires_past_the_first_block(self):
+        _, _, transforms, blocks = _gated_peaks(_multi_mode_base(), 6)
+        assert 7 < transforms < 7 * blocks
+
+    @given(
+        dims=st.one_of(
+            st.tuples(st.integers(3, 120)),
+            st.tuples(st.integers(3, 9), st.integers(3, 9), st.integers(3, 9)),
+        ),
+        rows=st.integers(1, 4),
+        kind=st.sampled_from(["random", "single", "aligned"]),
+        exponent=st.integers(-60, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_holds_on_random_blocks(self, dims, rows, kind, exponent, seed):
+        # "aligned" levels reach the bound at one node up to rounding: every
+        # coefficient sits where that node's sine entry is largest, with its
+        # sign (at the middle node of an odd n, every odd mode).  "single"
+        # keeps one random coefficient.
+        grid = Grid(dims, (1.0,) * len(dims))
+        rng = np.random.default_rng(seed)
+        block = np.abs(rng.standard_normal((1, rows) + grid.shape)) * 2.0**exponent
+        if kind == "aligned":
+            for axis, S in enumerate(grid.sine_matrices):
+                column = S[:, (S.shape[0] - 1) // 2 if rng.integers(2) else rng.integers(S.shape[0])]
+                along = [1] * block.ndim
+                along[2 + axis] = -1
+                block *= np.where(np.abs(column) == np.abs(S).max(), np.sign(column), 0.0).reshape(along)
+        elif kind == "single":
+            keep = np.zeros(block.size, dtype=bool)
+            keep[rng.integers(block.size)] = True
+            block[~keep.reshape(block.shape)] = 0.0
+        else:
+            block *= rng.choice([-1.0, 1.0], block.shape)
+        bound = _peak_bounds(grid, block)
+        assert bound.shape == (1,)
+        assert bound[0] >= np.abs(sine_transform(grid, block[0])).max()
 
 
 def _leapfrog_base(kernel, grid, steps, forced=True):

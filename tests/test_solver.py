@@ -16,6 +16,7 @@ from helpers import (
     batch_runs,
     classical_stress_curve,
     conv_weights,
+    correlate_adjoint,
     direct_sums,
     direct_weights,
     exact_unshifted_mode,
@@ -302,7 +303,9 @@ class TestConvWeightRows:
             w = conv_weights(left, right, j)
             sums[j] = w @ samples[: j + 1]
             magnitude += abs(a[j]) * (np.abs(w) @ np.abs(samples[: j + 1]))
-        got = HistoryConvolution(left, right).adjoint(a) @ samples
+        y = HistoryConvolution(left, right).adjoint(a)
+        assert y.shape == (1, 1, n + 1)
+        got = y[0, 0] @ samples
         assert np.all(np.abs(got - a @ sums) <= 1e-14 * magnitude)
 
 
@@ -334,8 +337,53 @@ def test_adjoint_is_the_transposed_row_loop(n, exponential, zeros, seed):
         w = history_row(history, j)
         want += a[j] * (w @ p[: j + 1])
         magnitude += abs(a[j]) * (np.abs(w) @ np.abs(p[: j + 1]))
-    got = history.adjoint(a) @ p
+    y = history.adjoint(a)
+    assert y.shape == (1, 1, n + 1)
+    got = y[0, 0] @ p
     assert np.all(np.abs(got - want) <= 1e-13 * magnitude)
+
+
+def _random_weight_sets(shifts, n, seed=5):
+    rng = np.random.default_rng(seed)
+    left, right = rng.standard_normal((2, shifts, n))
+    left[:, ::7] = -0.0
+    return left, right
+
+
+class TestBatchedAdjoint:
+    """One adjoint call for K weight sets and P time profiles, at the
+    block edges of its Toeplitz product (n = 63, 64, 65 with W = 64)."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("profiles", [1, 2])
+    @pytest.mark.parametrize("shifts", [1, 7])
+    def test_matches_the_correlation_oracle(self, shifts, profiles, n):
+        left, right = _random_weight_sets(shifts, n)
+        a = np.random.default_rng(n).standard_normal((profiles, n + 1))
+        y = HistoryConvolution(left, right).adjoint(a)
+        assert y.shape == (shifts, profiles, n + 1)
+        for k in range(shifts):
+            lone = HistoryConvolution(left[k], right[k])
+            # the magnitude of the summed terms: the adjoint of |a| on |weights|
+            scale = HistoryConvolution(np.abs(left[k]), np.abs(right[k]))
+            for p in range(profiles):
+                want = correlate_adjoint(lone, a[p])
+                magnitude = correlate_adjoint(scale, np.abs(a[p]))
+                assert np.all(np.abs(y[k, p] - want) <= 1e-14 * magnitude)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 2000])
+    @pytest.mark.parametrize("profiles", [1, 2])
+    def test_each_shift_is_its_lone_history_bitwise(self, profiles, n):
+        # the lemma check's one history of K weight sets gives each shift
+        # the bits of that shift's own history: a single (K, n) @ (n, P)
+        # product for level 0 would not
+        left, right = _random_weight_sets(7, n)
+        a = np.random.default_rng(n).standard_normal((profiles, n + 1))
+        y = HistoryConvolution(left, right).adjoint(a)
+        for k in range(7):
+            lone = HistoryConvolution(left[k], right[k]).adjoint(a)
+            assert lone.shape == (1, profiles, n + 1)
+            assert y[k].tobytes() == lone[0].tobytes(), k
 
 
 def _stream_sums(history, samples):
