@@ -8,7 +8,6 @@ run manifest can echo the fully resolved configuration.
 from __future__ import annotations
 
 import configparser
-import difflib
 import json
 import math
 from dataclasses import dataclass, field
@@ -132,8 +131,8 @@ class _Collector:
         if raw is None:
             return default
         if raw not in options:
-            near = difflib.get_close_matches(raw, options, n=1)
-            hint = f"; nearest valid: '{near[0]}'" if near else ""
+            near = _nearest(raw, options)
+            hint = f"; nearest valid: '{near}'" if near else ""
             self.fail(
                 f"[{section}] {key} = '{raw}' not recognized "
                 f"(valid: {', '.join(options)}){hint}"
@@ -167,15 +166,24 @@ class _Collector:
     def check_unknown(self) -> None:
         for section in self.parser.sections():
             if section not in _KNOWN_KEYS:
-                near = difflib.get_close_matches(section, list(_KNOWN_KEYS), n=1)
-                hint = f"; nearest valid: [{near[0]}]" if near else ""
+                near = _nearest(section, _KNOWN_KEYS)
+                hint = f"; nearest valid: [{near}]" if near else ""
                 self.fail(f"unknown section [{section}]{hint}")
                 continue
             for key in self.parser.options(section):
                 if key not in _KNOWN_KEYS[section]:
-                    near = difflib.get_close_matches(key, _KNOWN_KEYS[section], n=1)
-                    hint = f"; nearest valid: '{near[0]}'" if near else ""
+                    near = _nearest(key, _KNOWN_KEYS[section])
+                    hint = f"; nearest valid: '{near}'" if near else ""
                     self.fail(f"unknown key '{key}' in [{section}]{hint}")
+
+
+def _nearest(word: str, options) -> str | None:
+    """The closest of options to word, or None.  difflib is imported here,
+    on the error paths only, as its import costs every process ~1 ms."""
+    import difflib
+
+    near = difflib.get_close_matches(word, list(options), n=1)
+    return near[0] if near else None
 
 
 def _build_kernel(col: _Collector) -> RelaxationKernel | None:

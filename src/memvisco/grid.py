@@ -71,7 +71,7 @@ class Grid:
 
     @property
     def n_total(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     @cached_property
     def spacing(self) -> tuple[float, ...]:
@@ -87,7 +87,7 @@ class Grid:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.extent))
+        return math.prod(self.extent)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]

@@ -18,7 +18,6 @@ integrals.  The public methods check the domain and read it by order.
 
 from __future__ import annotations
 
-import difflib
 import math
 from dataclasses import dataclass
 
@@ -486,6 +485,8 @@ def kernel_from_dict(spec: dict) -> RelaxationKernel:
         raise ValueError("kernel mapping needs a 'family' key")
     family = spec["family"]
     if not isinstance(family, str) or family not in KERNEL_KEYS:
+        import difflib  # on this error path only: its import costs every process ~1 ms
+
         near = difflib.get_close_matches(str(family), KERNEL_KEYS, n=1)
         hint = f"; nearest valid: '{near[0]}'" if near else ""
         raise ValueError(

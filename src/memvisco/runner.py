@@ -446,8 +446,8 @@ def _run_single(
             return False
         return True
 
-    forced, displaced = spec.forcing is not None, bool(np.any(spec.u0.values))
-    decay_on = wanted["energy_decay"] and holds("decay_calibration", ["energy_decay"], check_decay_hypothesis, forced)
+    displaced = bool(np.any(spec.u0.values))
+    decay_on = wanted["energy_decay"] and holds("decay_calibration", ["energy_decay"], check_decay_hypothesis, spec)
     ledger_on = (wanted["energy_ledger"] or decay_on) and holds(
         "ledger", ["energy_ledger", "energy_decay"], check_ledger_hypothesis, cfg.kernel, cfg.eps
     )

@@ -394,15 +394,16 @@ def reference_energy_ledger(
     )
 
 
-def reference_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> float:
-    """calibrate_decay_tolerance read off a whole energy ledger of the
-    memory-free twin: the formula the twin's per-level sums must match bit
-    for bit."""
+def reference_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> tuple[float, float]:
+    """(tolerance, floor) of calibrate_decay_tolerance read off a whole
+    energy ledger of the memory-free twin, marched in spec's own
+    formulation: the oracle of the closed form, which must match its
+    tolerance within safety * floor, the round-off floor."""
     twin = replace(spec, kernel=PronyKernel(spec.kernel.modulus(spec.eps), ()), eps=1.0)
     ledger = energy_ledger(run(twin), twin.kernel, twin.eps, twin.forcing)
     drift = max(float(np.max(np.diff(ledger.stored))), 0.0)
     floor = 1e-13 * max(float(ledger.stored[0]), 1.0)
-    return safety * drift + floor
+    return safety * drift + floor, floor
 
 
 def reference_laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -170,6 +170,18 @@ class TestStartup:
         )
         assert proc.stdout.strip() == "[]"
 
+    def test_cli_import_leaves_difflib_unloaded(self):
+        # only the "nearest valid" hints of a bad config read it, and its
+        # import cost every process about 1.1 ms
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, memvisco.cli; print('difflib' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "False"
+
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # prints the threads the loaded OpenBLAS will use, asked of the library
@@ -478,6 +490,25 @@ eps = 0
         assert not (out / "energy.csv").exists()
         assert verdicts["energy_bound"]["passed"] is True
         assert verdicts["energy_bound"]["max_ratio"] == pytest.approx(0.50, abs=0.01)
+
+    def test_a_volterra_run_calibrates_by_the_leapfrog_twin(self, tmp_path):
+        # the decay check of a Volterra run at eps > 0 reads the closed form
+        # of the memory-free leapfrog twin, not a marched Volterra twin: the
+        # two tolerances read 0.027% apart here, and 0.01-0.4% for Prony and
+        # power-law runs at dt 0.005 and 0.0025 with these data (n = 49;
+        # up to 6.9% from a bump), while the run's largest gain is 1.0e-6
+        from helpers import reference_decay_tolerance
+        from memvisco.runner import _build_spec
+
+        out = tmp_path / "out"
+        assert cli.main(["run", write_cfg(tmp_path, VOLTERRA_DECAY), "--out", str(out)]) == 0
+        decay = read_manifest(out)["verdicts"]["energy_decay"]
+        assert decay["passed"] is True and decay["max_increase"] < 0.01 * decay["tolerance"]
+        cfg = parse_config(VOLTERRA_DECAY)
+        spec = _build_spec(cfg, cfg.eps, 0.005)
+        assert spec.formulation == "integral_volterra"
+        marched, _ = reference_decay_tolerance(spec)
+        assert decay["tolerance"] == pytest.approx(marched, rel=0.01)
 
     def test_bound_is_skipped_past_eps_one(self, tmp_path):
         cfg = write_cfg(tmp_path, QUICK + "\n[eps]\neps = 2\n")
@@ -1189,6 +1220,34 @@ def test_both_exports_write_one_answer(tmp_path):
 # forced twin's step gain, and so the tolerance, which read 0.0252, five
 # times the twin's 0.00505, and passed whatever the run did
 FORCED_DECAY = PRONY_TERMS.format(terms="[[0.5, 2.0]]") + "f = sin_pi_product\n[diagnostics]\nenergy_decay = true\n"
+# an unforced Prony Volterra run at eps = 0.05 with the decay check
+VOLTERRA_DECAY = """\
+[experiment]
+formulation = integral_volterra
+
+[kernel]
+family = prony
+g_inf = 0.5
+terms = [[0.5, 2.0]]
+
+[grid]
+n = 49
+
+[time]
+horizon = 1.0
+dt = 0.005
+
+[data]
+u1 = sin_pi_product
+
+[eps]
+eps = 0.05
+
+[diagnostics]
+energy_decay = true
+"""
+# the same at a dt past the memory-free twin's leapfrog limit (0.0201)
+TWIN_PAST_ITS_LIMIT = VOLTERRA_DECAY.replace("dt = 0.005", "dt = 0.025")
 # a power-law Volterra run at eps = 0, the paper's singular limit
 SINGULAR_LIMIT = QUICK.replace("family = constant\ng0 = 1.0", "family = powerlaw\nc = 1.0\nalpha = 0.5").replace(
     "cfl = 0.5", "dt = 0.01"
@@ -1203,8 +1262,13 @@ SINGULAR_LIMIT = QUICK.replace("family = constant\ng0 = 1.0", "family = powerlaw
         (UNDERFLOW, ("energy_bound", "bound requires G(T + 1) > 0, got 0.0"), "check_bound_hypothesis"),
         (SINGULAR_LIMIT, ("energy_ledger", "eps = 0 with a modulus unbounded at 0"), "check_ledger_hypothesis"),
         (FORCED_DECAY, ("energy_decay", "forced run: the forcing's work can raise the stored energy"), "check_decay_hypothesis"),
+        (
+            TWIN_PAST_ITS_LIMIT,
+            ("energy_decay", "the memory-free twin's leapfrog needs 0 < dt^2 G(eps) mu_max < 4, got 6.16675"),
+            "check_decay_hypothesis",
+        ),
     ],
-    ids=["displaced", "eps-past-one", "underflow", "singular-limit", "forced-decay"],
+    ids=["displaced", "eps-past-one", "underflow", "singular-limit", "forced-decay", "twin-past-its-limit"],
 )
 def test_skipped_audits_are_decided_before_the_march(tmp_path, monkeypatch, text, skipped, decider):
     # each hypothesis is read off the spec before the one march, so the

@@ -42,6 +42,15 @@ class TestGrid:
         assert g.volume == pytest.approx(8.0)
         assert g.cell_volume == pytest.approx(0.25**3)
 
+    @pytest.mark.parametrize(
+        "g", [Grid.line(99), Grid.box(7, length=2.0), Grid((5, 7, 4), (1.3, 0.7, 2.9))], ids=["line", "box", "non-cubic"]
+    )
+    def test_sizes_are_plain_products(self, g):
+        # read on every step of some loops, so they multiply plain Python
+        # numbers: the values and types of numpy's product, bit for bit
+        assert type(g.n_total) is int and g.n_total == int(np.prod(g.n))
+        assert type(g.volume) is float and g.volume == float(np.prod(g.extent))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Grid((2,), (1.0,))
