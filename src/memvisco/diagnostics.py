@@ -118,7 +118,12 @@ class SingleRun(NamedTuple):
         the run's (kernel, eps), the history sums of ledger_plan(kernel,
         eps, times), from the Prony inflows a level at a time for a Prony
         modulus, else by lag passes over a stack of every e_j once the last
-        block is in; export(j, u_hat_j, v_hat_j) is called with every level.
+        block is in.
+
+        export(j0, u, v) is called once per piece with the levels it
+        reduces: u and v, (rows, N), hold the sine coefficients of the
+        levels j0 .. j0 + rows - 1 and of their velocities, views that the
+        reduction writes over after the call.
 
         Pieces of run_block levels are reduced, so a streamed run and its
         stored levels are summed alike.  A level is reduced once the next is
@@ -190,8 +195,7 @@ class SingleRun(NamedTuple):
                         power[done:hi] = v @ profile
                         t = book("ledger", t)
                     if export:
-                        for i in range(hi - done):
-                            export(done + i, w[r0 + i], v[i])
+                        export(done, w[r0:r1], v)
                         t = book("export", t)
                 held = min(2, w.shape[0])
                 window[:held] = w[-held:]

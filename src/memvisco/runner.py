@@ -68,9 +68,12 @@ def _reprs(values: np.ndarray) -> list[str]:
     text for |x| < 1e-9 (zeros and subnormals included) and for
     1e-4 <= |x| < 1e16.  For 1e-9 <= |x| < 1e-5 it writes one exponent
     digit where repr writes two (1e-7 for 1e-07): that class is dumped
-    again as one vector, mended by one replace and scattered back.  The
-    rest, 1e-5 <= |x| < 1e-4, |x| >= 1e16 and the non-finite entries, go
-    to repr one by one.
+    again as one vector, mended by one replace and scattered back.  For
+    1e-5 <= |x| < 1e-4 it writes the digits positionally, 0.0000d1d2..,
+    where repr writes d1.d2..e-05: that class, most of prony_single's
+    energy.csv residual column, is dumped again, mended by replaces and
+    scattered back, at a third of repr's cost.  The rest, |x| >= 1e16 and
+    the non-finite entries, go to repr one by one.
     """
     flat = np.asarray(values, dtype=np.float64).ravel()
     text = _dump(flat)
@@ -85,8 +88,20 @@ def _reprs(values: np.ndarray) -> list[str]:
             mended = _dump(flat[index]).replace("e-", "e-0").split(",")
             for i, entry in zip(index.tolist(), mended):
                 out[i] = entry
-        for i in odd[~small].tolist():
-            out[i] = repr(float(flat[i]))
+        rest = odd[~small]
+        if rest.size:
+            mid = mag[rest] < 1e-4
+            if mid.any():
+                index = rest[mid]
+                # 0.0000d1d2.. -> d1.d2..e-05, and d1.e-05 -> d1e-05
+                text = _dump(flat[index])
+                for digit in "123456789":
+                    text = text.replace("0.0000" + digit, digit + ".")
+                mended = (text.replace(",", "e-05,") + "e-05").replace(".e", "e").split(",")
+                for i, entry in zip(index.tolist(), mended):
+                    out[i] = entry
+            for i in rest[~mid].tolist():
+                out[i] = repr(float(flat[i]))
     return out
 
 
@@ -135,7 +150,11 @@ def _csv_fields(values) -> list[str]:
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """A CSV of the given columns, one sequence of values per header name."""
-    fields = [_csv_fields(c) for c in columns]
+    _write_fields(path, header, [_csv_fields(c) for c in columns])
+
+
+def _write_fields(path: Path, header: list[str], fields) -> None:
+    """A CSV of columns of formatted fields, one list per header name."""
     if len(fields) != len(header) or len({len(f) for f in fields}) > 1:
         raise ValueError("a CSV needs one column per header name, all of one length")
     lines = [",".join(header), *map(",".join, zip(*fields))]
@@ -254,16 +273,29 @@ def _build_spec(cfg: ExperimentConfig, eps: float, dt: float) -> ProblemSpec:
     )
 
 
-# rows of trajectory.csv formatted and joined at a time: a level is written
-# in slices of this many rows, so no level-sized list of strings is held
+# rows of trajectory.csv formatted and joined at a time: a piece of levels
+# is written in slices of this many rows, which may span levels, so no
+# level-sized list of strings is held
 _SLICE_ROWS = 2048
 
 
+def _merged(parts: list[list]) -> list:
+    """The fresh lists parts end to end: the first, extended in place by the
+    rest.  So a slice within one level, as common as it is large, copies
+    nothing: copying its slots made a 31^3 level's rows 20% slower."""
+    out = parts[0]
+    for part in parts[1:]:
+        out += part
+    return out
+
+
 def _trajectory_rows(grid):
-    """(header, rows) of trajectory.csv: its header line, and rows(t, level,
-    rate), the text of one level's rows at time text t, with nodal values
-    level and velocities rate, grid.shape fields; one chunk per slice of at
-    most _SLICE_ROWS rows."""
+    """(header, rows) of trajectory.csv: its header line, and rows(stamps,
+    levels, rates), the text of the rows of consecutive tabled levels, one
+    time text per level in stamps, with nodal values levels[i] and
+    velocities rates[i], of grid.shape's size each; one chunk per slice of
+    at most _SLICE_ROWS rows, each column of a slice formatted by one
+    _reprs call."""
     axis_names = ["x", "y", "z"][: grid.dim]
     header = ",".join(["t", "node", *axis_names, "u", "u_t"]) + "\n"
     # "node,x[,y,z]," is the same at every level; nodes are row-major
@@ -273,16 +305,20 @@ def _trajectory_rows(grid):
         heads = [head + x for head in heads for x in tails]
     for node, head in enumerate(heads):  # in place: one per-node table
         heads[node] = str(node) + head
+    n = len(heads)
 
-    def rows(t, level, rate):
-        u, v = level.ravel(), rate.ravel()
-        for start in range(0, u.size, _SLICE_ROWS):
-            stop = min(start + _SLICE_ROWS, u.size)
-            # a row is the six slots "t," "node,x[,y,z]," u "," u_t "\n"
-            out = [t + ",", "", "", ",", "", "\n"] * (stop - start)
-            out[1::6] = heads[start:stop]
-            out[2::6] = _reprs(u[start:stop])
-            out[4::6] = _reprs(v[start:stop])
+    def rows(stamps, levels, rates):
+        total = n * len(stamps)
+        for start in range(0, total, _SLICE_ROWS):
+            stop = min(start + _SLICE_ROWS, total)
+            # the slice's segments: (level, first node, end node)
+            spans = [(k, max(start - k * n, 0), min(stop - k * n, n)) for k in range(start // n, (stop - 1) // n + 1)]
+            # a row is the six slots "t," "node,x[,y,z]," u "," u_t "\n"; each
+            # level's segment is laid out from one template
+            out = _merged([[stamps[k] + ",", "", "", ",", "", "\n"] * (hi - lo) for k, lo, hi in spans])
+            out[1::6] = _merged([heads[lo:hi] for _, lo, hi in spans])
+            out[2::6] = _reprs(np.concatenate([levels[k].ravel()[lo:hi] for k, lo, hi in spans]))
+            out[4::6] = _reprs(np.concatenate([rates[k].ravel()[lo:hi] for k, lo, hi in spans]))
             yield "".join(out)
 
     return header, rows
@@ -290,13 +326,16 @@ def _trajectory_rows(grid):
 
 @contextmanager
 def _trajectory_export(out_dir: Path, cfg: ExperimentConfig, grid, times):
-    """export(j, u_hat_j, v_hat_j) for SingleRun.reduce, which writes the
-    levels as the march passes them: every snapshot_stride-th one to
-    trajectory.csv and every one to trajectory.npy, as the config asks,
-    then times.npy once the march is done.  A level's nodal values are
-    formed once, for both files, and only for a level that one of them
-    takes.  Each file is renamed into place when the block completes, and
-    removed when it raises."""
+    """export(j0, u, v) for SingleRun.reduce, which writes the levels as
+    the march passes them, a piece at a time: every snapshot_stride-th
+    level to trajectory.csv and every one to trajectory.npy, as the config
+    asks, then times.npy once the march is done.  A level's nodal values
+    are formed once, for both files, and only for a level that one of them
+    takes, and its velocity's only for a tabled level; only the tabled
+    levels' are held until the piece's rows are written.  Each level is
+    transformed alone: one product over a piece's levels would be a matrix
+    product, whose bits differ from a lone level's.  Each file is renamed
+    into place when the block completes, and removed when it raises."""
     table = cfg.export_format in ("csv", "both")
     binary = cfg.export_format in ("binary", "both")
     stride = cfg.snapshot_stride
@@ -313,16 +352,19 @@ def _trajectory_export(out_dir: Path, cfg: ExperimentConfig, grid, times):
             shape = (times.size, *grid.shape)
             np.lib.format.write_array_header_1_0(npy, {"descr": "<f8", "fortran_order": False, "shape": shape})
 
-        def export(j, u, v):
-            tabled = table and j % stride == 0
-            if not (binary or tabled):
-                return
-            level = sine_transform(grid, u.reshape(one))[0]
-            if binary:
-                npy.write(level.tobytes())
+        def export(j0, u, v):
+            # the piece's rows i with j0 + i tabled
+            tabled = range(-j0 % stride, len(u), stride) if table else range(0)
+            levels = []
+            for i in range(len(u)) if binary else tabled:
+                level = sine_transform(grid, u[i].reshape(one))
+                if binary:
+                    npy.write(level.tobytes())
+                if i in tabled:
+                    levels.append(level)
             if tabled:
-                rate = sine_transform(grid, v.reshape(one))[0]
-                for chunk in rows(stamps[j // stride], level, rate):
+                rates = [sine_transform(grid, v[i].reshape(one)) for i in tabled]
+                for chunk in rows([stamps[(j0 + i) // stride] for i in tabled], levels, rates):
                     csv.write(chunk.encode("utf-8"))
 
         yield export
@@ -333,12 +375,13 @@ def _trajectory_export(out_dir: Path, cfg: ExperimentConfig, grid, times):
 
 
 def _export_ledger(out_dir: Path, ledger) -> None:
-    """energy.csv: the level, then the ledger's fields in order, times as t."""
-    columns = {"level": range(ledger.times.size)}
-    columns.update(("t" if f.name == "times" else f.name, getattr(ledger, f.name)) for f in fields(ledger))
+    """energy.csv: the level, then the ledger's fields in order, times as t;
+    each column formatted as one vector."""
+    columns = {"level": list(map(str, range(ledger.times.size)))}
+    columns.update(("t" if f.name == "times" else f.name, _reprs(getattr(ledger, f.name))) for f in fields(ledger))
     # the residual is defined on the interior levels only
-    columns["residual"] = [None, *ledger.residual, None]
-    _write_csv(out_dir / "energy.csv", list(columns), columns.values())
+    columns["residual"] = ["", *columns["residual"], ""]
+    _write_fields(out_dir / "energy.csv", list(columns), list(columns.values()))
 
 
 def _write_entries(path: Path, entries) -> None:

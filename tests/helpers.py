@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 from unittest import mock
@@ -51,6 +53,39 @@ from memvisco.solver import (
     run_block,
     velocity_estimates,
 )
+
+
+# prints what the first of names that the OpenBLAS `import module` loads
+# exports returns, called with no arguments as a ctypes restype, or "none"
+# where no OpenBLAS is loaded or it exports none of names; the library is
+# found in the process's own memory map, so run in a process of its own,
+# where no other OpenBLAS (scipy's) is loaded
+_OPENBLAS_CALL = """\
+import ctypes, {module}
+try:
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        lib = ctypes.CDLL(next(line.split()[-1] for line in fh if "openblas" in line))
+except (OSError, StopIteration):
+    lib = None
+fn = next((getattr(lib, name) for name in {names!r} if hasattr(lib, name)), None)
+if fn is None:
+    print("none")
+else:
+    fn.restype, fn.argtypes = ctypes.{restype}, []
+    answer = fn()
+    print(answer.decode() if isinstance(answer, bytes) else answer)
+"""
+
+
+def openblas_call(names, restype: str, module: str = "numpy", env=None) -> str | None:
+    """The text of what the first of names, a function of no arguments of
+    the OpenBLAS that `import module` loads, returns as ctypes.<restype>,
+    asked in a child process with env; None where no OpenBLAS is loaded or
+    it exports none of names."""
+    script = _OPENBLAS_CALL.format(module=module, names=tuple(names), restype=restype)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    answer = proc.stdout.strip()
+    return None if answer == "none" else answer
 
 
 def direct_sums():

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import openblas_call
 from memvisco import __version__, cli
 from memvisco.config import parse_config
 from memvisco.solver import run_block
@@ -184,23 +185,6 @@ class TestStartup:
 
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# prints the threads the loaded OpenBLAS will use, asked of the library
-# itself, or "none" where no OpenBLAS is loaded
-BLAS_THREADS = """\
-import ctypes, {module}
-try:
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        lib = ctypes.CDLL(next(line.split()[-1] for line in fh if "openblas" in line))
-except (OSError, StopIteration):
-    lib = None
-names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
-fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-if fn is None:
-    print("none")
-else:
-    fn.restype, fn.argtypes = ctypes.c_int, []
-    print(fn())
-"""
 
 
 def thread_env(**settings) -> dict:
@@ -210,16 +194,13 @@ def thread_env(**settings) -> dict:
 
 
 def blas_threads(module: str, **settings) -> int:
-    proc = subprocess.run(
-        [sys.executable, "-c", BLAS_THREADS.format(module=module)],
-        env=thread_env(**settings),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    if proc.stdout.strip() == "none":
+    """The threads the OpenBLAS that `import module` loads will use, asked
+    of the library itself."""
+    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+    threads = openblas_call(names, "c_int", module, env=thread_env(**settings))
+    if threads is None:
         pytest.skip("no OpenBLAS is loaded")
-    return int(proc.stdout)
+    return int(threads)
 
 
 class TestBlasThreads:

@@ -22,100 +22,136 @@ from memvisco.grid import Field, Grid
 from memvisco.kernels import PronyKernel
 from memvisco.grid import sine_transform
 from memvisco.runner import _reprs, _trajectory_export, _trajectory_rows, _write_atomic, _write_csv
-from memvisco.solver import ProblemSpec, run
+from memvisco.solver import ProblemSpec, run, run_block
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
 LINE = Grid.line(7)
 BOX = Grid((3, 4, 5), (1.0, 2.0, 0.5))
 
 
-def solve(grid: Grid):
+def solve(grid: Grid, horizon: float = 0.2):
     spec = ProblemSpec(
-        kernel=PRONY, grid=grid, horizon=0.2, dt=0.02, eps=0.05,
+        kernel=PRONY, grid=grid, horizon=horizon, dt=0.02, eps=0.05,
         u0=Field.zero(grid), u1=field_from_name(grid, "bump", {"radius": 0.4}),
     )
     return run(spec)
 
 
-def _trajectory_csv(grid, times, nodal, velocities):
+def _trajectory_csv(grid, times, nodal, velocities, piece):
     """trajectory.csv text of the levels at times, with nodal values and
-    velocities, each an iterable of grid.shape fields."""
+    velocities, (levels, *grid.shape) each, handed to rows piece levels at
+    a time."""
     header, rows = _trajectory_rows(grid)
     yield header
-    for t, level, rate in zip(_reprs(times), nodal, velocities):
-        yield from rows(t, level, rate)
+    stamps = _reprs(times)
+    for a in range(0, len(stamps), piece):
+        yield from rows(stamps[a : a + piece], nodal[a : a + piece], velocities[a : a + piece])
 
 
 def export_stored(out_dir, export_format, stride, traj):
     """The single run's exports of a stored run, written as the reduction
-    hands its levels over."""
+    hands its levels over, a piece at a time."""
     cfg = SimpleNamespace(export_format=export_format, snapshot_stride=stride)
     with _trajectory_export(out_dir, cfg, traj.grid, traj.times) as export:
         stored_reduction(traj, export=export)
 
 
-# slices of 4 rows split the line's 7 nodes as 4 + 3 and slices of 7 the
-# box's 60 as 8 x 7 + 4: a level spans several slices and ends in a partial
-# one; None keeps the module's slice, which holds each level whole
-@pytest.mark.parametrize(
-    "grid, wide, slice_rows",
-    [
-        pytest.param(LINE, False, None, id="1d"),
-        pytest.param(BOX, False, None, id="3d"),
-        pytest.param(LINE, True, None, id="1d-wide"),
-        pytest.param(BOX, True, None, id="3d-wide"),
-        pytest.param(LINE, False, 4, id="1d-slices"),
-        pytest.param(BOX, False, 7, id="3d-slices"),
-        pytest.param(LINE, True, 4, id="1d-wide-slices"),
-        pytest.param(BOX, True, 7, id="3d-wide-slices"),
-    ],
-)
-@pytest.mark.parametrize("stride", [1, 4, 5])
-def test_trajectory_csv_matches_row_list_export(tmp_path, monkeypatch, grid, wide, slice_rows, stride):
-    if slice_rows is not None:
-        monkeypatch.setattr("memvisco.runner._SLICE_ROWS", slice_rows)
-    traj = solve(grid)
-    times = traj.times[::stride]
-    # the export transforms each exported level's sine coefficients back alone
+def exported_levels(traj, stride):
+    """The nodal values and velocities of every stride-th level of a stored
+    run, each level transformed alone, as the export transforms them."""
     exported = range(0, traj.n_levels, stride)
     u = np.concatenate([nodal_levels(traj, j, j + 1) for j in exported])
     v = np.concatenate([nodal_velocities(traj, j, j + 1) for j in exported])
+    return u, v
+
+
+# 131 levels of either grid reduce in pieces of 16 levels, the last of 3,
+# so a piece holds up to 16 tabled levels.  Slices of 4 rows split the
+# line's 7 nodes as 4 + 3 and slices of 7 the box's 60 as 8 x 7 + 4, so at
+# strides 1, 4, 5 and 7 a slice spans level boundaries; None keeps the
+# module's slice, which holds a piece of either grid whole.  A wide case
+# writes scaled levels through rows, 16 levels at a time; the others go
+# through the reduction's export, as csv or both
+LONG_HORIZON = 2.6
+
+
+@pytest.mark.parametrize(
+    "grid, wide, slice_rows, export_format",
+    [
+        pytest.param(LINE, False, None, "csv", id="1d"),
+        pytest.param(BOX, False, None, "csv", id="3d"),
+        pytest.param(LINE, True, None, "csv", id="1d-wide"),
+        pytest.param(BOX, True, None, "csv", id="3d-wide"),
+        pytest.param(LINE, False, 4, "csv", id="1d-slices"),
+        pytest.param(BOX, False, 7, "csv", id="3d-slices"),
+        pytest.param(LINE, True, 4, "csv", id="1d-wide-slices"),
+        pytest.param(BOX, True, 7, "csv", id="3d-wide-slices"),
+        pytest.param(LINE, False, 4, "both", id="1d-both-slices"),
+        pytest.param(BOX, False, None, "both", id="3d-both"),
+    ],
+)
+@pytest.mark.parametrize("stride", [1, 4, 5, 7])
+def test_trajectory_csv_matches_row_list_export(tmp_path, monkeypatch, grid, wide, slice_rows, export_format, stride):
+    if slice_rows is not None:
+        monkeypatch.setattr("memvisco.runner._SLICE_ROWS", slice_rows)
+    traj = solve(grid, LONG_HORIZON)
+    assert run_block(grid.n_total, traj.n_levels) == 16 and traj.n_levels == 131
+    u, v = exported_levels(traj, stride)
     assert np.abs(u - nodal_levels(traj)[::stride]).max() <= 1e-15 * np.abs(u).max()
     assert np.abs(v - reference_velocities(nodal_levels(traj), traj.dt)[::stride]).max() <= 1e-13 * np.abs(v).max()
+    times = traj.times[::stride]
     if wide:
         # per-node scales from 1e-12 to 1e20, so values below 1e-4 and of at
         # least 1e16 reach the CSV, which repr writes with an exponent
         scale = np.logspace(-12, 20, grid.n_total).reshape(grid.shape)
         u, v = u * scale, v * scale
-        _write_atomic(tmp_path / "trajectory.csv", _trajectory_csv(grid, times, u, v))
+        _write_atomic(tmp_path / "trajectory.csv", _trajectory_csv(grid, times, u, v, 16))
     else:
-        export_stored(tmp_path, "csv", stride, traj)
+        export_stored(tmp_path, export_format, stride, traj)
     got = (tmp_path / "trajectory.csv").read_bytes()
     assert got == reference_trajectory_csv(grid, times, u, v).encode()
     assert (b"e-" in got and b"e+" in got) == wide
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
+    binary = ["times.npy", "trajectory.npy"] if export_format == "both" else []
+    if binary:
+        assert np.load(tmp_path / "trajectory.npy").tobytes() == exported_levels(traj, 1)[0].tobytes()
+        assert np.array_equal(np.load(tmp_path / "times.npy"), traj.times)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["trajectory.csv", *binary])
 
 
-def test_trajectory_csv_holds_one_slice_of_rows(tmp_path):
+def test_trajectory_csv_holds_one_slice_of_rows(tmp_path, monkeypatch):
     # what the export of 31^3 nodes holds is one table of per-node
     # "node,x,y,z," strings, built in place (about 10.5 level bytes, 8 bytes
     # a node), and one slice of rows: measured at 14.3 level bytes, where
     # separate "node" and ",x,y,z," tables took 21.5; a level-sized list of
-    # rows and its join would add more than 10 level bytes again
+    # rows and its join would add more than 10 level bytes again.  Beside
+    # the table, a slice measured 3.8 level bytes, where one level's text
+    # takes 9.2.  So does a 1D piece of 32 tabled levels in slices of a
+    # sixteenth of a level, whose rows span the levels: 3.6 level bytes,
+    # where one level's text takes 9.8.  (In 1D the table's build holds its
+    # coordinate texts beside it, 19.8 level bytes at its peak.)
     import tracemalloc
 
-    grid = Grid((31, 31, 31), (1.0, 1.0, 1.0))
-    rng = np.random.default_rng(0)
-    u = [rng.standard_normal(grid.shape) for _ in range(2)]
-    v = [1e-7 * rng.standard_normal(grid.shape) for _ in range(2)]
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        _write_atomic(tmp_path / "trajectory.csv", _trajectory_csv(grid, np.array([0.0, 0.5]), u, v))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - entry < 17 * 8 * grid.n_total
+    for grid, n_levels, slice_rows in [(Grid((31, 31, 31), (1.0, 1.0, 1.0)), 2, None), (Grid.line(2047), 32, 128)]:
+        if slice_rows is not None:
+            monkeypatch.setattr("memvisco.runner._SLICE_ROWS", slice_rows)
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal((n_levels, *grid.shape))
+        v = 1e-7 * rng.standard_normal((n_levels, *grid.shape))
+        stamps = _reprs(np.linspace(0.0, 0.5, n_levels))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            _, rows = _trajectory_rows(grid)
+            table, built = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _write_atomic(tmp_path / "trajectory.csv", rows(stamps, u, v))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        level_bytes = 8 * grid.n_total
+        assert peak - table < 5 * level_bytes
+        if grid.dim == 3:
+            assert max(built, peak) - entry < 17 * level_bytes
 
 
 @pytest.mark.parametrize("export_format", ["binary", "both"])
@@ -202,6 +238,15 @@ EDGE_VALUES = [
 def test_reprs_pins_repr_at_the_format_edges():
     xs = [float(x) for x in EDGE_VALUES] + [-float(x) for x in EDGE_VALUES]
     assert _reprs(np.array(xs)) == [repr(x) for x in xs]
+
+
+def test_reprs_rearranges_the_positional_class():
+    # orjson writes 1e-5 <= |x| < 1e-4 as 0.0000d1d2.., which _reprs
+    # rearranges to repr's d1.d2..e-05; a digit string of one, and of 17
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([10.0 ** rng.uniform(-5.0, -4.0, 20_000), [1e-5, 2e-5, 1.5e-5, 1.0000000000000003e-05]])
+    xs = np.concatenate([xs, -xs])
+    assert _reprs(xs) == [repr(x) for x in xs.tolist()]
 
 
 # doubles from uniformly random 64-bit patterns, so every binary exponent,

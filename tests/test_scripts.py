@@ -5,6 +5,15 @@ Each script guards its work behind __main__, so importing it runs nothing
 but resolves every name it takes from memvisco: a renamed or removed name
 fails here instead of in the next study run.  Running the two studies
 checks what they print.
+
+BUNDLED_DIGESTS holds the sha256 of each CSV that the five bundled configs
+write, taken with numpy NUMPY on OpenBLAS's CORE kernels.  A CSV's last
+digits follow the BLAS kernel that summed them, so the digests are compared
+only where both match; elsewhere the test skips and names the mismatch.
+Criterion 11 compares two runs of one tree, so it cannot see a drift that
+a change brings.  This test does: a change that moves a CSV's bytes
+updates its digest here, and that update is how the change declares the
+drift.
 """
 
 import hashlib
@@ -19,7 +28,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import openblas_call
+
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+NUMPY = "2.4.6"
+CORE = "SkylakeX"
+BUNDLED_DIGESTS = {
+    "admissibility_powerlaw/admissibility.csv": "5357c0ed007a2a324e8517e39f09c1657d081637f40be4f5cb0af06cadfd76a8",
+    "elastic_limit/energy.csv": "4155ff4b8fbe655ca9cda07cf7a80f7ca3ac2216da7845f8308a110ebbd0daa3",
+    "elastic_limit/trajectory.csv": "90a1d9b16af2c1b07cced9066a11ad054745a166f2a0045c2904f1956185cb38",
+    "powerlaw_theorem1/convergence.csv": "bcecab7f5b103043ab264392190daae7a6eb8ec4d1afee0d53a676e1dca1ce05",
+    "powerlaw_theorem1/lemma.csv": "8dc09b40ddde55d708676b95e889d0334b390427ed60dd5f22feb8df65a7822a",
+    "prony_single/energy.csv": "61f954fcaea62297454a84172682b745622db20b8f6bc4e3e096aba403c14408",
+    "prony_single/trajectory.csv": "793ee1b4d5af90572513c2e82b57d13edd471b6bfd12626875cc634858bf27e8",
+    "prony_single/weak_residuals.csv": "e7420fcb0e300566b1a803c9aa3f325dc760613704c5c112b5f833b6b62a0553",
+    "stress_relaxation/stress.csv": "dd9f30b750e5486f748aa9172a145bd8fe9e8dedf27d7d8d28de96ab75d1d1ee",
+}
 
 
 def test_scripts_exist():
@@ -79,6 +103,14 @@ def test_run_all_configs_prints_a_digest_per_csv(all_configs):
     assert printed_digests(stdout, ".csv") == {
         f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in written
     }
+
+
+def test_bundled_csvs_keep_their_digests(all_configs):
+    names = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
+    core = openblas_call(names, "c_char_p")
+    if (np.__version__, core) != (NUMPY, CORE):
+        pytest.skip(f"digests taken with numpy {NUMPY} on OpenBLAS core {CORE}, not numpy {np.__version__} on {core}")
+    assert printed_digests(all_configs[0], ".csv") == BUNDLED_DIGESTS
 
 
 def test_run_all_configs_prints_a_verdicts_digest_per_config(all_configs):

@@ -819,8 +819,9 @@ def test_blocked_marchers_match_reference_loops(spec):
 
 
 def test_unforced_parts_are_zeros():
-    # an unforced march adds factor[j] * profile = 0.0 * 0.0, as it added a
-    # zero field before: -0.0 turns into 0.0
+    # an unforced Volterra march, and the leapfrog's first step, add
+    # factor[j] * profile = 0.0 * 0.0, as they added a zero field before:
+    # -0.0 turns into 0.0
     grid = Grid((4, 5, 3), (1.0, 1.5, 0.8))
     spec = ProblemSpec(
         kernel=PRONY, grid=grid, horizon=0.6, dt=0.02, eps=0.05,
@@ -830,6 +831,33 @@ def test_unforced_parts_are_zeros():
     assert profile.shape == grid.shape and factor.shape == (31,)
     field = np.full(grid.shape, -0.0)
     assert (field + factor[7] * profile).tobytes() == np.zeros(grid.shape).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kernel", [PRONY, PowerLawKernel(1.0, 0.5), PronyKernel(1.0, ())], ids=["prony", "powerlaw", "elastic"]
+)
+@pytest.mark.parametrize("grid", [Grid.line(17), Grid((4, 5, 3), (1.0, 1.5, 0.8))], ids=["1d", "3d"])
+@pytest.mark.parametrize("data", ["bump", "zero-u0", "rest"])
+def test_an_unforced_leapfrog_marches_as_a_zero_forcing(kernel, grid, data):
+    # an unforced leapfrog's steps add no zero forcing, and keep every bit
+    # of the levels of the same spec marched with Forcing("zero"), whose
+    # steps add its zeros: x + 0.0 is x for every x but -0.0.  Three shifts
+    # march at once.  At rest every acceleration is -0.0 without the
+    # forcing and 0.0 with it, and every level 0.0 either way
+    bump = field_from_name(grid, "bump", {"radius": 0.4})
+    u0, u1 = {
+        "bump": (bump, field_from_name(grid, "sine_mode", {"amplitude": 0.3})),
+        "zero-u0": (Field.zero(grid), bump),
+        "rest": (Field.zero(grid), Field.zero(grid)),
+    }[data]
+    dt = cfl_time_step(grid, kernel, 0.02, 0.5, 0.4)
+    spec = ProblemSpec(kernel=kernel, grid=grid, horizon=0.4, dt=dt, eps=0.02, u0=u0, u1=u1)
+    zero = dataclasses.replace(spec, forcing=Forcing("zero"))
+    shifts = (0.1, 0.02, 0.005)
+    for got, want in zip(batch_runs(spec, shifts), batch_runs(zero, shifts)):
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        if data == "rest":
+            assert got.coefficients.tobytes() == np.zeros(got.coefficients.shape).tobytes()
 
 
 @pytest.mark.parametrize("params", [{"amplitude": 0.7, "omega": 5.0}, {"amplitude": 0.7}])
