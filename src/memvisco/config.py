@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from memvisco.convergence import eps_schedule
 from memvisco.expressions import FORCING_NAMES, SPACE_NAMES, Forcing, field_from_name
@@ -57,8 +57,7 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  - " + "\n  - ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     mode: str
     kernel: RelaxationKernel
     formulation: str
@@ -83,7 +82,7 @@ class ExperimentConfig:
     export_format: str
     tolerances: dict
     defaults_applied: tuple[str, ...]
-    resolved: dict = field(repr=False)
+    resolved: dict
 
 
 class _Collector:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -118,8 +117,7 @@ def run_eps_sequence(base: ProblemSpec, eps0: float, ratio: float, count: int) -
     return ShiftSequence.reduce(base.grid, base.times, eps_values, runs, levels.nbytes // len(runs), blocks)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Successive distances, fitted rate, and kernel-difference bounds.
 
     passed is True when the distances decrease strictly, or stay at
@@ -183,8 +181,7 @@ def cauchy_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaCheckEntry:
+class LemmaCheckEntry(NamedTuple):
     """One row of lemma.csv; its fields, in order, are the columns."""
 
     eps: float

@@ -268,8 +268,7 @@ def ledger_plan(kernel: RelaxationKernel, eps: float, times: np.ndarray) -> list
     return [HistoryConvolution.of(kk, order, J, dt) for order in (1, 2)]
 
 
-@dataclass(frozen=True)
-class EnergyLedger:
+class EnergyLedger(NamedTuple):
     """Per-level energy split and balance residual.
 
     stored = kinetic + elastic + memory.  The residual compares the
@@ -422,8 +421,7 @@ def _prony_history_sums(prony: _PronyInflows, vol: float, weights) -> np.ndarray
     return out
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     """The energy_decay verdict; its fields are the verdict's keys."""
 
     passed: bool
@@ -543,8 +541,7 @@ def calibrate_decay_tolerance(spec: ProblemSpec, safety: float = 5.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """gamma e^T C bound versus the discrete gradient + velocity energy."""
 
     passed: bool
@@ -667,8 +664,7 @@ def default_battery(grid: Grid) -> tuple[ModeTestFunction, ...]:
     )
 
 
-@dataclass(frozen=True)
-class WeakResidualEntry:
+class WeakResidualEntry(NamedTuple):
     """One row of weak_residuals.csv; its fields, in order, are the columns."""
 
     test_function: str

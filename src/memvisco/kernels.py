@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -340,8 +341,7 @@ def kernel_diff_bound(kernel: RelaxationKernel, eps: float, s) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Sign conditions sampled on a log grid, plus analytic regime flags."""
 
     times: np.ndarray

@@ -13,7 +13,6 @@ import resource
 import sys
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -378,16 +377,15 @@ def _export_ledger(out_dir: Path, ledger) -> None:
     """energy.csv: the level, then the ledger's fields in order, times as t;
     each column formatted as one vector."""
     columns = {"level": list(map(str, range(ledger.times.size)))}
-    columns.update(("t" if f.name == "times" else f.name, _reprs(getattr(ledger, f.name))) for f in fields(ledger))
+    columns.update(("t" if name == "times" else name, _reprs(value)) for name, value in ledger._asdict().items())
     # the residual is defined on the interior levels only
     columns["residual"] = ["", *columns["residual"], ""]
     _write_fields(out_dir / "energy.csv", list(columns), list(columns.values()))
 
 
 def _write_entries(path: Path, entries) -> None:
-    """A CSV of report entries, one column per dataclass field, in order."""
-    names = [f.name for f in fields(entries[0])]
-    _write_csv(path, names, [[getattr(e, name) for e in entries] for name in names])
+    """A CSV of report entries, one column per field, in order."""
+    _write_csv(path, list(entries[0]._fields), list(zip(*entries)))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
@@ -532,7 +530,7 @@ def _run_single(
             with phases("decay_calibration"):
                 tol = calibrate_decay_tolerance(spec, cfg.tolerances["decay_safety"])
                 decay = check_energy_decay(ledger, tol)
-            verdicts["energy_decay"] = asdict(decay)
+            verdicts["energy_decay"] = decay._asdict()
             ok = ok and decay.passed
 
     if bound_on:

@@ -22,13 +22,17 @@ so steep kernels near s = 0 cost no quadrature accuracy.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
+
+try:  # the lean builtin module: hashlib would map OpenSSL into every run
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from memvisco.expressions import Forcing
 from memvisco.grid import Field, Grid, double_trapezoid, sine_transform
@@ -184,7 +188,7 @@ class ProblemSpec:
         return self.forcing.profile(self.grid), self.forcing.factor(self.times)
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
+        h = sha256()
         h.update(repr(self.kernel).encode())
         h.update(repr((self.grid.n, self.grid.extent)).encode())
         h.update(f"{self.horizon!r}|{self.dt!r}|{self.eps!r}|{self.formulation}".encode())
@@ -208,8 +212,7 @@ class RunRecord(NamedTuple):
     far_error: float = 0.0
 
 
-@dataclass(frozen=True)
-class TrajectorySolution:
+class TrajectorySolution(NamedTuple):
     """Every level of a run, stored, as run returns it."""
 
     grid: Grid
@@ -335,8 +338,7 @@ _TAIL_FIT_SIZE = 2**18
 _TAIL_CHECK_CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class _ExponentialTail:
+class _ExponentialTail(NamedTuple):
     """w(s) ~ constant + slope s + sum_l coefficients[l] ratios[l]^(s / dt)
     on [start, horizon], one row of constant, slope and coefficients per
     weight set: exponentials e^(-x s) with ratios e^(-x dt) per step.  w is

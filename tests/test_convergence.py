@@ -145,7 +145,7 @@ class TestCauchyReport:
         assert rep.monotone
         assert rep.first_nonmonotone is None
         # 0 -> positive is an increase
-        trajs[3] = dataclasses.replace(trajs[3], coefficients=trajs[3].coefficients + 1e-3)
+        trajs[3] = trajs[3]._replace(coefficients=trajs[3].coefficients + 1e-3)
         rep = cauchy_report(listed_sequence(eps_vals, trajs), k, 1e-2)
         assert not rep.monotone
         assert not rep.passed
@@ -164,7 +164,7 @@ class TestCauchyReport:
         rng = np.random.default_rng(0)
         # white noise in the sine coefficients is white noise on the nodes
         noisy = trajs[2].coefficients + 0.05 * rng.standard_normal(trajs[2].coefficients.shape)
-        trajs[2] = dataclasses.replace(trajs[2], coefficients=noisy)
+        trajs[2] = trajs[2]._replace(coefficients=noisy)
         rep = cauchy_report(listed_sequence(eps_vals, trajs), PRONY, 1e-2)
         assert not rep.monotone
         assert not rep.passed

@@ -209,11 +209,11 @@ class TestLedgerMatchesReference:
         led = energy_ledger(traj, spec.kernel, spec.eps, spec.forcing)
         ref = reference_energy_ledger(traj, spec.kernel, spec.eps, spec.forcing)
         assert np.abs(ref.memory).max() > 0.0  # the history sums are exercised
-        for column in dataclasses.fields(ref):
-            got, want = getattr(led, column.name), getattr(ref, column.name)
-            assert got.shape == want.shape, column.name
+        for name in ref._fields:
+            got, want = getattr(led, name), getattr(ref, name)
+            assert got.shape == want.shape, name
             scale = float(np.abs(want).max())
-            assert float(np.abs(got - want).max()) <= 1e-12 * scale, column.name
+            assert float(np.abs(got - want).max()) <= 1e-12 * scale, name
         if spec.forcing is None:
             # no zero field is summed, and the signs of the zeros stay
             assert led.forcing_power.tobytes() == ref.forcing_power.tobytes()
@@ -753,8 +753,8 @@ class TestStreamedMatchesStored:
             traj = run(spec)
             args = (spec.kernel, spec.eps)
             for got, want in zip(
-                dataclasses.astuple(energy_ledger(streamed, *args, spec.forcing)),
-                dataclasses.astuple(energy_ledger(traj, *args, spec.forcing)),
+                tuple(energy_ledger(streamed, *args, spec.forcing)),
+                tuple(energy_ledger(traj, *args, spec.forcing)),
             ):
                 assert got.tobytes() == want.tobytes()
             got = check_energy_bound(streamed, *args, spec.u1, spec.forcing)

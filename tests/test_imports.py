@@ -1,9 +1,12 @@
 """Module boundaries of the package: no src module imports a private name
-of another, so every name that crosses a module is public, and every
-third-party module it imports is a declared dependency."""
+of another, so every name that crosses a module is public, every
+third-party module it imports is a declared dependency, and a run loads
+no module it does not need."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,10 +43,51 @@ def test_scan_sees_a_private_import(tmp_path):
     assert private_imports(probe) == ["memvisco.solver._forcing_values"]
 
 
+OPENSSL_MODULES = ("_hashlib", "hashlib")
+
+
+def loaded_after(code: str, names) -> set[str]:
+    """The modules of names in sys.modules once code has run in a fresh
+    interpreter with the sources on its path."""
+    probe = f"import sys\n{code}\nprint(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_a_run_leaves_openssl_unloaded(tmp_path):
+    # hashlib maps OpenSSL's libcrypto for the fingerprint's sha256 alone,
+    # ~3.6 MiB of every process's memory; the builtin module hashes the
+    # same bytes.  Python 3.12 renamed it, and the fallback loads hashlib.
+    pytest.importorskip("_sha256")
+    config, out = ROOT / "configs" / "prony_single.cfg", tmp_path / "out"
+    code = f"import memvisco.cli\nassert memvisco.cli.main(['run', {str(config)!r}, '--out', {str(out)!r}]) == 0"
+    loaded = loaded_after(code, OPENSSL_MODULES)
+    assert (out / "manifest.json").is_file()
+    assert loaded <= loaded_after("", OPENSSL_MODULES)
+
+
+def test_probe_sees_a_loaded_module():
+    assert loaded_after("import hashlib", OPENSSL_MODULES) == set(OPENSSL_MODULES)
+
+
 def third_party_imports(path: Path) -> set[str]:
-    """Top-level modules path imports from outside the standard library and memvisco."""
+    """Top-level modules path imports from outside the standard library and
+    memvisco.  An import in the body of a try that catches ImportError is
+    optional, not a dependency: the builtin sha256 module, say, that
+    Python 3.12 renamed."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    optional = {
+        id(stmt)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Try)
+        and any(getattr(h.type, "id", None) in ("ImportError", "ModuleNotFoundError") for h in node.handlers)
+        for stmt in node.body
+    }
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
+        if id(node) in optional:
+            continue
         if isinstance(node, ast.Import):
             found.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -65,8 +109,10 @@ def test_scan_sees_a_third_party_import(tmp_path):
     probe.write_text(
         "import os.path\nimport numpy as np\nimport scipy.integrate\n"
         "from orjson import dumps\nfrom memvisco.grid import Grid\nfrom . import sibling\n"
+        "try:\n    import yaml\nexcept ImportError:\n    yaml = None\n"
+        "try:\n    import toml\nexcept ValueError:\n    toml = None\n"
     )
-    assert third_party_imports(probe) == {"numpy", "scipy", "orjson"}
+    assert third_party_imports(probe) == {"numpy", "scipy", "orjson", "toml"}
 
 
 def unresolved_exports(module) -> list[str]:

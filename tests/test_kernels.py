@@ -294,6 +294,19 @@ class TestTranslated:
         assert repr(k) == "PowerLawKernel(c=1.0, alpha=0.5)"
         assert repr(translate(k, 0.25)) == "PowerLawKernel(c=1.0, alpha=0.5, offset=0.25)"
 
+    def test_prony_and_sum_reprs_are_pinned(self):
+        # the repr feeds every spec fingerprint, as the configs spell them
+        prony = kernel_from_dict({"family": "prony", "g_inf": 0.5, "terms": [[0.3, 1], [0.2, 0.1]]})
+        assert repr(prony) == "PronyKernel(g_inf=0.5, terms=((0.3, 1.0), (0.2, 0.1)))"
+        assert repr(kernel_from_dict({"family": "constant", "g0": 1})) == "PronyKernel(g_inf=1.0, terms=())"
+        total = kernel_from_dict(
+            {"family": "sum", "parts": [{"family": "prony", "g_inf": 0.2, "terms": [[0.3, 1.0]]},
+                                        {"family": "powerlaw", "c": 0.5, "alpha": 0.5}]}
+        )
+        assert repr(total) == (
+            "KernelSum(parts=(PronyKernel(g_inf=0.2, terms=((0.3, 1.0),)), PowerLawKernel(c=0.5, alpha=0.5)))"
+        )
+
     def test_underflowed_prony_weight_is_kept_as_zero(self):
         # e^{-1000} underflows: the shift is a zero modulus, not a refusal
         k = translate(PronyKernel(0.0, ((1.0, 0.001),)), 1.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from functools import partial
@@ -20,6 +21,7 @@ from helpers import (
     direct_sums,
     direct_weights,
     exact_unshifted_mode,
+    forced_box_spec,
     forcing_at,
     geometric_history,
     history_row,
@@ -51,7 +53,7 @@ from memvisco.kernels import (
     PronyKernel,
     translate,
 )
-from memvisco.runner import _build_spec
+from memvisco.runner import _build_spec, _resolve_dt
 from memvisco.solver import (
     CflViolation,
     HistoryConvolution,
@@ -69,6 +71,17 @@ from memvisco.solver import (
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the spec fingerprint of the first run of each config under CONFIGS that marches
+CONFIG_FINGERPRINTS = {
+    "elastic_limit": "4de1db9a69ecfba8",
+    "powerlaw_theorem1": "7a7b8de2f510c9f0",
+    "prony_single": "77552948685fe1aa",
+    "drift/kernel_sum_single": "2dd7773fa62b6a20",
+    "drift/powerlaw_leapfrog_sequence": "0ac510b7fbdb392c",
+    "drift/powerlaw_single_audits": "ed9db1536c268eac",
+    "drift/prony_forced_sequence": "9bc71ac2e5210d50",
+    "drift/volterra_3d_singular": "e04f60dc1dcfe700",
+}
 
 
 def standing_wave_spec(n=49, cfl=0.5, horizon=1.0):
@@ -196,6 +209,29 @@ class TestProblemSpec:
             formulation="integral_volterra",
         )
         assert spec.fingerprint() == "7a7b8de2f510c9f0"
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.relative_to(CONFIGS).with_suffix("").as_posix() for p in CONFIGS.glob("**/*.cfg"))
+    )
+    def test_config_fingerprints_are_pinned(self, name):
+        # the first run of each config that marches, as its manifests record it
+        cfg = parse_config_file(CONFIGS / f"{name}.cfg")
+        if cfg.mode not in ("single_run", "eps_sequence"):
+            assert name not in CONFIG_FINGERPRINTS
+            return
+        if cfg.mode == "single_run":
+            eps, dt = cfg.eps, _resolve_dt(cfg, cfg.eps)
+        else:
+            eps, dt = cfg.eps0, _resolve_dt(cfg, float(eps_schedule(cfg.eps0, cfg.ratio, cfg.count)[-1]))
+        assert _build_spec(cfg, eps, dt).fingerprint() == CONFIG_FINGERPRINTS[name]
+
+    def test_fingerprint_matches_hashlib_sha256(self):
+        # the builtin sha256 the fingerprint takes agrees with OpenSSL's on
+        # a forced 3D spec's payload
+        spec = forced_box_spec(7, 0.5)
+        builtin = spec.fingerprint()
+        with mock.patch.object(solver_module, "sha256", hashlib.sha256):
+            assert spec.fingerprint() == builtin
 
 
 class TestProductQuadrature:
