@@ -29,10 +29,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-try:  # the lean builtin module: hashlib would map OpenSSL into every run
+try:  # the lean builtin module, _sha2 from Python 3.12 on: hashlib would map OpenSSL into every run
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from memvisco.expressions import Forcing
 from memvisco.grid import Field, Grid, double_trapezoid, sine_transform
@@ -338,6 +341,11 @@ _TAIL_FIT_SIZE = 2**18
 _TAIL_CHECK_CHUNK = 2048
 
 
+def _slot(m: int, ring: int) -> int:
+    """The slot of level m in a march's level buffer, (K, 1 + ring, ...)."""
+    return 0 if m == 0 else 1 + (m - 1) % ring
+
+
 class _ExponentialTail(NamedTuple):
     """w(s) ~ constant + slope s + sum_l coefficients[l] ratios[l]^(s / dt)
     on [start, horizon], one row of constant, slope and coefficients per
@@ -428,9 +436,11 @@ class HistoryConvolution:
     j = 1 .. n.  Its one table of lag weights is lags[d] = left[d] +
     right[d - 1] (lags[0] = left[0], lags[n] = right[n - 1]).  Row j weighs
     level m >= 1 by lags[j - m], and level 0 by oldest[j - 1] = right[j - 1].
-    far_sums, row_sums and adjoint read that table.  It is held reversed,
-    (K, n + 1) with lag d in column n - d, the order _block reads, and
-    lags is a view of it.
+    The table is held reversed, the order _block reads, with W (_MARCH_ROWS
+    as the history is built) zero columns past either end: a lag up to W
+    below 0 or above n reads as 0.  lags, (K, n + 1), and near, (K, W) the
+    lags W - 1 .. 0, are views of it; far_sums, row_sums and adjoint each
+    read windows of it.
 
     left and right may carry a leading shift axis, (K, n): one weight set
     per shift of a sequence, sharing n, as both marchers and the lemma
@@ -439,9 +449,9 @@ class HistoryConvolution:
     for P time profiles.  factors (w of each weight set, as callables) and
     dt let the far sums fit a tail; without them every far sum is direct.
 
-    Both marchers sum in blocks of W = _MARCH_ROWS rows: far_sums gives a
-    block's sums over the levels below it, and each row adds the block's
-    own levels.  With a tail a row's sum costs O(N) flops amortised, else
+    Both marchers sum in blocks of W rows: far_sums gives a block's sums
+    over the levels below it, and each row adds the block's own levels.
+    With a tail a row's sum costs O(N) flops amortised, else
     O(j N).  The memory term is linear in the levels, so a marcher sums
     the levels themselves and applies any operator, such as the
     Laplacian, once to the sum.
@@ -453,12 +463,15 @@ class HistoryConvolution:
         left = np.asarray(left, dtype=float)
         # a copy: a view would keep the caller's array of both halves alive
         right = np.array(right, dtype=float)
-        n = left.shape[-1]
+        n, W = left.shape[-1], _MARCH_ROWS
         self.oldest = right
-        self.lags = np.zeros(left.shape[:-1] + (n + 1,))[..., ::-1]
+        # lag d in column W + n - d, W zeros past either end of the lags
+        table = np.zeros(left.shape[:-1] + (n + 1 + 2 * W,))
+        self.lags = table[..., W : W + n + 1][..., ::-1]
         self.lags[..., :n] += left
         self.lags[..., 1:] += right
-        self._table = np.atleast_2d(self.lags[..., ::-1])
+        self.near = table[..., n + 1 : n + 1 + W]
+        self._table, self._pad = np.atleast_2d(table), W
         self._factors, self._dt = factors, dt
 
     @classmethod
@@ -498,32 +511,24 @@ class HistoryConvolution:
         only tests the sums against time profiles projects q first and
         never forms them.  Level 0 takes oldest[j - 1] from each row j, one
         (1, n) @ (n, P) product per weight set.  The levels above it form a
-        Toeplitz product in blocks of B = _MARCH_ROWS: block b of y gains
-        a's block b + d @ M_d, M_d[s, r] = lags[d B + s - r] (zero below
-        lag 0), one product per offset d, batched over the weight sets.  A
-        weight set's products, and so its bits, are its lone history's.
+        Toeplitz product in blocks of B = W: block b of y gains a's block
+        b + d @ M_d, M_d[s, r] = lags[d B + s - r], the _block of the rows
+        d B + 1 .. (d + 1) B on the levels 1 .. B (the padding's zeros past
+        either end of the lags), one product per offset d, batched over the
+        weight sets.  A weight set's products, and so its bits, are its
+        lone history's.
         """
         a = np.atleast_2d(np.asarray(a, dtype=float))
-        P, n = a.shape[0], a.shape[1] - 1
-        B, nb = _MARCH_ROWS, -(-n // _MARCH_ROWS)
-        oldest, lags = np.atleast_2d(self.oldest), np.atleast_2d(self.lags)
-        K = lags.shape[0]
+        P, n, B = a.shape[0], a.shape[1] - 1, self._pad
+        nb, oldest, K = -(-n // B), np.atleast_2d(self.oldest), self._table.shape[0]
         # a's blocks, (nb, P, B): a[d:] is a row-major ((nb - d) P, B) matrix
         blocks = np.zeros((P, nb * B))
         blocks[:, :n] = a[:, 1:]
         blocks = blocks.reshape(P, nb, B).swapaxes(0, 1).copy()
-        # lags n - 1 .. 0 end at column nb B, zeros around them, so row s of
-        # the window at column c holds the lags nb B - 1 - c - s - r, r < B
-        table = np.zeros((K, (nb + 1) * B))
-        table[:, nb * B - n : nb * B] = lags[:, n - 1 :: -1]
-        stride = table.strides
         y = np.zeros((K, nb * P, B))
         for d in range(nb):
-            # M_d, (K, B, B), one copy at a time: all of them would hold K nb B^2
-            window = np.lib.stride_tricks.as_strided(
-                table[:, (nb - d - 1) * B :], (K, B, B), (stride[0], stride[1], stride[1])
-            )
-            y[:, : (nb - d) * P] += blocks[d:].reshape(-1, B) @ window[:, ::-1].copy()
+            # M_d, (K, B, B), one at a time: all of them would hold K nb B^2
+            y[:, : (nb - d) * P] += blocks[d:].reshape(-1, B) @ self._block(d * B + 1, (d + 1) * B + 1, 1, B + 1)
         out = np.empty((K, P, n + 1))
         out[:, :, 0] = (oldest[:, None, :n] @ a[:, 1:].T)[:, 0]
         out[:, :, 1:] = y.reshape(K, nb, P, B).transpose(0, 2, 1, 3).reshape(K, P, nb * B)[:, :, :n]
@@ -531,26 +536,24 @@ class HistoryConvolution:
 
     def _block(self, j0: int, j1: int, m0: int, m1: int) -> np.ndarray:
         """(K, j1 - j0, m1 - m0) weights of the rows j0 .. j1 - 1 on the
-        levels m0 .. m1 - 1, 0 < m0 < m1 <= j0 + 1, the rows' own entries."""
-        # row j on level m weighs lag j - m: in the reversed table its
-        # weights start at column n - j + m0, one column less per row
-        table = self._table
-        start = table.shape[1] - 1 - j0 + m0
-        if j1 - j0 == 1:
-            return table[:, None, start : start + m1 - m0]
-        rows, cols = j1 - j0, m1 - m0
-        # row j0 + rows - 1 first, then a copy in row order for the product
+        levels m0 .. m1 - 1, a copy; lags j - m at most W outside 0 .. n
+        read as 0, and IndexError for a lag past that."""
+        # row j on level m weighs lag j - m, in column W + n - j + m: the
+        # window starts at row j1 - 1, then a copy in row order for the product
+        table, W = self._table, self._pad
+        rows, cols, start = j1 - j0, m1 - m0, table.shape[1] - W - j1 + m0
+        if not 0 <= start <= table.shape[1] + 1 - rows - cols:
+            raise IndexError(f"the rows {j0} .. {j1 - 1} on the levels {m0} .. {m1 - 1} reach past the table")
         stride = table.strides
-        return np.lib.stride_tricks.as_strided(
-            table[:, start - rows + 1 :], (table.shape[0], rows, cols), (stride[0], stride[1], stride[1])
-        )[:, ::-1].copy()
+        window = np.lib.stride_tricks.as_strided(table[:, start:], (len(table), rows, cols), (*stride, stride[1]))
+        return window[:, ::-1].copy()
 
     @cached_property
     def tail(self) -> _ExponentialTail | None:
         """The far sums' fit; None without factors, for n <= 2 W, where no
         row reaches past the previous block, and when any weight set's
         checked error passes _TAIL_TOLERANCE."""
-        W, n, dt = _MARCH_ROWS, self.lags.shape[-1] - 1, self._dt
+        W, n, dt = self._pad, self.lags.shape[-1] - 1, self._dt
         if not self._factors or n <= 2 * W:
             return None
         tail = _ExponentialTail.fit(self._factors, (W - 1) * dt, n * dt, dt)
@@ -559,8 +562,8 @@ class HistoryConvolution:
     def far_sums(self, stack: np.ndarray, j0: int, out: np.ndarray) -> np.ndarray:
         """The sums of the rows j0 .. j1 - 1 of a block on the levels 0 ..
         j0 - 1 of stack, (K, 1 + R, N), written into out, (K, j1 - j0, N).
-        stack holds level 0, then level m >= 1 in slot 1 + (m - 1) % R: R
-        is 3 W, or a whole stack, which never wraps.
+        stack holds level m in _slot(m, R): R is 3 W, or a whole stack,
+        which never wraps.
 
         A march asks for its blocks in turn, j0 = 1, 1 + W, 1 + 2 W, ....
         Row j weighs level 0 by oldest[j - 1], and the levels of the
@@ -571,11 +574,11 @@ class HistoryConvolution:
         set; without a tail M stays 0 and the previous-block sums reach
         back to level 1, in chunks of W levels.
         """
-        W, j1, ring = _MARCH_ROWS, j0 + out.shape[1], stack.shape[1] - 1
+        W, j1, ring = self._pad, j0 + out.shape[1], stack.shape[1] - 1
 
         def levels(m0, m1):
             # a chunk starts on a block's first level, so it never wraps
-            start = 1 + (m0 - 1) % ring
+            start = _slot(m0, ring)
             return stack[:, start : start + m1 - m0]
 
         np.multiply(self.oldest[..., j0 - 1 : j1 - 1, None], stack[:, :1], out=out)
@@ -601,15 +604,16 @@ class HistoryConvolution:
         stack, (K, 1 + R, N) as far_sums reads it: (K, N), which the next
         call writes over.  The rows come in turn from j = 1.  A block's
         first row takes the block's far_sums, and each row then adds the
-        block's levels up to its own, one product for all K."""
-        W = _MARCH_ROWS
+        block's levels up to its own by near's last lags, one product for
+        all K."""
+        W = self._pad
         first = j - (j - 1) % W
         if j == 1:
             self._far = np.empty((stack.shape[0], W, stack.shape[2]))
         if j == first:
             self.far_sums(stack, j, self._far[:, : min(W, self.lags.shape[-1] - j)])
-        start = 1 + (first - 1) % (stack.shape[1] - 1)
-        near = np.matmul(self._block(j, j + 1, first, j + 1), stack[:, start : start + j + 1 - first])[:, 0]
+        start, own = _slot(first, stack.shape[1] - 1), j + 1 - first
+        near = np.matmul(self.near.reshape(-1, 1, W)[:, :, W - own :], stack[:, start : start + own])[:, 0]
         near += self._far[:, j - first]
         return near
 
@@ -642,9 +646,7 @@ class _ExponentialHistory:
         levels j - 1 and j of stack, (K, 1 + R, N) as far_sums reads it.
         The rows come in turn from j = 1; the arrays may be reused, do not
         keep them."""
-        ring = stack.shape[1] - 1
-        newest = stack[:, 1 + (j - 1) % ring]
-        previous = stack[:, 0 if j == 1 else 1 + (j - 2) % ring]
+        newest, previous = (stack[:, _slot(m, stack.shape[1] - 1)] for m in (j, j - 1))
         if j == 1:
             # without terms the one zero state is every row's sum
             self._states = [[np.zeros(stack.shape[2]) for _ in range(max(1, len(t)))] for t in self.terms]
@@ -680,11 +682,11 @@ def _finished(block: np.ndarray, j0: int, shifts) -> np.ndarray:
 def _march_leapfrog(specs, history, levels: np.ndarray, rows: int, data):
     """March every spec of specs, one problem at K shifts, from march's
     flat data (p, factor, u0, u1), with history's weight set for each, into
-    levels, (K, 1 + R, *grid.shape): per shift level 0, then level m >= 1
-    in slot 1 + (m - 1) % R, R a multiple of rows or J.  A generator of the
-    finished blocks, (j0, the levels j0 .. j1 - 1 of every shift), level 0
-    first, then rows at a time: views of levels that the march writes over
-    later.  A block with a non-finite value aborts the march (_finished).
+    levels, (K, 1 + R, *grid.shape): per shift level m in _slot(m, R), R a
+    multiple of rows or J.  A generator of the finished blocks, (j0, the
+    levels j0 .. j1 - 1 of every shift), level 0 first, then rows at a time:
+    views of levels that the march writes over later.  A block with a
+    non-finite value aborts the march (_finished).
 
         u_{j+1} = 2 u_j - u_{j-1} + dt^2 (-mu (g0 u_j + H_j) + f_j)
 
@@ -704,35 +706,34 @@ def _march_leapfrog(specs, history, levels: np.ndarray, rows: int, data):
     stack = levels.reshape(len(specs), ring + 1, -1)
     shifts = [s.eps for s in specs]
     minus_mu = -spec.grid.eigenvalues.reshape(-1)
-    lanes = [(lane, s.kernel.modulus(s.eps)) for lane, s in zip(stack, specs)]
+    moduli = [s.kernel.modulus(s.eps) for s in specs]
     stack[:, 0] = u0
     yield 0, _finished(levels[:, :1], 0, shifts)
-    for lane, g0 in lanes:
+    for lane, g0 in zip(stack, moduli):
         lane[1] = u0 + dt * u1 + 0.5 * dt * dt * (g0 * (minus_mu * u0) + factor[0] * p)
     accel, push = np.empty((2, stack.shape[2]))
     forced = spec.forcing is not None
     for j in range(1, J + 1):
         if j % rows == 0 or j == J:
             j0 = j - (j - 1) % rows
-            slot = 1 + (j0 - 1) % ring
+            slot = _slot(j0, ring)
             yield j0, _finished(levels[:, slot : slot + j + 1 - j0], j0, shifts)
         if j == J:
             return
         if forced:
             np.multiply(p, factor[j], out=push)
+        previous, current, new = (stack[:, _slot(m, ring)] for m in (j - 1, j, j + 1))
         # the rows 1 .. J - 1: the last step reads no history sum
-        for (lane, g0), h in zip(lanes, history.row_sums(stack, j)):
-            current = lane[1 + (j - 1) % ring]
-            np.multiply(current, g0, out=accel)
+        for g0, h, older, now, newer in zip(moduli, history.row_sums(stack, j), previous, current, new):
+            np.multiply(now, g0, out=accel)
             accel += h
             accel *= minus_mu
             if forced:
                 accel += push
             accel *= dt * dt
-            new = lane[1 + j % ring]
-            np.multiply(current, 2.0, out=new)
-            new -= lane[0 if j == 1 else 1 + (j - 2) % ring]
-            new += accel
+            np.multiply(now, 2.0, out=newer)
+            newer -= older
+            newer += accel
 
 
 def run_block(n_total: int, n_levels: int) -> int:
@@ -847,13 +848,10 @@ def _march_volterra(spec: ProblemSpec, shifts, history: HistoryConvolution, leve
     minus_mu = -mu
     # the newest level of every row weighs lags[0]
     denominator = 1.0 + history.lags[:, :1, None] * mu
-    # a row's weights on the block's levels, newest last: lags[W - 1] ..
-    # lags[1] and 1, for the slot that holds its own far sum and data
-    # term; a run of J < W - 1 steps reads lags up to J - 1 only
-    table = np.zeros((K, 1, W))
-    table[:, 0, -1] = 1.0
-    near = min(W - 1, J)
-    table[:, 0, W - 1 - near : W - 1] = history.lags[:, near:0:-1]
+    # a row's weights on the block's levels, newest last: near's lags W - 1
+    # .. 1 (0 past lag J) and 1 for the slot of its own far sum and data term
+    table = history.near[:, None].copy()
+    table[..., -1] = 1.0
 
     p, factor, u0, u1 = data
     c2 = double_trapezoid(factor, dt)
@@ -865,7 +863,7 @@ def _march_volterra(spec: ProblemSpec, shifts, history: HistoryConvolution, leve
     h = np.empty((K, 1, stack.shape[2]))
     for j0 in range(1, J + 1, W):
         j1 = min(j0 + W, J + 1)
-        slot = 1 + (j0 - 1) % ring
+        slot = _slot(j0, ring)
         rows = history.far_sums(stack, j0, stack[:, slot : slot + j1 - j0])
         # the data terms t_j u1 + u0 + C2_j p of every row, over -mu
         terms = data[: j1 - j0]

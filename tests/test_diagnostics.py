@@ -604,6 +604,19 @@ class TestModeTestFunction:
             assert vals[-1] == pytest.approx(0.0, abs=1e-15)
             assert vals[5] > 0.0
 
+    @pytest.mark.parametrize("modes", [(0,), (1, -2), (1.0,)])
+    def test_modes_must_be_positive_integers(self, modes):
+        with pytest.raises(ValueError, match="mode numbers must be positive integers"):
+            ModeTestFunction(modes=modes)
+
+    def test_unknown_time_profile(self):
+        with pytest.raises(ValueError, match="unknown time profile 'cubic'"):
+            ModeTestFunction(modes=(1,), time_profile="cubic")
+
+    def test_mode_count_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="mode count does not match grid dimension"):
+            ModeTestFunction(modes=(1, 1)).space_values(Grid.line(9))
+
     def test_default_battery_sizes(self):
         assert len(default_battery(Grid.line(9))) == 6
         assert len(default_battery(Grid.box(4))) == 6

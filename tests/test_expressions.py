@@ -65,6 +65,12 @@ class TestSpaceValues:
         with pytest.raises(error, match=f"^{key} = "):
             space_values(Grid.line(5), name, params)
 
+    def test_mode_count_checked(self):
+        with pytest.raises(ValueError, match="need 1 mode numbers, got 2"):
+            space_values(Grid.line(5), "sine_mode", {"modes": [1, 2]})
+        with pytest.raises(ValueError, match="need 3 mode numbers, got 2"):
+            space_values(Grid.box(4), "sine_mode", {"modes": [1, 2]})
+
     def test_whole_number_modes_accepted(self):
         g = Grid.line(9)
         want = space_values(g, "sine_mode", {"modes": [3]})

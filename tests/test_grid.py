@@ -58,6 +58,12 @@ class TestGrid:
             Grid((5, 5), (1.0, 1.0))
         with pytest.raises(ValueError):
             Grid((5,), (-1.0,))
+        with pytest.raises(ValueError, match="n and extent must have the same length"):
+            Grid((5,), (1.0, 1.0))
+
+    def test_trapezoid_weights_need_two_levels(self):
+        with pytest.raises(ValueError, match="need at least two time levels"):
+            trapezoid_weights(1, 0.1)
 
     def test_axis_coordinates(self):
         g = Grid.line(3)

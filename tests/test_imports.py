@@ -4,13 +4,21 @@ third-party module it imports is a declared dependency, and a run loads
 no module it does not need."""
 
 import ast
+import hashlib
+import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+import memvisco.solver as solver_module
+from memvisco.config import parse_config_file
+from memvisco.runner import _build_spec, _resolve_dt
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "memvisco"
@@ -55,16 +63,46 @@ def loaded_after(code: str, names) -> set[str]:
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
+def builtin_sha256() -> str:
+    """The name of CPython's builtin sha256 module, _sha256 or, from
+    Python 3.12 on, _sha2; the test skips where neither imports."""
+    for name in ("_sha256", "_sha2"):
+        try:
+            importlib.import_module(name)
+            return name
+        except ImportError:
+            pass
+    pytest.skip("neither _sha256 nor _sha2 imports")
+
+
+def run_prony_single(out: Path, prologue: str = "") -> set[str]:
+    """The OpenSSL modules loaded after a fresh interpreter ran prologue,
+    then configs/prony_single.cfg into out."""
+    config = ROOT / "configs" / "prony_single.cfg"
+    code = f"{prologue}import memvisco.cli\nassert memvisco.cli.main(['run', {str(config)!r}, '--out', {str(out)!r}]) == 0"
+    return loaded_after(code, OPENSSL_MODULES)
+
+
 def test_a_run_leaves_openssl_unloaded(tmp_path):
     # hashlib maps OpenSSL's libcrypto for the fingerprint's sha256 alone,
     # ~3.6 MiB of every process's memory; the builtin module hashes the
-    # same bytes.  Python 3.12 renamed it, and the fallback loads hashlib.
-    pytest.importorskip("_sha256")
-    config, out = ROOT / "configs" / "prony_single.cfg", tmp_path / "out"
-    code = f"import memvisco.cli\nassert memvisco.cli.main(['run', {str(config)!r}, '--out', {str(out)!r}]) == 0"
-    loaded = loaded_after(code, OPENSSL_MODULES)
-    assert (out / "manifest.json").is_file()
+    # same bytes.
+    builtin_sha256()
+    loaded = run_prony_single(tmp_path / "out")
+    assert (tmp_path / "out" / "manifest.json").is_file()
     assert loaded <= loaded_after("", OPENSSL_MODULES)
+
+
+def test_a_run_under_the_python_3_12_module_name_leaves_openssl_unloaded(tmp_path):
+    # Python 3.12 renamed _sha256 to _sha2: here only _sha2 imports, as
+    # there, and the run still hashes without hashlib, to hashlib's digest
+    name, out = builtin_sha256(), tmp_path / "out"
+    prologue = f"import {name} as builtin\nsys.modules['_sha2'], sys.modules['_sha256'] = builtin, None\n"
+    assert run_prony_single(out, prologue) <= loaded_after("", OPENSSL_MODULES)
+    (record,) = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runs"]
+    cfg = parse_config_file(ROOT / "configs" / "prony_single.cfg")
+    with mock.patch.object(solver_module, "sha256", hashlib.sha256):
+        assert _build_spec(cfg, cfg.eps, _resolve_dt(cfg, cfg.eps)).fingerprint() == record["spec_fingerprint"]
 
 
 def test_probe_sees_a_loaded_module():

@@ -124,6 +124,23 @@ class TestPowerLaw:
         assert k.singular_at_zero
         assert k.value_at_inf == 0.0
 
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            ("modulus", "modulus is defined for t >= 0 only"),
+            ("modulus_dt", "modulus is defined for t >= 0 only"),
+            ("integral", "integrated modulus is defined for x >= 0 only"),
+            ("integral2", "integrated modulus is defined for x >= 0 only"),
+        ],
+    )
+    def test_negative_time_rejected(self, method, message):
+        # for a power law and a Prony kernel alike
+        for k in (PronyKernel(0.5, ((0.5, 2.0),)), PowerLawKernel(c=1.0, alpha=0.5)):
+            with pytest.raises(KernelDomainError, match=message):
+                getattr(k, method)(-0.1)
+            with pytest.raises(KernelDomainError, match=message):
+                getattr(k, method)(np.array([0.5, -1e-300]))
+
     def test_unbounded_at_zero_rejected(self):
         k = PowerLawKernel(c=1.0, alpha=0.5)
         with pytest.raises(KernelDomainError, match=re.escape(repr(k))):
@@ -187,6 +204,10 @@ class TestKernelSum:
     def test_needs_parts(self):
         with pytest.raises(ValueError):
             KernelSum(())
+
+    def test_unsupported_summand(self):
+        with pytest.raises(ValueError, match="unsupported summand type float"):
+            KernelSum((PronyKernel(1.0, ()), 0.5))
 
 
 def rebased_tower(base, eps: float, x: np.ndarray):
@@ -466,6 +487,15 @@ class TestDiffBound:
         k = PronyKernel(2.0, ())
         assert kernel_diff_bound(k, 0.1, 0.0) == pytest.approx(0.2)
 
+    def test_domain_checked(self):
+        k = PronyKernel(g_inf=0.0, terms=((1.0, 1.0),))
+        for eps in (0.0, -0.1, math.nan):
+            with pytest.raises(KernelDomainError, match="shift must be positive"):
+                kernel_diff_bound(k, eps, 0.5)
+        for s in (-0.1, np.array([0.0, -1e-300])):
+            with pytest.raises(KernelDomainError, match="grid points must be >= 0"):
+                kernel_diff_bound(k, 0.1, s)
+
     @given(prony_strategy, st.floats(0.01, 0.5), st.floats(0.0, 2.0))
     def test_nonnegative_and_peaks_at_origin(self, k, eps, s):
         b = kernel_diff_bound(k, eps, s)
@@ -474,6 +504,19 @@ class TestDiffBound:
 
 
 class TestAdmissibility:
+    @pytest.mark.parametrize(
+        "horizon, n_samples, message",
+        [
+            (0.0, 64, "horizon must be positive and finite"),
+            (math.inf, 64, "horizon must be positive and finite"),
+            (math.nan, 64, "horizon must be positive and finite"),
+            (1.0, 1, "need at least 2 samples"),
+        ],
+    )
+    def test_inputs_checked(self, horizon, n_samples, message):
+        with pytest.raises(ValueError, match=message):
+            check_admissibility(PronyKernel(1.0, ()), horizon, n_samples=n_samples)
+
     def test_prony_classical(self):
         rep = check_admissibility(PronyKernel(g_inf=0.0, terms=((1.0, 1.0),)), 1.0)
         assert rep.passed
@@ -554,6 +597,20 @@ class TestAdmissibility:
 
 
 class TestFadingMemory:
+    @pytest.mark.parametrize(
+        "bound, tol, message",
+        [
+            (1.0, 0.0, "tolerance must be positive"),
+            (1.0, -0.1, "tolerance must be positive"),
+            (1.0, math.nan, "tolerance must be positive"),
+            (-1.0, 0.1, "history bound must be nonnegative"),
+            (math.nan, 0.1, "history bound must be nonnegative"),
+        ],
+    )
+    def test_inputs_checked(self, bound, tol, message):
+        with pytest.raises(ValueError, match=message):
+            check_fading_memory(PronyKernel(g_inf=0.0, terms=((1.0, 1.0),)), bound, tol)
+
     def test_exponential_oracle(self):
         # tail bound * e^{-a} drops to e^{-3} exactly at a = 3
         k = PronyKernel(g_inf=0.0, terms=((1.0, 1.0),))
@@ -632,6 +689,10 @@ class TestKernelFromDict:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
             kernel_from_dict({"family": "maxwell"})
+
+    def test_family_key_required(self):
+        with pytest.raises(ValueError, match="kernel mapping needs a 'family' key"):
+            kernel_from_dict({"g0": 1.0})
 
     def test_extra_keys_rejected(self):
         with pytest.raises(ValueError):

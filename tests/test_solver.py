@@ -107,6 +107,11 @@ class TestTimeSteps:
         g3 = Grid.box(7)
         assert stable_time_step(g3, 1.0) == pytest.approx(g3.h_min / math.sqrt(3.0))
 
+    @pytest.mark.parametrize("cfl", [0.0, -0.5, 1.5, math.nan])
+    def test_cfl_number_outside_the_unit_interval_refused(self, cfl):
+        with pytest.raises(CflViolation, match=r"cfl number must be in \(0, 1\]"):
+            cfl_time_step(Grid.line(23), PRONY, 0.05, cfl, 1.0)
+
     def test_cfl_time_step_divides_horizon(self):
         g = Grid.line(23)
         dt = cfl_time_step(g, PRONY, 0.05, 0.5, 1.3)
@@ -123,6 +128,25 @@ class TestProblemSpec:
                 kernel=PronyKernel(1.0, ()), grid=g, horizon=1.0, dt=0.3,
                 eps=1.0, u0=Field.zero(g), u1=Field.zero(g),
             )
+
+    @pytest.mark.parametrize(
+        "horizon, dt, message",
+        [
+            (math.inf, 0.1, "horizon must be positive and finite"),
+            (math.nan, 0.1, "horizon must be positive and finite"),
+            (1.0, math.inf, "dt must be positive and finite"),
+            (1.0, math.nan, "dt must be positive and finite"),
+            (0.5, 0.5, "need at least 2 time steps"),
+        ],
+    )
+    def test_step_checks(self, horizon, dt, message):
+        with pytest.raises(ValueError, match=message):
+            ProblemSpec.check_steps(horizon, dt)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -0.1])
+    def test_shift_must_be_finite_and_nonnegative(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            ProblemSpec.check_shift(eps, "integral_volterra")
 
     def test_cfl_violation_names_required_dt(self):
         g = Grid.line(99)
@@ -528,6 +552,13 @@ class TestShiftBatch:
             assert getattr(seq, name).tobytes() == getattr(batch, name).tobytes(), name
         assert (seq.runs, seq.levels_bytes) == (batch.runs, batch.levels_bytes)
 
+    def test_a_finite_block_whose_sum_overflows_is_returned(self):
+        # the sum of every value is inf here, so the rows are scanned, and
+        # each one is finite: the block is a result, not an abort
+        block = np.full((2, 3, 4), 1e308)
+        with np.errstate(over="ignore"):
+            assert solver_module._finished(block, 5, [0.1, 0.01]) is block
+
     def test_abort_names_the_failing_shift(self):
         # the top grid mode under a large dt: of the shifts 0.1 .. 1e-4
         # (z_max 0.74, 2.1, 4.0, 5.4) the third overflows first and the
@@ -591,9 +622,10 @@ def test_volterra_sequence_holds_no_history():
 def test_history_weights_hold_no_pair_array():
     # the benchmark sequence's weights for its 7 shifts at J = 8,000 hold
     # two (K, J) tables, the lags (stored once, reversed, the order the
-    # blocks read) and oldest, and the tail's few terms (measured: 2.02x
-    # lags; 3.02x with a reversed copy of lags beside them, and 4.02x when
-    # oldest was a view into interval_weights' (K, 2, J) pairs)
+    # blocks read, with _MARCH_ROWS zeros past either end) and oldest, and
+    # the tail's few terms (measured: 2.02x lags; 3.02x with a reversed copy
+    # of lags beside them, and 4.02x when oldest was a view into
+    # interval_weights' (K, 2, J) pairs)
     J = 8000
     kernels = [translate(PowerLawKernel(c=1.0, alpha=0.5), 0.1 * 0.5**h) for h in range(7)]
     tracemalloc.start()
@@ -606,7 +638,44 @@ def test_history_weights_hold_no_pair_array():
     finally:
         tracemalloc.stop()
     assert held < 2.5 * history.lags.nbytes
-    assert history.lags.base.shape == (7, J + 1)
+    assert history.lags.base.shape == (7, J + 1 + 2 * solver_module._MARCH_ROWS)
+
+
+@pytest.mark.parametrize("K", [1, 7])
+@pytest.mark.parametrize("n", [5, 64, 2000])
+def test_padded_table_windows_read_zero_past_the_lags(n, K):
+    # every reader of the weights takes a window of the one padded table:
+    # its extreme windows read each lag outside 0 .. n as an exact 0.0 and
+    # every other entry as lags
+    W = solver_module._MARCH_ROWS
+    rng = np.random.default_rng(n + K)
+    shape = (n,) if K == 1 else (K, n)
+    history = HistoryConvolution(rng.standard_normal(shape), rng.standard_normal(shape))
+    lags = np.atleast_2d(history.lags)
+
+    def check(window, lag):
+        inside = (lag >= 0) & (lag <= n)
+        assert window.shape == (K,) + lag.shape
+        assert np.all(window[:, ~inside] == 0.0)
+        assert np.array_equal(window[:, inside], lags[:, lag[inside]])
+
+    def block(j0, j1, m0, m1):
+        check(history._block(j0, j1, m0, m1), np.arange(j0, j1)[:, None] - np.arange(m0, m1))
+
+    nb = -(-n // W)
+    # the adjoint's Toeplitz blocks at the offsets d = 0 and nb - 1
+    block(1, W + 1, 1, W + 1)
+    block((nb - 1) * W + 1, nb * W + 1, 1, W + 1)
+    # a far-sum chunk of the last rows whose oldest level lies lag n back
+    j0 = max(2, n + 2 - W)
+    block(j0, n + 2, 1, min(j0, W + 1))
+    # near, lags W - 1 .. 0, zero past lag n where n < W - 1
+    check(history.near.reshape(K, W), np.arange(W - 1, -1, -1))
+    # a lag one further out than the padding reaches is refused
+    with pytest.raises(IndexError, match="reach past the table"):
+        history._block(n + W + 2, n + W + 3, 1, 2)
+    with pytest.raises(IndexError, match="reach past the table"):
+        history._block(1, 2, W + 2, W + 3)
 
 
 def test_powerlaw_leapfrog_holds_no_history():
@@ -1427,6 +1496,14 @@ class TestTrajectoryDistance:
 
 
 class TestStress:
+    @pytest.mark.parametrize("curve", [compute_stress, stress_curve])
+    def test_strain_samples_checked(self, curve):
+        with pytest.raises(ValueError, match="strain history must be a 1-d sample array"):
+            curve(PRONY, np.ones((3, 2)), 0.1)
+        for dt in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                curve(PRONY, np.ones(3), dt)
+
     def test_step_strain_tracks_modulus(self):
         dt = 0.01
         n = 200
