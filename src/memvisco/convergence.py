@@ -10,7 +10,7 @@ shift.
 from __future__ import annotations
 
 import math
-import time
+from contextlib import nullcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +48,7 @@ class ShiftSequence(NamedTuple):
     convergence_lemma_check read.  next_squares[h] and finest_squares[h],
     (K - 1, J + 1), are each level's level_squares of u_h - u_{h+1} and
     of u_h - u_{K-1} (Parseval: in sine coefficients); columns[k] is run
-    k's battery_columns and peaks[k] its max |u|.  seconds is the wall
-    time of the reduction, by the phase that reads it.
+    k's battery_columns and peaks[k] its max |u|.
     """
 
     grid: Grid
@@ -61,39 +60,37 @@ class ShiftSequence(NamedTuple):
     finest_squares: np.ndarray
     columns: np.ndarray
     peaks: np.ndarray
-    seconds: dict
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
     @classmethod
-    def reduce(cls, grid: Grid, times: np.ndarray, eps_values, runs, levels_bytes: int, blocks) -> ShiftSequence:
+    def reduce(
+        cls, grid: Grid, times: np.ndarray, eps_values, runs, levels_bytes: int, blocks, phases=nullcontext
+    ) -> ShiftSequence:
         """The sequence of runs whose levels come in blocks (j0, the levels
         j0 .. j1 - 1 of every run), level 0 first, as run_eps_sequence hands
-        them over; each block is read as it arrives."""
+        them over; each block is read as it arrives, its work timed as
+        phases(name) of the run's clock, by the phase that reads it: the
+        "cauchy" squares, and the "lemma_check" columns and peaks."""
         eps_values = np.asarray(eps_values, dtype=float)
         K, n = eps_values.size, times.size
         next_squares, finest_squares = np.empty((2, K - 1, n))
         columns = np.empty((K, n, len(battery_modes(grid))))
         peaks = np.zeros(K)
-        seconds = {"cauchy": 0.0, "lemma_check": 0.0}
         for j0, block in blocks:
             j1 = j0 + block.shape[1]
-            start = time.perf_counter()
-            next_squares[:, j0:j1] = level_squares(grid, block[:-1] - block[1:], overwrite=True)
-            finest_squares[:, j0:j1] = level_squares(grid, block[:-1] - block[-1:], overwrite=True)
-            middle = time.perf_counter()
-            columns[:, j0:j1] = battery_columns(grid, block)
-            # a shift's block is transformed, whole, only when the bound on its
-            # max |u| can raise the peak: else max(peak, max |u|) is the peak
-            for k in np.flatnonzero(_peak_bounds(grid, block) > peaks):
-                peaks[k] = max(peaks[k], np.abs(sine_transform(grid, block[k])).max())
-            seconds["cauchy"] += middle - start
-            seconds["lemma_check"] += time.perf_counter() - middle
-        return cls(
-            grid, times, eps_values, tuple(runs), levels_bytes, next_squares, finest_squares, columns, peaks, seconds
-        )
+            with phases("cauchy"):
+                next_squares[:, j0:j1] = level_squares(grid, block[:-1] - block[1:], overwrite=True)
+                finest_squares[:, j0:j1] = level_squares(grid, block[:-1] - block[-1:], overwrite=True)
+            with phases("lemma_check"):
+                columns[:, j0:j1] = battery_columns(grid, block)
+                # a shift's block is transformed, whole, only when the bound on its
+                # max |u| can raise the peak: else max(peak, max |u|) is the peak
+                for k in np.flatnonzero(_peak_bounds(grid, block) > peaks):
+                    peaks[k] = max(peaks[k], np.abs(sine_transform(grid, block[k])).max())
+        return cls(grid, times, eps_values, tuple(runs), levels_bytes, next_squares, finest_squares, columns, peaks)
 
 
 def _peak_bounds(grid: Grid, block: np.ndarray) -> np.ndarray:
@@ -106,15 +103,16 @@ def _peak_bounds(grid: Grid, block: np.ndarray) -> np.ndarray:
     return grid.sine_bound * (levels @ np.ones(levels.shape[-1])).max(axis=1)
 
 
-def run_eps_sequence(base: ProblemSpec, eps0: float, ratio: float, count: int) -> ShiftSequence:
+def run_eps_sequence(base: ProblemSpec, eps0: float, ratio: float, count: int, phases=nullcontext) -> ShiftSequence:
     """Run the base problem at every shift of the schedule, shared dt, and
     reduce the runs to a ShiftSequence, each block of levels as march
-    hands it over: an infeasible dt fails before any work happens, and a
-    march that aborts stops the sequence.
+    hands it over, its work timed by phases as ShiftSequence.reduce says:
+    an infeasible dt fails before any work happens, and a march that
+    aborts stops the sequence.
     """
     eps_values = eps_schedule(eps0, ratio, count)
     runs, levels, blocks = march(base, eps_values)
-    return ShiftSequence.reduce(base.grid, base.times, eps_values, runs, levels.nbytes // len(runs), blocks)
+    return ShiftSequence.reduce(base.grid, base.times, eps_values, runs, levels.nbytes // len(runs), blocks, phases)
 
 
 class ConvergenceReport(NamedTuple):

@@ -10,7 +10,7 @@ solution and the kernel calculus together.
 from __future__ import annotations
 
 import math
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -80,9 +80,7 @@ class SingleRun(NamedTuple):
     one refuses a run without it (require).  stack_bytes
     counts the e_j stack their lag passes read, 0 for a Prony modulus,
     whose sums step with the levels.  displaced tells whether level 0 is
-    nonzero, and seconds is the reduction's wall time by what it formed:
-    the level "sums", and the "ledger", "weak_residual" and "export"
-    work."""
+    nonzero."""
 
     grid: Grid
     times: np.ndarray
@@ -94,7 +92,6 @@ class SingleRun(NamedTuple):
     history_sums: np.ndarray | None
     ledger: tuple | None
     stack_bytes: int
-    seconds: dict
 
     @property
     def dt(self) -> float:
@@ -111,7 +108,9 @@ class SingleRun(NamedTuple):
         return self
 
     @classmethod
-    def reduce(cls, grid, times, blocks, forcing=None, ledger=None, battery=False, export=None) -> SingleRun:
+    def reduce(
+        cls, grid, times, blocks, forcing=None, ledger=None, battery=False, export=None, phases=nullcontext
+    ) -> SingleRun:
         """The reduction of a run whose levels come in blocks (j0, the levels
         j0 .. j1 - 1), level 0 first, as march hands them over for one
         shift, each read as (rows, N).  forcing gives the power; ledger,
@@ -125,6 +124,10 @@ class SingleRun(NamedTuple):
         levels j0 .. j0 + rows - 1 and of their velocities, views that the
         reduction writes over after the call.
 
+        Each part of the work is timed as phases(name) of the run's clock:
+        the level "sums", and the "ledger", "weak_residual" and "export"
+        work; the rest, the march's included, is the caller's.
+
         Pieces of run_block levels are reduced, so a streamed run and its
         stored levels are summed alike.  A level is reduced once the next is
         known, for its centered velocity, and the last with its piece: every
@@ -136,21 +139,14 @@ class SingleRun(NamedTuple):
         power = None if forcing is None else np.zeros(n)
         profile = None if forcing is None else sine_transform(grid, forcing.profile(grid)).ravel()
         columns = np.empty((n, len(battery_modes(grid)))) if battery else None
-        clock = time.perf_counter
-        t = clock()
-        histories = ledger_plan(*ledger, times) if ledger else []
-        prony = edges = None
-        if histories and histories[0].backend == "exponential":
-            prony = _PronyInflows(histories[0].terms[0], n, grid.n_total, vol)
-        elif histories:
-            edges = np.empty((n, grid.n_total))
-        seconds = {"ledger": clock() - t} if ledger else {}
-
-        def book(phase, since):
-            now = clock()
-            seconds[phase] = seconds.get(phase, 0.0) + now - since
-            return now
-
+        histories, prony, edges = [], None, None
+        if ledger:
+            with phases("ledger"):
+                histories = ledger_plan(*ledger, times)
+                if histories and histories[0].backend == "exponential":
+                    prony = _PronyInflows(histories[0].terms[0], n, grid.n_total, vol)
+                elif histories:
+                    edges = np.empty((n, grid.n_total))
         rows = run_block(grid.n_total, n)
         # the (at most) two levels before a piece, then the piece; and e,
         # then v, of the levels a piece reduces: buffers held for the whole
@@ -166,50 +162,49 @@ class SingleRun(NamedTuple):
             for a in range(j0, j0 + block.shape[0], rows):
                 piece = block[a - j0 : a - j0 + rows]
                 b = a + piece.shape[0]
-                t = clock()
                 if battery:
-                    columns[a:b] = battery_columns(grid, piece.reshape((-1, *grid.shape)))
-                    t = book("weak_residual", t)
-                # w holds the levels b - len(w) .. b - 1, of which done .. hi - 1
-                # are reduced: its rows r0 .. r1 - 1
-                w = window[: held + piece.shape[0]]
-                w[held:] = piece
-                hi = b if b == n else b - 1
-                r0, r1 = done - (b - w.shape[0]), hi - (b - w.shape[0])
-                if hi > done:
-                    # e_{done - 1} .. e_{hi - 1}, the first for the Prony deltas
-                    lead = min(r0, 1)
-                    e = np.multiply(w[r0 - lead : r1], root_mu, out=work[: r1 - r0 + lead])
-                    grad_sq[done:hi] = np.einsum("ij,ij->i", e[lead:], e[lead:])
-                    t = book("sums", t)
-                    if prony is not None:
-                        prony.add(e, done, hi)
-                        t = book("ledger", t)
-                    elif edges is not None:
-                        edges[done:hi] = e[lead:]
-                        t = book("ledger", t)
-                    v = velocity_estimates(w, dt, r0, r1, out=work[: r1 - r0])
-                    vel_sq[done:hi] = np.einsum("ij,ij->i", v, v)
-                    t = book("sums", t)
-                    if profile is not None:
-                        power[done:hi] = v @ profile
-                        t = book("ledger", t)
-                    if export:
-                        export(done, w[r0:r1], v)
-                        t = book("export", t)
+                    with phases("weak_residual"):
+                        columns[a:b] = battery_columns(grid, piece.reshape((-1, *grid.shape)))
+                # the level sums hold the ledger's and the export's work, each
+                # a phase of its own
+                with phases("sums"):
+                    # w holds the levels b - len(w) .. b - 1, of which done .. hi - 1
+                    # are reduced: its rows r0 .. r1 - 1
+                    w = window[: held + piece.shape[0]]
+                    w[held:] = piece
+                    hi = b if b == n else b - 1
+                    r0, r1 = done - (b - w.shape[0]), hi - (b - w.shape[0])
+                    if hi > done:
+                        # e_{done - 1} .. e_{hi - 1}, the first for the Prony deltas
+                        lead = min(r0, 1)
+                        e = np.multiply(w[r0 - lead : r1], root_mu, out=work[: r1 - r0 + lead])
+                        grad_sq[done:hi] = np.einsum("ij,ij->i", e[lead:], e[lead:])
+                        if prony is not None:
+                            with phases("ledger"):
+                                prony.add(e, done, hi)
+                        elif edges is not None:
+                            with phases("ledger"):
+                                edges[done:hi] = e[lead:]
+                        v = velocity_estimates(w, dt, r0, r1, out=work[: r1 - r0])
+                        vel_sq[done:hi] = np.einsum("ij,ij->i", v, v)
+                        if profile is not None:
+                            with phases("ledger"):
+                                power[done:hi] = v @ profile
+                        if export:
+                            with phases("export"):
+                                export(done, w[r0:r1], v)
                 held = min(2, w.shape[0])
                 window[:held] = w[-held:]
                 done = hi
         history_sums = None
         if histories:
-            t = clock()
-            if prony is not None:
-                history_sums = _prony_history_sums(prony, vol, [h.terms[0] for h in histories])
-            else:
-                history_sums = _lag_pass_sums(edges, vol, histories)
-            book("ledger", t)
+            with phases("ledger"):
+                if prony is not None:
+                    history_sums = _prony_history_sums(prony, vol, [h.terms[0] for h in histories])
+                else:
+                    history_sums = _lag_pass_sums(edges, vol, histories)
         stack_bytes = 0 if edges is None else edges.nbytes
-        return cls(grid, times, displaced, grad_sq, vel_sq, power, columns, history_sums, ledger, stack_bytes, seconds)
+        return cls(grid, times, displaced, grad_sq, vel_sq, power, columns, history_sums, ledger, stack_bytes)
 
 
 class _PronyInflows:
@@ -630,7 +625,8 @@ class ModeTestFunction:
     time_profile: str = "parabolic"  # parabolic | halfsine
 
     def __post_init__(self):
-        if not all(isinstance(m, int) and m >= 1 for m in self.modes):
+        # True is an int but no mode number, as the initial data's modes say
+        if not all(isinstance(m, int) and not isinstance(m, bool) and m >= 1 for m in self.modes):
             raise ValueError("mode numbers must be positive integers")
         if self.time_profile not in ("parabolic", "halfsine"):
             raise ValueError(f"unknown time profile '{self.time_profile}'")

@@ -48,7 +48,6 @@ from memvisco.solver import (
     SolverAbort,
     cfl_time_step,
     march,
-    stable_time_step,
     stress_curve,
 )
 
@@ -169,28 +168,28 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
 
 class _Phases:
     """Wall time of each named phase of a run, summed over its repeats, and
-    the time steps a phase marched, if any."""
+    the time steps a phase marched, if any.  A phase opened inside another
+    is booked to itself only, and the outer phase keeps the rest of its
+    time, so the phases never overlap."""
 
     def __init__(self):
         self.seconds: dict[str, float] = {}
         self.steps: dict[str, int] = {}
+        self._inner = [0.0]  # per open phase, the time of the phases inside it
 
     @contextmanager
     def __call__(self, name: str, steps: int = 0):
+        self._inner.append(0.0)
         start = time.perf_counter()
         try:
             yield
         finally:
-            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
+            span = time.perf_counter() - start
+            inner = self._inner.pop()
+            self._inner[-1] += span
+            self.seconds[name] = self.seconds.get(name, 0.0) + span - inner
             if steps:
                 self.steps[name] = self.steps.get(name, 0) + steps
-
-    def split(self, name: str, parts: dict) -> None:
-        """Book parts, {phase: seconds} of work done inside phase name, to
-        phases of their own."""
-        for part, seconds in parts.items():
-            self.seconds[name] -= seconds
-            self.seconds[part] = self.seconds.get(part, 0.0) + seconds
 
     def report(self) -> dict:
         out = {name: {"seconds": round(sec, 6)} for name, sec in self.seconds.items()}
@@ -436,12 +435,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     return exit_code
 
 
-def _run_record(cfg: ExperimentConfig, eps: float, dt: float, facts: RunRecord, levels_bytes: int) -> dict:
+def _run_record(eps: float, facts: RunRecord, levels_bytes: int) -> dict:
     """What the manifest keeps of one run, from its RunRecord facts.
 
-    A leapfrog run records its stability margin, dt over the largest stable
-    dt at the shift; a Volterra run its modal one, z_max, the self-weight
-    times the largest eigenvalue of -lap.  A direct-backend run records the
+    A leapfrog run records its stability margin, dt_over_limit, and a
+    Volterra run its modal one, z_max.  A direct-backend run records the
     far history sums' fit: far_nodes terms (0 when summed directly) whose
     checked error is far_error of max |w|, w = Ksh or dG.  levels_bytes is
     the level bytes the run held: its march's buffer and the e_j stack of
@@ -456,9 +454,8 @@ def _run_record(cfg: ExperimentConfig, eps: float, dt: float, facts: RunRecord, 
     }
     if facts.z_max is not None:
         record["z_max"] = facts.z_max
-    else:
-        limit = stable_time_step(cfg.grid, cfg.kernel.modulus(float(eps)))
-        record["dt_over_limit"] = dt / limit
+    if facts.dt_over_limit is not None:
+        record["dt_over_limit"] = facts.dt_over_limit
     if facts.history_backend == "direct":
         record["far_nodes"] = facts.far_nodes
         record["far_error"] = facts.far_error
@@ -498,22 +495,19 @@ def _run_single(
     )
 
     # the march hands each block of levels to the reduction the audits and
-    # the exports read: its time goes to their phases, the level sums' to
-    # the ledger's, else the bound's, else the export's, with the time that
-    # closes and renames the exported files
-    with phases("solve", steps=spec.n_steps):
-        with _trajectory_export(out_dir, cfg, spec.grid, spec.times) as export:
+    # the exports read, which books its work to their phases, the level
+    # sums to the ledger's, else the bound's, else the export's: solve times
+    # the march alone, and export opens and renames the exported files
+    summed = "ledger" if ledger_on else "bound" if bound_on else "export"
+    with phases("export"), _trajectory_export(out_dir, cfg, spec.grid, spec.times) as export:
+        with phases("solve", steps=spec.n_steps):
             (record,), levels, blocks = march(spec)
             sums = SingleRun.reduce(
                 spec.grid, spec.times, blocks, spec.forcing if ledger_on else None,
                 (cfg.kernel, cfg.eps) if ledger_on else None, battery=wanted["weak_residual"], export=export,
+                phases=lambda name: phases(summed if name == "sums" else name),
             )
-            marched = time.perf_counter()
-        parts = dict(sums.seconds, export=sums.seconds.get("export", 0.0) + time.perf_counter() - marched)
-    summed = "ledger" if ledger_on else "bound" if bound_on else "export"
-    parts[summed] = parts.get(summed, 0.0) + parts.pop("sums", 0.0)
-    phases.split("solve", parts)
-    runs.append(_run_record(cfg, cfg.eps, dt, record, levels.nbytes + sums.stack_bytes))
+    runs.append(_run_record(cfg.eps, record, levels.nbytes + sums.stack_bytes))
     verdicts.update(skipped)
     verdicts["dt"] = dt
     verdicts["n_steps"] = spec.n_steps
@@ -562,15 +556,16 @@ def _run_sequence(
     eps_values = eps_schedule(cfg.eps0, cfg.ratio, cfg.count)
     dt = _resolve_dt(cfg, float(eps_values[-1]))
     base = _build_spec(cfg, float(eps_values[0]), dt)
+    # the sequence reduces each block of levels as the march hands it over,
+    # booked to the phases that read the reductions; the work of a lemma
+    # check that does not run stays in solve
+    lemma = cfg.diagnostics["lemma_check"]
     with phases("solve", steps=base.n_steps * (cfg.count + 1)):
-        sequence = run_eps_sequence(base, cfg.eps0, cfg.ratio, cfg.count)
-    # the sequence reduces each block of levels as the march hands it over:
-    # that time goes to the phases that read the reductions
-    reductions = sequence.seconds
-    if not cfg.diagnostics["lemma_check"]:
-        reductions = {"cauchy": reductions["cauchy"]}
-    phases.split("solve", reductions)
-    runs.extend(_run_record(cfg, e, dt, r, sequence.levels_bytes) for e, r in zip(eps_values, sequence.runs))
+        sequence = run_eps_sequence(
+            base, cfg.eps0, cfg.ratio, cfg.count,
+            phases=lambda name: phases("solve" if name == "lemma_check" and not lemma else name),
+        )
+    runs.extend(_run_record(e, r, sequence.levels_bytes) for e, r in zip(eps_values, sequence.runs))
     with phases("cauchy"):
         report = cauchy_report(sequence, cfg.kernel, cfg.tolerances["cauchy_tol"])
 
@@ -603,7 +598,7 @@ def _run_sequence(
         f"passed={report.passed}"
     )
 
-    if cfg.diagnostics["lemma_check"]:
+    if lemma:
         with phases("lemma_check"):
             entries = convergence_lemma_check(cfg.kernel, sequence)
         with phases("export"):

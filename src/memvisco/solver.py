@@ -208,6 +208,8 @@ class RunRecord(NamedTuple):
     spec_fingerprint: str
     # Volterra runs: the self-weight lags[0] times the top eigenvalue of -lap
     z_max: float | None = None
+    # leapfrog runs: dt over the largest stable dt at the shift
+    dt_over_limit: float | None = None
     history_backend: str = "direct"
     # direct-backend runs: the exponential terms of the far history sums and
     # their fit's checked error relative to max |w| (w = Ksh or dG); 0, 0.0 direct
@@ -776,11 +778,15 @@ def march(spec: ProblemSpec, shifts=None):
     # last step reads no history sum
     order, n = (-1, J) if volterra else (1, J - 1)
     history = HistoryConvolution.of([translate(spec.kernel, e) for e in shifts], order, n, dt)
-    # z_max of a Volterra run; a tail's terms and each weight set's checked error
+    # the margin, z_max of a Volterra run or dt_over_limit of a leapfrog's;
+    # a tail's terms and each weight set's checked error
     top, tail = float(grid.eigenvalues.max()), history.tail
     records = [
         RunRecord(
-            s.fingerprint(), float(history.lags[k, 0]) * top if volterra else None, history.backend,
+            s.fingerprint(),
+            float(history.lags[k, 0]) * top if volterra else None,
+            None if volterra else dt / stable_time_step(grid, s.kernel.modulus(s.eps)),
+            history.backend,
             *(() if tail is None else (tail.ratios.size, float(tail.error[k]))),
         )
         for k, s in enumerate(specs)

@@ -1316,6 +1316,27 @@ def test_streamed_run_records_its_ring_and_books_its_blocks(tmp_path, monkeypatc
     assert phases["solve"] < 0.25 * min(slowed_phases)
 
 
+def test_export_set_up_is_booked_to_export(tmp_path, monkeypatch):
+    # the trajectory export's set-up, its per-node table slowed by 0.2 s
+    # here, is export work, so solve times the march alone
+    import time
+
+    import memvisco.runner as runner
+
+    rows = runner._trajectory_rows
+
+    def slowed(grid):
+        time.sleep(0.2)
+        return rows(grid)
+
+    monkeypatch.setattr(runner, "_trajectory_rows", slowed)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_cfg(tmp_path, QUICK), "--out", str(out)]) == 0
+    phases = read_manifest(out)["phases"]
+    assert phases["export"]["seconds"] >= 0.2
+    assert phases["solve"]["seconds"] < 0.2
+
+
 class TestCheckKernel:
     def test_reports_admissible(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, ADMISSIBILITY)

@@ -604,7 +604,7 @@ class TestModeTestFunction:
             assert vals[-1] == pytest.approx(0.0, abs=1e-15)
             assert vals[5] > 0.0
 
-    @pytest.mark.parametrize("modes", [(0,), (1, -2), (1.0,)])
+    @pytest.mark.parametrize("modes", [(0,), (1, -2), (1.0,), (True,)])
     def test_modes_must_be_positive_integers(self, modes):
         with pytest.raises(ValueError, match="mode numbers must be positive integers"):
             ModeTestFunction(modes=modes)

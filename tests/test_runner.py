@@ -21,7 +21,8 @@ from memvisco.expressions import field_from_name
 from memvisco.grid import Field, Grid
 from memvisco.kernels import PronyKernel
 from memvisco.grid import sine_transform
-from memvisco.runner import _reprs, _trajectory_export, _trajectory_rows, _write_atomic, _write_csv
+from memvisco import runner
+from memvisco.runner import _Phases, _reprs, _trajectory_export, _trajectory_rows, _write_atomic, _write_csv
 from memvisco.solver import ProblemSpec, run, run_block
 
 PRONY = PronyKernel(g_inf=0.5, terms=((0.5, 2.0),))
@@ -299,3 +300,28 @@ def test_write_csv_refuses_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="one column per header name"):
         _write_csv(tmp_path / "b.csv", ["a", "b"], [[1.0]])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_phases_book_a_nested_phase_to_itself_only(monkeypatch):
+    # on a clock that moves only when told: an inner phase is booked to
+    # itself, a same-named inner phase once, and the outer phase keeps the
+    # rest, so the phases sum to the outer span
+    now = [0.0]
+    monkeypatch.setattr(runner.time, "perf_counter", lambda: now[0])
+    phases = _Phases()
+    with phases("outer", steps=3):
+        now[0] += 1.0
+        with phases("inner"):
+            now[0] += 2.0
+            with phases("innermost"):
+                now[0] += 16.0
+        with phases("outer"):
+            now[0] += 4.0
+        with pytest.raises(ZeroDivisionError), phases("inner"):
+            now[0] += 32.0
+            1 / 0
+        now[0] += 8.0
+    assert phases.seconds == {"outer": 13.0, "inner": 34.0, "innermost": 16.0}
+    assert sum(phases.seconds.values()) == now[0] == 63.0
+    report = phases.report()
+    assert report["outer"] == {"seconds": 13.0, "n_steps": 3, "seconds_per_step": 13.0 / 3}
